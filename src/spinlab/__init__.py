@@ -20,7 +20,6 @@ from .kac import (KacElement, EnvelopeElement, kac_product, idempotent_f,
 from .tits import (TitsModel, TitsElement, TITS_DIMS, build_tits, tits_model,
                    tits_bracket, unit_ideal_split, build_so_MQ, phi0,
                    spin_map_psi, phi1_intertwine, cross_identify_with_typeB)
-from .cli import export_algebra, import_algebra
 
 __version__ = "0.1.0"
 
@@ -42,5 +41,4 @@ __all__ = [
     "TitsModel", "TitsElement", "TITS_DIMS", "build_tits", "tits_model",
     "tits_bracket", "unit_ideal_split", "build_so_MQ", "phi0",
     "spin_map_psi", "phi1_intertwine", "cross_identify_with_typeB",
-    "export_algebra", "import_algebra",
 ]

@@ -17,7 +17,6 @@ matrices over a specific field.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -115,11 +114,6 @@ def so_dim(l: int, kind: str) -> int:
     return l * (2 * l + 1) if kind == "B" else l * (2 * l - 1)
 
 
-def so_basis(l: int, kind: str = "B") -> list:
-    """Ordered pair labels of the so basis; Cartan entries are [v_i,f_i]."""
-    return list(pair_basis(l, kind).labels)
-
-
 def cartan_indices(l: int, kind: str = "B") -> list:
     return list(pair_basis(l, kind).cartan)
 
@@ -172,10 +166,6 @@ def _pair_action(space: AmbientSpace, a: int, b: int, mask: int):
     return mask, 0
 
 
-def _cache_dir():
-    return os.environ.get("SPINLAB_CACHE")
-
-
 @lru_cache(maxsize=None)
 def rho_tables(l: int, kind: str):
     """Integer spin-action tables (tgt, cof), each of shape (npairs, 2**l).
@@ -183,17 +173,6 @@ def rho_tables(l: int, kind: str):
     Row k gives the action of the k-th basis pair on every monomial
     mask m: the image is cof[k,m] * monomial(tgt[k,m]).
     """
-    cachedir = _cache_dir()
-    path = None
-    if cachedir:
-        path = os.path.join(cachedir, f"rho_{kind}_{l}.npz")
-        try:
-            with np.load(path) as z:
-                tgt, cof = z["tgt"], z["cof"]
-            if tgt.shape == (len(pair_basis(l, kind).pairs), 1 << l):
-                return tgt, cof
-        except (OSError, KeyError, ValueError):
-            pass
     space = ambient_space(l, kind)
     pb = pair_basis(l, kind)
     n = 1 << l
@@ -206,12 +185,6 @@ def rho_tables(l: int, kind: str):
             cof[k, m] = c
     tgt.setflags(write=False)
     cof.setflags(write=False)
-    if path:
-        try:
-            os.makedirs(cachedir, exist_ok=True)
-            np.savez(path, tgt=tgt, cof=cof)
-        except OSError:
-            pass
     return tgt, cof
 
 

@@ -27,7 +27,8 @@ from .clifford import (gram_pairing, half_spin_masks, pair_basis, rho_tables,
 from .exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
                        complement, form_sign, monomial_label)
 from .fields import Field, FieldMismatch
-from .superalgebra import SuperAlgebra, VerificationReport, check_jacobi
+from .superalgebra import (SuperAlgebra, VerificationFailed, VerificationReport,
+                           check_jacobi)
 from . import superalgebra as _super
 
 
@@ -137,7 +138,8 @@ def spin_bracket(s: Multivector, t: Multivector, ctx):
 
 def _field_ss_table(l: int, kind: str, field: Field) -> dict:
     """Integer table pushed into the field; over GF(p) the reduction of the
-    rational values is recomputed natively mod p and must agree."""
+    rational values is recomputed natively mod p and must agree
+    (VerificationFailed otherwise)."""
     f = field
     ints = _ss_integer_table(l, kind)
     out = {}
@@ -147,7 +149,10 @@ def _field_ss_table(l: int, kind: str, field: Field) -> dict:
             v = f.raw(Fraction(num, den))
             if f.p:
                 native = num % f.p * pow(den % f.p, f.p - 2, f.p) % f.p
-                assert v == native, (key, k, num, den, v, native)
+                if v != native:
+                    raise VerificationFailed(
+                        f"reduction of {num}/{den} mod {f.p} at {key}, {k}: "
+                        f"{v} != native {native}")
             if not f.is_zero(v):
                 d[k] = v
         if d:
@@ -161,8 +166,8 @@ def build_superalgebra(l: int, kind: str, field: Field, check: bool = True,
 
     Basis order: so pair basis first (even part), then the module
     monomials by increasing mask (odd part).  The computed odd-odd table
-    is asserted to have the symmetry the kind and l dictate before it is
-    folded into the stored i <= j convention.
+    must have the symmetry the kind and l dictate (VerificationFailed
+    otherwise) before it is folded into the stored i <= j convention.
     """
     _check_kind(l, kind)
     f = field
@@ -197,7 +202,10 @@ def build_superalgebra(l: int, kind: str, field: Field, check: bool = True,
         for k, v in cell.items():
             other = mate.get(k, f.zero())
             want = v if sym else f.neg(v)
-            assert other == want, ("odd product symmetry", l, kind, si, ti, k)
+            if other != want:
+                raise VerificationFailed(
+                    f"odd product symmetry fails for kind {kind}, l={l} "
+                    f"at ({si}, {ti}), component {k}")
         if si <= ti:
             bracket[(n0 + si, n0 + ti)] = dict(cell)
     if name is None:
@@ -236,7 +244,7 @@ SIMPLICITY_MAX_ODD = 32       # certificate cap on dim S (override with long=Tru
 
 
 def classify(l: int, kind: str, field: Field, mode: str = "auto",
-             workers: int = None, long: bool = False) -> VerificationReport:
+             long: bool = False) -> VerificationReport:
     """Build the (l, kind) algebra over the field and verify it.
 
     mode "auto" scans every triple while dim S <= 128 and otherwise
@@ -248,7 +256,7 @@ def classify(l: int, kind: str, field: Field, mode: str = "auto",
     if mode == "auto":
         mode = "full" if A.n1 <= FULL_MODE_MAX_ODD else "generators"
     triples = generator_triples(l, kind, A) if mode == "generators" else None
-    report = check_jacobi(A, mode=mode, triples=triples, workers=workers)
+    report = check_jacobi(A, mode=mode, triples=triples)
     notes = []
     ident = IDENTIFICATIONS.get((kind, l))
     if report.jacobi_pass and ident:
@@ -267,7 +275,8 @@ def decompose_type_d_l2(field: Field):
     vectors over build_superalgebra(2, "D", field).
 
     Verified here: each span is an ideal, they annihilate each other,
-    and together they sum to the whole 8-dimensional algebra.
+    and together they sum to the whole 8-dimensional algebra; any failure
+    raises VerificationFailed.
     """
     A = build_superalgebra(2, "D", field)
     f = field
@@ -298,7 +307,8 @@ def decompose_type_d_l2(field: Field):
     spans = []
     for basis in (first, second):
         sp = RowSpace(f, n)
-        assert sp.insert(basis) == len(basis)
+        if sp.insert(basis) != len(basis):
+            raise VerificationFailed("ideal basis is linearly dependent")
         spans.append(sp)
     # ideal property and mutual annihilation
     for si, basis in ((0, first), (1, second)):
@@ -306,12 +316,16 @@ def decompose_type_d_l2(field: Field):
             for a in range(n):
                 ea = [f.one() if t == a else f.zero() for t in range(n)]
                 w = A.bracket_vectors(ea, x)
-                assert spans[si].contains(w), (si, a)
+                if not spans[si].contains(w):
+                    raise VerificationFailed(
+                        f"span {si} is not an ideal: basis element {a} moves it out")
             for y in (second if si == 0 else first):
                 w = A.bracket_vectors(x, y)
-                assert all(f.is_zero(c) for c in w)
+                if any(not f.is_zero(c) for c in w):
+                    raise VerificationFailed("the two ideals do not annihilate each other")
     total = RowSpace(f, n)
     total.insert(first)
     total.insert(second)
-    assert total.dim == n
+    if total.dim != n:
+        raise VerificationFailed(f"the ideals span {total.dim} of {n} dimensions")
     return [first, second]

@@ -175,28 +175,6 @@ def make_field(char: int) -> Field:
     return QQ if char == 0 else Field(char)
 
 
-def embed_integer(n: int, f: Field) -> "Scalar":
-    """Canonical image of the integer n in f (ring homomorphism Z -> f)."""
-    return Scalar(f, f.of_int(n))
-
-
-def arith(a: "Scalar", b: "Scalar", op: str) -> "Scalar":
-    """Apply a named field operation to two scalars of the same field."""
-    if not isinstance(a, Scalar) or not isinstance(b, Scalar):
-        raise TypeError("arith expects Scalar operands")
-    if a.field != b.field:
-        raise FieldMismatch(f"{a.field} vs {b.field}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 class Scalar:
     __slots__ = ("field", "value")
 

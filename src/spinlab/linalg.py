@@ -74,16 +74,19 @@ def inv_field(mat, field: Field):
 
 
 def matmul_field(a, b, field: Field):
-    bt = list(zip(*b))
+    """Product of two matrices of raw values; walks the nonzero entries of
+    each row of a against the nonzero entries of the matching row of b."""
+    f = field
+    m = len(b[0]) if b else 0
     out = []
     for row in a:
-        orow = []
-        for col in bt:
-            s = field.zero()
-            for x, y in zip(row, col):
-                if not field.is_zero(x) and not field.is_zero(y):
-                    s = field.add(s, field.mul(x, y))
-            orow.append(s)
+        orow = [f.zero()] * m
+        for x, brow in zip(row, b):
+            if f.is_zero(x):
+                continue
+            for j, y in enumerate(brow):
+                if not f.is_zero(y):
+                    orow[j] = f.add(orow[j], f.mul(x, y))
         out.append(orow)
     return out
 
@@ -222,7 +225,8 @@ class RowSpace:
 
     Over GF(p) this wraps RowSpaceModP (numpy); over Q it keeps a small
     reduced echelon basis of Fraction rows.  insert() returns how many
-    of the offered rows were independent.
+    of the offered rows were independent.  Rows over GF(p) are integer
+    sequences or arrays; any integer is read mod p.
     """
 
     def __init__(self, field: Field, width: int):
@@ -238,13 +242,17 @@ class RowSpace:
     def dim(self) -> int:
         return self._modp.dim if self.field.p else len(self._rows)
 
+    @property
+    def pivots(self) -> list:
+        """Pivot column of each basis row, in the order of basis()."""
+        return list(self._modp.pivots if self.field.p else self._pivots)
+
+    def _as_modp(self, rows) -> np.ndarray:
+        return np.asarray(rows, dtype=np.int64).reshape(-1, self.width) % self.field.p
+
     def insert(self, rows) -> int:
         if self.field.p:
-            arr = np.array([[int(x) % self.field.p for x in r] for r in rows],
-                           dtype=np.int64)
-            if arr.size == 0:
-                return 0
-            return self._modp.insert(arr)
+            return self._modp.insert(self._as_modp(rows))
         added = 0
         for row in rows:
             if self._insert_one([self.field.raw(x) for x in row]):
@@ -273,8 +281,7 @@ class RowSpace:
 
     def contains(self, row) -> bool:
         if self.field.p:
-            return self._modp.contains(
-                np.array([int(x) % self.field.p for x in row], dtype=np.int64))
+            return self._modp.contains(self._as_modp(row))
         f = self.field
         row = [f.raw(x) for x in row]
         for pc, er in zip(self._pivots, self._rows):
@@ -285,10 +292,9 @@ class RowSpace:
 
     def basis(self) -> list:
         """Reduced echelon basis rows as raw field values."""
-        if not self.field.p:
-            return [list(r) for r in self._rows]
-        f = self.field
-        return [[f.of_int(int(x)) for x in row] for row in self._modp.basis]
+        if self.field.p:
+            return self._modp.basis.tolist()
+        return [list(r) for r in self._rows]
 
 
 class SpanSolver:

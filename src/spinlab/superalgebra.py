@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
@@ -35,10 +34,14 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .fields import Field, FieldMismatch, make_field
-from .linalg import (RowSpace, matmul_field, matmul_modp, nullspace_field,
-                     nullspace_modp, rank_field, rank_modp)
+from .linalg import (RowSpace, RowSpaceModP, matmul_field, matmul_modp,
+                     nullspace_field, nullspace_modp, rank_field, rank_modp)
 
 SCHEMA_VERSION = 1
+
+
+class VerificationFailed(RuntimeError):
+    """A structural identity that should hold did not."""
 
 
 class SuperAlgebra:
@@ -206,7 +209,9 @@ class SuperAlgebra:
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
         stored = d.get("content_hash")
-        if stored is not None and stored != _canonical_hash(d):
+        if stored is None:
+            raise ValueError("document has no content_hash")
+        if stored != _canonical_hash(d):
             raise ValueError("content hash mismatch")
         f = make_field(d["field"])
         n0, n1 = d["dims"]
@@ -257,7 +262,6 @@ class VerificationReport:
     bracket_symmetry: str
     simplicity: str = "not-attempted"
     notes: str = ""
-    elapsed_ms: int = 0
 
     @property
     def witness_count(self) -> int:
@@ -276,7 +280,6 @@ class VerificationReport:
             "bracket_symmetry": self.bracket_symmetry,
             "simplicity": self.simplicity,
             "notes": self.notes,
-            "elapsed_ms": self.elapsed_ms,
         }
 
     def to_json(self) -> str:
@@ -373,7 +376,7 @@ def _witness_entry(A: SuperAlgebra, triple) -> dict:
 
 
 def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
-                 witness_cap: int = 10, workers: int = None) -> VerificationReport:
+                 witness_cap: int = 10) -> VerificationReport:
     """Scan the graded Jacobi identity.
 
     mode "full" covers every ordered basis triple; "odd-only" restricts
@@ -399,17 +402,10 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
         else:
             i_list = list(range(n))
         found = []
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                for res in ex.map(lambda i: _scan_one_i(A, mats, par, i, mode == "odd-only"),
-                                  i_list):
-                    if len(found) < witness_cap:
-                        found.extend(res)
-        else:
-            for i in i_list:
-                found.extend(_scan_one_i(A, mats, par, i, mode == "odd-only"))
-                if len(found) >= witness_cap:
-                    break
+        for i in i_list:
+            found.extend(_scan_one_i(A, mats, par, i, mode == "odd-only"))
+            if len(found) >= witness_cap:
+                break
         found = found[:witness_cap]
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -476,28 +472,26 @@ def derived_algebra(A: SuperAlgebra) -> list:
 
 def burnside_irreducible(ops, n: int, field: Field) -> bool:
     """True iff the unital associative algebra generated by the operators
-    is all of End(k^n), certified by span closure (Burnside)."""
+    is all of End(k^n), certified by span closure (Burnside).  Over GF(p)
+    the n x n operators hold integers, read mod p."""
     f = field
     if f.p:
-        gens = [np.array([[int(f.raw(x)) % f.p for x in row] for row in M],
-                         dtype=np.int64) for M in ops]
-        space = RowSpace(f, n * n)
+        p = f.p
+        gens = [np.asarray(M, dtype=np.int64) % p for M in ops]
+        space = RowSpaceModP(p, n * n)
         eye = np.eye(n, dtype=np.int64)
-        space.insert([eye.reshape(-1)])
+        space.insert(eye.reshape(1, -1))
         wave = [eye]
         for g in gens:
-            if space.insert([g.reshape(-1)]):
+            if space.insert(g.reshape(1, -1)):
                 wave.append(g)
         while wave and space.dim < n * n:
-            prev_basis = {tuple(r) for r in
-                          np.asarray(space._modp.basis, dtype=np.int64).tolist()}
+            prev_basis = {tuple(r) for r in space.basis.tolist()}
             stack = np.stack(wave).reshape(len(wave) * n, n)
             for g in gens:
-                prod = matmul_modp(stack, g, f.p).reshape(len(wave), n * n)
-                space.insert(prod)
+                space.insert(matmul_modp(stack, g, p).reshape(len(wave), n * n))
             wave = [np.array(r, dtype=np.int64).reshape(n, n)
-                    for r in np.asarray(space._modp.basis, dtype=np.int64).tolist()
-                    if tuple(r) not in prev_basis]
+                    for r in space.basis.tolist() if tuple(r) not in prev_basis]
         return space.dim == n * n
     gens = [[[f.raw(x) for x in row] for row in M] for M in ops]
     space = RowSpace(f, n * n)
@@ -589,13 +583,8 @@ def _largest_ideal_inside(A: SuperAlgebra, kernel_rows) -> int:
 def _reduce_coord(space: RowSpace, vec, t, f):
     """t-th coordinate of vec after reduction modulo the row space."""
     # reduce a copy of vec by the stored echelon basis, then read coord t
-    basis = space.basis()
-    if f.p:
-        pivots = list(space._modp.pivots)
-    else:
-        pivots = list(space._pivots)
     v = [f.raw(x) for x in vec]
-    for pc, er in zip(pivots, basis):
+    for pc, er in zip(space.pivots, space.basis()):
         if not f.is_zero(v[pc]):
             c = v[pc]
             v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, er)]
@@ -674,7 +663,7 @@ def _diagonal_part_rows(rows, dim, f):
     return diag
 
 
-def equivariant_map_dim(rep, adjoint, trace_gram=None, field: Field = None) -> int:
+def equivariant_map_dim(rep, adjoint, field: Field) -> int:
     """Dimension of the space of even-equivariant bilinear maps S x S -> g0.
 
     rep: matrices of the generators on S; adjoint: matrices of the same
@@ -682,11 +671,7 @@ def equivariant_map_dim(rep, adjoint, trace_gram=None, field: Field = None) -> i
     B[s,t,c]; invariance under every generator is intersected one
     generator at a time.  Diagonal generator pairs (a torus) are used
     first to cut the unknowns down to weight-compatible triples.
-    trace_gram is accepted for interface compatibility and not needed:
-    the defining system never references it.
     """
-    if field is None:
-        raise ValueError("field is required")
     f = field
     ds = len(rep[0]) if rep else 0
     dg = len(adjoint[0]) if adjoint else 0

@@ -29,20 +29,17 @@ import numpy as np
 
 from .fields import Field
 from .linalg import (SpanSolver, RowSpace, inv_field, inv_modp,
-                     nullspace_modp, rref_modp)
+                     matmul_field, nullspace_modp, rref_modp)
 from .composition import (make_composition, derivation_algebra,
                           inner_derivation, ad_matrix, _restrict_to_czero)
 from .kac import (KacElement, J_LABELS, J_PARITY, ODD_INDICES,
                   inner_derivation_J, inder_j_span, _j_field_table, K_FORM)
-from .superalgebra import (SuperAlgebra, even_subalgebra, ideal_closure,
-                           verify_isomorphism, equivariant_map_dim)
+from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
+                           ideal_closure, verify_isomorphism,
+                           equivariant_map_dim)
 from .clifford import (ambient_space, qpair, pair_basis, nat_entries,
                        DegenerateForm)
 from .construct import build_superalgebra
-
-
-class VerificationFailed(RuntimeError):
-    """A structural identity that should hold did not."""
 
 
 class RelationFailed(RuntimeError):
@@ -72,24 +69,6 @@ TITS_DIMS = {"unit": (6, 4), "binarion": (11, 8),
 
 def _flat(mat):
     return [x for row in mat for x in row]
-
-
-def _mat_mul(f, A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = [[f.zero()] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if f.is_zero(a):
-                continue
-            Bt = B[t]
-            for j in range(m):
-                b = Bt[j]
-                if not f.is_zero(b):
-                    row[j] = f.add(row[j], f.mul(a, b))
-    return out
 
 
 def _mat_sub(f, A, B):
@@ -149,8 +128,8 @@ class TitsModel:
         self.DD = {}
         for i in range(nder):
             for j in range(nder):
-                com = _mat_sub(f, _mat_mul(f, derC[i], derC[j]),
-                               _mat_mul(f, derC[j], derC[i]))
+                com = _mat_sub(f, matmul_field(derC[i], derC[j], f),
+                               matmul_field(derC[j], derC[i], f))
                 cc = self._der_solver.coords(_flat(com))
                 if cc is None:
                     raise VerificationFailed("der C is not closed under [ , ]")
@@ -175,8 +154,8 @@ class TitsModel:
         for s in range(10):
             for t in range(10):
                 sgn = -1 if (s >= nev and t >= nev) else 1
-                prod = _mat_mul(f, self.inder[s], self.inder[t])
-                back = _mat_mul(f, self.inder[t], self.inder[s])
+                prod = matmul_field(self.inder[s], self.inder[t], f)
+                back = matmul_field(self.inder[t], self.inder[s], f)
                 com = (_mat_sub(f, prod, back) if sgn > 0 else
                        [[f.add(a, b) for a, b in zip(ra, rb)]
                         for ra, rb in zip(prod, back)])
@@ -554,8 +533,8 @@ def build_so_MQ(field: Field) -> SoMQ:
     for pi in range(len(pairs)):
         for pj in range(pi, len(pairs)):
             terms = _sigma_terms(f, gram, pairs[pi], pairs[pj], pair_index)
-            com = _mat_sub(f, _mat_mul(f, mats[pi], mats[pj]),
-                           _mat_mul(f, mats[pj], mats[pi]))
+            com = _mat_sub(f, matmul_field(mats[pi], mats[pj], f),
+                           matmul_field(mats[pj], mats[pi], f))
             want = [[f.zero()] * n for _ in range(n)]
             for k, v in terms.items():
                 for r in range(n):

@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spinlab.cli import (_parse_chars, _parse_l_list, export_algebra,
-                         import_algebra, main)
+import spinlab
+from spinlab.cli import _parse_chars, _parse_l_list, main
 from spinlab.construct import build_superalgebra
 from spinlab.fields import GF
-from spinlab.superalgebra import check_jacobi
+from spinlab.superalgebra import SuperAlgebra, check_jacobi
 
 
 def test_parse_l_list():
@@ -66,8 +70,6 @@ def test_verify_grid_deterministic(tmp_path):
     assert doc["expectation_met"]
     rc2, blob2 = run_to_file(tmp_path, "b.json", argv)
     assert rc2 == 0 and blob2 == blob
-    rc3, blob3 = run_to_file(tmp_path, "c.json", argv + ["--workers", "2"])
-    assert rc3 == 0 and blob3 == blob
 
 
 def test_expected_failure_cell_exits_zero(tmp_path):
@@ -100,27 +102,98 @@ def test_type_d_l2_decomposition(tmp_path):
     assert dec["ideal_dims"] == [5, 3] and dec["pass"]
 
 
+def run_python(*args):
+    """Run a fresh interpreter on this checkout's spinlab; (returncode, stdout, stderr)."""
+    env = dict(os.environ)
+    src = str(Path(spinlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_type_d_l2_decomposition_under_optimize():
+    # python -O strips assert statements; the split check must survive it
+    rc, out, err = run_python("-O", "-m", "spinlab.cli", "verify", "type-d",
+                              "--l", "2", "--chars", "3")
+    assert rc == 0, err
+    assert json.loads(out)["l2_decomposition"] == {"ideal_dims": [5, 3], "pass": True}
+
+
+TAMPER_D2 = """
+import sys
+import spinlab.construct as construct
+from spinlab.cli import main
+
+build = construct.build_superalgebra
+
+def tampered(l, kind, field, **kw):
+    A = build(l, kind, field, **kw)
+    if (l, kind) == (2, "D"):
+        # let [v1,f2], in the second ideal, act on the first ideal's odd part
+        k = construct.pair_basis(2, "D").labels.index("[v1,f2]")
+        A.table[(k, A.n0)] = {A.n0 + 1: field.one()}
+    return A
+
+construct.build_superalgebra = tampered
+sys.exit(main(["verify", "type-d", "--l", "2", "--chars", "3"]))
+"""
+
+
+def test_tampered_type_d_l2_split_fails_under_optimize():
+    rc, out, err = run_python("-O", "-c", TAMPER_D2)
+    assert rc == 1, err
+    doc = json.loads(out)
+    assert doc["l2_decomposition"]["pass"] is False
+    assert doc["expectation_met"] is False
+
+
 def test_export_roundtrip(tmp_path):
     rc, blob = run_to_file(tmp_path, "alg.json",
                            ["export", "--kind", "B", "--l", "2",
                             "--char", "3"])
     assert rc == 0
-    doc = json.loads(blob)
-    assert (doc["n0"], doc["n1"]) == (10, 4)
-    A = import_algebra(doc)
+    A = SuperAlgebra.from_json(blob.decode())
+    assert (A.n0, A.n1) == (10, 4)
+    assert A == build_superalgebra(2, "B", GF(3))
     assert check_jacobi(A, mode="full").jacobi_pass
-    again = export_algebra(A, meta=doc.get("meta"))
-    assert again["content_hash"] == doc["content_hash"]
-    assert again == doc
+    assert (A.to_json() + "\n").encode() == blob
 
 
-def test_export_hash_tracks_content():
-    A = build_superalgebra(2, "B", GF(3))
-    base = export_algebra(A)
-    tagged = export_algebra(A, meta={"kind": "B"})
-    assert base["content_hash"] != tagged["content_hash"]
-    stripped = {k: v for k, v in base.items() if k != "content_hash"}
-    assert export_algebra(import_algebra(stripped)) == base
+def test_export_hash_tracks_content(tmp_path):
+    rc, blob = run_to_file(tmp_path, "alg.json",
+                           ["export", "--kind", "B", "--l", "2",
+                            "--char", "3"])
+    assert rc == 0
+    doc = json.loads(blob)
+    assert {"field", "dims", "brackets", "content_hash"} <= set(doc)
+    assert (doc["field"], doc["dims"]) == (3, [10, 4])
+    tampered = json.loads(blob)
+    k, v = tampered["brackets"][0][2][0]
+    tampered["brackets"][0][2][0] = [k, str((int(v) + 1) % 3)]
+    with pytest.raises(ValueError, match="hash mismatch"):
+        SuperAlgebra.from_dict(tampered)
+    stripped = {key: val for key, val in doc.items() if key != "content_hash"}
+    with pytest.raises(ValueError, match="no content_hash"):
+        SuperAlgebra.from_dict(stripped)
+
+
+def test_tits_seed_without_square_root_fails_cleanly(tmp_path, capsys):
+    # for seed 1 the odd brackets are proportional by a non-square in GF(5):
+    # no mu, no matrix, no equivariant solve, and the run must say so
+    rc, blob = run_to_file(tmp_path, "tits1.json", ["verify", "tits", "--seed", "1"])
+    assert rc == 1
+    doc = json.loads(blob)
+    assert doc["expectation_met"] is False
+    cross = doc["sections"]["cross_identify"]
+    assert cross["status"] == "holds over quadratic extension"
+    assert not cross["verified"]
+    assert cross["mu"] is None and cross["equivariant_dim"] is None
+    assert cross["matrix_sha256"] is None
+    assert main(["report", str(tmp_path / "tits1.json"), "--format", "markdown"]) == 1
+    text = capsys.readouterr().out
+    assert "holds over quadratic extension" in text
+    assert "Expected outcomes met: NO" in text
 
 
 def test_report_markdown_grid(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinlab.fields import QQ, GF
-from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, inv_field,
+from spinlab.linalg import (SpanSolver, RowSpace, inv_field,
                             inv_modp, matmul_field, nullspace_field,
                             nullspace_modp, rank_field, rank_modp, rref_field,
                             rref_modp)
@@ -120,19 +120,52 @@ def test_rowspace_membership(f):
 
 
 def test_rowspace_modp_matches_generic():
+    # RowSpace over GF(5) (numpy) against rref_field/rank_field (pure Python),
+    # fed unreduced integers: negative entries, lists and numpy arrays alike
     rng = random.Random(1)
     f = GF(5)
-    for _ in range(10):
-        vecs = [[rng.randrange(5) for _ in range(6)] for _ in range(5)]
-        generic = RowSpace(f, 6)
-        fast = RowSpaceModP(5, 6)
-        for v in vecs:
-            generic.insert([[f.of_int(x) for x in v]])
-            fast.insert([v])
-        assert generic.dim == fast.dim
-        probe = [rng.randrange(5) for _ in range(6)]
-        assert generic.contains([f.of_int(x) for x in probe]) == \
-            fast.contains(probe)
+    for trial in range(12):
+        vecs = [[rng.randint(-7, 7) for _ in range(6)] for _ in range(rng.randint(1, 6))]
+        space = RowSpace(f, 6)
+        for t, v in enumerate(vecs):
+            space.insert(np.array([v]) if t % 2 else [v])
+        raw = [[f.of_int(x) for x in v] for v in vecs]
+        R, piv = rref_field(raw, f)
+        assert space.dim == rank_field(raw, f) == len(piv)
+        assert space.basis() == R and space.pivots == piv
+        batch = RowSpace(f, 6)
+        assert batch.insert(np.array(vecs)) == len(piv)
+        assert batch.basis() == R
+        if trial % 2:
+            probe = [sum(rng.randint(-3, 3) * v[c] for v in vecs) for c in range(6)]
+        else:
+            probe = [rng.randint(-7, 7) for _ in range(6)]
+        inside = rank_field(raw + [[f.of_int(x) for x in probe]], f) == len(piv)
+        assert space.contains(probe) == inside
+        assert space.contains(np.array(probe)) == inside
+
+
+@pytest.mark.parametrize("f", [QQ, GF(7)], ids=repr)
+def test_matmul_field_rectangular_with_zero_rows_and_columns(f):
+    def raw(m):
+        return [[f.of_int(x) for x in row] for row in m]
+
+    a = [[1, 0, 2, -1],        # column 1 is zero, row 1 is zero
+         [0, 0, 0, 0],
+         [3, 0, -2, 5]]
+    b = [[2, 0, 1],            # column 1 is zero, row 2 is zero
+         [5, 0, 3],
+         [0, 0, 0],
+         [1, 0, -4]]
+    assert matmul_field(raw(a), raw(b), f) == raw([[1, 0, 5],
+                                                   [0, 0, 0],
+                                                   [11, 0, -17]])
+    col, row = [[1], [0], [-2]], [[3, 0, 1]]
+    assert matmul_field(raw(col), raw(row), f) == raw([[3, 0, 1],
+                                                       [0, 0, 0],
+                                                       [-6, 0, -2]])
+    assert matmul_field(raw(row), raw(col), f) == raw([[1]])
+    assert matmul_field(raw([[0, 0]]), raw([[4, 1, 2], [3, 0, 6]]), f) == raw([[0, 0, 0]])
 
 
 @pytest.mark.parametrize("f", [QQ, GF(7)], ids=repr)

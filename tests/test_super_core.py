@@ -102,13 +102,6 @@ def test_odd_only_mode_matches_restricted_brute_force():
         assert [(w["i"], w["j"], w["k"]) for w in r.witnesses] == want
 
 
-def test_workers_do_not_change_the_report():
-    A = random_algebra(5, GF(7), True)
-    seq = check_jacobi(A, "full", witness_cap=10 ** 6)
-    par = check_jacobi(A, "full", witness_cap=10 ** 6, workers=4)
-    assert seq.to_json() == par.to_json()
-
-
 def test_witness_detection_and_generators_mode():
     f = QQ
     bad = osp12(f)
