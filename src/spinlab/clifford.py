@@ -25,6 +25,7 @@ import numpy as np
 
 from .exterior import Multivector, wedge_sign
 from .fields import Field, FieldMismatch, Scalar
+from .superalgebra import VerificationFailed
 
 
 class DegenerateForm(ArithmeticError):
@@ -232,12 +233,16 @@ def gram_pairing(l: int, kind: str):
         ent2 = {(r, c): w for r, c, w in nat[k2]}
         for r, c, w in nat[k]:
             tr += w * ent2.get((c, r), 0)
-        assert tr % 2 == 0 and tr != 0
+        if tr % 2 or not tr:
+            raise VerificationFailed(f"trace pairing of pair {k} is {tr}, "
+                                     "not a nonzero even integer")
         perm[k] = k2
         coef[k] = tr // 2
     # sanity: a permutation, and 8/coef is integral
-    assert sorted(perm.tolist()) == list(range(npairs))
-    assert all(8 % int(c) == 0 for c in coef)
+    if sorted(perm.tolist()) != list(range(npairs)):
+        raise VerificationFailed("trace-form partner pairs are not a permutation")
+    if any(8 % int(c) for c in coef):
+        raise VerificationFailed("a trace-form coefficient does not divide 8")
     perm.setflags(write=False)
     coef.setflags(write=False)
     return perm, coef

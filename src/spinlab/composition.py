@@ -23,6 +23,7 @@ from importlib import resources
 
 from .fields import Field
 from .linalg import RowSpace, nullspace_field, nullspace_modp
+from .superalgebra import VerificationFailed
 import numpy as np
 
 OCTONION_TABLE_SHA256 = "7f0bb944c59a397e3be78872ba0a7003f3550a231f507e0a8795fafa6bb27990"
@@ -156,7 +157,9 @@ def make_composition(kind: str, field: Field) -> CompositionAlgebra:
         for j in sel:
             cell = data["table"][i][j]
             # the selection must be closed under the product
-            assert all(k in remap for k, _ in cell), (kind, i, j)
+            if any(k not in remap for k, _ in cell):
+                raise VerificationFailed(
+                    f"{kind}: product of basis elements {i}, {j} leaves the selection")
             row.append(tuple((remap[k], f.of_int(c)) for k, c in cell))
         table.append(tuple(row))
     gram = [[f.of_int(data["norm_gram"][i][j]) for j in sel] for i in sel]

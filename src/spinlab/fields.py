@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic over Q and over GF(p) for odd primes p.
+"""Exact scalar arithmetic over Q and over GF(p) for odd primes p < 2^26.
 
 A Field object carries the characteristic and the raw-value operations;
 raw values are Fraction in characteristic 0 and plain ints in [0, p)
@@ -25,6 +25,10 @@ class DivideByZero(ZeroDivisionError):
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# linalg.matmul_modp sums blocks of k products in float64, exact while
+# k*(p-1)^2 <= 2^53; below this bound k >= 2, and larger primes are refused
+MAX_PRIME = 1 << 26
 
 
 def _is_prime(n: int) -> bool:
@@ -69,6 +73,9 @@ class Field:
                 raise InvalidField("characteristic 2 is not supported")
             if not _is_prime(p):
                 raise InvalidField(f"{p} is not prime")
+            if p >= MAX_PRIME:
+                raise InvalidField(f"{p} is too large: the exact GF(p) kernels "
+                                   f"need p < 2^26")
         self.p = p
 
     # -- raw-value ops ------------------------------------------------

@@ -24,6 +24,7 @@ from functools import lru_cache
 from .exterior import wedge_sign
 from .fields import Field, FieldMismatch, Scalar
 from .linalg import RowSpace
+from .superalgebra import VerificationFailed
 
 K_LABELS = ("e", "x", "y")
 K_PARITY = (0, 1, 1)
@@ -237,7 +238,7 @@ def inner_derivation_J(p: KacElement, q: KacElement) -> list:
 
     p and q must be parity-homogeneous (the Koszul sign needs it); the
     super-commutator annihilates 1 and preserves K(x)K, which is
-    asserted before the first row and column are dropped.
+    checked before the first row and column are dropped.
     """
     f = p.field
     pp, pq = p.parity(), q.parity()
@@ -254,8 +255,9 @@ def inner_derivation_J(p: KacElement, q: KacElement) -> list:
                 term = f.mul(LQ[i][k], LP[k][j])
                 acc = f.sub(acc, term) if sign > 0 else f.add(acc, term)
             full[i][j] = acc
-    assert all(f.is_zero(full[i][0]) for i in range(J_DIM))
-    assert all(f.is_zero(full[0][j]) for j in range(J_DIM))
+    if not all(f.is_zero(full[i][0]) and f.is_zero(full[0][i]) for i in range(J_DIM)):
+        raise VerificationFailed("inner derivation does not annihilate 1 "
+                                 "and preserve K(x)K")
     return [row[1:] for row in full[1:]]
 
 

@@ -15,11 +15,19 @@ with eps(x,y) = -1 exactly when the algebra is odd_symmetric and both
 x, y are odd, so that for three odd elements J reduces to the cyclic
 sum rho([s1,s2])(s3) + rho([s2,s3])(s1) + rho([s3,s1])(s2).
 
-The full-mode scanner is an operator identity evaluated in batch: with
-C the structure tensor as integer data (mod p, or scaled by the lcm of
-denominators over Q), all Jacobi values for a fixed first index i come
-out of three sparse matrix products, and witnesses are re-evaluated
-exactly through the dictionary route before being reported.
+The full-mode scanner works on the structure tensor as int64 COO data
+(residues mod p, or numerators scaled by the lcm of denominators over
+Q), held in three sorted index orders.  Because the table is graded-skew,
+J is graded-alternating: J(y,x,z) = -eps(x,y) J(x,y,z), and likewise in
+the last two slots.  So for each first index i the scanner evaluates only
+the canonical triples i <= j <= z, gathering the terms of [[i,j],z],
+[i,[j,z]] and [j,[i,z]] from the entries of row i by binary search in
+the sorted orders, at a cost that follows the number of terms.  The
+terms are summed exactly in int64: over GF(p) every product is reduced
+mod p first, and over Q the table is refused unless 3*n*max|V|^2 < 2^63,
+which bounds each sum of at most 3n products.  Witnesses (the
+permutations of the nonzero canonical triples) are re-evaluated exactly
+through the dictionary route before being reported.
 """
 
 from __future__ import annotations
@@ -152,7 +160,9 @@ class SuperAlgebra:
 
         Over GF(p) the values are residues and scale is 1; over Q they
         are the exact numerators after multiplying through by scale (the
-        lcm of all denominators).
+        lcm of all denominators), refused with ValueError unless
+        3*n*max|V|^2 < 2^63, the bound under which the Jacobi scan sums
+        in int64 exactly.
         """
         if self._coo_cache is not None:
             return self._coo_cache
@@ -168,12 +178,15 @@ class SuperAlgebra:
             scale = 1
             vals = [int(v) % f.p for (_, _, _, v) in entries]
         else:
-            scale = lcm(*(Fraction(v).denominator for *_ , v in entries)) if entries else 1
-            vals = []
-            for *_, v in entries:
-                sv = Fraction(v) * scale
-                assert sv.denominator == 1
-                vals.append(int(sv))
+            fracs = [Fraction(v) for *_, v in entries]
+            scale = lcm(*(v.denominator for v in fracs)) if fracs else 1
+            vals = [v.numerator * (scale // v.denominator) for v in fracs]
+            top = max(map(abs, vals), default=0)
+            if 3 * self.dim * top * top >= 1 << 63:
+                raise ValueError(
+                    f"{self.name}: structure constants up to {top} after clearing "
+                    f"denominators break the exact int64 scan bound "
+                    f"3*n*max^2 < 2^63 (n = {self.dim})")
         I = np.fromiter((e[0] for e in entries), dtype=np.int64, count=len(entries))
         J = np.fromiter((e[1] for e in entries), dtype=np.int64, count=len(entries))
         K = np.fromiter((e[2] for e in entries), dtype=np.int64, count=len(entries))
@@ -320,56 +333,104 @@ def j_triple(A: SuperAlgebra, i: int, j: int, k: int) -> dict:
 
 
 def _scan_matrices(A: SuperAlgebra):
+    """Three sorted index orders of A's COO table, for the gather scan.
+
+    Each order is (key, a, b, v): the entries sorted by key = s*n + a,
+    where s is the index the order is named after, a the index the
+    gathers bound, b the remaining index and v the integer value.
+    By first index: s = first, a = second, b = target.  By target: s =
+    target, a = first, b = second, stored orientation (first <= second)
+    only.  By second index: s = second, a = first, b = target.
+
+    The canonical-triple scan relies on the table being graded-skew, so
+    a diagonal [x,x] with swap sign -1 and, for odd_symmetric algebras,
+    a bracket off the grading are refused (check=False lets both in).
+    """
     n = A.dim
     I, J, K, V, _ = A._coo()
-    C2 = sparse.csr_matrix((V, (I * n + J, K)), shape=(n * n, n))
-    C1 = sparse.csr_matrix((V, (I, J * n + K)), shape=(n, n * n))
-    big = sparse.csr_matrix((V, (I * n + K, J)), shape=(n * n, n))
-    return C2, C1, big
+    par = np.arange(n) >= A.n0
+    if np.any((I == J) & ~(A.odd_symmetric & par[I])):
+        raise ValueError(f"{A.name}: a stored [x,x] with swap sign -1 must vanish")
+    if A.odd_symmetric and np.any(par[K] != (par[I] ^ par[J])):
+        raise ValueError(f"{A.name}: a stored bracket violates the grading")
+
+    def order(s, a, b, v):
+        key = s * n + a
+        perm = np.argsort(key, kind="stable")
+        return key[perm], a[perm], b[perm], v[perm]
+
+    kept = I <= J
+    return (order(I, J, K, V),
+            order(K[kept], I[kept], J[kept], V[kept]),
+            order(J, I, K, V))
+
+
+def _gather(key, lo, hi):
+    """(owner, pos): the positions pos in the sorted array key of the
+    entries with lo[t] <= key <= hi[t], concatenated over t, each with
+    its t in owner."""
+    start = np.searchsorted(key, lo)
+    count = np.searchsorted(key, hi, side="right") - start
+    owner = np.repeat(np.arange(count.size), count)
+    pos = np.arange(owner.size) + np.repeat(start - np.cumsum(count) + count, count)
+    return owner, pos
 
 
 def _scan_one_i(A, mats, par, i, odd_only):
-    """Basis triples (i, j, z) with J(e_i, e_j, e_z) != 0, sorted."""
-    C2, C1, big = mats
+    """Canonical triples (i, j, z), i <= j <= z, with J(e_i, e_j, e_z) != 0,
+    sorted.  odd_only keeps the triples of odd indices; even indices come
+    first, so these are all canonical triples of an odd i and none of an
+    even one."""
+    if odd_only and not par[i]:
+        return ()
+    (key1, a1, b1, v1), (key2, a2, b2, v2), (key3, a3, b3, v3) = mats
     n = A.dim
     p = A.field.p
-    ci = C2[i * n:(i + 1) * n]
-    if ci.nnz == 0:
-        return ()
-    g = (ci @ C1).tocoo()            # [j, z*n+w]   = [[i,j],z] terms
-    a = (C2 @ ci).tocoo()            # [j*n+z, w]   = [i,[j,z]] terms
-    b = (big @ ci.T).tocoo()         # [j*n+w, z]   = [j,[i,z]] terms
-    kg = g.row.astype(np.int64) * (n * n) + g.col.astype(np.int64)
-    ka = a.row.astype(np.int64) * n + a.col.astype(np.int64)
-    kb = ((b.row // n).astype(np.int64) * (n * n)
-          + b.col.astype(np.int64) * n + (b.row % n).astype(np.int64))
-    vb = b.data.astype(np.float64)
+    lo, hi = np.searchsorted(key1, (i * n, i * n + n))
+    x, y, v = a1[lo:hi], b1[lo:hi], v1[lo:hi]        # [e_i, e_x] = sum v e_y
+    ge = np.searchsorted(x, i)                         # x[ge:] >= i
+    xg, yg, vg = x[ge:], y[ge:], v[ge:]
+    top = n - 1
+    # [[e_i, e_j], e_z]: j = xg, m = yg, then [e_m, e_z] = sum e_w with z >= j
+    o1, q1 = _gather(key1, yg * n + xg, yg * n + top)
+    k1 = (xg[o1] * n + a1[q1]) * n + b1[q1]
+    t1 = vg[o1] * v1[q1]
+    # -[e_i, [e_j, e_z]]: [e_j, e_z] with i <= j <= z hits m = x, [e_i, e_m] = e_w
+    o2, q2 = _gather(key2, x * n + i, x * n + top)
+    k2 = (a2[q2] * n + b2[q2]) * n + y[o2]
+    t2 = -(v[o2] * v2[q2])
+    # eps(i,j) [e_j, [e_i, e_z]]: z = xg, m = yg, then [e_j, e_m] with i <= j <= z
+    o3, q3 = _gather(key3, yg * n + i, yg * n + xg)
+    j3 = a3[q3]
+    k3 = (j3 * n + xg[o3]) * n + b3[q3]
+    t3 = vg[o3] * v3[q3]
     if A.odd_symmetric and par[i]:
-        jj = (b.row // n).astype(np.int64)
-        vb = np.where(par[jj] == 1, -vb, vb)
-    keys = np.concatenate([kg, ka, kb])
-    vals = np.concatenate([g.data.astype(np.float64), -a.data.astype(np.float64), vb])
-    uk, inv = np.unique(keys, return_inverse=True)
-    acc = np.bincount(inv, weights=vals, minlength=len(uk))
-    acc = np.rint(acc).astype(np.int64)
-    if p:
-        acc %= p
-    nz = uk[acc != 0]
-    if odd_only and nz.size:
-        jj = nz // (n * n)
-        zz = (nz // n) % n
-        nz = nz[(par[jj] == 1) & (par[zz] == 1)]
-    if nz.size == 0:
+        t3 = np.where(par[j3] == 1, -t3, t3)
+
+    # exact int64 sums: each product is reduced mod p over GF(p), and over
+    # Q the bound 3*n*max|V|^2 < 2^63 checked by _coo covers every key's
+    # at most 3n terms
+    keys = np.concatenate([k1, k2, k3])
+    if keys.size == 0:
         return ()
-    tz = np.unique(nz // n)          # j*n + z identifiers
-    return tuple((i, int(t) // n, int(t) % n) for t in tz)
+    terms = np.concatenate([t1, t2, t3])
+    if p:
+        terms %= p
+    srt = np.argsort(keys)
+    keys = keys[srt]
+    heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(terms[srt], heads)
+    if p:
+        sums %= p
+    jz = np.unique(keys[heads[sums != 0]] // n)
+    return tuple((i, t // n, t % n) for t in jz.tolist())
 
 
 def _witness_entry(A: SuperAlgebra, triple) -> dict:
     i, j, k = triple
     val = j_triple(A, i, j, k)
     if not val:
-        raise AssertionError(f"scanner reported a vanishing witness at {triple}")
+        raise VerificationFailed(f"scanner reported a vanishing witness at {triple}")
     f = A.field
     return {"i": i, "j": j, "k": k,
             "value": [[w, f.to_str(v)] for w, v in sorted(val.items())]}
@@ -383,6 +444,12 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     all three slots to odd indices; "generators" evaluates exactly the
     supplied index triples.  Witnesses are collected in lexicographic
     triple order up to witness_cap, then re-evaluated exactly.
+
+    The full and odd-only scans evaluate canonical triples i <= j <= z
+    only: J is graded-alternating, so J(x,y,z) vanishes iff each of its
+    permutations does.  After row i, the permutations starting with i of
+    the canonical triples found so far are exactly the witnesses with
+    first index i, and they are added in sorted order.
     """
     n = A.dim
     if mode == "generators":
@@ -402,8 +469,13 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
         else:
             i_list = list(range(n))
         found = []
+        rest = [set() for _ in range(n)]    # e -> the other two indices
         for i in i_list:
-            found.extend(_scan_one_i(A, mats, par, i, mode == "odd-only"))
+            for t in _scan_one_i(A, mats, par, i, mode == "odd-only"):
+                for e in set(t):
+                    x, y = t[:t.index(e)] + t[t.index(e) + 1:]
+                    rest[e].update(((x, y), (y, x)))
+            found.extend((i, x, y) for x, y in sorted(rest[i]))
             if len(found) >= witness_cap:
                 break
         found = found[:witness_cap]

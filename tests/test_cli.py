@@ -112,6 +112,14 @@ def run_python(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_prime_too_large_for_exact_kernels_exits_2():
+    rc, out, err = run_python("-m", "spinlab.cli", "verify", "type-b", "--l", "2",
+                              "--chars", "1000000007")
+    assert rc == 2 and not out
+    assert err.strip().splitlines() == [
+        "spinlab verify: 1000000007 is too large: the exact GF(p) kernels need p < 2^26"]
+
+
 def test_type_d_l2_decomposition_under_optimize():
     # python -O strips assert statements; the split check must survive it
     rc, out, err = run_python("-O", "-m", "spinlab.cli", "verify", "type-d",

@@ -57,6 +57,14 @@ def test_invalid_fields_rejected():
     assert make_field(0) is QQ
 
 
+def test_primes_past_the_exact_kernels_rejected():
+    # linalg.matmul_modp is exact only while (p-1)^2 < 2^53
+    for p in (67108879, 1000000007):      # smallest prime above 2^26, and 10^9+7
+        with pytest.raises(InvalidField, match="too large"):
+            make_field(p)
+    assert make_field(67108859).p == 67108859    # largest prime below 2^26
+
+
 def test_field_identity_and_hashing():
     assert GF(5) == GF(5) and GF(5) != GF(7) and QQ != GF(5)
     d = {QQ: "q", GF(5): "five"}

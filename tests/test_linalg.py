@@ -6,7 +6,7 @@ import pytest
 
 from spinlab.fields import QQ, GF
 from spinlab.linalg import (SpanSolver, RowSpace, inv_field,
-                            inv_modp, matmul_field, nullspace_field,
+                            inv_modp, matmul_field, matmul_modp, nullspace_field,
                             nullspace_modp, rank_field, rank_modp, rref_field,
                             rref_modp)
 
@@ -183,3 +183,11 @@ def test_span_solver_coords(f):
         recon = [f.add(a, f.mul(c, b)) for a, b in zip(recon, row)]
     assert recon == target
     assert sol.coords([f.one(), f.zero(), f.one()]) is None
+
+
+def test_matmul_modp_exact_at_the_largest_prime():
+    p = 67108859                          # largest prime below 2^26
+    a = np.array([[p - 1]], dtype=np.int64)
+    assert matmul_modp(a, a, p).tolist() == [[1]]
+    rows = np.full((3, 5), p - 1, dtype=np.int64)
+    assert matmul_modp(rows, rows.T, p).tolist() == [[5 % p] * 3] * 3

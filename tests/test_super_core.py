@@ -11,7 +11,8 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   equivariant_map_dim, even_subalgebra,
                                   ideal_closure, j_triple,
                                   simplicity_certificate, verify_isomorphism,
-                                  _scan_matrices, _scan_one_i)
+                                  VerificationFailed, _scan_matrices,
+                                  _scan_one_i, _witness_entry)
 from spinlab.construct import build_superalgebra
 
 from helpers import rep_and_adjoint
@@ -80,17 +81,72 @@ def test_sl2_and_osp12_pass_jacobi(f):
     assert len(derived_algebra(O)) == 5
 
 
+def witness_triples(report):
+    return [(w["i"], w["j"], w["k"]) for w in report.witnesses]
+
+
 def test_scanner_agrees_with_brute_force_on_random_tables():
-    for seed in range(8):
-        for f in (QQ, GF(5)):
-            for sym in (False, True):
-                A = random_algebra(seed * 10 + sym, f, sym)
-                want = brute_force_triples(A)
-                par = np.array([A.parity(t) for t in range(6)], dtype=np.int64)
-                got = []
-                for i in range(6):
-                    got.extend(_scan_one_i(A, _scan_matrices(A), par, i, False))
-                assert got == want, (seed, f.p, sym)
+    for seed, f, sym in itertools.product(range(8), (QQ, GF(3), GF(5), GF(7)),
+                                          (False, True)):
+        A = random_algebra(seed * 10 + sym, f, sym)
+        key = (seed, f.p, sym)
+        want = brute_force_triples(A)
+        # each row yields the canonical triples i <= j <= z
+        par = np.array([A.parity(t) for t in range(6)], dtype=np.int64)
+        mats = _scan_matrices(A)
+        rows = [t for i in range(6) for t in _scan_one_i(A, mats, par, i, False)]
+        assert rows == [t for t in want if t[0] <= t[1] <= t[2]], key
+        # check_jacobi expands them to every ordered triple, in order
+        full = check_jacobi(A, "full", witness_cap=10 ** 6)
+        assert witness_triples(full) == want, key
+        odd = check_jacobi(A, "odd-only", witness_cap=10 ** 6)
+        assert witness_triples(odd) == [t for t in want if min(t) >= 3], key
+        for cap in (1, 3, 10):
+            capped = check_jacobi(A, "full", witness_cap=cap)
+            assert witness_triples(capped) == want[:cap], key + (cap,)
+
+
+def rescaled(A, exponent):
+    """A copy of A on the basis e_i * 2^(exponent * (i mod 3)), an isomorphic algebra."""
+    lam = [Fraction(2) ** (exponent * (i % 3)) for i in range(A.dim)]
+    table = {(i, j): {k: v * lam[i] * lam[j] / lam[k] for k, v in terms.items()}
+             for (i, j), terms in A.table.items()}
+    return SuperAlgebra(f"{A.name}_rescaled", A.field, A.n0, A.n1, A.labels,
+                        table, odd_symmetric=A.odd_symmetric)
+
+
+@pytest.mark.parametrize("exponent", [8, 13])
+def test_scan_refuses_constants_past_the_int64_bound(exponent):
+    A = rescaled(build_superalgebra(2, "B", QQ), exponent)
+    for mode in ("full", "odd-only"):
+        with pytest.raises(ValueError, match="int64 scan bound"):
+            check_jacobi(A, mode)
+    # the exact route still sees an identity that holds
+    assert check_jacobi(A, "generators", triples=[(0, 1, 10), (10, 11, 12)]).jacobi_pass
+
+
+def test_scan_accepts_constants_inside_the_int64_bound():
+    A = rescaled(build_superalgebra(2, "B", QQ), 2)
+    assert check_jacobi(A, "full").jacobi_pass
+
+
+def test_scan_refuses_tables_that_are_not_graded_skew():
+    # [h,h] = e stored with swap sign -1, reachable only with check=False
+    bad = SuperAlgebra("skewdiag", QQ, 3, 0, ["e", "h", "f"],
+                       {(H, E): {E: 2}, (H, H): {E: 1}}, odd_symmetric=False,
+                       check=False)
+    with pytest.raises(ValueError, match="swap sign"):
+        check_jacobi(bad, "full")
+    off = SuperAlgebra("offgrade", QQ, 3, 2, ["e", "h", "f", "x", "y"],
+                       {(H, E): {E: 2}, (H, 3): {E: 1}}, odd_symmetric=True,
+                       check=False)
+    with pytest.raises(ValueError, match="grading"):
+        check_jacobi(off, "full")
+
+
+def test_vanishing_witness_is_a_verification_failure():
+    with pytest.raises(VerificationFailed, match="vanishing witness"):
+        _witness_entry(sl2(QQ), (0, 1, 2))
 
 
 def test_odd_only_mode_matches_restricted_brute_force():
