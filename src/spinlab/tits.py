@@ -29,7 +29,7 @@ import numpy as np
 
 from .fields import Field
 from .linalg import (SpanSolver, RowSpace, inv_field, inv_modp,
-                     matmul_field, nullspace_modp, rref_modp)
+                     matmul_field, matmul_modp, nullspace_modp, rref_modp)
 from .composition import (make_composition, derivation_algebra,
                           inner_derivation, ad_matrix, _restrict_to_czero)
 from .kac import (KacElement, J_LABELS, J_PARITY, ODD_INDICES,
@@ -970,13 +970,140 @@ def _hyperbolic_columns(gram, p, seed):
     return [r] + zs + fs
 
 
+def _intertwining_defect(r1, r2, N, p):
+    """Columns vec(r2·S − S·r1) mod p, one per candidate vec(S) in the rows
+    of N: the Kronecker product (r2 ⊗ I − I ⊗ r1ᵀ)·Nᵀ, never formed."""
+    n = r1.shape[0]
+    d = N.shape[0]
+    S = N.reshape(d, n, n)
+    left = matmul_modp(r2, S.transpose(1, 0, 2).reshape(n, d * n), p)
+    left = left.reshape(n, d, n).transpose(1, 0, 2)
+    right = matmul_modp(N.reshape(d * n, n), r1, p).reshape(d, n, n)
+    return np.ascontiguousarray(((left - right) % p).reshape(d, n * n).T)
+
+
+def _odd_intertwiner(rep1, rep2, p):
+    """The n×n matrix S with rep2[a]·S = S·rep1[a] mod p for every a.
+
+    Starts from all n² candidates vec(S) and cuts them down one generator
+    at a time to the nullspace of the stacked defects rep2[a]·S − S·rep1[a];
+    the survivor is rechecked against every generator.  Raises
+    VerificationFailed unless the solutions form a line of invertible
+    matrices.
+    """
+    n = rep1[0].shape[0]
+    N = np.eye(n * n, dtype=np.int64)
+    for a in range(len(rep1)):
+        coeff = nullspace_modp(_intertwining_defect(rep1[a], rep2[a], N, p), p)
+        N = matmul_modp(coeff, N, p)
+        if N.shape[0] == 0:
+            raise VerificationFailed("no odd intertwiner exists")
+        if N.shape[0] == 1:
+            break
+    for a in range(len(rep1)):
+        if _intertwining_defect(rep1[a], rep2[a], N, p).any():
+            raise VerificationFailed("odd intertwiner candidate fails")
+    if N.shape[0] != 1:
+        raise VerificationFailed(
+            f"odd intertwiner space has dim {N.shape[0]}, expected 1")
+    S = N[0].reshape(n, n)
+    try:
+        inv_modp(S, p)
+    except ValueError:
+        raise VerificationFailed("odd intertwiner is singular")
+    return S
+
+
+def _spinor_twist(gram, p):
+    """g = r_u·r_v in SO(M, b), b the form with Gram matrix `gram`, whose
+    spinor norm b(u,u)·b(v,v) is a non-square mod p.
+
+    r_x is the reflection y ↦ y − 2·b(y,x)/b(x,x)·x.  u and v are taken in
+    the fixed order eᵢ, eᵢ + t·eⱼ (i < j, t = 1..p−1): u is the first
+    anisotropic vector, v the first whose value times b(u,u) is a
+    non-square.  No randomness enters.
+    """
+    G = np.array(gram, dtype=np.int64) % p
+    n = G.shape[0]
+    eye = np.eye(n, dtype=np.int64)
+    vectors = []
+    for i in range(n):
+        vectors.append(eye[i])
+        vectors += [(eye[i] + t * eye[j]) % p
+                    for j in range(i + 1, n) for t in range(1, p)]
+    anisotropic = [(x, int(x @ G @ x) % p) for x in vectors]
+    anisotropic = [(x, bx) for x, bx in anisotropic if bx]
+    u, bu = anisotropic[0]
+    v, bv = next(((x, bx) for x, bx in anisotropic
+                  if _sqrt_modp(bu * bx, p) is None), (None, None))
+    if v is None:
+        raise IsometryNotFound("no reflection pair with non-square spinor norm")
+
+    def reflection(x, bx):
+        return (eye - 2 * pow(bx, p - 2, p) * np.outer(x, x @ G)) % p
+
+    return reflection(u, bu) @ reflection(v, bv) % p
+
+
+def _odd_proportionality(T, B5, theta, S, f):
+    """The c in GF(p) with θ([x, y]) = c·[Sx, Sy] for all odd x, y of T."""
+    p = f.p
+    c_val = None
+    for i in range(32):
+        oi = [f.zero()] * 87
+        oi[55 + i] = f.one()
+        Si = [f.zero()] * 87
+        for r in range(32):
+            Si[55 + r] = f.of_int(int(S[r, i]))
+        for j in range(i, 32):
+            oj = [f.zero()] * 87
+            oj[55 + j] = f.one()
+            Sj = [f.zero()] * 87
+            for r in range(32):
+                Sj[55 + r] = f.of_int(int(S[r, j]))
+            lhsT = T.bracket_vectors(oi, oj)[:55]
+            lhs = (theta @ np.array([int(v) % p for v in lhsT],
+                                    dtype=np.int64)) % p
+            rhs = np.array(
+                [int(v) % p for v in B5.bracket_vectors(Si, Sj)[:55]],
+                dtype=np.int64)
+            lz, rz = not lhs.any(), not rhs.any()
+            if lz != rz:
+                raise ScalingNotFound(
+                    f"odd bracket support differs at ({i},{j})")
+            if lz:
+                continue
+            k = int(np.nonzero(rhs)[0][0])
+            r = int(lhs[k]) * pow(int(rhs[k]), p - 2, p) % p
+            if not np.array_equal(lhs, rhs * r % p):
+                raise ScalingNotFound(
+                    f"odd brackets not proportional at ({i},{j})")
+            if c_val is None:
+                c_val = r
+            elif c_val != r:
+                raise ScalingNotFound(
+                    f"inconsistent proportionality {c_val} vs {r}")
+    if c_val is None:
+        raise ScalingNotFound("all odd-odd brackets vanished")
+    return c_val
+
+
 def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
     """Explicit isomorphism T(octonion, Kac) ≅ so₁₁ ⊕ spin, both over GF(5).
 
-    Builds an isometry (M, sQ) → (W, q) for s in {1, 2} (exactly one
-    discriminant class admits one), transports Φ₀ into the natural
-    so-basis, solves for the unique odd intertwiner, rescales it so the
-    odd-odd brackets match, and verifies the assembled map.
+    Builds an isometry τ: (W, q) → (M, sQ) for s in {1, 2} (exactly one
+    discriminant class admits one; the isotropic search is seeded by
+    `seed`) and transports Φ₀ through it into the natural so-basis (θ).
+    The odd intertwiner S is the unique solution of rep₂(a)·S = S·rep₁(a)
+    over the 55 even basis elements, found by cutting the 1024 candidates
+    with stacked 32×32 products mod p (`_odd_intertwiner`).  The odd-odd
+    brackets then agree up to a factor c, and S is rescaled by μ with
+    μ² = c.  When c is a non-square, τ is composed once with a product of
+    two reflections of non-square spinor norm (`_spinor_twist`, chosen
+    without randomness), which multiplies c by a non-square, and S and c
+    are solved again.  The assembled map is verified bracket by bracket.
+    Returns "holds over quadratic extension" if the twisted c is still a
+    non-square.
     """
     ctx = _context(field)
     phi0(field)
@@ -1012,102 +1139,47 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
             break
     if tau_cols is None:
         raise IsometryNotFound("no discriminant class matched")
-    Tau = np.array(tau_cols, dtype=np.int64).T % p
     GsN = np.array(gram_s, dtype=np.int64)
-    if not np.array_equal((Tau.T @ GsN @ Tau) % p, gw % p):
-        raise IsometryNotFound("isometry transport check failed")
-    Taui = inv_modp(Tau, p)
 
     phi0_np = _np(ctx.phi0_mat, p)
-    # θ: T₀ coordinates → natural so₁₁ coordinates of the l=5 model
-    mats_M = [_np(m, p) for m in ctx.somq.mats]
-    theta_cols = []
-    for a in range(55):
-        X = np.tensordot(phi0_np[:, a],
-                         np.stack(mats_M), axes=1) % p
-        Y = (Taui @ X @ Tau) % p
-        cc = nat_solver.coords([int(v) for v in Y.reshape(-1)])
-        if cc is None:
-            raise VerificationFailed("transported image not in so(W,q)")
-        theta_cols.append([int(x) % p for x in cc])
-    theta = np.array(theta_cols, dtype=np.int64).T % p
-    theta_inv = inv_modp(theta, p)
-
+    mats_M = np.stack([_np(m, p) for m in ctx.somq.mats])
     if ctx.ad_odd is None:
         ctx.ad_odd = _ad_odd_mats(ctx.T, p)
     adT = np.stack(ctx.ad_odd)                       # (55, 32, 32)
     rep2 = _ad_odd_mats(B5, p)
-    rep1 = [np.tensordot(theta_inv[:, a], adT, axes=1) % p for a in range(55)]
 
-    eye = np.eye(32, dtype=np.int64)
-    N = None
-    for a in range(55):
-        K = (np.kron(rep2[a], eye) - np.kron(eye, rep1[a].T)) % p
-        if N is None:
-            N = nullspace_modp(K, p)
-        else:
-            coeff = nullspace_modp((K @ N.T) % p, p)
-            N = coeff @ N % p
-        if N.shape[0] == 0:
-            raise VerificationFailed("no odd intertwiner exists")
-        if N.shape[0] == 1:
-            break
-    for a in range(55):
-        K = (np.kron(rep2[a], eye) - np.kron(eye, rep1[a].T)) % p
-        if (K @ N.T % p).any():
-            raise VerificationFailed("odd intertwiner candidate fails")
-    if N.shape[0] != 1:
-        raise VerificationFailed(
-            f"odd intertwiner space has dim {N.shape[0]}, expected 1")
-    S = N[0].reshape(32, 32) % p
-    try:
-        inv_modp(S, p)
-    except ValueError:
-        raise VerificationFailed("odd intertwiner is singular")
+    def identify(Tau):
+        """θ, S and the odd-odd proportionality c through the isometry Tau."""
+        if not np.array_equal((Tau.T @ GsN @ Tau) % p, gw % p):
+            raise IsometryNotFound("isometry transport check failed")
+        Taui = inv_modp(Tau, p)
+        # θ: T₀ coordinates → natural so₁₁ coordinates of the l=5 model
+        theta_cols = []
+        for a in range(55):
+            X = np.tensordot(phi0_np[:, a], mats_M, axes=1) % p
+            Y = (Taui @ X @ Tau) % p
+            cc = nat_solver.coords([int(v) for v in Y.reshape(-1)])
+            if cc is None:
+                raise VerificationFailed("transported image not in so(W,q)")
+            theta_cols.append([int(x) % p for x in cc])
+        theta = np.array(theta_cols, dtype=np.int64).T % p
+        theta_inv = inv_modp(theta, p)
+        rep1 = [np.tensordot(theta_inv[:, a], adT, axes=1) % p
+                for a in range(55)]
+        S = _odd_intertwiner(rep1, rep2, p)
+        return theta, S, _odd_proportionality(ctx.T, B5, theta, S, f)
 
-    # proportionality of the odd-odd brackets fixes μ with μ² = c
-    c_val = None
-    for i in range(32):
-        oi = [f.zero()] * 87
-        oi[55 + i] = f.one()
-        Si = [f.zero()] * 87
-        for r in range(32):
-            Si[55 + r] = f.of_int(int(S[r, i]))
-        for j in range(i, 32):
-            oj = [f.zero()] * 87
-            oj[55 + j] = f.one()
-            Sj = [f.zero()] * 87
-            for r in range(32):
-                Sj[55 + r] = f.of_int(int(S[r, j]))
-            lhsT = ctx.T.bracket_vectors(oi, oj)[:55]
-            lhs = (theta @ np.array([int(v) % p for v in lhsT],
-                                    dtype=np.int64)) % p
-            rhs = np.array(
-                [int(v) % p for v in B5.bracket_vectors(Si, Sj)[:55]],
-                dtype=np.int64)
-            lz, rz = not lhs.any(), not rhs.any()
-            if lz != rz:
-                raise ScalingNotFound(
-                    f"odd bracket support differs at ({i},{j})")
-            if lz:
-                continue
-            k = int(np.nonzero(rhs)[0][0])
-            r = int(lhs[k]) * pow(int(rhs[k]), p - 2, p) % p
-            if not np.array_equal(lhs, rhs * r % p):
-                raise ScalingNotFound(
-                    f"odd brackets not proportional at ({i},{j})")
-            if c_val is None:
-                c_val = r
-            elif c_val != r:
-                raise ScalingNotFound(
-                    f"inconsistent proportionality {c_val} vs {r}")
-    if c_val is None:
-        raise ScalingNotFound("all odd-odd brackets vanished")
+    Tau = np.array(tau_cols, dtype=np.int64).T % p
+    theta, S, c_val = identify(Tau)
     mu = _sqrt_modp(c_val, p)
+    twisted = mu is None
+    if twisted:
+        theta, S, c_val = identify(_spinor_twist(gram_s, p) @ Tau % p)
+        mu = _sqrt_modp(c_val, p)
     if mu is None:
         return {"status": "holds over quadratic extension",
                 "verified": False, "matrix": None, "scale": scale,
-                "proportionality": c_val}
+                "proportionality": c_val, "spinor_twist": twisted}
 
     M_iso = [[f.zero()] * 87 for _ in range(87)]
     for r in range(55):
@@ -1130,4 +1202,4 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
 
     return {"status": "isomorphism", "verified": True, "matrix": M_iso,
             "scale": scale, "mu": mu, "proportionality": c_val,
-            "equivariant_dim": eq_dim}
+            "equivariant_dim": eq_dim, "spinor_twist": twisted}

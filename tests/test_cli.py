@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinlab
+import spinlab.tits as tits
 from spinlab.cli import _parse_chars, _parse_l_list, main
 from spinlab.construct import build_superalgebra
 from spinlab.fields import GF
@@ -186,9 +188,26 @@ def test_export_hash_tracks_content(tmp_path):
         SuperAlgebra.from_dict(stripped)
 
 
-def test_tits_seed_without_square_root_fails_cleanly(tmp_path, capsys):
-    # for seed 1 the odd brackets are proportional by a non-square in GF(5):
-    # no mu, no matrix, no equivariant solve, and the run must say so
+def test_tits_seed_1_reaches_the_isomorphism(tmp_path):
+    # seed 1's isometry gives odd brackets proportional by a non-square in
+    # GF(5); the spinor-norm twist of the isometry turns it into a square
+    rc, blob = run_to_file(tmp_path, "tits1.json", ["verify", "tits", "--seed", "1"])
+    assert rc == 0
+    doc = json.loads(blob)
+    assert doc["expectation_met"] is True
+    cross = doc["sections"]["cross_identify"]
+    assert cross["status"] == "isomorphism" and cross["verified"]
+    assert cross["mu"] in (1, 2, 3, 4) and cross["equivariant_dim"] == 1
+    assert cross["mu"] ** 2 % 5 == cross["proportionality"]
+    assert cross["matrix_sha256"] is not None
+
+
+def test_tits_seed_without_square_root_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # a twist that leaves the square class of the proportionality alone:
+    # both attempts give a non-square, so there is no mu, no matrix and no
+    # equivariant solve, and the run must say so
+    monkeypatch.setattr(tits, "_spinor_twist",
+                        lambda gram, p: np.eye(len(gram), dtype=np.int64))
     rc, blob = run_to_file(tmp_path, "tits1.json", ["verify", "tits", "--seed", "1"])
     assert rc == 1
     doc = json.loads(blob)
@@ -196,12 +215,20 @@ def test_tits_seed_without_square_root_fails_cleanly(tmp_path, capsys):
     cross = doc["sections"]["cross_identify"]
     assert cross["status"] == "holds over quadratic extension"
     assert not cross["verified"]
+    assert cross["proportionality"] == 3
     assert cross["mu"] is None and cross["equivariant_dim"] is None
     assert cross["matrix_sha256"] is None
     assert main(["report", str(tmp_path / "tits1.json"), "--format", "markdown"]) == 1
     text = capsys.readouterr().out
     assert "holds over quadratic extension" in text
     assert "Expected outcomes met: NO" in text
+
+
+def test_char5_demo_runs():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "char5_identification.py"
+    rc, out, err = run_python(str(demo))
+    assert rc == 0, err
+    assert "status: isomorphism" in out
 
 
 def test_report_markdown_grid(tmp_path, capsys):

@@ -3,11 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinlab.cli import _hash_matrix
 from spinlab.fields import GF, QQ
 from spinlab.kac import K_FORM, KacElement, inner_derivation_J
-from spinlab.superalgebra import check_jacobi, j_triple
-from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, build_so_MQ,
-                          build_tits, cross_identify_with_typeB, phi0,
+from spinlab.linalg import inv_modp, nullspace_modp
+from spinlab.superalgebra import VerificationFailed, check_jacobi, j_triple
+from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, _odd_intertwiner,
+                          build_so_MQ, build_tits, cross_identify_with_typeB, phi0,
                           phi1_intertwine, spin_map_psi, tits_bracket,
                           tits_model, unit_ideal_split)
 
@@ -241,5 +243,77 @@ def test_cross_identification_pinned():
     assert r["mu"] == 1
     assert r["proportionality"] == 1
     assert r["equivariant_dim"] == 1
+    assert not r["spinor_twist"]
+    # pins the normalisation of S as well as the transported θ
+    assert _hash_matrix(r["matrix"]) == (
+        "4f4681470f41477844158085be76e702b7fd1adc9d1eb51fea78307374c594da")
     again = cross_identify_with_typeB(F5, seed=0)
     assert again == r
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cross_identification_every_seed(seed):
+    # seeds 1-3 meet a non-square proportionality first and need the twist
+    r = cross_identify_with_typeB(F5, seed=seed)
+    assert r["status"] == "isomorphism" and r["verified"]
+    assert r["equivariant_dim"] == 1
+    assert r["mu"] ** 2 % 5 == r["proportionality"]
+    assert r["spinor_twist"] == (seed in (1, 2, 3))
+
+
+# --- the odd intertwiner solve, against a Kronecker-nullspace reference ----
+
+
+def _kronecker_intertwiners(rep1, rep2, p):
+    """Rows vec(S) spanning {S : rep2[a]·S = S·rep1[a] for all a}."""
+    n = rep1[0].shape[0]
+    eye = np.eye(n, dtype=np.int64)
+    K = np.vstack([(np.kron(r2, eye) - np.kron(eye, r1.T)) % p
+                   for r1, r2 in zip(rep1, rep2)])
+    return nullspace_modp(K, p)
+
+
+def _random_invertible(rng, n, p):
+    while True:
+        P = rng.integers(0, p, size=(n, n), dtype=np.int64)
+        try:
+            return P, inv_modp(P, p)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("seed", range(4))
+def test_odd_intertwiner_of_conjugate_reps(p, seed):
+    rng = np.random.default_rng(100 * p + seed)
+    n = 5
+    rep1 = [rng.integers(0, p, size=(n, n), dtype=np.int64) for _ in range(3)]
+    P, Pi = _random_invertible(rng, n, p)
+    rep2 = [P @ r @ Pi % p for r in rep1]
+    S = _odd_intertwiner(rep1, rep2, p)
+    ref = _kronecker_intertwiners(rep1, rep2, p)
+    assert ref.shape[0] == 1
+    # S spans the same line as the reference and as P
+    for line in (ref[0], P.reshape(-1)):
+        k = int(np.nonzero(line)[0][0])
+        lam = int(S.reshape(-1)[k]) * pow(int(line[k]), p - 2, p) % p
+        assert lam and np.array_equal(S.reshape(-1), line * lam % p)
+
+
+def test_odd_intertwiner_absent():
+    # I·S = S·0 forces S = 0
+    p, n = 5, 4
+    rep1 = [np.zeros((n, n), dtype=np.int64)]
+    rep2 = [np.eye(n, dtype=np.int64)]
+    assert _kronecker_intertwiners(rep1, rep2, p).shape[0] == 0
+    with pytest.raises(VerificationFailed, match="no odd intertwiner exists"):
+        _odd_intertwiner(rep1, rep2, p)
+
+
+def test_odd_intertwiner_not_unique():
+    # equal scalar reps: every S intertwines, a space of dim n²
+    p, n = 7, 3
+    rep = [3 * np.eye(n, dtype=np.int64), 5 * np.eye(n, dtype=np.int64)]
+    assert _kronecker_intertwiners(rep, rep, p).shape[0] == n * n
+    with pytest.raises(VerificationFailed, match="dim 9, expected 1"):
+        _odd_intertwiner(rep, rep, p)
