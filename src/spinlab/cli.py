@@ -94,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto", help="Jacobi scan mode (default auto)")
     v.add_argument("--survey", action="store_true",
                    help="report raw verdicts without judging; exit 0")
-    v.add_argument("--long", action="store_true",
-                   help="lift the simplicity-certificate size cap")
     common(v)
 
     e = sub.add_parser("export", help="write one algebra's structure table")
@@ -134,7 +132,7 @@ def expected_pass(expected: dict, l: int, char: int) -> bool:
 # verify type-b / type-d
 
 
-def _classify_rows(kind: str, l_list, chars, mode, long, survey):
+def _classify_rows(kind: str, l_list, chars, mode, survey):
     expected = load_expected(kind)
     rows = []
     all_as_expected = True
@@ -143,7 +141,7 @@ def _classify_rows(kind: str, l_list, chars, mode, long, survey):
             continue                       # module only closes for even rank
         for char in chars:
             field = make_field(char)
-            report = classify(l, kind, field, mode=mode, long=long)
+            report = classify(l, kind, field, mode=mode)
             row = {
                 "l": l,
                 "char": char,
@@ -173,8 +171,7 @@ def cmd_verify_type(kind: str, args) -> int:
     except ValueError as exc:
         print(f"spinlab verify: {exc}", file=sys.stderr)
         return 2
-    rows, ok = _classify_rows(kind, l_list, chars, args.mode,
-                              args.long, args.survey)
+    rows, ok = _classify_rows(kind, l_list, chars, args.mode, args.survey)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",

@@ -240,17 +240,14 @@ IDENTIFICATIONS = {
 }
 
 FULL_MODE_MAX_ODD = 128       # full Jacobi scan cap on dim S
-SIMPLICITY_MAX_ODD = 32       # certificate cap on dim S (override with long=True)
 
 
-def classify(l: int, kind: str, field: Field, mode: str = "auto",
-             long: bool = False) -> VerificationReport:
+def classify(l: int, kind: str, field: Field, mode: str = "auto") -> VerificationReport:
     """Build the (l, kind) algebra over the field and verify it.
 
     mode "auto" scans every triple while dim S <= 128 and otherwise
     falls back to the reduced generator set.  A simplicity certificate
-    is attempted over GF(p) when the Jacobi identity holds and dim S is
-    within the certificate cap (long=True lifts the cap).
+    is attempted over GF(p) whenever the Jacobi identity holds.
     """
     A = build_superalgebra(l, kind, field)
     if mode == "auto":
@@ -261,7 +258,7 @@ def classify(l: int, kind: str, field: Field, mode: str = "auto",
     ident = IDENTIFICATIONS.get((kind, l))
     if report.jacobi_pass and ident:
         notes.append(f"identification (documented, not machine-checked): {ident}")
-    if report.jacobi_pass and field.p and (A.n1 <= SIMPLICITY_MAX_ODD or long):
+    if report.jacobi_pass and field.p:
         status, why = _super.simplicity_certificate(A)
         report.simplicity = status
         if why:

@@ -151,12 +151,10 @@ def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
     """Right-nullspace basis as rows of an (dim, ncols) int64 array."""
     r, pivots = rref_modp(a, p)
     n = a.shape[1]
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for j, pc in enumerate(pivots):
-            basis[i, pc] = (-r[j, f]) % p
+    free = np.setdiff1d(np.arange(n), pivots)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-r[:len(pivots), free].T) % p
     return basis
 
 

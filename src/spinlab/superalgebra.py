@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
@@ -43,7 +44,8 @@ import scipy.sparse as sparse
 
 from .fields import Field, FieldMismatch, make_field
 from .linalg import (RowSpace, RowSpaceModP, matmul_field, matmul_modp,
-                     nullspace_field, nullspace_modp, rank_field, rank_modp)
+                     nullspace_field, nullspace_modp, rank_field, rank_modp,
+                     rref_modp)
 
 SCHEMA_VERSION = 1
 
@@ -582,36 +584,178 @@ def burnside_irreducible(ops, n: int, field: Field) -> bool:
     return space.dim == n * n
 
 
-def _rep_on_odd(A: SuperAlgebra):
-    """Matrices of the even basis acting on the odd part: R_a[r][s] is the
-    coefficient of e_{n0+r} in [e_a, e_{n0+s}]."""
-    f = A.field
-    n0, n1 = A.n0, A.n1
-    mats = []
-    for a in range(n0):
-        m = [[f.zero()] * n1 for _ in range(n1)]
-        for s in range(n1):
-            for k, v in A.bracket_terms(a, n0 + s).items():
-                m[k - n0][s] = v
-        mats.append(m)
-    return mats
+# Norton's irreducibility test (Parker, "The computer calculation of modular
+# characters (the MeatAxe)", 1984; Holt and Rees, "Testing modules for
+# irreducibility", 1994).  Let theta be an element of the algebra generated
+# by the operators with a one-dimensional kernel, spanned by v, and let w
+# span the kernel of theta^T.  A proper submodule U either meets ker theta,
+# and then contains v, or theta is invertible on U and singular on S/U, and
+# then w lies in the annihilator of U, a proper submodule of the dual.  So S
+# is irreducible iff v spins to S under the operators and w spins to S*
+# under their transposes; nullity 1 survives extension of the field, so S
+# is then absolutely irreducible.
+
+_NORTON_TRIES = 16      # words tried, and elements theta tried, at most
 
 
-def _rep_kernel(A: SuperAlgebra, rep) -> list:
-    """Basis of {x in even part : sum x_a rho(e_a) = 0}, as raw rows."""
-    f = A.field
-    n0, n1 = A.n0, A.n1
-    # rows indexed by (r,s), columns by a
-    if f.p:
-        mat = np.zeros((n1 * n1, n0), dtype=np.int64)
-        for a, m in enumerate(rep):
-            for r in range(n1):
-                for s in range(n1):
-                    mat[r * n1 + s, a] = int(m[r][s]) % f.p
-        ns = nullspace_modp(mat, f.p)
-        return [[f.of_int(int(x)) for x in row] for row in ns]
-    mat = [[rep[a][r][s] for a in range(n0)] for r in range(n1) for s in range(n1)]
-    return nullspace_field(mat, f) if mat else []
+def _poly_trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a, b, p: int):
+    """Quotient and remainder over GF(p).  Polynomials are coefficient
+    lists from the constant term up; b is nonzero and trimmed."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + db] * inv % p
+        q[k] = c
+        if c:
+            for i, bi in enumerate(b):
+                a[k + i] = (a[k + i] - c * bi) % p
+    return _poly_trim(q), _poly_trim(a[:db])
+
+
+def _poly_mulmod(a, b, m, p: int) -> list:
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_divmod([c % p for c in prod], m, p)[1]
+
+
+def _poly_powmod(a, e: int, m, p: int) -> list:
+    out, a = _poly_divmod([1], m, p)[1], _poly_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, m, p)
+        a = _poly_mulmod(a, a, m, p)
+        e >>= 1
+    return out
+
+
+def _poly_monic_gcd(a, b, p: int) -> list:
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _poly_roots(g, p: int, rng) -> list:
+    """Roots of a monic g that divides X^p - X, ascending: g is split by
+    gcd(g, (X + d)^((p-1)/2) - 1) for random shifts d (Cantor and
+    Zassenhaus), never by looping over GF(p)."""
+    if len(g) <= 2:
+        return [(-g[0]) % p] if len(g) == 2 else []
+    while True:
+        h = _poly_powmod([rng.randrange(p), 1], (p - 1) // 2, g, p)
+        h[0] = (h[0] - 1) % p
+        f = _poly_monic_gcd(g, _poly_trim(h), p)
+        if 1 < len(f) < len(g):
+            q = _poly_divmod(g, f, p)[0]
+            return sorted(_poly_roots(f, p, rng) + _poly_roots(q, p, rng))
+
+
+def _eigenvalues(x: np.ndarray, p: int, rng) -> list:
+    """Eigenvalues of x in GF(p), ascending: the roots of the minimal
+    polynomial m of a random vector u under x, which divides that of x,
+    found as the roots of gcd(m, X^p - X)."""
+    n = x.shape[0]
+    krylov = np.empty((n + 1, n), dtype=np.int64)
+    krylov[0] = [rng.randrange(p) for _ in range(n)]
+    for i in range(n):
+        krylov[i + 1] = matmul_modp(krylov[i:i + 1], x, p)
+    # u x^d is the first power in the span of the earlier ones; column d
+    # of the reduced form holds its coordinates
+    r, pivots = rref_modp(krylov.T, p)
+    d = len(pivots)
+    m = [int(-c) % p for c in r[:d, d]] + [1]
+    xp = _poly_powmod([0, 1], p, m, p) + [0, 0]
+    xp[1] = (xp[1] - 1) % p
+    return _poly_roots(_poly_monic_gcd(m, _poly_trim(xp), p), p, rng)
+
+
+def _spin(vec: np.ndarray, mats, p: int) -> int:
+    """Dimension of the smallest subspace that holds the row vector vec
+    and is closed under v -> v @ M for every M in mats."""
+    n = vec.shape[0]
+    space = RowSpaceModP(p, n)
+    space.insert(vec.reshape(1, n))
+    wave = vec.reshape(1, n)
+    # each wave holds the basis rows that are new since the wave before,
+    # which with the rows already spun span the whole space
+    while wave.shape[0]:
+        old = set(space.pivots)
+        for M in mats:
+            space.insert(matmul_modp(wave, M, p))
+            if space.dim == n:
+                return n
+        wave = space.basis[[i for i, c in enumerate(space.pivots) if c not in old]]
+    return space.dim
+
+
+def norton_irreducible(ops, n: int, p: int):
+    """Norton's test for the action of the n x n integer matrices ops on
+    GF(p)^n (p an odd prime, n >= 1; entries read mod p).
+
+    Returns (verdict, dim): ("certified", n) when the module is proved
+    absolutely irreducible; ("failed", k) when a spin found a proper
+    submodule, of dimension k; ("undecided", None) when none of the
+    fixed sequence of elements theta = x - lam has nullity 1.  The
+    words x come from a fixed seed, so every call on the same input
+    makes the same steps.
+    """
+    if n < 1 or not Field(p).p:        # Field refuses 2, composites, p >= 2^26
+        raise ValueError("Norton's test needs n >= 1 and an odd prime p")
+    gens = np.asarray(ops, dtype=np.int64).reshape(-1, n, n) % p
+    flat = gens.reshape(len(gens), n * n)
+    # spins act on rows, v -> v @ M: (g v)^T = v^T @ g^T, (g^T w)^T = w^T @ g
+    transposed = [np.ascontiguousarray(g.T) for g in gens]
+    eye = np.eye(n, dtype=np.int64)
+    rng = random.Random(20050)
+    tries = 0
+    for _ in range(_NORTON_TRIES):
+        coef = np.array([[rng.randrange(p) for _ in gens] for _ in range(3)],
+                        dtype=np.int64)
+        a, b, c = matmul_modp(coef, flat, p).reshape(3, n, n)
+        x = (matmul_modp(a, b, p) + c) % p
+        for lam in _eigenvalues(x, p, rng):
+            if tries == _NORTON_TRIES:
+                return "undecided", None
+            tries += 1
+            theta = (x - lam * eye) % p
+            kernel = nullspace_modp(theta, p)
+            if kernel.shape[0] != 1:
+                continue
+            dim = _spin(kernel[0], transposed, p)
+            if dim < n:
+                return "failed", dim
+            dual = _spin(nullspace_modp(theta.T, p)[0], gens, p)
+            if dual < n:
+                return "failed", n - dual      # the annihilator of the dual spin
+            return "certified", n
+    return "undecided", None
+
+
+def _rep_on_odd(A: SuperAlgebra) -> np.ndarray:
+    """Residues of the even basis acting on the odd part, shape (n0, n1, n1):
+    R[a, r, s] is the coefficient of e_{n0+r} in [e_a, e_{n0+s}]."""
+    I, J, K, V, _ = A._coo()
+    n0 = A.n0
+    mixed = (I < n0) & (J >= n0)
+    rep = np.zeros((n0, A.n1, A.n1), dtype=np.int64)
+    rep[I[mixed], K[mixed] - n0, J[mixed] - n0] = V[mixed]
+    return rep
+
+
+def _rep_kernel(A: SuperAlgebra, rep: np.ndarray) -> list:
+    """Basis of {x in even part : sum x_a rho(e_a) = 0}, as rows of residues."""
+    return nullspace_modp(rep.reshape(A.n0, A.n1 * A.n1).T, A.field.p).tolist()
 
 
 def _largest_ideal_inside(A: SuperAlgebra, kernel_rows) -> int:
@@ -664,16 +808,27 @@ def _reduce_coord(space: RowSpace, vec, t, f):
 
 
 def simplicity_certificate(A: SuperAlgebra):
-    """("certified"|"failed", notes). Certified means: the derived algebra
-    is everything, the even action on the odd part is absolutely
-    irreducible, and no nonzero even ideal annihilates the odd part."""
+    """("certified"|"failed"|"undecided", notes) for an algebra over GF(p)
+    with an odd part; ValueError otherwise.  Certified means: the derived
+    algebra is everything, the even action on the odd part is absolutely
+    irreducible (Norton's test), and no nonzero even ideal annihilates the
+    odd part.  Undecided means Norton's test found no element of nullity 1
+    to test with."""
+    if not A.field.p:
+        raise ValueError("simplicity certificates are computed over GF(p) only")
+    if not A.n1:
+        raise ValueError("simplicity certificates need an odd part (n1 >= 1)")
     n = A.dim
     der = derived_algebra(A)
     if len(der) != n:
         return "failed", f"derived algebra has dimension {len(der)} < {n}"
     rep = _rep_on_odd(A)
-    if not burnside_irreducible(rep, A.n1, A.field):
-        return "failed", "even action on the odd part is not absolutely irreducible"
+    verdict, dim = norton_irreducible(rep, A.n1, A.field.p)
+    if verdict == "failed":
+        return "failed", f"even action on the odd part has a {dim}-dimensional submodule"
+    if verdict == "undecided":
+        return "undecided", ("Norton's test found no element of nullity 1 "
+                             "for the even action on the odd part")
     kernel = _rep_kernel(A, rep)
     if kernel:
         bad = _largest_ideal_inside(A, kernel)

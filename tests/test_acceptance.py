@@ -6,7 +6,6 @@ assertions are equalities, never tolerances.
 """
 import itertools
 import json
-import os
 import time
 from fractions import Fraction
 
@@ -196,11 +195,9 @@ def test_simplicity_certificates():
     assert status == "certified"
     status, _ = simplicity_certificate(build_superalgebra(5, "B", GF(5)))
     assert status == "certified"
-    if os.environ.get("SPINLAB_LONG"):
-        for kind in ("B", "D"):
-            status, why = simplicity_certificate(
-                build_superalgebra(6, kind, GF(3)))
-            assert status == "certified", (kind, why)
+    for kind in ("B", "D"):
+        status, why = simplicity_certificate(build_superalgebra(6, kind, GF(3)))
+        assert status == "certified", (kind, why)
 
 
 def test_octonion_structure_suite():

@@ -74,6 +74,20 @@ def test_verify_grid_deterministic(tmp_path):
     assert rc2 == 0 and blob2 == blob
 
 
+def test_every_passing_cell_gets_a_certificate(tmp_path, capsys):
+    # no size cap: dim S = 64 is certified like the small cells
+    rc, blob = run_to_file(tmp_path, "b63.json",
+                           ["verify", "type-b", "--l", "6", "--chars", "0,3"])
+    assert rc == 0
+    rows = json.loads(blob)["rows"]
+    assert [(r["char"], r["dims"], r["simplicity"]) for r in rows] == [
+        (0, [78, 64], "not-attempted"), (3, [78, 64], "certified")]
+    with pytest.raises(SystemExit) as e:          # the cap's option is gone
+        main(["verify", "type-b", "--long"])
+    assert e.value.code == 2
+    capsys.readouterr()
+
+
 def test_expected_failure_cell_exits_zero(tmp_path):
     # (3, 5) fails Jacobi and is expected to: still exit 0, as_expected
     rc, blob = run_to_file(tmp_path, "b35.json",

@@ -191,3 +191,28 @@ def test_matmul_modp_exact_at_the_largest_prime():
     assert matmul_modp(a, a, p).tolist() == [[1]]
     rows = np.full((3, 5), p - 1, dtype=np.int64)
     assert matmul_modp(rows, rows.T, p).tolist() == [[5 % p] * 3] * 3
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_nullspace_modp_matches_field_path(p):
+    # the same rows, in the same order, as the field-generic elimination
+    f = GF(p)
+    rng = random.Random(p)
+    shapes = [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
+    shapes += [(1, 6), (6, 1), (5, 5), (0, 4), (4, 0), (0, 0)]
+    for nr, nc in shapes:
+        rows = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(nc)]
+                for _ in range(nr)]
+        arr = np.array(rows, dtype=np.int64).reshape(nr, nc)
+        null = nullspace_modp(arr, p)
+        assert null.shape == (len(null), nc)
+        want = nullspace_field(rows, f) if nr else [
+            [int(i == j) for j in range(nc)] for i in range(nc)]
+        assert null.tolist() == want, (nr, nc)
+    zero = np.zeros((3, 4), dtype=np.int64)
+    assert nullspace_modp(zero, p).tolist() == np.eye(4, dtype=np.int64).tolist()
+    full = np.array([[1, 2, 0], [0, 1, 1], [1, 0, 2]], dtype=np.int64)
+    assert rank_modp(full, p) == 3
+    assert nullspace_modp(full, p).shape == (0, 3)
+    one_row = np.array([[0, 2, 1, 0]], dtype=np.int64)
+    assert nullspace_modp(one_row, p).tolist() == nullspace_field(one_row.tolist(), f)

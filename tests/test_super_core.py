@@ -10,10 +10,12 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   check_jacobi, derived_algebra,
                                   equivariant_map_dim, even_subalgebra,
                                   ideal_closure, j_triple,
-                                  simplicity_certificate, verify_isomorphism,
-                                  VerificationFailed, _scan_matrices,
+                                  norton_irreducible, simplicity_certificate,
+                                  verify_isomorphism, VerificationFailed,
+                                  _eigenvalues, _rep_on_odd, _scan_matrices,
                                   _scan_one_i, _witness_entry)
-from spinlab.construct import build_superalgebra
+from spinlab.construct import build_superalgebra, classify
+from spinlab.linalg import inv_modp, matmul_modp
 
 from helpers import rep_and_adjoint
 
@@ -266,7 +268,6 @@ def test_equivariant_dim_is_conjugation_invariant():
     assert base == 1
     rng = random.Random(12)
     ds = len(rep[0])
-    from spinlab.linalg import inv_modp
     for _ in range(3):
         while True:
             P = np.array([[rng.randrange(5) for _ in range(ds)]
@@ -316,3 +317,131 @@ def test_verify_isomorphism_with_odd_rescaling():
         assert verify_isomorphism(M, A, B) is True
         M[0][0] = f.of_int(2)
         assert verify_isomorphism(M, A, B) is False
+
+
+SL2_NATURAL = [[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]]          # e, h, f
+SL2_ADJOINT = [[[0, -2, 0], [0, 0, 1], [0, 0, 0]],
+               [[2, 0, 0], [0, 0, 0], [0, 0, -2]],
+               [[0, 0, 0], [-1, 0, 0], [0, 2, 0]]]
+
+
+def random_invertible(rng, n, p):
+    """(P, P^-1) for a random invertible n x n matrix over GF(p)."""
+    while True:
+        P = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                     dtype=np.int64)
+        try:
+            return P, inv_modp(P, p)
+        except ValueError:
+            continue
+
+
+def block_sum(left, right, p, seed):
+    """The operators of left (+) right, conjugated by a random invertible
+    matrix so that no block shows in the coordinates."""
+    a, b = len(left[0]), len(right[0])
+    n = a + b
+    P, Pi = random_invertible(random.Random(seed), n, p)
+    ops = []
+    for L, R in zip(left, right):
+        M = np.zeros((n, n), dtype=np.int64)
+        M[:a, :a] = L
+        M[a:, a:] = R
+        ops.append(P @ M @ Pi % p)
+    return ops
+
+
+@pytest.mark.parametrize("p", [7, 10007, 67108859])
+def test_eigenvalues_are_the_roots_in_the_field(p):
+    # P diag(d) P^-1 has eigenvalues set(d); a random vector's minimal
+    # polynomial misses one only with probability about n/p
+    rng = random.Random(p)
+    for trial in range(4):
+        d = [rng.randrange(p) for _ in range(5)]
+        d += d[:3]
+        P, Pi = random_invertible(rng, len(d), p)
+        x = matmul_modp(matmul_modp(P, np.diag(d), p), Pi, p)
+        found = _eigenvalues(x, p, random.Random(trial))
+        assert found == sorted(found) and set(found) <= set(d)
+        if p > 1000:
+            assert found == sorted(set(d))
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    assert _eigenvalues(np.array([[0, c], [1, 0]]), p, random.Random(0)) == []
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_norton_finds_a_submodule_of_a_reducible_module(p):
+    for seed in range(4):
+        ops = block_sum(SL2_NATURAL, SL2_ADJOINT, p, seed)
+        # the only proper submodules are the two blocks, of dims 2 and 3
+        assert norton_irreducible(ops, 5, p) in (("failed", 2), ("failed", 3))
+        assert burnside_irreducible(ops, 5, GF(p)) is False
+        trivial = [[[0]], [[0]], [[0]]]
+        ops = block_sum(SL2_NATURAL, trivial, p, seed)
+        assert norton_irreducible(ops, 3, p) in (("failed", 1), ("failed", 2))
+
+
+@pytest.mark.parametrize("p,c", [(5, 2), (7, 3), (10007, 5)])
+def test_norton_undecided_on_a_module_that_is_not_absolutely_irreducible(p, c):
+    # x^2 - c has no root in GF(p): the module is irreducible over GF(p)
+    # and splits over GF(p^2), so no element has nullity 1
+    assert pow(c, (p - 1) // 2, p) == p - 1
+    ops = [[[0, c], [1, 0]]]
+    assert norton_irreducible(ops, 2, p) == ("undecided", None)
+    assert burnside_irreducible(ops, 2, GF(p)) is False
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_norton_never_certifies_a_doubled_module(p):
+    # every element acts on V (+) V with even nullity
+    assert norton_irreducible(SL2_NATURAL, 2, p) == ("certified", 2)
+    for seed in range(3):
+        ops = block_sum(SL2_NATURAL, SL2_NATURAL, p, seed)
+        assert norton_irreducible(ops, 4, p)[0] != "certified"
+
+
+def test_norton_one_dimensional_and_empty_inputs():
+    assert norton_irreducible([[[3]]], 1, 5) == ("certified", 1)
+    assert norton_irreducible([], 1, 5) == ("certified", 1)
+    assert norton_irreducible([], 2, 5) == ("undecided", None)
+    for n, p in ((0, 5), (2, 2), (2, 9), (2, 0)):
+        with pytest.raises(ValueError):
+            norton_irreducible([], n, p)
+
+
+def test_certificate_names_the_submodule_of_a_reducible_odd_part():
+    # osp(1,2) + osp(1,2): perfect, but each copy's odd part is a submodule
+    A = osp12(GF(5))
+    first = {0: 0, 1: 1, 2: 2, 3: 6, 4: 7}
+    second = {0: 3, 1: 4, 2: 5, 3: 8, 4: 9}
+    br = {}
+    for place in (first, second):
+        for (i, j), t in A.table.items():
+            br[(place[i], place[j])] = {place[k]: v for k, v in t.items()}
+    B = SuperAlgebra("osp12x2", GF(5), 6, 4, [f"b{t}" for t in range(10)], br,
+                     odd_symmetric=True)
+    assert check_jacobi(B, "full").jacobi_pass
+    assert simplicity_certificate(B) == (
+        "failed", "even action on the odd part has a 2-dimensional submodule")
+
+
+def test_certificate_refuses_the_rationals_and_algebras_without_odd_part():
+    with pytest.raises(ValueError):
+        simplicity_certificate(osp12(QQ))
+    with pytest.raises(ValueError):
+        simplicity_certificate(sl2(GF(5)))       # n1 = 0
+    assert classify(4, "B", QQ).simplicity == "not-attempted"
+
+
+GRID_SMALL = [(kind, l, p) for kind, l in (("B", 1), ("B", 2), ("B", 3), ("B", 4),
+                                           ("D", 2), ("D", 4))
+              for p in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("kind,l,p", GRID_SMALL + [("D", 6, 3), ("B", 4, 10007)])
+def test_norton_agrees_with_burnside_on_grid_cells(kind, l, p):
+    A = build_superalgebra(l, kind, GF(p))
+    rep = _rep_on_odd(A)
+    verdict, dim = norton_irreducible(rep, A.n1, p)
+    assert burnside_irreducible(rep, A.n1, GF(p)) is (verdict == "certified")
+    assert (verdict, dim) == ("certified", A.n1)
