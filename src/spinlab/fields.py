@@ -3,8 +3,8 @@
 A Field object carries the characteristic and the raw-value operations;
 raw values are Fraction in characteristic 0 and plain ints in [0, p)
 otherwise.  Scalar is a thin wrapper pairing a raw value with its field so
-that arithmetic between scalars of different fields is a loud error rather
-than a silent coercion.
+that comparing scalars of different fields, or handing one to another
+field's raw(), is a loud error rather than a silent coercion.
 """
 
 from __future__ import annotations
@@ -163,10 +163,6 @@ class Field:
             return v.numerator * pow(v.denominator, self.p - 2, self.p) % self.p
         return int(v) % self.p
 
-    def scalar(self, v) -> "Scalar":
-        """Wrap an int, Fraction, or raw value as a Scalar of this field."""
-        return Scalar(self, self.raw(v))
-
 
 QQ = Field(0)
 
@@ -188,55 +184,6 @@ class Scalar:
     def __init__(self, field: Field, value):
         self.field = field
         self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other.value
-        if isinstance(other, int) or (self.field.p == 0 and isinstance(other, Fraction)):
-            return self.field.of_int(other) if isinstance(other, int) else other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(v, self.value))
 
     def __neg__(self):
         return Scalar(self.field, self.field.neg(self.value))

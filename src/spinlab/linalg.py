@@ -194,9 +194,10 @@ class RowSpaceModP:
 
     def insert(self, rows) -> int:
         """Add rows to the span; returns how many were independent."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.width)
-        if rows.shape[0] == 0:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:          # no rows, or rows of width 0
             return 0
+        rows = rows.reshape(-1, self.width)
         red = self._reduce(rows)
         r, new_pivots = rref_modp(red, self.p)
         if not new_pivots:
@@ -246,7 +247,7 @@ class RowSpace:
         return list(self._modp.pivots if self.field.p else self._pivots)
 
     def _as_modp(self, rows) -> np.ndarray:
-        return np.asarray(rows, dtype=np.int64).reshape(-1, self.width) % self.field.p
+        return np.asarray(rows, dtype=np.int64) % self.field.p
 
     def insert(self, rows) -> int:
         if self.field.p:

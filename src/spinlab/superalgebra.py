@@ -282,24 +282,6 @@ class VerificationReport:
     def witness_count(self) -> int:
         return len(self.witnesses)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "algebra": self.algebra,
-            "field": self.field,
-            "mode": self.mode,
-            "pass": self.jacobi_pass,
-            "witness_count": self.witness_count,
-            "witnesses": self.witnesses,
-            "dims": list(self.dims),
-            "bracket_symmetry": self.bracket_symmetry,
-            "simplicity": self.simplicity,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
 
 # ---------------------------------------------------------------------------
 # graded Jacobi identity

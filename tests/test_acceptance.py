@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import rep_and_adjoint
+from spinlab import kac
 from spinlab.cli import main
 from spinlab.clifford import SoElement, pair_basis, so_dim
 from spinlab.composition import (check_lemma_C, derivation_algebra,
@@ -22,8 +23,9 @@ from spinlab.construct import (bracket_is_symmetric, build_superalgebra,
 from spinlab.exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
                               form_b, form_bhat)
 from spinlab.fields import GF, QQ, make_field
-from spinlab.kac import (J_DIM, J_PARITY, ODD_INDICES, KacElement, ch3_scan,
-                         idempotent_f, inder_j_span, normalized_trace)
+from spinlab.kac import (J_DIM, J_PARITY, ODD_INDICES, EnvelopeElement,
+                         KacElement, ch3, ch3_scan, idempotent_f, inder_j_span,
+                         normalized_trace)
 from spinlab.linalg import RowSpace
 from spinlab.superalgebra import (check_jacobi, equivariant_map_dim, j_triple,
                                   simplicity_certificate)
@@ -257,19 +259,25 @@ def test_kac_superalgebra_axioms():
         assert (len(ev), len(od)) == (6, 4)
 
 
-def test_degree_three_identity_gate():
-    r5 = ch3_scan(GF(5), 6, strategy="elementary")
-    assert r5["verdict"] == "pass" and r5["checked"] == 4352
-    rq = ch3_scan(QQ, 4, strategy="elementary")
-    assert rq["verdict"] == "witness"
-    assert rq["witness"]["x"] == [[1, 2, "1"], [2, 2, "1"],
-                                  [4, 3, "1"], [8, 4, "1"]]
-    assert rq["witness"]["value"] == [[13, 4, "-15/8"], [14, 4, "-15/8"]]
-    r7 = ch3_scan(GF(7), 4, strategy="elementary")
-    assert r7["verdict"] == "witness"
-    assert r7["witness"]["value"] == [[13, 4, "6"], [14, 4, "6"]]
-    # an exhausted scan outside characteristic 5 must say so, not "pass"
-    empty = ch3_scan(GF(7), 4, strategy="seeded-random", n=0)
+def test_degree_three_identity_gate(monkeypatch):
+    r5 = ch3_scan(GF(5))
+    assert r5["verdict"] == "pass" and r5["checked"] == 220
+    rq = ch3_scan(QQ)
+    assert rq["verdict"] == "witness" and rq["checked"] == 56
+    assert rq["witness"]["x"] == [[3, 1, "1"], [12, 1, "1"], [48, 1, "1"]]
+    assert rq["witness"]["value"] == [[63, 1, "105/16"]]
+    r7 = ch3_scan(GF(7))
+    assert r7["verdict"] == "witness" and r7["checked"] == 60
+    assert r7["witness"]["value"] == [[63, 5, "4"]]
+    # a pinned element on 4 generators where ch3 does not vanish
+    old_x = {(1, 2): 1, (2, 2): 1, (4, 3): 1, (8, 4): 1}
+    assert ch3(EnvelopeElement(4, QQ, old_x)).support() == \
+        [[13, 4, "-15/8"], [14, 4, "-15/8"]]
+    assert ch3(EnvelopeElement(4, GF(7), old_x)).support() == \
+        [[13, 4, "6"], [14, 4, "6"]]
+    # vanishing polarizations prove nothing where 3! = 0: not "pass"
+    monkeypatch.setattr(kac, "ch3", lambda x: EnvelopeElement.zero(x.m, x.field))
+    empty = ch3_scan(GF(3))
     assert empty["verdict"] == "inconclusive" and empty["witness"] is None
 
 

@@ -56,6 +56,19 @@ def test_usage_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["export", "--kind", "B", "--l", "2", "--format", "markdown"],
+    ["export", "--kind", "B", "--l", "2", "--seed", "1"],
+    ["report", "run.json", "--seed", "1"],
+])
+def test_flags_that_do_nothing_are_refused(argv, capsys):
+    # argparse refuses unknown flags by raising SystemExit(2)
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     rc = main(argv + ["--out", str(out)])

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from spinlab import kac
 from spinlab.fields import GF, QQ
 from spinlab.kac import (EVEN_INDICES, J_DIM, J_LABELS, J_PARITY, K_FORM,
                          K_PARITY, K_TABLE, ODD_INDICES, EnvelopeElement,
@@ -169,6 +171,33 @@ def test_inner_derivation_closed_form_81_pairs():
                     assert got == want, (ai, bi, ci, di)
 
 
+def _inner_derivation_by_loops(p, q):
+    """Reference [L_p, L_q] = L_p L_q -+ L_q L_p, entry by entry."""
+    fld = p.field
+    LP, LQ = left_mult_matrix(p), left_mult_matrix(q)
+    odd = p.parity() and q.parity()
+    full = [[fld.zero()] * J_DIM for _ in range(J_DIM)]
+    for i in range(J_DIM):
+        for j in range(J_DIM):
+            acc = fld.zero()
+            for k in range(J_DIM):
+                acc = fld.add(acc, fld.mul(LP[i][k], LQ[k][j]))
+                term = fld.mul(LQ[i][k], LP[k][j])
+                acc = fld.add(acc, term) if odd else fld.sub(acc, term)
+            full[i][j] = acc
+    assert all(fld.is_zero(full[i][0]) and fld.is_zero(full[0][i])
+               for i in range(J_DIM))
+    return [row[1:] for row in full[1:]]
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(5), GF(7)], ids=["QQ", "GF5", "GF7"])
+def test_inner_derivation_matches_loop_reference(fld):
+    for i in range(1, J_DIM):
+        for j in range(1, J_DIM):
+            P, Q = KacElement.basis(fld, i), KacElement.basis(fld, j)
+            assert inner_derivation_J(P, Q) == _inner_derivation_by_loops(P, Q), (i, j)
+
+
 @pytest.mark.parametrize("fld", [QQ, GF(5), GF(7)], ids=["QQ", "GF5", "GF7"])
 def test_inder_span_dims(fld):
     ev, od = inder_j_span(fld)
@@ -219,44 +248,72 @@ def test_left_mult_matrix_consistent():
             assert got == list(want), (i, j)
 
 
+def _random_envelope(rng, m, fld):
+    """A random even element of G(J) on m generators: every monomial of
+    matching parity on every basis element, coefficients uniform."""
+    terms = {}
+    for g in range(1 << m):
+        for j in (ODD_INDICES if g.bit_count() & 1 else EVEN_INDICES):
+            terms[(g, j)] = rng.randrange(fld.p)
+    return EnvelopeElement(m, fld, terms)
+
+
+# a pinned element of G(J) on 4 generators, xi_1 (x) e(x)x + xi_2 (x) e(x)x
+# + xi_3 (x) e(x)y + xi_4 (x) x(x)e, where ch3 does not vanish over Q, GF(7)
+OLD_WITNESS_X = {(1, 2): 1, (2, 2): 1, (4, 3): 1, (8, 4): 1}
+
+
 class TestCh3Scan:
+    """The complete check, on the basis multisets {a, b, c}."""
+
     def test_gf5_elementary_passes(self):
-        r = ch3_scan(GF(5), 4, strategy="elementary")
+        r = ch3_scan(GF(5))
         assert r["verdict"] == "pass"
-        assert r["checked"] == 2048
+        assert (r["checked"], r["m"]) == (220, 6)
         assert r["witness"] is None
 
     def test_qq_elementary_witness_pinned(self):
-        r = ch3_scan(QQ, 4, strategy="elementary")
+        r = ch3_scan(QQ)
         assert r["verdict"] == "witness"
-        assert r["checked"] == 7
-        assert r["witness"]["x"] == [[1, 2, "1"], [2, 2, "1"],
-                                     [4, 3, "1"], [8, 4, "1"]]
-        assert r["witness"]["value"] == [[13, 4, "-15/8"], [14, 4, "-15/8"]]
+        assert r["checked"] == 56
+        assert r["witness"]["x"] == [[3, 1, "1"], [12, 1, "1"], [48, 1, "1"]]
+        assert r["witness"]["value"] == [[63, 1, "105/16"]]
+        old = ch3(EnvelopeElement(4, QQ, OLD_WITNESS_X))
+        assert old.support() == [[13, 4, "-15/8"], [14, 4, "-15/8"]]
 
     def test_gf7_elementary_witness_pinned(self):
-        r = ch3_scan(GF(7), 4, strategy="elementary")
+        r = ch3_scan(GF(7))
         assert r["verdict"] == "witness"
-        assert r["checked"] == 7
-        assert r["witness"]["x"] == [[1, 2, "1"], [2, 2, "1"],
-                                     [4, 3, "1"], [8, 4, "1"]]
-        assert r["witness"]["value"] == [[13, 4, "6"], [14, 4, "6"]]
+        assert r["checked"] == 60
+        assert r["witness"]["x"] == [[3, 1, "1"], [12, 1, "1"], [48, 5, "1"]]
+        assert r["witness"]["value"] == [[63, 5, "4"]]
+        old = ch3(EnvelopeElement(4, GF(7), OLD_WITNESS_X))
+        assert old.support() == [[13, 4, "6"], [14, 4, "6"]]
 
     def test_gf3_elementary_witness(self):
-        r = ch3_scan(GF(3), 4, strategy="elementary")
+        r = ch3_scan(GF(3))
         assert r["verdict"] == "witness"
-        assert r["checked"] == 257
+        assert r["checked"] == 57
+        assert r["witness"]["x"] == [[3, 1, "1"], [12, 1, "1"], [16, 2, "1"]]
+        assert r["witness"]["value"] == [[31, 2, "2"]]
 
-    def test_seeded_random(self):
-        assert ch3_scan(GF(5), 4, strategy="seeded-random",
-                        n=40, seed=2)["verdict"] == "pass"
-        r7 = ch3_scan(GF(7), 4, strategy="seeded-random", n=40, seed=2)
-        assert r7["verdict"] == "witness"
+    def test_ch3_vanishes_on_random_gf5_envelope_elements(self):
+        # independent of the polarization argument: whole random elements
+        # of G(J) on 6 generators, every monomial slot filled
+        rng = random.Random(20050512)
+        for _ in range(4):
+            assert ch3(_random_envelope(rng, 6, GF(5))).is_zero()
+        assert not ch3(_random_envelope(rng, 6, GF(7))).is_zero()
+
+    @pytest.mark.parametrize("p,verdict", [(3, "inconclusive"), (7, "pass")])
+    def test_vanishing_check_verdict(self, monkeypatch, p, verdict):
+        # 3! = 0 mod 3, so vanishing polarizations prove nothing there
+        monkeypatch.setattr(kac, "ch3",
+                            lambda x: EnvelopeElement.zero(x.m, x.field))
+        r = ch3_scan(GF(p))
+        assert (r["verdict"], r["checked"], r["witness"]) == (verdict, 220, None)
 
     def test_determinism(self):
-        a = ch3_scan(QQ, 4, strategy="elementary")
-        b = ch3_scan(QQ, 4, strategy="elementary")
-        assert a == b
-        a = ch3_scan(GF(7), 4, strategy="seeded-random", n=40, seed=2)
-        b = ch3_scan(GF(7), 4, strategy="seeded-random", n=40, seed=2)
+        a = ch3_scan(QQ)
+        b = ch3_scan(QQ)
         assert a == b

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinlab.fields import QQ, GF
-from spinlab.linalg import (SpanSolver, RowSpace, inv_field,
+from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, inv_field,
                             inv_modp, matmul_field, matmul_modp, nullspace_field,
                             nullspace_modp, rank_field, rank_modp, rref_field,
                             rref_modp)
@@ -117,6 +117,16 @@ def test_rowspace_membership(f):
     assert sp.insert([[f.zero(), f.zero(), f.one()]]) == 1
     basis = sp.basis()
     assert len(basis) == 2
+
+
+@pytest.mark.parametrize("space", [lambda: RowSpace(QQ, 0),
+                                   lambda: RowSpace(GF(5), 0),
+                                   lambda: RowSpaceModP(5, 0)],
+                         ids=["Q", "GF(5)", "modp"])
+def test_rowspace_of_width_zero(space):
+    sp = space()
+    assert sp.insert([]) == 0 and sp.insert([[]]) == 0
+    assert sp.dim == 0 and sp.contains([])
 
 
 def test_rowspace_modp_matches_generic():

@@ -83,6 +83,11 @@ def test_sl2_and_osp12_pass_jacobi(f):
     assert len(derived_algebra(O)) == 5
 
 
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=repr)
+def test_derived_algebra_of_the_zero_algebra(f):
+    assert derived_algebra(SuperAlgebra("zero", f, 0, 0, [], {}, False)) == []
+
+
 def witness_triples(report):
     return [(w["i"], w["j"], w["k"]) for w in report.witnesses]
 
