@@ -82,20 +82,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output here instead of stdout")
 
     v = sub.add_parser("verify", help="build algebras and check identities")
-    v.add_argument("target", choices=("type-b", "type-d", "tits"))
-    v.add_argument("--l", dest="l_list", metavar="SPEC",
-                   help='ranks: "5", "1..8", or "3,5,7" '
-                        "(default 1..8 for type-b, 2..8 for type-d)")
-    v.add_argument("--chars", metavar="LIST",
-                   help="comma-separated characteristics, 0 = rationals "
-                        "(default 0,3,5,7; for tits: 0,5,7)")
-    v.add_argument("--mode", choices=("auto", "full", "odd-only", "generators"),
-                   default="auto", help="Jacobi scan mode (default auto)")
-    v.add_argument("--survey", action="store_true",
-                   help="report raw verdicts without judging; exit 0")
-    v.add_argument("--seed", type=int, default=0,
-                   help="seed for any randomized search (default 0)")
-    out_options(v)
+    targets = v.add_subparsers(dest="target", required=True)
+
+    def verify_target(name, help_text, default_chars):
+        t = targets.add_parser(name, help=help_text)
+        t.add_argument("--chars", metavar="LIST",
+                       help="comma-separated characteristics, 0 = rationals "
+                            f"(default {default_chars})")
+        t.add_argument("--survey", action="store_true",
+                       help="report raw verdicts without judging; exit 0")
+        out_options(t)
+        return t
+
+    for name, kind, default_l in (("type-b", "B", "1..8"), ("type-d", "D", "2..8")):
+        t = verify_target(name, f"Jacobi grid of the kind-{kind} algebras", "0,3,5,7")
+        t.add_argument("--l", dest="l_list", metavar="SPEC",
+                       help=f'ranks: "5", "1..8", or "3,5,7" (default {default_l})')
+        t.add_argument("--mode", choices=("auto", "full", "odd-only", "generators"),
+                       default="auto", help="Jacobi scan mode (default auto)")
+    t = verify_target("tits", "the characteristic-5 construction suite", "0,5,7")
+    t.add_argument("--seed", type=int, default=0,
+                   help="seed of the isotropic-vector search (default 0)")
 
     e = sub.add_parser("export", help="write one algebra's structure table")
     e.add_argument("--kind", choices=("B", "D"), required=True)
@@ -178,7 +185,6 @@ def cmd_verify_type(kind: str, args) -> int:
         "command": "verify",
         "target": "type-b" if kind == "B" else "type-d",
         "mode": args.mode,
-        "seed": args.seed,
         "chars": chars,
         "l": l_list,
         "rows": rows,

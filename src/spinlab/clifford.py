@@ -17,7 +17,6 @@ matrices over a specific field.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -311,12 +310,6 @@ class SpinOperator:
         self.cols = cols
 
     @classmethod
-    def zero(cls, l: int, field: Field, masks=None) -> "SpinOperator":
-        if masks is None:
-            masks = range(1 << l)
-        return cls(l, field, masks, {})
-
-    @classmethod
     def identity(cls, l: int, field: Field, masks=None) -> "SpinOperator":
         if masks is None:
             masks = range(1 << l)
@@ -408,18 +401,6 @@ class SpinOperator:
 
     def __hash__(self):
         raise TypeError("SpinOperator is unhashable")
-
-    def to_rows(self) -> list:
-        """Dense matrix rows over the operator's mask order."""
-        f = self.field
-        pos = {m: i for i, m in enumerate(self.masks)}
-        n = len(self.masks)
-        rows = [[f.zero()] * n for _ in range(n)]
-        for c, col in self.cols.items():
-            j = pos[c]
-            for r, w in col.items():
-                rows[pos[r]][j] = w
-        return rows
 
     def restrict(self, masks) -> "SpinOperator":
         """Restriction to an invariant sub-basis (e.g. a parity block)."""
@@ -581,14 +562,6 @@ class SoElement:
     def is_zero(self) -> bool:
         f = self.field
         return all(f.is_zero(x) for x in self.coords)
-
-    def coefficient(self, label: str) -> Scalar:
-        pb = pair_basis(self.l, self.kind)
-        try:
-            k = pb.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown pair label {label!r}") from None
-        return Scalar(self.field, self.coords[k])
 
     def bracket(self, other: "SoElement") -> "SoElement":
         self._compat(other)

@@ -22,7 +22,7 @@ import json
 from importlib import resources
 
 from .fields import Field
-from .linalg import RowSpace, nullspace_field, nullspace_modp
+from .linalg import RowSpace, matmul_field, nullspace_field, nullspace_modp
 from .superalgebra import VerificationFailed
 import numpy as np
 
@@ -294,13 +294,6 @@ def check_lemma_C(C: CompositionAlgebra) -> dict:
     contains_so = all(span.contains(row) for row in so_rows)
     ok_i = (so_dim == 21 and der_dim == 14 and joint_dim == 21 and contains_so)
 
-    def mat_eq(A, B):
-        return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-    def mat_mul(A, B):
-        return [[sum_row(f, Ar, [B[k][j] for k in range(n)]) for j in range(n)]
-                for Ar in A]
-
     ok_ii = ok_iii = True
     half = f.inv(f.of_int(2))
     for a in basis0:
@@ -310,10 +303,11 @@ def check_lemma_C(C: CompositionAlgebra) -> dict:
             dab = inner_derivation(C, a, b)
             adab = ad_matrix(C, C.commutator(a, b))
             lhs = [[f.sub(x, y) for x, y in zip(r1, r2)]
-                   for r1, r2 in zip(mat_mul(ada, adb), mat_mul(adb, ada))]
+                   for r1, r2 in zip(matmul_field(ada, adb, f),
+                                     matmul_field(adb, ada, f))]
             rhs = [[f.sub(f.mul(f.of_int(2), dab[i][j]), adab[i][j])
                     for j in range(n)] for i in range(n)]
-            ok_ii = ok_ii and mat_eq(lhs, rhs)
+            ok_ii = ok_ii and lhs == rhs
             lhs3 = [[f.add(dab[i][j], f.mul(half, adab[i][j])) for j in range(n)]
                     for i in range(n)]
             rhs3 = [[f.zero()] * n for _ in range(n)]
@@ -324,7 +318,7 @@ def check_lemma_C(C: CompositionAlgebra) -> dict:
                 for i in range(n):
                     rhs3[i][j] = f.mul(f.of_int(3),
                                        f.sub(f.mul(na, b[i]), f.mul(nb, a[i])))
-            ok_iii = ok_iii and mat_eq(lhs3, rhs3)
+            ok_iii = ok_iii and lhs3 == rhs3
     return {
         "so_dim": so_dim,
         "der_dim": der_dim,

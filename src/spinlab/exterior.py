@@ -150,14 +150,6 @@ class Multivector:
         seen = {m.bit_count() & 1 for m in self.coeffs}
         return seen.pop() if len(seen) == 1 else None
 
-    def even_part(self) -> "Multivector":
-        return Multivector(self.l, self.field,
-                           {m: v for m, v in self.coeffs.items() if not m.bit_count() & 1})
-
-    def odd_part(self) -> "Multivector":
-        return Multivector(self.l, self.field,
-                           {m: v for m, v in self.coeffs.items() if m.bit_count() & 1})
-
     def _compat(self, other: "Multivector"):
         if not isinstance(other, Multivector):
             raise TypeError(f"expected Multivector, got {type(other).__name__}")
@@ -259,37 +251,6 @@ class Multivector:
         top = (1 << self.l) - 1
         return Scalar(self.field, self.coeffs.get(top, self.field.zero()))
 
-    # -- serialization ------------------------------------------------------
-
-    def to_pairs(self) -> list:
-        """[(sorted index list, scalar string)] with masks in increasing order."""
-        f = self.field
-        out = []
-        for m in sorted(self.coeffs):
-            idx = [i + 1 for i in range(m.bit_length()) if m >> i & 1]
-            out.append((idx, f.to_str(self.coeffs[m])))
-        return out
-
-    @classmethod
-    def from_pairs(cls, l: int, field: Field, pairs) -> "Multivector":
-        f = field
-        coeffs: dict = {}
-        for idx, text in pairs:
-            mask = 0
-            for i in idx:
-                if not 1 <= i <= l:
-                    raise ValueError(f"index {i} out of range 1..{l}")
-                bit = 1 << (i - 1)
-                if mask & bit:
-                    raise ValueError(f"repeated index {i}")
-                mask |= bit
-            v = f.add(coeffs.get(mask, f.zero()), f.from_str(text))
-            if f.is_zero(v):
-                coeffs.pop(mask, None)
-            else:
-                coeffs[mask] = v
-        return cls(l, field, coeffs)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -321,10 +282,6 @@ def bar_involution(s: Multivector) -> Multivector:
 
 def hat_involution(s: Multivector) -> Multivector:
     return s.hat_involution()
-
-
-def phi_functional(s: Multivector) -> Scalar:
-    return s.phi_functional()
 
 
 def form_b(s: Multivector, t: Multivector) -> Scalar:

@@ -115,16 +115,6 @@ class KacElement:
         c[i] = 1
         return cls(field, c)
 
-    @classmethod
-    def tensor(cls, field: Field, a, b) -> "KacElement":
-        """a (x) b for K coordinate vectors a, b (length 3)."""
-        f = field
-        c = [f.zero()] * J_DIM
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                c[_tensor_index(i, j)] = f.mul(f.raw(ai), f.raw(bj))
-        return cls(field, c)
-
     def _compat(self, other):
         if not isinstance(other, KacElement):
             raise TypeError("expected a KacElement")

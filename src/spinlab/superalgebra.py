@@ -35,14 +35,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .fields import Field, FieldMismatch, make_field
+from .fields import Field, make_field
 from .linalg import (RowSpace, RowSpaceModP, matmul_field, matmul_modp,
                      nullspace_field, nullspace_modp, rank_field, rank_modp,
                      rref_modp)
@@ -724,15 +723,22 @@ def norton_irreducible(ops, n: int, p: int):
     return "undecided", None
 
 
-def _rep_on_odd(A: SuperAlgebra) -> np.ndarray:
-    """Residues of the even basis acting on the odd part, shape (n0, n1, n1):
-    R[a, r, s] is the coefficient of e_{n0+r} in [e_a, e_{n0+s}]."""
+def _block(A: SuperAlgebra, first: int, second: int, target: int) -> np.ndarray:
+    """Residues of one parity block of the structure constants over GF(p),
+    read from the COO table.  first, second and target are parities (0 even,
+    1 odd); R[a, k, j] is the coefficient of the k-th basis element of the
+    target part in [e_a, e_j], for e_a the a-th element of the first part
+    and e_j the j-th of the second."""
+    if not A.field.p:
+        raise ValueError("structure blocks are read over GF(p) only")
     I, J, K, V, _ = A._coo()
     n0 = A.n0
-    mixed = (I < n0) & (J >= n0)
-    rep = np.zeros((n0, A.n1, A.n1), dtype=np.int64)
-    rep[I[mixed], K[mixed] - n0, J[mixed] - n0] = V[mixed]
-    return rep
+    starts, sizes = (0, n0), (n0, A.n1)
+    sel = ((I >= n0) == first) & ((J >= n0) == second) & ((K >= n0) == target)
+    out = np.zeros((sizes[first], sizes[target], sizes[second]), dtype=np.int64)
+    out[I[sel] - starts[first], K[sel] - starts[target],
+        J[sel] - starts[second]] = V[sel]
+    return out
 
 
 def _rep_kernel(A: SuperAlgebra, rep: np.ndarray) -> list:
@@ -804,7 +810,7 @@ def simplicity_certificate(A: SuperAlgebra):
     der = derived_algebra(A)
     if len(der) != n:
         return "failed", f"derived algebra has dimension {len(der)} < {n}"
-    rep = _rep_on_odd(A)
+    rep = _block(A, 0, 1, 1)
     verdict, dim = norton_irreducible(rep, A.n1, A.field.p)
     if verdict == "failed":
         return "failed", f"even action on the odd part has a {dim}-dimensional submodule"
@@ -1000,25 +1006,23 @@ def verify_isomorphism(mat, A: SuperAlgebra, B: SuperAlgebra) -> bool:
             if A.parity(j) != B.parity(i) and not f.is_zero(rows[i][j]):
                 return False
     if f.p:
-        M = np.array([[int(x) % f.p for x in r] for r in rows], dtype=np.int64)
-        if rank_modp(M, f.p) != n:
+        p = f.p
+        M = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
+        if rank_modp(M, p) != n:
             return False
         I, J, K, V, _ = B._coo()
-        C1B = sparse.csr_matrix((V % f.p, (I, J * n + K)), shape=(n, n * n))
         IA, JA, KA, VA, _ = A._coo()
-        C2A = sparse.csr_matrix((VA % f.p, (IA * n + JA, KA)), shape=(n * n, n))
         for i in range(n):
-            u = M[:, i]
-            e = np.zeros((1, n * n), dtype=np.int64)
-            # E[b,k] = sum_a u_a c_B[a,b,k]
-            for a in np.nonzero(u)[0]:
-                blk = C1B[int(a)]
-                e[0, blk.indices] = (e[0, blk.indices] + int(u[a]) * blk.data) % f.p
-            E = e.reshape(n, n)
-            got = matmul_modp(E.T % f.p, M, f.p)          # [k, j]
-            Ti = np.asarray(C2A[i * n:(i + 1) * n].todense(), dtype=np.int64)  # [j,k]
-            want = matmul_modp(M, Ti.T % f.p, f.p)        # [k, j]
-            if not np.array_equal(got, want):
+            # E[b, k] = sum_a M[a, i] c_B[a, b, k]: each cell sums at most n
+            # residues, exact in float64 since n*(p-1) < 2^53 for p < 2^26
+            w = (M[I, i] * V % p).astype(np.float64)
+            E = np.bincount(J * n + K, weights=w, minlength=n * n)
+            E = E.astype(np.int64).reshape(n, n) % p
+            got = matmul_modp(E.T, M, p)                      # [k, j]
+            Ti = np.zeros((n, n), dtype=np.int64)             # Ti[j, k] = c_A[i, j, k]
+            mine = IA == i
+            Ti[JA[mine], KA[mine]] = VA[mine]
+            if not np.array_equal(got, matmul_modp(M, Ti.T, p)):
                 return False
         return True
     # dense exact route for characteristic zero (small cases)

@@ -36,7 +36,7 @@ from .kac import (KacElement, J_LABELS, J_PARITY, ODD_INDICES,
                   inner_derivation_J, inder_j_span, _j_field_table, K_FORM)
 from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
                            ideal_closure, verify_isomorphism,
-                           equivariant_map_dim)
+                           equivariant_map_dim, _block)
 from .clifford import (ambient_space, qpair, pair_basis, nat_entries,
                        DegenerateForm)
 from .construct import build_superalgebra
@@ -273,23 +273,6 @@ class TitsElement:
         return (all(f.is_zero(v) for v in self.d_C)
                 and all(f.is_zero(v) for v in self.middle.values())
                 and all(f.is_zero(v) for v in self.d_J))
-
-    def parity(self):
-        """0, 1, or None for mixed (zero counts as even)."""
-        f = self.model.field
-        seen = set()
-        if any(not f.is_zero(v) for v in self.d_C):
-            seen.add(0)
-        for (_, xj), v in self.middle.items():
-            if not f.is_zero(v):
-                seen.add(J_PARITY[xj])
-        nev = self.model.n_inder_even
-        for t, v in enumerate(self.d_J):
-            if not f.is_zero(v):
-                seen.add(0 if t < nev else 1)
-        if not seen:
-            return 0
-        return seen.pop() if len(seen) == 1 else None
 
     def __eq__(self, other):
         return (isinstance(other, TitsElement) and self.model is other.model
@@ -625,7 +608,7 @@ class _Context:
     """Shared char-5 pipeline data for the octonion model."""
 
     __slots__ = ("field", "model", "T", "somq", "phi0_mat", "psi", "rho",
-                 "phi1_mat", "ad_odd")
+                 "phi1_mat")
 
     def __init__(self, field):
         self.field = field
@@ -636,7 +619,6 @@ class _Context:
         self.psi = None
         self.rho = None
         self.phi1_mat = None
-        self.ad_odd = None
 
 
 def _context(field: Field) -> _Context:
@@ -788,18 +770,6 @@ def spin_map_psi(field: Field) -> dict:
 # Φ₁ : T(C, J)₁ → C ⊗ (U ⊕ U)
 
 
-def _ad_odd_mats(T: SuperAlgebra, p: int):
-    """For each even basis element, its action on the odd part mod p."""
-    out = []
-    for a in range(T.n0):
-        m = np.zeros((T.n1, T.n1), dtype=np.int64)
-        for j in range(T.n1):
-            for k, v in T.bracket_terms(a, T.n0 + j).items():
-                m[k - T.n0, j] = int(v) % p
-        out.append(m)
-    return out
-
-
 def _phi1_matrix(ctx: _Context):
     """Columns: spin coordinates of the odd T basis.
 
@@ -864,12 +834,11 @@ def phi1_intertwine(field: Field, negate_index=None) -> dict:
         raise VerificationFailed("phi1 matrix is singular")
     rho_stack = np.stack(ctx.rho)                 # (55, 32, 32)
     phi0_np = _np(ctx.phi0_mat, p)
-    if ctx.ad_odd is None:
-        ctx.ad_odd = _ad_odd_mats(ctx.T, p)
+    adT = _block(ctx.T, 0, 1, 1)
     checked = 0
     for a in range(55):
         R = np.tensordot(phi0_np[:, a], rho_stack, axes=1) % p
-        lhs = (phi1 @ ctx.ad_odd[a]) % p
+        lhs = (phi1 @ adT[a]) % p
         rhs = (R @ phi1) % p
         if not np.array_equal(lhs, rhs):
             j = int(np.nonzero((lhs - rhs) % p)[1][0])
@@ -1045,37 +1014,29 @@ def _spinor_twist(gram, p):
     return reflection(u, bu) @ reflection(v, bv) % p
 
 
-def _odd_proportionality(T, B5, theta, S, f):
+def _odd_proportionality(T, B5, theta, S, p):
     """The c in GF(p) with θ([x, y]) = c·[Sx, Sy] for all odd x, y of T."""
-    p = f.p
+    n1 = S.shape[0]
+    RT, RB = _block(T, 1, 1, 0), _block(B5, 1, 1, 0)   # (n1, 55, n1)
+    n0 = RT.shape[1]
+    # lhs[k, i, j] = θ([o_i, o_j])_k;  rhs[i, k, j] = [S o_i, S o_j]_k
+    lhs = matmul_modp(theta, RT.transpose(1, 0, 2).reshape(n0, n1 * n1), p)
+    lhs = lhs.reshape(n0, n1, n1)
+    rhs = matmul_modp(S.T, RB.reshape(n1, n0 * n1), p)
+    rhs = matmul_modp(rhs.reshape(n1 * n0, n1), S, p).reshape(n1, n0, n1)
     c_val = None
-    for i in range(32):
-        oi = [f.zero()] * 87
-        oi[55 + i] = f.one()
-        Si = [f.zero()] * 87
-        for r in range(32):
-            Si[55 + r] = f.of_int(int(S[r, i]))
-        for j in range(i, 32):
-            oj = [f.zero()] * 87
-            oj[55 + j] = f.one()
-            Sj = [f.zero()] * 87
-            for r in range(32):
-                Sj[55 + r] = f.of_int(int(S[r, j]))
-            lhsT = T.bracket_vectors(oi, oj)[:55]
-            lhs = (theta @ np.array([int(v) % p for v in lhsT],
-                                    dtype=np.int64)) % p
-            rhs = np.array(
-                [int(v) % p for v in B5.bracket_vectors(Si, Sj)[:55]],
-                dtype=np.int64)
-            lz, rz = not lhs.any(), not rhs.any()
+    for i in range(n1):
+        for j in range(i, n1):
+            l_ij, r_ij = lhs[:, i, j], rhs[i, :, j]
+            lz, rz = not l_ij.any(), not r_ij.any()
             if lz != rz:
                 raise ScalingNotFound(
                     f"odd bracket support differs at ({i},{j})")
             if lz:
                 continue
-            k = int(np.nonzero(rhs)[0][0])
-            r = int(lhs[k]) * pow(int(rhs[k]), p - 2, p) % p
-            if not np.array_equal(lhs, rhs * r % p):
+            k = int(np.nonzero(r_ij)[0][0])
+            r = int(l_ij[k]) * pow(int(r_ij[k]), p - 2, p) % p
+            if not np.array_equal(l_ij, r_ij * r % p):
                 raise ScalingNotFound(
                     f"odd brackets not proportional at ({i},{j})")
             if c_val is None:
@@ -1143,10 +1104,8 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
 
     phi0_np = _np(ctx.phi0_mat, p)
     mats_M = np.stack([_np(m, p) for m in ctx.somq.mats])
-    if ctx.ad_odd is None:
-        ctx.ad_odd = _ad_odd_mats(ctx.T, p)
-    adT = np.stack(ctx.ad_odd)                       # (55, 32, 32)
-    rep2 = _ad_odd_mats(B5, p)
+    adT = _block(ctx.T, 0, 1, 1)                     # (55, 32, 32)
+    rep2 = _block(B5, 0, 1, 1)
 
     def identify(Tau):
         """θ, S and the odd-odd proportionality c through the isometry Tau."""
@@ -1167,7 +1126,7 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
         rep1 = [np.tensordot(theta_inv[:, a], adT, axes=1) % p
                 for a in range(55)]
         S = _odd_intertwiner(rep1, rep2, p)
-        return theta, S, _odd_proportionality(ctx.T, B5, theta, S, f)
+        return theta, S, _odd_proportionality(ctx.T, B5, theta, S, p)
 
     Tau = np.array(tau_cols, dtype=np.int64).T % p
     theta, S, c_val = identify(Tau)
@@ -1191,14 +1150,8 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
     if not verify_isomorphism(M_iso, ctx.T, B5):
         raise VerificationFailed("assembled isomorphism fails verification")
 
-    adB = []
-    for a in range(55):
-        m = [[0] * 55 for _ in range(55)]
-        for j in range(55):
-            for k, v in B5.bracket_terms(a, j).items():
-                m[k][j] = int(v) % p
-        adB.append(m)
-    eq_dim = equivariant_map_dim([m.tolist() for m in rep2], adB, field=f)
+    eq_dim = equivariant_map_dim(rep2.tolist(), _block(B5, 0, 0, 0).tolist(),
+                                 field=f)
 
     return {"status": "isomorphism", "verified": True, "matrix": M_iso,
             "scale": scale, "mu": mu, "proportionality": c_val,

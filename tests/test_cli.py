@@ -60,6 +60,9 @@ def test_usage_errors_exit_2(argv, capsys):
     ["export", "--kind", "B", "--l", "2", "--format", "markdown"],
     ["export", "--kind", "B", "--l", "2", "--seed", "1"],
     ["report", "run.json", "--seed", "1"],
+    ["verify", "tits", "--l", "3"],
+    ["verify", "tits", "--mode", "full"],
+    ["verify", "type-b", "--seed", "1"],
 ])
 def test_flags_that_do_nothing_are_refused(argv, capsys):
     # argparse refuses unknown flags by raising SystemExit(2)

@@ -12,7 +12,7 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   ideal_closure, j_triple,
                                   norton_irreducible, simplicity_certificate,
                                   verify_isomorphism, VerificationFailed,
-                                  _eigenvalues, _rep_on_odd, _scan_matrices,
+                                  _block, _eigenvalues, _scan_matrices,
                                   _scan_one_i, _witness_entry)
 from spinlab.construct import build_superalgebra, classify
 from spinlab.linalg import inv_modp, matmul_modp
@@ -446,7 +446,7 @@ GRID_SMALL = [(kind, l, p) for kind, l in (("B", 1), ("B", 2), ("B", 3), ("B", 4
 @pytest.mark.parametrize("kind,l,p", GRID_SMALL + [("D", 6, 3), ("B", 4, 10007)])
 def test_norton_agrees_with_burnside_on_grid_cells(kind, l, p):
     A = build_superalgebra(l, kind, GF(p))
-    rep = _rep_on_odd(A)
+    rep = _block(A, 0, 1, 1)
     verdict, dim = norton_irreducible(rep, A.n1, p)
     assert burnside_irreducible(rep, A.n1, GF(p)) is (verdict == "certified")
     assert (verdict, dim) == ("certified", A.n1)

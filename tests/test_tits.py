@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,12 @@ from spinlab.cli import _hash_matrix
 from spinlab.fields import GF, QQ
 from spinlab.kac import K_FORM, KacElement, inner_derivation_J
 from spinlab.linalg import inv_modp, nullspace_modp
-from spinlab.superalgebra import VerificationFailed, check_jacobi, j_triple
-from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, _odd_intertwiner,
+from spinlab.construct import build_superalgebra
+from spinlab.superalgebra import (VerificationFailed, _block, check_jacobi,
+                                  even_subalgebra, j_triple, verify_isomorphism)
+from spinlab import tits
+from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, ScalingNotFound,
+                          _first_bad_pair, _odd_intertwiner, _odd_proportionality,
                           build_so_MQ, build_tits, cross_identify_with_typeB, phi0,
                           phi1_intertwine, spin_map_psi, tits_bracket,
                           tits_model, unit_ideal_split)
@@ -317,3 +322,139 @@ def test_odd_intertwiner_not_unique():
     assert _kronecker_intertwiners(rep, rep, p).shape[0] == n * n
     with pytest.raises(VerificationFailed, match="dim 9, expected 1"):
         _odd_intertwiner(rep, rep, p)
+
+
+# ---------------------------------------------------------------------------
+# structure blocks read from the COO table, against the dictionary route
+
+
+def block_by_dictionary(A, first, second, target, p):
+    """R[a, k, j] = coefficient of the k-th target-part basis element in
+    [e_a, e_j], e_a in the first part and e_j in the second, read pair by
+    pair through bracket_terms (the reference for _block)."""
+    parts = (range(A.n0), range(A.n0, A.dim))
+    out = np.zeros((len(parts[first]), len(parts[target]), len(parts[second])),
+                   dtype=np.int64)
+    for a, x in enumerate(parts[first]):
+        for j, y in enumerate(parts[second]):
+            for k, v in A.bracket_terms(x, y).items():
+                if A.parity(k) == target:
+                    out[a, k - parts[target].start, j] = int(v) % p
+    return out
+
+
+ORIENTATIONS = [(0, 1, 1), (0, 0, 0), (1, 1, 0), (1, 0, 1)]
+
+
+@pytest.mark.parametrize("name,build,p", [
+    ("T(octonion)/GF(5)", lambda: build_tits("octonion", F5), 5),
+    ("B5/GF(5)", lambda: build_superalgebra(5, "B", F5), 5),
+    ("D4/GF(7)", lambda: build_superalgebra(4, "D", GF(7)), 7),
+])
+def test_block_matches_the_dictionary_route(name, build, p):
+    A = build()
+    for first, second, target in ORIENTATIONS:
+        got = _block(A, first, second, target)
+        want = block_by_dictionary(A, first, second, target, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (name, first, second, target)
+        assert got.any(), (name, first, second, target)
+    # a target of the wrong parity holds nothing in a graded table
+    assert not _block(A, 0, 1, 0).any()
+
+
+def test_block_refuses_the_rationals():
+    with pytest.raises(ValueError, match="GF"):
+        _block(build_superalgebra(1, "B", QQ), 0, 1, 1)
+
+
+def test_verify_isomorphism_agrees_with_first_bad_pair():
+    # single-entry perturbations inside the parity blocks of the seed-0
+    # isomorphism: the bincount route and the pair-by-pair route agree
+    M = cross_identify_with_typeB(F5, seed=0)["matrix"]
+    T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
+    assert verify_isomorphism(M, T, B5)
+    rng = random.Random(2005)
+    for _ in range(20):
+        lo, hi = (0, 55) if rng.randrange(2) == 0 else (55, 87)
+        r, c = rng.randrange(lo, hi), rng.randrange(lo, hi)
+        N = [row[:] for row in M]
+        N[r][c] = (N[r][c] + rng.randrange(1, 5)) % 5
+        bad = _first_bad_pair(N, T, B5)
+        assert verify_isomorphism(N, T, B5) is (bad is None), (r, c, bad)
+
+
+def test_phi0_mismatch_names_the_pair(monkeypatch):
+    good = phi0(F5)["matrix"]
+    bad = [row[:] for row in good]
+    for row in bad:                      # doubling one column keeps it invertible
+        row[0] = row[0] * 2 % 5
+    ctx = tits._context(F5)
+    pair = _first_bad_pair(bad, even_subalgebra(ctx.T, check=False),
+                           ctx.somq.algebra)
+    assert pair is not None
+    monkeypatch.setattr(ctx, "phi0_mat", None)
+    monkeypatch.setattr(tits, "_phi0_matrix", lambda model, somq: bad)
+    with pytest.raises(VerificationFailed) as e:
+        phi0(F5)
+    assert str(e.value) == f"phi0 bracket mismatch at pair {pair}"
+
+
+def proportionality_by_dictionary(T, B5, theta, S, p):
+    """The odd-odd proportionality pair by pair through bracket_vectors
+    (the reference for _odd_proportionality): the same value, or the same
+    ScalingNotFound message."""
+    def even_part(A, x, y):
+        return np.array(A.bracket_vectors([0] * 55 + x.tolist(),
+                                          [0] * 55 + y.tolist())[:55],
+                        dtype=np.int64) % p
+
+    eye = np.eye(32, dtype=np.int64)
+    c_val = None
+    for i in range(32):
+        for j in range(i, 32):
+            lhs = theta @ even_part(T, eye[i], eye[j]) % p
+            rhs = even_part(B5, S[:, i], S[:, j])
+            if (not lhs.any()) != (not rhs.any()):
+                raise ScalingNotFound(f"odd bracket support differs at ({i},{j})")
+            if not lhs.any():
+                continue
+            k = int(np.nonzero(rhs)[0][0])
+            r = int(lhs[k]) * pow(int(rhs[k]), p - 2, p) % p
+            if not np.array_equal(lhs, rhs * r % p):
+                raise ScalingNotFound(f"odd brackets not proportional at ({i},{j})")
+            if c_val is None:
+                c_val = r
+            elif c_val != r:
+                raise ScalingNotFound(f"inconsistent proportionality {c_val} vs {r}")
+    return c_val
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ScalingNotFound as exc:
+        return str(exc)
+
+
+def test_odd_proportionality_matches_the_dictionary_route():
+    M = np.array(cross_identify_with_typeB(F5, seed=0)["matrix"], dtype=np.int64)
+    theta, S = M[:55, :55], M[55:, 55:]          # mu = 1 for seed 0
+    T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
+    assert _odd_proportionality(T, B5, theta, S, 5) == 1
+    rng = random.Random(7)
+    seen = set()
+    for trial in range(4):
+        # three entries at once, so that several pairs fail and the
+        # reported one pins the scan order
+        th, s = theta.copy(), S.copy()
+        for _ in range(3):
+            if trial % 2:
+                s[rng.randrange(32), rng.randrange(32)] += rng.randrange(1, 5)
+            else:
+                th[rng.randrange(55), rng.randrange(55)] += rng.randrange(1, 5)
+        th, s = th % 5, s % 5
+        got = _outcome(_odd_proportionality, T, B5, th, s, 5)
+        assert got == _outcome(proportionality_by_dictionary, T, B5, th, s, 5)
+        seen.add(type(got))
+    assert str in seen
