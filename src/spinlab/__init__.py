@@ -17,9 +17,9 @@ from .composition import (CompositionAlgebra, make_composition,
                           derivation_algebra, inner_derivation, check_lemma_C)
 from .kac import (KacElement, EnvelopeElement, kac_product, idempotent_f,
                   inner_derivation_J, ch3, ch3_scan)
-from .tits import (TitsModel, TitsElement, TITS_DIMS, build_tits, tits_model,
-                   tits_bracket, unit_ideal_split, build_so_MQ, phi0,
-                   spin_map_psi, phi1_intertwine, cross_identify_with_typeB)
+from .tits import (TitsModel, TITS_DIMS, build_tits, tits_model, tits_bracket,
+                   unit_ideal_split, build_so_MQ, phi0, spin_map_psi,
+                   phi1_intertwine, cross_identify_with_typeB)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "inner_derivation", "check_lemma_C",
     "KacElement", "EnvelopeElement", "kac_product", "idempotent_f",
     "inner_derivation_J", "ch3", "ch3_scan",
-    "TitsModel", "TitsElement", "TITS_DIMS", "build_tits", "tits_model",
+    "TitsModel", "TITS_DIMS", "build_tits", "tits_model",
     "tits_bracket", "unit_ideal_split", "build_so_MQ", "phi0",
     "spin_map_psi", "phi1_intertwine", "cross_identify_with_typeB",
 ]

@@ -24,14 +24,17 @@ of C and D_{a,b} the standard inner derivation of C.
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .fields import Field
 from .linalg import (SpanSolver, RowSpace, inv_field, inv_modp,
                      matmul_field, matmul_modp, nullspace_modp, rref_modp)
-from .composition import (make_composition, derivation_algebra,
-                          inner_derivation, ad_matrix, _restrict_to_czero)
+from .composition import (CompositionAlgebra, make_composition,
+                          derivation_algebra, inner_derivation, ad_matrix,
+                          _restrict_to_czero)
 from .kac import (KacElement, J_LABELS, J_PARITY, ODD_INDICES,
                   inner_derivation_J, inder_j_span, _j_field_table, K_FORM)
 from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
@@ -79,6 +82,63 @@ def _mat_sub(f, A, B):
 # structure data
 
 
+class _JTables(NamedTuple):
+    """The J side of T(C, Kac), which depends only on the field."""
+    inder: list          # basis of inder J as 9×9 matrices, even ones first
+    n_even: int
+    solver: SpanSolver   # coordinates in that basis
+    dJcol: list          # dJcol[t][x - 1] = ((k, v), ...): d_t(e_x) = Σ v·e_k
+    dd: dict             # (s, t) -> coordinates of [d_s, d_t]
+    t_tab: list          # t_tab[x][y] = t(e_x e_y)
+    star_tab: list       # star_tab[x][y] = e_x * e_y as ((k, v), ...)
+    LL: list             # LL[x][y] = coordinates of [L_x, L_y]
+
+
+@lru_cache(maxsize=None)
+def _j_tables(field: Field) -> _JTables:
+    f = field
+    ev, od = inder_j_span(f)
+    inder = ev + od
+    nev = len(ev)
+    solver = SpanSolver(f, [_flat(d) for d in inder])
+
+    # inner derivations of J: column action on J⁰ and supercommutator
+    dJcol = [[tuple((k + 1, d[k][xj - 1]) for k in range(9)
+                    if not f.is_zero(d[k][xj - 1])) for xj in range(1, 10)]
+             for d in inder]
+    dd = {}
+    for s in range(10):
+        for t in range(10):
+            sgn = -1 if (s >= nev and t >= nev) else 1
+            prod = matmul_field(inder[s], inder[t], f)
+            back = matmul_field(inder[t], inder[s], f)
+            com = (_mat_sub(f, prod, back) if sgn > 0 else
+                   [[f.add(a, b) for a, b in zip(ra, rb)]
+                    for ra, rb in zip(prod, back)])
+            cc = solver.coords(_flat(com))
+            if cc is None:
+                raise VerificationFailed("inder J is not closed under [ , ]")
+            dd[(s, t)] = cc
+
+    # J⁰ pair data: trace, star product, inner-derivation coordinates
+    tab = _j_field_table(f)
+    t_tab = [[f.zero()] * 10 for _ in range(10)]
+    star_tab = [[()] * 10 for _ in range(10)]
+    LL = [[None] * 10 for _ in range(10)]
+    for xi in range(1, 10):
+        for yj in range(1, 10):
+            cell = tab[xi][yj]
+            t_tab[xi][yj] = next((v for k, v in cell if k == 0), f.zero())
+            star_tab[xi][yj] = tuple((k, v) for k, v in cell if k)
+            LLm = inner_derivation_J(KacElement.basis(f, xi),
+                                     KacElement.basis(f, yj))
+            cc = solver.coords(_flat(LLm))
+            if cc is None:
+                raise VerificationFailed("[L_x, L_y] escapes inder J")
+            LL[xi][yj] = cc
+    return _JTables(inder, nev, solver, dJcol, dd, t_tab, star_tab, LL)
+
+
 class TitsModel:
     """Pinned bases and precomputed bracket tables for T(C, Kac).
 
@@ -97,17 +157,20 @@ class TitsModel:
         ncz = self.ncz = len(cz)
         derC = self.derC = derivation_algebra(C)
         nder = self.nder = len(derC)
-        ev, od = inder_j_span(f)
-        self.inder = ev + od
-        self.n_inder_even = len(ev)
+        J = _j_tables(f)
+        self.inder = J.inder
+        self.n_inder_even = nev = J.n_even
+        nod = len(J.inder) - nev
+        self.dJcol, self.dd, self.LL = J.dJcol, J.dd, J.LL
+        self.t_tab, self.star_tab = J.t_tab, J.star_tab
 
         self.slots = ([("der", i) for i in range(nder)]
                       + [("mid", ai, xj) for ai in range(ncz) for xj in J_EVEN0]
-                      + [("inj", t) for t in range(len(ev))]
+                      + [("inj", t) for t in range(nev)]
                       + [("mid", ai, xj) for ai in range(ncz) for xj in ODD_INDICES]
-                      + [("inj", len(ev) + t) for t in range(len(od))])
-        self.n0 = nder + 5 * ncz + len(ev)
-        self.n1 = 4 * ncz + len(od)
+                      + [("inj", nev + t) for t in range(nod)])
+        self.n0 = nder + 5 * ncz + nev
+        self.n1 = 4 * ncz + nod
         self.index = {s: k for k, s in enumerate(self.slots)}
 
         def clabel(ai):
@@ -115,14 +178,13 @@ class TitsModel:
         labels = [f"dC{i}" for i in range(nder)]
         labels += [f"{clabel(ai)}*{J_LABELS[xj]}"
                    for ai in range(ncz) for xj in J_EVEN0]
-        labels += [f"dJ{t}" for t in range(len(ev))]
+        labels += [f"dJ{t}" for t in range(nev)]
         labels += [f"{clabel(ai)}*{J_LABELS[xj]}"
                    for ai in range(ncz) for xj in ODD_INDICES]
-        labels += [f"dJ{len(ev) + t}" for t in range(len(od))]
+        labels += [f"dJ{nev + t}" for t in range(nod)]
         self.labels = tuple(labels)
 
-        self._der_solver = SpanSolver(f, [_flat(D) for D in derC]) if derC else None
-        self._inder_solver = SpanSolver(f, [_flat(d) for d in self.inder])
+        der_solver = SpanSolver(f, [_flat(D) for D in derC]) if derC else None
 
         # der C composition: commutator coordinates for all ordered pairs
         self.DD = {}
@@ -130,7 +192,7 @@ class TitsModel:
             for j in range(nder):
                 com = _mat_sub(f, matmul_field(derC[i], derC[j], f),
                                matmul_field(derC[j], derC[i], f))
-                cc = self._der_solver.coords(_flat(com))
+                cc = der_solver.coords(_flat(com))
                 if cc is None:
                     raise VerificationFailed("der C is not closed under [ , ]")
                 self.DD[(i, j)] = cc
@@ -140,30 +202,6 @@ class TitsModel:
             [sum((f.mul(D[r][c], a[c]) for c in range(C.dim)), f.zero())
              for r in range(C.dim)]) for a in cz] for D in derC]
 
-        # inner derivations of J: column action on J⁰ and supercommutator
-        self.dJcol = []
-        for d in self.inder:
-            cols = []
-            for xj in range(1, 10):
-                col = tuple((k + 1, d[k][xj - 1]) for k in range(9)
-                            if not f.is_zero(d[k][xj - 1]))
-                cols.append(col)
-            self.dJcol.append(cols)
-        self.dd = {}
-        nev = self.n_inder_even
-        for s in range(10):
-            for t in range(10):
-                sgn = -1 if (s >= nev and t >= nev) else 1
-                prod = matmul_field(self.inder[s], self.inder[t], f)
-                back = matmul_field(self.inder[t], self.inder[s], f)
-                com = (_mat_sub(f, prod, back) if sgn > 0 else
-                       [[f.add(a, b) for a, b in zip(ra, rb)]
-                        for ra, rb in zip(prod, back)])
-                cc = self._inder_solver.coords(_flat(com))
-                if cc is None:
-                    raise VerificationFailed("inder J is not closed under [ , ]")
-                self.dd[(s, t)] = cc
-
         # C⁰ pair data: D_{a,b}, [a,b], polar norm
         self.Dab = [[None] * ncz for _ in range(ncz)]
         self.comm_cz = [[None] * ncz for _ in range(ncz)]
@@ -171,8 +209,7 @@ class TitsModel:
         for ai in range(ncz):
             for bi in range(ncz):
                 D = inner_derivation(C, cz[ai], cz[bi])
-                cc = (self._der_solver.coords(_flat(D))
-                      if self._der_solver else
+                cc = (der_solver.coords(_flat(D)) if der_solver else
                       ([] if all(f.is_zero(x) for x in _flat(D)) else None))
                 if cc is None:
                     raise VerificationFailed("D_{a,b} escapes der C")
@@ -181,197 +218,56 @@ class TitsModel:
                     C.commutator(cz[ai], cz[bi]))
                 self.npol[ai][bi] = f.raw(C.norm_polar(cz[ai], cz[bi]))
 
-        # J⁰ pair data: trace, star product, inner-derivation coordinates
-        tab = _j_field_table(f)
-        self.t_tab = [[f.zero()] * 10 for _ in range(10)]
-        self.star_tab = [[()] * 10 for _ in range(10)]
-        self.LL = [[None] * 10 for _ in range(10)]
-        for xi in range(1, 10):
-            for yj in range(1, 10):
-                cell = tab[xi][yj]
-                self.t_tab[xi][yj] = next(
-                    (v for k, v in cell if k == 0), f.zero())
-                self.star_tab[xi][yj] = tuple((k, v) for k, v in cell if k)
-                LLm = inner_derivation_J(KacElement.basis(f, xi),
-                                         KacElement.basis(f, yj))
-                cc = self._inder_solver.coords(_flat(LLm))
-                if cc is None:
-                    raise VerificationFailed("[L_x, L_y] escapes inder J")
-                self.LL[xi][yj] = cc
 
-    # -- elements -------------------------------------------------------
-
-    def zero(self):
-        f = self.field
-        return TitsElement(self, [f.zero()] * self.nder, {},
-                           [f.zero()] * 10)
-
-    def basis_element(self, k):
-        el = self.zero()
-        slot = self.slots[k]
-        one = self.field.one()
-        if slot[0] == "der":
-            el.d_C[slot[1]] = one
-        elif slot[0] == "mid":
-            el.middle[(slot[1], slot[2])] = one
-        else:
-            el.d_J[slot[1]] = one
-        return el
-
-    def element_coords(self, el) -> list:
-        f = self.field
-        out = [f.zero()] * (self.n0 + self.n1)
-        for i, v in enumerate(el.d_C):
-            if not f.is_zero(v):
-                out[self.index[("der", i)]] = v
-        for key, v in el.middle.items():
-            if not f.is_zero(v):
-                out[self.index[("mid",) + key]] = v
-        for t, v in enumerate(el.d_J):
-            if not f.is_zero(v):
-                out[self.index[("inj", t)]] = v
-        return out
-
-
-class TitsElement:
-    """Element of T(C, J): derivation part, middle part, inner part.
-
-    middle maps (C⁰ basis index, J index 1..9) to a coefficient.
-    """
-
-    __slots__ = ("model", "d_C", "middle", "d_J")
-
-    def __init__(self, model, d_C, middle, d_J):
-        self.model = model
-        self.d_C = d_C
-        self.middle = middle
-        self.d_J = d_J
-
-    def add(self, other):
-        f = self.model.field
-        mid = dict(self.middle)
-        for k, v in other.middle.items():
-            mid[k] = f.add(mid.get(k, f.zero()), v)
-        return TitsElement(self.model,
-                           [f.add(a, b) for a, b in zip(self.d_C, other.d_C)],
-                           {k: v for k, v in mid.items() if not f.is_zero(v)},
-                           [f.add(a, b) for a, b in zip(self.d_J, other.d_J)])
-
-    def scale(self, c):
-        f = self.model.field
-        c = f.raw(c)
-        return TitsElement(self.model,
-                           [f.mul(c, v) for v in self.d_C],
-                           {k: f.mul(c, v) for k, v in self.middle.items()},
-                           [f.mul(c, v) for v in self.d_J])
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def is_zero(self) -> bool:
-        f = self.model.field
-        return (all(f.is_zero(v) for v in self.d_C)
-                and all(f.is_zero(v) for v in self.middle.values())
-                and all(f.is_zero(v) for v in self.d_J))
-
-    def __eq__(self, other):
-        return (isinstance(other, TitsElement) and self.model is other.model
-                and self.sub(other).is_zero())
-
-    __hash__ = None
-
-    def __repr__(self):
-        m = self.model
-        parts = [f"{v!r}*{m.labels[m.index[('der', i)]]}"
-                 for i, v in enumerate(self.d_C) if not m.field.is_zero(v)]
-        parts += [f"{v!r}*{m.labels[m.index[('mid',) + k]]}"
-                  for k, v in sorted(self.middle.items())]
-        parts += [f"{v!r}*{m.labels[m.index[('inj', t)]]}"
-                  for t, v in enumerate(self.d_J) if not m.field.is_zero(v)]
-        return "TitsElement(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def tits_bracket(p: TitsElement, q: TitsElement) -> TitsElement:
-    """Super-anticommutative bracket of T(C, J) on general elements."""
-    m = p.model
-    if q.model is not m:
-        raise ValueError("elements from different models")
+def _middle_bracket(m, a, x, b, y):
+    """[a⊗x, b⊗y] = t(xy)·D_{a,b} + [a,b]⊗(x*y) − 2n(a,b)·[L_x, L_y]."""
     f = m.field
-    nev = m.n_inder_even
-    out = m.zero()
-    mid = {}
+    terms = []
+    t = m.t_tab[x][y]
+    if not f.is_zero(t):
+        terms += [(("der", k), f.mul(t, v)) for k, v in enumerate(m.Dab[a][b])]
+    terms += [(("mid", c, k), f.mul(u, v))
+              for c, u in enumerate(m.comm_cz[a][b]) if not f.is_zero(u)
+              for k, v in m.star_tab[x][y]]
+    n = m.npol[a][b]
+    if not f.is_zero(n):
+        c = f.neg(f.mul(f.of_int(2), n))
+        terms += [(("inj", k), f.mul(c, v)) for k, v in enumerate(m.LL[x][y])]
+    return terms
 
-    def mid_add(key, v):
-        mid[key] = f.add(mid.get(key, f.zero()), v)
 
-    pC = [(i, v) for i, v in enumerate(p.d_C) if not f.is_zero(v)]
-    qC = [(i, v) for i, v in enumerate(q.d_C) if not f.is_zero(v)]
-    pJ = [(t, v) for t, v in enumerate(p.d_J) if not f.is_zero(v)]
-    qJ = [(t, v) for t, v in enumerate(q.d_J) if not f.is_zero(v)]
+def tits_bracket(model: TitsModel, i: int, j: int) -> dict:
+    """[e_i, e_j] of T(C, J) on two basis elements, as zero-free {k: v}.
 
-    for i, ci in pC:
-        for j, cj in qC:
-            c = f.mul(ci, cj)
-            for k, v in enumerate(m.DD[(i, j)]):
-                out.d_C[k] = f.add(out.d_C[k], f.mul(c, v))
-
-    for i, ci in pC:                                   # [D, a⊗x] = D(a)⊗x
-        for (ai, xj), w in q.middle.items():
-            c = f.mul(ci, w)
-            for bi, v in enumerate(m.Dcz[i][ai]):
-                if not f.is_zero(v):
-                    mid_add((bi, xj), f.mul(c, v))
-    for j, cj in qC:                                   # [a⊗x, D] = -D(a)⊗x
-        for (ai, xj), w in p.middle.items():
-            c = f.neg(f.mul(cj, w))
-            for bi, v in enumerate(m.Dcz[j][ai]):
-                if not f.is_zero(v):
-                    mid_add((bi, xj), f.mul(c, v))
-
-    for t, ct in pJ:                                   # [d, a⊗x] = a⊗d(x)
-        for (ai, xj), w in q.middle.items():
-            c = f.mul(ct, w)
-            for k, v in m.dJcol[t][xj - 1]:
-                mid_add((ai, k), f.mul(c, v))
-    for t, ct in qJ:                    # [a⊗x, d] = -(-1)^{|x||d|} a⊗d(x)
-        for (ai, xj), w in p.middle.items():
-            sgn = 1 if (t >= nev and J_PARITY[xj]) else -1
-            c = f.mul(ct, w) if sgn > 0 else f.neg(f.mul(ct, w))
-            for k, v in m.dJcol[t][xj - 1]:
-                mid_add((ai, k), f.mul(c, v))
-
-    for s, cs in pJ:
-        for t, ct in qJ:
-            c = f.mul(cs, ct)
-            for k, v in enumerate(m.dd[(s, t)]):
-                out.d_J[k] = f.add(out.d_J[k], f.mul(c, v))
-
-    two = f.of_int(2)
-    for (ai, xi), ca in p.middle.items():
-        for (bi, yj), cb in q.middle.items():
-            c = f.mul(ca, cb)
-            t = m.t_tab[xi][yj]
-            if not f.is_zero(t):
-                ct = f.mul(c, t)
-                for k, v in enumerate(m.Dab[ai][bi]):
-                    out.d_C[k] = f.add(out.d_C[k], f.mul(ct, v))
-            com = m.comm_cz[ai][bi]
-            star = m.star_tab[xi][yj]
-            if star:
-                for ci2, u in enumerate(com):
-                    if f.is_zero(u):
-                        continue
-                    cu = f.mul(c, u)
-                    for k, v in star:
-                        mid_add((ci2, k), f.mul(cu, v))
-            npab = m.npol[ai][bi]
-            if not f.is_zero(npab):
-                cn = f.neg(f.mul(f.mul(c, two), npab))
-                for k, v in enumerate(m.LL[xi][yj]):
-                    out.d_J[k] = f.add(out.d_J[k], f.mul(cn, v))
-
-    out.middle = {k: v for k, v in mid.items() if not f.is_zero(v)}
-    return out
+    Applies the rule of the module docstring that the slot kinds of i
+    and j select.  Both orders come from the rules, so that the
+    SuperAlgebra constructor can cross-check super-anticommutativity.
+    """
+    m = model
+    f = m.field
+    p, q = m.slots[i], m.slots[j]
+    kinds = (p[0], q[0])
+    if kinds == ("der", "der"):
+        terms = [(("der", k), v) for k, v in enumerate(m.DD[(p[1], q[1])])]
+    elif kinds == ("der", "mid"):                    # [D, a⊗x] = D(a)⊗x
+        terms = [(("mid", b, q[2]), v)
+                 for b, v in enumerate(m.Dcz[p[1]][q[1]])]
+    elif kinds == ("mid", "der"):                    # [a⊗x, D] = −D(a)⊗x
+        terms = [(("mid", b, p[2]), f.neg(v))
+                 for b, v in enumerate(m.Dcz[q[1]][p[1]])]
+    elif kinds == ("inj", "mid"):                    # [d, a⊗x] = a⊗d(x)
+        terms = [(("mid", q[1], k), v) for k, v in m.dJcol[p[1]][q[2] - 1]]
+    elif kinds == ("mid", "inj"):        # [a⊗x, d] = −(−1)^{|x||d|} a⊗d(x)
+        both_odd = q[1] >= m.n_inder_even and J_PARITY[p[2]]
+        terms = [(("mid", p[1], k), v if both_odd else f.neg(v))
+                 for k, v in m.dJcol[q[1]][p[2] - 1]]
+    elif kinds == ("inj", "inj"):
+        terms = [(("inj", k), v) for k, v in enumerate(m.dd[(p[1], q[1])])]
+    elif kinds == ("mid", "mid"):
+        terms = _middle_bracket(m, p[1], p[2], q[1], q[2])
+    else:                                            # [D, d] = 0
+        return {}
+    return {m.index[s]: v for s, v in terms if not f.is_zero(v)}
 
 
 _MODELS = {}
@@ -385,29 +281,20 @@ def tits_model(kind, field: Field) -> TitsModel:
     return _MODELS[key]
 
 
-def build_tits(kind, field: Field, check: bool = True) -> SuperAlgebra:
+def build_tits(kind, field: Field) -> SuperAlgebra:
     """Structure constants of T(C, Kac) over the ordered pinned basis.
 
     Both bracket orders are generated from the defining rules, so the
     constructor's folding pass cross-checks super-anticommutativity.
     """
-    key = (kind, field, check)
+    key = (kind, field)
     if key in _ALGEBRAS:
         return _ALGEBRAS[key]
     m = tits_model(kind, field)
-    f = field
     n = m.n0 + m.n1
-    basis = [m.basis_element(k) for k in range(n)]
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            el = tits_bracket(basis[i], basis[j])
-            coords = m.element_coords(el)
-            terms = {k: v for k, v in enumerate(coords) if not f.is_zero(v)}
-            if terms:
-                table[(i, j)] = terms
-    A = SuperAlgebra(f"T({kind})", f, m.n0, m.n1, m.labels, table,
-                     odd_symmetric=True, check=check)
+    table = {(i, j): tits_bracket(m, i, j) for i in range(n) for j in range(n)}
+    A = SuperAlgebra(f"T({kind})", field, m.n0, m.n1, m.labels, table,
+                     odd_symmetric=True)
     _ALGEBRAS[key] = A
     return A
 
@@ -416,12 +303,11 @@ def unit_ideal_split(field: Field) -> dict:
     """T(unit, Kac) = inder J decomposes into two 5-dim simple ideals."""
     f = field
     T = build_tits("unit", field)
-    m = tits_model("unit", field)
+    solver = _j_tables(f).solver
     seeds = []
     for xj in (4, 2):     # x⊗e generates one copy, e⊗x the other
         d = inner_derivation_J(KacElement.basis(f, 1), KacElement.basis(f, xj))
-        cc = m._inder_solver.coords(_flat(d))
-        seeds.append(cc)
+        seeds.append(solver.coords(_flat(d)))
     I1 = ideal_closure(T, [seeds[0]])
     I2 = ideal_closure(T, [seeds[1]])
     span = RowSpace(f, 10)
@@ -435,23 +321,17 @@ def unit_ideal_split(field: Field) -> dict:
 # the quadratic space M = C⁰ ⊕ U⊗U and so(M, Q)
 
 
-class SoMQ:
+class SoMQ(NamedTuple):
     """so(M, Q) with its pinned σ-basis over all index pairs i < j."""
-
-    __slots__ = ("field", "C", "cz", "gram", "pairs", "pair_index", "mats",
-                 "algebra", "solver")
-
-    def __init__(self, field, C, cz, gram, pairs, pair_index, mats,
-                 algebra, solver):
-        self.field = field
-        self.C = C
-        self.cz = cz
-        self.gram = gram
-        self.pairs = pairs
-        self.pair_index = pair_index
-        self.mats = mats
-        self.algebra = algebra
-        self.solver = solver
+    field: Field
+    C: CompositionAlgebra
+    cz: list
+    gram: list
+    pairs: list
+    pair_index: dict
+    mats: list
+    algebra: SuperAlgebra
+    solver: SpanSolver
 
 
 def _sigma_terms(f, gram, pi, pj, pair_index):

@@ -21,6 +21,14 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+def test_exports_are_unique_and_resolve():
+    names = spinlab.__all__
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    assert not repeated, repeated
+    unresolved = [name for name in names if not hasattr(spinlab, name)]
+    assert not unresolved, unresolved
+
+
 def test_no_scipy_import_in_the_package():
     # numpy is the only dependency; GF(p) blocks come from the COO table
     found = []

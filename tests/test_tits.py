@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from spinlab.cli import _hash_matrix
-from spinlab.fields import GF, QQ
+from spinlab.fields import GF, QQ, make_field
+from spinlab.composition import inner_derivation
 from spinlab.kac import K_FORM, KacElement, inner_derivation_J
 from spinlab.linalg import inv_modp, nullspace_modp
 from spinlab.construct import build_superalgebra
@@ -44,13 +45,47 @@ def test_unit_passes_octonion_fails_over_qq():
     assert j_triple(build_tits("octonion", QQ), w["i"], w["j"], w["k"]) != {}
 
 
+# the table bytes of every T(C, Kac) built here: a change of the bracket
+# route must leave each content hash as it is
+TABLE_HASHES = {
+    (0, "unit"):
+        "2f1da5c2532ff85d3887bf9aa8676ac09595caaff007fde62600765977af59c4",
+    (0, "binarion"):
+        "026c423257718571ffede97be609e2fbf5e6026cd88491248a3cfe1b653aa5fe",
+    (0, "quaternion"):
+        "2f19e38336c26e4fd1aa3497abb7075ddd2ceb215ca6e9fe7d9f5e8096b1c588",
+    (0, "octonion"):
+        "46190ffeca0e832cb2eb04575205f720061c23424f1440f45e6c6a2662721e78",
+    (5, "unit"):
+        "346f1eedcbeb90290af455a89fd13385d70ebe43963b76be8351b87d933a1b67",
+    (5, "binarion"):
+        "81e704fd6a7c91680fcd4d1f195e7c2e3ea6c5c23c5535a0e6fa52e59671fd7b",
+    (5, "quaternion"):
+        "a49f4312f40cd4d26816a10d58dcf01fef83ae5148c10407a869d96071f0c9be",
+    (5, "octonion"):
+        "b5fd2fbb34cac2306d4d7a331478a5d3f1105daceae4c64cb12e629f15bbf15a",
+    (7, "unit"):
+        "bbb8ad21e7ddbb8567702350f9195a3d76ce19676e6f9a033cc6a082b9fa5597",
+    (7, "binarion"):
+        "8098210a4e10233f073e8b5a74abb7578cb091e97b8154a4cee403ba27ffd957",
+    (7, "quaternion"):
+        "51a0cf77c723c480b1f086bd850fb1f11bcc900d70b160ed7f58943da52d856d",
+    (7, "octonion"):
+        "8562b34f6e400435691e2e618f305e9939278685b886c27b8575e02fac6a56cc",
+}
+
+
+@pytest.mark.parametrize("char,kind", list(TABLE_HASHES))
+def test_table_content_hash_pinned(char, kind):
+    A = build_tits(kind, make_field(char))
+    assert A.to_dict()["content_hash"] == TABLE_HASHES[(char, kind)]
+
+
 # --- the defining bracket rules, recomputed from first principles ----------
 
 
-def mid(m, ai, xj, coeff=None):
-    el = m.zero()
-    el.middle[(ai, xj)] = coeff if coeff is not None else m.field.one()
-    return el
+def mid(m, ai, xj):
+    return m.index[("mid", ai, xj)]
 
 
 def czero_coords(m, vec):
@@ -63,18 +98,16 @@ def test_der_acts_componentwise():
     f = F5
     for di in range(m.nder):
         D = m.derC[di]
-        dEl = m.basis_element(m.index[("der", di)])
+        dEl = m.index[("der", di)]
         for ai in range(m.ncz):
             a = m.cz[ai]
             img = [sum((f.mul(D[r][c], a[c]) for c in range(8)), f.zero())
                    for r in range(8)]
             cc = czero_coords(m, img)
             for xj in (1, 5, 2):
-                got = tits_bracket(dEl, mid(m, ai, xj))
-                want = m.zero()
-                for bi, v in enumerate(cc):
-                    if not f.is_zero(v):
-                        want.middle[(bi, xj)] = v
+                got = tits_bracket(m, dEl, mid(m, ai, xj))
+                want = {mid(m, bi, xj): v for bi, v in enumerate(cc)
+                        if not f.is_zero(v)}
                 assert got == want, (di, ai, xj)
 
 
@@ -84,34 +117,31 @@ def test_inner_derivations_act_componentwise():
     f = F5
     for t in range(10):
         d = m.inder[t]
-        dEl = m.basis_element(m.index[("inj", t)])
+        dEl = m.index[("inj", t)]
         for ai in (0, 3, 6):
             for xj in range(1, 10):
-                got = tits_bracket(dEl, mid(m, ai, xj))
-                want = m.zero()
-                for k in range(9):
-                    v = d[k][xj - 1]
-                    if not f.is_zero(v):
-                        want.middle[(ai, k + 1)] = v
+                got = tits_bracket(m, dEl, mid(m, ai, xj))
+                want = {mid(m, ai, k + 1): d[k][xj - 1] for k in range(9)
+                        if not f.is_zero(d[k][xj - 1])}
                 assert got == want, (t, ai, xj)
 
 
 def test_der_C_commutes_with_inder_J():
     m = tits_model("octonion", F5)
     for di in range(m.nder):
-        dEl = m.basis_element(m.index[("der", di)])
+        dEl = m.index[("der", di)]
         for t in range(10):
-            jEl = m.basis_element(m.index[("inj", t)])
-            assert tits_bracket(dEl, jEl).is_zero()
-            assert tits_bracket(jEl, dEl).is_zero()
+            jEl = m.index[("inj", t)]
+            assert tits_bracket(m, dEl, jEl) == {}
+            assert tits_bracket(m, jEl, dEl) == {}
 
 
 def test_even_inder_kills_e_tensor_e():
     m = tits_model("octonion", F5)
     for t in range(m.n_inder_even):
-        jEl = m.basis_element(m.index[("inj", t)])
+        jEl = m.index[("inj", t)]
         for ai in range(m.ncz):
-            assert tits_bracket(jEl, mid(m, ai, 1)).is_zero()
+            assert tits_bracket(m, jEl, mid(m, ai, 1)) == {}
 
 
 def test_e_tensor_e_middle_bracket_exact():
@@ -123,13 +153,65 @@ def test_e_tensor_e_middle_bracket_exact():
         for bi in range(7):
             comm = czero_coords(m, m.C.commutator(m.cz[ai], m.cz[bi]))
             for yj in UU_INDICES:
-                got = tits_bracket(mid(m, ai, 1), mid(m, bi, yj))
-                want = m.zero()
-                for ci, v in enumerate(comm):
-                    w = f.mul(quarter, v)
-                    if not f.is_zero(w):
-                        want.middle[(ci, yj)] = w
+                got = tits_bracket(m, mid(m, ai, 1), mid(m, bi, yj))
+                want = {mid(m, ci, yj): f.mul(quarter, v)
+                        for ci, v in enumerate(comm)
+                        if not f.is_zero(f.mul(quarter, v))}
                 assert got == want, (ai, bi, yj)
+
+
+def test_middle_bracket_rule_on_all_pairs():
+    # [a⊗x, b⊗y] = t(xy)·D_{a,b} + [a,b]⊗(x*y) − 2n(a,b)·[L_x, L_y] on
+    # every pair of middle basis elements, compared as matrices: the der
+    # part against D_{a,b} on C, the inj part against [L_x, L_y] on K⊗K,
+    # the middle part against [a,b] ⊗ (x*y) from the J product
+    m = tits_model("octonion", F5)
+    f, p = F5, 5
+    C, cz = m.C, m.cz
+
+    def arr(mats):
+        return np.array([[[int(v) % p for v in row] for row in mat]
+                         for mat in mats], dtype=np.int64)
+
+    derC, inder = arr(m.derC), arr(m.inder)
+    czero = arr([cz])[0]                                    # (7, 8)
+    D_ab, L_xy = {}, {}
+    mids = [(k, s[1], s[2]) for k, s in enumerate(m.slots) if s[0] == "mid"]
+    assert len(mids) == 63
+    checked = 0
+    for i, a, x in mids:
+        ex = KacElement.basis(f, x)
+        for j, b, y in mids:
+            ey = KacElement.basis(f, y)
+            if (a, b) not in D_ab:
+                D_ab[(a, b)] = arr([inner_derivation(C, cz[a], cz[b])])[0]
+            if (x, y) not in L_xy:
+                L_xy[(x, y)] = arr([inner_derivation_J(ex, ey)])[0]
+            xy = [int(v) % p for v in (ex * ey).coords]
+            n_ab = int(f.raw(C.norm_polar(cz[a], cz[b]))) % p
+            got = tits_bracket(m, i, j)
+            cd = np.zeros(m.nder, dtype=np.int64)
+            cj = np.zeros(10, dtype=np.int64)
+            cm = np.zeros((7, 10), dtype=np.int64)          # (C⁰ index, J index)
+            for k, v in got.items():
+                s = m.slots[k]
+                if s[0] == "der":
+                    cd[s[1]] = int(v) % p
+                elif s[0] == "inj":
+                    cj[s[1]] = int(v) % p
+                else:
+                    cm[s[1], s[2]] = int(v) % p
+            assert np.array_equal(np.tensordot(cd, derC, axes=1) % p,
+                                  xy[0] * D_ab[(a, b)] % p), (i, j)
+            assert np.array_equal(np.tensordot(cj, inder, axes=1) % p,
+                                  -2 * n_ab * L_xy[(x, y)] % p), (i, j)
+            comm = np.array([int(v) % p for v in C.commutator(cz[a], cz[b])],
+                            dtype=np.int64)
+            star = np.array([0] + xy[1:], dtype=np.int64)
+            assert np.array_equal(czero.T @ cm % p,
+                                  np.outer(comm, star) % p), (i, j)
+            checked += 1
+    assert checked == 63 * 63
 
 
 def test_LL_on_UU_is_half_sigma_Q():
