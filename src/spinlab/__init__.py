@@ -3,7 +3,7 @@ algebras so + spin module, of the Kac Jordan superalgebra, and of the
 related Tits construction, over Q and GF(p)."""
 
 from .fields import Field, InvalidField, QQ, GF, make_field
-from .exterior import Multivector, wedge, bar_involution, hat_involution, form_b
+from .exterior import Multivector, wedge, form_b
 from .clifford import (AmbientSpace, PairBasis, DegenerateForm, ambient_space,
                        pair_basis, qpair, so_dim, rho_tables, half_spin_masks,
                        SoElement, so_bracket, rho_of, gram_matrix)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "InvalidField", "QQ", "GF", "make_field",
-    "Multivector", "wedge", "bar_involution", "hat_involution", "form_b",
+    "Multivector", "wedge", "form_b",
     "AmbientSpace", "PairBasis", "DegenerateForm", "ambient_space",
     "pair_basis", "qpair", "so_dim", "rho_tables", "half_spin_masks",
     "SoElement", "so_bracket", "rho_of", "gram_matrix",

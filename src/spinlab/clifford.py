@@ -11,7 +11,7 @@ mask with coefficient in {+-1,+-2}; its adjoint action on the ambient
 space has exactly two entries; and the Gram matrix of the trace form
 (1/2)tr(XY) on the pair basis is monomial -- one nonzero per row, with
 values in {4, 8, -4}.  The cached integer tables below exploit all of
-this, so field arithmetic only enters when a caller asks for Scalars or
+this, so field arithmetic only enters when a caller asks for elements or
 matrices over a specific field.
 """
 
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exterior import Multivector, wedge_sign
-from .fields import Field, FieldMismatch, Scalar
+from .fields import Field, FieldMismatch
 from .superalgebra import VerificationFailed
 
 
@@ -399,9 +399,6 @@ class SpinOperator:
         return (self.l == other.l and self.field == other.field
                 and self.masks == other.masks and self.cols == other.cols)
 
-    def __hash__(self):
-        raise TypeError("SpinOperator is unhashable")
-
     def restrict(self, masks) -> "SpinOperator":
         """Restriction to an invariant sub-basis (e.g. a parity block)."""
         keep = frozenset(masks)
@@ -535,29 +532,15 @@ class SoElement:
         return SoElement(self.l, self.kind, f,
                          [f.add(x, y) for x, y in zip(self.coords, other.coords)])
 
-    def __sub__(self, other: "SoElement") -> "SoElement":
-        self._compat(other)
-        f = self.field
-        return SoElement(self.l, self.kind, f,
-                         [f.sub(x, y) for x, y in zip(self.coords, other.coords)])
-
     def __neg__(self) -> "SoElement":
         f = self.field
         return SoElement(self.l, self.kind, f, [f.neg(x) for x in self.coords])
-
-    def scale(self, c) -> "SoElement":
-        f = self.field
-        raw = f.raw(c)
-        return SoElement(self.l, self.kind, f, [f.mul(raw, x) for x in self.coords])
 
     def __eq__(self, other):
         if not isinstance(other, SoElement):
             return NotImplemented
         return ((self.l, self.kind) == (other.l, other.kind)
                 and self.field == other.field and self.coords == other.coords)
-
-    def __hash__(self):
-        raise TypeError("SoElement is unhashable")
 
     def is_zero(self) -> bool:
         f = self.field
@@ -620,8 +603,9 @@ def natural_matrix(X: SoElement) -> list:
     return rows
 
 
-def trace_form(X: SoElement, Y: SoElement) -> Scalar:
-    """(1/2) tr(natural(X) natural(Y)), through the cached monomial Gram."""
+def trace_form(X: SoElement, Y: SoElement):
+    """(1/2) tr(natural(X) natural(Y)), through the cached monomial Gram, as a
+    raw field value."""
     X._compat(Y)
     f = X.field
     perm, coef = gram_pairing(X.l, X.kind)
@@ -633,7 +617,7 @@ def trace_form(X: SoElement, Y: SoElement) -> Scalar:
         if f.is_zero(y):
             continue
         acc = f.add(acc, f.mul(f.of_int(int(coef[k])), f.mul(x, y)))
-    return Scalar(f, acc)
+    return acc
 
 
 def gram_matrix(l: int, kind: str, field: Field) -> list:
@@ -654,12 +638,10 @@ def gram_matrix(l: int, kind: str, field: Field) -> list:
     return rows
 
 
-def rho_of(X: SoElement, field: Field = None, parity: int = None) -> SpinOperator:
-    """Spin operator rho(X) on the full monomial basis, or on one parity
-    block when parity is 0 or 1 (kind D half-spin)."""
-    f = X.field if field is None else field
-    if f != X.field:
-        raise FieldMismatch(f"{X.field} vs {f}")
+def rho_of(X: SoElement, parity: int = None) -> SpinOperator:
+    """Spin operator rho(X) over X's field on the full monomial basis, or on
+    one parity block when parity is 0 or 1 (kind D half-spin)."""
+    f = X.field
     tgt, cof = rho_tables(X.l, X.kind)
     cols = {}
     for k, x in enumerate(X.coords):

@@ -160,8 +160,8 @@ def _field_ss_table(l: int, kind: str, field: Field) -> dict:
     return out
 
 
-def build_superalgebra(l: int, kind: str, field: Field, check: bool = True,
-                       name: str = None) -> SuperAlgebra:
+def build_superalgebra(l: int, kind: str, field: Field,
+                       check: bool = True) -> SuperAlgebra:
     """Assemble g = so (+) S with all structure constants over the field.
 
     Basis order: so pair basis first (even part), then the module
@@ -208,9 +208,7 @@ def build_superalgebra(l: int, kind: str, field: Field, check: bool = True,
                     f"at ({si}, {ti}), component {k}")
         if si <= ti:
             bracket[(n0 + si, n0 + ti)] = dict(cell)
-    if name is None:
-        name = f"type{kind}_l{l}"
-    return SuperAlgebra(name, f, n0, n1, labels, bracket,
+    return SuperAlgebra(f"type{kind}_l{l}", f, n0, n1, labels, bracket,
                         odd_symmetric=sym, check=check)
 
 

@@ -15,10 +15,9 @@ a monomial pairs nontrivially only with its complementary monomial.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
-from .fields import Field, FieldMismatch, Scalar
+from .fields import Field, FieldMismatch
 
 
 def wedge_sign(a: int, b: int) -> int:
@@ -101,10 +100,6 @@ class Multivector:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, l: int, field: Field) -> "Multivector":
-        return cls(l, field)
-
-    @classmethod
     def one(cls, l: int, field: Field) -> "Multivector":
         return cls(l, field, {0: field.one()})
 
@@ -136,19 +131,8 @@ class Multivector:
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def support(self) -> list:
         return sorted(self.coeffs)
-
-    def coefficient(self, mask: int) -> Scalar:
-        return Scalar(self.field, self.coeffs.get(mask, self.field.zero()))
-
-    def parity(self):
-        """0 if all terms have even degree, 1 if all odd, None if mixed or zero."""
-        seen = {m.bit_count() & 1 for m in self.coeffs}
-        return seen.pop() if len(seen) == 1 else None
 
     def _compat(self, other: "Multivector"):
         if not isinstance(other, Multivector):
@@ -160,48 +144,9 @@ class Multivector:
 
     # -- linear structure -------------------------------------------------
 
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._compat(other)
-        f = self.field
-        out = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            s = f.add(out.get(m, f.zero()), v)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Multivector(self.l, f, out)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
-
     def __neg__(self) -> "Multivector":
         f = self.field
         return Multivector(self.l, f, {m: f.neg(v) for m, v in self.coeffs.items()})
-
-    def scale(self, c) -> "Multivector":
-        f = self.field
-        if isinstance(c, Scalar):
-            if c.field != f:
-                raise FieldMismatch(f"{f} vs {c.field}")
-            raw = c.value
-        else:
-            raw = f.raw(c)
-        if f.is_zero(raw):
-            return Multivector(self.l, f)
-        return Multivector(self.l, f, {m: f.mul(raw, v) for m, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return self.wedge(other)
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
@@ -246,10 +191,10 @@ class Multivector:
             m: (f.neg(v) if hat_sign(m.bit_count()) < 0 else v)
             for m, v in self.coeffs.items()})
 
-    def phi_functional(self) -> Scalar:
-        """Coefficient of the top monomial v1...vl."""
+    def phi_functional(self):
+        """Coefficient of the top monomial v1...vl, as a raw field value."""
         top = (1 << self.l) - 1
-        return Scalar(self.field, self.coeffs.get(top, self.field.zero()))
+        return self.coeffs.get(top, self.field.zero())
 
     def __repr__(self):
         if not self.coeffs:
@@ -276,19 +221,11 @@ def wedge(s: Multivector, t: Multivector) -> Multivector:
     return s.wedge(t)
 
 
-def bar_involution(s: Multivector) -> Multivector:
-    return s.bar_involution()
-
-
-def hat_involution(s: Multivector) -> Multivector:
-    return s.hat_involution()
-
-
-def form_b(s: Multivector, t: Multivector) -> Scalar:
-    """b(s,t) = phi(bar(s) wedge t)."""
+def form_b(s: Multivector, t: Multivector):
+    """b(s,t) = phi(bar(s) wedge t), as a raw field value."""
     return s.bar_involution().wedge(t).phi_functional()
 
 
-def form_bhat(s: Multivector, t: Multivector) -> Scalar:
-    """bhat(s,t) = phi(hat(s) wedge t)."""
+def form_bhat(s: Multivector, t: Multivector):
+    """bhat(s,t) = phi(hat(s) wedge t), as a raw field value."""
     return s.hat_involution().wedge(t).phi_functional()

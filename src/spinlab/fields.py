@@ -2,9 +2,7 @@
 
 A Field object carries the characteristic and the raw-value operations;
 raw values are Fraction in characteristic 0 and plain ints in [0, p)
-otherwise.  Scalar is a thin wrapper pairing a raw value with its field so
-that comparing scalars of different fields, or handing one to another
-field's raw(), is a loud error rather than a silent coercion.
+otherwise.  Every scalar the package returns is such a raw value.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ class InvalidField(ValueError):
 
 
 class FieldMismatch(TypeError):
-    """Two scalars from different fields met in one operation."""
+    """Two objects over different fields met in one operation."""
 
 
 class DivideByZero(ZeroDivisionError):
@@ -150,11 +148,7 @@ class Field:
         return "Q" if self.p == 0 else f"GF({self.p})"
 
     def raw(self, v):
-        """Normalize an int, Fraction, or Scalar to a raw value of this field."""
-        if isinstance(v, Scalar):
-            if v.field != self:
-                raise FieldMismatch(f"{v.field} scalar used in {self}")
-            return v.value
+        """Normalize an int or Fraction to a raw value of this field."""
         if self.p == 0:
             return Fraction(v)
         if isinstance(v, Fraction):
@@ -177,31 +171,3 @@ def make_field(char: int) -> Field:
     """Field of the given characteristic: 0 gives Q, odd prime p gives GF(p)."""
     return QQ if char == 0 else Field(char)
 
-
-class Scalar:
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        self.field = field
-        self.value = value
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other.value == self.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == self.field.of_int(other) if isinstance(other, int) else self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __bool__(self):
-        return not self.field.is_zero(self.value)
-
-    def __repr__(self):
-        return f"{self.field.to_str(self.value)}@{self.field!r}"

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exterior import wedge_sign
-from .fields import Field, FieldMismatch, Scalar
+from .fields import Field, FieldMismatch
 from .linalg import RowSpace, matmul_field
 from .superalgebra import VerificationFailed
 
@@ -102,10 +102,6 @@ class KacElement:
         self.coords = coords
 
     @classmethod
-    def zero(cls, field: Field) -> "KacElement":
-        return cls(field, [0] * J_DIM)
-
-    @classmethod
     def unit(cls, field: Field) -> "KacElement":
         return cls.basis(field, 0)
 
@@ -121,11 +117,6 @@ class KacElement:
         if other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def __add__(self, other):
-        self._compat(other)
-        f = self.field
-        return KacElement(f, [f.add(a, b) for a, b in zip(self.coords, other.coords)])
-
     def __sub__(self, other):
         self._compat(other)
         f = self.field
@@ -133,11 +124,6 @@ class KacElement:
 
     def __neg__(self):
         return KacElement(self.field, [self.field.neg(a) for a in self.coords])
-
-    def scale(self, c) -> "KacElement":
-        f = self.field
-        c = f.raw(c)
-        return KacElement(f, [f.mul(c, a) for a in self.coords])
 
     def __mul__(self, other):
         if not isinstance(other, KacElement):
@@ -163,9 +149,6 @@ class KacElement:
             return NotImplemented
         return self.field == other.field and self.coords == other.coords
 
-    def __hash__(self):
-        raise TypeError("KacElement is unhashable")
-
     def is_zero(self) -> bool:
         return all(self.field.is_zero(c) for c in self.coords)
 
@@ -175,9 +158,9 @@ class KacElement:
                 if not self.field.is_zero(c)}
         return seen.pop() if len(seen) == 1 else None
 
-    def trace(self) -> Scalar:
-        """The normalized trace: t(1) = 1, t(K(x)K) = 0."""
-        return Scalar(self.field, self.coords[0])
+    def trace(self):
+        """The normalized trace, as a raw field value: t(1) = 1, t(K(x)K) = 0."""
+        return self.coords[0]
 
     def star(self, other) -> "KacElement":
         """x * y = xy - t(xy) 1 (projection of the product onto J0)."""
@@ -197,7 +180,7 @@ def kac_product(p: KacElement, q: KacElement) -> KacElement:
     return p * q
 
 
-def normalized_trace(p: KacElement) -> Scalar:
+def normalized_trace(p: KacElement):
     return p.trace()
 
 
@@ -315,15 +298,6 @@ class EnvelopeElement:
                 out[key] = v
         return EnvelopeElement(self.m, f, out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "EnvelopeElement":
-        f = self.field
-        c = f.raw(c)
-        return EnvelopeElement(self.m, f,
-                               {k: f.mul(c, v) for k, v in self.terms.items()})
-
     def lam_scale(self, lam: dict) -> "EnvelopeElement":
         """Multiply by an even Grassmann scalar {mask: raw}."""
         f = self.field
@@ -371,9 +345,6 @@ class EnvelopeElement:
         if not isinstance(other, EnvelopeElement):
             return NotImplemented
         return (self.m, self.field, self.terms) == (other.m, other.field, other.terms)
-
-    def __hash__(self):
-        raise TypeError("EnvelopeElement is unhashable")
 
     def support(self) -> list:
         """Sorted [(mask, j, coeff string), ...] for reports."""

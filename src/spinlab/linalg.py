@@ -254,16 +254,21 @@ class RowSpace:
             return self._modp.insert(self._as_modp(rows))
         added = 0
         for row in rows:
-            if self._insert_one([self.field.raw(x) for x in row]):
+            if self._insert_one(self._reduce_one(row)):
                 added += 1
         return added
 
-    def _insert_one(self, row) -> bool:
+    def _reduce_one(self, row) -> list:
         f = self.field
+        row = [f.raw(x) for x in row]
         for pc, er in zip(self._pivots, self._rows):
             if not f.is_zero(row[pc]):
                 c = row[pc]
                 row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, er)]
+        return row
+
+    def _insert_one(self, row) -> bool:
+        f = self.field
         lead = next((i for i, x in enumerate(row) if not f.is_zero(x)), None)
         if lead is None:
             return False
@@ -281,13 +286,15 @@ class RowSpace:
     def contains(self, row) -> bool:
         if self.field.p:
             return self._modp.contains(self._as_modp(row))
-        f = self.field
-        row = [f.raw(x) for x in row]
-        for pc, er in zip(self._pivots, self._rows):
-            if not f.is_zero(row[pc]):
-                c = row[pc]
-                row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, er)]
-        return all(f.is_zero(x) for x in row)
+        return all(self.field.is_zero(x) for x in self._reduce_one(row))
+
+    def reduce(self, rows) -> list:
+        """Each row reduced modulo the span, as raw values: the row minus the
+        combination of basis rows that clears its pivot columns."""
+        if self.field.p:
+            rows = self._as_modp(rows).reshape(len(rows), self.width)
+            return self._modp._reduce(rows).tolist()
+        return [self._reduce_one(row) for row in rows]
 
     def basis(self) -> list:
         """Reduced echelon basis rows as raw field values."""

@@ -247,9 +247,6 @@ class SuperAlgebra:
                 and self.odd_symmetric == other.odd_symmetric
                 and self.table == other.table)
 
-    def __hash__(self):
-        raise TypeError("SuperAlgebra is unhashable")
-
     def __repr__(self):
         return (f"SuperAlgebra({self.name!r}, {self.field!r}, "
                 f"dims=({self.n0},{self.n1}))")
@@ -755,18 +752,14 @@ def _largest_ideal_inside(A: SuperAlgebra, kernel_rows) -> int:
     while rows:
         space = RowSpace(f, n0)
         space.insert(rows)
-        # conditions: [k_i, e_b] reduces to zero against the span
+        # conditions: sum_i c_i [k_i, e_b] reduces to zero against the span,
+        # one row per coordinate t of the reduced residues
         cond = []
         for b in range(n0):
             eb = [f.one() if t == b else f.zero() for t in range(A.dim)]
-            resid = []
-            for r in rows:
-                w = A.bracket_vectors(r + [f.zero()] * A.n1, eb)[:n0]
-                resid.append(w)
-            # coordinates of the residue after reduction by the span
-            for t in range(n0):
-                cond.append([_reduce_coord(space, resid[i], t, f)
-                             for i in range(len(rows))])
+            resid = [A.bracket_vectors(r + [f.zero()] * A.n1, eb)[:n0]
+                     for r in rows]
+            cond += [list(coord) for coord in zip(*space.reduce(resid))]
         # solve sum_i c_i * resid_i = 0 (mod span)
         sol = nullspace_field(cond, f) if cond else []
         if len(sol) == len(rows):
@@ -782,17 +775,6 @@ def _largest_ideal_inside(A: SuperAlgebra, kernel_rows) -> int:
                 new_rows.append(v)
         rows = new_rows
     return 0
-
-
-def _reduce_coord(space: RowSpace, vec, t, f):
-    """t-th coordinate of vec after reduction modulo the row space."""
-    # reduce a copy of vec by the stored echelon basis, then read coord t
-    v = [f.raw(x) for x in vec]
-    for pc, er in zip(space.pivots, space.basis()):
-        if not f.is_zero(v[pc]):
-            c = v[pc]
-            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, er)]
-    return v[t]
 
 
 def simplicity_certificate(A: SuperAlgebra):
@@ -830,45 +812,23 @@ def simplicity_certificate(A: SuperAlgebra):
 # equivariant bilinear maps S x S -> g0
 
 
-def _column_sparsity(mats, f):
-    """Per-matrix column views: cols[a][j] = ((i, raw), ...) nonzero."""
-    out = []
-    for m in mats:
-        cols = {}
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                v = f.raw(x)
-                if not f.is_zero(v):
-                    cols.setdefault(j, []).append((i, v))
-        out.append(cols)
-    return out
-
-
-def _row_sparsity(mats, f):
-    """Per-matrix row views: rows[a][i] = ((j, raw), ...) nonzero."""
+def _sparse_rows(mats, f):
+    """Per-matrix row views of the nonzero entries: rows[a][i] = [(j, raw),
+    ...].  A column view is the row view of the transposed matrices."""
     out = []
     for m in mats:
         rows = {}
         for i, row in enumerate(m):
-            ents = [(j, f.raw(x)) for j, x in enumerate(row) if not f.is_zero(f.raw(x))]
-            if ents:
-                rows[i] = ents
+            for j, x in enumerate(row):
+                v = f.raw(x)
+                if not f.is_zero(v):
+                    rows.setdefault(i, []).append((j, v))
         out.append(rows)
     return out
 
 
-def _diagonal_part(cols, dim, f):
-    """Diagonal of a column-sparse matrix, or None if off-diagonal terms exist."""
-    diag = [f.zero()] * dim
-    for j, ents in cols.items():
-        for i, v in ents:
-            if i != j:
-                return None
-            diag[j] = v
-    return diag
-
-
-def _diagonal_part_rows(rows, dim, f):
+def _diagonal_part(rows, dim, f):
+    """Diagonal of a sparse view, or None if off-diagonal terms exist."""
     diag = [f.zero()] * dim
     for i, ents in rows.items():
         for j, v in ents:
@@ -892,13 +852,13 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
     dg = len(adjoint[0]) if adjoint else 0
     if len(rep) != len(adjoint):
         raise ValueError("rep and adjoint must list the same generators")
-    rep_rows = _row_sparsity(rep, f)
-    ad_cols = _column_sparsity(adjoint, f)
+    rep_rows = _sparse_rows(rep, f)
+    ad_cols = _sparse_rows([zip(*m) for m in adjoint], f)
 
     torus = []
     rep_diag, ad_diag = {}, {}
     for a in range(len(rep)):
-        dr = _diagonal_part_rows(rep_rows[a], ds, f)
+        dr = _diagonal_part(rep_rows[a], ds, f)
         da = _diagonal_part(ad_cols[a], dg, f)
         if dr is not None and da is not None:
             torus.append(a)

@@ -270,33 +270,23 @@ def tits_bracket(model: TitsModel, i: int, j: int) -> dict:
     return {m.index[s]: v for s, v in terms if not f.is_zero(v)}
 
 
-_MODELS = {}
-_ALGEBRAS = {}
-
-
+@lru_cache(maxsize=None)
 def tits_model(kind, field: Field) -> TitsModel:
-    key = (kind, field)
-    if key not in _MODELS:
-        _MODELS[key] = TitsModel(kind, field)
-    return _MODELS[key]
+    return TitsModel(kind, field)
 
 
+@lru_cache(maxsize=None)
 def build_tits(kind, field: Field) -> SuperAlgebra:
     """Structure constants of T(C, Kac) over the ordered pinned basis.
 
     Both bracket orders are generated from the defining rules, so the
     constructor's folding pass cross-checks super-anticommutativity.
     """
-    key = (kind, field)
-    if key in _ALGEBRAS:
-        return _ALGEBRAS[key]
     m = tits_model(kind, field)
     n = m.n0 + m.n1
     table = {(i, j): tits_bracket(m, i, j) for i in range(n) for j in range(n)}
-    A = SuperAlgebra(f"T({kind})", field, m.n0, m.n1, m.labels, table,
-                     odd_symmetric=True)
-    _ALGEBRAS[key] = A
-    return A
+    return SuperAlgebra(f"T({kind})", field, m.n0, m.n1, m.labels, table,
+                        odd_symmetric=True)
 
 
 def unit_ideal_split(field: Field) -> dict:
@@ -487,8 +477,7 @@ _CTX = {}
 class _Context:
     """Shared char-5 pipeline data for the octonion model."""
 
-    __slots__ = ("field", "model", "T", "somq", "phi0_mat", "psi", "rho",
-                 "phi1_mat")
+    __slots__ = ("field", "model", "T", "somq", "phi0_mat", "rho", "phi1_mat")
 
     def __init__(self, field):
         self.field = field
@@ -496,7 +485,6 @@ class _Context:
         self.T = build_tits("octonion", field)
         self.somq = None
         self.phi0_mat = None
-        self.psi = None
         self.rho = None
         self.phi1_mat = None
 
@@ -640,7 +628,6 @@ def spin_map_psi(field: Field) -> dict:
                     f"ρ(σ_a,u⊗u') closed form fails at ({ai},{k})")
             checked += 1
 
-    ctx.psi = psi
     ctx.rho = rho
     return {"psi": [m.tolist() for m in psi], "checked": checked,
             "verified": True}

@@ -152,6 +152,16 @@ def test_prime_too_large_for_exact_kernels_exits_2():
         "spinlab verify: 1000000007 is too large: the exact GF(p) kernels need p < 2^26"]
 
 
+def test_python_m_spinlab_runs_the_cli(capsys):
+    argv = ["export", "--kind", "B", "--l", "1", "--char", "3"]
+    rc, out, err = run_python("-m", "spinlab", *argv)
+    assert rc == 0, err
+    assert main(argv) == 0
+    assert out.startswith("{") and out == capsys.readouterr().out
+    rc, out, err = run_python("-m", "spinlab", "verify", "tits", "--l", "3")
+    assert rc == 2 and not out
+
+
 def test_type_d_l2_decomposition_under_optimize():
     # python -O strips assert statements; the split check must survive it
     rc, out, err = run_python("-O", "-m", "spinlab.cli", "verify", "type-d",

@@ -47,11 +47,11 @@ def test_lambda_is_skew_for_b_and_selfadjoint_for_bhat(l):
         fa = [rng.randint(-2, 2) for _ in range(l)]
         op = lambda_op(l, f, va, fa)
         for s, t in itertools.product(basis, repeat=2):
-            lhs = form_b(op.apply(s), t).value
-            rhs = form_b(s, op.apply(t)).value
+            lhs = form_b(op.apply(s), t)
+            rhs = form_b(s, op.apply(t))
             assert lhs == -rhs, ("b", l, va, fa)
-            lhs = form_bhat(op.apply(s), t).value
-            rhs = form_bhat(s, op.apply(t)).value
+            lhs = form_bhat(op.apply(s), t)
+            rhs = form_bhat(s, op.apply(t))
             assert lhs == rhs, ("bhat", l, va, fa)
 
 
@@ -156,7 +156,7 @@ def test_trace_form_matches_matrix_trace(kind, l):
     for k1 in range(npairs):
         for k2 in range(npairs):
             want = sparse_trace(k1, k2)
-            assert trace_form(basis[k1], basis[k2]).value == want
+            assert trace_form(basis[k1], basis[k2]) == want
             assert G[k1][k2] == want
 
 

@@ -117,6 +117,8 @@ def test_rowspace_membership(f):
     assert sp.insert([[f.zero(), f.zero(), f.one()]]) == 1
     basis = sp.basis()
     assert len(basis) == 2
+    # reduction clears the pivot columns 0 and 2 and keeps what is left
+    assert sp.reduce([[3, 7, 5], [-3, -6, 2]]) == [[0, 1, 0], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("space", [lambda: RowSpace(QQ, 0),
@@ -127,6 +129,8 @@ def test_rowspace_of_width_zero(space):
     sp = space()
     assert sp.insert([]) == 0 and sp.insert([[]]) == 0
     assert sp.dim == 0 and sp.contains([])
+    if isinstance(sp, RowSpace):
+        assert sp.reduce([]) == [] and sp.reduce([[]]) == [[]]
 
 
 def test_rowspace_modp_matches_generic():

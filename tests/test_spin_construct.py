@@ -211,7 +211,7 @@ def test_spin_bracket_against_permuted_full_solve(kind, l):
         t = Multivector.from_mask(l, f, masks[rng.randrange(len(masks))])
         rows = list(range(npairs))
         rng.shuffle(rows)
-        aug = [[G[a][k] for k in range(npairs)] + [form(ops[a].apply(s), t).value]
+        aug = [[G[a][k] for k in range(npairs)] + [form(ops[a].apply(s), t)]
                for a in rows]
         red, pivots = rref_field(aug, f)
         assert all(p < npairs for p in pivots)      # consistent system

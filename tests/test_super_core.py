@@ -12,8 +12,8 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   ideal_closure, j_triple,
                                   norton_irreducible, simplicity_certificate,
                                   verify_isomorphism, VerificationFailed,
-                                  _block, _eigenvalues, _scan_matrices,
-                                  _scan_one_i, _witness_entry)
+                                  _block, _eigenvalues, _largest_ideal_inside,
+                                  _scan_matrices, _scan_one_i, _witness_entry)
 from spinlab.construct import build_superalgebra, classify
 from spinlab.linalg import inv_modp, matmul_modp
 
@@ -289,20 +289,34 @@ def test_equivariant_dim_is_conjugation_invariant():
         assert equivariant_map_dim(conj, ad, field=f) == base
 
 
-def test_simplicity_certificate_and_center_negative_control():
-    stat, note = simplicity_certificate(osp12(GF(5)))
-    assert stat == "certified", (stat, note)
-    br = dict(osp12(GF(5)).table)
+def ospz():
+    """osp(1|2) over GF(5) with a central even element z added at index 3."""
     shifted = {}
-    for (i, j), t in br.items():
+    for (i, j), t in osp12(GF(5)).table.items():
         i2 = i if i < 3 else i + 1
         j2 = j if j < 3 else j + 1
         shifted[(i2, j2)] = {(k if k < 3 else k + 1): v for k, v in t.items()}
-    Z = SuperAlgebra("ospz", GF(5), 4, 2, ["e", "h", "f", "z", "x", "y"],
-                     shifted, odd_symmetric=True)
+    return SuperAlgebra("ospz", GF(5), 4, 2, ["e", "h", "f", "z", "x", "y"],
+                        shifted, odd_symmetric=True)
+
+
+def test_simplicity_certificate_and_center_negative_control():
+    stat, note = simplicity_certificate(osp12(GF(5)))
+    assert stat == "certified", (stat, note)
+    Z = ospz()
     assert check_jacobi(Z, "full").jacobi_pass
     stat, note = simplicity_certificate(Z)
     assert stat == "failed"
+
+
+def test_largest_ideal_inside_a_kernel():
+    Z = ospz()
+    z, e = [0, 0, 0, 1], [1, 0, 0, 0]
+    assert _largest_ideal_inside(Z, [z]) == 1
+    # [f, e] = -h leaves span(z, e), so only the center survives
+    assert _largest_ideal_inside(Z, [z, e]) == 1
+    assert _largest_ideal_inside(Z, [e]) == 0
+    assert _largest_ideal_inside(Z, [e, [0, 1, 0, 0], [0, 0, 1, 0], z]) == 4
 
 
 def test_verify_isomorphism_with_odd_rescaling():
