@@ -26,7 +26,8 @@ from importlib import resources
 
 from .fields import make_field
 from .superalgebra import SCHEMA_VERSION, VerificationFailed, check_jacobi
-from .construct import build_superalgebra, classify, decompose_type_d_l2
+from .construct import (_check_kind, build_superalgebra, classify,
+                        decompose_type_d_l2)
 from .composition import make_composition, derivation_algebra, check_lemma_C
 from .kac import ch3_scan
 from . import tits as _tits
@@ -347,11 +348,9 @@ def cmd_verify_tits(args) -> int:
 def cmd_export(args) -> int:
     try:
         field = make_field(args.char)
+        _check_kind(args.l, args.kind)
     except ValueError as exc:
         print(f"spinlab export: {exc}", file=sys.stderr)
-        return 2
-    if args.kind == "D" and args.l % 2:
-        print("spinlab export: kind D needs even l", file=sys.stderr)
         return 2
     A = build_superalgebra(args.l, args.kind, field)
     _write_text(A.to_json() + "\n", args.out)

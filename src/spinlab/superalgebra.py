@@ -820,9 +820,10 @@ def _sparse_rows(mats, f):
         rows = {}
         for i, row in enumerate(m):
             for j, x in enumerate(row):
-                v = f.raw(x)
-                if not f.is_zero(v):
-                    rows.setdefault(i, []).append((j, v))
+                if x:               # most entries are zero: skip them before raw
+                    v = f.raw(x)
+                    if not f.is_zero(v):
+                        rows.setdefault(i, []).append((j, v))
         out.append(rows)
     return out
 

@@ -19,19 +19,28 @@ a, b trace-zero in C; x, y trace-zero in J):
 
 with t the normalized trace of J, x*y = xy - t(xy)1, n the polar norm
 of C and D_{a,b} the standard inner derivation of C.
+
+The characteristic-5 identification (build_so_MQ, phi0, spin_map_psi,
+phi1_intertwine, cross_identify_with_typeB) works over GF(5) only and
+refuses any other field with ValueError.  Each step computes its data
+once per field, as int64 arrays of residues, verifies it and caches it,
+so the steps may run in any order.  Coordinates in an so basis come in
+closed form: σ_ij·G⁻¹ = e_j e_iᵀ − e_i e_jᵀ for G the Gram matrix of Q,
+so X is in so(M, Q) exactly when X·G⁻¹ is skew, with σ_ij-coordinate
+(X·G⁻¹)[j, i]; likewise nat_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ) for the
+natural basis of the l=5 type-B algebra.
 """
 
 import itertools
 import random
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .fields import Field
-from .linalg import (SpanSolver, RowSpace, inv_field, inv_modp,
-                     matmul_field, matmul_modp, nullspace_modp, rref_modp)
+from .linalg import (SpanSolver, RowSpace, inv_modp, matmul_field,
+                     matmul_modp, nullspace_modp, rank_modp, rref_modp)
 from .composition import (CompositionAlgebra, make_composition,
                           derivation_algebra, inner_derivation, ad_matrix,
                           _restrict_to_czero)
@@ -311,98 +320,115 @@ def unit_ideal_split(field: Field) -> dict:
 # the quadratic space M = C⁰ ⊕ U⊗U and so(M, Q)
 
 
+def _require_char5(field: Field):
+    if field.p != 5:
+        raise ValueError("characteristic 5 required")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so that no caller can alter the cache."""
+    a.flags.writeable = False
+    return a
+
+
+def _so_coords(X, ginv, rows, cols, p):
+    """Coordinates of stacked n×n matrices X in an so basis whose k-th
+    element b_k satisfies b_k·ginv = e_r e_cᵀ − e_c e_rᵀ with (r, c) =
+    (rows[k], cols[k]), and a mask of the matrices inside the span.
+
+    X lies in the span exactly when X·ginv is skew, and the coordinate of
+    b_k is then (X·ginv)[r, c].
+    """
+    Y = X @ ginv % p
+    inside = ~((Y + np.swapaxes(Y, -2, -1)) % p).any(axis=(-2, -1))
+    return Y[..., rows, cols], inside
+
+
 class SoMQ(NamedTuple):
-    """so(M, Q) with its pinned σ-basis over all index pairs i < j."""
+    """so(M, Q) with its pinned σ-basis over all index pairs i < j, as
+    residues mod p: σ_ij = (e_j e_iᵀ − e_i e_jᵀ)·gram."""
     field: Field
     C: CompositionAlgebra
     cz: list
-    gram: list
+    gram: np.ndarray        # 11×11 Gram matrix of Q
+    ginv: np.ndarray        # its inverse
     pairs: list
     pair_index: dict
-    mats: list
+    mats: np.ndarray        # (55, 11, 11): mats[k] = σ of pairs[k]
     algebra: SuperAlgebra
-    solver: SpanSolver
+
+    def coords(self, X):
+        """σ-coordinates of stacked 11×11 matrices, from σ_ij·G⁻¹ =
+        e_j e_iᵀ − e_i e_jᵀ, and the mask of those inside so(M, Q)."""
+        i, j = np.array(self.pairs).T
+        return _so_coords(X, self.ginv, j, i, self.field.p)
 
 
-def _sigma_terms(f, gram, pi, pj, pair_index):
+def _sigma_terms(gram, pi, pj, pair_index, p):
     """[σ_{ab}, σ_{cd}] expanded over the σ basis (closed form)."""
     (a, b), (c, d) = pi, pj
     terms = {}
-
-    def add(x, y, coef):
-        if x == y or f.is_zero(coef):
-            return
-        if x > y:
-            x, y, coef = y, x, f.neg(coef)
-        k = pair_index[(x, y)]
-        v = f.add(terms.get(k, f.zero()), coef)
-        if f.is_zero(v):
-            terms.pop(k, None)
-        else:
-            terms[k] = v
-
-    add(c, b, gram[a][d])
-    add(c, a, f.neg(gram[b][d]))
-    add(d, b, f.neg(gram[a][c]))
-    add(d, a, gram[b][c])
-    return terms
+    for x, y, coef in ((c, b, gram[a, d]), (c, a, -gram[b, d]),
+                       (d, b, -gram[a, c]), (d, a, gram[b, c])):
+        if x != y:
+            if x > y:
+                x, y, coef = y, x, -coef
+            k = pair_index[(x, y)]
+            terms[k] = (terms.get(k, 0) + int(coef)) % p
+    return {k: v for k, v in terms.items() if v}
 
 
+@lru_cache(maxsize=None)
 def build_so_MQ(field: Field) -> SoMQ:
     """so(M, Q) for M = C⁰ ⊕ U⊗U (C the octonions), dim 11, so dim 55.
 
     Q restricted to C⁰ is the negated polar norm; on U⊗U it is
-    Q(u₁⊗u₂, v₁⊗v₂) = -(u₁|v₁)(u₂|v₂); the blocks are orthogonal.
+    Q(u₁⊗u₂, v₁⊗v₂) = -(u₁|v₁)(u₂|v₂); the blocks are orthogonal.  The
+    closed-form σ brackets are checked against the matrix commutators.
     """
+    _require_char5(field)
     f = field
+    p = f.p
     C = make_composition("octonion", f)
     cz = C.czero_basis()
     n = 11
-    gram = [[f.zero()] * n for _ in range(n)]
-    for i in range(7):
-        for j in range(7):
-            gram[i][j] = f.neg(f.raw(C.norm_polar(cz[i], cz[j])))
-    for r, (u1, u2) in enumerate(UU_PAIRS):
-        for s, (v1, v2) in enumerate(UU_PAIRS):
-            gram[7 + r][7 + s] = f.neg(
-                f.raw(Fraction(K_FORM[u1][v1] * K_FORM[u2][v2])))
+    gram = np.zeros((n, n), dtype=np.int64)
+    gram[:7, :7] = [[-f.raw(C.norm_polar(a, b)) for b in cz] for a in cz]
+    gram[7:, 7:] = [[-f.raw(K_FORM[u1][v1] * K_FORM[u2][v2])
+                     for v1, v2 in UU_PAIRS] for u1, u2 in UU_PAIRS]
+    gram %= p
     try:
-        inv_field(gram, f)
+        ginv = inv_modp(gram, p)
     except ValueError:
         raise DegenerateForm("Q is singular on M")
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_index = {p: k for k, p in enumerate(pairs)}
-    mats = []
-    for (i, j) in pairs:
-        mat = [[f.zero()] * n for _ in range(n)]
-        for k in range(n):
-            mat[j][k] = gram[i][k]
-            mat[i][k] = f.neg(gram[j][k])
-        mats.append(mat)
+    pair_index = {pr: k for k, pr in enumerate(pairs)}
+    i, j = np.array(pairs).T
+    k = np.arange(len(pairs))
+    mats = np.zeros((len(pairs), n, n), dtype=np.int64)
+    mats[k, j] = gram[i]
+    mats[k, i] = -gram[j] % p
 
-    # closed-form structure constants, checked against matrix commutators
     table = {}
     for pi in range(len(pairs)):
         for pj in range(pi, len(pairs)):
-            terms = _sigma_terms(f, gram, pairs[pi], pairs[pj], pair_index)
-            com = _mat_sub(f, matmul_field(mats[pi], mats[pj], f),
-                           matmul_field(mats[pj], mats[pi], f))
-            want = [[f.zero()] * n for _ in range(n)]
-            for k, v in terms.items():
-                for r in range(n):
-                    for c in range(n):
-                        want[r][c] = f.add(want[r][c], f.mul(v, mats[k][r][c]))
-            if want != com:
-                raise VerificationFailed(
-                    f"sigma bracket mismatch at pairs {pairs[pi]},{pairs[pj]}")
+            terms = _sigma_terms(gram, pairs[pi], pairs[pj], pair_index, p)
             if terms:
                 table[(pi, pj)] = terms
     labels = [f"s{i},{j}" for i, j in pairs]
     algebra = SuperAlgebra("so(M,Q)", f, len(pairs), 0, labels, table,
                            odd_symmetric=False)
-    solver = SpanSolver(f, [_flat(mm) for mm in mats])
-    return SoMQ(f, C, cz, gram, pairs, pair_index, mats, algebra, solver)
+    ad = _block(algebra, 0, 0, 0)          # ad[a, k, b]: σ_k in [σ_a, σ_b]
+    for pi in range(len(pairs)):
+        com = (mats[pi] @ mats - mats @ mats[pi]) % p
+        want = np.tensordot(ad[pi].T, mats, axes=1) % p
+        bad = np.nonzero((com != want).any(axis=(1, 2)))[0]
+        if bad.size:
+            raise VerificationFailed(
+                f"sigma bracket mismatch at pairs {pairs[pi]},{pairs[bad[0]]}")
+    return SoMQ(f, C, cz, _frozen(gram), _frozen(ginv), pairs, pair_index,
+                _frozen(mats), algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -426,186 +452,118 @@ def _first_bad_pair(mat, A, B):
     return None
 
 
-def _phi0_matrix(model: TitsModel, somq: SoMQ):
+def _phi0_matrix(model: TitsModel, somq: SoMQ) -> np.ndarray:
     """Columns: so(M,Q)-coordinates of the images of the even T basis."""
-    f = model.field
     C, cz = model.C, model.cz
-    cols = []
-    for slot in model.slots[:model.n0]:
+    uu_loc = [4, 5, 7, 8]              # U⊗U among the local J indices
+    X = np.zeros((model.n0, 11, 11), dtype=np.int64)
+    for col, slot in enumerate(model.slots[:model.n0]):
         if slot[0] == "der":
-            blk = _restrict_to_czero(C, model.derC[slot[1]])
-            X = [[f.zero()] * 11 for _ in range(11)]
-            for r in range(7):
-                for c in range(7):
-                    X[r][c] = blk[r][c]
-            cc = somq.solver.coords(_flat(X))
+            X[col, :7, :7] = _restrict_to_czero(C, model.derC[slot[1]])
         elif slot[0] == "mid" and slot[2] == 1:       # a⊗(e⊗e) -> -ad_a
-            blk = _restrict_to_czero(C, ad_matrix(C, cz[slot[1]]))
-            X = [[f.zero()] * 11 for _ in range(11)]
-            for r in range(7):
-                for c in range(7):
-                    X[r][c] = f.neg(blk[r][c])
-            cc = somq.solver.coords(_flat(X))
+            X[col, :7, :7] = np.negative(
+                _restrict_to_czero(C, ad_matrix(C, cz[slot[1]])))
         elif slot[0] == "mid":                        # a⊗(u⊗v) -> σ_{a,u⊗v}
-            k = somq.pair_index[(slot[1], 7 + UU_POS[slot[2]])]
-            cc = [f.zero()] * 55
-            cc[k] = f.one()
+            X[col] = somq.mats[somq.pair_index[(slot[1],
+                                                 7 + UU_POS[slot[2]])]]
         else:                                         # inder, even part
-            d = model.inder[slot[1]]
-            # must kill e⊗e (local 0) and preserve U⊗U (locals 4,5,7,8)
-            uu_loc = (4, 5, 7, 8)
-            if any(not f.is_zero(d[r][0]) for r in range(9)):
+            d = np.array(model.inder[slot[1]], dtype=np.int64)
+            # must kill e⊗e (local 0) and preserve U⊗U
+            if d[:, 0].any():
                 raise VerificationFailed("even inner derivation moves e⊗e")
-            if any(not f.is_zero(d[0][c]) for c in uu_loc):
+            if d[0, uu_loc].any():
                 raise VerificationFailed(
                     "even inner derivation leaks U⊗U into e⊗e")
-            X = [[f.zero()] * 11 for _ in range(11)]
-            for r, lr in enumerate(uu_loc):
-                for c, lc in enumerate(uu_loc):
-                    X[7 + r][7 + c] = d[lr][lc]
-            cc = somq.solver.coords(_flat(X))
-        if cc is None:
-            raise VerificationFailed(
-                f"image of even slot {slot} is not in so(M,Q)")
-        cols.append(cc)
-    return [[cols[j][r] for j in range(len(cols))] for r in range(55)]
+            X[col, 7:, 7:] = d[np.ix_(uu_loc, uu_loc)]
+    coords, inside = somq.coords(X % model.field.p)
+    if not inside.all():
+        slot = model.slots[int(np.argmin(inside))]
+        raise VerificationFailed(f"image of even slot {slot} is not in so(M,Q)")
+    return np.ascontiguousarray(coords.T)
 
 
-_CTX = {}
-
-
-class _Context:
-    """Shared char-5 pipeline data for the octonion model."""
-
-    __slots__ = ("field", "model", "T", "somq", "phi0_mat", "rho", "phi1_mat")
-
-    def __init__(self, field):
-        self.field = field
-        self.model = tits_model("octonion", field)
-        self.T = build_tits("octonion", field)
-        self.somq = None
-        self.phi0_mat = None
-        self.rho = None
-        self.phi1_mat = None
-
-
-def _context(field: Field) -> _Context:
-    if field.p != 5:
-        raise ValueError("characteristic 5 required")
-    if field not in _CTX:
-        _CTX[field] = _Context(field)
-    return _CTX[field]
+@lru_cache(maxsize=None)
+def _phi0(field: Field) -> np.ndarray:
+    """Φ₀ as a 55×55 array of residues, verified to be a Lie isomorphism."""
+    somq = build_so_MQ(field)
+    mat = _phi0_matrix(tits_model("octonion", field), somq)
+    if rank_modp(mat, field.p) < len(mat):
+        raise VerificationFailed("phi0 matrix is singular")
+    T0 = even_subalgebra(build_tits("octonion", field), check=False)
+    if not verify_isomorphism(mat, T0, somq.algebra):
+        bad = _first_bad_pair(mat.tolist(), T0, somq.algebra)
+        raise VerificationFailed(f"phi0 bracket mismatch at pair {bad}")
+    return _frozen(mat)
 
 
 def phi0(field: Field) -> dict:
     """Verified Lie isomorphism T(octonion, Kac)₀ → so(M, Q), char 5."""
-    ctx = _context(field)
-    if ctx.somq is None:
-        ctx.somq = build_so_MQ(field)
-    if ctx.phi0_mat is None:
-        ctx.phi0_mat = _phi0_matrix(ctx.model, ctx.somq)
-    mat = ctx.phi0_mat
-    f = field
-    try:
-        inv_field(mat, f)
-    except ValueError:
-        raise VerificationFailed("phi0 matrix is singular")
-    T0 = even_subalgebra(ctx.T, check=False)
-    if not verify_isomorphism(mat, T0, ctx.somq.algebra):
-        bad = _first_bad_pair(mat, T0, ctx.somq.algebra)
-        raise VerificationFailed(f"phi0 bracket mismatch at pair {bad}")
-    return {"matrix": mat, "rank": 55, "verified": True}
+    _require_char5(field)
+    return {"matrix": _phi0(field).tolist(), "rank": 55, "verified": True}
 
 
 # ---------------------------------------------------------------------------
 # the spin realization on C ⊗ (U ⊕ U)
 
 
-def _np(mat, p):
-    return np.array([[int(x) % p for x in row] for row in mat],
-                    dtype=np.int64)
-
-
-def _psi_images(ctx: _Context):
-    """Ψ on the 11 M-basis vectors, as 32×32 matrices mod p.
+def _psi_images(model: TitsModel) -> np.ndarray:
+    """Ψ on the 11 M-basis vectors, as an (11, 32, 32) array mod p.
 
     Spin space index: 4·(C index) + slot with slots (x;0),(y;0),(0;x),(0;y).
     """
-    f = ctx.field
+    f = model.field
     p = f.p
-    C, cz = ctx.model.C, ctx.model.cz
-    psi = []
-    for a in cz:
-        La = np.zeros((8, 8), dtype=np.int64)
-        for c in range(8):
-            ec = C.zero()
-            ec[c] = f.one()
-            img = C.multiply(a, ec)
-            for r in range(8):
-                La[r, c] = int(img[r]) % p
-        P = np.zeros((32, 32), dtype=np.int64)
+    C = model.C
+    units = [[f.one() if r == c else f.zero() for r in range(C.dim)]
+             for c in range(C.dim)]
+    psi = np.zeros((11, 32, 32), dtype=np.int64)
+    for k, a in enumerate(model.cz):
+        La = np.array([C.multiply(a, e) for e in units], dtype=np.int64).T
         for s in range(4):
-            sign = p - 1 if s < 2 else 1
-            P[s::4, s::4] = (La * sign) % p
-        psi.append(P)
-    form = [[int(f.raw(Fraction(v))) % p for v in row] for row in K_FORM]
-    for (u1, u2) in UU_PAIRS:
+            psi[k, s::4, s::4] = -La if s < 2 else La
+    form = [[f.raw(v) for v in row] for row in K_FORM]
+    for k, (u1, u2) in enumerate(UU_PAIRS):
         op = np.zeros((4, 4), dtype=np.int64)
         # (w1; w2) -> ((u2|w2)·u1 ; (u1|w1)·u2)
         for win, wk in ((0, 1), (1, 2)):              # w1 = x, y
             op[(u2 - 1) + 2, win] = form[u1][wk]
         for win, wk in ((2, 1), (3, 2)):              # w2 = x, y
             op[u1 - 1, win] = form[u2][wk]
-        P = np.zeros((32, 32), dtype=np.int64)
-        for c in range(8):
-            P[4 * c:4 * c + 4, 4 * c:4 * c + 4] = op
-        psi.append(P % p)
-    return psi
+        psi[7 + k] = np.kron(np.eye(8, dtype=np.int64), op)
+    return psi % p
 
 
-def spin_map_psi(field: Field) -> dict:
-    """Clifford generator images Ψ(M basis) on C ⊗ (U ⊕ U), verified.
-
-    Checks Ψ(z)Ψ(z') + Ψ(z')Ψ(z) = Q(z,z')·id on all generator pairs,
-    that ρ(σ) = -½[Ψ(x),Ψ(y)] is a representation of so(M,Q), and the
-    closed form ρ(σ_{a,u₁⊗u₂}) = -Ψ(a)Ψ(u₁⊗u₂) = L_a ⊗ offdiag.
-    """
-    ctx = _context(field)
-    if ctx.somq is None:
-        ctx.somq = build_so_MQ(field)
-    f = field
-    p = f.p
-    somq = ctx.somq
-    psi = _psi_images(ctx)
-    gram = _np(somq.gram, p)
+@lru_cache(maxsize=None)
+def _spin_rep(field: Field):
+    """(Ψ, ρ, checked): Ψ on the M basis and ρ on the σ basis, stacked
+    32×32 arrays mod p, once every relation of spin_map_psi has held."""
+    p = field.p
+    somq = build_so_MQ(field)
+    psi = _psi_images(tits_model("octonion", field))
     eye = np.eye(32, dtype=np.int64)
     checked = 0
     for i in range(11):
         for j in range(i, 11):
             anti = (psi[i] @ psi[j] + psi[j] @ psi[i]) % p
-            if not np.array_equal(anti, (int(gram[i][j]) * eye) % p):
+            if not np.array_equal(anti, somq.gram[i, j] * eye):
                 raise RelationFailed(
                     f"Clifford relation fails on generators ({i},{j})")
             checked += 1
 
-    neg_half = int(f.raw(Fraction(-1, 2))) % p
-    rho = []
-    for (i, j) in somq.pairs:
-        rho.append((neg_half * (psi[i] @ psi[j] - psi[j] @ psi[i])) % p)
+    i, j = np.array(somq.pairs).T
+    rho = pow(-2, -1, p) * (psi[i] @ psi[j] - psi[j] @ psi[i]) % p
 
-    # representation property against the closed-form σ brackets
-    for pi in range(55):
-        for pj in range(pi + 1, 55):
-            com = (rho[pi] @ rho[pj] - rho[pj] @ rho[pi]) % p
-            want = np.zeros((32, 32), dtype=np.int64)
-            terms = _sigma_terms(f, somq.gram, somq.pairs[pi],
-                                 somq.pairs[pj], somq.pair_index)
-            for k, v in terms.items():
-                want = (want + (int(v) % p) * rho[k]) % p
-            if not np.array_equal(com, want):
-                raise RelationFailed(
-                    f"spin rep fails on σ pairs {pi},{pj}")
-            checked += 1
+    # representation property against the σ structure constants
+    ad = _block(somq.algebra, 0, 0, 0)
+    n = len(rho)
+    for a in range(n - 1):
+        com = (rho[a] @ rho[a + 1:] - rho[a + 1:] @ rho[a]) % p
+        want = np.tensordot(ad[a, :, a + 1:].T, rho, axes=1) % p
+        bad = np.nonzero((com != want).any(axis=(1, 2)))[0]
+        if bad.size:
+            raise RelationFailed(
+                f"spin rep fails on σ pairs {a},{a + 1 + int(bad[0])}")
+        checked += n - 1 - a
 
     # explicit mixed-pair form: -Ψ(a)Ψ(u₁⊗u₂), block off-diagonal in U⊕U
     for ai in range(7):
@@ -627,94 +585,94 @@ def spin_map_psi(field: Field) -> dict:
                 raise RelationFailed(
                     f"ρ(σ_a,u⊗u') closed form fails at ({ai},{k})")
             checked += 1
+    return _frozen(psi), _frozen(rho), checked
 
-    ctx.rho = rho
-    return {"psi": [m.tolist() for m in psi], "checked": checked,
-            "verified": True}
+
+def spin_map_psi(field: Field) -> dict:
+    """Clifford generator images Ψ(M basis) on C ⊗ (U ⊕ U), verified.
+
+    Checks Ψ(z)Ψ(z') + Ψ(z')Ψ(z) = Q(z,z')·id on all generator pairs,
+    that ρ(σ) = -½[Ψ(x),Ψ(y)] is a representation of so(M,Q), and the
+    closed form ρ(σ_{a,u₁⊗u₂}) = -Ψ(a)Ψ(u₁⊗u₂) = L_a ⊗ offdiag.
+    """
+    _require_char5(field)
+    psi, _, checked = _spin_rep(field)
+    return {"psi": psi.tolist(), "checked": checked, "verified": True}
 
 
 # ---------------------------------------------------------------------------
 # Φ₁ : T(C, J)₁ → C ⊗ (U ⊕ U)
 
 
-def _phi1_matrix(ctx: _Context):
+@lru_cache(maxsize=None)
+def _phi1(field: Field) -> np.ndarray:
     """Columns: spin coordinates of the odd T basis.
 
     a⊗(u⊗e) and a⊗(e⊗u) go to a⊗(u;0) and a⊗(0;u); the odd inner
     derivation [L_e,L_{u₁}]⊗id + id⊗[L_e,L_{u₂}] goes to -½·1⊗(u₁;u₂).
     """
-    f = ctx.field
-    p = f.p
-    model = ctx.model
-    C, cz = model.C, model.cz
-    named = []
-    for xj in (4, 7, 2, 3):     # slot order: (x;0), (y;0), (0;x), (0;y)
-        d = inner_derivation_J(KacElement.basis(f, 1), KacElement.basis(f, xj))
-        named.append([f.mul(f.of_int(4), x) for x in _flat(d)])
-    odd_solver = SpanSolver(f, named)
-    neg_half = int(f.raw(Fraction(-1, 2))) % p
-    unit = [int(x) % p for x in C.unit]
+    p = field.p
+    model = tits_model("octonion", field)
+    nev = model.n_inder_even
+    # inder J coordinates of 4·[L_e, L_u], u in slot order (x;0),(y;0),(0;x),(0;y)
+    named = np.array([model.LL[1][xj] for xj in (4, 7, 2, 3)],
+                     dtype=np.int64) * 4 % p
+    try:
+        if named[:, :nev].any():
+            raise ValueError("named derivation with an even part")
+        # row t: the odd inner derivation nev + t in the named basis
+        in_named = inv_modp(named[:, nev:], p)
+    except ValueError:
+        raise VerificationFailed("odd inner derivation outside the named span")
+    unit = np.array(model.C.unit, dtype=np.int64)
+    eye = np.eye(4, dtype=np.int64)
     cols = []
     for slot in model.slots[model.n0:]:
-        v = np.zeros(32, dtype=np.int64)
         if slot[0] == "mid":
-            s = SLOT_OF[slot[2]]
-            a = cz[slot[1]]
-            for c in range(8):
-                v[4 * c + s] = int(a[c]) % p
+            a = np.array(model.cz[slot[1]], dtype=np.int64)
+            cols.append(np.kron(a, eye[SLOT_OF[slot[2]]]))
         else:
-            d = model.inder[slot[1]]
-            al = odd_solver.coords(_flat(d))
-            if al is None:
-                raise VerificationFailed(
-                    "odd inner derivation outside the named span")
-            for s in range(4):
-                w = (neg_half * int(al[s])) % p
-                if w:
-                    for c in range(8):
-                        if unit[c]:
-                            v[4 * c + s] = (w * unit[c]) % p
-        cols.append(v)
-    return np.stack(cols, axis=1) % p
+            cols.append(np.kron(unit, pow(-2, -1, p) * in_named[slot[1] - nev]))
+    return _frozen(np.stack(cols, axis=1) % p)
 
 
 def phi1_intertwine(field: Field, negate_index=None) -> dict:
     """Check Φ₁([p, w]) = ρ(Φ₀(p))·Φ₁(w) on all even×odd basis pairs.
 
-    negate_index flips the sign of one Φ₁ column first (negative
-    control); returns a witness dict instead of raising.
+    negate_index, an int in range(32), flips the sign of that Φ₁ column
+    first (negative control); returns a witness dict instead of raising.
     """
-    ctx = _context(field)
-    phi0(field)
-    if ctx.rho is None:
-        spin_map_psi(field)
-    f = field
-    p = f.p
-    if ctx.phi1_mat is None:
-        ctx.phi1_mat = _phi1_matrix(ctx)
-    phi1 = ctx.phi1_mat.copy()
+    _require_char5(field)
+    n1 = TITS_DIMS["octonion"][1]
+    if negate_index is not None and (type(negate_index) is not int
+                                     or not 0 <= negate_index < n1):
+        raise ValueError(f"negate_index must be an int in range({n1}), "
+                         f"not {negate_index!r}")
+    p = field.p
+    phi1 = _phi1(field).copy()
     if negate_index is not None:
         phi1[:, negate_index] = (-phi1[:, negate_index]) % p
     try:
         inv_modp(phi1, p)
     except ValueError:
         raise VerificationFailed("phi1 matrix is singular")
-    rho_stack = np.stack(ctx.rho)                 # (55, 32, 32)
-    phi0_np = _np(ctx.phi0_mat, p)
-    adT = _block(ctx.T, 0, 1, 1)
+    _, rho, _ = _spin_rep(field)
+    phi0_np = _phi0(field)
+    T = build_tits("octonion", field)
+    adT = _block(T, 0, 1, 1)
     checked = 0
-    for a in range(55):
-        R = np.tensordot(phi0_np[:, a], rho_stack, axes=1) % p
+    for a in range(T.n0):
+        R = np.tensordot(phi0_np[:, a], rho, axes=1) % p
         lhs = (phi1 @ adT[a]) % p
         rhs = (R @ phi1) % p
         if not np.array_equal(lhs, rhs):
             j = int(np.nonzero((lhs - rhs) % p)[1][0])
             return {"pass": False, "checked": checked,
-                    "witness": {"even": ctx.T.labels[a],
-                                "odd": ctx.T.labels[ctx.T.n0 + j],
+                    "witness": {"even": T.labels[a],
+                                "odd": T.labels[T.n0 + j],
                                 "lhs": lhs[:, j].tolist(),
                                 "rhs": rhs[:, j].tolist()}}
-        checked += 32
+        checked += n1
     return {"pass": True, "checked": checked, "witness": None}
 
 
@@ -933,67 +891,53 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
     Returns "holds over quadratic extension" if the twisted c is still a
     non-square.
     """
-    ctx = _context(field)
-    phi0(field)
-    f = field
-    p = f.p
+    _require_char5(field)
+    p = field.p
+    somq = build_so_MQ(field)
+    T = build_tits("octonion", field)
     B5 = build_superalgebra(5, "B", field)
     space = ambient_space(5, "B")
-    G_W = [[int(f.raw(qpair(space, a, b))) % p for b in range(11)]
-           for a in range(11)]
-    pb = pair_basis(5, "B")
-    nats = []
-    for k in range(len(pb.pairs)):
-        m = [[0] * 11 for _ in range(11)]
-        for (r, c, coeff) in nat_entries(5, "B")[k]:
-            m[r][c] = (m[r][c] + coeff) % p
-        nats.append(m)
-    gw = np.array(G_W, dtype=np.int64)
-    for k, m in enumerate(nats):
-        X = np.array(m, dtype=np.int64)
-        if ((X.T @ gw + gw @ X) % p).any():
-            raise VerificationFailed(f"natural so matrix {k} not q-skew")
-    nat_solver = SpanSolver(f, [_flat(m) for m in nats])
+    gw = np.array([[qpair(space, a, b) for b in range(11)] for a in range(11)],
+                  dtype=np.int64) % p
+    nats = np.zeros((55, 11, 11), dtype=np.int64)
+    for k, ents in enumerate(nat_entries(5, "B")):
+        for r, c, coeff in ents:
+            nats[k, r, c] += coeff
+    # nat_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ): so-coordinates in closed form
+    half_gwinv = inv_modp(gw, p) * pow(2, -1, p) % p
+    rows, cols = np.array(pair_basis(5, "B").pairs).T
+    coords, inside = _so_coords(nats % p, half_gwinv, rows, cols, p)
+    if not (inside.all() and np.array_equal(coords, np.eye(55, dtype=np.int64))):
+        raise VerificationFailed("natural so basis does not match its closed form")
 
-    gram_M = [[int(x) % p for x in row] for row in ctx.somq.gram]
-    tau_cols = None
-    scale = None
-    for s in (1, 2):
-        gs = [[v * s % p for v in row] for row in gram_M]
-        cols = _hyperbolic_columns(gs, p, seed)
-        if cols is not None:
-            tau_cols, scale = cols, s
-            gram_s = gs
+    for scale in (1, 2):
+        gram_s = somq.gram * scale % p
+        tau_cols = _hyperbolic_columns(gram_s.tolist(), p, seed)
+        if tau_cols is not None:
             break
-    if tau_cols is None:
+    else:
         raise IsometryNotFound("no discriminant class matched")
-    GsN = np.array(gram_s, dtype=np.int64)
 
-    phi0_np = _np(ctx.phi0_mat, p)
-    mats_M = np.stack([_np(m, p) for m in ctx.somq.mats])
-    adT = _block(ctx.T, 0, 1, 1)                     # (55, 32, 32)
+    # Φ₀ images of the even T basis as 11×11 matrices on M
+    images = np.tensordot(_phi0(field).T, somq.mats, axes=1) % p
+    adT = _block(T, 0, 1, 1)                         # (55, 32, 32)
     rep2 = _block(B5, 0, 1, 1)
 
     def identify(Tau):
         """θ, S and the odd-odd proportionality c through the isometry Tau."""
-        if not np.array_equal((Tau.T @ GsN @ Tau) % p, gw % p):
+        if not np.array_equal((Tau.T @ gram_s @ Tau) % p, gw):
             raise IsometryNotFound("isometry transport check failed")
-        Taui = inv_modp(Tau, p)
         # θ: T₀ coordinates → natural so₁₁ coordinates of the l=5 model
-        theta_cols = []
-        for a in range(55):
-            X = np.tensordot(phi0_np[:, a], mats_M, axes=1) % p
-            Y = (Taui @ X @ Tau) % p
-            cc = nat_solver.coords([int(v) for v in Y.reshape(-1)])
-            if cc is None:
-                raise VerificationFailed("transported image not in so(W,q)")
-            theta_cols.append([int(x) % p for x in cc])
-        theta = np.array(theta_cols, dtype=np.int64).T % p
+        coords, inside = _so_coords(inv_modp(Tau, p) @ images @ Tau % p,
+                                    half_gwinv, rows, cols, p)
+        if not inside.all():
+            raise VerificationFailed("transported image not in so(W,q)")
+        theta = np.ascontiguousarray(coords.T)
         theta_inv = inv_modp(theta, p)
         rep1 = [np.tensordot(theta_inv[:, a], adT, axes=1) % p
                 for a in range(55)]
         S = _odd_intertwiner(rep1, rep2, p)
-        return theta, S, _odd_proportionality(ctx.T, B5, theta, S, p)
+        return theta, S, _odd_proportionality(T, B5, theta, S, p)
 
     Tau = np.array(tau_cols, dtype=np.int64).T % p
     theta, S, c_val = identify(Tau)
@@ -1007,18 +951,15 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
                 "verified": False, "matrix": None, "scale": scale,
                 "proportionality": c_val, "spinor_twist": twisted}
 
-    M_iso = [[f.zero()] * 87 for _ in range(87)]
-    for r in range(55):
-        for c in range(55):
-            M_iso[r][c] = f.of_int(int(theta[r, c]))
-    for r in range(32):
-        for c in range(32):
-            M_iso[55 + r][55 + c] = f.of_int(mu * int(S[r, c]) % p)
-    if not verify_isomorphism(M_iso, ctx.T, B5):
+    iso = np.zeros((87, 87), dtype=np.int64)
+    iso[:55, :55] = theta
+    iso[55:, 55:] = mu * S % p
+    M_iso = iso.tolist()
+    if not verify_isomorphism(M_iso, T, B5):
         raise VerificationFailed("assembled isomorphism fails verification")
 
     eq_dim = equivariant_map_dim(rep2.tolist(), _block(B5, 0, 0, 0).tolist(),
-                                 field=f)
+                                 field=field)
 
     return {"status": "isomorphism", "verified": True, "matrix": M_iso,
             "scale": scale, "mu": mu, "proportionality": c_val,

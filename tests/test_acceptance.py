@@ -4,6 +4,7 @@ One test per headline property.  `pytest -v tests/test_acceptance.py`
 prints a pass/fail line for each.  Everything is exact arithmetic:
 assertions are equalities, never tolerances.
 """
+import hashlib
 import itertools
 import json
 import time
@@ -308,6 +309,9 @@ def test_deterministic_output_and_reduction(tmp_path):
             assert main(argv + ["--out", str(out)]) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1], argv
+    # the default tits report, byte for byte
+    assert hashlib.sha256(blobs[0]).hexdigest() == (
+        "146467c5225c4f9e86ede7ff0cc210e79ff89c13b2bb90296e78ef1091614be2")
     # rational structure constants reduce mod p to the native GF(p) ones
     for kind, ls in (("B", (1, 2, 3, 4, 5, 6)), ("D", (2, 4, 6))):
         for l in ls:

@@ -47,6 +47,8 @@ def test_unknown_target_is_usage_error(capsys):
     ["verify", "type-b", "--l", "0"],
     ["verify", "type-b", "--chars", "2"],
     ["export", "--kind", "D", "--l", "3"],
+    ["export", "--kind", "B", "--l", "0"],
+    ["export", "--kind", "D", "--l", "0"],
     ["export", "--kind", "B", "--l", "2", "--char", "6"],
     ["report"],
     ["report", "/no/such/file.json"],
@@ -269,6 +271,22 @@ def test_char5_demo_runs():
     rc, out, err = run_python(str(demo))
     assert rc == 0, err
     assert "status: isomorphism" in out
+
+
+def test_classification_grid_demo_runs():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "classification_grid.py"
+    rc, out, err = run_python(str(demo))
+    assert rc == 0, err
+    rows = {}
+    for line in out.splitlines():
+        if line.startswith("kind "):
+            kind = line.split()[1].rstrip(":")
+        elif line.strip()[:1].isdigit():
+            l, cells = line.split("|")
+            rows[kind, int(l)] = cells.split()       # chars 0, 3, 5, 7
+    assert rows["B", 3][1] == "pass+simple"          # B3 over GF(3)
+    assert rows["B", 5][2] == "pass+simple"          # B5 over GF(5)
+    assert rows["D", 6][1] == "pass+simple"          # D6 over GF(3)
 
 
 def test_report_markdown_grid(tmp_path, capsys):

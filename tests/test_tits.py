@@ -8,7 +8,7 @@ from spinlab.cli import _hash_matrix
 from spinlab.fields import GF, QQ, make_field
 from spinlab.composition import inner_derivation
 from spinlab.kac import K_FORM, KacElement, inner_derivation_J
-from spinlab.linalg import inv_modp, nullspace_modp
+from spinlab.linalg import SpanSolver, inv_modp, nullspace_modp
 from spinlab.construct import build_superalgebra
 from spinlab.superalgebra import (VerificationFailed, _block, check_jacobi,
                                   even_subalgebra, j_triple, verify_isomorphism)
@@ -268,17 +268,43 @@ def test_so_MQ_gram_blocks():
     assert uu == [[0, 0, 0, 4], [0, 0, 1, 0], [0, 1, 0, 0], [4, 0, 0, 0]]
 
 
+def test_so_coordinates_closed_form_matches_span_solver():
+    # σ_ij·G⁻¹ = e_j e_iᵀ − e_i e_jᵀ, against the elimination route
+    somq = build_so_MQ(F5)
+    solver = SpanSolver(F5, [m.reshape(-1).tolist() for m in somq.mats])
+    rng = np.random.default_rng(2005)
+    for _ in range(20):
+        c = rng.integers(0, 5, 55)
+        X = np.tensordot(c, somq.mats, axes=1) % 5
+        coords, inside = somq.coords(X)
+        assert inside
+        assert coords.tolist() == c.tolist() == solver.coords(X.reshape(-1).tolist())
+    Y = rng.integers(0, 5, (20, 11, 11))
+    Y[:10] = (Y[:10] - np.swapaxes(Y[:10], 1, 2)) @ somq.gram % 5   # in so(M, Q)
+    _, inside = somq.coords(Y)
+    assert inside.tolist() == [solver.coords(y.reshape(-1).tolist()) is not None
+                               for y in Y] == [True] * 10 + [False] * 10
+
+
 def test_requires_characteristic_5():
     with pytest.raises(ValueError):
         phi0(GF(7))
     with pytest.raises(ValueError):
         spin_map_psi(QQ)
+    with pytest.raises(ValueError):
+        build_so_MQ(GF(7))
+    with pytest.raises(ValueError):
+        cross_identify_with_typeB(GF(3))
+    with pytest.raises(ValueError):
+        phi1_intertwine(QQ)
 
 
 def test_phi0_is_verified_iso():
     r = phi0(F5)
     assert r["verified"] and r["rank"] == 55
     assert len(r["matrix"]) == 55 and len(r["matrix"][0]) == 55
+    assert _hash_matrix(r["matrix"]) == (
+        "77196148feecfecf2db055981bd2b6bf71cf0298983e562c15c84ef32a6ab84a")
 
 
 def test_phi0_respects_grading():
@@ -320,6 +346,23 @@ def test_phi1_negative_control():
     assert not r["pass"]
     assert r["witness"] is not None
     assert r["witness"]["lhs"] != r["witness"]["rhs"]
+
+
+@pytest.mark.parametrize("index", [-1, 32, True, 1.0, np.int64(3)])
+def test_phi1_negate_index_refused(index):
+    # numpy would wrap -1 to column 31 and take True as column 1
+    with pytest.raises(ValueError, match="negate_index"):
+        phi1_intertwine(F5, negate_index=index)
+
+
+def test_char5_steps_run_in_any_order():
+    # each step builds what it needs: none relies on another having run
+    for fn in (tits._phi1, tits._spin_rep, tits._phi0, build_so_MQ):
+        fn.cache_clear()
+    assert phi1_intertwine(F5)["pass"]
+    assert phi0(F5)["verified"]
+    with pytest.raises(ValueError):      # the cached arrays are read-only
+        tits._phi0(F5)[0, 0] = 1
 
 
 def test_cross_identification_pinned():
@@ -471,14 +514,14 @@ def test_phi0_mismatch_names_the_pair(monkeypatch):
     bad = [row[:] for row in good]
     for row in bad:                      # doubling one column keeps it invertible
         row[0] = row[0] * 2 % 5
-    ctx = tits._context(F5)
-    pair = _first_bad_pair(bad, even_subalgebra(ctx.T, check=False),
-                           ctx.somq.algebra)
+    pair = _first_bad_pair(bad, even_subalgebra(build_tits("octonion", F5),
+                                                check=False),
+                           build_so_MQ(F5).algebra)
     assert pair is not None
-    monkeypatch.setattr(ctx, "phi0_mat", None)
-    monkeypatch.setattr(tits, "_phi0_matrix", lambda model, somq: bad)
+    monkeypatch.setattr(tits, "_phi0_matrix",
+                        lambda model, somq: np.array(bad, dtype=np.int64))
     with pytest.raises(VerificationFailed) as e:
-        phi0(F5)
+        tits._phi0.__wrapped__(F5)       # the uncached build and check
     assert str(e.value) == f"phi0 bracket mismatch at pair {pair}"
 
 
