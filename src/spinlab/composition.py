@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from importlib import resources
 
-from .fields import Field
-from .linalg import RowSpace, matmul_field, nullspace_field, nullspace_modp
-from .superalgebra import VerificationFailed
 import numpy as np
+
+from .fields import Field
+from .linalg import nullspace_field, nullspace_modp, rank_int, rank_modp
+from .superalgebra import VerificationFailed
 
 OCTONION_TABLE_SHA256 = "7f0bb944c59a397e3be78872ba0a7003f3550a231f507e0a8795fafa6bb27990"
 
@@ -167,6 +169,21 @@ def make_composition(kind: str, field: Field) -> CompositionAlgebra:
     return CompositionAlgebra(kind, f, labels, unit, tuple(table), gram)
 
 
+@lru_cache(maxsize=None)
+def _int_tables(kind: str):
+    """(mult, gram) of a split model as read-only int64 arrays, from its
+    table over Q: b_i b_j = sum_k mult[i, j, k] b_k, gram[i, j] = n(b_i, b_j)."""
+    C = make_composition(kind, Field(0))
+    mult = np.zeros((C.dim,) * 3, dtype=np.int64)
+    for i, row in enumerate(C.table):
+        for j, cell in enumerate(row):
+            for k, v in cell:
+                mult[i, j, k] += int(v)
+    gram = np.array([[int(g) for g in row] for row in C.gram], dtype=np.int64)
+    mult.flags.writeable = gram.flags.writeable = False
+    return mult, gram
+
+
 def inner_derivation(C: CompositionAlgebra, a, b) -> list:
     """D_{a,b} = ad_[a,b] - 3 (a, b, .) as a matrix on C (rows = outputs)."""
     f = C.field
@@ -197,128 +214,104 @@ def ad_matrix(C: CompositionAlgebra, a) -> list:
     return rows
 
 
+def _derivation_constraints(mult: np.ndarray) -> np.ndarray:
+    """Integer rows of D(b_p b_q) - D(b_p) b_q - b_p D(b_q) = 0, one per
+    (p, q, r-th component), over the unknowns D[x][y] flattened x*n + y."""
+    n = len(mult)
+    eye = np.eye(n, dtype=np.int64)
+    rows = (np.einsum("rx,pqy->pqrxy", eye, mult)         # D(b_p b_q)
+            - np.einsum("yp,xqr->pqrxy", eye, mult)       # D(b_p) b_q
+            - np.einsum("yq,pxr->pqrxy", eye, mult))      # b_p D(b_q)
+    return rows.reshape(n ** 3, n * n)
+
+
 def derivation_algebra(C: CompositionAlgebra) -> list:
     """Reduced basis of der C = {D : D(xy) = D(x)y + x D(y)}, as matrices."""
     f = C.field
     n = C.dim
-    # unknowns D[r][k] flattened r*n + k; one constraint row per (p, q, r)
-    rows = []
-    for p in range(n):
-        ep = C.zero()
-        ep[p] = f.one()
-        for q in range(n):
-            eq = C.zero()
-            eq[q] = f.one()
-            prod = C.table[p][q]
-            for r in range(n):
-                row = [f.zero()] * (n * n)
-                for k, c in prod:
-                    row[r * n + k] = f.add(row[r * n + k], c)
-                # - D(b_p) b_q:   D[i][p] * (b_i b_q)_r
-                for i in range(n):
-                    c = next((v for k, v in C.table[i][q] if k == r), None)
-                    if c is not None:
-                        row[i * n + p] = f.sub(row[i * n + p], c)
-                # - b_p D(b_q):   D[j][q] * (b_p b_j)_r
-                for j in range(n):
-                    c = next((v for k, v in C.table[p][j] if k == r), None)
-                    if c is not None:
-                        row[j * n + q] = f.sub(row[j * n + q], c)
-                if any(not f.is_zero(x) for x in row):
-                    rows.append(row)
+    rows = _derivation_constraints(_int_tables(C.kind)[0])
+    rows = rows[rows.any(axis=1)]
     if f.p:
-        mat = np.array([[int(x) % f.p for x in r] for r in rows], dtype=np.int64)
-        null = [[f.of_int(int(x)) for x in nr] for nr in nullspace_modp(mat, f.p)]
+        null = nullspace_modp(rows % f.p, f.p).tolist()
     else:
-        null = nullspace_field(rows, f)
+        null = nullspace_field(rows.tolist(), f)
     return [[list(nr[i * n:(i + 1) * n]) for i in range(n)] for nr in null]
 
 
-def _restrict_to_czero(C: CompositionAlgebra, mat) -> list:
-    """Matrix of an endomorphism on the czero basis (must preserve it)."""
-    f = C.field
-    basis = C.czero_basis()
-    cols = []
-    for v in basis:
-        img = [sum_row(f, mat[i], v) for i in range(C.dim)]
-        cols.append(C.coords_in_czero(img))
-    m = len(basis)
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
+def _czero_maps(n: int = 8):
+    """(P, Z) for the paired basis of an n-dim model: the rows of Z are the
+    C0 basis (b_0 - b_1, b_2, ...) and P reads C0 coordinates off a
+    trace-zero vector, so P·D·Zᵀ is D restricted to C0."""
+    P = np.delete(np.eye(n, dtype=np.int64), 1, axis=0)
+    Z = P.copy()
+    Z[0, 1] = -1
+    return P, Z
 
 
-def sum_row(f: Field, row, v):
-    acc = f.zero()
-    for c, x in zip(row, v):
-        if not f.is_zero(c) and not f.is_zero(x):
-            acc = f.add(acc, f.mul(c, x))
-    return acc
+def lemma_c_identities(mult, gram, p: int = 0) -> dict:
+    """check_lemma_C for the 8-dim algebra with integer structure tensor
+    mult and polar norm gram in the paired basis, over Q (p = 0) or GF(p).
 
-
-def check_lemma_C(C: CompositionAlgebra) -> dict:
-    """The three structure identities of the split Cayley algebra.
-
-    (i)   so(C0, n) = der C (+) ad_{C0} (dimensions 21 = 14 + 7);
-    (ii)  [ad_a, ad_b] = 2 D_{a,b} - ad_{[a,b]} on all basis pairs;
-    (iii) D_{a,b} + (1/2) ad_{[a,b]} = 3 (n(a,.) b - n(b,.) a) on C.
+    (ii) and (iii), the latter scaled by 2, are integer tensor identities,
+    read mod p over GF(p).  In (i) each dimension is a rank (rank_int over
+    Q) of integer blocks: Dc the derivation constraints on D in End C, Sc
+    those of so(C0, n), Res the restriction of D to C0 and Ad0 the
+    restricted ad_a.  so_dim = 49 - rk Sc, der_dim = rk[Dc; Res] - rk Dc,
+    joint = rk[[Dc, 0], [Res, Ad0]] - rk Dc, and so(C0, n) lies in the
+    joint span iff that rank exceeds rk[[Dc, 0], [Sc Res, Sc Ad0]] by
+    so_dim.  Entries must be below 2^12 in magnitude: every int64 entry
+    below is then a signed sum of fewer than 2^12 products of at most two
+    of them (the basis maps hold 0, ±1), so it stays under 2^36.
     """
-    if C.kind != "octonion":
-        raise ValueError("the lemma concerns the split octonions")
-    f = C.field
-    n = C.dim
-    basis0 = C.czero_basis()
-    m = len(basis0)
-    g0 = [[C.norm_polar(x, y) for y in basis0] for x in basis0]
-    # so(C0, n): A with  G A + A^T G = 0
-    rows = []
-    for r in range(m):
-        for s in range(m):
-            row = [f.zero()] * (m * m)
-            for k in range(m):
-                row[k * m + s] = f.add(row[k * m + s], g0[r][k])
-                row[k * m + r] = f.add(row[k * m + r], g0[s][k])
-            rows.append(row)
-    if f.p:
-        mat = np.array([[int(x) % f.p for x in r] for r in rows], dtype=np.int64)
-        so_rows = nullspace_modp(mat, f.p).tolist()
-        so_dim = len(so_rows)
-    else:
-        so_rows = nullspace_field(rows, f)
-        so_dim = len(so_rows)
-    ders = derivation_algebra(C)
-    ads = [ad_matrix(C, a) for a in basis0]
-    span = RowSpace(f, m * m)
-    der0 = [_restrict_to_czero(C, D) for D in ders]
-    ad0 = [_restrict_to_czero(C, A) for A in ads]
-    der_dim = span.insert([[x for row in D for x in row] for D in der0])
-    joint_dim = der_dim + span.insert([[x for row in A for x in row] for A in ad0])
-    contains_so = all(span.contains(row) for row in so_rows)
-    ok_i = (so_dim == 21 and der_dim == 14 and joint_dim == 21 and contains_so)
+    mult = np.asarray(mult, dtype=np.int64)
+    gram = np.asarray(gram, dtype=np.int64)
+    if mult.shape != (8, 8, 8) or gram.shape != (8, 8):
+        raise ValueError("the lemma concerns an 8-dim algebra")
+    if max(np.abs(mult).max(), np.abs(gram).max()) >= 1 << 12:
+        raise ValueError("structure constants too large for the int64 route")
+    n, m = 8, 7
+    P, Z = _czero_maps(n)
+    ad = mult.transpose(0, 2, 1) - mult.transpose(1, 2, 0)  # ad[t] = ad_{b_t}
 
-    ok_ii = ok_iii = True
-    half = f.inv(f.of_int(2))
-    for a in basis0:
-        ada = ad_matrix(C, a)
-        for b in basis0:
-            adb = ad_matrix(C, b)
-            dab = inner_derivation(C, a, b)
-            adab = ad_matrix(C, C.commutator(a, b))
-            lhs = [[f.sub(x, y) for x, y in zip(r1, r2)]
-                   for r1, r2 in zip(matmul_field(ada, adb, f),
-                                     matmul_field(adb, ada, f))]
-            rhs = [[f.sub(f.mul(f.of_int(2), dab[i][j]), adab[i][j])
-                    for j in range(n)] for i in range(n)]
-            ok_ii = ok_ii and lhs == rhs
-            lhs3 = [[f.add(dab[i][j], f.mul(half, adab[i][j])) for j in range(n)]
-                    for i in range(n)]
-            rhs3 = [[f.zero()] * n for _ in range(n)]
-            for j in range(n):
-                ej = C.zero()
-                ej[j] = f.one()
-                na, nb = C.norm_polar(a, ej), C.norm_polar(b, ej)
-                for i in range(n):
-                    rhs3[i][j] = f.mul(f.of_int(3),
-                                       f.sub(f.mul(na, b[i]), f.mul(nb, a[i])))
-            ok_iii = ok_iii and lhs3 == rhs3
+    def vanishes(x):
+        return not (x % p if p else x).any()
+
+    def rank(x):
+        return rank_modp(x % p, p) if p else rank_int(x)
+
+    # (ii) [ad_a, ad_b] = 2 D_{a,b} - ad_{[a,b]} and
+    # (iii) 2 D_{a,b} + ad_{[a,b]} = 6 (n(a, .) b - n(b, .) a), with
+    # D_{a,b} = ad_{[a,b]} - 3 (a, b, .), on all pairs of C0 basis elements
+    ad0 = np.einsum("at,tkj->akj", Z, ad)
+    lhs = np.einsum("akl,blj->abkj", ad0, ad0)
+    lhs = lhs - lhs.transpose(1, 0, 2, 3)
+    comm = np.einsum("ax,by,xyk->abk", Z, Z, mult - mult.transpose(1, 0, 2))
+    ad_ab = np.einsum("abt,tkj->abkj", comm, ad)
+    assoc = (np.einsum("xyw,wzk->xyzk", mult, mult)
+             - np.einsum("yzw,xwk->xyzk", mult, mult))
+    assoc = np.einsum("ax,by,xyjk->abkj", Z, Z, assoc)       # (a, b, b_j)_k
+    nz = Z @ gram                                             # n(a, b_j)
+    form = (np.einsum("bk,aj->abkj", Z, nz) - np.einsum("ak,bj->abkj", Z, nz))
+    ok_ii = vanishes(lhs - ad_ab + 6 * assoc)
+    ok_iii = vanishes(3 * ad_ab - 6 * assoc - 6 * form)
+
+    # (i) so(C0, n) = der C (+) ad_{C0}, from ranks
+    eye = np.eye(m, dtype=np.int64)
+    g0 = Z @ gram @ Z.T
+    sc = (np.einsum("rk,js->rskj", g0, eye)
+          + np.einsum("sk,jr->rskj", g0, eye)).reshape(m * m, m * m)
+    dc = _derivation_constraints(mult)
+    res = np.einsum("ix,jy->ijxy", P, Z).reshape(m * m, n * n)
+    ad_res = np.einsum("ix,at,txy,jy->ija", P, Z, ad, Z).reshape(m * m, m)
+    top = np.hstack([dc, np.zeros((len(dc), m), dtype=np.int64)])
+    rk_dc = rank(dc)
+    rk_joint = rank(np.vstack([top, np.hstack([res, ad_res])]))
+    rk_so = rank(np.vstack([top, np.hstack([sc @ res, sc @ ad_res])]))
+    so_dim = m * m - rank(sc)
+    der_dim = rank(np.vstack([dc, res])) - rk_dc
+    joint_dim = rk_joint - rk_dc
+    contains_so = rk_joint - rk_so == so_dim
+    ok_i = (so_dim == 21 and der_dim == 14 and joint_dim == 21 and contains_so)
     return {
         "so_dim": so_dim,
         "der_dim": der_dim,
@@ -328,3 +321,17 @@ def check_lemma_C(C: CompositionAlgebra) -> dict:
         "sigma_identity": ok_iii,
         "pass": bool(ok_i and ok_ii and ok_iii),
     }
+
+
+def check_lemma_C(C: CompositionAlgebra) -> dict:
+    """The three structure identities of the split Cayley algebra.
+
+    (i)   so(C0, n) = der C (+) ad_{C0} (dimensions 21 = 14 + 7);
+    (ii)  [ad_a, ad_b] = 2 D_{a,b} - ad_{[a,b]} on all basis pairs;
+    (iii) D_{a,b} + (1/2) ad_{[a,b]} = 3 (n(a,.) b - n(b,.) a) on C.
+
+    Decided on the integer tables by lemma_c_identities.
+    """
+    if C.kind != "octonion":
+        raise ValueError("the lemma concerns the split octonions")
+    return lemma_c_identities(*_int_tables(C.kind), C.field.p)

@@ -10,9 +10,12 @@ otherwise, so every result is exact.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
-from .fields import Field
+from .fields import Field, _is_prime
 
 # ---------------------------------------------------------------------------
 # field-generic routines (raw values, lists of lists)
@@ -61,16 +64,6 @@ def nullspace_field(mat, field: Field):
             v[pc] = field.neg(rows[i][f])
         basis.append(v)
     return basis
-
-
-def inv_field(mat, field: Field):
-    """Inverse of a square matrix; raises ValueError if singular."""
-    n = len(mat)
-    aug = [list(mat[i]) + [field.one() if j == i else field.zero() for j in range(n)] for i in range(n)]
-    rows, pivots = rref_field(aug, field)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [r[n:] for r in rows]
 
 
 def matmul_field(a, b, field: Field):
@@ -156,6 +149,35 @@ def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = (-r[:len(pivots), free].T) % p
     return basis
+
+
+@lru_cache(maxsize=None)
+def _rank_primes() -> tuple:
+    """The 16 primes just below 2^25, each checked by Field; their product
+    exceeds 2^399."""
+    return tuple(Field(q).p for q in range(2**25 - 1, 2**25 - 296, -2)
+                 if _is_prime(q))
+
+
+def rank_int(a) -> int:
+    """Exact rank over Q of an integer matrix, from its ranks mod the fixed
+    primes q in turn.  The rank mod q never exceeds the rank over Q, so the
+    largest rank r seen is a lower bound.  Every (r+1)-minor vanishes mod
+    each q used; once the product of those q, squared, exceeds the product
+    of the r+1 largest squared row norms (Hadamard's bound on the square of
+    such a minor), a nonzero one cannot exist, and r is the rank.  Raises
+    ValueError when the primes run out first."""
+    a = np.asarray(a, dtype=np.int64)
+    rows = a.tolist()
+    bound = sorted((sum(x * x for x in row) for row in rows), reverse=True)
+    r, modulus = 0, 1
+    for q in _rank_primes():
+        r = max(r, rank_modp(a % q, q))
+        modulus *= q
+        if r == min(a.shape) or modulus * modulus > math.prod(bound[:r + 1]):
+            return r
+    raise ValueError("rank over Q not certified: the Hadamard bound of the "
+                     "matrix outruns the product of the fixed primes")
 
 
 def inv_modp(a: np.ndarray, p: int) -> np.ndarray:

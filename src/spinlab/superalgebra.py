@@ -658,9 +658,9 @@ def _eigenvalues(x: np.ndarray, p: int, rng) -> list:
     return _poly_roots(_poly_monic_gcd(m, _poly_trim(xp), p), p, rng)
 
 
-def _spin(vec: np.ndarray, mats, p: int) -> int:
-    """Dimension of the smallest subspace that holds the row vector vec
-    and is closed under v -> v @ M for every M in mats."""
+def _spin(vec: np.ndarray, mats, p: int) -> RowSpaceModP:
+    """The smallest subspace that holds the row vector vec and is closed
+    under v -> v @ M for every M in mats, as a RowSpaceModP."""
     n = vec.shape[0]
     space = RowSpaceModP(p, n)
     space.insert(vec.reshape(1, n))
@@ -672,9 +672,43 @@ def _spin(vec: np.ndarray, mats, p: int) -> int:
         for M in mats:
             space.insert(matmul_modp(wave, M, p))
             if space.dim == n:
-                return n
+                return space
         wave = space.basis[[i for i, c in enumerate(space.pivots) if c not in old]]
-    return space.dim
+    return space
+
+
+def _norton_word(coef: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
+    """x = a·b + c for a, b, c the combinations of the (k, n, n) generators
+    gens with the three rows of coef."""
+    k, n, _ = gens.shape
+    a, b, c = matmul_modp(coef, gens.reshape(k, n * n), p).reshape(3, n, n)
+    return (matmul_modp(a, b, p) + c) % p
+
+
+def _nullity_one_elements(gens: np.ndarray, p: int):
+    """Norton's elements theta = x - lam of nullity 1, in a fixed order.
+
+    x = a·b + c runs over at most _NORTON_TRIES words in random
+    combinations a, b, c of the (k, n, n) residue array gens, lam over the
+    eigenvalues of x, with at most _NORTON_TRIES thetas tried in all.
+    Yields (coef, lam, theta, v): coef the (3, k) coefficients of a, b, c
+    and v the row spanning ker theta.  The draws come from a fixed seed.
+    """
+    eye = np.eye(gens.shape[1], dtype=np.int64)
+    rng = random.Random(20050)
+    tries = 0
+    for _ in range(_NORTON_TRIES):
+        coef = np.array([[rng.randrange(p) for _ in gens] for _ in range(3)],
+                        dtype=np.int64)
+        x = _norton_word(coef, gens, p)
+        for lam in _eigenvalues(x, p, rng):
+            if tries == _NORTON_TRIES:
+                return
+            tries += 1
+            theta = (x - lam * eye) % p
+            kernel = nullspace_modp(theta, p)
+            if kernel.shape[0] == 1:
+                yield coef, lam, theta, kernel[0]
 
 
 def norton_irreducible(ops, n: int, p: int):
@@ -684,39 +718,22 @@ def norton_irreducible(ops, n: int, p: int):
     Returns (verdict, dim): ("certified", n) when the module is proved
     absolutely irreducible; ("failed", k) when a spin found a proper
     submodule, of dimension k; ("undecided", None) when none of the
-    fixed sequence of elements theta = x - lam has nullity 1.  The
-    words x come from a fixed seed, so every call on the same input
-    makes the same steps.
+    fixed sequence of elements theta = x - lam has nullity 1
+    (_nullity_one_elements).
     """
     if n < 1 or not Field(p).p:        # Field refuses 2, composites, p >= 2^26
         raise ValueError("Norton's test needs n >= 1 and an odd prime p")
     gens = np.asarray(ops, dtype=np.int64).reshape(-1, n, n) % p
-    flat = gens.reshape(len(gens), n * n)
     # spins act on rows, v -> v @ M: (g v)^T = v^T @ g^T, (g^T w)^T = w^T @ g
     transposed = [np.ascontiguousarray(g.T) for g in gens]
-    eye = np.eye(n, dtype=np.int64)
-    rng = random.Random(20050)
-    tries = 0
-    for _ in range(_NORTON_TRIES):
-        coef = np.array([[rng.randrange(p) for _ in gens] for _ in range(3)],
-                        dtype=np.int64)
-        a, b, c = matmul_modp(coef, flat, p).reshape(3, n, n)
-        x = (matmul_modp(a, b, p) + c) % p
-        for lam in _eigenvalues(x, p, rng):
-            if tries == _NORTON_TRIES:
-                return "undecided", None
-            tries += 1
-            theta = (x - lam * eye) % p
-            kernel = nullspace_modp(theta, p)
-            if kernel.shape[0] != 1:
-                continue
-            dim = _spin(kernel[0], transposed, p)
-            if dim < n:
-                return "failed", dim
-            dual = _spin(nullspace_modp(theta.T, p)[0], gens, p)
-            if dual < n:
-                return "failed", n - dual      # the annihilator of the dual spin
-            return "certified", n
+    for _, _, theta, v in _nullity_one_elements(gens, p):
+        dim = _spin(v, transposed, p).dim
+        if dim < n:
+            return "failed", dim
+        dual = _spin(nullspace_modp(theta.T, p)[0], gens, p).dim
+        if dual < n:
+            return "failed", n - dual      # the annihilator of the dual spin
+        return "certified", n
     return "undecided", None
 
 
@@ -812,31 +829,21 @@ def simplicity_certificate(A: SuperAlgebra):
 # equivariant bilinear maps S x S -> g0
 
 
-def _sparse_rows(mats, f):
-    """Per-matrix row views of the nonzero entries: rows[a][i] = [(j, raw),
-    ...].  A column view is the row view of the transposed matrices."""
-    out = []
-    for m in mats:
-        rows = {}
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                if x:               # most entries are zero: skip them before raw
-                    v = f.raw(x)
-                    if not f.is_zero(v):
-                        rows.setdefault(i, []).append((j, v))
-        out.append(rows)
-    return out
+def _exact_stack(mats, f: Field) -> np.ndarray:
+    """The matrices as one array of field values: int64 residues over
+    GF(p) (integer arrays are read mod p), Python objects over Q."""
+    a = np.asarray(mats)
+    if f.p and a.dtype.kind in "iu":
+        return a.astype(np.int64) % f.p
+    a = np.vectorize(f.raw, otypes=[object])(np.asarray(mats, dtype=object))
+    return a.astype(np.int64) if f.p else a
 
 
-def _diagonal_part(rows, dim, f):
-    """Diagonal of a sparse view, or None if off-diagonal terms exist."""
-    diag = [f.zero()] * dim
-    for i, ents in rows.items():
-        for j, v in ents:
-            if i != j:
-                return None
-            diag[i] = v
-    return diag
+def _off_diagonal(X: np.ndarray) -> np.ndarray:
+    """Mask of the matrices of the stack X with a nonzero off-diagonal entry."""
+    off = X.copy()
+    off[:, range(X.shape[1]), range(X.shape[1])] = 0
+    return (off != 0).any(axis=(1, 2))
 
 
 def equivariant_map_dim(rep, adjoint, field: Field) -> int:
@@ -844,108 +851,52 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
 
     rep: matrices of the generators on S; adjoint: matrices of the same
     generators acting on g0.  The unknown is the coefficient tensor
-    B[s,t,c]; invariance under every generator is intersected one
-    generator at a time.  Diagonal generator pairs (a torus) are used
-    first to cut the unknowns down to weight-compatible triples.
+    B[s,t,c], and generator g imposes sum_c' ad_g[c,c'] B[s,t,c'] =
+    sum_s' g[s',s] B[s',t,c] + sum_t' g[t',t] B[s,t',c].  Generators
+    diagonal on both sides (a torus) only allow the weight-compatible
+    triples, which are the unknowns; the kernel of the other generators'
+    constraints is intersected one generator at a time.
     """
-    f = field
-    ds = len(rep[0]) if rep else 0
-    dg = len(adjoint[0]) if adjoint else 0
     if len(rep) != len(adjoint):
         raise ValueError("rep and adjoint must list the same generators")
-    rep_rows = _sparse_rows(rep, f)
-    ad_cols = _sparse_rows([zip(*m) for m in adjoint], f)
-
-    torus = []
-    rep_diag, ad_diag = {}, {}
-    for a in range(len(rep)):
-        dr = _diagonal_part(rep_rows[a], ds, f)
-        da = _diagonal_part(ad_cols[a], dg, f)
-        if dr is not None and da is not None:
-            torus.append(a)
-            rep_diag[a] = dr
-            ad_diag[a] = da
-
-    # unknowns: weight-compatible triples (s,t,c)
-    if torus:
-        wt = [tuple(rep_diag[a][s] for a in torus) for s in range(ds)]
-        rt = {}
-        for c in range(dg):
-            rt.setdefault(tuple(ad_diag[a][c] for a in torus), []).append(c)
-        unknowns = []
-        for s in range(ds):
-            for t in range(ds):
-                key = tuple(f.add(x, y) for x, y in zip(wt[s], wt[t]))
-                for c in rt.get(key, ()):
-                    unknowns.append((s, t, c))
-    else:
-        unknowns = [(s, t, c) for s in range(ds) for t in range(ds) for c in range(dg)]
-    if not unknowns:
+    if not len(rep):
         return 0
-    uidx = {u: q for q, u in enumerate(unknowns)}
-
-    # kernel columns over the unknowns, intersected per generator
-    cols = [{q: f.one()} for q in range(len(unknowns))]
-    torus_set = set(torus)
-    for a in range(len(rep)):
-        if a in torus_set:
-            continue        # already encoded in the unknown set
-        if not cols:
-            break
-        ra, aa = rep_rows[a], ad_cols[a]
-        out_rows = {}
-        out_cols = []
-        for col in cols:
-            acc = {}
-            for q, x in col.items():
-                s, t, c = unknowns[q]
-                for c2, v in aa.get(c, ()):
-                    key = (s, t, c2)
-                    acc[key] = f.add(acc.get(key, f.zero()), f.mul(v, x))
-                for s0, v in ra.get(s, ()):
-                    key = (s0, t, c)
-                    acc[key] = f.sub(acc.get(key, f.zero()), f.mul(v, x))
-                for t0, v in ra.get(t, ()):
-                    key = (s, t0, c)
-                    acc[key] = f.sub(acc.get(key, f.zero()), f.mul(v, x))
-            cleaned = {}
-            for key, v in acc.items():
-                if not f.is_zero(v):
-                    cleaned[out_rows.setdefault(key, len(out_rows))] = v
-            out_cols.append(cleaned)
-        if not out_rows:
+    f = field
+    p = f.p
+    R, A = _exact_stack(rep, f), _exact_stack(adjoint, f)
+    ds, dg = R.shape[1], A.shape[1]
+    torus = ~(_off_diagonal(R) | _off_diagonal(A))
+    gap = (R[torus][:, range(ds), range(ds)][:, :, None, None]
+           + R[torus][:, range(ds), range(ds)][:, None, :, None]
+           - A[torus][:, range(dg), range(dg)][:, None, None, :])
+    s, t, c = np.nonzero(~((gap % p if p else gap) != 0).any(axis=0))
+    kernel = np.eye(len(s), dtype=R.dtype)      # columns over the unknowns
+    for a in np.flatnonzero(~torus):
+        # generator a's constraints, as COO terms (output triple, unknown)
+        qa, c2 = np.nonzero(A[a][:, c].T != 0)
+        qs, s2 = np.nonzero(R[a][s] != 0)
+        qt, t2 = np.nonzero(R[a][t] != 0)
+        keys = np.concatenate([(s[qa] * ds + t[qa]) * dg + c2,
+                               (s2 * ds + t[qs]) * dg + c[qs],
+                               (s[qt] * ds + t2) * dg + c[qt]])
+        if not keys.size:
             continue
-        # constraint matrix M (rows x cols); keep the kernel of M
-        nr, nc = len(out_rows), len(out_cols)
-        if f.p:
-            M = np.zeros((nr, nc), dtype=np.int64)
-            for j, col in enumerate(out_cols):
-                for r, v in col.items():
-                    M[r, j] = int(v) % f.p
-            null = nullspace_modp(M, f.p)
-            null = [[f.of_int(int(x)) for x in row] for row in null]
+        vals = np.concatenate([A[a][c2, c[qa]], -R[a][s[qs], s2],
+                               -R[a][t[qt], t2]])
+        terms = vals[:, None] * kernel[np.concatenate([qa, qs, qt])]
+        # summed per output triple; over GF(p) a row sums at most dg + 2 ds
+        # reduced terms, well inside int64 for p < 2^26
+        order = np.argsort(keys, kind="stable")
+        first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        M = np.add.reduceat(terms[order] % p if p else terms[order], first)
+        if p:
+            kernel = matmul_modp(kernel, nullspace_modp(M % p, p).T, p)
         else:
-            M = [[f.zero()] * nc for _ in range(nr)]
-            for j, col in enumerate(out_cols):
-                for r, v in col.items():
-                    M[r][j] = v
-            null = nullspace_field(M, f)
-        new_cols = []
-        for coeffs in null:
-            vec = {}
-            for j, cj in enumerate(coeffs):
-                if f.is_zero(cj):
-                    continue
-                for q, x in cols[j].items():
-                    v = f.add(vec.get(q, f.zero()), f.mul(cj, x))
-                    if f.is_zero(v):
-                        vec.pop(q, None)
-                    else:
-                        vec[q] = v
-            if vec:
-                new_cols.append(vec)
-        cols = new_cols
-    return len(cols)
+            null = np.array(nullspace_field(M.tolist(), f), dtype=object)
+            kernel = kernel @ null.reshape(-1, M.shape[1]).T
+        if not kernel.shape[1]:
+            return 0
+    return kernel.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -954,21 +905,28 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
 
 def verify_isomorphism(mat, A: SuperAlgebra, B: SuperAlgebra) -> bool:
     """True iff mat (columns = images of A's basis in B's coordinates) is a
-    parity-preserving bijective homomorphism of the bracket tables."""
+    parity-preserving bijective homomorphism of the bracket tables.
+
+    mat is a list of rows of field values or, over GF(p), an integer numpy
+    array, whose entries are read mod p."""
     if A.field != B.field or (A.n0, A.n1) != (B.n0, B.n1):
         return False
     f = A.field
     n = A.dim
-    rows = [[f.raw(x) for x in r] for r in mat]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if f.p and isinstance(mat, np.ndarray) and mat.dtype.kind in "iu":
+        M = mat.astype(np.int64) % f.p
+    else:
+        rows = [[f.raw(x) for x in r] for r in mat]
+        if len(rows) != n or any(len(r) != n for r in rows):
+            return False
+        M = np.array(rows, dtype=np.int64 if f.p else object).reshape(n, n)
+    if M.shape != (n, n):
         return False
-    for i in range(n):
-        for j in range(n):
-            if A.parity(j) != B.parity(i) and not f.is_zero(rows[i][j]):
-                return False
+    n0 = A.n0                      # the even parts of A and B have one size
+    if M[:n0, n0:].any() or M[n0:, :n0].any():
+        return False
     if f.p:
         p = f.p
-        M = np.array([[int(x) % p for x in r] for r in rows], dtype=np.int64)
         if rank_modp(M, p) != n:
             return False
         I, J, K, V, _ = B._coo()
@@ -987,6 +945,7 @@ def verify_isomorphism(mat, A: SuperAlgebra, B: SuperAlgebra) -> bool:
                 return False
         return True
     # dense exact route for characteristic zero (small cases)
+    rows = M.tolist()
     if rank_field(rows, f) != n:
         return False
     for i in range(n):

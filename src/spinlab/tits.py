@@ -28,7 +28,8 @@ so the steps may run in any order.  Coordinates in an so basis come in
 closed form: σ_ij·G⁻¹ = e_j e_iᵀ − e_i e_jᵀ for G the Gram matrix of Q,
 so X is in so(M, Q) exactly when X·G⁻¹ is skew, with σ_ij-coordinate
 (X·G⁻¹)[j, i]; likewise nat_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ) for the
-natural basis of the l=5 type-B algebra.
+natural basis of the l=5 type-B algebra.  Every product of residue
+arrays goes through linalg.matmul_modp, whose float64 blocks are exact.
 """
 
 import itertools
@@ -43,12 +44,13 @@ from .linalg import (SpanSolver, RowSpace, inv_modp, matmul_field,
                      matmul_modp, nullspace_modp, rank_modp, rref_modp)
 from .composition import (CompositionAlgebra, make_composition,
                           derivation_algebra, inner_derivation, ad_matrix,
-                          _restrict_to_czero)
+                          _czero_maps)
 from .kac import (KacElement, J_LABELS, J_PARITY, ODD_INDICES,
                   inner_derivation_J, inder_j_span, _j_field_table, K_FORM)
 from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
                            ideal_closure, verify_isomorphism,
-                           equivariant_map_dim, _block)
+                           equivariant_map_dim, _block, _norton_word,
+                           _nullity_one_elements, _spin)
 from .clifford import (ambient_space, qpair, pair_basis, nat_entries,
                        DegenerateForm)
 from .construct import build_superalgebra
@@ -331,6 +333,32 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _stacked_right(X, M, p):
+    """X[k]·M mod p for every matrix of the stack X, as one product."""
+    d, n, m = X.shape
+    return matmul_modp(X.reshape(d * n, m), M, p).reshape(d, n, -1)
+
+
+def _stacked_left(M, X, p):
+    """M·X[k] mod p for every matrix of the stack X, as one product."""
+    d, n, m = X.shape
+    flat = matmul_modp(M, X.transpose(1, 0, 2).reshape(n, d * m), p)
+    return flat.reshape(-1, d, m).transpose(1, 0, 2)
+
+
+def _pair_products(X, p):
+    """(d, d, n, n) array of X[a]·X[b] mod p over all pairs of the stack X."""
+    d, n, _ = X.shape
+    flat = _stacked_right(X, X.transpose(1, 0, 2).reshape(n, d * n), p)
+    return flat.reshape(d, n, d, n).transpose(0, 2, 1, 3)
+
+
+def _combine(coef, X, p):
+    """Σ_k coef[a, k]·X[k] mod p for every row a of coef, X a stack."""
+    out = matmul_modp(coef, X.reshape(len(X), -1), p)
+    return out.reshape((len(coef),) + X.shape[1:])
+
+
 def _so_coords(X, ginv, rows, cols, p):
     """Coordinates of stacked n×n matrices X in an so basis whose k-th
     element b_k satisfies b_k·ginv = e_r e_cᵀ − e_c e_rᵀ with (r, c) =
@@ -339,7 +367,7 @@ def _so_coords(X, ginv, rows, cols, p):
     X lies in the span exactly when X·ginv is skew, and the coordinate of
     b_k is then (X·ginv)[r, c].
     """
-    Y = X @ ginv % p
+    Y = _stacked_right(X.reshape(-1, *X.shape[-2:]), ginv, p).reshape(X.shape)
     inside = ~((Y + np.swapaxes(Y, -2, -1)) % p).any(axis=(-2, -1))
     return Y[..., rows, cols], inside
 
@@ -420,13 +448,15 @@ def build_so_MQ(field: Field) -> SoMQ:
     algebra = SuperAlgebra("so(M,Q)", f, len(pairs), 0, labels, table,
                            odd_symmetric=False)
     ad = _block(algebra, 0, 0, 0)          # ad[a, k, b]: σ_k in [σ_a, σ_b]
-    for pi in range(len(pairs)):
-        com = (mats[pi] @ mats - mats @ mats[pi]) % p
-        want = np.tensordot(ad[pi].T, mats, axes=1) % p
-        bad = np.nonzero((com != want).any(axis=(1, 2)))[0]
-        if bad.size:
-            raise VerificationFailed(
-                f"sigma bracket mismatch at pairs {pairs[pi]},{pairs[bad[0]]}")
+    prod = _pair_products(mats, p)
+    com = (prod - prod.transpose(1, 0, 2, 3)) % p
+    d = len(pairs)
+    want = _combine(ad.transpose(0, 2, 1).reshape(d * d, d), mats, p)
+    bad = np.argwhere((com.reshape(d * d, n, n) != want).any(axis=(1, 2)))
+    if bad.size:
+        pi, pj = divmod(int(bad[0, 0]), d)
+        raise VerificationFailed(
+            f"sigma bracket mismatch at pairs {pairs[pi]},{pairs[pj]}")
     return SoMQ(f, C, cz, _frozen(gram), _frozen(ginv), pairs, pair_index,
                 _frozen(mats), algebra)
 
@@ -454,15 +484,19 @@ def _first_bad_pair(mat, A, B):
 
 def _phi0_matrix(model: TitsModel, somq: SoMQ) -> np.ndarray:
     """Columns: so(M,Q)-coordinates of the images of the even T basis."""
-    C, cz = model.C, model.cz
+    C, cz, p = model.C, model.cz, model.field.p
+    P, Z = _czero_maps()
+
+    def restrict(mat):                 # to C⁰, as P·mat·Zᵀ
+        return matmul_modp(matmul_modp(P, np.array(mat), p), Z.T % p, p)
+
     uu_loc = [4, 5, 7, 8]              # U⊗U among the local J indices
     X = np.zeros((model.n0, 11, 11), dtype=np.int64)
     for col, slot in enumerate(model.slots[:model.n0]):
         if slot[0] == "der":
-            X[col, :7, :7] = _restrict_to_czero(C, model.derC[slot[1]])
+            X[col, :7, :7] = restrict(model.derC[slot[1]])
         elif slot[0] == "mid" and slot[2] == 1:       # a⊗(e⊗e) -> -ad_a
-            X[col, :7, :7] = np.negative(
-                _restrict_to_czero(C, ad_matrix(C, cz[slot[1]])))
+            X[col, :7, :7] = np.negative(restrict(ad_matrix(C, cz[slot[1]])))
         elif slot[0] == "mid":                        # a⊗(u⊗v) -> σ_{a,u⊗v}
             X[col] = somq.mats[somq.pair_index[(slot[1],
                                                  7 + UU_POS[slot[2]])]]
@@ -475,7 +509,7 @@ def _phi0_matrix(model: TitsModel, somq: SoMQ) -> np.ndarray:
                 raise VerificationFailed(
                     "even inner derivation leaks U⊗U into e⊗e")
             X[col, 7:, 7:] = d[np.ix_(uu_loc, uu_loc)]
-    coords, inside = somq.coords(X % model.field.p)
+    coords, inside = somq.coords(X % p)
     if not inside.all():
         slot = model.slots[int(np.argmin(inside))]
         raise VerificationFailed(f"image of even slot {slot} is not in so(M,Q)")
@@ -541,24 +575,25 @@ def _spin_rep(field: Field):
     somq = build_so_MQ(field)
     psi = _psi_images(tits_model("octonion", field))
     eye = np.eye(32, dtype=np.int64)
-    checked = 0
-    for i in range(11):
-        for j in range(i, 11):
-            anti = (psi[i] @ psi[j] + psi[j] @ psi[i]) % p
-            if not np.array_equal(anti, somq.gram[i, j] * eye):
-                raise RelationFailed(
-                    f"Clifford relation fails on generators ({i},{j})")
-            checked += 1
+    prod = _pair_products(psi, p)              # prod[i, j] = Ψ_i·Ψ_j
+    anti = (prod + prod.transpose(1, 0, 2, 3)) % p
+    bad = (anti != somq.gram[:, :, None, None] * eye).any(axis=(2, 3))
+    bad = np.argwhere(np.triu(bad))
+    if bad.size:
+        raise RelationFailed(
+            f"Clifford relation fails on generators ({bad[0, 0]},{bad[0, 1]})")
+    checked = 11 * 12 // 2
 
     i, j = np.array(somq.pairs).T
-    rho = pow(-2, -1, p) * (psi[i] @ psi[j] - psi[j] @ psi[i]) % p
+    rho = pow(-2, -1, p) * (prod[i, j] - prod[j, i]) % p
 
     # representation property against the σ structure constants
     ad = _block(somq.algebra, 0, 0, 0)
     n = len(rho)
     for a in range(n - 1):
-        com = (rho[a] @ rho[a + 1:] - rho[a + 1:] @ rho[a]) % p
-        want = np.tensordot(ad[a, :, a + 1:].T, rho, axes=1) % p
+        com = (_stacked_left(rho[a], rho[a + 1:], p)
+               - _stacked_right(rho[a + 1:], rho[a], p)) % p
+        want = _combine(ad[a, :, a + 1:].T, rho, p)
         bad = np.nonzero((com != want).any(axis=(1, 2)))[0]
         if bad.size:
             raise RelationFailed(
@@ -569,19 +604,14 @@ def _spin_rep(field: Field):
     for ai in range(7):
         for k in range(4):
             pk = somq.pair_index[(ai, 7 + k)]
-            direct = (-(psi[ai] @ psi[7 + k])) % p
+            direct = (-prod[ai, 7 + k]) % p
             if not np.array_equal(rho[pk], direct):
                 raise RelationFailed(
                     f"ρ(σ_a,u⊗u') ≠ -Ψ(a)Ψ(u⊗u') at ({ai},{k})")
             blk = psi[7 + k][:4, :4].copy()
             blk[2:, :] = (-blk[2:, :]) % p            # offdiag(+ ; -) flip
-            want = np.zeros((32, 32), dtype=np.int64)
             La = psi[ai][0::4, 0::4] * (p - 1) % p    # slot 0 carries -L_a
-            for s2 in range(4):
-                for s in range(4):
-                    if blk[s2, s]:
-                        want[s2::4, s::4] = (blk[s2, s] * La) % p
-            if not np.array_equal(rho[pk], want):
+            if not np.array_equal(rho[pk], np.kron(La, blk) % p):
                 raise RelationFailed(
                     f"ρ(σ_a,u⊗u') closed form fails at ({ai},{k})")
             checked += 1
@@ -659,21 +689,18 @@ def phi1_intertwine(field: Field, negate_index=None) -> dict:
     _, rho, _ = _spin_rep(field)
     phi0_np = _phi0(field)
     T = build_tits("octonion", field)
-    adT = _block(T, 0, 1, 1)
-    checked = 0
-    for a in range(T.n0):
-        R = np.tensordot(phi0_np[:, a], rho, axes=1) % p
-        lhs = (phi1 @ adT[a]) % p
-        rhs = (R @ phi1) % p
-        if not np.array_equal(lhs, rhs):
-            j = int(np.nonzero((lhs - rhs) % p)[1][0])
-            return {"pass": False, "checked": checked,
-                    "witness": {"even": T.labels[a],
-                                "odd": T.labels[T.n0 + j],
-                                "lhs": lhs[:, j].tolist(),
-                                "rhs": rhs[:, j].tolist()}}
-        checked += n1
-    return {"pass": True, "checked": checked, "witness": None}
+    lhs = _stacked_left(phi1, _block(T, 0, 1, 1), p)
+    rhs = _stacked_right(_combine(phi0_np.T, rho, p), phi1, p)
+    bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+    if bad.size:
+        a = int(bad[0])
+        j = int(np.nonzero((lhs[a] - rhs[a]) % p)[1][0])
+        return {"pass": False, "checked": n1 * a,
+                "witness": {"even": T.labels[a],
+                            "odd": T.labels[T.n0 + j],
+                            "lhs": lhs[a][:, j].tolist(),
+                            "rhs": rhs[a][:, j].tolist()}}
+    return {"pass": True, "checked": n1 * T.n0, "witness": None}
 
 
 # ---------------------------------------------------------------------------
@@ -686,31 +713,15 @@ def _sqrt_modp(a, p):
 
 
 def _find_isotropic(rows, bil, p, rng):
-    """Nonzero isotropic combination of the given basis rows."""
+    """Nonzero isotropic combination of the rows of an array: 800 random
+    coefficient draws first, then every combination in turn."""
     d = len(rows)
-    n = len(rows[0])
-
-    def comb(coeffs):
-        v = [0] * n
-        for c, row in zip(coeffs, rows):
-            if c:
-                for k in range(n):
-                    v[k] = (v[k] + c * row[k]) % p
-        return v
-
-    for _ in range(800):
-        coeffs = [rng.randrange(p) for _ in range(d)]
-        if not any(coeffs):
-            continue
-        v = comb(coeffs)
-        if bil(v, v) == 0:
-            return v
-    for coeffs in itertools.product(range(p), repeat=d):
-        if not any(coeffs):
-            continue
-        v = comb(coeffs)
-        if bil(v, v) == 0:
-            return v
+    draws = ([rng.randrange(p) for _ in range(d)] for _ in range(800))
+    for coeffs in itertools.chain(draws, itertools.product(range(p), repeat=d)):
+        if any(coeffs):
+            v = matmul_modp(np.array([coeffs]), rows, p)[0]
+            if bil(v, v) == 0:
+                return v
     return None
 
 
@@ -720,87 +731,80 @@ def _hyperbolic_columns(gram, p, seed):
     Returns the list of column vectors, or None when the leftover
     1-dim value is not -2 times a square (wrong discriminant class).
     """
-    n = len(gram)
-
-    def bil(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(n)
-                   for j in range(n)) % p
+    def bil(x, y):                     # B on rows: shape x[:-1] + y[:-1]
+        out = matmul_modp(matmul_modp(np.atleast_2d(x), gram, p),
+                          np.atleast_2d(y).T, p)
+        return out.reshape(np.shape(x)[:-1] + np.shape(y)[:-1])
 
     rng = random.Random(seed)
-    cur = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    inv2 = pow(2, p - 2, p)
+    cur = np.eye(len(gram), dtype=np.int64)
     zs, fs = [], []
     for _ in range(5):
         z = _find_isotropic(cur, bil, p, rng)
-        if z is None:
+        zb = bil(z, cur) if z is not None else np.zeros(1)  # B(z, row)
+        if not zb.any():
             return None
-        y = next((w for w in cur if bil(z, w)), None)
-        if y is None:
-            return None
-        c = pow(bil(z, y), p - 2, p)
-        y = [v * c % p for v in y]
-        c = bil(y, y) * inv2 % p
-        fv = [(yv - c * zv) % p for yv, zv in zip(y, z)]
+        w = int(np.flatnonzero(zb)[0])
+        y = cur[w] * pow(int(zb[w]), p - 2, p) % p
+        fv = (y - int(bil(y, y)) * pow(2, p - 2, p) * z) % p
         zs.append(z)
         fs.append(fv)
         # orthogonal complement of the plane, row-reduced to a basis
-        proj = []
-        for w in cur:
-            bf, bz = bil(w, fv), bil(w, z)
-            proj.append([(wv - bf * zv - bz * fvv) % p
-                         for wv, zv, fvv in zip(w, z, fv)])
-        R, piv = rref_modp(np.array(proj, dtype=np.int64), p)
-        cur = [R[i].tolist() for i in range(len(piv))]
-    if len(cur) != 1:
-        return None
-    r = cur[0]
-    val = bil(r, r)
-    t = val * pow((-2) % p, p - 2, p) % p
-    sq = _sqrt_modp(t, p)
+        proj = cur - np.outer(bil(cur, fv), z) - np.outer(bil(cur, z), fv)
+        R, piv = rref_modp(proj % p, p)
+        cur = R[:len(piv)]
+    sq = (_sqrt_modp(int(bil(cur[0], cur[0])) * pow(-2, -1, p), p)
+          if len(cur) == 1 else None)
     if sq is None:
         return None
-    c = pow(sq, p - 2, p)
-    r = [v * c % p for v in r]
-    return [r] + zs + fs
-
-
-def _intertwining_defect(r1, r2, N, p):
-    """Columns vec(r2·S − S·r1) mod p, one per candidate vec(S) in the rows
-    of N: the Kronecker product (r2 ⊗ I − I ⊗ r1ᵀ)·Nᵀ, never formed."""
-    n = r1.shape[0]
-    d = N.shape[0]
-    S = N.reshape(d, n, n)
-    left = matmul_modp(r2, S.transpose(1, 0, 2).reshape(n, d * n), p)
-    left = left.reshape(n, d, n).transpose(1, 0, 2)
-    right = matmul_modp(N.reshape(d * n, n), r1, p).reshape(d, n, n)
-    return np.ascontiguousarray(((left - right) % p).reshape(d, n * n).T)
+    return [cur[0] * pow(sq, p - 2, p) % p] + zs + fs
 
 
 def _odd_intertwiner(rep1, rep2, p):
-    """The n×n matrix S with rep2[a]·S = S·rep1[a] mod p for every a.
+    """The n×n S with rep2[a]·S = S·rep1[a] mod p for every a, by the
+    MeatAxe isomorphism test (Parker 1984; Holt and Rees 1994).
 
-    Starts from all n² candidates vec(S) and cuts them down one generator
-    at a time to the nullspace of the stacked defects rep2[a]·S − S·rep1[a];
-    the survivor is rechecked against every generator.  Raises
-    VerificationFailed unless the solutions form a line of invertible
-    matrices.
+    Norton's words give θ₁ = x − λ of nullity 1 on rep1, ker θ₁ = ⟨v₁⟩;
+    the same word on rep2 must give θ₂ of nullity 1, ker θ₂ = ⟨v₂⟩.  The
+    spin of (v₁ | v₂) under blockdiag(rep1ᵀ, rep2ᵀ), when it has dimension
+    n and pivots 0..n−1, is the graph {(w, S·w)} of an intertwiner S.  The
+    intertwiners are then exactly the line through S: any S' maps ker θ₁
+    into ker θ₂, so S'·v₁ = c·v₂, and S' − c·S vanishes on the submodule
+    spun by v₁, which is everything.  S is scaled so that the last nonzero
+    entry of vec(S) (row-major) is 1, rechecked on every generator and
+    checked invertible; anything else raises VerificationFailed.
     """
-    n = rep1[0].shape[0]
-    N = np.eye(n * n, dtype=np.int64)
-    for a in range(len(rep1)):
-        coeff = nullspace_modp(_intertwining_defect(rep1[a], rep2[a], N, p), p)
-        N = matmul_modp(coeff, N, p)
-        if N.shape[0] == 0:
-            raise VerificationFailed("no odd intertwiner exists")
-        if N.shape[0] == 1:
-            break
-    for a in range(len(rep1)):
-        if _intertwining_defect(rep1[a], rep2[a], N, p).any():
-            raise VerificationFailed("odd intertwiner candidate fails")
-    if N.shape[0] != 1:
+    rep1 = np.asarray(rep1, dtype=np.int64) % p
+    rep2 = np.asarray(rep2, dtype=np.int64) % p
+    k, n, _ = rep1.shape
+    found = next(_nullity_one_elements(rep1, p), None)
+    if found is None:
         raise VerificationFailed(
-            f"odd intertwiner space has dim {N.shape[0]}, expected 1")
-    S = N[0].reshape(n, n)
+            "odd intertwiner undecided: Norton's words give rep1 no element "
+            "of nullity 1")
+    coef, lam, _, v1 = found
+    theta2 = (_norton_word(coef, rep2, p) - lam * np.eye(n, dtype=np.int64)) % p
+    v2 = nullspace_modp(theta2, p)
+    if v2.shape[0] != 1:
+        raise VerificationFailed(
+            f"rep1 and rep2 are not isomorphic: θ has nullity 1 on rep1 and "
+            f"{v2.shape[0]} on rep2")
+    blocks = np.zeros((k, 2 * n, 2 * n), dtype=np.int64)
+    blocks[:, :n, :n] = rep1.transpose(0, 2, 1)
+    blocks[:, n:, n:] = rep2.transpose(0, 2, 1)
+    graph = _spin(np.concatenate([v1, v2[0]]), blocks, p)
+    spun = sum(c < n for c in graph.pivots)
+    if spun < n:
+        raise VerificationFailed(
+            f"rep1 is reducible: the kernel vector spins a {spun}-dimensional "
+            f"submodule")
+    if graph.dim > n:
+        raise VerificationFailed("no odd intertwiner exists: the spin of "
+                                 "(v1 | v2) is not the graph of a map")
+    S = graph.basis[:, n:].T
+    S = S * pow(int(S.reshape(-1)[np.flatnonzero(S)[-1]]), p - 2, p) % p
+    if not np.array_equal(_stacked_right(rep2, S, p), _stacked_left(S, rep1, p)):
+        raise VerificationFailed("odd intertwiner candidate fails")
     try:
         inv_modp(S, p)
     except ValueError:
@@ -825,8 +829,9 @@ def _spinor_twist(gram, p):
         vectors.append(eye[i])
         vectors += [(eye[i] + t * eye[j]) % p
                     for j in range(i + 1, n) for t in range(1, p)]
-    anisotropic = [(x, int(x @ G @ x) % p) for x in vectors]
-    anisotropic = [(x, bx) for x, bx in anisotropic if bx]
+    V = np.array(vectors)
+    values = np.diagonal(matmul_modp(matmul_modp(V, G, p), V.T, p))
+    anisotropic = [(x, int(bx)) for x, bx in zip(vectors, values) if bx]
     u, bu = anisotropic[0]
     v, bv = next(((x, bx) for x, bx in anisotropic
                   if _sqrt_modp(bu * bx, p) is None), (None, None))
@@ -834,21 +839,19 @@ def _spinor_twist(gram, p):
         raise IsometryNotFound("no reflection pair with non-square spinor norm")
 
     def reflection(x, bx):
-        return (eye - 2 * pow(bx, p - 2, p) * np.outer(x, x @ G)) % p
+        xg = matmul_modp(x.reshape(1, n), G, p)[0]
+        return (eye - 2 * pow(bx, p - 2, p) * np.outer(x, xg)) % p
 
-    return reflection(u, bu) @ reflection(v, bv) % p
+    return matmul_modp(reflection(u, bu), reflection(v, bv), p)
 
 
 def _odd_proportionality(T, B5, theta, S, p):
     """The c in GF(p) with θ([x, y]) = c·[Sx, Sy] for all odd x, y of T."""
     n1 = S.shape[0]
     RT, RB = _block(T, 1, 1, 0), _block(B5, 1, 1, 0)   # (n1, 55, n1)
-    n0 = RT.shape[1]
     # lhs[k, i, j] = θ([o_i, o_j])_k;  rhs[i, k, j] = [S o_i, S o_j]_k
-    lhs = matmul_modp(theta, RT.transpose(1, 0, 2).reshape(n0, n1 * n1), p)
-    lhs = lhs.reshape(n0, n1, n1)
-    rhs = matmul_modp(S.T, RB.reshape(n1, n0 * n1), p)
-    rhs = matmul_modp(rhs.reshape(n1 * n0, n1), S, p).reshape(n1, n0, n1)
+    lhs = _combine(theta, RT.transpose(1, 0, 2), p)
+    rhs = _combine(S.T, _stacked_right(RB, S, p), p)
     c_val = None
     for i in range(n1):
         for j in range(i, n1):
@@ -880,9 +883,9 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
     Builds an isometry τ: (W, q) → (M, sQ) for s in {1, 2} (exactly one
     discriminant class admits one; the isotropic search is seeded by
     `seed`) and transports Φ₀ through it into the natural so-basis (θ).
-    The odd intertwiner S is the unique solution of rep₂(a)·S = S·rep₁(a)
-    over the 55 even basis elements, found by cutting the 1024 candidates
-    with stacked 32×32 products mod p (`_odd_intertwiner`).  The odd-odd
+    The odd intertwiner S is the unique solution, up to a scalar, of
+    rep₂(a)·S = S·rep₁(a) over the 55 even basis elements, read off the
+    spin of a pair of Norton kernel vectors (`_odd_intertwiner`).  The odd-odd
     brackets then agree up to a factor c, and S is rescaled by μ with
     μ² = c.  When c is a non-square, τ is composed once with a product of
     two reflections of non-square spinor norm (`_spinor_twist`, chosen
@@ -912,30 +915,30 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
 
     for scale in (1, 2):
         gram_s = somq.gram * scale % p
-        tau_cols = _hyperbolic_columns(gram_s.tolist(), p, seed)
+        tau_cols = _hyperbolic_columns(gram_s, p, seed)
         if tau_cols is not None:
             break
     else:
         raise IsometryNotFound("no discriminant class matched")
 
     # Φ₀ images of the even T basis as 11×11 matrices on M
-    images = np.tensordot(_phi0(field).T, somq.mats, axes=1) % p
+    images = _combine(_phi0(field).T, somq.mats, p)
     adT = _block(T, 0, 1, 1)                         # (55, 32, 32)
     rep2 = _block(B5, 0, 1, 1)
 
     def identify(Tau):
         """θ, S and the odd-odd proportionality c through the isometry Tau."""
-        if not np.array_equal((Tau.T @ gram_s @ Tau) % p, gw):
+        if not np.array_equal(matmul_modp(matmul_modp(Tau.T, gram_s, p),
+                                          Tau, p), gw):
             raise IsometryNotFound("isometry transport check failed")
         # θ: T₀ coordinates → natural so₁₁ coordinates of the l=5 model
-        coords, inside = _so_coords(inv_modp(Tau, p) @ images @ Tau % p,
-                                    half_gwinv, rows, cols, p)
+        moved = _stacked_right(_stacked_left(inv_modp(Tau, p), images, p),
+                               Tau, p)
+        coords, inside = _so_coords(moved, half_gwinv, rows, cols, p)
         if not inside.all():
             raise VerificationFailed("transported image not in so(W,q)")
         theta = np.ascontiguousarray(coords.T)
-        theta_inv = inv_modp(theta, p)
-        rep1 = [np.tensordot(theta_inv[:, a], adT, axes=1) % p
-                for a in range(55)]
+        rep1 = _combine(inv_modp(theta, p).T, adT, p)
         S = _odd_intertwiner(rep1, rep2, p)
         return theta, S, _odd_proportionality(T, B5, theta, S, p)
 
@@ -944,7 +947,7 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
     mu = _sqrt_modp(c_val, p)
     twisted = mu is None
     if twisted:
-        theta, S, c_val = identify(_spinor_twist(gram_s, p) @ Tau % p)
+        theta, S, c_val = identify(matmul_modp(_spinor_twist(gram_s, p), Tau, p))
         mu = _sqrt_modp(c_val, p)
     if mu is None:
         return {"status": "holds over quadratic extension",
@@ -954,13 +957,11 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
     iso = np.zeros((87, 87), dtype=np.int64)
     iso[:55, :55] = theta
     iso[55:, 55:] = mu * S % p
-    M_iso = iso.tolist()
-    if not verify_isomorphism(M_iso, T, B5):
+    if not verify_isomorphism(iso, T, B5):
         raise VerificationFailed("assembled isomorphism fails verification")
 
-    eq_dim = equivariant_map_dim(rep2.tolist(), _block(B5, 0, 0, 0).tolist(),
-                                 field=field)
+    eq_dim = equivariant_map_dim(rep2, _block(B5, 0, 0, 0), field=field)
 
-    return {"status": "isomorphism", "verified": True, "matrix": M_iso,
+    return {"status": "isomorphism", "verified": True, "matrix": iso.tolist(),
             "scale": scale, "mu": mu, "proportionality": c_val,
             "equivariant_dim": eq_dim, "spinor_twist": twisted}

@@ -7,8 +7,9 @@ import pytest
 
 from spinlab.fields import QQ, make_field
 from spinlab.linalg import RowSpace
-from spinlab.composition import (OCTONION_TABLE_SHA256, check_lemma_C,
-                                 derivation_algebra, inner_derivation,
+from spinlab.composition import (OCTONION_TABLE_SHA256, _int_tables,
+                                 check_lemma_C, derivation_algebra,
+                                 inner_derivation, lemma_c_identities,
                                  make_composition)
 
 DIMS = {"unit": 1, "binarion": 2, "quaternion": 4, "octonion": 8}
@@ -155,6 +156,29 @@ def test_structure_identities(ch):
     rep = check_lemma_C(make_composition("octonion", make_field(ch)))
     assert rep["pass"], rep
     assert (rep["so_dim"], rep["der_dim"], rep["ad_dim"]) == (21, 14, 7)
+
+
+@pytest.mark.parametrize("ch", [0, 5, 7])
+def test_lemma_c_negative_control(ch):
+    # u1·u2 = w3 with its sign flipped: the algebra is no longer alternative
+    mult, gram = _int_tables("octonion")
+    assert lemma_c_identities(mult, gram, ch) == check_lemma_C(
+        make_composition("octonion", make_field(ch)))
+    assert mult[2, 3, 7] == 1
+    flipped = mult.copy()
+    flipped[2, 3, 7] = -1
+    rep = lemma_c_identities(flipped, gram, ch)
+    assert rep["pass"] is False
+    assert rep["bracket_identity"] is False and rep["sigma_identity"] is False
+    assert rep["decomposition"] is False and rep["der_dim"] != 14
+
+
+def test_lemma_c_identities_refuses_bad_input():
+    mult, gram = _int_tables("octonion")
+    with pytest.raises(ValueError, match="8-dim"):
+        lemma_c_identities(mult[:4, :4, :4], gram[:4, :4])
+    with pytest.raises(ValueError, match="too large"):
+        lemma_c_identities(mult * (1 << 12), gram)
 
 
 def test_lemma_rejects_non_octonion():

@@ -21,6 +21,21 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+def test_tits_multiplies_through_matmul_modp():
+    # every GF(p) product in tits.py goes through linalg.matmul_modp, whose
+    # float64 route carries a proved bound: no @, tensordot, matmul or dot
+    path = PACKAGE / "tits.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in (
+                "tensordot", "matmul", "dot"):
+            found.append(f"{node.attr} at line {node.lineno}")
+    assert not found, found
+
+
 def test_exports_are_unique_and_resolve():
     names = spinlab.__all__
     repeated = sorted({name for name in names if names.count(name) > 1})

@@ -265,6 +265,20 @@ def test_equivariant_dim_for_sl2_two_dim_rep():
         assert equivariant_map_dim(rep, ad, field=f) == 1
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_equivariant_dim_reads_integer_arrays_mod_p(p):
+    f = GF(p)
+    rep, ad = rep_and_adjoint(2, "B", f)
+    R, A = np.array(rep, dtype=np.int64), np.array(ad, dtype=np.int64)
+    assert equivariant_map_dim(R, A, field=f) == 1
+    assert equivariant_map_dim(R - p, A + 3 * p, field=f) == 1
+    # with g0 acted on by zero, the maps are the invariant forms on S (one
+    # line) times the 10 directions of g0
+    assert equivariant_map_dim(R, np.zeros_like(A), field=f) == 10
+    with pytest.raises(ValueError, match="same generators"):
+        equivariant_map_dim(R[:-1], A, field=f)
+
+
 def test_equivariant_dim_is_conjugation_invariant():
     # basis change on S must not move the answer (3 random trials, l = 2)
     f = GF(5)

@@ -10,8 +10,9 @@ from spinlab.composition import inner_derivation
 from spinlab.kac import K_FORM, KacElement, inner_derivation_J
 from spinlab.linalg import SpanSolver, inv_modp, nullspace_modp
 from spinlab.construct import build_superalgebra
-from spinlab.superalgebra import (VerificationFailed, _block, check_jacobi,
-                                  even_subalgebra, j_triple, verify_isomorphism)
+from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, _block,
+                                  check_jacobi, even_subalgebra, j_triple,
+                                  norton_irreducible, verify_isomorphism)
 from spinlab import tits
 from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, ScalingNotFound,
                           _first_bad_pair, _odd_intertwiner, _odd_proportionality,
@@ -436,7 +437,7 @@ def test_odd_intertwiner_absent():
     rep1 = [np.zeros((n, n), dtype=np.int64)]
     rep2 = [np.eye(n, dtype=np.int64)]
     assert _kronecker_intertwiners(rep1, rep2, p).shape[0] == 0
-    with pytest.raises(VerificationFailed, match="no odd intertwiner exists"):
+    with pytest.raises(VerificationFailed, match="no element of nullity 1"):
         _odd_intertwiner(rep1, rep2, p)
 
 
@@ -445,8 +446,78 @@ def test_odd_intertwiner_not_unique():
     p, n = 7, 3
     rep = [3 * np.eye(n, dtype=np.int64), 5 * np.eye(n, dtype=np.int64)]
     assert _kronecker_intertwiners(rep, rep, p).shape[0] == n * n
-    with pytest.raises(VerificationFailed, match="dim 9, expected 1"):
+    with pytest.raises(VerificationFailed, match="no element of nullity 1"):
         _odd_intertwiner(rep, rep, p)
+
+
+def assert_line_of(S, P, p):
+    k = int(np.nonzero(P.reshape(-1))[0][0])
+    lam = int(S.reshape(-1)[k]) * pow(int(P.reshape(-1)[k]), p - 2, p) % p
+    assert lam and np.array_equal(S, P * lam % p)
+
+
+def test_odd_intertwiner_of_the_conjugated_spin_rep():
+    p = 5
+    rep1 = _block(build_superalgebra(5, "B", F5), 0, 1, 1)       # n = 32
+    P, Pi = _random_invertible(np.random.default_rng(32), 32, p)
+    rep2 = np.stack([P @ r @ Pi % p for r in rep1])
+    S = _odd_intertwiner(rep1, rep2, p)
+    assert_line_of(S, P, p)
+    last = S.reshape(-1)[np.flatnonzero(S)[-1]]
+    assert last == 1
+
+
+def _irreducible_rep(rng, n, p, count=3):
+    while True:
+        rep = [rng.integers(0, p, size=(n, n), dtype=np.int64)
+               for _ in range(count)]
+        if norton_irreducible(rep, n, p)[0] == "certified":
+            return rep
+
+
+# seeds 0-1: θ's nullity differs on rep2; seeds 5 and 7: both nullities
+# are 1, and the spin of the kernel pair is not a graph
+@pytest.mark.parametrize("seed, match", [
+    (0, "not isomorphic: θ has nullity 1 on rep1 and 0"),
+    (1, "not isomorphic: θ has nullity 1 on rep1 and 0"),
+    (5, "no odd intertwiner exists: the spin"),
+    (7, "no odd intertwiner exists: the spin")])
+def test_odd_intertwiner_of_non_isomorphic_reps(seed, match):
+    p, n = 7, 5
+    rng = np.random.default_rng(700 + seed)
+    rep1, rep2 = _irreducible_rep(rng, n, p), _irreducible_rep(rng, n, p)
+    assert _kronecker_intertwiners(rep1, rep2, p).shape[0] == 0
+    with pytest.raises(VerificationFailed, match=match):
+        _odd_intertwiner(rep1, rep2, p)
+
+
+def _direct_sum(reps_a, reps_b):
+    n, m = reps_a[0].shape[0], reps_b[0].shape[0]
+    out = []
+    for a, b in zip(reps_a, reps_b):
+        blk = np.zeros((n + m, n + m), dtype=np.int64)
+        blk[:n, :n], blk[n:, n:] = a, b
+        out.append(blk)
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (3, 3), (4, 1)])
+@pytest.mark.parametrize("seed", range(3))
+def test_odd_intertwiner_refuses_a_reducible_rep(sizes, seed):
+    # A ⊕ B has intertwiners with its conjugate, but not a single line of
+    # them: the solve must refuse rather than answer with one S
+    p = 5
+    rng = np.random.default_rng(500 + 10 * seed + sum(sizes))
+    a = _irreducible_rep(rng, sizes[0], p)
+    b = a if sizes[0] == sizes[1] else _irreducible_rep(rng, sizes[1], p)
+    rep1 = _direct_sum(a, b)
+    n = sum(sizes)
+    P, Pi = _random_invertible(rng, n, p)
+    rep2 = [P @ r @ Pi % p for r in rep1]
+    assert _kronecker_intertwiners(rep1, rep2, p).shape[0] > 1
+    with pytest.raises(VerificationFailed,
+                       match="reducible|no element of nullity 1"):
+        _odd_intertwiner(rep1, rep2, p)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +578,26 @@ def test_verify_isomorphism_agrees_with_first_bad_pair():
         N[r][c] = (N[r][c] + rng.randrange(1, 5)) % 5
         bad = _first_bad_pair(N, T, B5)
         assert verify_isomorphism(N, T, B5) is (bad is None), (r, c, bad)
+
+
+def test_verify_isomorphism_refuses_one_parity_violating_entry():
+    M = np.array(cross_identify_with_typeB(F5, seed=0)["matrix"], dtype=np.int64)
+    T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
+    assert verify_isomorphism(M, T, B5) and verify_isomorphism(M.tolist(), T, B5)
+    for r, c in ((0, 55), (86, 54)):           # odd into even, even into odd
+        N = M.copy()
+        N[r, c] = 1
+        assert verify_isomorphism(N, T, B5) is False
+        assert verify_isomorphism(N.tolist(), T, B5) is False
+    assert verify_isomorphism(M[:86, :86], T, B5) is False     # wrong shape
+    # on an abelian (1 | 1) algebra every invertible matrix preserves the
+    # bracket, so only the parity check can refuse the mixing entry
+    for f in (F5, QQ):
+        A = SuperAlgebra("abelian", f, 1, 1, ("e", "o"), {}, odd_symmetric=True)
+        N = np.array([[1, 1], [0, 1]], dtype=np.int64)
+        assert verify_isomorphism(np.eye(2, dtype=np.int64), A, A)
+        assert verify_isomorphism(N, A, A) is False
+        assert verify_isomorphism(N.tolist(), A, A) is False
 
 
 def test_phi0_mismatch_names_the_pair(monkeypatch):
