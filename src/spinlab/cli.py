@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         t = verify_target(name, f"Jacobi grid of the kind-{kind} algebras", "0,3,5,7")
         t.add_argument("--l", dest="l_list", metavar="SPEC",
                        help=f'ranks: "5", "1..8", or "3,5,7" (default {default_l})')
-        t.add_argument("--mode", choices=("auto", "full", "odd-only", "generators"),
+        t.add_argument("--mode", choices=("auto", "full", "generators"),
                        default="auto", help="Jacobi scan mode (default auto)")
     t = verify_target("tits", "the characteristic-5 construction suite", "0,5,7")
     t.add_argument("--seed", type=int, default=0,

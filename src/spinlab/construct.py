@@ -21,6 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+
+import numpy as np
 
 from .clifford import (gram_pairing, half_spin_masks, pair_basis, rho_tables,
                        so_bracket_table, so_dim)
@@ -136,80 +139,72 @@ def spin_bracket(s: Multivector, t: Multivector, ctx):
     return SoElement(l, kind, f, coords)
 
 
-def _field_ss_table(l: int, kind: str, field: Field) -> dict:
-    """Integer table pushed into the field; over GF(p) the reduction of the
-    rational values is recomputed natively mod p and must agree
-    (VerificationFailed otherwise)."""
-    f = field
-    ints = _ss_integer_table(l, kind)
-    out = {}
-    for key, cell in ints.items():
-        d = {}
-        for k, (num, den) in cell.items():
-            v = f.raw(Fraction(num, den))
-            if f.p:
-                native = num % f.p * pow(den % f.p, f.p - 2, f.p) % f.p
-                if v != native:
-                    raise VerificationFailed(
-                        f"reduction of {num}/{den} mod {f.p} at {key}, {k}: "
-                        f"{v} != native {native}")
-            if not f.is_zero(v):
-                d[k] = v
-        if d:
-            out[key] = d
-    return out
+@lru_cache(maxsize=None)
+def _integer_tensor(l: int, kind: str):
+    """The structure constants of g = so (+) S over Z, i <= j only.
+
+    Returns read-only int64 arrays (I, J, K, V) and scale, the lcm of the
+    odd-odd denominators: [e_i, e_j] has coefficient V / scale at e_k (i, j
+    and k basis indices, odd ones shifted by n0 = dim so).
+    Both orders of every bracket are checked against the symmetry the kind
+    and l dictate (VerificationFailed otherwise, odd-odd pairs named by
+    module index) before the i > j half is dropped; over Z this implies
+    the symmetry mod every p.
+    """
+    n0 = so_dim(l, kind)
+    masks = module_masks(l, kind)
+    sym = bracket_is_symmetric(l, kind)
+    ss = _ss_integer_table(l, kind)
+    scale = lcm(*(Fraction(num, den).denominator
+                  for cell in ss.values() for num, den in cell.values()))
+    value = {(k1, k2, k3): c * scale
+             for (k1, k2), terms in so_bracket_table(l, kind).items()
+             for k3, c in terms}
+    tgt, cof = rho_tables(l, kind)
+    cols = list(masks)
+    where = dict(zip(cols, range(n0, n0 + len(cols))))     # mask -> index
+    for a, s in zip(*np.nonzero(cof[:, cols])):
+        c, t = int(cof[a, cols[s]]) * scale, where[int(tgt[a, cols[s]])]
+        value[(int(a), n0 + int(s), t)], value[(n0 + int(s), int(a), t)] = c, -c
+    value.update(((n0 + si, n0 + ti, k), num * scale // den)
+                 for (si, ti), cell in ss.items()
+                 for k, (num, den) in cell.items())
+    for (i, j, k), v in value.items():
+        both_odd = i >= n0 and j >= n0
+        if value.get((j, i, k)) != (v if sym and both_odd else -v):
+            raise VerificationFailed(
+                f"{'odd product' if both_odd else 'bracket'} symmetry fails "
+                f"for kind {kind}, l={l} at ({i - n0 * both_odd}, "
+                f"{j - n0 * both_odd}), component {k}")
+    out = np.array([(*key, v) for key, v in value.items() if key[0] <= key[1]],
+                   dtype=np.int64).reshape(-1, 4).T.copy()
+    out.setflags(write=False)
+    return (*out, scale)
 
 
-def build_superalgebra(l: int, kind: str, field: Field,
-                       check: bool = True) -> SuperAlgebra:
+def build_superalgebra(l: int, kind: str, field: Field) -> SuperAlgebra:
     """Assemble g = so (+) S with all structure constants over the field.
 
     Basis order: so pair basis first (even part), then the module
-    monomials by increasing mask (odd part).  The computed odd-odd table
-    must have the symmetry the kind and l dictate (VerificationFailed
-    otherwise) before it is folded into the stored i <= j convention.
+    monomials by increasing mask (odd part).  The table is the integer
+    tensor of (kind, l) (_integer_tensor), over GF(p) reduced as
+    V * scale^-1 mod p.
     """
     _check_kind(l, kind)
-    f = field
+    I, J, K, V, scale = _integer_tensor(l, kind)
+    p = field.p
+    if p:
+        if scale % p == 0:
+            raise ValueError(f"the scale {scale} of kind {kind}, l={l} "
+                             f"is not invertible mod {p}")
+        V = V % p * pow(scale, -1, p) % p
+        I, J, K, V, scale = I[V != 0], J[V != 0], K[V != 0], V[V != 0], 1
     pb = pair_basis(l, kind)
     masks = module_masks(l, kind)
-    n0 = len(pb.pairs)
-    n1 = len(masks)
-    sym = bracket_is_symmetric(l, kind)
     labels = list(pb.labels) + [monomial_label(m) for m in masks]
-    bracket = {}
-    for (k1, k2), terms in so_bracket_table(l, kind).items():
-        d = {k3: f.of_int(c) for k3, c in terms}
-        d = {k3: v for k3, v in d.items() if not f.is_zero(v)}
-        if d:
-            bracket[(k1, k2)] = d
-    tgt, cof = rho_tables(l, kind)
-    midx = {m: i for i, m in enumerate(masks)}
-    for a in range(n0):
-        trow, crow = tgt[a], cof[a]
-        for m in masks:
-            c = int(crow[m])
-            if not c:
-                continue
-            v = f.of_int(c)
-            if not f.is_zero(v):
-                bracket[(a, n0 + midx[m])] = {
-                    **bracket.get((a, n0 + midx[m]), {}),
-                    n0 + midx[int(trow[m])]: v}
-    ss = _field_ss_table(l, kind, f)
-    for (si, ti), cell in ss.items():
-        mate = ss.get((ti, si), {})
-        for k, v in cell.items():
-            other = mate.get(k, f.zero())
-            want = v if sym else f.neg(v)
-            if other != want:
-                raise VerificationFailed(
-                    f"odd product symmetry fails for kind {kind}, l={l} "
-                    f"at ({si}, {ti}), component {k}")
-        if si <= ti:
-            bracket[(n0 + si, n0 + ti)] = dict(cell)
-    return SuperAlgebra(f"type{kind}_l{l}", f, n0, n1, labels, bracket,
-                        odd_symmetric=sym, check=check)
+    return SuperAlgebra._from_coo(f"type{kind}_l{l}", field, len(pb.pairs),
+                                  len(masks), labels, (I, J, K, V, scale),
+                                  odd_symmetric=bracket_is_symmetric(l, kind))
 
 
 def generator_triples(l: int, kind: str, A: SuperAlgebra) -> list:

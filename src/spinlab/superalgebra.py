@@ -3,10 +3,17 @@ toolkit around them: graded Jacobi scanning, ideal and derived-algebra
 computations, an absolute-irreducibility certificate, the solver for
 spaces of equivariant bilinear maps, and isomorphism checking.
 
-Bracket conventions.  A SuperAlgebra stores [e_i, e_j] for i <= j only
-(plus odd diagonals); the other order is recovered from the symmetry
-flag through bracket_terms: swapping two odd arguments costs no sign
-when the algebra is odd_symmetric, and every other swap costs one.
+Bracket conventions.  Swapping two odd arguments costs no sign when the
+algebra is odd_symmetric, and every other swap costs one.  A SuperAlgebra
+stores its structure constants once, as read-only COO arrays coo = (I, J,
+K, V, scale) holding both bracket orders: [e_I, e_J] has coefficient
+V / scale at e_K.  Over GF(p), V holds residues and scale is 1; over Q,
+V holds the exact numerators over the lcm of the denominators (int64 when
+they fit, Python ints in an object array otherwise).  Grading and the
+[x,x] rule are checked on these arrays when the algebra is made.  The
+mapping table, (i, j) -> {k: value} for i <= j (plus odd diagonals), is
+a read-only view of them, built on first use; bracket_terms,
+serialization and equality read it.
 The graded Jacobi identity is taken in the form
 
     J(x,y,z) = [[x,y],z] + eps(x,y) [y,[x,z]] - [x,[y,z]],
@@ -15,9 +22,8 @@ with eps(x,y) = -1 exactly when the algebra is odd_symmetric and both
 x, y are odd, so that for three odd elements J reduces to the cyclic
 sum rho([s1,s2])(s3) + rho([s2,s3])(s1) + rho([s3,s1])(s2).
 
-The full-mode scanner works on the structure tensor as int64 COO data
-(residues mod p, or numerators scaled by the lcm of denominators over
-Q), held in three sorted index orders.  Because the table is graded-skew,
+The full-mode scanner works on the COO data held in three sorted index
+orders.  Because the table is graded-skew,
 J is graded-alternating: J(y,x,z) = -eps(x,y) J(x,y,z), and likewise in
 the last two slots.  So for each first index i the scanner evaluates only
 the canonical triples i <= j <= z, gathering the terms of [[i,j],z],
@@ -37,7 +43,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,46 +62,96 @@ class VerificationFailed(RuntimeError):
 
 class SuperAlgebra:
     """Z2-graded algebra over an exact field, defined by an ordered basis
-    (even part first), per-index parity, and sparse structure constants."""
+    (even part first), per-index parity, and sparse structure constants.
+    bracket maps (i, j), either order, to {k: value}; ValueError when the
+    two orders of one pair are both given and disagree."""
 
     __slots__ = ("name", "field", "n0", "n1", "labels", "odd_symmetric",
-                 "table", "_coo_cache")
+                 "coo", "_table")
 
     def __init__(self, name: str, field: Field, n0: int, n1: int, labels,
-                 bracket: dict, odd_symmetric: bool, check: bool = True):
+                 bracket: dict, odd_symmetric: bool):
         n = n0 + n1
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise ValueError(f"need {n} labels, got {len(labels)}")
-        self.name = name
-        self.field = field
-        self.n0 = n0
-        self.n1 = n1
-        self.labels = labels
-        self.odd_symmetric = bool(odd_symmetric)
-        self.table = {}
-        self._coo_cache = None
         f = field
+        stored = {}
         for (i, j), terms in bracket.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"basis index out of range in ({i},{j})")
-            clean = {}
-            for k, v in dict(terms).items():
-                v = f.raw(v)
-                if not f.is_zero(v):
-                    clean[k] = v
+            clean = {k: r for k, v in dict(terms).items()
+                     if not f.is_zero(r := f.raw(v))}
             if not clean:
                 continue
             if i > j:
-                sgn = self._swap_sign(i, j)
-                clean = {k: (v if sgn > 0 else f.neg(v)) for k, v in clean.items()}
+                if not (odd_symmetric and j >= n0):       # swap sign -1
+                    clean = {k: f.neg(v) for k, v in clean.items()}
                 i, j = j, i
-            prev = self.table.get((i, j))
+            prev = stored.get((i, j))
             if prev is not None and prev != clean:
                 raise ValueError(f"inconsistent bracket orders for ({i},{j})")
-            self.table[(i, j)] = clean
-        if check:
-            self._validate()
+            stored[(i, j)] = clean
+        entries = [(i, j, k, v) for (i, j), terms in stored.items()
+                   for k, v in terms.items()]
+        I, J, K, V = zip(*entries) if entries else ((),) * 4
+        scale = 1 if f.p else lcm(*(v.denominator for v in V))
+        if not f.p:
+            V = [v.numerator * (scale // v.denominator) for v in V]
+        self._store(name, field, n0, n1, labels, (I, J, K, V, scale),
+                    odd_symmetric)
+
+    @classmethod
+    def _from_coo(cls, *args, **kwargs):
+        """The algebra made by _store from arrays, with no bracket dict."""
+        A = cls.__new__(cls)
+        A._store(*args, **kwargs)
+        return A
+
+    def _store(self, name, field, n0, n1, labels, coo, odd_symmetric):
+        """Fill the slots from coo = (I, J, K, V, scale), the stored brackets
+        (i <= j, no (i, j, k) twice): [e_i, e_j] has V / scale at e_k, V
+        being residues and scale 1 over GF(p)."""
+        n = n0 + n1
+        self.name, self.field, self.n0, self.n1 = name, field, n0, n1
+        self.labels = labels = tuple(labels)
+        if len(labels) != n:
+            raise ValueError(f"need {n} labels, got {len(labels)}")
+        self.odd_symmetric = odd_symmetric = bool(odd_symmetric)
+        self._table = None
+        I, J, K, V, scale = coo
+        I, J, K = (np.asarray(x, dtype=np.int64) for x in (I, J, K))
+        if field.p:
+            V = np.asarray(V, dtype=np.int64) % field.p
+        else:       # numerators over the lcm of the reduced denominators
+            vals = np.asarray(V, dtype=object).tolist()
+            g = gcd(scale, *vals)
+            vals, scale = [v // g for v in vals], scale // g
+            fits = max(map(abs, vals), default=0) < 1 << 63    # so does -V
+            V = np.array(vals, dtype=np.int64 if fits else object)
+        I, J, K, V = I[V != 0], J[V != 0], K[V != 0], V[V != 0]
+        if ((I < 0) | (I > J) | (J >= n)).any():
+            raise ValueError("stored brackets need 0 <= i <= j < n")
+        if ((K < 0) | (K >= n)).any():
+            raise ValueError(f"target index {K[(K < 0) | (K >= n)][0]} out of range")
+        par = np.arange(n) >= n0
+        off = np.flatnonzero(par[K] != (par[I] ^ par[J]))
+        if off.size:
+            i, j, k = I[off[0]], J[off[0]], K[off[0]]
+            raise ValueError(f"bracket ({labels[i]},{labels[j]}) "
+                             f"violates the grading at {labels[k]}")
+        swap_plus = odd_symmetric & par[I] & par[J]
+        diag = I[(I == J) & ~swap_plus]
+        if diag.size:
+            raise ValueError(f"[x,x] with swap sign -1 must vanish for {labels[diag[0]]}")
+        order = np.argsort((I * n + J) * n + K, kind="stable")
+        I, J, K, V = I[order], J[order], K[order], V[order]
+        mirror = I != J
+        swapped = np.where(swap_plus[order], 1, -1)[mirror] * V[mirror]
+        if field.p:
+            swapped %= field.p
+        coo = (np.concatenate([I, J[mirror]]), np.concatenate([J, I[mirror]]),
+               np.concatenate([K, K[mirror]]), np.concatenate([V, swapped]))
+        for a in coo:
+            a.setflags(write=False)
+        self.coo = (*coo, scale)
 
     # -- basic structure -----------------------------------------------
 
@@ -140,60 +197,25 @@ class SuperAlgebra:
                     out[k] = f.add(out[k], f.mul(c, v))
         return out
 
-    def _validate(self):
-        f = self.field
-        for (i, j), terms in self.table.items():
-            want = self.parity(i) ^ self.parity(j)
-            for k in terms:
-                if not 0 <= k < self.dim:
-                    raise ValueError(f"target index {k} out of range")
-                if self.parity(k) != want:
-                    raise ValueError(
-                        f"bracket ({self.labels[i]},{self.labels[j]}) "
-                        f"violates the grading at {self.labels[k]}")
-            if i == j and self._swap_sign(i, i) < 0:
-                raise ValueError(f"[x,x] must vanish for {self.labels[i]}")
-
-    # -- integer view for the batch scanner ------------------------------
-
-    def _coo(self):
-        """(I, J, K, V, scale): both bracket orders as int64 COO data.
-
-        Over GF(p) the values are residues and scale is 1; over Q they
-        are the exact numerators after multiplying through by scale (the
-        lcm of all denominators), refused with ValueError unless
-        3*n*max|V|^2 < 2^63, the bound under which the Jacobi scan sums
-        in int64 exactly.
-        """
-        if self._coo_cache is not None:
-            return self._coo_cache
-        f = self.field
-        entries = []
-        for (i, j), terms in self.table.items():
-            for k, v in terms.items():
-                entries.append((i, j, k, v))
-                if i != j:
-                    sgn = self._swap_sign(j, i)
-                    entries.append((j, i, k, v if sgn > 0 else f.neg(v)))
-        if f.p:
-            scale = 1
-            vals = [int(v) % f.p for (_, _, _, v) in entries]
-        else:
-            fracs = [Fraction(v) for *_, v in entries]
-            scale = lcm(*(v.denominator for v in fracs)) if fracs else 1
-            vals = [v.numerator * (scale // v.denominator) for v in fracs]
-            top = max(map(abs, vals), default=0)
-            if 3 * self.dim * top * top >= 1 << 63:
-                raise ValueError(
-                    f"{self.name}: structure constants up to {top} after clearing "
-                    f"denominators break the exact int64 scan bound "
-                    f"3*n*max^2 < 2^63 (n = {self.dim})")
-        I = np.fromiter((e[0] for e in entries), dtype=np.int64, count=len(entries))
-        J = np.fromiter((e[1] for e in entries), dtype=np.int64, count=len(entries))
-        K = np.fromiter((e[2] for e in entries), dtype=np.int64, count=len(entries))
-        V = np.asarray(vals, dtype=np.int64)
-        self._coo_cache = (I, J, K, V, scale)
-        return self._coo_cache
+    @property
+    def table(self):
+        """The stored brackets as a read-only mapping (i, j) -> {k: value},
+        i <= j, built from coo on first use."""
+        if self._table is None:
+            I, J, K, V, scale = self.coo
+            stored = I <= J
+            i, j = I[stored].tolist(), J[stored].tolist()
+            k, v = K[stored].tolist(), V[stored].tolist()
+            if not self.field.p:
+                frac = {x: Fraction(x, scale) for x in set(v)}
+                v = [frac[x] for x in v]
+            heads = np.flatnonzero(np.diff(I[stored] * self.dim + J[stored],
+                                           prepend=-1)).tolist()
+            table = {}
+            for a, b in zip(heads, heads[1:] + [len(k)]):
+                table[(i[a], j[a])] = MappingProxyType(dict(zip(k[a:b], v[a:b])))
+            self._table = MappingProxyType(table)
+        return self._table
 
     # -- serialization ----------------------------------------------------
 
@@ -322,17 +344,19 @@ def _scan_matrices(A: SuperAlgebra):
     target, a = first, b = second, stored orientation (first <= second)
     only.  By second index: s = second, a = first, b = target.
 
-    The canonical-triple scan relies on the table being graded-skew, so
-    a diagonal [x,x] with swap sign -1 and, for odd_symmetric algebras,
-    a bracket off the grading are refused (check=False lets both in).
+    Over Q the values are the numerators V, refused with ValueError
+    unless 3*n*max|V|^2 < 2^63, the bound under which the scan sums in
+    int64 exactly.
     """
     n = A.dim
-    I, J, K, V, _ = A._coo()
-    par = np.arange(n) >= A.n0
-    if np.any((I == J) & ~(A.odd_symmetric & par[I])):
-        raise ValueError(f"{A.name}: a stored [x,x] with swap sign -1 must vanish")
-    if A.odd_symmetric and np.any(par[K] != (par[I] ^ par[J])):
-        raise ValueError(f"{A.name}: a stored bracket violates the grading")
+    I, J, K, V, _ = A.coo
+    if not A.field.p:
+        top = max(map(abs, V.tolist()), default=0)
+        if 3 * n * top * top >= 1 << 63:
+            raise ValueError(
+                f"{A.name}: structure constants up to {top} after clearing "
+                f"denominators break the exact int64 scan bound "
+                f"3*n*max^2 < 2^63 (n = {n})")
 
     def order(s, a, b, v):
         key = s * n + a
@@ -356,13 +380,9 @@ def _gather(key, lo, hi):
     return owner, pos
 
 
-def _scan_one_i(A, mats, par, i, odd_only):
+def _scan_one_i(A, mats, par, i):
     """Canonical triples (i, j, z), i <= j <= z, with J(e_i, e_j, e_z) != 0,
-    sorted.  odd_only keeps the triples of odd indices; even indices come
-    first, so these are all canonical triples of an odd i and none of an
-    even one."""
-    if odd_only and not par[i]:
-        return ()
+    sorted."""
     (key1, a1, b1, v1), (key2, a2, b2, v2), (key3, a3, b3, v3) = mats
     n = A.dim
     p = A.field.p
@@ -387,9 +407,9 @@ def _scan_one_i(A, mats, par, i, odd_only):
     if A.odd_symmetric and par[i]:
         t3 = np.where(par[j3] == 1, -t3, t3)
 
-    # exact int64 sums: each product is reduced mod p over GF(p), and over
-    # Q the bound 3*n*max|V|^2 < 2^63 checked by _coo covers every key's
-    # at most 3n terms
+    # exact int64 sums: each product is reduced mod p over GF(p), and over Q
+    # the bound 3*n*max|V|^2 < 2^63 checked by _scan_matrices covers every
+    # key's at most 3n terms
     keys = np.concatenate([k1, k2, k3])
     if keys.size == 0:
         return ()
@@ -420,13 +440,12 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
                  witness_cap: int = 10) -> VerificationReport:
     """Scan the graded Jacobi identity.
 
-    mode "full" covers every ordered basis triple; "odd-only" restricts
-    all three slots to odd indices; "generators" evaluates exactly the
-    supplied index triples.  Witnesses are collected in lexicographic
-    triple order up to witness_cap, then re-evaluated exactly.
+    mode "full" covers every ordered basis triple; "generators" evaluates
+    exactly the supplied index triples.  Witnesses are collected in
+    lexicographic triple order up to witness_cap, then re-evaluated exactly.
 
-    The full and odd-only scans evaluate canonical triples i <= j <= z
-    only: J is graded-alternating, so J(x,y,z) vanishes iff each of its
+    The full scan evaluates canonical triples i <= j <= z only: J is
+    graded-alternating, so J(x,y,z) vanishes iff each of its
     permutations does.  After row i, the permutations starting with i of
     the canonical triples found so far are exactly the witnesses with
     first index i, and they are added in sorted order.
@@ -441,17 +460,13 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
                 break
             if j_triple(A, *t):
                 found.append(t)
-    elif mode in ("full", "odd-only"):
+    elif mode == "full":
         par = np.array([A.parity(i) for i in range(n)], dtype=np.int64)
         mats = _scan_matrices(A)
-        if mode == "odd-only":
-            i_list = [i for i in range(n) if par[i]]
-        else:
-            i_list = list(range(n))
         found = []
         rest = [set() for _ in range(n)]    # e -> the other two indices
-        for i in i_list:
-            for t in _scan_one_i(A, mats, par, i, mode == "odd-only"):
+        for i in range(n):
+            for t in _scan_one_i(A, mats, par, i):
                 for e in set(t):
                     x, y = t[:t.index(e)] + t[t.index(e) + 1:]
                     rest[e].update(((x, y), (y, x)))
@@ -474,12 +489,13 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     )
 
 
-def even_subalgebra(A: SuperAlgebra, check: bool = True) -> SuperAlgebra:
+def even_subalgebra(A: SuperAlgebra) -> SuperAlgebra:
     """The even part of A as a plain (n0, 0) algebra on the same basis."""
-    table = {k: dict(v) for k, v in A.table.items()
-             if k[0] < A.n0 and k[1] < A.n0}
-    return SuperAlgebra(A.name + "_0", A.field, A.n0, 0, A.labels[:A.n0],
-                        table, odd_symmetric=False, check=check)
+    I, J, K, V, scale = A.coo
+    even = (I <= J) & (J < A.n0)
+    return SuperAlgebra._from_coo(
+        A.name + "_0", A.field, A.n0, 0, A.labels[:A.n0],
+        (I[even], J[even], K[even], V[even], scale), odd_symmetric=False)
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +524,16 @@ def ideal_closure(A: SuperAlgebra, seeds) -> list:
 
 
 def derived_algebra(A: SuperAlgebra) -> list:
-    """Reduced basis of [A, A]."""
-    f = A.field
+    """Reduced basis of [A, A]: the row space of the stored brackets, each
+    read off coo (over Q times the scale, which leaves the span alone)."""
     n = A.dim
-    space = RowSpace(f, n)
-    rows = []
-    for (i, j), terms in A.table.items():
-        v = [f.zero()] * n
-        for k, c in terms.items():
-            v[k] = c
-        rows.append(v)
-    space.insert(rows)
+    I, J, K, V, _ = A.coo
+    stored = I <= J
+    pairs, row = np.unique(I[stored] * n + J[stored], return_inverse=True)
+    rows = np.zeros((pairs.size, n), dtype=V.dtype)
+    rows[row, K[stored]] = V[stored]
+    space = RowSpace(A.field, n)
+    space.insert(rows if A.field.p else rows.tolist())
     return space.basis()
 
 
@@ -745,7 +760,7 @@ def _block(A: SuperAlgebra, first: int, second: int, target: int) -> np.ndarray:
     and e_j the j-th of the second."""
     if not A.field.p:
         raise ValueError("structure blocks are read over GF(p) only")
-    I, J, K, V, _ = A._coo()
+    I, J, K, V, _ = A.coo
     n0 = A.n0
     starts, sizes = (0, n0), (n0, A.n1)
     sel = ((I >= n0) == first) & ((J >= n0) == second) & ((K >= n0) == target)
@@ -761,36 +776,23 @@ def _rep_kernel(A: SuperAlgebra, rep: np.ndarray) -> list:
 
 
 def _largest_ideal_inside(A: SuperAlgebra, kernel_rows) -> int:
-    """Dimension of the largest even subspace of span(kernel_rows) closed
-    under bracketing with the whole even part."""
-    f = A.field
-    n0 = A.n0
-    rows = [list(r) for r in kernel_rows]
-    while rows:
-        space = RowSpace(f, n0)
+    """Dimension of the largest even subspace of span(kernel_rows), rows of
+    residues, closed under bracketing with the whole even part."""
+    p, n0 = A.field.p, A.n0
+    ad = _block(A, 0, 0, 0).reshape(n0, n0 * n0)
+    rows = np.asarray(kernel_rows, dtype=np.int64).reshape(-1, n0) % p
+    while rows.shape[0]:
+        r = rows.shape[0]
+        space = RowSpace(A.field, n0)
         space.insert(rows)
-        # conditions: sum_i c_i [k_i, e_b] reduces to zero against the span,
-        # one row per coordinate t of the reduced residues
-        cond = []
-        for b in range(n0):
-            eb = [f.one() if t == b else f.zero() for t in range(A.dim)]
-            resid = [A.bracket_vectors(r + [f.zero()] * A.n1, eb)[:n0]
-                     for r in rows]
-            cond += [list(coord) for coord in zip(*space.reduce(resid))]
-        # solve sum_i c_i * resid_i = 0 (mod span)
-        sol = nullspace_field(cond, f) if cond else []
-        if len(sol) == len(rows):
-            return len(rows)
-        new_rows = []
-        for c in sol:
-            v = [f.zero()] * n0
-            for i, ci in enumerate(c):
-                if not f.is_zero(ci):
-                    for t in range(n0):
-                        v[t] = f.add(v[t], f.mul(ci, rows[i][t]))
-            if any(not f.is_zero(x) for x in v):
-                new_rows.append(v)
-        rows = new_rows
+        # [x_i, e_b] for every row i and every b, reduced against the span:
+        # sum c_i x_i stays inside iff sum c_i resid[i] vanishes
+        brackets = matmul_modp(rows, ad, p).reshape(r, n0, n0).transpose(0, 2, 1)
+        resid = np.array(space.reduce(brackets.reshape(r * n0, n0)), dtype=np.int64)
+        sol = nullspace_modp(resid.reshape(r, n0 * n0).T, p)
+        if sol.shape[0] == r:
+            return r
+        rows = matmul_modp(sol, rows, p)
     return 0
 
 
@@ -929,8 +931,8 @@ def verify_isomorphism(mat, A: SuperAlgebra, B: SuperAlgebra) -> bool:
         p = f.p
         if rank_modp(M, p) != n:
             return False
-        I, J, K, V, _ = B._coo()
-        IA, JA, KA, VA, _ = A._coo()
+        I, J, K, V, _ = B.coo
+        IA, JA, KA, VA, _ = A.coo
         for i in range(n):
             # E[b, k] = sum_a M[a, i] c_B[a, b, k]: each cell sums at most n
             # residues, exact in float64 since n*(p-1) < 2^53 for p < 2^26

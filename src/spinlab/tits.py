@@ -523,7 +523,7 @@ def _phi0(field: Field) -> np.ndarray:
     mat = _phi0_matrix(tits_model("octonion", field), somq)
     if rank_modp(mat, field.p) < len(mat):
         raise VerificationFailed("phi0 matrix is singular")
-    T0 = even_subalgebra(build_tits("octonion", field), check=False)
+    T0 = even_subalgebra(build_tits("octonion", field))
     if not verify_isomorphism(mat, T0, somq.algebra):
         bad = _first_bad_pair(mat.tolist(), T0, somq.algebra)
         raise VerificationFailed(f"phi0 bracket mismatch at pair {bad}")

@@ -176,6 +176,7 @@ TAMPER_D2 = """
 import sys
 import spinlab.construct as construct
 from spinlab.cli import main
+from spinlab.superalgebra import SuperAlgebra
 
 build = construct.build_superalgebra
 
@@ -184,7 +185,10 @@ def tampered(l, kind, field, **kw):
     if (l, kind) == (2, "D"):
         # let [v1,f2], in the second ideal, act on the first ideal's odd part
         k = construct.pair_basis(2, "D").labels.index("[v1,f2]")
-        A.table[(k, A.n0)] = {A.n0 + 1: field.one()}
+        table = {key: dict(terms) for key, terms in A.table.items()}
+        table[(k, A.n0)] = {A.n0 + 1: field.one()}
+        A = SuperAlgebra(A.name, field, A.n0, A.n1, A.labels, table,
+                         A.odd_symmetric)
     return A
 
 construct.build_superalgebra = tampered

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from spinlab.fields import QQ, GF, make_field
+from spinlab import construct
+from spinlab.fields import QQ, GF, Field, make_field
 from spinlab.exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
                               form_b, form_bhat)
 from spinlab.clifford import (SoElement, pair_basis, rho_of, so_bracket,
@@ -13,7 +14,7 @@ from spinlab.construct import (OddHalfSpinUnsupported, bracket_is_symmetric,
                                build_superalgebra, classify,
                                decompose_type_d_l2, generator_triples,
                                module_masks, spin_bracket)
-from spinlab.superalgebra import j_triple
+from spinlab.superalgebra import VerificationFailed, j_triple
 from spinlab.linalg import rref_field
 
 CHARS = (0, 3, 5, 7)
@@ -183,7 +184,7 @@ def test_spin_bracket_symmetry_parity(kind, ls):
 def test_algebra_symmetry_flag_matches_bracket_parity():
     for kind, ls in (("B", range(1, 9)), ("D", (2, 4, 6, 8))):
         for l in ls:
-            A = build_superalgebra(l, kind, QQ, check=False)
+            A = build_superalgebra(l, kind, QQ)
             assert A.odd_symmetric == bracket_is_symmetric(l, kind), (kind, l)
 
 
@@ -225,10 +226,10 @@ def test_spin_bracket_against_permuted_full_solve(kind, l):
                                      ("D", (2, 4, 6))])
 def test_gf_structure_constants_are_mod_p_reductions(kind, ls):
     for l in ls:
-        AQ = build_superalgebra(l, kind, QQ, check=False)
+        AQ = build_superalgebra(l, kind, QQ)
         for p in (3, 5, 7):
             f = make_field(p)
-            Ap = build_superalgebra(l, kind, f, check=False)
+            Ap = build_superalgebra(l, kind, f)
             assert Ap.table.keys() >= AQ.table.keys() - {
                 k for k, cell in AQ.table.items()
                 if all(f.is_zero(f.raw(v)) for v in cell.values())}
@@ -251,3 +252,139 @@ def test_generator_triples_shape():
     D = build_superalgebra(4, "D", QQ)
     trs_d = generator_triples(4, "D", D)
     assert len(trs_d) == 3         # even r only: 0, 2, 4
+
+
+# content hashes of the 48 scan-grid tables, pinned so that a change of
+# how they are built cannot change what is built
+GRID_HASHES = {
+    ("B", 1, 0):
+        "de56b648389b07fc8641fbad524a5d6acebd4bcc1bf613d909229cb6e688c383",
+    ("B", 1, 3):
+        "b92a64e842a51ef1f1d6baa44af53b9ba2980c5603a7b2a84f741450fb87194b",
+    ("B", 1, 5):
+        "007ed6768eb3c21a68b2a430773a5c0bafb64f551b70d9063da17789fdab7459",
+    ("B", 1, 7):
+        "9bcac560662d6d3950a8f8401f90891fb73e74f880113cc681902d451ce182a8",
+    ("B", 2, 0):
+        "4e67004f046f320346893171b8cc5958cec2015463b515a77a35e1a4aa91bc75",
+    ("B", 2, 3):
+        "f21481409936a7b9bc701f0e240affada00f6354214232562739a509721f703a",
+    ("B", 2, 5):
+        "6288260b8359f90d587d2351d013b3dc74a36f7f694f71414caa5fc4d104ff35",
+    ("B", 2, 7):
+        "f42ee30089aec7d4048b5d1ef1dc2adb22f8be950a12fc370acd303e7e1bfd95",
+    ("B", 3, 0):
+        "b577eaa6c06163bb2fda8d081fc9fb91f7bcd4ba10bc7d12104cf19d08c52d8c",
+    ("B", 3, 3):
+        "6dae6610f3eb9fc7c4624af35a578eb8407cb9d8c4268407002dd381fc742e39",
+    ("B", 3, 5):
+        "b766682061938376bd30ffd521187e1f8fff83654b9d67914089da91e4a42e2d",
+    ("B", 3, 7):
+        "a313159013c52d0c42c065ec28ab765b65e407e031976102de7f854958c1377b",
+    ("B", 4, 0):
+        "37265af82abb1078dc83d1696f4fbf43e70bd16e73a67f29847ef291640721b3",
+    ("B", 4, 3):
+        "1a8fe3e6490175a4eb3495a8466e439ac9174ee40ea9baf608ab0c2a2bbe571c",
+    ("B", 4, 5):
+        "a4d31edb581a4270fedf6bbd7a52532fc849f674c5cc4af9076a737e1621d96c",
+    ("B", 4, 7):
+        "6ab33fac071b4059528f1d3c1547dad3f771c0422e1de867bc995b3415875567",
+    ("B", 5, 0):
+        "afadffe44f0e7a750e9a72f46e137249eb910346325d4195ee9684438eed1797",
+    ("B", 5, 3):
+        "8033d4b37052372e8a357f237e255645dfcb68265ab66c48377733fa5581c57b",
+    ("B", 5, 5):
+        "540067eab5c7a8fd0a87f8bc9f6dc2828ad8220c733a05603a46ca43b9dbf0b7",
+    ("B", 5, 7):
+        "3326535efbf33c22e22b6b5e3e44053a2042d4bfa4d0a12fc2576093de63d787",
+    ("B", 6, 0):
+        "fb21bcd90529e22e960e8307e64435db943c0ee9cdfdb336eba7bad242bdea01",
+    ("B", 6, 3):
+        "7c6ee8f59fbd47a8f97d3a022deefba4f0254c09bb1a711dd64b46e5ab88bc08",
+    ("B", 6, 5):
+        "1b5a11f8f4c002e2fc45537617840cbdd89b65a9800222d2f9415bd7cd7ae944",
+    ("B", 6, 7):
+        "1a0bd37e540ba24ec3d7885823b9367b6c156522c07adeb2758e36172c675fe2",
+    ("B", 7, 0):
+        "49d53b4d240380bd3bd2531f95499674782f8023fda3a5dec418ed144991ad0e",
+    ("B", 7, 3):
+        "de497c0716bf72259955c0d3fb1d009900c3fa6c971a645c2736479c91f2eb6d",
+    ("B", 7, 5):
+        "f781e29a321a997a06879ca35360cb19efa566eb1033f6896afc1f5111dacd7d",
+    ("B", 7, 7):
+        "5d7a5052dc5aab67ebca6a90ba80f23da646c29a999dbbff458d35a440a67ab3",
+    ("B", 8, 0):
+        "085936413438aa20cbaad359dfcf43701c39135331eec74fe59a876833d67366",
+    ("B", 8, 3):
+        "d9a4fe96dd20ee9c023f7cd573c0107992791b69b865439e868fc4fbf2c2db27",
+    ("B", 8, 5):
+        "e7d329b41d7b2c2a52662af0a2aa2f82a3a072b93493200c46c8ad5cc42e44a8",
+    ("B", 8, 7):
+        "1ddb24e26e56aa071767cbd6697d2a3c851ad2dacbcafdfbda097c0d6e41b45f",
+    ("D", 2, 0):
+        "8016265c347b9667fb1bb34f8a271d0237315f1989340a252dd473cc5b3d43cd",
+    ("D", 2, 3):
+        "a54f1e184d1245c2452dff702efb9f22d706370c1cbf617d0b78fe7889ae1ee5",
+    ("D", 2, 5):
+        "32c4ff462e45c8f1cb2550191456212da2e0ed4bd271ba15fdf89e9e5ee9ac86",
+    ("D", 2, 7):
+        "a794bb456a8013d4dce5cbfdd2e3d4745bb17fafa121cfd8c77018581275aa9e",
+    ("D", 4, 0):
+        "5ca1f28b0fde6b2fc86cdc474c0d3113d9c7e84efcba3abc96b150e65a4c53a0",
+    ("D", 4, 3):
+        "337c4dcb5a9bf4904a268485bd0f4e5feecc2fcaac0ad08e1df8aa76c90871c0",
+    ("D", 4, 5):
+        "c543d9bd54d7ec00c16f384c63b093bedfea1aa037bd1f701c5d17c6f9327a71",
+    ("D", 4, 7):
+        "6741e131df96c72fd1fc3fd2efc785b0e27fa6899b66c7435ae3e1c6139d22ee",
+    ("D", 6, 0):
+        "69fe7a08c31aacf6c2eb5c5c1702f98ec8d234f949cb33999d0d4bc96d4bdc7a",
+    ("D", 6, 3):
+        "e026f829f16245d73db0c9d8fdd4ad9c92b4e92377a2b072eb2e586e46faf264",
+    ("D", 6, 5):
+        "ee9dd298827bbc1acd77173b57157ed400f89515e2e9b84e2dd9c1c4d110235f",
+    ("D", 6, 7):
+        "b1e5de6ddf6ab607cea4a9a263eb14f2a66b5623571eed192fae5a34567dabfe",
+    ("D", 8, 0):
+        "5660752e7d019d18deee16d07809d06b8673d43c074e5dd087f1db3939a4ccaa",
+    ("D", 8, 3):
+        "e5b4c9481ecd7c74ebaca2cd62b137195d52a8993ee0d0fdcf3c32920a04a28c",
+    ("D", 8, 5):
+        "5de9c660c8b53ca0f9fa30866e98f80199f5f004b37713cc129213fbafa6a51d",
+    ("D", 8, 7):
+        "8eb858306b843b607ab83c967cb466c52e94daa7efb9065c2e85bde555218eb9",
+}
+
+
+@pytest.mark.parametrize("kind,l,char", list(GRID_HASHES))
+def test_grid_table_content_hash_pinned(kind, l, char):
+    A = build_superalgebra(l, kind, make_field(char))
+    assert A.to_dict()["content_hash"] == GRID_HASHES[(kind, l, char)]
+
+
+def test_flipped_odd_product_fails_the_symmetry_check(monkeypatch):
+    ints = construct._ss_integer_table(2, "B")
+    tampered = {key: dict(cell) for key, cell in ints.items()}
+    key = next(k for k in tampered if k[0] != k[1])
+    comp, (num, den) = next(iter(tampered[key].items()))
+    tampered[key][comp] = (-num, den)
+    monkeypatch.setattr(construct, "_ss_integer_table", lambda l, kind: tampered)
+    construct._integer_tensor.cache_clear()
+    try:
+        with pytest.raises(VerificationFailed, match="odd product symmetry fails"):
+            build_superalgebra(2, "B", QQ)
+    finally:
+        construct._integer_tensor.cache_clear()
+
+
+def test_gf_build_does_no_per_entry_field_arithmetic(monkeypatch):
+    calls = []
+    raw = Field.raw
+
+    def counted(self, v):
+        calls.append(v)
+        return raw(self, v)
+
+    monkeypatch.setattr(Field, "raw", counted)
+    build_superalgebra(8, "B", GF(7))
+    assert calls == []

@@ -78,7 +78,6 @@ def test_sl2_and_osp12_pass_jacobi(f):
     O = osp12(f)
     r = check_jacobi(O, "full")
     assert r.jacobi_pass and r.bracket_symmetry == "symmetric"
-    assert check_jacobi(O, "odd-only").jacobi_pass
     assert not brute_force_triples(O)
     assert len(derived_algebra(O)) == 5
 
@@ -101,13 +100,11 @@ def test_scanner_agrees_with_brute_force_on_random_tables():
         # each row yields the canonical triples i <= j <= z
         par = np.array([A.parity(t) for t in range(6)], dtype=np.int64)
         mats = _scan_matrices(A)
-        rows = [t for i in range(6) for t in _scan_one_i(A, mats, par, i, False)]
+        rows = [t for i in range(6) for t in _scan_one_i(A, mats, par, i)]
         assert rows == [t for t in want if t[0] <= t[1] <= t[2]], key
         # check_jacobi expands them to every ordered triple, in order
         full = check_jacobi(A, "full", witness_cap=10 ** 6)
         assert witness_triples(full) == want, key
-        odd = check_jacobi(A, "odd-only", witness_cap=10 ** 6)
-        assert witness_triples(odd) == [t for t in want if min(t) >= 3], key
         for cap in (1, 3, 10):
             capped = check_jacobi(A, "full", witness_cap=cap)
             assert witness_triples(capped) == want[:cap], key + (cap,)
@@ -125,11 +122,30 @@ def rescaled(A, exponent):
 @pytest.mark.parametrize("exponent", [8, 13])
 def test_scan_refuses_constants_past_the_int64_bound(exponent):
     A = rescaled(build_superalgebra(2, "B", QQ), exponent)
-    for mode in ("full", "odd-only"):
-        with pytest.raises(ValueError, match="int64 scan bound"):
-            check_jacobi(A, mode)
+    with pytest.raises(ValueError, match="int64 scan bound"):
+        check_jacobi(A, "full")
     # the exact route still sees an identity that holds
     assert check_jacobi(A, "generators", triples=[(0, 1, 10), (10, 11, 12)]).jacobi_pass
+
+
+def test_constants_past_int64_are_stored_exactly():
+    A = rescaled(build_superalgebra(2, "B", QQ), 13)
+    V = A.coo[3]
+    assert V.dtype == object and max(map(abs, V.tolist())) >= 1 << 63
+    B = SuperAlgebra.from_json(A.to_json())
+    assert B == A and B.coo[4] == A.coo[4]
+    # -2^63 fits int64, but the other bracket order 2^63 does not
+    C = SuperAlgebra("edge", QQ, 3, 0, ["e", "h", "f"], {(H, E): {E: -2 ** 63}},
+                     odd_symmetric=False)
+    assert C.coo[3].dtype == object and C.bracket_terms(E, H) == {E: 2 ** 63}
+
+
+def test_table_is_read_only():
+    A = osp12(GF(5))
+    with pytest.raises(TypeError):
+        A.table[(0, 4)] = {3: 2}
+    with pytest.raises(TypeError):
+        A.table[(E, F)][E] = 1
 
 
 def test_scan_accepts_constants_inside_the_int64_bound():
@@ -138,17 +154,14 @@ def test_scan_accepts_constants_inside_the_int64_bound():
 
 
 def test_scan_refuses_tables_that_are_not_graded_skew():
-    # [h,h] = e stored with swap sign -1, reachable only with check=False
-    bad = SuperAlgebra("skewdiag", QQ, 3, 0, ["e", "h", "f"],
-                       {(H, E): {E: 2}, (H, H): {E: 1}}, odd_symmetric=False,
-                       check=False)
+    # the scan needs a graded-skew table, which construction enforces:
+    # [h,h] = e stored with swap sign -1, and a bracket off the grading
     with pytest.raises(ValueError, match="swap sign"):
-        check_jacobi(bad, "full")
-    off = SuperAlgebra("offgrade", QQ, 3, 2, ["e", "h", "f", "x", "y"],
-                       {(H, E): {E: 2}, (H, 3): {E: 1}}, odd_symmetric=True,
-                       check=False)
+        SuperAlgebra("skewdiag", QQ, 3, 0, ["e", "h", "f"],
+                     {(H, E): {E: 2}, (H, H): {E: 1}}, odd_symmetric=False)
     with pytest.raises(ValueError, match="grading"):
-        check_jacobi(off, "full")
+        SuperAlgebra("offgrade", QQ, 3, 2, ["e", "h", "f", "x", "y"],
+                     {(H, E): {E: 2}, (H, 3): {E: 1}}, odd_symmetric=True)
 
 
 def test_vanishing_witness_is_a_verification_failure():
@@ -156,20 +169,13 @@ def test_vanishing_witness_is_a_verification_failure():
         _witness_entry(sl2(QQ), (0, 1, 2))
 
 
-def test_odd_only_mode_matches_restricted_brute_force():
-    for seed in (3, 7):
-        A = random_algebra(seed, GF(7), True)
-        want = [(i, j, k) for (i, j, k) in brute_force_triples(A)
-                if i >= 3 and j >= 3 and k >= 3]
-        r = check_jacobi(A, "odd-only", witness_cap=10 ** 6)
-        assert [(w["i"], w["j"], w["k"]) for w in r.witnesses] == want
-
-
 def test_witness_detection_and_generators_mode():
     f = QQ
-    bad = osp12(f)
-    bad.table[(0, 4)] = {3: f.raw(2)}   # tamper: [e,y] = 2x
-    bad._coo_cache = None
+    O = osp12(f)
+    table = {key: dict(terms) for key, terms in O.table.items()}
+    table[(0, 4)] = {3: f.raw(2)}   # tamper: [e,y] = 2x
+    bad = SuperAlgebra("osp12", f, O.n0, O.n1, O.labels, table,
+                       odd_symmetric=True)
     r = check_jacobi(bad, "full", witness_cap=4)
     assert not r.jacobi_pass and 1 <= r.witness_count <= 4
     first = brute_force_triples(bad)[0]
@@ -206,12 +212,6 @@ def test_even_subalgebra_of_osp12_is_sl2():
         assert (ev.n0, ev.n1) == (3, 0)
         assert check_jacobi(ev, "full").jacobi_pass
         assert ev.table == sl2(f).table
-
-
-def test_full_mode_subsumes_odd_only():
-    A = build_superalgebra(4, "B", QQ)
-    assert check_jacobi(A, "full").jacobi_pass
-    assert check_jacobi(A, "odd-only").jacobi_pass
 
 
 def test_even_sectors_hold_identically_for_rep_built_bracket():

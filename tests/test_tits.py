@@ -605,8 +605,7 @@ def test_phi0_mismatch_names_the_pair(monkeypatch):
     bad = [row[:] for row in good]
     for row in bad:                      # doubling one column keeps it invertible
         row[0] = row[0] * 2 % 5
-    pair = _first_bad_pair(bad, even_subalgebra(build_tits("octonion", F5),
-                                                check=False),
+    pair = _first_bad_pair(bad, even_subalgebra(build_tits("octonion", F5)),
                            build_so_MQ(F5).algebra)
     assert pair is not None
     monkeypatch.setattr(tits, "_phi0_matrix",
