@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from importlib import resources
 
@@ -507,6 +508,12 @@ def _write_text(text: str, out: str) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # an unwritable --out is refused before any computation
+    folder = os.path.dirname(os.path.abspath(args.out or "."))
+    if args.out and (os.path.isdir(args.out) or not os.access(folder, os.W_OK)):
+        print(f"spinlab {args.command}: cannot write --out {args.out}",
+              file=sys.stderr)
+        return 2
     if args.command == "verify":
         if args.target == "type-b":
             return cmd_verify_type("B", args)

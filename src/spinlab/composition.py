@@ -126,14 +126,6 @@ class CompositionAlgebra:
             out.append(v)
         return out
 
-    def coords_in_czero(self, x) -> list:
-        """Coordinates of x over czero_basis; x must be trace-zero."""
-        f = self.field
-        if not f.is_zero(self.norm_polar(self.unit, x)):
-            raise ValueError("element is not trace-zero")
-        # basis is (E1-E2, b_2, ..): coordinates read off directly
-        return [x[0]] + list(x[2:])
-
     def __repr__(self):
         return f"CompositionAlgebra({self.kind!r}, {self.field!r})"
 

@@ -10,8 +10,10 @@ J multiplies through
     (a(x)b)(c(x)d) = (-1)^{bc} (ac (x) bd - (3/4)(a|c)(b|d) 1),
 
 with 1 the unit.  All structure constants are rational with powers of 2
-in the denominators, so one integer-free Fraction table serves every
-field of odd characteristic through Field.raw.
+in the denominators, so one Fraction table serves every field of odd
+characteristic: _j_tensor reads it as an exact array per characteristic,
+and the product table of the element classes and the inner derivations
+of J come from that array.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .exterior import wedge_sign
-from .fields import Field, FieldMismatch
-from .linalg import RowSpace, matmul_field
+from .fields import Field, FieldMismatch, make_field
+from .linalg import RowSpace, exact_array, matmul_exact
 from .superalgebra import VerificationFailed
 
 K_LABELS = ("e", "x", "y")
@@ -54,39 +58,39 @@ def _tensor_index(i: int, j: int) -> int:
     return 1 + 3 * i + j
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so that no caller can alter the cache."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _j_tensor(p: int) -> np.ndarray:
+    """mult[x, y, k], the coefficient of e_k in e_x e_y, as a read-only
+    exact array over the field of characteristic p (linalg.exact_array)."""
+    return _frozen(exact_array(_j_fractions(), p))
+
+
 @lru_cache(maxsize=1)
-def _j_table():
-    """J structure constants over Q: table[i][j] = ((k, Fraction), ...)."""
-    tab = [[None] * J_DIM for _ in range(J_DIM)]
-    for i in range(J_DIM):
-        tab[0][i] = ((i, Fraction(1)),)
-        tab[i][0] = ((i, Fraction(1)),)
+def _j_fractions() -> np.ndarray:
+    """The structure constants of J over Q, indexed as in _j_tensor."""
+    tab = np.zeros((J_DIM,) * 3, dtype=object)
+    tab[0, range(J_DIM), range(J_DIM)] = tab[range(J_DIM), 0, range(J_DIM)] = 1
     for ai, bi, ci, di in itertools.product(range(3), repeat=4):
         row, col = _tensor_index(ai, bi), _tensor_index(ci, di)
         sign = -1 if K_PARITY[bi] and K_PARITY[ci] else 1
-        acc = {}
         for k1, c1 in K_TABLE[ai][ci].items():
             for k2, c2 in K_TABLE[bi][di].items():
-                t = _tensor_index(k1, k2)
-                acc[t] = acc.get(t, Fraction(0)) + sign * c1 * c2
-        scal = sign * Fraction(-3, 4) * K_FORM[ai][ci] * K_FORM[bi][di]
-        if scal:
-            acc[0] = acc.get(0, Fraction(0)) + scal
-        tab[row][col] = tuple((k, v) for k, v in sorted(acc.items()) if v)
-    return tuple(tuple(r) for r in tab)
+                tab[row, col, _tensor_index(k1, k2)] += sign * c1 * c2
+        tab[row, col, 0] += sign * Fraction(-3, 4) * K_FORM[ai][ci] * K_FORM[bi][di]
+    return _frozen(tab)
 
 
 @lru_cache(maxsize=None)
 def _j_field_table(field: Field):
-    f = field
-    out = []
-    for row in _j_table():
-        cells = []
-        for cell in row:
-            ent = tuple((k, f.raw(c)) for k, c in cell if not f.is_zero(f.raw(c)))
-            cells.append(ent)
-        out.append(tuple(cells))
-    return tuple(out)
+    """table[i][j] = ((k, raw), ...): the nonzero e_k-coefficients of e_i e_j."""
+    return tuple(tuple(tuple((k, v) for k, v in enumerate(cell) if v) for cell in row)
+                 for row in _j_tensor(field.p).tolist())
 
 
 class KacElement:
@@ -209,38 +213,77 @@ def left_mult_matrix(p: KacElement) -> list:
 def inner_derivation_J(p: KacElement, q: KacElement) -> list:
     """[L_p, L_q] as a 9x9 matrix on K(x)K (rows = outputs).
 
-    p and q must be parity-homogeneous (the Koszul sign needs it); the
-    super-commutator annihilates 1 and preserves K(x)K, which is
-    checked before the first row and column are dropped.
+    p and q must be parity-homogeneous (the Koszul sign needs it); then
+    [L_p, L_q] = sum_x sum_y p_x q_y [L_x, L_y], read from _lmul_brackets.
     """
     f = p.field
-    par_p, par_q = p.parity(), q.parity()
-    if par_p is None or par_q is None:
+    if p.parity() is None or q.parity() is None:
         raise ValueError("inner derivations need parity-homogeneous arguments")
-    LP, LQ = left_mult_matrix(p), left_mult_matrix(q)
-    comb = f.add if par_p and par_q else f.sub
-    full = [[comb(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(matmul_field(LP, LQ, f), matmul_field(LQ, LP, f))]
-    if not all(f.is_zero(full[i][0]) and f.is_zero(full[0][i]) for i in range(J_DIM)):
+    pq = np.outer(*(exact_array(e.coords, f.p) for e in (p, q))).reshape(-1)
+    if f.p:
+        pq %= f.p
+    hot = np.flatnonzero(pq)
+    flat = matmul_exact(pq[None, hot], _lmul_brackets(f.p).reshape(
+        J_DIM * J_DIM, -1)[hot], f.p)
+    return flat.reshape(J_DIM - 1, J_DIM - 1).tolist()
+
+
+def _supercommutators(X, odd, p: int) -> np.ndarray:
+    """(d, d, n, n) array of [X_a, X_b] = X_a X_b - (-1)^{|a||b|} X_b X_a
+    over all pairs of the stack X of n x n exact arrays over the field of
+    characteristic p, odd[a] the parity of X_a."""
+    d, n, _ = X.shape
+    prod = matmul_exact(X.reshape(d * n, n), X.transpose(1, 0, 2).reshape(n, d * n),
+                        p).reshape(d, n, d, n).transpose(0, 2, 1, 3)
+    swapped = prod.transpose(1, 0, 2, 3)
+    out = np.where((odd[:, None] & odd[None, :])[:, :, None, None],
+                   prod + swapped, prod - swapped)
+    return out % p if p else out
+
+
+@lru_cache(maxsize=None)
+def _lmul_brackets(p: int) -> np.ndarray:
+    """(10, 10, 9, 9) array: [L_x, L_y] on K(x)K for all basis elements x, y
+    of J, over the field of characteristic p.
+
+    The super-commutator L_x L_y - (-1)^{|x||y|} L_y L_x annihilates 1 and
+    preserves K(x)K, which is checked before the first row and column are
+    dropped.
+    """
+    L = _j_tensor(p).transpose(0, 2, 1)            # L[x][k, y] = mult[x, y, k]
+    full = _supercommutators(L, np.array(J_PARITY, dtype=bool), p)
+    if (full[:, :, 0, :] != 0).any() or (full[:, :, :, 0] != 0).any():
         raise VerificationFailed("inner derivation does not annihilate 1 "
                                  "and preserve K(x)K")
-    return [row[1:] for row in full[1:]]
+    return _frozen(full[:, :, 1:, 1:])
+
+
+@lru_cache(maxsize=None)
+def _inder_basis(p: int):
+    """(basis, n_even): inder J = span [L_J0, L_J0] over the field of
+    characteristic p as a read-only (10, 9, 9) array, even part first.
+
+    Each part keeps, in order, the [L_x, L_y] (1 <= x <= y <= 9) of its
+    parity that are independent of those before them: the pivot columns
+    of the row space of their transposed stack.
+    """
+    brackets = _lmul_brackets(p)
+    parts = []
+    for par in (0, 1):
+        stack = np.stack([brackets[x, y].reshape(-1)
+                          for x in range(1, J_DIM) for y in range(x, J_DIM)
+                          if J_PARITY[x] ^ J_PARITY[y] == par])
+        space = RowSpace(make_field(p), len(stack))
+        space.insert(stack.T)
+        parts.append(stack[space.pivots])
+    return _frozen(np.concatenate(parts).reshape(-1, 9, 9)), len(parts[0])
 
 
 def inder_j_span(field: Field):
     """(even basis, odd basis) of inder J = span [L_J0, L_J0], as 9x9
     matrices; dimensions come out (6, 4)."""
-    f = field
-    spans = {0: RowSpace(f, 81), 1: RowSpace(f, 81)}
-    mats = {0: [], 1: []}
-    for i in range(1, J_DIM):
-        for j in range(i, J_DIM):
-            par = (J_PARITY[i] + J_PARITY[j]) % 2
-            m = inner_derivation_J(KacElement.basis(f, i), KacElement.basis(f, j))
-            flat = [x for row in m for x in row]
-            if spans[par].insert([flat]):
-                mats[par].append(m)
-    return mats[0], mats[1]
+    basis, n_even = _inder_basis(field.p)
+    return basis[:n_even].tolist(), basis[n_even:].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ The field-generic routines work on lists of raw field values and are used
 wherever Fractions are in play.  The *_modp kernels keep everything in
 int64 numpy arrays; products are computed through float64 BLAS when the
 magnitudes provably fit in the 53-bit mantissa, falling back to chunking
-otherwise, so every result is exact.
+otherwise, so every result is exact.  The *_exact routines take arrays
+over either field, by characteristic p: int64 residues over GF(p), which
+they hand to the *_modp kernels, and object arrays of Fractions over Q.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -106,6 +109,39 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         e = min(k, s + step)
         acc = (acc + (a[:, s:e].astype(np.float64) @ b[s:e].astype(np.float64)).astype(np.int64)) % p
     return acc
+
+
+def exact_array(values, p: int) -> np.ndarray:
+    """Integers and Fractions as an array over the field of characteristic
+    p: int64 residues over GF(p), an object array of Fractions over Q."""
+    vals = np.asarray(values)
+    if p and vals.dtype.kind in "iu":
+        return vals.astype(np.int64) % p
+    vals = np.asarray(values, dtype=object)
+    flat = [Fraction(v) for v in vals.flat]
+    if p:
+        flat = [v.numerator * pow(v.denominator, -1, p) % p for v in flat]
+    return np.array(flat, dtype=np.int64 if p else object).reshape(vals.shape)
+
+
+def common_denominator(a: np.ndarray):
+    """(N, d): a = N / d with N an object array of Python ints, d the lcm
+    of the denominators of the entries of a."""
+    vals = [Fraction(v) for v in np.asarray(a, dtype=object).flat]
+    d = math.lcm(*(v.denominator for v in vals))
+    num = [v.numerator * (d // v.denominator) for v in vals]
+    return np.array(num, dtype=object).reshape(np.shape(a)), d
+
+
+def matmul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b over GF(p) through matmul_modp, or over Q (p = 0) as a
+    product of Python integers over a common denominator."""
+    if p:
+        return matmul_modp(a, b, p)
+    (na, da), (nb, db) = common_denominator(a), common_denominator(b)
+    d = da * db
+    out = [Fraction(v, d) for v in (na @ nb).flat]
+    return np.array(out, dtype=object).reshape(np.shape(a)[0], np.shape(b)[1])
 
 
 def rref_modp(a: np.ndarray, p: int):

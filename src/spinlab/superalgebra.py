@@ -10,10 +10,11 @@ K, V, scale) holding both bracket orders: [e_I, e_J] has coefficient
 V / scale at e_K.  Over GF(p), V holds residues and scale is 1; over Q,
 V holds the exact numerators over the lcm of the denominators (int64 when
 they fit, Python ints in an object array otherwise).  Grading and the
-[x,x] rule are checked on these arrays when the algebra is made.  The
+[x,x] rule are checked on these arrays when the algebra is made.
+bracket_terms reads the stored row of a pair by binary search.  The
 mapping table, (i, j) -> {k: value} for i <= j (plus odd diagonals), is
-a read-only view of them, built on first use; bracket_terms,
-serialization and equality read it.
+a read-only view of the arrays, built on first use; serialization and
+equality read it.
 The graded Jacobi identity is taken in the form
 
     J(x,y,z) = [[x,y],z] + eps(x,y) [y,[x,z]] - [x,[y,z]],
@@ -43,15 +44,15 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 
 import numpy as np
 
 from .fields import Field, make_field
-from .linalg import (RowSpace, RowSpaceModP, matmul_field, matmul_modp,
-                     nullspace_field, nullspace_modp, rank_field, rank_modp,
-                     rref_modp)
+from .linalg import (RowSpace, RowSpaceModP, common_denominator, exact_array,
+                     matmul_field, matmul_modp, nullspace_field,
+                     nullspace_modp, rank_field, rank_modp, rref_modp)
 
 SCHEMA_VERSION = 1
 
@@ -67,7 +68,7 @@ class SuperAlgebra:
     two orders of one pair are both given and disagree."""
 
     __slots__ = ("name", "field", "n0", "n1", "labels", "odd_symmetric",
-                 "coo", "_table")
+                 "coo", "_table", "_pair_keys", "_rows")
 
     def __init__(self, name: str, field: Field, n0: int, n1: int, labels,
                  bracket: dict, odd_symmetric: bool):
@@ -92,9 +93,7 @@ class SuperAlgebra:
         entries = [(i, j, k, v) for (i, j), terms in stored.items()
                    for k, v in terms.items()]
         I, J, K, V = zip(*entries) if entries else ((),) * 4
-        scale = 1 if f.p else lcm(*(v.denominator for v in V))
-        if not f.p:
-            V = [v.numerator * (scale // v.denominator) for v in V]
+        V, scale = (V, 1) if f.p else common_denominator(V)
         self._store(name, field, n0, n1, labels, (I, J, K, V, scale),
                     odd_symmetric)
 
@@ -115,7 +114,8 @@ class SuperAlgebra:
         if len(labels) != n:
             raise ValueError(f"need {n} labels, got {len(labels)}")
         self.odd_symmetric = odd_symmetric = bool(odd_symmetric)
-        self._table = None
+        self._table = self._pair_keys = None
+        self._rows = {}
         I, J, K, V, scale = coo
         I, J, K = (np.asarray(x, dtype=np.int64) for x in (I, J, K))
         if field.p:
@@ -169,16 +169,25 @@ class SuperAlgebra:
         return -1
 
     def bracket_terms(self, i: int, j: int) -> dict:
-        """[e_i, e_j] as a zero-free dict k -> raw coefficient."""
-        if i <= j:
-            return dict(self.table.get((i, j), ()))
-        terms = self.table.get((j, i))
-        if not terms:
-            return {}
-        if self._swap_sign(i, j) > 0:
-            return dict(terms)
-        f = self.field
-        return {k: f.neg(v) for k, v in terms.items()}
+        """[e_i, e_j] as a zero-free dict k -> raw coefficient.  The stored
+        row of a pair is read from coo by binary search on first use."""
+        pair = (min(i, j), max(i, j))
+        terms = self._rows.get(pair)
+        if terms is None:
+            I, J, K, V, scale = self.coo
+            if self._pair_keys is None:      # stored rows (i <= j) come sorted
+                stored = I <= J
+                self._pair_keys = I[stored] * self.dim + J[stored]
+            key = pair[0] * self.dim + pair[1]
+            lo, hi = np.searchsorted(self._pair_keys, (key, key + 1))
+            vals = V[lo:hi].tolist()
+            if not self.field.p:
+                vals = [Fraction(v, scale) for v in vals]
+            terms = self._rows[pair] = dict(zip(K[lo:hi].tolist(), vals))
+        if i > j and self._swap_sign(i, j) < 0:
+            f = self.field
+            return {k: f.neg(v) for k, v in terms.items()}
+        return dict(terms)
 
     def bracket_vectors(self, x, y) -> list:
         """Bracket of two coordinate vectors (raw values), as a raw vector."""
@@ -831,16 +840,6 @@ def simplicity_certificate(A: SuperAlgebra):
 # equivariant bilinear maps S x S -> g0
 
 
-def _exact_stack(mats, f: Field) -> np.ndarray:
-    """The matrices as one array of field values: int64 residues over
-    GF(p) (integer arrays are read mod p), Python objects over Q."""
-    a = np.asarray(mats)
-    if f.p and a.dtype.kind in "iu":
-        return a.astype(np.int64) % f.p
-    a = np.vectorize(f.raw, otypes=[object])(np.asarray(mats, dtype=object))
-    return a.astype(np.int64) if f.p else a
-
-
 def _off_diagonal(X: np.ndarray) -> np.ndarray:
     """Mask of the matrices of the stack X with a nonzero off-diagonal entry."""
     off = X.copy()
@@ -865,7 +864,7 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
         return 0
     f = field
     p = f.p
-    R, A = _exact_stack(rep, f), _exact_stack(adjoint, f)
+    R, A = exact_array(rep, p), exact_array(adjoint, p)
     ds, dg = R.shape[1], A.shape[1]
     torus = ~(_off_diagonal(R) | _off_diagonal(A))
     gap = (R[torus][:, range(ds), range(ds)][:, :, None, None]

@@ -20,6 +20,17 @@ a, b trace-zero in C; x, y trace-zero in J):
 with t the normalized trace of J, x*y = xy - t(xy)1, n the polar norm
 of C and D_{a,b} the standard inner derivation of C.
 
+TitsModel holds the data these rules read as exact arrays, computed once
+per field without a loop over basis pairs: int64 residues over GF(p),
+Fractions in object arrays over Q, every product through
+linalg.matmul_exact (matmul_modp over GF(p)).  The der C tables come from
+the integer tables of C by contraction, the inder J tables from the Kac
+table, and each coordinate read is checked by rebuilding the matrix it
+came from.  build_tits applies the rules to whole tables, one block of
+slot kinds at a time, and stores the result as COO arrays once the two
+orders of every pair, each from its own rule, have been found to agree;
+tits_bracket applies them to one pair, as the reference for the tests.
+
 The characteristic-5 identification (build_so_MQ, phi0, spin_map_psi,
 phi1_intertwine, cross_identify_with_typeB) works over GF(5) only and
 refuses any other field with ValueError.  Each step computes its data
@@ -33,20 +44,23 @@ arrays goes through linalg.matmul_modp, whose float64 blocks are exact.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field
-from .linalg import (SpanSolver, RowSpace, inv_modp, matmul_field,
+from .fields import Field, make_field
+from .linalg import (RowSpace, common_denominator, exact_array, inv_modp,
+                     matmul_exact,
                      matmul_modp, nullspace_modp, rank_modp, rref_modp)
 from .composition import (CompositionAlgebra, make_composition,
-                          derivation_algebra, inner_derivation, ad_matrix,
-                          _czero_maps)
-from .kac import (KacElement, J_LABELS, J_PARITY, ODD_INDICES,
-                  inner_derivation_J, inder_j_span, _j_field_table, K_FORM)
+                          derivation_algebra, ad_matrix, _czero_maps,
+                          _int_tables)
+from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
+                  _inder_basis, _j_tensor, _lmul_brackets, _supercommutators)
 from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
                            ideal_closure, verify_isomorphism,
                            equivariant_map_dim, _block, _norton_word,
@@ -81,73 +95,77 @@ TITS_DIMS = {"unit": (6, 4), "binarion": (11, 8),
              "quaternion": (24, 16), "octonion": (55, 32)}
 
 
-def _flat(mat):
-    return [x for row in mat for x in row]
+def _red(a, p):
+    """a reduced mod p over GF(p); over Q (p = 0) a itself."""
+    return a % p if p else a
 
 
-def _mat_sub(f, A, B):
-    return [[f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+# Exact array products over GF(p) (matmul_modp) or Q (object arrays)
+
+
+def _stacked_right(X, M, p):
+    """X[k]·M for every matrix of the stack X, as one product."""
+    d, n, m = X.shape
+    return matmul_exact(X.reshape(d * n, m), M, p).reshape(d, n, M.shape[1])
+
+
+def _stacked_left(M, X, p):
+    """M·X[k] for every matrix of the stack X, as one product."""
+    d, n, m = X.shape
+    flat = matmul_exact(M, X.transpose(1, 0, 2).reshape(n, d * m), p)
+    return flat.reshape(len(M), d, m).transpose(1, 0, 2)
+
+
+def _pair_products(X, p):
+    """(d, d, n, n) array of X[a]·X[b] over all pairs of the stack X."""
+    d, n, _ = X.shape
+    flat = _stacked_right(X, X.transpose(1, 0, 2).reshape(n, d * n), p)
+    return flat.reshape(d, n, d, n).transpose(0, 2, 1, 3)
+
+
+def _combine(coef, X, p):
+    """Σ_k coef[a, k]·X[k] for every row a of coef, X a stack."""
+    out = matmul_exact(coef, X.reshape(len(X), math.prod(X.shape[1:])), p)
+    return out.reshape((len(coef),) + X.shape[1:])
 
 
 # ---------------------------------------------------------------------------
 # structure data
 
 
-class _JTables(NamedTuple):
-    """The J side of T(C, Kac), which depends only on the field."""
-    inder: list          # basis of inder J as 9×9 matrices, even ones first
-    n_even: int
-    solver: SpanSolver   # coordinates in that basis
-    dJcol: list          # dJcol[t][x - 1] = ((k, v), ...): d_t(e_x) = Σ v·e_k
-    dd: dict             # (s, t) -> coordinates of [d_s, d_t]
-    t_tab: list          # t_tab[x][y] = t(e_x e_y)
-    star_tab: list       # star_tab[x][y] = e_x * e_y as ((k, v), ...)
-    LL: list             # LL[x][y] = coordinates of [L_x, L_y]
+def _coords(X, basis, cols, back, p, what):
+    """Coordinates c of the rows of X over the rows of basis, read as
+    X[:, cols]·back (X[:, cols] when back is None) and checked by
+    rebuilding X = c·basis; VerificationFailed(what) when that fails."""
+    c = X[:, cols] if back is None else matmul_exact(X[:, cols], back, p)
+    if not np.array_equal(matmul_exact(c, basis, p), X):
+        raise VerificationFailed(what)
+    return c
 
 
 @lru_cache(maxsize=None)
-def _j_tables(field: Field) -> _JTables:
-    f = field
-    ev, od = inder_j_span(f)
-    inder = ev + od
-    nev = len(ev)
-    solver = SpanSolver(f, [_flat(d) for d in inder])
-
-    # inner derivations of J: column action on J⁰ and supercommutator
-    dJcol = [[tuple((k + 1, d[k][xj - 1]) for k in range(9)
-                    if not f.is_zero(d[k][xj - 1])) for xj in range(1, 10)]
-             for d in inder]
-    dd = {}
-    for s in range(10):
-        for t in range(10):
-            sgn = -1 if (s >= nev and t >= nev) else 1
-            prod = matmul_field(inder[s], inder[t], f)
-            back = matmul_field(inder[t], inder[s], f)
-            com = (_mat_sub(f, prod, back) if sgn > 0 else
-                   [[f.add(a, b) for a, b in zip(ra, rb)]
-                    for ra, rb in zip(prod, back)])
-            cc = solver.coords(_flat(com))
-            if cc is None:
-                raise VerificationFailed("inder J is not closed under [ , ]")
-            dd[(s, t)] = cc
-
-    # J⁰ pair data: trace, star product, inner-derivation coordinates
-    tab = _j_field_table(f)
-    t_tab = [[f.zero()] * 10 for _ in range(10)]
-    star_tab = [[()] * 10 for _ in range(10)]
-    LL = [[None] * 10 for _ in range(10)]
-    for xi in range(1, 10):
-        for yj in range(1, 10):
-            cell = tab[xi][yj]
-            t_tab[xi][yj] = next((v for k, v in cell if k == 0), f.zero())
-            star_tab[xi][yj] = tuple((k, v) for k, v in cell if k)
-            LLm = inner_derivation_J(KacElement.basis(f, xi),
-                                     KacElement.basis(f, yj))
-            cc = solver.coords(_flat(LLm))
-            if cc is None:
-                raise VerificationFailed("[L_x, L_y] escapes inder J")
-            LL[xi][yj] = cc
-    return _JTables(inder, nev, solver, dJcol, dd, t_tab, star_tab, LL)
+def _j_tables(p: int):
+    """The J side of TitsModel, which depends only on the field."""
+    inder, nev = _inder_basis(p)
+    nd, flat = len(inder), inder.reshape(len(inder), -1)
+    # coordinates in inder J: the reduced rows of [basis | 1] have pivots
+    # cols in the basis part, so x = x[cols]·back·basis on the span
+    space = RowSpace(make_field(p), flat.shape[1] + nd)
+    space.insert(np.hstack([flat, exact_array(np.eye(nd, dtype=int), p)]))
+    cols = [c for c in space.pivots if c < flat.shape[1]]
+    back = exact_array(space.basis(), p)[:len(cols), flat.shape[1]:]
+    com = _supercommutators(inder, np.arange(nd) >= nev, p)
+    dd = _coords(com.reshape(nd * nd, -1), flat, cols, back, p,
+                 "inder J is not closed under [ , ]").reshape(nd, nd, nd)
+    LL = _coords(_lmul_brackets(p).reshape(100, -1), flat, cols, back, p,
+                 "[L_x, L_y] escapes inder J").reshape(10, 10, nd)
+    star = _j_tensor(p).copy()
+    LL[0] = LL[:, 0] = star[0] = star[:, 0] = 0       # pairs from J⁰ only
+    t_tab = star[:, :, 0].copy()
+    star[:, :, 0] = 0
+    dJcol = np.zeros_like(star)
+    dJcol[:, 1:, 1:] = inder.transpose(0, 2, 1)
+    return (inder, nev) + tuple(map(_frozen, (dJcol, dd, t_tab, star, LL)))
 
 
 class TitsModel:
@@ -157,23 +175,43 @@ class TitsModel:
     trace-zero part of J (e⊗e first, then U⊗U), then the even inner
     derivations; the odd part is a_i⊗x_j over the odd J indices followed
     by the odd inner derivations.
+
+    The tables are read-only exact arrays (int64 residues over GF(p),
+    Fractions over Q), indexed by basis positions of der C (D), of
+    czero_basis (a, b, c), of the inner derivations (s, t) and of J
+    (x, y, k, with zero entries at the unit, index 0):
+
+        DD[i, j]    coordinates of [D_i, D_j] over derC
+        Dcz[d, a]   coordinates of D_d(a) over czero_basis
+        Dab[a, b]   coordinates of D_{a,b} over derC
+        comm_cz[a, b], npol[a, b]    [a, b] over czero_basis, n(a, b)
+        dJcol[t, x, k]    coefficient of e_k in d_t(e_x)
+        dd[s, t]    coordinates of [d_s, d_t] over inder
+        t_tab[x, y], star_tab[x, y, k]    t(e_x e_y), e_k in e_x * e_y
+        LL[x, y]    coordinates of [L_x, L_y] over inder
+
+    The der C side comes from the integer tables of C by contraction,
+    with coordinates over derC read at the free columns of its reduced
+    null basis (the last nonzero entry of each row); every coordinate
+    read is checked by rebuilding the matrix it came from.
     """
 
     def __init__(self, kind, field: Field):
         f = field
+        p = f.p
         self.kind = kind
         self.field = f
         C = self.C = make_composition(kind, f)
         cz = self.cz = C.czero_basis()
         ncz = self.ncz = len(cz)
-        derC = self.derC = derivation_algebra(C)
+        n = C.dim
+        derC = self.derC = _frozen(exact_array(derivation_algebra(C), p)
+                                   .reshape(-1, n, n))
         nder = self.nder = len(derC)
-        J = _j_tables(f)
-        self.inder = J.inder
-        self.n_inder_even = nev = J.n_even
-        nod = len(J.inder) - nev
-        self.dJcol, self.dd, self.LL = J.dJcol, J.dd, J.LL
-        self.t_tab, self.star_tab = J.t_tab, J.star_tab
+        (self.inder, nev, self.dJcol, self.dd, self.t_tab, self.star_tab,
+         self.LL) = _j_tables(p)
+        self.n_inder_even = nev
+        nod = len(self.inder) - nev
 
         self.slots = ([("der", i) for i in range(nder)]
                       + [("mid", ai, xj) for ai in range(ncz) for xj in J_EVEN0]
@@ -195,90 +233,76 @@ class TitsModel:
         labels += [f"dJ{nev + t}" for t in range(nod)]
         self.labels = tuple(labels)
 
-        der_solver = SpanSolver(f, [_flat(D) for D in derC]) if derC else None
+        # C⁰ = the rows of Z (none for the unit)
+        Z = exact_array(_czero_maps(n)[1] if ncz else np.zeros((0, n), dtype=int), p)
+        mult, gram = (exact_array(t, p) for t in _int_tables(kind))
+        Lt, Rt = mult.transpose(0, 2, 1), mult.transpose(1, 2, 0)   # b_t x, x b_t
+        flat = derC.reshape(nder, n * n)
+        free = [int(np.flatnonzero(row)[-1]) for row in flat != 0]
 
-        # der C composition: commutator coordinates for all ordered pairs
-        self.DD = {}
-        for i in range(nder):
-            for j in range(nder):
-                com = _mat_sub(f, matmul_field(derC[i], derC[j], f),
-                               matmul_field(derC[j], derC[i], f))
-                cc = der_solver.coords(_flat(com))
-                if cc is None:
-                    raise VerificationFailed("der C is not closed under [ , ]")
-                self.DD[(i, j)] = cc
+        def in_der(X, what):
+            return _coords(X.reshape(-1, n * n), flat, free, None, p, what)
 
-        # der C acting on the trace-zero part of C
-        self.Dcz = [[C.coords_in_czero(
-            [sum((f.mul(D[r][c], a[c]) for c in range(C.dim)), f.zero())
-             for r in range(C.dim)]) for a in cz] for D in derC]
+        def in_czero(X, what):     # coordinates at the columns other than 1
+            return _coords(X.reshape(-1, n), Z, [0, *range(2, n)][:ncz], None, p, what)
 
-        # C⁰ pair data: D_{a,b}, [a,b], polar norm
-        self.Dab = [[None] * ncz for _ in range(ncz)]
-        self.comm_cz = [[None] * ncz for _ in range(ncz)]
-        self.npol = [[None] * ncz for _ in range(ncz)]
-        for ai in range(ncz):
-            for bi in range(ncz):
-                D = inner_derivation(C, cz[ai], cz[bi])
-                cc = (der_solver.coords(_flat(D)) if der_solver else
-                      ([] if all(f.is_zero(x) for x in _flat(D)) else None))
-                if cc is None:
-                    raise VerificationFailed("D_{a,b} escapes der C")
-                self.Dab[ai][bi] = cc
-                self.comm_cz[ai][bi] = C.coords_in_czero(
-                    C.commutator(cz[ai], cz[bi]))
-                self.npol[ai][bi] = f.raw(C.norm_polar(cz[ai], cz[bi]))
+        self.DD = in_der(_supercommutators(derC, np.zeros(nder, dtype=bool), p),
+                         "der C is not closed under [ , ]").reshape(nder, nder, nder)
+        self.Dcz = in_czero(_stacked_right(derC, Z.T, p).transpose(0, 2, 1),
+                            "der C moves C⁰").reshape(nder, ncz, ncz)
+        # [a, b] = ab − ba and D_{a,b} = ad_[a,b] − 3(a, b, ·), where the
+        # associator (a, b, ·) = L_ab − L_a L_b
+        La = _combine(Z, Lt, p)
+        ab = _stacked_right(La, Z.T, p).transpose(0, 2, 1).reshape(ncz * ncz, n)
+        comm = _red(ab - ab.reshape(ncz, ncz, n).transpose(1, 0, 2).reshape(-1, n), p)
+        self.comm_cz = in_czero(comm, "[a, b] leaves C⁰").reshape(ncz, ncz, ncz)
+        self.npol = matmul_exact(matmul_exact(Z, gram, p), Z.T, p)
+        Dab = (_combine(comm, _red(Lt - Rt, p), p) - 3 * _combine(ab, Lt, p)
+               + 3 * _pair_products(La, p).reshape(ncz * ncz, n, n))
+        self.Dab = in_der(_red(Dab, p), "D_{a,b} escapes der C").reshape(ncz, ncz, nder)
+        for a in (self.DD, self.Dcz, self.Dab, self.comm_cz, self.npol):
+            _frozen(a)
 
 
 def _middle_bracket(m, a, x, b, y):
     """[a⊗x, b⊗y] = t(xy)·D_{a,b} + [a,b]⊗(x*y) − 2n(a,b)·[L_x, L_y]."""
-    f = m.field
-    terms = []
-    t = m.t_tab[x][y]
-    if not f.is_zero(t):
-        terms += [(("der", k), f.mul(t, v)) for k, v in enumerate(m.Dab[a][b])]
-    terms += [(("mid", c, k), f.mul(u, v))
-              for c, u in enumerate(m.comm_cz[a][b]) if not f.is_zero(u)
-              for k, v in m.star_tab[x][y]]
-    n = m.npol[a][b]
-    if not f.is_zero(n):
-        c = f.neg(f.mul(f.of_int(2), n))
-        terms += [(("inj", k), f.mul(c, v)) for k, v in enumerate(m.LL[x][y])]
-    return terms
+    terms = [(("der", k), m.t_tab[x, y] * v) for k, v in enumerate(m.Dab[a, b])]
+    terms += [(("mid", c, k), u * v) for c, u in enumerate(m.comm_cz[a, b])
+              for k, v in enumerate(m.star_tab[x, y])]
+    return terms + [(("inj", k), -2 * m.npol[a, b] * v)
+                    for k, v in enumerate(m.LL[x, y])]
 
 
 def tits_bracket(model: TitsModel, i: int, j: int) -> dict:
     """[e_i, e_j] of T(C, J) on two basis elements, as zero-free {k: v}.
 
     Applies the rule of the module docstring that the slot kinds of i
-    and j select.  Both orders come from the rules, so that the
-    SuperAlgebra constructor can cross-check super-anticommutativity.
+    and j select, reading the TitsModel tables entry by entry: the
+    pair-by-pair reference for the whole-table assembly of build_tits.
     """
     m = model
-    f = m.field
-    p, q = m.slots[i], m.slots[j]
-    kinds = (p[0], q[0])
-    if kinds == ("der", "der"):
-        terms = [(("der", k), v) for k, v in enumerate(m.DD[(p[1], q[1])])]
-    elif kinds == ("der", "mid"):                    # [D, a⊗x] = D(a)⊗x
-        terms = [(("mid", b, q[2]), v)
-                 for b, v in enumerate(m.Dcz[p[1]][q[1]])]
-    elif kinds == ("mid", "der"):                    # [a⊗x, D] = −D(a)⊗x
-        terms = [(("mid", b, p[2]), f.neg(v))
-                 for b, v in enumerate(m.Dcz[q[1]][p[1]])]
-    elif kinds == ("inj", "mid"):                    # [d, a⊗x] = a⊗d(x)
-        terms = [(("mid", q[1], k), v) for k, v in m.dJcol[p[1]][q[2] - 1]]
-    elif kinds == ("mid", "inj"):        # [a⊗x, d] = −(−1)^{|x||d|} a⊗d(x)
-        both_odd = q[1] >= m.n_inder_even and J_PARITY[p[2]]
-        terms = [(("mid", p[1], k), v if both_odd else f.neg(v))
-                 for k, v in m.dJcol[q[1]][p[2] - 1]]
-    elif kinds == ("inj", "inj"):
-        terms = [(("inj", k), v) for k, v in enumerate(m.dd[(p[1], q[1])])]
-    elif kinds == ("mid", "mid"):
-        terms = _middle_bracket(m, p[1], p[2], q[1], q[2])
+    p = m.field.p
+    (kp, *u), (kq, *w) = m.slots[i], m.slots[j]
+    if (kp, kq) == ("der", "der"):
+        terms = [(("der", k), v) for k, v in enumerate(m.DD[u[0], w[0]])]
+    elif (kp, kq) == ("der", "mid"):                 # [D, a⊗x] = D(a)⊗x
+        terms = [(("mid", b, w[1]), v) for b, v in enumerate(m.Dcz[u[0], w[0]])]
+    elif (kp, kq) == ("mid", "der"):                 # [a⊗x, D] = −D(a)⊗x
+        terms = [(("mid", b, u[1]), -v) for b, v in enumerate(m.Dcz[w[0], u[0]])]
+    elif (kp, kq) == ("inj", "mid"):                 # [d, a⊗x] = a⊗d(x)
+        terms = [(("mid", w[0], k), v) for k, v in enumerate(m.dJcol[u[0], w[1]])]
+    elif (kp, kq) == ("mid", "inj"):     # [a⊗x, d] = −(−1)^{|x||d|} a⊗d(x)
+        both_odd = w[0] >= m.n_inder_even and J_PARITY[u[1]]
+        terms = [(("mid", u[0], k), v if both_odd else -v)
+                 for k, v in enumerate(m.dJcol[w[0], u[1]])]
+    elif (kp, kq) == ("inj", "inj"):
+        terms = [(("inj", k), v) for k, v in enumerate(m.dd[u[0], w[0]])]
+    elif (kp, kq) == ("mid", "mid"):
+        terms = _middle_bracket(m, u[0], u[1], w[0], w[1])
     else:                                            # [D, d] = 0
         return {}
-    return {m.index[s]: v for s, v in terms if not f.is_zero(v)}
+    terms = [(s, int(v) % p if p else Fraction(v)) for s, v in terms]
+    return {m.index[s]: v for s, v in terms if v}
 
 
 @lru_cache(maxsize=None)
@@ -286,31 +310,89 @@ def tits_model(kind, field: Field) -> TitsModel:
     return TitsModel(kind, field)
 
 
+def _outer(a, b, p):
+    """The nonzero entries of a ⊗ b: the index arrays of a, those of b,
+    and the products (nonzero, as products of nonzero field elements)."""
+    ia, ib = np.nonzero(a != 0), np.nonzero(b != 0)
+    ra = np.repeat(np.arange(len(ia[0])), len(ib[0]))
+    rb = np.tile(np.arange(len(ib[0])), len(ia[0]))
+    return ([i[ra] for i in ia], [i[rb] for i in ib],
+            _red(a[ia][ra] * b[ib][rb], p))
+
+
+def _checked_orders(I, J, K, V, n0, n, p):
+    """The entries with I <= J, once every entry with I != J has been paired
+    with one of the other order by [e_j, e_i] = s·[e_i, e_j], s = +1 for
+    two odd elements and −1 otherwise (VerificationFailed, naming the
+    first pair that fails, when one is not); n0 even of n basis elements."""
+    off, lo = I != J, I > J
+    key = (np.where(lo, J * n + I, I * n + J) * n + K)[off]
+    val = np.where(lo & ((I < n0) | (J < n0)), _red(-V, p), V)[off]
+    order = np.lexsort((lo[off], key))
+    key, val, lo = key[order], val[order], lo[off][order]
+    if key.size % 2:                     # an unpaired entry; pad the last pair
+        key, val, lo = np.append(key, -1), np.append(val, 0), np.append(lo, False)
+    bad = np.flatnonzero((key[::2] != key[1::2]) | (val[::2] != val[1::2])
+                         | lo[::2] | ~lo[1::2])
+    if bad.size:
+        i, j = divmod(int(key[2 * bad[0]]) // n, n)
+        raise VerificationFailed(f"inconsistent bracket orders for ({i},{j})")
+    keep = I <= J
+    return I[keep], J[keep], K[keep], V[keep]
+
+
 @lru_cache(maxsize=None)
 def build_tits(kind, field: Field) -> SuperAlgebra:
     """Structure constants of T(C, Kac) over the ordered pinned basis.
 
-    Both bracket orders are generated from the defining rules, so the
-    constructor's folding pass cross-checks super-anticommutativity.
+    The rules of tits_bracket are applied to whole tables, one block of
+    slot kinds at a time, as sparse outer products.  Both orders of every
+    pair come from the rules, and _checked_orders compares them before
+    the table is stored.
     """
     m = tits_model(kind, field)
-    n = m.n0 + m.n1
-    table = {(i, j): tits_bracket(m, i, j) for i in range(n) for j in range(n)}
-    return SuperAlgebra(f"T({kind})", field, m.n0, m.n1, m.labels, table,
-                        odd_symmetric=True)
+    p = field.p
+    mid = np.full((m.ncz, 10), -1)
+    for slot, k in m.index.items():
+        if slot[0] == "mid":
+            mid[slot[1:]] = k
+    inj = np.array([m.index[("inj", t)] for t in range(len(m.inder))])
+    one = np.ones(1, dtype=int)
+    (i, j, k), _, v = _outer(m.DD, one, p)
+    blocks = [(i, j, k, v)]
+    (s, t, k), _, v = _outer(m.dd, one, p)
+    blocks.append((inj[s], inj[t], inj[k], v))
+    # [D, a⊗x] = D(a)⊗x and [a⊗x, D] = −D(a)⊗x
+    (d, a, b), (x,), v = _outer(m.Dcz, np.arange(10) > 0, p)
+    blocks += [(d, mid[a, x], mid[b, x], v), (mid[a, x], d, mid[b, x], _red(-v, p))]
+    # [d, a⊗x] = a⊗d(x) and [a⊗x, d] = −(−1)^{|x||d|} a⊗d(x)
+    (t, x, k), (a,), v = _outer(m.dJcol, np.ones(m.ncz, dtype=int), p)
+    both_odd = (t >= m.n_inder_even) & (np.array(J_PARITY)[x] == 1)
+    blocks += [(inj[t], mid[a, x], mid[a, k], v),
+               (mid[a, x], inj[t], mid[a, k], np.where(both_odd, v, _red(-v, p)))]
+    # [a⊗x, b⊗y] = t(xy)·D_{a,b} + [a,b]⊗(x*y) − 2n(a,b)·[L_x, L_y]
+    (x, y), (a, b, k), v = _outer(m.t_tab, m.Dab, p)
+    blocks.append((mid[a, x], mid[b, y], k, v))
+    (x, y, k), (a, b, c), v = _outer(m.star_tab, m.comm_cz, p)
+    blocks.append((mid[a, x], mid[b, y], mid[c, k], v))
+    (x, y, k), (a, b), v = _outer(m.LL, _red(-2 * m.npol, p), p)
+    blocks.append((mid[a, x], mid[b, y], inj[k], v))
+
+    I, J, K, V = _checked_orders(*map(np.concatenate, zip(*blocks)), m.n0,
+                                 m.n0 + m.n1, p)
+    V, scale = common_denominator(V) if not p else (V, 1)
+    return SuperAlgebra._from_coo(f"T({kind})", field, m.n0, m.n1, m.labels,
+                                  (I, J, K, V, scale), odd_symmetric=True)
 
 
 def unit_ideal_split(field: Field) -> dict:
     """T(unit, Kac) = inder J decomposes into two 5-dim simple ideals."""
     f = field
     T = build_tits("unit", field)
-    solver = _j_tables(f).solver
-    seeds = []
-    for xj in (4, 2):     # x⊗e generates one copy, e⊗x the other
-        d = inner_derivation_J(KacElement.basis(f, 1), KacElement.basis(f, xj))
-        seeds.append(solver.coords(_flat(d)))
-    I1 = ideal_closure(T, [seeds[0]])
-    I2 = ideal_closure(T, [seeds[1]])
+    LL = tits_model("unit", field).LL
+    # x⊗e generates one copy, e⊗x the other: seeds [L_{e⊗e}, L_x]
+    I1 = ideal_closure(T, [LL[1, 4].tolist()])
+    I2 = ideal_closure(T, [LL[1, 2].tolist()])
     span = RowSpace(f, 10)
     span.insert(I1)
     span.insert(I2)
@@ -325,38 +407,6 @@ def unit_ideal_split(field: Field) -> dict:
 def _require_char5(field: Field):
     if field.p != 5:
         raise ValueError("characteristic 5 required")
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a cached array read-only, so that no caller can alter the cache."""
-    a.flags.writeable = False
-    return a
-
-
-def _stacked_right(X, M, p):
-    """X[k]·M mod p for every matrix of the stack X, as one product."""
-    d, n, m = X.shape
-    return matmul_modp(X.reshape(d * n, m), M, p).reshape(d, n, -1)
-
-
-def _stacked_left(M, X, p):
-    """M·X[k] mod p for every matrix of the stack X, as one product."""
-    d, n, m = X.shape
-    flat = matmul_modp(M, X.transpose(1, 0, 2).reshape(n, d * m), p)
-    return flat.reshape(-1, d, m).transpose(1, 0, 2)
-
-
-def _pair_products(X, p):
-    """(d, d, n, n) array of X[a]·X[b] mod p over all pairs of the stack X."""
-    d, n, _ = X.shape
-    flat = _stacked_right(X, X.transpose(1, 0, 2).reshape(n, d * n), p)
-    return flat.reshape(d, n, d, n).transpose(0, 2, 1, 3)
-
-
-def _combine(coef, X, p):
-    """Σ_k coef[a, k]·X[k] mod p for every row a of coef, X a stack."""
-    out = matmul_modp(coef, X.reshape(len(X), -1), p)
-    return out.reshape((len(coef),) + X.shape[1:])
 
 
 def _so_coords(X, ginv, rows, cols, p):

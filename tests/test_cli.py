@@ -52,6 +52,9 @@ def test_unknown_target_is_usage_error(capsys):
     ["export", "--kind", "B", "--l", "2", "--char", "6"],
     ["report"],
     ["report", "/no/such/file.json"],
+    ["export", "--kind", "B", "--l", "3", "--char", "3",
+     "--out", "/nonexistent/x.json"],
+    ["verify", "type-d", "--out", "/nonexistent/x.json"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2

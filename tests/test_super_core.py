@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -184,6 +186,37 @@ def test_witness_detection_and_generators_mode():
     assert not g.jacobi_pass and g.witness_count == 1
     val = dict((w, s) for w, s in g.witnesses[0]["value"])
     assert val == {k: f.to_str(v) for k, v in j_triple(bad, *first).items()}
+
+
+@pytest.mark.parametrize("build", [lambda: osp12(QQ, lam=Fraction(1, 3)),
+                                   lambda: build_superalgebra(2, "B", GF(3)),
+                                   lambda: build_superalgebra(2, "D", QQ)])
+def test_bracket_terms_agree_with_the_mapping_view(build):
+    # bracket_terms reads the COO rows; the view is the reference
+    A = build()
+    f = A.field
+    for i in range(A.dim):
+        for j in range(A.dim):
+            stored = A.table.get((min(i, j), max(i, j)), {})
+            sign = 1 if i <= j else A._swap_sign(i, j)
+            want = {k: v if sign > 0 else f.neg(v) for k, v in stored.items()}
+            assert A.bracket_terms(i, j) == want, (i, j)
+
+
+def test_witness_recheck_leaves_the_mapping_view_unbuilt(monkeypatch):
+    from spinlab.tits import build_tits
+    built = []
+    view = SuperAlgebra.table
+    monkeypatch.setattr(SuperAlgebra, "table", property(
+        lambda self: built.append(self.name) or view.fget(self)))
+    reports = [classify(8, "B", GF(7)),
+               check_jacobi(build_tits("octonion", GF(7)), witness_cap=1)]
+    assert built == []
+    blobs = [json.dumps(r.witnesses, sort_keys=True, separators=(",", ":"))
+             for r in reports]
+    assert [hashlib.sha256(b.encode()).hexdigest() for b in blobs] == [
+        "5abb72dd287ba7cfec340373b682d1bb9b901307432fce7237f68dcc75506043",
+        "43811c08fd51cfe52502dbcf0d731d7e3871b67ecda0ebb182dae166c19b93ec"]
 
 
 def test_serialization_roundtrip_and_tamper_detection():

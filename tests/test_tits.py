@@ -1,11 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spinlab.cli import _hash_matrix
-from spinlab.fields import GF, QQ, make_field
+from spinlab import composition, kac, linalg
+from spinlab.fields import GF, QQ, Field, make_field
 from spinlab.composition import inner_derivation
 from spinlab.kac import K_FORM, KacElement, inner_derivation_J
 from spinlab.linalg import SpanSolver, inv_modp, nullspace_modp
@@ -82,6 +84,95 @@ def test_table_content_hash_pinned(char, kind):
     assert A.to_dict()["content_hash"] == TABLE_HASHES[(char, kind)]
 
 
+@pytest.mark.parametrize("kind", list(TITS_DIMS))
+@pytest.mark.parametrize("p", [5, 7])
+def test_rational_table_reduces_to_the_prime_table(kind, p):
+    # V·scale⁻¹ mod p of the table over Q is the table over GF(p), entry
+    # by entry, whichever route assembled the two
+    I, J, K, V, scale = build_tits(kind, QQ).coo
+    red = np.array([v * pow(scale, -1, p) % p for v in V.tolist()], dtype=np.int64)
+    keep = red != 0
+    want = sorted(zip(I[keep].tolist(), J[keep].tolist(), K[keep].tolist(),
+                      red[keep].tolist()))
+    Ip, Jp, Kp, Vp, scale_p = build_tits(kind, GF(p)).coo
+    assert scale_p == 1
+    assert sorted(zip(Ip.tolist(), Jp.tolist(), Kp.tolist(), Vp.tolist())) == want
+
+
+@pytest.mark.parametrize("kind,field", [(kind, F5) for kind in TITS_DIMS]
+                         + [("octonion", QQ)])
+def test_assembled_table_matches_the_rule_reference(kind, field):
+    # the array assembly of build_tits against tits_bracket on all n² pairs
+    A, m = build_tits(kind, field), tits_model(kind, field)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert A.bracket_terms(i, j) == tits_bracket(m, i, j), (i, j)
+
+
+def _flip_one_entry(table, p):
+    """A copy of a rule table with one off-diagonal nonzero entry negated
+    (off-diagonal in its first two axes, so that the two bracket orders of
+    some pair read different entries)."""
+    out = np.array(table)
+    hot = np.argwhere(out != 0)
+    at = tuple(next(ix for ix in hot if ix[0] != ix[1]))
+    out[at] = (-out[at]) % p
+    return out
+
+
+@pytest.mark.parametrize("name", ["DD", "Dab", "comm_cz", "dd", "LL", "t_tab"])
+def test_a_flipped_rule_entry_is_refused(name, monkeypatch):
+    # the two bracket orders come from their own rules; negating one entry
+    # of a table that the two orders read at different places must be
+    # caught by the cross-check of build_tits
+    model = tits.TitsModel("octonion", F5)
+    setattr(model, name, _flip_one_entry(getattr(model, name), 5))
+    monkeypatch.setattr(tits, "tits_model", lambda kind, field: model)
+    with pytest.raises(VerificationFailed,
+                       match=r"inconsistent bracket orders for \(\d+,\d+\)"):
+        build_tits.__wrapped__("octonion", F5)      # the uncached build
+
+
+def _spy_everywhere(monkeypatch, original, calls):
+    """Replace original by a call-recording wrapper in every spinlab module
+    that holds it."""
+    def spy(*args, **kwargs):
+        calls.append(original.__name__)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spinlab":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, spy)
+
+
+def _clear_model_caches():
+    for fn in (tits.build_tits, tits.tits_model, tits._j_tables,
+               kac._j_fractions, kac._j_tensor, kac._lmul_brackets,
+               kac._inder_basis, composition._int_tables):
+        fn.cache_clear()
+
+
+def test_build_makes_no_per_pair_or_per_entry_calls(monkeypatch):
+    calls = []
+    _spy_everywhere(monkeypatch, tits.tits_bracket, calls)
+    _spy_everywhere(monkeypatch, linalg.matmul_field, calls)
+    for owner, attr in ((SpanSolver, "coords"), (Field, "raw")):
+        original = getattr(owner, attr)
+
+        def spy(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, spy)
+    _clear_model_caches()
+    try:
+        A = build_tits("octonion", GF(7))
+    finally:
+        _clear_model_caches()
+    assert (A.n0, A.n1) == TITS_DIMS["octonion"]
+    assert calls == []
+
+
 # --- the defining bracket rules, recomputed from first principles ----------
 
 
@@ -90,7 +181,9 @@ def mid(m, ai, xj):
 
 
 def czero_coords(m, vec):
-    return m.C.coords_in_czero(vec)
+    # over the basis (E1 - E2, b_2, ...) of the trace-zero part
+    assert m.field.is_zero(m.C.norm_polar(m.C.unit, vec))
+    return [vec[0]] + list(vec[2:])
 
 
 def test_der_acts_componentwise():
@@ -102,7 +195,7 @@ def test_der_acts_componentwise():
         dEl = m.index[("der", di)]
         for ai in range(m.ncz):
             a = m.cz[ai]
-            img = [sum((f.mul(D[r][c], a[c]) for c in range(8)), f.zero())
+            img = [f.raw(sum(f.mul(D[r][c], a[c]) for c in range(8)))
                    for r in range(8)]
             cc = czero_coords(m, img)
             for xj in (1, 5, 2):
