@@ -27,8 +27,8 @@ from importlib import resources
 
 from .fields import make_field
 from .superalgebra import SCHEMA_VERSION, VerificationFailed, check_jacobi
-from .construct import (_check_kind, build_superalgebra, classify,
-                        decompose_type_d_l2)
+from .construct import (_check_key_bound, _check_kind, build_superalgebra,
+                        classify, decompose_type_d_l2)
 from .composition import make_composition, derivation_algebra, check_lemma_C
 from .kac import ch3_scan
 from . import tits as _tits
@@ -38,21 +38,20 @@ from . import tits as _tits
 # argument parsing
 
 
-def _parse_l_list(text: str) -> list:
-    """"5", "1..8", or "3,5,7" -> sorted list of ints."""
+def _parse_l_list(text: str, kind: str = "B") -> list:
+    """"5", "1..8", or "3,5,7" -> sorted list of ints.  The ends of each
+    range are checked before it is expanded: l >= 1, and l inside the
+    int64 key bound of the kind."""
     out = set()
     for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"empty range {part!r}")
-            out.update(range(lo, hi + 1))
-        else:
-            out.add(int(part))
-    if not out or min(out) < 1:
-        raise ValueError(f"bad l list {text!r}")
+        lo, _, hi = part.strip().partition("..")
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"empty range {part.strip()!r}")
+        if lo < 1:
+            raise ValueError(f"bad l list {text!r}")
+        _check_key_bound(hi, kind)
+        out.update(range(lo, hi + 1))
     return sorted(out)
 
 
@@ -176,7 +175,7 @@ def _classify_rows(kind: str, l_list, chars, mode, survey):
 def cmd_verify_type(kind: str, args) -> int:
     default_l = "1..8" if kind == "B" else "2..8"
     try:
-        l_list = _parse_l_list(args.l_list or default_l)
+        l_list = _parse_l_list(args.l_list or default_l, kind)
         chars = _parse_chars(args.chars or "0,3,5,7")
     except ValueError as exc:
         print(f"spinlab verify: {exc}", file=sys.stderr)

@@ -171,18 +171,31 @@ def rho_tables(l: int, kind: str):
     """Integer spin-action tables (tgt, cof), each of shape (npairs, 2**l).
 
     Row k gives the action of the k-th basis pair on every monomial
-    mask m: the image is cof[k,m] * monomial(tgt[k,m]).
+    mask m: the image is cof[k,m] * monomial(tgt[k,m]).  Computed on the
+    array of all masks at once; _pair_action is the per-monomial rule.
+    A pair [w_a,w_b]. off the diagonal acts as 2 g_a g_b, g_u being the
+    identity, g_v a left wedge and g_f a contraction by one generator
+    (sign: the parity of the generators below it); [v_i,f_i]. acts as
+    +1 on monomials containing v_i and -1 on the rest.
     """
     space = ambient_space(l, kind)
-    pb = pair_basis(l, kind)
-    n = 1 << l
-    tgt = np.zeros((len(pb.pairs), n), dtype=np.int32)
-    cof = np.zeros((len(pb.pairs), n), dtype=np.int8)
-    for k, (a, b) in enumerate(pb.pairs):
-        for m in range(n):
-            t, c = _pair_action(space, a, b, m)
-            tgt[k, m] = t
-            cof[k, m] = c
+    tags = [_tag(space, x) for x in range(space.dim)]
+    pairs = np.array(pair_basis(l, kind).pairs, dtype=np.int64).reshape(-1, 2)
+    bit = np.array([x for _, x in tags], dtype=np.int64)
+    is_f = np.array([t == "f" for t, _ in tags])
+    masks = m = np.arange(1 << l, dtype=np.int64)
+    ok = np.ones((len(pairs), masks.size), dtype=bool)
+    odd = np.zeros(ok.shape, dtype=np.int64)
+    for col in (1, 0):                  # g_b first, then g_a
+        x, f = bit[pairs[:, col], None], is_f[pairs[:, col], None]
+        ok &= (m & x != 0) == f
+        odd += np.bitwise_count(m & np.maximum(x - 1, 0))
+        m = m ^ x
+    cof = np.where(ok, 2 - 4 * (odd & 1), 0)
+    tgt = np.where(ok, m, masks)
+    diag = bit[pairs[:, 0]] == bit[pairs[:, 1]]      # [v_i,f_i].
+    cof[diag] = np.where(masks & bit[pairs[diag, 0], None], 1, -1)
+    tgt, cof = tgt.astype(np.int32), cof.astype(np.int8)
     tgt.setflags(write=False)
     cof.setflags(write=False)
     return tgt, cof
@@ -253,38 +266,37 @@ def so_bracket_table(l: int, kind: str):
 
     [[w_a,w_b].,[w_c,w_d].] expands by the adjoint rule applied twice:
     2 q(b,c)[w_a,w_d]. - 2 q(a,c)[w_b,w_d]. + 2 q(b,d)[w_c,w_a].
-    - 2 q(a,d)[w_c,w_b].  Entries: (k1,k2) -> ((k3, coeff), ...).
+    - 2 q(a,d)[w_c,w_b].  Returns read-only int64 COO arrays
+    (k1, k2, k3, c), sorted and with no zero c: [B_k1, B_k2] has
+    coefficient c at B_k3.
     """
     space = ambient_space(l, kind)
     pb = pair_basis(l, kind)
-
-    def norm(x, y):
-        if x == y:
-            return None, 0
-        return (pb.index[(x, y)], 1) if x < y else (pb.index[(y, x)], -1)
-
-    table = {}
-    npairs = len(pb.pairs)
-    for k1, (a, b) in enumerate(pb.pairs):
-        for k2, (c, d) in enumerate(pb.pairs):
-            acc = {}
-            for q_, (x, y) in ((qpair(space, b, c), (a, d)),
-                               (-qpair(space, a, c), (b, d)),
-                               (qpair(space, b, d), (c, a)),
-                               (-qpair(space, a, d), (c, b))):
-                if not q_:
-                    continue
-                k3, sg = norm(x, y)
-                if k3 is None:
-                    continue
-                v = acc.get(k3, 0) + 2 * q_ * sg
-                if v:
-                    acc[k3] = v
-                else:
-                    acc.pop(k3, None)
-            if acc:
-                table[(k1, k2)] = tuple(sorted(acc.items()))
-    return table
+    npairs, dim = len(pb.pairs), space.dim
+    q = np.array([[qpair(space, x, y) for y in range(dim)] for x in range(dim)],
+                 dtype=np.int64)
+    idx = np.zeros((dim, dim), dtype=np.int64)        # [w_x,w_y]. = sg * B_idx
+    for k, (x, y) in enumerate(pb.pairs):
+        idx[x, y] = idx[y, x] = k
+    sg = np.sign(np.arange(dim) - np.arange(dim)[:, None])    # x < y: +1
+    a, b = (np.array(col, dtype=np.int64).reshape(-1, 1)
+            for col in zip(*pb.pairs))
+    c, d = a.T, b.T
+    k1, k2 = np.indices((npairs, npairs))
+    terms = ((2 * q[b, c], a, d), (-2 * q[a, c], b, d),
+             (2 * q[b, d], c, a), (-2 * q[a, d], c, b))
+    key = np.concatenate([((k1 * npairs + k2) * npairs + idx[x, y]).ravel()
+                          for _, x, y in terms])
+    coeff = np.concatenate([(w * sg[x, y]).ravel() for w, x, y in terms])
+    key, coeff = key[coeff != 0], coeff[coeff != 0]
+    key, at = np.unique(key, return_inverse=True)
+    total = np.zeros(key.size, dtype=np.int64)
+    np.add.at(total, at, coeff)
+    key, total = key[total != 0], total[total != 0]
+    out = (key // npairs // npairs, key // npairs % npairs, key % npairs, total)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def half_spin_masks(l: int, parity: int = 0) -> tuple:
@@ -549,21 +561,14 @@ class SoElement:
     def bracket(self, other: "SoElement") -> "SoElement":
         self._compat(other)
         f = self.field
-        table = so_bracket_table(self.l, self.kind)
+        k1, k2, k3, c = so_bracket_table(self.l, self.kind)
+        x, y = self.coords, other.coords
+        live = [np.array([not f.is_zero(v) for v in vec]) for vec in (x, y)]
+        hit = live[0][k1] & live[1][k2]
         out = SoElement.zero(self.l, self.kind, f)
         oc = out.coords
-        for k1, x in enumerate(self.coords):
-            if f.is_zero(x):
-                continue
-            for k2, y in enumerate(other.coords):
-                if f.is_zero(y):
-                    continue
-                terms = table.get((k1, k2))
-                if not terms:
-                    continue
-                xy = f.mul(x, y)
-                for k3, co in terms:
-                    oc[k3] = f.add(oc[k3], f.mul(f.of_int(co), xy))
+        for i, j, k, co in zip(*(arr[hit].tolist() for arr in (k1, k2, k3, c))):
+            oc[k] = f.add(oc[k], f.mul(f.of_int(co), f.mul(x[i], y[j])))
         return out
 
     def __repr__(self):

@@ -13,22 +13,24 @@ perm[a] -- the defining system splits into one-step solves
 
     X[perm[a]] = b(rho(B_a) s, t) / coef[a],
 
-which is how the full table is filled: one pass over (a, s), each hit
-landing on the single t complementary to rho's target mask.
+and b pairs rho's target mask only with its complement.  Every block of
+the structure tensor is therefore computed as whole arrays: the so
+constants from so_bracket_table, the spin action from rho_tables, and
+the odd-odd product from the nonzero entries of rho_tables, each hit
+landing on the single t complementary to its target.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
 from .clifford import (gram_pairing, half_spin_masks, pair_basis, rho_tables,
                        so_bracket_table, so_dim)
 from .exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
-                       complement, form_sign, monomial_label)
+                       complement_form_signs, monomial_label)
 from .fields import Field, FieldMismatch
 from .superalgebra import (SuperAlgebra, VerificationFailed, VerificationReport,
                            check_jacobi)
@@ -72,38 +74,39 @@ def _check_kind(l: int, kind: str):
                 f"the pairing form vanishes on the half-spin module for odd l={l}")
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    _check_key_bound(l, kind)
 
 
-@lru_cache(maxsize=8)
-def _ss_integer_table(l: int, kind: str) -> dict:
-    """Odd-odd structure constants as exact integer pairs.
+def _check_key_bound(l: int, kind: str):
+    """Refuse an l whose algebra dimension n has n^3 >= 2^63: the build and
+    the Jacobi scan key each triple (i, j, k) as (i*n + j)*n + k in int64.
+    Integer arithmetic only, so nothing is allocated before the refusal."""
+    if l >= 63 or (so_dim(l, kind) + (1 << l - (kind == "D"))) ** 3 >= 1 << 63:
+        raise ValueError(f"kind {kind}, l={l} is past the int64 key bound: "
+                         "the dimension n of the algebra needs n^3 < 2^63")
 
-    Returns {(si, ti): {pair_k: (num, den)}} over module-basis indices,
-    all ordered pairs, with X = sum (num/den) B_k the product of the
-    si-th and ti-th monomials.
-    """
-    masks = module_masks(l, kind)
-    midx = {m: i for i, m in enumerate(masks)}
-    top = (1 << l) - 1
-    hat = kind == "D"
+
+def _spin_action(l: int, kind: str):
+    """The spin action on the module as COO arrays (a, s, t, c): the pair
+    B_a sends the s-th module monomial to c times the t-th."""
+    masks = np.array(module_masks(l, kind), dtype=np.int64)
+    midx = np.full(1 << l, -1, dtype=np.int64)
+    midx[masks] = np.arange(masks.size)
     tgt, cof = rho_tables(l, kind)
+    a, s = np.nonzero(cof[:, masks])
+    return a, s, midx[tgt[a, masks[s]]], cof[a, masks[s]]
+
+
+def _odd_products(l: int, kind: str):
+    """The odd-odd product on module monomials as COO arrays
+    (si, ti, k, num, den): [s_si, s_ti] has num/den at the pair B_k, over
+    all ordered pairs of module indices (see the module docstring).  The
+    module is closed under complements, which reverse the mask order."""
+    masks = np.array(module_masks(l, kind), dtype=np.int64)
+    a, s, t, c = _spin_action(l, kind)
     perm, coef = gram_pairing(l, kind)
-    out: dict = {}
-    for a in range(tgt.shape[0]):
-        pa, ca = int(perm[a]), int(coef[a])
-        trow, crow = tgt[a], cof[a]
-        for s in masks:
-            c = int(crow[s])
-            if not c:
-                continue
-            m2 = int(trow[s])
-            t = complement(m2, l)
-            if t not in midx:
-                continue
-            fs = form_sign(m2, t, top, hat)
-            key = (midx[s], midx[t])
-            out.setdefault(key, {})[pa] = (c * fs, ca)
-    return out
+    num = c * complement_form_signs(l, kind == "D")[masks[t]]
+    return s, masks.size - 1 - t, perm[a], num, coef[a]
 
 
 def spin_bracket(s: Multivector, t: Multivector, ctx):
@@ -125,17 +128,21 @@ def spin_bracket(s: Multivector, t: Multivector, ctx):
     for m in (*s.support(), *t.support()):
         if m not in midx:
             raise ValueError(f"monomial {monomial_label(m)} is not in the module")
-    ints = _ss_integer_table(l, kind)
+    I, J, K, V, scale = _integer_tensor(l, kind)
+    n0 = so_dim(l, kind)
+    swap = 1 if bracket_is_symmetric(l, kind) else -1
     f = field
-    coords = [f.zero()] * so_dim(l, kind)
+    coords = [f.zero()] * n0
     for ms, cs in s.coeffs.items():
         for mt, ct in t.coeffs.items():
-            cell = ints.get((midx[ms], midx[mt]))
-            if not cell:
-                continue
+            i, j = n0 + midx[ms], n0 + midx[mt]
+            sign = swap if i > j else 1
+            i, j = min(i, j), max(i, j)
+            lo, hi = np.searchsorted(I, [i, i + 1])     # odd row i, sorted by j
+            lo, hi = lo + np.searchsorted(J[lo:hi], [j, j + 1])
             w = f.mul(cs, ct)
-            for k, (num, den) in cell.items():
-                coords[k] = f.add(coords[k], f.mul(w, f.raw(Fraction(num, den))))
+            for k, v in zip(K[lo:hi].tolist(), V[lo:hi].tolist()):
+                coords[k] = f.add(coords[k], f.mul(w, f.raw(Fraction(sign * v, scale))))
     return SoElement(l, kind, f, coords)
 
 
@@ -143,42 +150,51 @@ def spin_bracket(s: Multivector, t: Multivector, ctx):
 def _integer_tensor(l: int, kind: str):
     """The structure constants of g = so (+) S over Z, i <= j only.
 
-    Returns read-only int64 arrays (I, J, K, V) and scale, the lcm of the
-    odd-odd denominators: [e_i, e_j] has coefficient V / scale at e_k (i, j
-    and k basis indices, odd ones shifted by n0 = dim so).
-    Both orders of every bracket are checked against the symmetry the kind
-    and l dictate (VerificationFailed otherwise, odd-odd pairs named by
-    module index) before the i > j half is dropped; over Z this implies
-    the symmetry mod every p.
+    Returns read-only int64 arrays (I, J, K, V), sorted by (I, J, K), and
+    scale, the lcm of the odd-odd denominators: [e_i, e_j] has coefficient
+    V / scale at e_k (i, j and k basis indices, odd ones shifted by
+    n0 = dim so).  The so, spin and odd-odd blocks are concatenated in
+    both orders; no (i, j, k) may occur twice, and every bracket is
+    checked against its mirror, with the symmetry the kind and l dictate
+    (VerificationFailed otherwise, odd-odd pairs named by module index),
+    before the i > j half is dropped; over Z this implies the symmetry mod
+    every p.
     """
+    _check_kind(l, kind)
     n0 = so_dim(l, kind)
-    masks = module_masks(l, kind)
-    sym = bracket_is_symmetric(l, kind)
-    ss = _ss_integer_table(l, kind)
-    scale = lcm(*(Fraction(num, den).denominator
-                  for cell in ss.values() for num, den in cell.values()))
-    value = {(k1, k2, k3): c * scale
-             for (k1, k2), terms in so_bracket_table(l, kind).items()
-             for k3, c in terms}
-    tgt, cof = rho_tables(l, kind)
-    cols = list(masks)
-    where = dict(zip(cols, range(n0, n0 + len(cols))))     # mask -> index
-    for a, s in zip(*np.nonzero(cof[:, cols])):
-        c, t = int(cof[a, cols[s]]) * scale, where[int(tgt[a, cols[s]])]
-        value[(int(a), n0 + int(s), t)], value[(n0 + int(s), int(a), t)] = c, -c
-    value.update(((n0 + si, n0 + ti, k), num * scale // den)
-                 for (si, ti), cell in ss.items()
-                 for k, (num, den) in cell.items())
-    for (i, j, k), v in value.items():
-        both_odd = i >= n0 and j >= n0
-        if value.get((j, i, k)) != (v if sym and both_odd else -v):
-            raise VerificationFailed(
-                f"{'odd product' if both_odd else 'bracket'} symmetry fails "
-                f"for kind {kind}, l={l} at ({i - n0 * both_odd}, "
-                f"{j - n0 * both_odd}), component {k}")
-    out = np.array([(*key, v) for key, v in value.items() if key[0] <= key[1]],
-                   dtype=np.int64).reshape(-1, 4).T.copy()
-    out.setflags(write=False)
+    n = n0 + len(module_masks(l, kind))
+    si, ti, ks, num, den = _odd_products(l, kind)
+    scale = int(np.lcm.reduce(np.abs(den) // np.gcd(num, den), initial=1))
+    k1, k2, k3, c = so_bracket_table(l, kind)
+    a, s, t, rho = _spin_action(l, kind)
+    rho = rho.astype(np.int64) * scale
+    I = np.concatenate([k1, a, n0 + s, n0 + si])
+    J = np.concatenate([k2, n0 + s, a, n0 + ti])
+    K = np.concatenate([k3, n0 + t, n0 + t, ks])
+    V = np.concatenate([c * scale, rho, -rho, num * scale // den])
+    key = (I * n + J) * n + K
+    order = np.argsort(key, kind="stable")
+    I, J, K, V, key = I[order], J[order], K[order], V[order], key[order]
+    bad = np.flatnonzero(key[1:] == key[:-1])
+    if bad.size:
+        i, j, k = I[bad[0]], J[bad[0]], K[bad[0]]
+        raise VerificationFailed(f"bracket ({i}, {j}) of kind {kind}, l={l} "
+                                 f"is given twice at component {k}")
+    both_odd = (I >= n0) & (J >= n0)
+    want = np.where(both_odd & bracket_is_symmetric(l, kind), V, -V)
+    mirror = (J * n + I) * n + K
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    bad = np.flatnonzero((key[at] != mirror) | (V[at] != want))
+    if bad.size:
+        x = bad[0]
+        odd = bool(both_odd[x])
+        raise VerificationFailed(
+            f"{'odd product' if odd else 'bracket'} symmetry fails "
+            f"for kind {kind}, l={l} at ({I[x] - n0 * odd}, "
+            f"{J[x] - n0 * odd}), component {K[x]}")
+    out = [x[I <= J] for x in (I, J, K, V)]
+    for x in out:
+        x.setflags(write=False)
     return (*out, scale)
 
 
@@ -190,7 +206,6 @@ def build_superalgebra(l: int, kind: str, field: Field) -> SuperAlgebra:
     tensor of (kind, l) (_integer_tensor), over GF(p) reduced as
     V * scale^-1 mod p.
     """
-    _check_kind(l, kind)
     I, J, K, V, scale = _integer_tensor(l, kind)
     p = field.p
     if p:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from .fields import Field, FieldMismatch
 
 
@@ -47,6 +49,19 @@ def form_sign(s: int, t: int, top: int, hat: bool = False) -> int:
         return 0
     r = s.bit_count()
     return (hat_sign(r) if hat else bar_sign(r)) * wedge_sign(s, t)
+
+
+def complement_form_signs(l: int, hat: bool = False):
+    """form_sign(m, complement(m, l), top, hat) for every mask m < 2**l, as
+    an int64 array: the involution's sign times the wedge sign, whose
+    inversions are counted one generator of m at a time."""
+    m = np.arange(1 << l, dtype=np.int64)
+    t = m ^ ((1 << l) - 1)
+    r = np.bitwise_count(m).astype(np.int64)
+    odd = r * (r - 1) // 2 if hat else r * (r + 1) // 2
+    for i in range(l):
+        odd += (m >> i & 1) * np.bitwise_count(t & ((1 << i) - 1))
+    return 1 - 2 * (odd & 1)
 
 
 def complement(mask: int, l: int) -> int:

@@ -23,12 +23,7 @@ def rep_and_adjoint(l, kind, field, parity=None):
             if c:
                 M[pos[int(tgt[k, m])]][pos[m]] = f.of_int(c)
         rep.append(M)
-    table = so_bracket_table(l, kind)
-    adjoint = []
-    for k1 in range(npairs):
-        A = [[f.zero()] * npairs for _ in range(npairs)]
-        for k2 in range(npairs):
-            for k3, coeff in table.get((k1, k2), ()):
-                A[k3][k2] = f.of_int(coeff)
-        adjoint.append(A)
+    adjoint = [[[f.zero()] * npairs for _ in range(npairs)] for _ in range(npairs)]
+    for k1, k2, k3, coeff in zip(*(a.tolist() for a in so_bracket_table(l, kind))):
+        adjoint[k1][k3][k2] = f.of_int(coeff)
     return rep, adjoint

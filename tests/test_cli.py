@@ -24,6 +24,11 @@ def test_parse_l_list():
         _parse_l_list("0")
     with pytest.raises(ValueError):
         _parse_l_list("two")
+    # ends are checked before a range is expanded
+    with pytest.raises(ValueError, match="2\\^63"):
+        _parse_l_list("1..1000000000000")
+    with pytest.raises(ValueError):
+        _parse_l_list("-1000000000000..3")
 
 
 def test_parse_chars():
@@ -55,6 +60,9 @@ def test_unknown_target_is_usage_error(capsys):
     ["export", "--kind", "B", "--l", "3", "--char", "3",
      "--out", "/nonexistent/x.json"],
     ["verify", "type-d", "--out", "/nonexistent/x.json"],
+    ["verify", "type-b", "--l", "1..1000000000"],
+    ["verify", "type-d", "--l", "2,22"],
+    ["export", "--kind", "B", "--l", "21"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2

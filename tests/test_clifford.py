@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinlab.fields import QQ, GF, make_field
@@ -10,7 +11,8 @@ from spinlab.clifford import (SoElement, ambient_space, cartan_indices,
                               gram_matrix, half_spin_masks, lambda_op,
                               natural_matrix, nat_entries, pair_basis, qpair,
                               rho_of, rho_pair, rho_tables, so_bracket,
-                              so_dim, trace_form)
+                              so_bracket_table, so_dim, trace_form,
+                              _pair_action)
 
 
 def test_ambient_space_layout():
@@ -186,3 +188,31 @@ def test_rho_pair_matches_rho_of():
         rho_pair(l, f, "u", "u")
     with pytest.raises(ValueError):
         rho_pair(l, f, "u", "w9")
+
+
+@pytest.mark.parametrize("kind,l", [("B", l) for l in range(1, 8)]
+                         + [("D", 2), ("D", 4), ("D", 6)])
+def test_rho_tables_match_the_per_monomial_rule(kind, l):
+    space = ambient_space(l, kind)
+    tgt, cof = rho_tables(l, kind)
+    for k, (a, b) in enumerate(pair_basis(l, kind).pairs):
+        for m in range(1 << l):
+            t, c = _pair_action(space, a, b, m)
+            assert (int(tgt[k, m]), int(cof[k, m])) == (t, c), (kind, l, k, m)
+
+
+@pytest.mark.parametrize("kind,l", [("B", l) for l in range(1, 6)]
+                         + [("D", l) for l in range(2, 6)])
+def test_so_bracket_table_is_the_commutator_of_natural_matrices(kind, l):
+    dim = ambient_space(l, kind).dim
+    npairs = len(pair_basis(l, kind).pairs)
+    N = np.zeros((npairs, dim, dim), dtype=np.int64)
+    for k, ents in enumerate(nat_entries(l, kind)):
+        for r, c, v in ents:
+            N[k, r, c] += v
+    want = np.einsum("irs,jst->ijrt", N, N) - np.einsum("jrs,ist->ijrt", N, N)
+    got = np.zeros_like(want)
+    k1, k2, k3, c = so_bracket_table(l, kind)
+    np.add.at(got, (k1, k2), c[:, None, None] * N[k3])
+    assert (got == want).all()
+    assert (c != 0).all() and not any(a.flags.writeable for a in (k1, k2, k3, c))

@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from spinlab import construct
+from spinlab import clifford, construct, exterior
 from spinlab.fields import QQ, GF, Field, make_field
 from spinlab.exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
                               form_b, form_bhat)
@@ -362,19 +364,96 @@ def test_grid_table_content_hash_pinned(kind, l, char):
     assert A.to_dict()["content_hash"] == GRID_HASHES[(kind, l, char)]
 
 
-def test_flipped_odd_product_fails_the_symmetry_check(monkeypatch):
-    ints = construct._ss_integer_table(2, "B")
-    tampered = {key: dict(cell) for key, cell in ints.items()}
-    key = next(k for k in tampered if k[0] != k[1])
-    comp, (num, den) = next(iter(tampered[key].items()))
-    tampered[key][comp] = (-num, den)
-    monkeypatch.setattr(construct, "_ss_integer_table", lambda l, kind: tampered)
+# content hashes of the B9 and D10 tables over Q, past the grid
+TENSOR_HASHES = {
+    ("B", 9): "d82572e76650dbb431e58c70ca20eede131b2b37d8b65706dfec42c04e86695b",
+    ("D", 10): "ed8c4b3f24ff9cb9d303680cc5de2b142d4fd124e4131be725ba32adb0a6c8d6",
+}
+
+
+@pytest.mark.parametrize("kind,l", list(TENSOR_HASHES))
+def test_tensor_content_hash_past_the_grid_pinned(kind, l):
+    A = build_superalgebra(l, kind, QQ)
+    assert A.to_dict()["content_hash"] == TENSOR_HASHES[(kind, l)]
+
+
+def _build_with_one_entry_flipped(monkeypatch, block):
+    """Build B2/Q with the coefficient of one off-diagonal entry of an
+    array block that _integer_tensor reads negated."""
+    built = getattr(construct, block)
+
+    def flipped(l, kind):
+        arrays = [a.copy() for a in built(l, kind)]
+        x = np.flatnonzero(arrays[0] != arrays[1])[0]
+        arrays[3][x] *= -1          # num of _odd_products, c of so_bracket_table
+        return tuple(arrays)
+
+    monkeypatch.setattr(construct, block, flipped)
     construct._integer_tensor.cache_clear()
     try:
-        with pytest.raises(VerificationFailed, match="odd product symmetry fails"):
+        build_superalgebra(2, "B", QQ)
+    finally:
+        construct._integer_tensor.cache_clear()
+
+
+def test_flipped_odd_product_fails_the_symmetry_check(monkeypatch):
+    with pytest.raises(VerificationFailed, match="odd product symmetry fails"):
+        _build_with_one_entry_flipped(monkeypatch, "_odd_products")
+
+
+def test_flipped_so_constant_fails_the_symmetry_check(monkeypatch):
+    with pytest.raises(VerificationFailed, match="^bracket symmetry fails"):
+        _build_with_one_entry_flipped(monkeypatch, "so_bracket_table")
+
+
+def test_an_entry_given_twice_is_refused(monkeypatch):
+    built = construct._odd_products
+
+    def doubled(l, kind):
+        return tuple(np.concatenate([a, a[:1]]) for a in built(l, kind))
+
+    monkeypatch.setattr(construct, "_odd_products", doubled)
+    construct._integer_tensor.cache_clear()
+    try:
+        with pytest.raises(VerificationFailed, match="given twice"):
             build_superalgebra(2, "B", QQ)
     finally:
         construct._integer_tensor.cache_clear()
+
+
+def test_build_does_no_per_monomial_work(monkeypatch):
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.startswith("spinlab")]
+    for owner, name in ((clifford, "_pair_action"), (exterior, "wedge_sign"),
+                        (exterior, "form_sign")):
+        fn = getattr(owner, name)
+
+        def spy(*args, _fn=fn, _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        for m in modules:
+            if getattr(m, name, None) is fn:
+                monkeypatch.setattr(m, name, spy)
+    for cached in (clifford.rho_tables, clifford.so_bracket_table,
+                   clifford.gram_pairing, construct._integer_tensor):
+        cached.cache_clear()
+    build_superalgebra(8, "B", GF(7))
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind,l", [("B", 21), ("D", 22), ("B", 10 ** 9),
+                                    ("D", 10 ** 9)])
+def test_rank_past_the_key_bound_is_refused(kind, l):
+    with pytest.raises(ValueError, match="2\\^63"):
+        build_superalgebra(l, kind, QQ)
+    with pytest.raises(ValueError, match="2\\^63"):
+        construct._check_key_bound(l, kind)
+
+
+def test_largest_ranks_inside_the_key_bound():
+    for kind in ("B", "D"):
+        construct._check_key_bound(20, kind)       # no allocation: arithmetic only
 
 
 def test_gf_build_does_no_per_entry_field_arithmetic(monkeypatch):
