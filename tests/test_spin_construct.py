@@ -377,18 +377,12 @@ def test_tensor_content_hash_past_the_grid_pinned(kind, l):
     assert A.to_dict()["content_hash"] == TENSOR_HASHES[(kind, l)]
 
 
-def _build_with_one_entry_flipped(monkeypatch, block):
-    """Build B2/Q with the coefficient of one off-diagonal entry of an
-    array block that _integer_tensor reads negated."""
+def _build_with_tampered_block(monkeypatch, block, tamper):
+    """Build B2/Q with tamper applied to a copy of the arrays of one block
+    that _integer_tensor reads."""
     built = getattr(construct, block)
-
-    def flipped(l, kind):
-        arrays = [a.copy() for a in built(l, kind)]
-        x = np.flatnonzero(arrays[0] != arrays[1])[0]
-        arrays[3][x] *= -1          # num of _odd_products, c of so_bracket_table
-        return tuple(arrays)
-
-    monkeypatch.setattr(construct, block, flipped)
+    monkeypatch.setattr(construct, block, lambda l, kind: tamper(
+        [a.copy() for a in built(l, kind)]))
     construct._integer_tensor.cache_clear()
     try:
         build_superalgebra(2, "B", QQ)
@@ -396,29 +390,28 @@ def _build_with_one_entry_flipped(monkeypatch, block):
         construct._integer_tensor.cache_clear()
 
 
+def _flip_one_off_diagonal(arrays):
+    x = np.flatnonzero(arrays[0] != arrays[1])[0]
+    arrays[3][x] *= -1          # num of _odd_products, c of so_bracket_table
+    return tuple(arrays)
+
+
 def test_flipped_odd_product_fails_the_symmetry_check(monkeypatch):
     with pytest.raises(VerificationFailed, match="odd product symmetry fails"):
-        _build_with_one_entry_flipped(monkeypatch, "_odd_products")
+        _build_with_tampered_block(monkeypatch, "_odd_products",
+                                   _flip_one_off_diagonal)
 
 
 def test_flipped_so_constant_fails_the_symmetry_check(monkeypatch):
     with pytest.raises(VerificationFailed, match="^bracket symmetry fails"):
-        _build_with_one_entry_flipped(monkeypatch, "so_bracket_table")
+        _build_with_tampered_block(monkeypatch, "so_bracket_table",
+                                   _flip_one_off_diagonal)
 
 
 def test_an_entry_given_twice_is_refused(monkeypatch):
-    built = construct._odd_products
-
-    def doubled(l, kind):
-        return tuple(np.concatenate([a, a[:1]]) for a in built(l, kind))
-
-    monkeypatch.setattr(construct, "_odd_products", doubled)
-    construct._integer_tensor.cache_clear()
-    try:
-        with pytest.raises(VerificationFailed, match="given twice"):
-            build_superalgebra(2, "B", QQ)
-    finally:
-        construct._integer_tensor.cache_clear()
+    with pytest.raises(VerificationFailed, match="given twice"):
+        _build_with_tampered_block(monkeypatch, "_odd_products", lambda arrays: tuple(
+            np.concatenate([a, a[:1]]) for a in arrays))
 
 
 def test_build_does_no_per_monomial_work(monkeypatch):
