@@ -38,14 +38,14 @@ from . import tits as _tits
 # argument parsing
 
 
-def _parse_l_list(text: str, kind: str = "B") -> list:
+def _parse_l_list(text: str, kind: str) -> list:
     """"5", "1..8", or "3,5,7" -> sorted list of ints.  The ends of each
     range are checked before it is expanded: l >= 1, and l inside the
     int64 key bound of the kind."""
     out = set()
     for part in text.split(","):
-        lo, _, hi = part.strip().partition("..")
-        lo, hi = int(lo), int(hi or lo)
+        lo, sep, hi = part.strip().partition("..")
+        lo, hi = int(lo), (int(hi) if sep else int(lo))
         if hi < lo:
             raise ValueError(f"empty range {part.strip()!r}")
         if lo < 1:

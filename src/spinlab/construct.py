@@ -97,13 +97,14 @@ def _spin_action(l: int, kind: str):
     return a, s, midx[tgt[a, masks[s]]], cof[a, masks[s]]
 
 
-def _odd_products(l: int, kind: str):
+def _odd_products(l: int, kind: str, spin):
     """The odd-odd product on module monomials as COO arrays
     (si, ti, k, num, den): [s_si, s_ti] has num/den at the pair B_k, over
-    all ordered pairs of module indices (see the module docstring).  The
-    module is closed under complements, which reverse the mask order."""
+    all ordered pairs of module indices (see the module docstring), read
+    off spin, the arrays of _spin_action.  The module is closed under
+    complements, which reverse the mask order."""
     masks = np.array(module_masks(l, kind), dtype=np.int64)
-    a, s, t, c = _spin_action(l, kind)
+    a, s, t, c = spin
     perm, coef = gram_pairing(l, kind)
     num = c * complement_form_signs(l, kind == "D")[masks[t]]
     return s, masks.size - 1 - t, perm[a], num, coef[a]
@@ -163,10 +164,10 @@ def _integer_tensor(l: int, kind: str):
     _check_kind(l, kind)
     n0 = so_dim(l, kind)
     n = n0 + len(module_masks(l, kind))
-    si, ti, ks, num, den = _odd_products(l, kind)
+    spin = a, s, t, rho = _spin_action(l, kind)
+    si, ti, ks, num, den = _odd_products(l, kind, spin)
     scale = int(np.lcm.reduce(np.abs(den) // np.gcd(num, den), initial=1))
     k1, k2, k3, c = so_bracket_table(l, kind)
-    a, s, t, rho = _spin_action(l, kind)
     rho = rho.astype(np.int64) * scale
     I = np.concatenate([k1, a, n0 + s, n0 + si])
     J = np.concatenate([k2, n0 + s, a, n0 + ti])

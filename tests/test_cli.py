@@ -16,19 +16,21 @@ from spinlab.superalgebra import SuperAlgebra, check_jacobi
 
 
 def test_parse_l_list():
-    assert _parse_l_list("5") == [5]
-    assert _parse_l_list("1..4") == [1, 2, 3, 4]
-    assert _parse_l_list("3,5,7") == [3, 5, 7]
-    assert _parse_l_list("5,3,3") == [3, 5]
+    assert _parse_l_list("5", "B") == [5]
+    assert _parse_l_list("1..4", "B") == [1, 2, 3, 4]
+    assert _parse_l_list("3,5,7", "B") == [3, 5, 7]
+    assert _parse_l_list("5,3,3", "B") == [3, 5]
     with pytest.raises(ValueError):
-        _parse_l_list("0")
+        _parse_l_list("0", "B")
     with pytest.raises(ValueError):
-        _parse_l_list("two")
+        _parse_l_list("two", "B")
+    with pytest.raises(ValueError):
+        _parse_l_list("5..", "B")
     # ends are checked before a range is expanded
     with pytest.raises(ValueError, match="2\\^63"):
-        _parse_l_list("1..1000000000000")
+        _parse_l_list("1..1000000000000", "B")
     with pytest.raises(ValueError):
-        _parse_l_list("-1000000000000..3")
+        _parse_l_list("-1000000000000..3", "B")
 
 
 def test_parse_chars():

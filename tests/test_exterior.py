@@ -5,8 +5,9 @@ import pytest
 
 from spinlab.fields import QQ, GF, make_field
 from spinlab.exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
-                              complement, form_b, form_bhat, monomial_label,
-                              wedge, wedge_sign)
+                              complement, complement_form_signs, form_b,
+                              form_bhat, form_sign, monomial_label, wedge,
+                              wedge_sign)
 
 
 def mask_bits(mask):
@@ -109,6 +110,25 @@ def test_gram_matrices_nondegenerate(l, ch):
                     if not f.is_zero(form(Multivector.from_mask(l, f, ma),
                                           Multivector.from_mask(l, f, mb)))]
             assert hits == [complement(ma, l)], (form.__name__, l, ch, ma)
+
+
+@pytest.mark.parametrize("l", range(1, 6))
+def test_form_sign_is_the_form_on_monomials(l):
+    top = (1 << l) - 1
+    for hat, form in ((False, form_b), (True, form_bhat)):
+        for ma in range(1 << l):
+            for mb in range(1 << l):
+                v = form(Multivector.from_mask(l, QQ, ma),
+                         Multivector.from_mask(l, QQ, mb))
+                assert form_sign(ma, mb, top, hat) == v, (l, hat, ma, mb)
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+@pytest.mark.parametrize("hat", [False, True])
+def test_complement_form_signs_match_form_sign(l, hat):
+    top = (1 << l) - 1
+    want = [form_sign(m, complement(m, l), top, hat) for m in range(1 << l)]
+    assert complement_form_signs(l, hat).tolist() == want
 
 
 def test_monomial_labels():

@@ -381,8 +381,8 @@ def _build_with_tampered_block(monkeypatch, block, tamper):
     """Build B2/Q with tamper applied to a copy of the arrays of one block
     that _integer_tensor reads."""
     built = getattr(construct, block)
-    monkeypatch.setattr(construct, block, lambda l, kind: tamper(
-        [a.copy() for a in built(l, kind)]))
+    monkeypatch.setattr(construct, block, lambda *args: tamper(
+        [a.copy() for a in built(*args)]))
     construct._integer_tensor.cache_clear()
     try:
         build_superalgebra(2, "B", QQ)
