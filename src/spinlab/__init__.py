@@ -12,7 +12,7 @@ from .superalgebra import (SuperAlgebra, VerificationReport, check_jacobi,
                            even_subalgebra, equivariant_map_dim,
                            verify_isomorphism, SCHEMA_VERSION)
 from .construct import (build_superalgebra, classify, decompose_type_d_l2,
-                        generator_triples, module_masks, spin_bracket)
+                        module_masks, spin_bracket)
 from .composition import (CompositionAlgebra, make_composition,
                           derivation_algebra, inner_derivation, check_lemma_C)
 from .kac import (KacElement, EnvelopeElement, kac_product, idempotent_f,
@@ -33,7 +33,7 @@ __all__ = [
     "simplicity_certificate", "even_subalgebra", "equivariant_map_dim",
     "verify_isomorphism", "SCHEMA_VERSION",
     "build_superalgebra", "classify", "decompose_type_d_l2",
-    "generator_triples", "module_masks", "spin_bracket",
+    "module_masks", "spin_bracket",
     "CompositionAlgebra", "make_composition", "derivation_algebra",
     "inner_derivation", "check_lemma_C",
     "KacElement", "EnvelopeElement", "kac_product", "idempotent_f",

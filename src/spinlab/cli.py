@@ -99,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         t = verify_target(name, f"Jacobi grid of the kind-{kind} algebras", "0,3,5,7")
         t.add_argument("--l", dest="l_list", metavar="SPEC",
                        help=f'ranks: "5", "1..8", or "3,5,7" (default {default_l})')
-        t.add_argument("--mode", choices=("auto", "full", "generators"),
-                       default="auto", help="Jacobi scan mode (default auto)")
     t = verify_target("tits", "the characteristic-5 construction suite", "0,5,7")
     t.add_argument("--seed", type=int, default=0,
                    help="seed of the isotropic-vector search (default 0)")
@@ -141,7 +139,7 @@ def expected_pass(expected: dict, l: int, char: int) -> bool:
 # verify type-b / type-d
 
 
-def _classify_rows(kind: str, l_list, chars, mode, survey):
+def _classify_rows(kind: str, l_list, chars, survey):
     expected = load_expected(kind)
     rows = []
     all_as_expected = True
@@ -150,7 +148,7 @@ def _classify_rows(kind: str, l_list, chars, mode, survey):
             continue                       # module only closes for even rank
         for char in chars:
             field = make_field(char)
-            report = classify(l, kind, field, mode=mode)
+            report = classify(l, kind, field)
             row = {
                 "l": l,
                 "char": char,
@@ -176,16 +174,17 @@ def cmd_verify_type(kind: str, args) -> int:
     default_l = "1..8" if kind == "B" else "2..8"
     try:
         l_list = _parse_l_list(args.l_list or default_l, kind)
+        if kind == "D" and all(l % 2 for l in l_list):
+            raise ValueError(f"no even l in {args.l_list!r}: kind D needs even l")
         chars = _parse_chars(args.chars or "0,3,5,7")
     except ValueError as exc:
         print(f"spinlab verify: {exc}", file=sys.stderr)
         return 2
-    rows, ok = _classify_rows(kind, l_list, chars, args.mode, args.survey)
+    rows, ok = _classify_rows(kind, l_list, chars, args.survey)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "target": "type-b" if kind == "B" else "type-d",
-        "mode": args.mode,
         "chars": chars,
         "l": l_list,
         "rows": rows,
@@ -440,20 +439,27 @@ def _tits_markdown(doc) -> list:
     return lines
 
 
-def render_report(docs: list) -> str:
+def _doc_markdown(doc: dict) -> list:
+    """The Markdown lines of one verify document."""
+    if doc.get("target") in ("type-b", "type-d"):
+        lines = _grid_markdown(doc)
+    elif doc.get("target") == "tits":
+        lines = _tits_markdown(doc)
+    else:
+        lines = [f"- unrecognized input (command "
+                 f"{doc.get('command')!r}, target {doc.get('target')!r})", ""]
+    if "expectation_met" in doc:
+        lines.append(f"Expected outcomes met: "
+                     f"{'yes' if doc['expectation_met'] else 'NO'}")
+        lines.append("")
+    return lines
+
+
+def render_report(sections: list) -> str:
+    """The Markdown report from the _doc_markdown lines of each document."""
     lines = ["# spinlab verification report", ""]
-    for doc in docs:
-        if doc.get("target") in ("type-b", "type-d"):
-            lines += _grid_markdown(doc)
-        elif doc.get("target") == "tits":
-            lines += _tits_markdown(doc)
-        else:
-            lines += [f"- unrecognized input (command "
-                      f"{doc.get('command')!r}, target {doc.get('target')!r})", ""]
-        if "expectation_met" in doc:
-            lines.append(f"Expected outcomes met: "
-                         f"{'yes' if doc['expectation_met'] else 'NO'}")
-            lines.append("")
+    for section in sections:
+        lines += section
     return "\n".join(lines)
 
 
@@ -461,19 +467,29 @@ def cmd_report(args) -> int:
     if not args.inputs:
         print("spinlab report: no input files", file=sys.stderr)
         return 2
-    docs = []
+    docs, sections = [], []
     for path in args.inputs:
         try:
             with open(path) as fh:
-                docs.append(json.load(fh))
+                doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"spinlab report: {path}: {exc}", file=sys.stderr)
             return 2
+        try:
+            if not isinstance(doc, dict):
+                raise TypeError(f"a JSON {type(doc).__name__}, not an object")
+            if args.format == "markdown":
+                sections.append(_doc_markdown(doc))
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            print(f"spinlab report: {path}: not a spinlab verify document "
+                  f"({type(exc).__name__}: {exc})", file=sys.stderr)
+            return 2
+        docs.append(doc)
     if args.format == "json":
         text = json.dumps({"schema_version": SCHEMA_VERSION, "runs": docs},
                           sort_keys=True, separators=(",", ":")) + "\n"
     else:
-        text = render_report(docs)
+        text = render_report(sections)
     _write_text(text, args.out)
     ok = all(d.get("expectation_met", True) for d in docs)
     return 0 if ok else 1
@@ -491,7 +507,7 @@ def _hash_matrix(mat) -> str:
 
 def _emit_verify(doc: dict, args) -> None:
     if args.format == "markdown":
-        text = render_report([doc])
+        text = render_report([_doc_markdown(doc)])
     else:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     _write_text(text, args.out)

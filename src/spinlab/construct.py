@@ -18,6 +18,10 @@ the structure tensor is therefore computed as whole arrays: the so
 constants from so_bracket_table, the spin action from rho_tables, and
 the odd-odd product from the nonzero entries of rho_tables, each hit
 landing on the single t complementary to its target.
+
+classify checks the Jacobi identity on every triple.  The paper reduces
+the check to the l + 1 triples of generator_triples, a reduction no code
+here proves, so no verdict rests on it.
 """
 
 from __future__ import annotations
@@ -223,9 +227,12 @@ def build_superalgebra(l: int, kind: str, field: Field) -> SuperAlgebra:
                                   odd_symmetric=bracket_is_symmetric(l, kind))
 
 
+# Outside the tests only the benchmark's B8 cells need this; it goes with
+# ROADMAP item 1.
 def generator_triples(l: int, kind: str, A: SuperAlgebra) -> list:
-    """The reduced Jacobi test set: (1, v1...vl, v1...vr) for 0 <= r <= l
-    (even r only in kind D), as basis index triples."""
+    """The paper's reduced Jacobi test set: (1, v1...vl, v1...vr) for
+    0 <= r <= l (even r only in kind D), as basis index triples.  No
+    verdict rests on it: classify always scans every triple."""
     masks = module_masks(l, kind)
     midx = {m: i for i, m in enumerate(masks)}
     n0 = A.n0
@@ -248,21 +255,16 @@ IDENTIFICATIONS = {
     ("D", 8): "E8 as so16 + half-spin representation",
 }
 
-FULL_MODE_MAX_ODD = 128       # full Jacobi scan cap on dim S
 
-
-def classify(l: int, kind: str, field: Field, mode: str = "auto") -> VerificationReport:
+def classify(l: int, kind: str, field: Field) -> VerificationReport:
     """Build the (l, kind) algebra over the field and verify it.
 
-    mode "auto" scans every triple while dim S <= 128 and otherwise
-    falls back to the reduced generator set.  A simplicity certificate
-    is attempted over GF(p) whenever the Jacobi identity holds.
+    The Jacobi identity is checked on every triple (check_jacobi's full
+    scan).  A simplicity certificate is attempted over GF(p) whenever
+    the Jacobi identity holds.
     """
     A = build_superalgebra(l, kind, field)
-    if mode == "auto":
-        mode = "full" if A.n1 <= FULL_MODE_MAX_ODD else "generators"
-    triples = generator_triples(l, kind, A) if mode == "generators" else None
-    report = check_jacobi(A, mode=mode, triples=triples)
+    report = check_jacobi(A)
     notes = []
     ident = IDENTIFICATIONS.get((kind, l))
     if report.jacobi_pass and ident:

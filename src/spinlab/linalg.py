@@ -69,24 +69,6 @@ def nullspace_field(mat, field: Field):
     return basis
 
 
-def matmul_field(a, b, field: Field):
-    """Product of two matrices of raw values; walks the nonzero entries of
-    each row of a against the nonzero entries of the matching row of b."""
-    f = field
-    m = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        orow = [f.zero()] * m
-        for x, brow in zip(row, b):
-            if f.is_zero(x):
-                continue
-            for j, y in enumerate(brow):
-                if not f.is_zero(y):
-                    orow[j] = f.add(orow[j], f.mul(x, y))
-        out.append(orow)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # GF(p) kernels on int64 arrays; all entries normalized to [0, p)
 
@@ -280,10 +262,11 @@ class RowSpaceModP:
 class RowSpace:
     """Incrementally grown row space over any exact field.
 
-    Over GF(p) this wraps RowSpaceModP (numpy); over Q it keeps a small
-    reduced echelon basis of Fraction rows.  insert() returns how many
-    of the offered rows were independent.  Rows over GF(p) are integer
-    sequences or arrays; any integer is read mod p.
+    Over GF(p) this wraps RowSpaceModP (numpy); over Q it keeps the
+    reduced echelon basis that rref_field returns, and insert() runs
+    rref_field on the basis and the new rows together.  insert() returns
+    how many of the offered rows were independent.  Rows over GF(p) are
+    integer sequences or arrays; any integer is read mod p.
     """
 
     def __init__(self, field: Field, width: int):
@@ -292,7 +275,7 @@ class RowSpace:
         if field.p:
             self._modp = RowSpaceModP(field.p, width)
         else:
-            self._rows = []          # echelon rows (raw values)
+            self._rows = []          # rref_field rows (raw values)
             self._pivots = []
 
     @property
@@ -310,11 +293,12 @@ class RowSpace:
     def insert(self, rows) -> int:
         if self.field.p:
             return self._modp.insert(self._as_modp(rows))
-        added = 0
-        for row in rows:
-            if self._insert_one(self._reduce_one(row)):
-                added += 1
-        return added
+        f = self.field
+        rows = [[f.raw(x) for x in row] for row in rows]
+        before = len(self._rows)
+        if rows:
+            self._rows, self._pivots = rref_field(self._rows + rows, f)
+        return len(self._rows) - before
 
     def _reduce_one(self, row) -> list:
         f = self.field
@@ -324,22 +308,6 @@ class RowSpace:
                 c = row[pc]
                 row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, er)]
         return row
-
-    def _insert_one(self, row) -> bool:
-        f = self.field
-        lead = next((i for i, x in enumerate(row) if not f.is_zero(x)), None)
-        if lead is None:
-            return False
-        inv = f.inv(row[lead])
-        row = [f.mul(inv, x) for x in row]
-        for i, (pc, er) in enumerate(zip(self._pivots, self._rows)):
-            if not f.is_zero(er[lead]):
-                c = er[lead]
-                self._rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(er, row)]
-        at = next((i for i, pc in enumerate(self._pivots) if pc > lead), len(self._pivots))
-        self._pivots.insert(at, lead)
-        self._rows.insert(at, row)
-        return True
 
     def contains(self, row) -> bool:
         if self.field.p:

@@ -51,8 +51,8 @@ import numpy as np
 
 from .fields import Field, make_field
 from .linalg import (RowSpace, RowSpaceModP, common_denominator, exact_array,
-                     matmul_field, matmul_modp, nullspace_field,
-                     nullspace_modp, rank_field, rank_modp, rref_modp)
+                     matmul_modp, nullspace_field, nullspace_modp, rank_field,
+                     rank_modp, rref_modp)
 
 SCHEMA_VERSION = 1
 
@@ -449,9 +449,11 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
                  witness_cap: int = 10) -> VerificationReport:
     """Scan the graded Jacobi identity.
 
-    mode "full" covers every ordered basis triple; "generators" evaluates
-    exactly the supplied index triples.  Witnesses are collected in
-    lexicographic triple order up to witness_cap, then re-evaluated exactly.
+    mode "full" covers every ordered basis triple, and every verdict of
+    the package comes from it.  "generators" evaluates exactly the
+    supplied index triples; no package code asks for it.  Witnesses are
+    collected in lexicographic triple order up to witness_cap, then
+    re-evaluated exactly.
 
     The full scan evaluates canonical triples i <= j <= z only: J is
     graded-alternating, so J(x,y,z) vanishes iff each of its
@@ -460,6 +462,8 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     first index i, and they are added in sorted order.
     """
     n = A.dim
+    # outside the tests only the benchmark's B8 cells take this branch;
+    # it goes with ROADMAP item 1
     if mode == "generators":
         if triples is None:
             raise ValueError("generators mode needs explicit triples")
@@ -548,41 +552,27 @@ def derived_algebra(A: SuperAlgebra) -> list:
 
 def burnside_irreducible(ops, n: int, field: Field) -> bool:
     """True iff the unital associative algebra generated by the operators
-    is all of End(k^n), certified by span closure (Burnside).  Over GF(p)
-    the n x n operators hold integers, read mod p."""
-    f = field
-    if f.p:
-        p = f.p
-        gens = [np.asarray(M, dtype=np.int64) % p for M in ops]
-        space = RowSpaceModP(p, n * n)
-        eye = np.eye(n, dtype=np.int64)
-        space.insert(eye.reshape(1, -1))
-        wave = [eye]
-        for g in gens:
-            if space.insert(g.reshape(1, -1)):
-                wave.append(g)
-        while wave and space.dim < n * n:
-            prev_basis = {tuple(r) for r in space.basis.tolist()}
-            stack = np.stack(wave).reshape(len(wave) * n, n)
-            for g in gens:
-                space.insert(matmul_modp(stack, g, p).reshape(len(wave), n * n))
-            wave = [np.array(r, dtype=np.int64).reshape(n, n)
-                    for r in space.basis.tolist() if tuple(r) not in prev_basis]
-        return space.dim == n * n
-    gens = [[[f.raw(x) for x in row] for row in M] for M in ops]
-    space = RowSpace(f, n * n)
-    eye = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
-    space.insert([[x for row in eye for x in row]])
-    queue = [eye]
+    is all of End(k^n), certified by span closure (Burnside): the tests'
+    reference for Norton's test, over GF(p) only (ValueError over Q).
+    The n x n operators hold integers, read mod p."""
+    p = field.p
+    if not p:
+        raise ValueError("the Burnside closure runs over GF(p) only")
+    gens = [np.asarray(M, dtype=np.int64) % p for M in ops]
+    space = RowSpaceModP(p, n * n)
+    eye = np.eye(n, dtype=np.int64)
+    space.insert(eye.reshape(1, -1))
+    wave = [eye]
     for g in gens:
-        if space.insert([[x for row in g for x in row]]):
-            queue.append(g)
-    while queue and space.dim < n * n:
-        m = queue.pop()
+        if space.insert(g.reshape(1, -1)):
+            wave.append(g)
+    while wave and space.dim < n * n:
+        prev_basis = {tuple(r) for r in space.basis.tolist()}
+        stack = np.stack(wave).reshape(len(wave) * n, n)
         for g in gens:
-            prod = matmul_field(m, g, f)
-            if space.insert([[x for row in prod for x in row]]):
-                queue.append(prod)
+            space.insert(matmul_modp(stack, g, p).reshape(len(wave), n * n))
+        wave = [np.array(r, dtype=np.int64).reshape(n, n)
+                for r in space.basis.tolist() if tuple(r) not in prev_basis]
     return space.dim == n * n
 
 

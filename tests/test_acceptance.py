@@ -45,7 +45,7 @@ def test_type_b_jacobi_grid():
         for ch in CHARS:
             r = classify(l, "B", make_field(ch))
             assert r.jacobi_pass == ((l, ch) in expect), (l, ch)
-            assert r.mode == ("full" if 2 ** l <= 128 else "generators")
+            assert r.mode == "full"
     assert time.monotonic() - t0 < 120
 
 
@@ -115,8 +115,7 @@ def test_type_d_jacobi_grid():
             r = classify(l, "D", make_field(ch))
             assert r.jacobi_pass == ((l, ch) in expect), (l, ch)
     for ch in CHARS:
-        assert not classify(10, "D", make_field(ch),
-                            mode="generators").jacobi_pass, ch
+        assert not classify(10, "D", make_field(ch)).jacobi_pass, ch
     for ch in CHARS:
         one, two = decompose_type_d_l2(make_field(ch))
         assert (len(one), len(two)) == (5, 3), ch

@@ -65,10 +65,23 @@ def test_unknown_target_is_usage_error(capsys):
     ["verify", "type-b", "--l", "1..1000000000"],
     ["verify", "type-d", "--l", "2,22"],
     ["export", "--kind", "B", "--l", "21"],
+    ["report", "NOT_AN_OBJECT.json"],
+    ["report", "ROW_WITHOUT_CHAR.json", "--format", "markdown"],
+    ["verify", "type-d", "--l", "3"],
 ])
-def test_usage_errors_exit_2(argv, capsys):
+def test_usage_errors_exit_2(argv, tmp_path, capsys):
+    # report inputs named in capitals are written to tmp_path first
+    inputs = {"NOT_AN_OBJECT.json": [1, 2],
+              "ROW_WITHOUT_CHAR.json": {"command": "verify", "target": "type-b",
+                                        "rows": [{"l": 1, "pass": True}]}}
+    for name in set(argv) & set(inputs):
+        (tmp_path / name).write_text(json.dumps(inputs[name]))
+        argv = [str(tmp_path / a) if a == name else a for a in argv]
     assert main(argv) == 2
-    assert capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    if argv[0] == "report" and len(argv) > 1:
+        assert argv[1] in err           # the refusal names the file
 
 
 @pytest.mark.parametrize("argv", [
@@ -78,6 +91,7 @@ def test_usage_errors_exit_2(argv, capsys):
     ["verify", "tits", "--l", "3"],
     ["verify", "tits", "--mode", "full"],
     ["verify", "type-b", "--seed", "1"],
+    ["verify", "type-b", "--mode", "full"],
 ])
 def test_flags_that_do_nothing_are_refused(argv, capsys):
     # argparse refuses unknown flags by raising SystemExit(2)
@@ -117,6 +131,19 @@ def test_every_passing_cell_gets_a_certificate(tmp_path, capsys):
         main(["verify", "type-b", "--long"])
     assert e.value.code == 2
     capsys.readouterr()
+
+
+def test_type_d_skips_odd_l_but_needs_an_even_one(tmp_path, capsys):
+    # odd l inside a range are skipped; a list with no even l computes no
+    # cell, so it is refused rather than reported as met
+    rc, blob = run_to_file(tmp_path, "d34.json",
+                           ["verify", "type-d", "--l", "3..4", "--chars", "3"])
+    assert rc == 0
+    doc = json.loads(blob)
+    assert doc["l"] == [3, 4] and [r["l"] for r in doc["rows"]] == [4]
+    for spec in ("3", "3,5", "5..5"):
+        assert main(["verify", "type-d", "--l", spec]) == 2
+        assert "no even l" in capsys.readouterr().err
 
 
 def test_expected_failure_cell_exits_zero(tmp_path):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from spinlab.fields import QQ, GF
-from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, inv_modp, matmul_field, matmul_modp, nullspace_field,
-                            nullspace_modp, rank_field, rank_int, rank_modp,
-                            rref_field, rref_modp)
+from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, inv_modp,
+                            matmul_modp, nullspace_field, nullspace_modp,
+                            rank_field, rank_int, rank_modp, rref_field,
+                            rref_modp)
 from spinlab.linalg import _rank_primes
 
 
@@ -150,27 +151,46 @@ def test_rowspace_modp_matches_generic():
         assert space.contains(np.array(probe)) == inside
 
 
-@pytest.mark.parametrize("f", [QQ, GF(7)], ids=repr)
-def test_matmul_field_rectangular_with_zero_rows_and_columns(f):
-    def raw(m):
-        return [[f.of_int(x) for x in row] for row in m]
+def test_rowspace_over_q_is_rref_field():
+    # over Q the basis is rref_field of every row inserted so far, one row
+    # or a batch at a time, and reduce() clears exactly its pivot columns
+    rng = random.Random(3)
+    for trial in range(12):
+        vecs = rand_matrix(rng, QQ, rng.randint(1, 6), 5, density=0.5)
+        space, batch = RowSpace(QQ, 5), RowSpace(QQ, 5)
+        added = sum(space.insert([v]) for v in vecs)
+        R, piv = rref_field(vecs, QQ)
+        assert added == batch.insert(vecs) == space.dim == len(piv)
+        assert space.basis() == batch.basis() == R and space.pivots == piv
+        probe = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)]
+        inside = rank_field(vecs + [probe], QQ) == len(piv)
+        assert space.contains(probe) == inside
+        (red,) = space.reduce([probe])
+        assert all(red[c] == 0 for c in piv)
+        assert (not any(red)) == inside
 
-    a = [[1, 0, 2, -1],        # column 1 is zero, row 1 is zero
-         [0, 0, 0, 0],
-         [3, 0, -2, 5]]
-    b = [[2, 0, 1],            # column 1 is zero, row 2 is zero
-         [5, 0, 3],
-         [0, 0, 0],
-         [1, 0, -4]]
-    assert matmul_field(raw(a), raw(b), f) == raw([[1, 0, 5],
-                                                   [0, 0, 0],
-                                                   [11, 0, -17]])
-    col, row = [[1], [0], [-2]], [[3, 0, 1]]
-    assert matmul_field(raw(col), raw(row), f) == raw([[3, 0, 1],
-                                                       [0, 0, 0],
-                                                       [-6, 0, -2]])
-    assert matmul_field(raw(row), raw(col), f) == raw([[1]])
-    assert matmul_field(raw([[0, 0]]), raw([[4, 1, 2], [3, 0, 6]]), f) == raw([[0, 0, 0]])
+
+def test_matmul_modp_rectangular_with_zero_rows_and_columns():
+    # the product of matrices with a zero row or column, and of a column
+    # by a row, against the integer product mod p
+    p = 7
+    a = np.array([[1, 0, 2, -1],        # column 1 is zero, row 1 is zero
+                  [0, 0, 0, 0],
+                  [3, 0, -2, 5]]) % p
+    b = np.array([[2, 0, 1],            # column 1 is zero, row 2 is zero
+                  [5, 0, 3],
+                  [0, 0, 0],
+                  [1, 0, -4]]) % p
+    col, row = np.array([[1], [0], [-2]]) % p, np.array([[3, 0, 1]])
+    zero_row = np.array([[0, 0]])
+    for x, y, want in ((a, b, [[1, 0, 5], [0, 0, 0], [11, 0, -17]]),
+                       (col, row, [[3, 0, 1], [0, 0, 0], [-6, 0, -2]]),
+                       (row, col, [[1]]),
+                       (zero_row, np.array([[4, 1, 2], [3, 0, 6]]), [[0, 0, 0]])):
+        got = matmul_modp(x, y, p)
+        assert got.shape == np.shape(want)
+        assert (got == np.array(want) % p).all()
+        assert (got == (x @ y) % p).all()
 
 
 @pytest.mark.parametrize("f", [QQ, GF(7)], ids=repr)

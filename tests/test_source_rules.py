@@ -87,3 +87,25 @@ def test_benchmark_wrapped_functions_exist():
         if not callable(owner):
             missing.append(f"{module}.{dotted}")
     assert not missing, missing
+
+
+def test_no_verdict_rests_on_the_generator_triples():
+    # every Jacobi verdict comes from a complete scan: outside check_jacobi
+    # (for the mode) and the definition of generator_triples, no package
+    # code asks for the "generators" mode or names generator_triples.  Both
+    # stay in the package only because the benchmark still uses them.
+    field_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+                ast.Constant: "value"}      # a use, an import, an __all__ entry
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_scan = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "check_jacobi"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = getattr(node, field_of.get(type(node), ""), None)
+            if name == "generators" and id(node) not in in_scan:
+                found.append(f"{path.name}:{node.lineno} asks for generators mode")
+            elif name == "generator_triples":
+                found.append(f"{path.name}:{node.lineno} names generator_triples")
+    assert not found, found

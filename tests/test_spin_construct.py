@@ -107,26 +107,35 @@ def test_classification_sweep():
                 assert r.mode == "full"
 
 
+def _paper_triple(l, kind, r):
+    """(1, top, v1...vr) of generator_triples: the paper's reduction of the
+    Jacobi check to l + 1 triples, kept here as a checked prediction."""
+    A = build_superalgebra(l, kind, QQ)
+    triples = generator_triples(l, kind, A)
+    masks = list(module_masks(l, kind))
+    want = (A.n0, A.n0 + A.n1 - 1, A.n0 + masks.index((1 << r) - 1))
+    assert want in triples
+    return want
+
+
 def test_generators_mode_type_b_l8():
-    A8 = build_superalgebra(8, "B", QQ)
-    m8 = list(module_masks(8, "B"))
+    # the paper predicts a failing generator triple at r = 3
+    tr3 = _paper_triple(8, "B", 3)
     for ch in CHARS:
-        r = classify(8, "B", make_field(ch))
-        assert r.mode == "generators" and not r.jacobi_pass
-        tr3 = (A8.n0 + 0, A8.n0 + 255, A8.n0 + m8.index(0b111))
-        assert any((w["i"], w["j"], w["k"]) == tr3 for w in r.witnesses)
+        f = make_field(ch)
+        assert j_triple(build_superalgebra(8, "B", f), *tr3), ch
+        r = classify(8, "B", f)
+        assert r.mode == "full" and not r.jacobi_pass, ch
 
 
 def test_generators_mode_type_d_l10_fails_at_middle_degree():
-    # witness expected at r = (l-2)/2 = 4
-    m10 = list(module_masks(10, "D"))
-    n0 = so_dim(10, "D")
-    tr4 = (n0 + m10.index(0), n0 + m10.index((1 << 10) - 1),
-           n0 + m10.index(0b1111))
+    # the paper predicts the failing generator triple at r = (l-2)/2 = 4
+    tr4 = _paper_triple(10, "D", 4)
     for ch in CHARS:
-        r = classify(10, "D", make_field(ch), mode="generators")
-        assert not r.jacobi_pass, ch
-        assert any((w["i"], w["j"], w["k"]) == tr4 for w in r.witnesses), ch
+        f = make_field(ch)
+        assert j_triple(build_superalgebra(10, "D", f), *tr4), ch
+        r = classify(10, "D", f)
+        assert r.mode == "full" and not r.jacobi_pass, ch
 
 
 def test_simplicity_attachment():

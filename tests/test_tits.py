@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinlab.cli import _hash_matrix
-from spinlab import composition, kac, linalg
+from spinlab import composition, kac
 from spinlab.fields import GF, QQ, Field, make_field
 from spinlab.composition import inner_derivation
 from spinlab.kac import K_FORM, KacElement, inner_derivation_J
@@ -133,6 +133,26 @@ def test_a_flipped_rule_entry_is_refused(name, monkeypatch):
         build_tits.__wrapped__("octonion", F5)      # the uncached build
 
 
+@pytest.mark.parametrize("name,at,witness", [("Dcz", (0, 0, 4), (0, 3, 14)),
+                                              ("dJcol", (0, 3, 2), (14, 49, 56))])
+def test_a_flipped_source_entry_is_caught_by_the_jacobi_scan(
+        name, at, witness, monkeypatch):
+    # the two bracket orders of [D, a⊗x] (or [d, a⊗x]) read the same Dcz
+    # (or dJcol) entry, one with the opposite sign, so the cross-check of
+    # build_tits cannot see a flipped entry: the build goes through, and
+    # the Jacobi scan of the result is the check
+    model = tits.TitsModel("octonion", F5)
+    table = np.array(getattr(model, name))
+    table[at] = (-table[at]) % 5
+    assert table[at] != getattr(model, name)[at]
+    setattr(model, name, table)
+    monkeypatch.setattr(tits, "tits_model", lambda kind, field: model)
+    A = build_tits.__wrapped__("octonion", F5)      # the uncached build
+    rep = check_jacobi(A, witness_cap=1)
+    assert not rep.jacobi_pass
+    assert [(w["i"], w["j"], w["k"]) for w in rep.witnesses] == [witness]
+
+
 def _spy_everywhere(monkeypatch, original, calls):
     """Replace original by a call-recording wrapper in every spinlab module
     that holds it."""
@@ -156,7 +176,6 @@ def _clear_model_caches():
 def test_build_makes_no_per_pair_or_per_entry_calls(monkeypatch):
     calls = []
     _spy_everywhere(monkeypatch, tits.tits_bracket, calls)
-    _spy_everywhere(monkeypatch, linalg.matmul_field, calls)
     for owner, attr in ((SpanSolver, "coords"), (Field, "raw")):
         original = getattr(owner, attr)
 
