@@ -446,8 +446,8 @@ def _doc_markdown(doc: dict) -> list:
     elif doc.get("target") == "tits":
         lines = _tits_markdown(doc)
     else:
-        lines = [f"- unrecognized input (command "
-                 f"{doc.get('command')!r}, target {doc.get('target')!r})", ""]
+        raise ValueError(f"target {doc.get('target')!r} is not type-b, "
+                         f"type-d or tits")
     if "expectation_met" in doc:
         lines.append(f"Expected outcomes met: "
                      f"{'yes' if doc['expectation_met'] else 'NO'}")
@@ -478,8 +478,7 @@ def cmd_report(args) -> int:
         try:
             if not isinstance(doc, dict):
                 raise TypeError(f"a JSON {type(doc).__name__}, not an object")
-            if args.format == "markdown":
-                sections.append(_doc_markdown(doc))
+            sections.append(_doc_markdown(doc))
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             print(f"spinlab report: {path}: not a spinlab verify document "
                   f"({type(exc).__name__}: {exc})", file=sys.stderr)

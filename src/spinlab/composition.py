@@ -192,6 +192,8 @@ def inner_derivation(C: CompositionAlgebra, a, b) -> list:
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+# No package code calls this; it stays while the benchmark marks laps at
+# it, and goes with that lap point.
 def ad_matrix(C: CompositionAlgebra, a) -> list:
     """x -> [a, x] = ax - xa as a matrix on C."""
     f = C.field

@@ -312,25 +312,18 @@ def decompose_type_d_l2(field: Field):
         vec((1, ix["[v1,f1]"]), (-1, ix["[v2,f2]"])),
     ]
     from .linalg import RowSpace
-    spans = []
-    for basis in (first, second):
-        sp = RowSpace(f, n)
-        if sp.insert(basis) != len(basis):
+    for si, basis in enumerate((first, second)):
+        if RowSpace(f, n).insert(basis) != len(basis):
             raise VerificationFailed("ideal basis is linearly dependent")
-        spans.append(sp)
-    # ideal property and mutual annihilation
-    for si, basis in ((0, first), (1, second)):
-        for x in basis:
-            for a in range(n):
-                ea = [f.one() if t == a else f.zero() for t in range(n)]
-                w = A.bracket_vectors(ea, x)
-                if not spans[si].contains(w):
-                    raise VerificationFailed(
-                        f"span {si} is not an ideal: basis element {a} moves it out")
-            for y in (second if si == 0 else first):
-                w = A.bracket_vectors(x, y)
-                if any(not f.is_zero(c) for c in w):
-                    raise VerificationFailed("the two ideals do not annihilate each other")
+        # the ideal the span generates is the span itself
+        closure = len(_super.ideal_closure(A, basis))
+        if closure != len(basis):
+            raise VerificationFailed(f"span {si} is not an ideal: it generates "
+                                     f"a {closure}-dimensional ideal")
+    for x in first:
+        for y in second:
+            if any(not f.is_zero(c) for c in A.bracket_vectors(x, y)):
+                raise VerificationFailed("the two ideals do not annihilate each other")
     total = RowSpace(f, n)
     total.insert(first)
     total.insert(second)

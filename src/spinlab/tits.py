@@ -35,7 +35,12 @@ The characteristic-5 identification (build_so_MQ, phi0, spin_map_psi,
 phi1_intertwine, cross_identify_with_typeB) works over GF(5) only and
 refuses any other field with ValueError.  Each step computes its data
 once per field, as int64 arrays of residues, verifies it and caches it,
-so the steps may run in any order.  Coordinates in an so basis come in
+so the steps may run in any order.  Whatever it needs of C it reads from
+the octonion TitsModel: the C⁰ block of the Gram matrix of Q is −npol,
+der C and ad_a act on C⁰ by Dczᵀ and comm_czᵀ in Φ₀, and a ∈ C⁰ acts on
+the spin space through La.  The brackets of so(M, Q) are the σ
+coordinates of the commutators [σ_a, σ_b], each checked by rebuilding
+the commutator from them.  Coordinates in an so basis come in
 closed form: σ_ij·G⁻¹ = e_j e_iᵀ − e_i e_jᵀ for G the Gram matrix of Q,
 so X is in so(M, Q) exactly when X·G⁻¹ is skew, with σ_ij-coordinate
 (X·G⁻¹)[j, i]; likewise nat_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ) for the
@@ -56,8 +61,7 @@ from .fields import Field, make_field
 from .linalg import (RowSpace, common_denominator, exact_array, inv_modp,
                      matmul_exact,
                      matmul_modp, nullspace_modp, rank_modp, rref_modp)
-from .composition import (CompositionAlgebra, make_composition,
-                          derivation_algebra, ad_matrix, _czero_maps,
+from .composition import (make_composition, derivation_algebra, _czero_maps,
                           _int_tables)
 from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
                   _inder_basis, _j_tensor, _lmul_brackets, _supercommutators)
@@ -123,6 +127,11 @@ def _pair_products(X, p):
     return flat.reshape(d, n, d, n).transpose(0, 2, 1, 3)
 
 
+def _commutators(x, X, p):
+    """x·X[k] − X[k]·x for every matrix of the stack X."""
+    return _red(_stacked_left(x, X, p) - _stacked_right(X, x, p), p)
+
+
 def _combine(coef, X, p):
     """Σ_k coef[a, k]·X[k] for every row a of coef, X a stack."""
     out = matmul_exact(coef, X.reshape(len(X), math.prod(X.shape[1:])), p)
@@ -185,6 +194,7 @@ class TitsModel:
         Dcz[d, a]   coordinates of D_d(a) over czero_basis
         Dab[a, b]   coordinates of D_{a,b} over derC
         comm_cz[a, b], npol[a, b]    [a, b] over czero_basis, n(a, b)
+        La[a]       the matrix of x ↦ a·x on C (rows = outputs)
         dJcol[t, x, k]    coefficient of e_k in d_t(e_x)
         dd[s, t]    coordinates of [d_s, d_t] over inder
         t_tab[x, y], star_tab[x, y, k]    t(e_x e_y), e_k in e_x * e_y
@@ -252,7 +262,7 @@ class TitsModel:
                             "der C moves C⁰").reshape(nder, ncz, ncz)
         # [a, b] = ab − ba and D_{a,b} = ad_[a,b] − 3(a, b, ·), where the
         # associator (a, b, ·) = L_ab − L_a L_b
-        La = _combine(Z, Lt, p)
+        La = self.La = _combine(Z, Lt, p)
         ab = _stacked_right(La, Z.T, p).transpose(0, 2, 1).reshape(ncz * ncz, n)
         comm = _red(ab - ab.reshape(ncz, ncz, n).transpose(1, 0, 2).reshape(-1, n), p)
         self.comm_cz = in_czero(comm, "[a, b] leaves C⁰").reshape(ncz, ncz, ncz)
@@ -260,7 +270,7 @@ class TitsModel:
         Dab = (_combine(comm, _red(Lt - Rt, p), p) - 3 * _combine(ab, Lt, p)
                + 3 * _pair_products(La, p).reshape(ncz * ncz, n, n))
         self.Dab = in_der(_red(Dab, p), "D_{a,b} escapes der C").reshape(ncz, ncz, nder)
-        for a in (self.DD, self.Dcz, self.Dab, self.comm_cz, self.npol):
+        for a in (self.DD, self.Dcz, self.Dab, self.comm_cz, self.npol, La):
             _frozen(a)
 
 
@@ -424,10 +434,10 @@ def _so_coords(X, ginv, rows, cols, p):
 
 class SoMQ(NamedTuple):
     """so(M, Q) with its pinned σ-basis over all index pairs i < j, as
-    residues mod p: σ_ij = (e_j e_iᵀ − e_i e_jᵀ)·gram."""
+    residues mod p: σ_ij = (e_j e_iᵀ − e_i e_jᵀ)·gram.  The structure
+    constants of `algebra` are the σ-coordinates of the commutators
+    [σ_a, σ_b], each checked by rebuilding the commutator from them."""
     field: Field
-    C: CompositionAlgebra
-    cz: list
     gram: np.ndarray        # 11×11 Gram matrix of Q
     ginv: np.ndarray        # its inverse
     pairs: list
@@ -442,36 +452,22 @@ class SoMQ(NamedTuple):
         return _so_coords(X, self.ginv, j, i, self.field.p)
 
 
-def _sigma_terms(gram, pi, pj, pair_index, p):
-    """[σ_{ab}, σ_{cd}] expanded over the σ basis (closed form)."""
-    (a, b), (c, d) = pi, pj
-    terms = {}
-    for x, y, coef in ((c, b, gram[a, d]), (c, a, -gram[b, d]),
-                       (d, b, -gram[a, c]), (d, a, gram[b, c])):
-        if x != y:
-            if x > y:
-                x, y, coef = y, x, -coef
-            k = pair_index[(x, y)]
-            terms[k] = (terms.get(k, 0) + int(coef)) % p
-    return {k: v for k, v in terms.items() if v}
-
-
 @lru_cache(maxsize=None)
 def build_so_MQ(field: Field) -> SoMQ:
     """so(M, Q) for M = C⁰ ⊕ U⊗U (C the octonions), dim 11, so dim 55.
 
-    Q restricted to C⁰ is the negated polar norm; on U⊗U it is
-    Q(u₁⊗u₂, v₁⊗v₂) = -(u₁|v₁)(u₂|v₂); the blocks are orthogonal.  The
-    closed-form σ brackets are checked against the matrix commutators.
+    Q restricted to C⁰ is the negated polar norm (TitsModel.npol); on U⊗U
+    it is Q(u₁⊗u₂, v₁⊗v₂) = -(u₁|v₁)(u₂|v₂); the blocks are orthogonal.
+    The brackets are read off the matrix commutators [σ_a, σ_b] in closed
+    form; VerificationFailed, naming the pair, when a commutator leaves
+    so(M, Q) or its coordinates do not rebuild it.
     """
     _require_char5(field)
     f = field
     p = f.p
-    C = make_composition("octonion", f)
-    cz = C.czero_basis()
     n = 11
     gram = np.zeros((n, n), dtype=np.int64)
-    gram[:7, :7] = [[-f.raw(C.norm_polar(a, b)) for b in cz] for a in cz]
+    gram[:7, :7] = -tits_model("octonion", f).npol % p
     gram[7:, 7:] = [[-f.raw(K_FORM[u1][v1] * K_FORM[u2][v2])
                      for v1, v2 in UU_PAIRS] for u1, u2 in UU_PAIRS]
     gram %= p
@@ -483,31 +479,28 @@ def build_so_MQ(field: Field) -> SoMQ:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pair_index = {pr: k for k, pr in enumerate(pairs)}
     i, j = np.array(pairs).T
-    k = np.arange(len(pairs))
-    mats = np.zeros((len(pairs), n, n), dtype=np.int64)
-    mats[k, j] = gram[i]
-    mats[k, i] = -gram[j] % p
-
-    table = {}
-    for pi in range(len(pairs)):
-        for pj in range(pi, len(pairs)):
-            terms = _sigma_terms(gram, pairs[pi], pairs[pj], pair_index, p)
-            if terms:
-                table[(pi, pj)] = terms
-    labels = [f"s{i},{j}" for i, j in pairs]
-    algebra = SuperAlgebra("so(M,Q)", f, len(pairs), 0, labels, table,
-                           odd_symmetric=False)
-    ad = _block(algebra, 0, 0, 0)          # ad[a, k, b]: σ_k in [σ_a, σ_b]
-    prod = _pair_products(mats, p)
-    com = (prod - prod.transpose(1, 0, 2, 3)) % p
     d = len(pairs)
-    want = _combine(ad.transpose(0, 2, 1).reshape(d * d, d), mats, p)
-    bad = np.argwhere((com.reshape(d * d, n, n) != want).any(axis=(1, 2)))
-    if bad.size:
-        pi, pj = divmod(int(bad[0, 0]), d)
-        raise VerificationFailed(
-            f"sigma bracket mismatch at pairs {pairs[pi]},{pairs[pj]}")
-    return SoMQ(f, C, cz, _frozen(gram), _frozen(ginv), pairs, pair_index,
+    mats = np.zeros((d, n, n), dtype=np.int64)
+    mats[np.arange(d), j] = gram[i]
+    mats[np.arange(d), i] = -gram[j] % p
+
+    coords = np.zeros((d, d, d), dtype=np.int64)       # coords[a, b, k]
+    for a in range(d):
+        com = _commutators(mats[a], mats, p)
+        coords[a], inside = _so_coords(com, ginv, j, i, p)
+        rebuilt = _combine(coords[a], mats, p)
+        for bad, what in ((~inside, "leaves so(M,Q)"),
+                          ((rebuilt != com).any(axis=(1, 2)),
+                           "is not rebuilt from its coordinates")):
+            if bad.any():
+                raise VerificationFailed(f"sigma commutator at pairs {pairs[a]},"
+                                         f"{pairs[int(np.argmax(bad))]} {what}")
+    I, J, K = np.nonzero(coords * np.triu(np.ones((d, d), dtype=np.int64))[..., None])
+    labels = [f"s{i},{j}" for i, j in pairs]
+    algebra = SuperAlgebra._from_coo("so(M,Q)", f, d, 0, labels,
+                                     (I, J, K, coords[I, J, K], 1),
+                                     odd_symmetric=False)
+    return SoMQ(f, _frozen(gram), _frozen(ginv), pairs, pair_index,
                 _frozen(mats), algebra)
 
 
@@ -533,20 +526,18 @@ def _first_bad_pair(mat, A, B):
 
 
 def _phi0_matrix(model: TitsModel, somq: SoMQ) -> np.ndarray:
-    """Columns: so(M,Q)-coordinates of the images of the even T basis."""
-    C, cz, p = model.C, model.cz, model.field.p
-    P, Z = _czero_maps()
+    """Columns: so(M,Q)-coordinates of the images of the even T basis.
 
-    def restrict(mat):                 # to C⁰, as P·mat·Zᵀ
-        return matmul_modp(matmul_modp(P, np.array(mat), p), Z.T % p, p)
-
+    On C⁰ a derivation D acts by Dcz[D]ᵀ and a⊗(e⊗e) by −ad_a = −comm_cz[a]ᵀ
+    (TitsModel's tables, whose columns are the images of the C⁰ basis)."""
+    p = model.field.p
     uu_loc = [4, 5, 7, 8]              # U⊗U among the local J indices
     X = np.zeros((model.n0, 11, 11), dtype=np.int64)
     for col, slot in enumerate(model.slots[:model.n0]):
         if slot[0] == "der":
-            X[col, :7, :7] = restrict(model.derC[slot[1]])
+            X[col, :7, :7] = model.Dcz[slot[1]].T
         elif slot[0] == "mid" and slot[2] == 1:       # a⊗(e⊗e) -> -ad_a
-            X[col, :7, :7] = np.negative(restrict(ad_matrix(C, cz[slot[1]])))
+            X[col, :7, :7] = -model.comm_cz[slot[1]].T
         elif slot[0] == "mid":                        # a⊗(u⊗v) -> σ_{a,u⊗v}
             X[col] = somq.mats[somq.pair_index[(slot[1],
                                                  7 + UU_POS[slot[2]])]]
@@ -593,16 +584,13 @@ def phi0(field: Field) -> dict:
 def _psi_images(model: TitsModel) -> np.ndarray:
     """Ψ on the 11 M-basis vectors, as an (11, 32, 32) array mod p.
 
-    Spin space index: 4·(C index) + slot with slots (x;0),(y;0),(0;x),(0;y).
+    Spin space index: 4·(C index) + slot with slots (x;0),(y;0),(0;x),(0;y);
+    a in C⁰ acts by TitsModel.La[a] on the C factor.
     """
     f = model.field
     p = f.p
-    C = model.C
-    units = [[f.one() if r == c else f.zero() for r in range(C.dim)]
-             for c in range(C.dim)]
     psi = np.zeros((11, 32, 32), dtype=np.int64)
-    for k, a in enumerate(model.cz):
-        La = np.array([C.multiply(a, e) for e in units], dtype=np.int64).T
+    for k, La in enumerate(model.La):
         for s in range(4):
             psi[k, s::4, s::4] = -La if s < 2 else La
     form = [[f.raw(v) for v in row] for row in K_FORM]
@@ -641,8 +629,7 @@ def _spin_rep(field: Field):
     ad = _block(somq.algebra, 0, 0, 0)
     n = len(rho)
     for a in range(n - 1):
-        com = (_stacked_left(rho[a], rho[a + 1:], p)
-               - _stacked_right(rho[a + 1:], rho[a], p)) % p
+        com = _commutators(rho[a], rho[a + 1:], p)
         want = _combine(ad[a, :, a + 1:].T, rho, p)
         bad = np.nonzero((com != want).any(axis=(1, 2)))[0]
         if bad.size:

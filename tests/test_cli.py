@@ -68,10 +68,12 @@ def test_unknown_target_is_usage_error(capsys):
     ["report", "NOT_AN_OBJECT.json"],
     ["report", "ROW_WITHOUT_CHAR.json", "--format", "markdown"],
     ["verify", "type-d", "--l", "3"],
+    ["report", "EMPTY_OBJECT.json"],
+    ["report", "ROW_WITHOUT_CHAR.json"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     # report inputs named in capitals are written to tmp_path first
-    inputs = {"NOT_AN_OBJECT.json": [1, 2],
+    inputs = {"NOT_AN_OBJECT.json": [1, 2], "EMPTY_OBJECT.json": {},
               "ROW_WITHOUT_CHAR.json": {"command": "verify", "target": "type-b",
                                         "rows": [{"l": 1, "pass": True}]}}
     for name in set(argv) & set(inputs):

@@ -109,3 +109,20 @@ def test_no_verdict_rests_on_the_generator_triples():
             elif name == "generator_triples":
                 found.append(f"{path.name}:{node.lineno} names generator_triples")
     assert not found, found
+
+
+def test_tits_reads_composition_data_from_its_tables():
+    # TitsModel holds the C⁰ tables of C as checked arrays: tits.py makes
+    # no scalar call of CompositionAlgebra and does not name ad_matrix
+    path = PACKAGE / "tits.py"
+    scalar = ("multiply", "norm_polar", "commutator", "associator")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in scalar):
+            found.append(f"{node.func.attr} call at line {node.lineno}")
+        name = getattr(node, {ast.Name: "id", ast.Attribute: "attr",
+                              ast.alias: "name"}.get(type(node), ""), None)
+        if name == "ad_matrix":
+            found.append(f"ad_matrix at line {node.lineno}")
+    assert not found, found

@@ -8,7 +8,7 @@ import pytest
 from spinlab.cli import _hash_matrix
 from spinlab import composition, kac
 from spinlab.fields import GF, QQ, Field, make_field
-from spinlab.composition import inner_derivation
+from spinlab.composition import inner_derivation, make_composition
 from spinlab.kac import K_FORM, KacElement, inner_derivation_J
 from spinlab.linalg import SpanSolver, inv_modp, nullspace_modp
 from spinlab.construct import build_superalgebra
@@ -224,6 +224,20 @@ def test_der_acts_componentwise():
                 assert got == want, (di, ai, xj)
 
 
+@pytest.mark.parametrize("kind,field", [("octonion", F5), ("quaternion", QQ)])
+def test_left_multiplications_match_the_product(kind, field):
+    # La[a], which Ψ reads, column by column against C.multiply(a, e_c)
+    m = tits_model(kind, field)
+    n = m.C.dim
+    for ai, a in enumerate(m.cz):
+        for c in range(n):
+            e = [field.one() if r == c else field.zero() for r in range(n)]
+            assert ([field.raw(v) for v in m.La[ai][:, c]]
+                    == [field.raw(v) for v in m.C.multiply(a, e)]), (ai, c)
+    with pytest.raises(ValueError):      # the model's tables are read-only
+        m.La[0, 0, 0] = 1
+
+
 def test_inner_derivations_act_componentwise():
     # [d, a⊗x] = a⊗d(x) for every inner derivation of J, both parities
     m = tits_model("octonion", F5)
@@ -369,9 +383,11 @@ def test_so_MQ_gram_blocks():
     somq = build_so_MQ(F5)
     assert somq.algebra.n0 == 55 and somq.algebra.n1 == 0
     f = F5
+    C = make_composition("octonion", F5)
+    cz = C.czero_basis()
     for i in range(7):
         for j in range(7):
-            want = f.neg(f.raw(somq.C.norm_polar(somq.cz[i], somq.cz[j])))
+            want = f.neg(f.raw(C.norm_polar(cz[i], cz[j])))
             assert somq.gram[i][j] == want
         for r in range(4):
             assert f.is_zero(somq.gram[i][7 + r])
@@ -379,6 +395,53 @@ def test_so_MQ_gram_blocks():
     uu = [[int(somq.gram[7 + r][7 + s]) % 5 for s in range(4)]
           for r in range(4)]
     assert uu == [[0, 0, 0, 4], [0, 0, 1, 0], [0, 1, 0, 0], [4, 0, 0, 0]]
+
+
+def test_so_MQ_brackets_are_read_off_the_commutators():
+    # the stored table against [σ_a, σ_b] = Σ_k c_k σ_k, solved by elimination
+    somq = build_so_MQ(F5)
+    solver = SpanSolver(F5, [m.reshape(-1).tolist() for m in somq.mats])
+    ad = _block(somq.algebra, 0, 0, 0)             # ad[a, k, b]
+    for a in range(55):
+        for b in range(55):
+            com = (somq.mats[a] @ somq.mats[b] - somq.mats[b] @ somq.mats[a]) % 5
+            assert solver.coords(com.reshape(-1).tolist()) == ad[a, :, b].tolist()
+
+
+def _first_bracketed_pair(somq):
+    """The first basis pair (a, b), in row-major order, with [σ_a, σ_b] ≠ 0."""
+    a, b = next((a, b) for a in range(55) for b in range(55)
+                if somq.algebra.bracket_terms(a, b))
+    return somq.pairs[a], somq.pairs[b]
+
+
+def test_so_MQ_refuses_a_commutator_outside_so(monkeypatch):
+    somq = build_so_MQ(F5)                         # built before the tamper
+    commutators = tits._commutators
+
+    def tampered(x, X, p):                         # one entry of [σ_3, σ_20]
+        com = commutators(x, X, p)
+        if np.array_equal(x, somq.mats[3]):
+            com[20, 0, 0] = (com[20, 0, 0] + 1) % p
+        return com
+    monkeypatch.setattr(tits, "_commutators", tampered)
+    with pytest.raises(VerificationFailed) as e:
+        build_so_MQ.__wrapped__(F5)                # the uncached build
+    assert str(e.value) == (f"sigma commutator at pairs {somq.pairs[3]},"
+                            f"{somq.pairs[20]} leaves so(M,Q)")
+
+
+def test_so_MQ_refuses_coordinates_that_do_not_rebuild(monkeypatch):
+    # swapped row and column indices read every coordinate with the wrong
+    # sign: only the rebuild of the commutators can see it
+    first, second = _first_bracketed_pair(build_so_MQ(F5))
+    so_coords = tits._so_coords
+    monkeypatch.setattr(tits, "_so_coords", lambda X, ginv, rows, cols, p:
+                        so_coords(X, ginv, cols, rows, p))
+    with pytest.raises(VerificationFailed) as e:
+        build_so_MQ.__wrapped__(F5)
+    assert str(e.value) == (f"sigma commutator at pairs {first},{second} "
+                            f"is not rebuilt from its coordinates")
 
 
 def test_so_coordinates_closed_form_matches_span_solver():
