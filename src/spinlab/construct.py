@@ -35,7 +35,7 @@ from .clifford import (gram_pairing, half_spin_masks, pair_basis, rho_tables,
                        so_bracket_table, so_dim)
 from .exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
                        complement_form_signs, monomial_label)
-from .fields import Field, FieldMismatch
+from .fields import QQ, Field, FieldMismatch
 from .superalgebra import (SuperAlgebra, VerificationFailed, VerificationReport,
                            check_jacobi)
 from . import superalgebra as _super
@@ -209,8 +209,16 @@ def build_superalgebra(l: int, kind: str, field: Field) -> SuperAlgebra:
     Basis order: so pair basis first (even part), then the module
     monomials by increasing mask (odd part).  The table is the integer
     tensor of (kind, l) (_integer_tensor), over GF(p) reduced as
-    V * scale^-1 mod p.
+    V * scale^-1 mod p.  The algebra's Jacobi scan reads the rows of the
+    Q table shared by every field (_jacobi_rows).
     """
+    A = _assemble(l, kind, field)
+    A._jacobi = _jacobi_rows(l, kind)
+    return A
+
+
+def _assemble(l: int, kind: str, field: Field) -> SuperAlgebra:
+    """build_superalgebra's algebra, with no shared Jacobi rows."""
     I, J, K, V, scale = _integer_tensor(l, kind)
     p = field.p
     if p:
@@ -225,6 +233,14 @@ def build_superalgebra(l: int, kind: str, field: Field) -> SuperAlgebra:
     return SuperAlgebra._from_coo(f"type{kind}_l{l}", field, len(pb.pairs),
                                   len(masks), labels, (I, J, K, V, scale),
                                   odd_symmetric=bracket_is_symmetric(l, kind))
+
+
+@lru_cache(maxsize=1)
+def _jacobi_rows(l: int, kind: str):
+    """The Jacobi rows of the Q table of (kind, l), scanned on first use.
+    One (kind, l) is kept: callers loop over the fields of one l at a
+    time, and an algebra keeps its own reference to the rows."""
+    return _super._JacobiRows(lambda: _assemble(l, kind, QQ))
 
 
 # Outside the tests only the benchmark's B8 cells need this; it goes with

@@ -31,8 +31,14 @@ the canonical triples i <= j <= z, gathering the terms of [[i,j],z],
 [i,[j,z]] and [j,[i,z]] from the entries of row i by binary search in
 the sorted orders, at a cost that follows the number of terms.  The
 terms are summed exactly in int64: over GF(p) every product is reduced
-mod p first, and over Q the table is refused unless 3*n*max|V|^2 < 2^63,
-which bounds each sum of at most 3n products.  Witnesses (the
+mod p first; over Q the numerators are summed as they are while
+3*n*max|V|^2 < 2^63, which bounds each sum of at most 3n products, and
+past that bound modulo word-size primes whose product exceeds twice the
+bound, the sums then recovered by the Chinese remainder theorem.  Each
+row is kept with the content of each triple (the gcd of its sums) in a
+row store, and the algebras build_superalgebra returns for one (kind, l)
+share the store of its Q table: the content decides the identity in
+every odd characteristic at once (check_jacobi).  Witnesses (the
 permutations of the nonzero canonical triples) are re-evaluated exactly
 through the dictionary route before being reported.
 """
@@ -44,15 +50,15 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from types import MappingProxyType
 
 import numpy as np
 
 from .fields import Field, make_field
-from .linalg import (RowSpace, RowSpaceModP, common_denominator, exact_array,
-                     matmul_modp, nullspace_field, nullspace_modp, rank_field,
-                     rank_modp, rref_modp)
+from .linalg import (RowSpace, RowSpaceModP, _rank_primes, common_denominator,
+                     exact_array, matmul_modp, nullspace_field, nullspace_modp,
+                     rank_field, rank_modp, rref_modp)
 
 SCHEMA_VERSION = 1
 
@@ -65,10 +71,12 @@ class SuperAlgebra:
     """Z2-graded algebra over an exact field, defined by an ordered basis
     (even part first), per-index parity, and sparse structure constants.
     bracket maps (i, j), either order, to {k: value}; ValueError when the
-    two orders of one pair are both given and disagree."""
+    two orders of one pair are both given and disagree.  _jacobi holds the
+    Jacobi rows build_superalgebra shares among the fields of one (kind,
+    l); when it is None, check_jacobi scans the algebra's own table."""
 
     __slots__ = ("name", "field", "n0", "n1", "labels", "odd_symmetric",
-                 "coo", "_table", "_pair_keys", "_rows")
+                 "coo", "_table", "_pair_keys", "_rows", "_jacobi")
 
     def __init__(self, name: str, field: Field, n0: int, n1: int, labels,
                  bracket: dict, odd_symmetric: bool):
@@ -114,7 +122,7 @@ class SuperAlgebra:
         if len(labels) != n:
             raise ValueError(f"need {n} labels, got {len(labels)}")
         self.odd_symmetric = odd_symmetric = bool(odd_symmetric)
-        self._table = self._pair_keys = None
+        self._table = self._pair_keys = self._jacobi = None
         self._rows = {}
         I, J, K, V, scale = coo
         I, J, K = (np.asarray(x, dtype=np.int64) for x in (I, J, K))
@@ -343,39 +351,62 @@ def j_triple(A: SuperAlgebra, i: int, j: int, k: int) -> dict:
     return acc
 
 
+def _scan_moduli(A: SuperAlgebra) -> tuple:
+    """The moduli the scan sums modulo: (p,) over GF(p); over Q (0,), for
+    exact int64 sums, while 3*n*max|V|^2 < 2^63 bounds every sum of at
+    most 3n products; past that bound the fewest leading primes of
+    linalg._rank_primes() whose product exceeds twice the bound, so that
+    the sums are recovered exactly in the symmetric range.  ValueError
+    when the primes run out."""
+    if A.field.p:
+        return (A.field.p,)
+    V = A.coo[3]
+    top = int(np.abs(V).max()) if V.size else 0
+    bound = 3 * A.dim * top * top
+    if bound < 1 << 63:
+        return (0,)
+    moduli, product = [], 1
+    for q in _rank_primes():
+        moduli.append(q)
+        product *= q
+        if product > 2 * bound:
+            return tuple(moduli)
+    raise ValueError(f"{A.name}: the Jacobi sums, bounded by 3*n*max|V|^2 "
+                     f"with max|V| = {top}, outrun the product of the fixed primes")
+
+
 def _scan_matrices(A: SuperAlgebra):
-    """Three sorted index orders of A's COO table, for the gather scan.
+    """The scan data of A's COO table: (orders, moduli, par, odd_symmetric),
+    par holding the parity of each basis index.
 
-    Each order is (key, a, b, v): the entries sorted by key = s*n + a,
-    where s is the index the order is named after, a the index the
-    gathers bound, b the remaining index and v the integer value.
-    By first index: s = first, a = second, b = target.  By target: s =
-    target, a = first, b = second, stored orientation (first <= second)
-    only.  By second index: s = second, a = first, b = target.
-
-    Over Q the values are the numerators V, refused with ValueError
-    unless 3*n*max|V|^2 < 2^63, the bound under which the scan sums in
-    int64 exactly.
+    Each of the three orders is (key, a, b, vals): the entries sorted by
+    key = s*n + a, where s is the index the order is named after, a the
+    index the gathers bound, b the remaining index, and vals the values,
+    one array per modulus of _scan_moduli (residues, or the numerators V
+    over Q within the int64 bound).  By first index: s = first, a =
+    second, b = target.  By target: s = target, a = first, b = second,
+    stored orientation (first <= second) only.  By second index: s =
+    second, a = first, b = target.
     """
     n = A.dim
     I, J, K, V, _ = A.coo
-    if not A.field.p:
-        top = max(map(abs, V.tolist()), default=0)
-        if 3 * n * top * top >= 1 << 63:
-            raise ValueError(
-                f"{A.name}: structure constants up to {top} after clearing "
-                f"denominators break the exact int64 scan bound "
-                f"3*n*max^2 < 2^63 (n = {n})")
+    moduli = _scan_moduli(A)
+    if len(moduli) == 1:
+        vals = (V,)
+    else:
+        vals = tuple((V % q).astype(np.int64) for q in moduli)
 
-    def order(s, a, b, v):
+    def order(s, a, b, vals):
         key = s * n + a
         perm = np.argsort(key, kind="stable")
-        return key[perm], a[perm], b[perm], v[perm]
+        return key[perm], a[perm], b[perm], tuple(v[perm] for v in vals)
 
     kept = I <= J
-    return (order(I, J, K, V),
-            order(K[kept], I[kept], J[kept], V[kept]),
-            order(J, I, K, V))
+    orders = (order(I, J, K, vals),
+              order(K[kept], I[kept], J[kept], tuple(v[kept] for v in vals)),
+              order(J, I, K, vals))
+    par = (np.arange(n) >= A.n0).astype(np.int64)
+    return orders, moduli, par, A.odd_symmetric
 
 
 def _gather(key, lo, hi):
@@ -389,50 +420,95 @@ def _gather(key, lo, hi):
     return owner, pos
 
 
-def _scan_one_i(A, mats, par, i):
-    """Canonical triples (i, j, z), i <= j <= z, with J(e_i, e_j, e_z) != 0,
-    sorted."""
-    (key1, a1, b1, v1), (key2, a2, b2, v2), (key3, a3, b3, v3) = mats
-    n = A.dim
-    p = A.field.p
+def _symmetric_crt(residues: np.ndarray, moduli) -> np.ndarray:
+    """The integers x with |x| < prod(moduli) / 2 and x = residues[t] mod
+    moduli[t] for each t, column by column, as an object array."""
+    product = prod(moduli)
+    x = sum(r.astype(object) * (product // q * pow(product // q, -1, q))
+            for r, q in zip(residues, moduli)) % product
+    return np.where(x > product // 2, x - product, x)
+
+
+def _scan_one_i(mats, i):
+    """Row i of the scan of mats (_scan_matrices): the canonical triples
+    (i, j, z), i <= j <= z, with J(e_i, e_j, e_z) != 0, sorted, each paired
+    with its content g, the gcd of the |coefficients| of J(e_i, e_j, e_z)
+    (of the residues over GF(p))."""
+    orders, moduli, par, odd_symmetric = mats
+    (key1, a1, b1, vals1), (key2, a2, b2, vals2), (key3, a3, b3, vals3) = orders
+    n = par.size
     lo, hi = np.searchsorted(key1, (i * n, i * n + n))
-    x, y, v = a1[lo:hi], b1[lo:hi], v1[lo:hi]        # [e_i, e_x] = sum v e_y
+    x, y = a1[lo:hi], b1[lo:hi]                       # [e_i, e_x] = sum v e_y
     ge = np.searchsorted(x, i)                         # x[ge:] >= i
-    xg, yg, vg = x[ge:], y[ge:], v[ge:]
+    xg, yg = x[ge:], y[ge:]
     top = n - 1
     # [[e_i, e_j], e_z]: j = xg, m = yg, then [e_m, e_z] = sum e_w with z >= j
     o1, q1 = _gather(key1, yg * n + xg, yg * n + top)
     k1 = (xg[o1] * n + a1[q1]) * n + b1[q1]
-    t1 = vg[o1] * v1[q1]
     # -[e_i, [e_j, e_z]]: [e_j, e_z] with i <= j <= z hits m = x, [e_i, e_m] = e_w
     o2, q2 = _gather(key2, x * n + i, x * n + top)
     k2 = (a2[q2] * n + b2[q2]) * n + y[o2]
-    t2 = -(v[o2] * v2[q2])
     # eps(i,j) [e_j, [e_i, e_z]]: z = xg, m = yg, then [e_j, e_m] with i <= j <= z
     o3, q3 = _gather(key3, yg * n + i, yg * n + xg)
     j3 = a3[q3]
     k3 = (j3 * n + xg[o3]) * n + b3[q3]
-    t3 = vg[o3] * v3[q3]
-    if A.odd_symmetric and par[i]:
-        t3 = np.where(par[j3] == 1, -t3, t3)
-
-    # exact int64 sums: each product is reduced mod p over GF(p), and over Q
-    # the bound 3*n*max|V|^2 < 2^63 checked by _scan_matrices covers every
-    # key's at most 3n terms
+    flip = par[j3] == 1 if odd_symmetric and par[i] else None
     keys = np.concatenate([k1, k2, k3])
     if keys.size == 0:
         return ()
-    terms = np.concatenate([t1, t2, t3])
-    if p:
-        terms %= p
     srt = np.argsort(keys)
     keys = keys[srt]
     heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(terms[srt], heads)
-    if p:
-        sums %= p
-    jz = np.unique(keys[heads[sums != 0]] // n)
-    return tuple((i, t // n, t % n) for t in jz.tolist())
+
+    # the same gathers for each modulus, summed exactly in int64: each
+    # product is reduced mod its modulus first, and the bound checked by
+    # _scan_moduli covers every key's at most 3n terms
+    sums = []
+    for q, v1, v2, v3 in zip(moduli, vals1, vals2, vals3):
+        v = v1[lo:hi]
+        vg = v[ge:]
+        t3 = vg[o3] * v3[q3]
+        if flip is not None:
+            t3 = np.where(flip, -t3, t3)
+        terms = np.concatenate([vg[o1] * v1[q1], -(v[o2] * v2[q2]), t3])[srt]
+        if q:
+            terms %= q
+        sums.append(np.add.reduceat(terms, heads))
+        if q:
+            sums[-1] %= q
+    sums = np.array(sums)
+    nonzero = sums.any(axis=0)
+    if not nonzero.any():
+        return ()
+    sums = sums[:, nonzero]
+    sums = _symmetric_crt(sums, moduli) if len(moduli) > 1 else sums[0]
+    jz = keys[heads[nonzero]] // n
+    first = np.flatnonzero(np.diff(jz, prepend=-1))
+    content = np.gcd.reduceat(np.abs(sums), first)
+    return tuple(((i, t // n, t % n), g)
+                 for t, g in zip(jz[first].tolist(), content.tolist()))
+
+
+class _JacobiRows:
+    """Every row of _scan_one_i over one table, each computed on first
+    request, in order, and kept.  source() returns the algebra whose table
+    is scanned; its _scan_matrices orders are built on the first request
+    and dropped once every row is in."""
+
+    __slots__ = ("_source", "_mats", "_rows")
+
+    def __init__(self, source):
+        self._source, self._mats, self._rows = source, None, []
+
+    def row(self, i: int) -> tuple:
+        while len(self._rows) <= i:
+            if self._mats is None:
+                self._mats = _scan_matrices(self._source())
+                self._source = None
+            self._rows.append(_scan_one_i(self._mats, len(self._rows)))
+            if len(self._rows) == self._mats[2].size:
+                self._mats = None
+        return self._rows[i]
 
 
 def _witness_entry(A: SuperAlgebra, triple) -> dict:
@@ -453,13 +529,24 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     the package comes from it.  "generators" evaluates exactly the
     supplied index triples; no package code asks for it.  Witnesses are
     collected in lexicographic triple order up to witness_cap, then
-    re-evaluated exactly.
+    re-evaluated exactly by j_triple.
 
-    The full scan evaluates canonical triples i <= j <= z only: J is
-    graded-alternating, so J(x,y,z) vanishes iff each of its
-    permutations does.  After row i, the permutations starting with i of
-    the canonical triples found so far are exactly the witnesses with
-    first index i, and they are added in sorted order.
+    The full scan reads the rows of _scan_one_i, the canonical triples
+    i <= j <= z with J(e_i, e_j, e_z) != 0, each with its content g: J is
+    graded-alternating, so J(x,y,z) vanishes iff each of its permutations
+    does.  After row i, the permutations starting with i of the canonical
+    triples found so far are exactly the witnesses with first index i, and
+    they are added in sorted order.
+
+    An algebra from build_superalgebra, over any field, reads the rows of
+    the Q table of its (kind, l), scanned once over the integers.  Over
+    GF(p) the table is that integer table times scale^-1 mod p (p never
+    divides the scale), so J over GF(p) is the integer J times scale^-2,
+    and a triple is kept exactly when p does not divide its content: one
+    integer scan decides every odd p.  Any other algebra is scanned over
+    its own table, its residues over GF(p); over Q past the int64 bound the
+    sums are taken modulo fixed word-size primes (_scan_moduli) and
+    recovered by the Chinese remainder theorem.
     """
     n = A.dim
     # outside the tests only the benchmark's B8 cells take this branch;
@@ -474,12 +561,14 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
             if j_triple(A, *t):
                 found.append(t)
     elif mode == "full":
-        par = np.array([A.parity(i) for i in range(n)], dtype=np.int64)
-        mats = _scan_matrices(A)
+        rows = A._jacobi if A._jacobi is not None else _JacobiRows(lambda: A)
+        p = A.field.p
         found = []
         rest = [set() for _ in range(n)]    # e -> the other two indices
         for i in range(n):
-            for t in _scan_one_i(A, mats, par, i):
+            for t, g in rows.row(i):
+                if p and g % p == 0:
+                    continue
                 for e in set(t):
                     x, y = t[:t.index(e)] + t[t.index(e) + 1:]
                     rest[e].update(((x, y), (y, x)))

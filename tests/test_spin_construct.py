@@ -2,11 +2,12 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
-from spinlab import clifford, construct, exterior
+from spinlab import clifford, construct, exterior, superalgebra, tits
 from spinlab.fields import QQ, GF, Field, make_field
 from spinlab.exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
                               form_b, form_bhat)
@@ -16,7 +17,7 @@ from spinlab.construct import (OddHalfSpinUnsupported, bracket_is_symmetric,
                                build_superalgebra, classify,
                                decompose_type_d_l2, generator_triples,
                                module_masks, spin_bracket)
-from spinlab.superalgebra import VerificationFailed, j_triple
+from spinlab.superalgebra import SuperAlgebra, VerificationFailed, check_jacobi, j_triple
 from spinlab.linalg import rref_field
 
 CHARS = (0, 3, 5, 7)
@@ -105,6 +106,64 @@ def test_classification_sweep():
                 r = classify(l, kind, make_field(ch))
                 assert r.jacobi_pass == ((l, ch) in expect), (kind, l, ch)
                 assert r.mode == "full"
+
+
+# the gcd of the contents of all nonzero Jacobi triples of the Q table
+CONTENTS = {("B", 1): 0, ("B", 2): 0, ("B", 3): 12, ("B", 4): 0,
+            ("B", 5): 20, ("B", 6): 24, ("B", 7): 4, ("B", 8): 8,
+            ("D", 2): 0, ("D", 4): 0, ("D", 6): 24, ("D", 8): 0}
+
+
+@pytest.mark.parametrize("kind,l", list(CONTENTS))
+def test_jacobi_content_decides_every_odd_characteristic(kind, l):
+    A = build_superalgebra(l, kind, QQ)
+    content = gcd(*(g for i in range(A.dim) for _, g in A._jacobi.row(i)))
+    assert content == CONTENTS[(kind, l)]
+    for p in (3, 5, 7, 11, 13):
+        got = check_jacobi(build_superalgebra(l, kind, GF(p))).jacobi_pass
+        assert got == (content % p == 0), p
+
+
+def _unlinked(A):
+    """A copy of A made from its stored COO entries: it scans its own table
+    (residues over GF(p)) instead of the shared rows."""
+    I, J, K, V, scale = A.coo
+    kept = I <= J
+    return SuperAlgebra._from_coo(A.name, A.field, A.n0, A.n1, A.labels,
+                                  (I[kept], J[kept], K[kept], V[kept], scale),
+                                  A.odd_symmetric)
+
+
+@pytest.mark.parametrize("kind,l", list(CONTENTS))
+def test_shared_jacobi_rows_agree_with_each_field_own_scan(kind, l):
+    # the per-prime scans stay the independent check of p | content
+    for ch in CHARS + ((11, 13) if l <= 6 else ()):
+        A = build_superalgebra(l, kind, make_field(ch))
+        B = _unlinked(A)
+        assert A._jacobi is construct._jacobi_rows(l, kind) and B._jacobi is None
+        assert B == A
+        assert check_jacobi(A) == check_jacobi(B), (kind, l, ch)
+        if l <= 5:
+            assert (check_jacobi(A, witness_cap=100)
+                    == check_jacobi(B, witness_cap=100)), (kind, l, ch)
+
+
+def test_jacobi_rows_are_scanned_once_and_on_first_use(monkeypatch):
+    rows = []
+    scan = superalgebra._scan_one_i
+
+    def spy(mats, i):
+        rows.append(i)
+        return scan(mats, i)
+
+    monkeypatch.setattr(superalgebra, "_scan_one_i", spy)
+    construct._jacobi_rows.cache_clear()
+    build_superalgebra(5, "B", GF(5))
+    tits.cross_identify_with_typeB(GF(5))
+    assert rows == []
+    for f in (QQ, GF(3), GF(5), GF(7)):
+        classify(8, "D", f)
+    assert rows == list(range(248))
 
 
 def _paper_triple(l, kind, r):

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   norton_irreducible, simplicity_certificate,
                                   verify_isomorphism, VerificationFailed,
                                   _block, _eigenvalues, _largest_ideal_inside,
-                                  _scan_matrices, _scan_one_i, _witness_entry)
+                                  _scan_matrices, _scan_moduli, _scan_one_i,
+                                  _witness_entry)
 from spinlab.construct import build_superalgebra, classify
-from spinlab.linalg import inv_modp, matmul_modp
+from spinlab.linalg import _rank_primes, inv_modp, matmul_modp
 
 from helpers import rep_and_adjoint
 
@@ -93,17 +95,29 @@ def witness_triples(report):
     return [(w["i"], w["j"], w["k"]) for w in report.witnesses]
 
 
+def content(A, t):
+    """The gcd of the coefficients of J(e_t) as the scan sums them: over Q
+    J times scale^2 (each term is a product of two numerators), over
+    GF(p) the residues."""
+    square = A.coo[4] ** 2
+    coeffs = [Fraction(v) * square for v in j_triple(A, *t).values()]
+    assert all(c.denominator == 1 for c in coeffs), t
+    return gcd(*(int(c) for c in coeffs))
+
+
 def test_scanner_agrees_with_brute_force_on_random_tables():
     for seed, f, sym in itertools.product(range(8), (QQ, GF(3), GF(5), GF(7)),
                                           (False, True)):
         A = random_algebra(seed * 10 + sym, f, sym)
         key = (seed, f.p, sym)
         want = brute_force_triples(A)
-        # each row yields the canonical triples i <= j <= z
-        par = np.array([A.parity(t) for t in range(6)], dtype=np.int64)
+        # each row yields the canonical triples i <= j <= z, each with the
+        # content of its sums
         mats = _scan_matrices(A)
-        rows = [t for i in range(6) for t in _scan_one_i(A, mats, par, i)]
-        assert rows == [t for t in want if t[0] <= t[1] <= t[2]], key
+        rows = [row for i in range(6) for row in _scan_one_i(mats, i)]
+        assert [t for t, _ in rows] == [t for t in want if t[0] <= t[1] <= t[2]], key
+        for t, g in rows:
+            assert g == content(A, t) > 0, key + (t,)
         # check_jacobi expands them to every ordered triple, in order
         full = check_jacobi(A, "full", witness_cap=10 ** 6)
         assert witness_triples(full) == want, key
@@ -122,12 +136,42 @@ def rescaled(A, exponent):
 
 
 @pytest.mark.parametrize("exponent", [8, 13])
-def test_scan_refuses_constants_past_the_int64_bound(exponent):
+def test_scan_past_the_int64_bound_sums_modulo_fixed_primes(exponent):
     A = rescaled(build_superalgebra(2, "B", QQ), exponent)
-    with pytest.raises(ValueError, match="int64 scan bound"):
-        check_jacobi(A, "full")
+    # the fewest leading fixed primes whose product exceeds twice the bound
+    # 3*n*max|V|^2 >= 2^63 on the sums
+    moduli = _scan_moduli(A)
+    top = max(map(abs, A.coo[3].tolist()))
+    bound = 3 * A.dim * top * top
+    assert bound >= 1 << 63 and moduli == _rank_primes()[:len(moduli)]
+    assert prod(moduli[:-1]) <= 2 * bound < prod(moduli)
+    assert check_jacobi(A, "full").jacobi_pass
+    assert brute_force_triples(A) == []
     # the exact route still sees an identity that holds
     assert check_jacobi(A, "generators", triples=[(0, 1, 10), (10, 11, 12)]).jacobi_pass
+    # one entry perturbed: the scan finds exactly the brute-force witnesses,
+    # and the contents it recovers by CRT are exact
+    table = {key: dict(terms) for key, terms in A.table.items()}
+    pair = sorted(table)[len(table) // 2]
+    table[pair][min(table[pair])] += 1
+    bad = SuperAlgebra("perturbed", QQ, A.n0, A.n1, A.labels, table,
+                       odd_symmetric=A.odd_symmetric)
+    assert len(_scan_moduli(bad)) > 1
+    want = brute_force_triples(bad)
+    assert want
+    assert witness_triples(check_jacobi(bad, "full", witness_cap=10 ** 6)) == want
+    mats = _scan_matrices(bad)
+    rows = [row for i in range(bad.dim) for row in _scan_one_i(mats, i)]
+    assert [t for t, _ in rows] == [t for t in want if t[0] <= t[1] <= t[2]]
+    assert all(g == content(bad, t) for t, g in rows)
+
+
+def test_scan_refuses_when_the_fixed_primes_run_out():
+    # 3*n*max|V|^2 = 9 * 2^600 outruns the 16 primes, whose product is below 2^400
+    A = SuperAlgebra("huge", QQ, 3, 0, ["e", "h", "f"], {(H, E): {E: 2 ** 300}},
+                     odd_symmetric=False)
+    with pytest.raises(ValueError, match="outrun the product of the fixed primes"):
+        check_jacobi(A, "full")
 
 
 def test_constants_past_int64_are_stored_exactly():
