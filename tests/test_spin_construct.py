@@ -17,7 +17,8 @@ from spinlab.construct import (OddHalfSpinUnsupported, bracket_is_symmetric,
                                build_superalgebra, classify,
                                decompose_type_d_l2, generator_triples,
                                module_masks, spin_bracket)
-from spinlab.superalgebra import SuperAlgebra, VerificationFailed, check_jacobi, j_triple
+from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
+                                  j_triple)
 from spinlab.linalg import rref_field
 
 CHARS = (0, 3, 5, 7)
