@@ -57,8 +57,8 @@ import numpy as np
 
 from .fields import Field, make_field
 from .linalg import (RowSpace, RowSpaceModP, _rank_primes, common_denominator,
-                     exact_array, matmul_modp, nullspace_field, nullspace_modp,
-                     rank_field, rank_modp, rref_modp)
+                     exact_array, matmul_exact, matmul_modp, nullspace_field,
+                     nullspace_modp, rank_field, rank_modp, rref_modp)
 
 SCHEMA_VERSION = 1
 
@@ -926,56 +926,100 @@ def _off_diagonal(X: np.ndarray) -> np.ndarray:
     return (off != 0).any(axis=(1, 2))
 
 
+def _equivariant_constraint(Ra, Aa, s, t, c, ds: int, dg: int):
+    """One generator's constraints on the unknowns B[s, t, c] as COO terms
+    (row, unknown, coefficient), sorted by row; rows 0, 1, ... are the
+    output triples (s', t', c') the terms reach, in order."""
+    qa, c2 = np.nonzero((Aa != 0).T[c])
+    Rnz = Ra != 0
+    qs, s2 = np.nonzero(Rnz[s])
+    qt, t2 = np.nonzero(Rnz[t])
+    keys = np.concatenate([(s[qa] * ds + t[qa]) * dg + c2,
+                           (s2 * ds + t[qs]) * dg + c[qs],
+                           (s[qt] * ds + t2) * dg + c[qt]])
+    vals = np.concatenate([Aa[c2, c[qa]], -Ra[s[qs], s2], -Ra[t[qt], t2]])
+    order = np.argsort(keys, kind="stable")
+    row = np.cumsum(np.diff(keys[order], prepend=-1) != 0) - 1
+    return row, np.concatenate([qa, qs, qt])[order], vals[order]
+
+
+def _constraint_times(step, kernel: np.ndarray, p: int) -> np.ndarray:
+    """One generator's constraint rows times the columns of kernel.  Over
+    GF(p) a row sums at most dg + 2 ds reduced products, well inside int64
+    for p < 2^26."""
+    row, q, vals = step
+    terms = kernel[q]
+    terms *= vals[:, None]
+    if p:
+        terms %= p
+    return np.add.reduceat(terms, np.flatnonzero(np.diff(row, prepend=-1)))
+
+
+def _nullspace_rows(M: np.ndarray, field: Field) -> np.ndarray:
+    """Right-nullspace basis of M as rows; over GF(p) M is reduced in place."""
+    if field.p:
+        M %= field.p
+        return nullspace_modp(M, field.p)
+    return np.array(nullspace_field(M.tolist(), field),
+                    dtype=object).reshape(-1, M.shape[1])
+
+
 def equivariant_map_dim(rep, adjoint, field: Field) -> int:
     """Dimension of the space of even-equivariant bilinear maps S x S -> g0.
 
-    rep: matrices of the generators on S; adjoint: matrices of the same
-    generators acting on g0.  The unknown is the coefficient tensor
+    rep: the (k, ds, ds) matrices of k >= 1 generators on S; adjoint: the
+    (k, dg, dg) matrices of the same generators acting on g0.  Any other
+    shapes raise ValueError.  The unknown is the coefficient tensor
     B[s,t,c], and generator g imposes sum_c' ad_g[c,c'] B[s,t,c'] =
-    sum_s' g[s',s] B[s',t,c] + sum_t' g[t',t] B[s,t',c].  Generators
-    diagonal on both sides (a torus) only allow the weight-compatible
-    triples, which are the unknowns; the kernel of the other generators'
-    constraints is intersected one generator at a time.
+    sum_s' g[s',s] B[s',t,c] + sum_t' g[t',t] B[s,t',c].
+
+    Generators diagonal on both sides (a torus) only allow the
+    weight-compatible triples, which are the unknowns; their mask is built
+    one torus generator at a time into a single (ds, ds, dg) boolean array.
+    Every other generator's constraints are sparse COO terms over the
+    unknowns.  Sparse start: the first nonempty one is scattered into its
+    (rows x unknowns) matrix, whose nullspace is the first kernel, so no
+    identity on the unknowns is formed.  Each later generator's rows are
+    multiplied into the kernel, which is cut to their nullspace.  Stacked
+    tail: once the rows of all the generators left times the kernel width
+    is no larger than that first matrix, they are cut in one pass.
     """
-    if len(rep) != len(adjoint):
-        raise ValueError("rep and adjoint must list the same generators")
-    if not len(rep):
-        return 0
     f = field
     p = f.p
     R, A = exact_array(rep, p), exact_array(adjoint, p)
+    if (R.ndim != 3 or A.ndim != 3 or len(R) != len(A) or not len(R)
+            or R.shape[1] != R.shape[2] or A.shape[1] != A.shape[2]):
+        raise ValueError(
+            "rep and adjoint must list the same generators, k >= 1 of them, "
+            "as (k, ds, ds) and (k, dg, dg) stacks; got shapes %s and %s"
+            % (R.shape, A.shape))
     ds, dg = R.shape[1], A.shape[1]
     torus = ~(_off_diagonal(R) | _off_diagonal(A))
-    gap = (R[torus][:, range(ds), range(ds)][:, :, None, None]
-           + R[torus][:, range(ds), range(ds)][:, None, :, None]
-           - A[torus][:, range(dg), range(dg)][:, None, None, :])
-    s, t, c = np.nonzero(~((gap % p if p else gap) != 0).any(axis=0))
-    kernel = np.eye(len(s), dtype=R.dtype)      # columns over the unknowns
-    for a in np.flatnonzero(~torus):
-        # generator a's constraints, as COO terms (output triple, unknown)
-        qa, c2 = np.nonzero(A[a][:, c].T != 0)
-        qs, s2 = np.nonzero(R[a][s] != 0)
-        qt, t2 = np.nonzero(R[a][t] != 0)
-        keys = np.concatenate([(s[qa] * ds + t[qa]) * dg + c2,
-                               (s2 * ds + t[qs]) * dg + c[qs],
-                               (s[qt] * ds + t2) * dg + c[qt]])
-        if not keys.size:
-            continue
-        vals = np.concatenate([A[a][c2, c[qa]], -R[a][s[qs], s2],
-                               -R[a][t[qt], t2]])
-        terms = vals[:, None] * kernel[np.concatenate([qa, qs, qt])]
-        # summed per output triple; over GF(p) a row sums at most dg + 2 ds
-        # reduced terms, well inside int64 for p < 2^26
-        order = np.argsort(keys, kind="stable")
-        first = np.flatnonzero(np.diff(keys[order], prepend=-1))
-        M = np.add.reduceat(terms[order] % p if p else terms[order], first)
-        if p:
-            kernel = matmul_modp(kernel, nullspace_modp(M % p, p).T, p)
-        else:
-            null = np.array(nullspace_field(M.tolist(), f), dtype=object)
-            kernel = kernel @ null.reshape(-1, M.shape[1]).T
-        if not kernel.shape[1]:
-            return 0
+    allowed = np.ones((ds, ds, dg), dtype=bool)
+    for a in np.flatnonzero(torus):
+        r = R[a].diagonal()
+        pair = r[:, None] + r[None, :]
+        allowed &= (pair % p if p else pair)[:, :, None] == A[a].diagonal()
+    s, t, c = np.nonzero(allowed)
+    del allowed
+    steps = [step for step in (_equivariant_constraint(R[a], A[a], s, t, c, ds, dg)
+                               for a in np.flatnonzero(~torus)) if step[0].size]
+    del R, A
+    if not steps:
+        return len(s)
+    row, q, vals = steps[0]
+    M = np.zeros((row[-1] + 1, len(s)), dtype=vals.dtype)
+    np.add.at(M, (row, q), vals)
+    budget = M.size
+    kernel = _nullspace_rows(M, f).T            # columns over the unknowns
+    del M
+    rows = [int(step[0][-1]) + 1 for step in steps]
+    i = 1
+    while i < len(steps) and kernel.shape[1]:
+        j = len(steps) if sum(rows[i:]) * kernel.shape[1] <= budget else i + 1
+        M = np.vstack([_constraint_times(step, kernel, p) for step in steps[i:j]])
+        kernel = matmul_exact(kernel, _nullspace_rows(M, f).T, p)
+        i = j
     return kernel.shape[1]
 
 

@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, prod
 
 import numpy as np
 import pytest
 
+from spinlab import superalgebra
 from spinlab.fields import QQ, GF, make_field
 from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   check_jacobi, derived_algebra,
@@ -19,7 +21,8 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   _scan_matrices, _scan_moduli, _scan_one_i,
                                   _witness_entry)
 from spinlab.construct import build_superalgebra, classify
-from spinlab.linalg import _rank_primes, inv_modp, matmul_modp
+from spinlab.linalg import (_rank_primes, common_denominator, exact_array,
+                            inv_modp, matmul_modp, nullspace_modp, rank_int)
 
 from helpers import rep_and_adjoint
 
@@ -334,15 +337,18 @@ def test_burnside_certificate():
         burnside_irreducible([e, fm, h], 2, QQ)
 
 
+# e, f, h of sl2 on its two-dimensional module and on itself
+SL2_REP = [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]]
+SL2_AD = [
+    [[0, -2, 0], [0, 0, 1], [0, 0, 0]],
+    [[0, 0, 0], [-1, 0, 0], [0, 2, 0]],
+    [[2, 0, 0], [0, 0, 0], [0, 0, -2]],
+]
+
+
 def test_equivariant_dim_for_sl2_two_dim_rep():
     for f in (QQ, GF(3), GF(5)):
-        rep = [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]]
-        ad = [
-            [[0, -2, 0], [0, 0, 1], [0, 0, 0]],
-            [[0, 0, 0], [-1, 0, 0], [0, 2, 0]],
-            [[2, 0, 0], [0, 0, 0], [0, 0, -2]],
-        ]
-        assert equivariant_map_dim(rep, ad, field=f) == 1
+        assert equivariant_map_dim(SL2_REP, SL2_AD, field=f) == 1
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -381,6 +387,102 @@ def test_equivariant_dim_is_conjugation_invariant():
             Mp = Pi @ np.array([[int(x) for x in row] for row in M]) @ P % 5
             conj.append([[f.of_int(int(x)) for x in row] for row in Mp])
         assert equivariant_map_dim(conj, ad, field=f) == base
+
+
+def _brute_equivariant_dim(rep, ad, f):
+    """Reference for equivariant_map_dim: the nullity of every generator's
+    constraint, the torus included, on all ds*ds*dg unknowns, with no
+    weight filter and no sparse start.  Over Q it is one exact rank of the
+    stacked dense Kronecker constraint matrices; over GF(p) the kernel is
+    cut from the identity one generator at a time by dense contraction."""
+    p = f.p
+    R, A = exact_array(rep, p), exact_array(ad, p)
+    ds, dg = R.shape[1], A.shape[1]
+    n = ds * ds * dg
+    if not p:
+        # scaling every matrix by one common denominator keeps the rank
+        (NR, dR), (NA, dA) = common_denominator(R), common_denominator(A)
+        d = dR * dA // gcd(dR, dA)
+        R = (NR * (d // dR)).astype(np.int64)
+        A = (NA * (d // dA)).astype(np.int64)
+        eye = lambda m: np.eye(m, dtype=np.int64)
+        stack = np.vstack([np.kron(eye(ds * ds), Ad) - np.kron(G.T, eye(ds * dg))
+                           - np.kron(eye(ds), np.kron(G.T, eye(dg)))
+                           for G, Ad in zip(R, A)])
+        return n - rank_int(np.unique(stack, axis=0))
+    kernel = np.eye(n, dtype=np.int64)
+    for G, Ad in zip(R, A):
+        K = kernel.reshape(ds, ds, dg, -1)
+        M = (np.einsum("cd,stdw->stcw", Ad, K) - np.einsum("as,atcw->stcw", G, K)
+             - np.einsum("at,sacw->stcw", G, K)) % p
+        kernel = matmul_modp(kernel, nullspace_modp(M.reshape(n, -1), p).T, p)
+    return kernel.shape[1]
+
+
+# l = 1 is sl2 on its two-dimensional module; char 0 is Q
+@pytest.mark.parametrize("l, char", [(1, 0), (1, 3), (1, 5), (2, 0)]
+                         + [(l, p) for l in (2, 3) for p in (3, 5, 7)])
+def test_equivariant_dim_matches_the_brute_force_nullspace(l, char):
+    f = make_field(char)
+    rep, ad = (SL2_REP, SL2_AD) if l == 1 else rep_and_adjoint(l, "B", f)
+    assert equivariant_map_dim(rep, ad, field=f) == _brute_equivariant_dim(rep, ad, f) == 1
+
+
+def test_equivariant_dim_ignores_the_generator_order():
+    f = GF(7)
+    rep, ad = rep_and_adjoint(3, "B", f)
+    R, A = np.array(rep, dtype=np.int64), np.array(ad, dtype=np.int64)
+    order = list(range(len(R)))
+    random.Random(19).shuffle(order)
+    assert order[0] != 0
+    assert equivariant_map_dim(R[order], A[order], field=f) == 1
+    assert _brute_equivariant_dim(R[order], A[order], f) == 1
+
+
+def test_equivariant_dim_drops_for_a_perturbed_generator():
+    f = GF(5)
+    rep, ad = rep_and_adjoint(2, "B", f)
+    R, A = np.array(rep, dtype=np.int64), np.array(ad, dtype=np.int64)
+    off = R.copy()
+    off[:, range(4), range(4)] = 0
+    a = int(np.flatnonzero(off.any(axis=(1, 2)))[-1])     # not in the torus
+    R[a, 0, 0] += 1
+    assert equivariant_map_dim(R, A, field=f) == _brute_equivariant_dim(R, A, f) == 0
+
+
+@pytest.mark.parametrize("rep, ad, shapes", [
+    (np.zeros((2, 3, 4), dtype=np.int64), np.zeros((2, 2, 2), dtype=np.int64),
+     r"\(2, 3, 4\) and \(2, 2, 2\)"),
+    (np.zeros((2, 2, 2), dtype=np.int64), np.zeros((2, 2, 5), dtype=np.int64),
+     r"\(2, 2, 2\) and \(2, 2, 5\)"),
+    (np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3, 3), dtype=np.int64),
+     r"\(2, 2\) and \(2, 3, 3\)"),
+    ([], [], r"\(0,\) and \(0,\)"),
+], ids=["rep-not-square", "adjoint-not-square", "rep-2d", "no-generators"])
+def test_equivariant_dim_refuses_malformed_stacks(rep, ad, shapes):
+    with pytest.raises(ValueError, match=shapes):
+        equivariant_map_dim(rep, ad, field=GF(5))
+
+
+def test_equivariant_solve_memory_and_steps(monkeypatch):
+    # the odd bracket of B5/GF(5) in the characteristic-5 identification:
+    # 640 weight-compatible unknowns and 50 generators off the torus
+    f = GF(5)
+    B5 = build_superalgebra(5, "B", f)
+    rep, ad = _block(B5, 0, 1, 1), _block(B5, 0, 0, 0)
+    shapes = []
+    real = superalgebra.nullspace_modp
+    monkeypatch.setattr(superalgebra, "nullspace_modp",
+                        lambda M, p: shapes.append(M.shape) or real(M, p))
+    tracemalloc.start()
+    try:
+        dim = equivariant_map_dim(rep, ad, field=f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 1
+    assert peak < 12 * 2**20, peak
+    assert len(shapes) <= 6, shapes
 
 
 def ospz():
