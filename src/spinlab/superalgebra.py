@@ -1004,16 +1004,16 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
     del allowed
     steps = [step for step in (_equivariant_constraint(R[a], A[a], s, t, c, ds, dg)
                                for a in np.flatnonzero(~torus)) if step[0].size]
-    del R, A
+    del R, A                  # the first nullspace sets the peak: keep it small
     if not steps:
         return len(s)
+    rows = [int(step[0][-1]) + 1 for step in steps]
     row, q, vals = steps[0]
-    M = np.zeros((row[-1] + 1, len(s)), dtype=vals.dtype)
+    M = np.zeros((rows[0], len(s)), dtype=vals.dtype)
     np.add.at(M, (row, q), vals)
     budget = M.size
     kernel = _nullspace_rows(M, f).T            # columns over the unknowns
     del M
-    rows = [int(step[0][-1]) + 1 for step in steps]
     i = 1
     while i < len(steps) and kernel.shape[1]:
         j = len(steps) if sum(rows[i:]) * kernel.shape[1] <= budget else i + 1
