@@ -38,6 +38,6 @@ print(f"     phi1 intertwining on all generator pairs: "
       f"{inter['checked']} checks, {'pass' if inter['pass'] else 'FAIL'}")
 
 print("5. Explicit isomorphism with the l = 5 type B algebra:")
-cross = cross_identify_with_typeB(f, seed=0)
+cross = cross_identify_with_typeB(f)
 print(f"     status: {cross['status']} (odd rescaling mu = {cross['mu']}, "
       f"equivariant dimension {cross['equivariant_dim']})")

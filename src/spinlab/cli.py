@@ -38,16 +38,24 @@ from . import tits as _tits
 # argument parsing
 
 
+def _items(text: str, what: str) -> list:
+    """The stripped comma-separated items of text; an empty one is refused."""
+    items = [part.strip() for part in text.split(",")]
+    if "" in items:
+        raise ValueError(f"empty item in the {what} list {text!r}")
+    return items
+
+
 def _parse_l_list(text: str, kind: str) -> list:
     """"5", "1..8", or "3,5,7" -> sorted list of ints.  The ends of each
     range are checked before it is expanded: l >= 1, and l inside the
     int64 key bound of the kind."""
     out = set()
-    for part in text.split(","):
-        lo, sep, hi = part.strip().partition("..")
+    for part in _items(text, "l"):
+        lo, sep, hi = part.partition("..")
         lo, hi = int(lo), (int(hi) if sep else int(lo))
         if hi < lo:
-            raise ValueError(f"empty range {part.strip()!r}")
+            raise ValueError(f"empty range {part!r}")
         if lo < 1:
             raise ValueError(f"bad l list {text!r}")
         _check_key_bound(hi, kind)
@@ -58,13 +66,11 @@ def _parse_l_list(text: str, kind: str) -> list:
 def _parse_chars(text: str) -> list:
     """"0,3,5,7" -> [0, 3, 5, 7]; 0 is the rationals."""
     out = []
-    for part in text.split(","):
-        c = int(part.strip())
+    for part in _items(text, "characteristic"):
+        c = int(part)
         make_field(c)          # rejects non-prime moduli
         if c not in out:
             out.append(c)
-    if not out:
-        raise ValueError("no characteristics given")
     return sorted(out)
 
 
@@ -87,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def verify_target(name, help_text, default_chars):
         t = targets.add_parser(name, help=help_text)
-        t.add_argument("--chars", metavar="LIST",
+        t.add_argument("--chars", metavar="LIST", default=default_chars,
                        help="comma-separated characteristics, 0 = rationals "
                             f"(default {default_chars})")
         t.add_argument("--survey", action="store_true",
@@ -97,11 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, kind, default_l in (("type-b", "B", "1..8"), ("type-d", "D", "2..8")):
         t = verify_target(name, f"Jacobi grid of the kind-{kind} algebras", "0,3,5,7")
-        t.add_argument("--l", dest="l_list", metavar="SPEC",
+        t.add_argument("--l", dest="l_list", metavar="SPEC", default=default_l,
                        help=f'ranks: "5", "1..8", or "3,5,7" (default {default_l})')
-    t = verify_target("tits", "the characteristic-5 construction suite", "0,5,7")
-    t.add_argument("--seed", type=int, default=0,
-                   help="seed of the isotropic-vector search (default 0)")
+    verify_target("tits", "the characteristic-5 construction suite", "0,5,7")
 
     e = sub.add_parser("export", help="write one algebra's structure table")
     e.add_argument("--kind", choices=("B", "D"), required=True)
@@ -171,12 +175,11 @@ def _classify_rows(kind: str, l_list, chars, survey):
 
 
 def cmd_verify_type(kind: str, args) -> int:
-    default_l = "1..8" if kind == "B" else "2..8"
     try:
-        l_list = _parse_l_list(args.l_list or default_l, kind)
+        l_list = _parse_l_list(args.l_list, kind)
         if kind == "D" and all(l % 2 for l in l_list):
             raise ValueError(f"no even l in {args.l_list!r}: kind D needs even l")
-        chars = _parse_chars(args.chars or "0,3,5,7")
+        chars = _parse_chars(args.chars)
     except ValueError as exc:
         print(f"spinlab verify: {exc}", file=sys.stderr)
         return 2
@@ -214,7 +217,7 @@ def cmd_verify_type(kind: str, args) -> int:
 # verify tits
 
 
-def _tits_sections(chars, seed):
+def _tits_sections(chars):
     """Run the whole characteristic-5 construction suite.
 
     Each section carries its own pass flag plus the raw numbers a reader
@@ -279,16 +282,12 @@ def _tits_sections(chars, seed):
     }
     expected_fail.append(("phi1", "negative_control"))
 
-    # without a square root of the proportionality in GF(5) there is no
-    # mu, no isomorphism matrix and no equivariant solve: those stay null
-    cross = _tits.cross_identify_with_typeB(g5, seed=seed)
-    mat = cross["matrix"]
+    cross = _tits.cross_identify_with_typeB(g5)
     sections["cross_identify"] = {
         "status": cross["status"], "verified": cross["verified"],
-        "scale": cross["scale"], "mu": cross.get("mu"),
-        "proportionality": cross["proportionality"],
-        "equivariant_dim": cross.get("equivariant_dim"),
-        "matrix_sha256": None if mat is None else _hash_matrix(mat),
+        "mu": cross["mu"], "proportionality": cross["proportionality"],
+        "equivariant_dim": cross["equivariant_dim"],
+        "matrix_sha256": _hash_matrix(cross["matrix"]),
     }
     return sections, expected_fail
 
@@ -315,12 +314,12 @@ def _judge_tits(sections) -> bool:
 
 def cmd_verify_tits(args) -> int:
     try:
-        chars = _parse_chars(args.chars or "0,5,7")
+        chars = _parse_chars(args.chars)
     except ValueError as exc:
         print(f"spinlab verify: {exc}", file=sys.stderr)
         return 2
     try:
-        sections, _ = _tits_sections(chars, args.seed)
+        sections, _ = _tits_sections(chars)
         ok = _judge_tits(sections)
     except (VerificationFailed, _tits.RelationFailed,
             _tits.IsometryNotFound, _tits.ScalingNotFound) as exc:
@@ -330,7 +329,6 @@ def cmd_verify_tits(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "target": "tits",
-        "seed": args.seed,
         "chars": chars,
         "sections": sections,
     }
@@ -429,12 +427,9 @@ def _tits_markdown(doc) -> list:
                  f"(negative control "
                  f"{'caught' if not s['phi1']['negative_control']['pass'] else 'MISSED'})")
     c = s["cross_identify"]
-    if c["mu"] is None:
-        detail = f"proportionality {c['proportionality']} is not a square"
-    else:
-        detail = f"mu {c['mu']}, equivariant dim {c['equivariant_dim']}"
     lines.append(f"- identification with the rank-5 construction: {c['status']} "
-                 f"(scale {c['scale']}, {detail})")
+                 f"(proportionality {c['proportionality']}, mu {c['mu']}, "
+                 f"equivariant dim {c['equivariant_dim']})")
     lines.append("")
     return lines
 

@@ -48,9 +48,7 @@ natural basis of the l=5 type-B algebra.  Every product of residue
 arrays goes through linalg.matmul_modp, whose float64 blocks are exact.
 """
 
-import itertools
 import math
-import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -60,7 +58,7 @@ import numpy as np
 from .fields import Field, make_field
 from .linalg import (RowSpace, common_denominator, exact_array, inv_modp,
                      matmul_exact,
-                     matmul_modp, nullspace_modp, rank_modp, rref_modp)
+                     matmul_modp, nullspace_modp, rank_modp)
 from .composition import (make_composition, derivation_algebra, _czero_maps,
                           _int_tables)
 from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
@@ -749,52 +747,31 @@ def _sqrt_modp(a, p):
     return next((t for t in range(1, p) if t * t % p == a), None)
 
 
-def _find_isotropic(rows, bil, p, rng):
-    """Nonzero isotropic combination of the rows of an array: 800 random
-    coefficient draws first, then every combination in turn."""
-    d = len(rows)
-    draws = ([rng.randrange(p) for _ in range(d)] for _ in range(800))
-    for coeffs in itertools.chain(draws, itertools.product(range(p), repeat=d)):
-        if any(coeffs):
-            v = matmul_modp(np.array([coeffs]), rows, p)[0]
-            if bil(v, v) == 0:
-                return v
-    return None
-
-
-def _hyperbolic_columns(gram, p, seed):
-    """Basis (r, z₁..z₅, f₁..f₅) with B(r,r) = -2, B(zᵢ,fᵢ) = 1, rest 0.
-
-    Returns the list of column vectors, or None when the leftover
-    1-dim value is not -2 times a square (wrong discriminant class).
-    """
-    def bil(x, y):                     # B on rows: shape x[:-1] + y[:-1]
-        out = matmul_modp(matmul_modp(np.atleast_2d(x), gram, p),
-                          np.atleast_2d(y).T, p)
-        return out.reshape(np.shape(x)[:-1] + np.shape(y)[:-1])
-
-    rng = random.Random(seed)
-    cur = np.eye(len(gram), dtype=np.int64)
-    zs, fs = [], []
-    for _ in range(5):
-        z = _find_isotropic(cur, bil, p, rng)
-        zb = bil(z, cur) if z is not None else np.zeros(1)  # B(z, row)
-        if not zb.any():
-            return None
-        w = int(np.flatnonzero(zb)[0])
-        y = cur[w] * pow(int(zb[w]), p - 2, p) % p
-        fv = (y - int(bil(y, y)) * pow(2, p - 2, p) * z) % p
-        zs.append(z)
-        fs.append(fv)
-        # orthogonal complement of the plane, row-reduced to a basis
-        proj = cur - np.outer(bil(cur, fv), z) - np.outer(bil(cur, z), fv)
-        R, piv = rref_modp(proj % p, p)
-        cur = R[:len(piv)]
-    sq = (_sqrt_modp(int(bil(cur[0], cur[0])) * pow(-2, -1, p), p)
-          if len(cur) == 1 else None)
-    if sq is None:
+def _hyperbolic_basis(gram, p):
+    """Columns (u, v₁..v_m, f₁..f_m) with b(u,u) = −2, b(vₖ,fₖ) = 1 and
+    every other pair 0, b the form with Gram matrix `gram`.  They are read
+    off a symmetric monomial `gram` with one nonzero diagonal entry b(h,h):
+    u = a·h for the smallest root a of a²·b(h,h) = −2, and the pairs
+    i < j with b(eᵢ,eⱼ) ≠ 0, in index order, give vₖ = eᵢ and
+    fₖ = eⱼ/b(eᵢ,eⱼ).  None for a `gram` of any other shape, or no a."""
+    G = np.asarray(gram, dtype=np.int64) % p
+    n = len(G)
+    rows, partner = np.nonzero(G)
+    diagonal = np.flatnonzero(np.diagonal(G))
+    if (not np.array_equal(G, G.T) or not np.array_equal(rows, np.arange(n))
+            or len(diagonal) != 1):
         return None
-    return [cur[0] * pow(sq, p - 2, p) % p] + zs + fs
+    h = int(diagonal[0])
+    a = _sqrt_modp(-2 * pow(int(G[h, h]), -1, p), p)
+    if a is None:
+        return None
+    pairs = [(i, j) for i, j in enumerate(partner.tolist()) if i < j]
+    tau = np.zeros((n, n), dtype=np.int64)
+    tau[h, 0] = a
+    for k, (i, j) in enumerate(pairs, start=1):
+        tau[i, k] = 1
+        tau[j, k + len(pairs)] = pow(int(G[i, j]), -1, p)
+    return tau
 
 
 def _odd_intertwiner(rep1, rep2, p):
@@ -849,39 +826,6 @@ def _odd_intertwiner(rep1, rep2, p):
     return S
 
 
-def _spinor_twist(gram, p):
-    """g = r_u·r_v in SO(M, b), b the form with Gram matrix `gram`, whose
-    spinor norm b(u,u)·b(v,v) is a non-square mod p.
-
-    r_x is the reflection y ↦ y − 2·b(y,x)/b(x,x)·x.  u and v are taken in
-    the fixed order eᵢ, eᵢ + t·eⱼ (i < j, t = 1..p−1): u is the first
-    anisotropic vector, v the first whose value times b(u,u) is a
-    non-square.  No randomness enters.
-    """
-    G = np.array(gram, dtype=np.int64) % p
-    n = G.shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    vectors = []
-    for i in range(n):
-        vectors.append(eye[i])
-        vectors += [(eye[i] + t * eye[j]) % p
-                    for j in range(i + 1, n) for t in range(1, p)]
-    V = np.array(vectors)
-    values = np.diagonal(matmul_modp(matmul_modp(V, G, p), V.T, p))
-    anisotropic = [(x, int(bx)) for x, bx in zip(vectors, values) if bx]
-    u, bu = anisotropic[0]
-    v, bv = next(((x, bx) for x, bx in anisotropic
-                  if _sqrt_modp(bu * bx, p) is None), (None, None))
-    if v is None:
-        raise IsometryNotFound("no reflection pair with non-square spinor norm")
-
-    def reflection(x, bx):
-        xg = matmul_modp(x.reshape(1, n), G, p)[0]
-        return (eye - 2 * pow(bx, p - 2, p) * np.outer(x, xg)) % p
-
-    return matmul_modp(reflection(u, bu), reflection(v, bv), p)
-
-
 def _odd_proportionality(T, B5, theta, S, p):
     """The c in GF(p) with θ([x, y]) = c·[Sx, Sy] for all odd x, y of T."""
     n1 = S.shape[0]
@@ -914,22 +858,20 @@ def _odd_proportionality(T, B5, theta, S, p):
     return c_val
 
 
-def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
+def cross_identify_with_typeB(field: Field) -> dict:
     """Explicit isomorphism T(octonion, Kac) ≅ so₁₁ ⊕ spin, both over GF(5).
 
-    Builds an isometry τ: (W, q) → (M, sQ) for s in {1, 2} (exactly one
-    discriminant class admits one; the isotropic search is seeded by
-    `seed`) and transports Φ₀ through it into the natural so-basis (θ).
+    The isometry τ: (W, q) → (M, Q) is read off the Gram matrix of Q
+    (`_hyperbolic_basis`): in the pinned basis of M it is monomial, with
+    one anisotropic vector and five hyperbolic pairs, so no search is
+    needed.  τᵀ·G·τ = G_W is checked, and IsometryNotFound raised when it
+    fails.  Φ₀ is transported through τ into the natural so-basis (θ).
     The odd intertwiner S is the unique solution, up to a scalar, of
     rep₂(a)·S = S·rep₁(a) over the 55 even basis elements, read off the
-    spin of a pair of Norton kernel vectors (`_odd_intertwiner`).  The odd-odd
-    brackets then agree up to a factor c, and S is rescaled by μ with
-    μ² = c.  When c is a non-square, τ is composed once with a product of
-    two reflections of non-square spinor norm (`_spinor_twist`, chosen
-    without randomness), which multiplies c by a non-square, and S and c
-    are solved again.  The assembled map is verified bracket by bracket.
-    Returns "holds over quadratic extension" if the twisted c is still a
-    non-square.
+    spin of a pair of Norton kernel vectors (`_odd_intertwiner`).  The
+    odd-odd brackets then agree up to a factor c, and S is rescaled by μ
+    with μ² = c; ScalingNotFound when c is not a square in GF(5).  The
+    assembled map is verified bracket by bracket.
     """
     _require_char5(field)
     p = field.p
@@ -950,46 +892,30 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
     if not (inside.all() and np.array_equal(coords, np.eye(55, dtype=np.int64))):
         raise VerificationFailed("natural so basis does not match its closed form")
 
-    for scale in (1, 2):
-        gram_s = somq.gram * scale % p
-        tau_cols = _hyperbolic_columns(gram_s, p, seed)
-        if tau_cols is not None:
-            break
-    else:
-        raise IsometryNotFound("no discriminant class matched")
+    tau = _hyperbolic_basis(somq.gram, p)
+    if tau is None or not np.array_equal(
+            matmul_modp(matmul_modp(tau.T, somq.gram, p), tau, p), gw):
+        raise IsometryNotFound("the Gram matrix of Q gives no isometry "
+                               "from (W, q)")
 
-    # Φ₀ images of the even T basis as 11×11 matrices on M
+    # θ: Φ₀ images of the even T basis, as 11×11 matrices on M moved to W
+    # by τ, in natural so₁₁ coordinates of the l=5 model.  The temporaries
+    # stay inside the calls, so none is alive in the equivariant solve.
     images = _combine(_phi0(field).T, somq.mats, p)
-    adT = _block(T, 0, 1, 1)                         # (55, 32, 32)
+    coords, inside = _so_coords(
+        _stacked_right(_stacked_left(inv_modp(tau, p), images, p), tau, p),
+        half_gwinv, rows, cols, p)
+    if not inside.all():
+        raise VerificationFailed("transported image not in so(W,q)")
+    theta = np.ascontiguousarray(coords.T)
     rep2 = _block(B5, 0, 1, 1)
-
-    def identify(Tau):
-        """θ, S and the odd-odd proportionality c through the isometry Tau."""
-        if not np.array_equal(matmul_modp(matmul_modp(Tau.T, gram_s, p),
-                                          Tau, p), gw):
-            raise IsometryNotFound("isometry transport check failed")
-        # θ: T₀ coordinates → natural so₁₁ coordinates of the l=5 model
-        moved = _stacked_right(_stacked_left(inv_modp(Tau, p), images, p),
-                               Tau, p)
-        coords, inside = _so_coords(moved, half_gwinv, rows, cols, p)
-        if not inside.all():
-            raise VerificationFailed("transported image not in so(W,q)")
-        theta = np.ascontiguousarray(coords.T)
-        rep1 = _combine(inv_modp(theta, p).T, adT, p)
-        S = _odd_intertwiner(rep1, rep2, p)
-        return theta, S, _odd_proportionality(T, B5, theta, S, p)
-
-    Tau = np.array(tau_cols, dtype=np.int64).T % p
-    theta, S, c_val = identify(Tau)
+    S = _odd_intertwiner(_combine(inv_modp(theta, p).T, _block(T, 0, 1, 1), p),
+                         rep2, p)
+    c_val = _odd_proportionality(T, B5, theta, S, p)
     mu = _sqrt_modp(c_val, p)
-    twisted = mu is None
-    if twisted:
-        theta, S, c_val = identify(matmul_modp(_spinor_twist(gram_s, p), Tau, p))
-        mu = _sqrt_modp(c_val, p)
     if mu is None:
-        return {"status": "holds over quadratic extension",
-                "verified": False, "matrix": None, "scale": scale,
-                "proportionality": c_val, "spinor_twist": twisted}
+        raise ScalingNotFound(f"odd-odd proportionality {c_val} is not a "
+                              f"square in GF({p})")
 
     iso = np.zeros((87, 87), dtype=np.int64)
     iso[:55, :55] = theta
@@ -1000,5 +926,4 @@ def cross_identify_with_typeB(field: Field, seed: int = 0) -> dict:
     eq_dim = equivariant_map_dim(rep2, _block(B5, 0, 0, 0), field=field)
 
     return {"status": "isomorphism", "verified": True, "matrix": iso.tolist(),
-            "scale": scale, "mu": mu, "proportionality": c_val,
-            "equivariant_dim": eq_dim, "spinor_twist": twisted}
+            "mu": mu, "proportionality": c_val, "equivariant_dim": eq_dim}

@@ -294,7 +294,7 @@ def test_tits_construction_suite():
     assert spin_map_psi(f)["verified"]
     inter = phi1_intertwine(f)
     assert inter["pass"] and inter["checked"] == 1760
-    cross = cross_identify_with_typeB(f, seed=0)
+    cross = cross_identify_with_typeB(f)
     assert cross["status"] == "isomorphism" and cross["verified"]
     assert time.monotonic() - t0 < 300
 
@@ -310,7 +310,7 @@ def test_deterministic_output_and_reduction(tmp_path):
         assert blobs[0] == blobs[1], argv
     # the default tits report, byte for byte
     assert hashlib.sha256(blobs[0]).hexdigest() == (
-        "146467c5225c4f9e86ede7ff0cc210e79ff89c13b2bb90296e78ef1091614be2")
+        "7e3227f44538441dc5be7b6ff103733718c1e22b927d08f1ce820fdfb9777102")
     # rational structure constants reduce mod p to the native GF(p) ones
     for kind, ls in (("B", (1, 2, 3, 4, 5, 6)), ("D", (2, 4, 6))):
         for l in ls:

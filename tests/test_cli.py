@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import spinlab
@@ -31,6 +30,9 @@ def test_parse_l_list():
         _parse_l_list("1..1000000000000", "B")
     with pytest.raises(ValueError):
         _parse_l_list("-1000000000000..3", "B")
+    for text in ("", " ", "3,,5", "1..4,"):
+        with pytest.raises(ValueError, match="empty item in the l list"):
+            _parse_l_list(text, "B")
 
 
 def test_parse_chars():
@@ -40,6 +42,10 @@ def test_parse_chars():
         _parse_chars("4")
     with pytest.raises(ValueError):
         _parse_chars("2")
+    # an empty list or item is refused by name, never read as the default
+    for text in ("", " , ", "3,", ",5"):
+        with pytest.raises(ValueError, match="empty item in the characteristic list"):
+            _parse_chars(text)
 
 
 def test_unknown_target_is_usage_error(capsys):
@@ -70,6 +76,11 @@ def test_unknown_target_is_usage_error(capsys):
     ["verify", "type-d", "--l", "3"],
     ["report", "EMPTY_OBJECT.json"],
     ["report", "ROW_WITHOUT_CHAR.json"],
+    ["verify", "type-b", "--l", "", "--chars", ""],
+    ["verify", "type-b", "--l", "1,"],
+    ["verify", "type-d", "--l", ""],
+    ["verify", "tits", "--chars", ""],
+    ["verify", "tits", "--chars", " , "],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     # report inputs named in capitals are written to tmp_path first
@@ -94,6 +105,7 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
     ["verify", "tits", "--mode", "full"],
     ["verify", "type-b", "--seed", "1"],
     ["verify", "type-b", "--mode", "full"],
+    ["verify", "tits", "--seed", "1"],
 ])
 def test_flags_that_do_nothing_are_refused(argv, capsys):
     # argparse refuses unknown flags by raising SystemExit(2)
@@ -276,40 +288,43 @@ def test_export_hash_tracks_content(tmp_path):
         SuperAlgebra.from_dict(stripped)
 
 
-def test_tits_seed_1_reaches_the_isomorphism(tmp_path):
-    # seed 1's isometry gives odd brackets proportional by a non-square in
-    # GF(5); the spinor-norm twist of the isometry turns it into a square
-    rc, blob = run_to_file(tmp_path, "tits1.json", ["verify", "tits", "--seed", "1"])
-    assert rc == 0
-    doc = json.loads(blob)
-    assert doc["expectation_met"] is True
-    cross = doc["sections"]["cross_identify"]
-    assert cross["status"] == "isomorphism" and cross["verified"]
-    assert cross["mu"] in (1, 2, 3, 4) and cross["equivariant_dim"] == 1
-    assert cross["mu"] ** 2 % 5 == cross["proportionality"]
-    assert cross["matrix_sha256"] is not None
-
-
 def test_tits_seed_without_square_root_fails_cleanly(tmp_path, capsys, monkeypatch):
-    # a twist that leaves the square class of the proportionality alone:
-    # both attempts give a non-square, so there is no mu, no matrix and no
-    # equivariant solve, and the run must say so
-    monkeypatch.setattr(tits, "_spinor_twist",
-                        lambda gram, p: np.eye(len(gram), dtype=np.int64))
-    rc, blob = run_to_file(tmp_path, "tits1.json", ["verify", "tits", "--seed", "1"])
+    # odd brackets proportional by a non-square of GF(5) leave no mu: the
+    # identification raises ScalingNotFound, which the run reports as its
+    # error section and exit 1
+    monkeypatch.setattr(tits, "_odd_proportionality", lambda *args: 3)
+    rc, blob = run_to_file(tmp_path, "tits1.json", ["verify", "tits"])
     assert rc == 1
     doc = json.loads(blob)
     assert doc["expectation_met"] is False
-    cross = doc["sections"]["cross_identify"]
-    assert cross["status"] == "holds over quadratic extension"
-    assert not cross["verified"]
-    assert cross["proportionality"] == 3
-    assert cross["mu"] is None and cross["equivariant_dim"] is None
-    assert cross["matrix_sha256"] is None
+    error = doc["sections"]["error"]
+    assert error["type"] == "ScalingNotFound"
+    assert "3 is not a square" in error["detail"]
     assert main(["report", str(tmp_path / "tits1.json"), "--format", "markdown"]) == 1
     text = capsys.readouterr().out
-    assert "holds over quadratic extension" in text
+    assert "ScalingNotFound" in text
     assert "Expected outcomes met: NO" in text
+
+
+def test_report_renders_a_tits_document_with_a_seed(tmp_path, capsys):
+    # a document in the format that still carried seed, scale and a null mu
+    rc, blob = run_to_file(tmp_path, "tits.json", ["verify", "tits"])
+    assert rc == 0
+    doc = json.loads(blob)
+    doc["seed"] = 1
+    doc["expectation_met"] = False
+    doc["sections"]["cross_identify"] = {
+        "status": "holds over quadratic extension", "verified": False,
+        "scale": 1, "mu": None, "proportionality": 3, "equivariant_dim": None,
+        "matrix_sha256": None}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", str(old), "--format", "markdown"]) == 1
+    out, err = capsys.readouterr()
+    assert "holds over quadratic extension (proportionality 3" in out
+    assert "Expected outcomes met: NO" in out
+    assert err == ""
 
 
 def test_char5_demo_runs():

@@ -126,3 +126,27 @@ def test_tits_reads_composition_data_from_its_tables():
         if name == "ad_matrix":
             found.append(f"ad_matrix at line {node.lineno}")
     assert not found, found
+
+
+def test_the_char5_identification_draws_no_random_numbers():
+    # the isometry is read off the Gram matrix of Q: tits.py imports
+    # neither random nor itertools, and no function of tits.py or cli.py
+    # takes a seed
+    found = []
+    for name in ("tits.py", "cli.py"):
+        path = PACKAGE / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            found += [f"{name}:{node.lineno} imports {m}" for m in modules
+                      if name == "tits.py" and m.split(".")[0] in ("random",
+                                                                   "itertools")]
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                found += [f"{name}:{node.lineno} takes {a.arg}" for a in params
+                          if a.arg == "seed"]
+    assert not found, found

@@ -16,8 +16,10 @@ from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, _block,
                                   check_jacobi, even_subalgebra, j_triple,
                                   norton_irreducible, verify_isomorphism)
 from spinlab import tits
-from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, ScalingNotFound,
-                          _first_bad_pair, _odd_intertwiner, _odd_proportionality,
+from spinlab.clifford import ambient_space, qpair
+from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, IsometryNotFound,
+                          ScalingNotFound, _first_bad_pair, _hyperbolic_basis,
+                          _odd_intertwiner, _odd_proportionality,
                           build_so_MQ, build_tits, cross_identify_with_typeB, phi0,
                           phi1_intertwine, spin_map_psi, tits_bracket,
                           tits_model, unit_ideal_split)
@@ -542,29 +544,63 @@ def test_char5_steps_run_in_any_order():
 
 
 def test_cross_identification_pinned():
-    r = cross_identify_with_typeB(F5, seed=0)
+    r = cross_identify_with_typeB(F5)
     assert r["status"] == "isomorphism"
     assert r["verified"]
-    assert r["scale"] == 1
-    assert r["mu"] == 1
-    assert r["proportionality"] == 1
+    assert set(r) == {"status", "verified", "matrix", "mu", "proportionality",
+                      "equivariant_dim"}
+    assert r["mu"] == 2
+    assert r["proportionality"] == 4
+    assert r["mu"] ** 2 % 5 == r["proportionality"]
     assert r["equivariant_dim"] == 1
-    assert not r["spinor_twist"]
     # pins the normalisation of S as well as the transported θ
     assert _hash_matrix(r["matrix"]) == (
-        "4f4681470f41477844158085be76e702b7fd1adc9d1eb51fea78307374c594da")
-    again = cross_identify_with_typeB(F5, seed=0)
+        "705f4ffbc8c18122494ed8bf59f75ca24adc03d9ec29c1e10864e6a20d436a68")
+    again = cross_identify_with_typeB(F5)
     assert again == r
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_cross_identification_every_seed(seed):
-    # seeds 1-3 meet a non-square proportionality first and need the twist
-    r = cross_identify_with_typeB(F5, seed=seed)
-    assert r["status"] == "isomorphism" and r["verified"]
-    assert r["equivariant_dim"] == 1
-    assert r["mu"] ** 2 % 5 == r["proportionality"]
-    assert r["spinor_twist"] == (seed in (1, 2, 3))
+def _gram_w():
+    space = ambient_space(5, "B")
+    return np.array([[qpair(space, a, b) for b in range(11)]
+                     for a in range(11)], dtype=np.int64) % 5
+
+
+def test_hyperbolic_basis_is_a_monomial_isometry():
+    gram = build_so_MQ(F5).gram
+    tau = _hyperbolic_basis(gram, 5)
+    # one nonzero entry in every row and every column
+    assert ((tau != 0).sum(axis=0) == 1).all()
+    assert ((tau != 0).sum(axis=1) == 1).all()
+    assert np.array_equal(tau.T @ gram @ tau % 5, _gram_w())
+    # u = a·h with a = 2, the smallest root of a²·Q(h,h) = a²·2 = −2
+    assert tau[0, 0] == 2 and gram[0, 0] == 2
+
+
+def test_hyperbolic_basis_refuses_other_shapes():
+    gram = np.array(build_so_MQ(F5).gram)
+    coupled = gram.copy()
+    coupled[1, 2] = coupled[2, 1] = 1       # one off-diagonal pair added
+    assert _hyperbolic_basis(coupled, 5) is None
+    # Q(h,h) = 4 asks a² = −2/4 = 2, a non-square mod 5
+    assert _hyperbolic_basis(2 * gram % 5, 5) is None
+
+
+def test_cross_identification_refuses_a_failed_isometry(monkeypatch):
+    # τᵀ·G·τ = G_W is checked, not taken on trust
+    monkeypatch.setattr(tits, "_hyperbolic_basis",
+                        lambda gram, p: np.eye(11, dtype=np.int64))
+    with pytest.raises(IsometryNotFound):
+        cross_identify_with_typeB(F5)
+    monkeypatch.setattr(tits, "_hyperbolic_basis", lambda gram, p: None)
+    with pytest.raises(IsometryNotFound):
+        cross_identify_with_typeB(F5)
+
+
+def test_cross_identification_refuses_a_non_square_proportionality(monkeypatch):
+    monkeypatch.setattr(tits, "_odd_proportionality", lambda *args: 3)
+    with pytest.raises(ScalingNotFound, match="3 is not a square"):
+        cross_identify_with_typeB(F5)
 
 
 # --- the odd intertwiner solve, against a Kronecker-nullspace reference ----
@@ -740,9 +776,9 @@ def test_block_refuses_the_rationals():
 
 
 def test_verify_isomorphism_agrees_with_first_bad_pair():
-    # single-entry perturbations inside the parity blocks of the seed-0
+    # single-entry perturbations inside the parity blocks of the
     # isomorphism: the bincount route and the pair-by-pair route agree
-    M = cross_identify_with_typeB(F5, seed=0)["matrix"]
+    M = cross_identify_with_typeB(F5)["matrix"]
     T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
     assert verify_isomorphism(M, T, B5)
     rng = random.Random(2005)
@@ -756,7 +792,7 @@ def test_verify_isomorphism_agrees_with_first_bad_pair():
 
 
 def test_verify_isomorphism_refuses_one_parity_violating_entry():
-    M = np.array(cross_identify_with_typeB(F5, seed=0)["matrix"], dtype=np.int64)
+    M = np.array(cross_identify_with_typeB(F5)["matrix"], dtype=np.int64)
     T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
     assert verify_isomorphism(M, T, B5) and verify_isomorphism(M.tolist(), T, B5)
     for r, c in ((0, 55), (86, 54)):           # odd into even, even into odd
@@ -828,7 +864,7 @@ def _outcome(fn, *args):
 
 
 def test_odd_proportionality_matches_the_dictionary_route():
-    M = np.array(cross_identify_with_typeB(F5, seed=0)["matrix"], dtype=np.int64)
+    M = np.array(cross_identify_with_typeB(F5)["matrix"], dtype=np.int64)
     theta, S = M[:55, :55], M[55:, 55:]          # mu = 1 for seed 0
     T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
     assert _odd_proportionality(T, B5, theta, S, 5) == 1
