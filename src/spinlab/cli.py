@@ -46,6 +46,14 @@ def _items(text: str, what: str) -> list:
     return items
 
 
+def _item_int(text: str, item: str, what: str) -> int:
+    """The int that text spells, or ValueError naming the item and its list."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad item {item!r} in the {what} list") from None
+
+
 def _parse_l_list(text: str, kind: str) -> list:
     """"5", "1..8", or "3,5,7" -> sorted list of ints.  The ends of each
     range are checked before it is expanded: l >= 1, and l inside the
@@ -53,7 +61,8 @@ def _parse_l_list(text: str, kind: str) -> list:
     out = set()
     for part in _items(text, "l"):
         lo, sep, hi = part.partition("..")
-        lo, hi = int(lo), (int(hi) if sep else int(lo))
+        lo = _item_int(lo, part, "l")
+        hi = _item_int(hi, part, "l") if sep else lo
         if hi < lo:
             raise ValueError(f"empty range {part!r}")
         if lo < 1:
@@ -67,7 +76,7 @@ def _parse_chars(text: str) -> list:
     """"0,3,5,7" -> [0, 3, 5, 7]; 0 is the rationals."""
     out = []
     for part in _items(text, "characteristic"):
-        c = int(part)
+        c = _item_int(part, part, "characteristic")
         make_field(c)          # rejects non-prime moduli
         if c not in out:
             out.append(c)

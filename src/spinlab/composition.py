@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from .fields import Field
-from .linalg import nullspace_field, nullspace_modp, rank_int, rank_modp
+from .linalg import _red, nullspace_modp, rank_int, rank_modp
 from .superalgebra import VerificationFailed
 
 OCTONION_TABLE_SHA256 = "7f0bb944c59a397e3be78872ba0a7003f3550a231f507e0a8795fafa6bb27990"
@@ -225,10 +225,7 @@ def derivation_algebra(C: CompositionAlgebra) -> list:
     n = C.dim
     rows = _derivation_constraints(_int_tables(C.kind)[0])
     rows = rows[rows.any(axis=1)]
-    if f.p:
-        null = nullspace_modp(rows % f.p, f.p).tolist()
-    else:
-        null = nullspace_field(rows.tolist(), f)
+    null = nullspace_modp(rows, f.p).tolist()
     return [[list(nr[i * n:(i + 1) * n]) for i in range(n)] for nr in null]
 
 
@@ -268,10 +265,10 @@ def lemma_c_identities(mult, gram, p: int = 0) -> dict:
     ad = mult.transpose(0, 2, 1) - mult.transpose(1, 2, 0)  # ad[t] = ad_{b_t}
 
     def vanishes(x):
-        return not (x % p if p else x).any()
+        return not _red(x, p).any()
 
     def rank(x):
-        return rank_modp(x % p, p) if p else rank_int(x)
+        return rank_modp(x, p) if p else rank_int(x)
 
     # (ii) [ad_a, ad_b] = 2 D_{a,b} - ad_{[a,b]} and
     # (iii) 2 D_{a,b} + ad_{[a,b]} = 6 (n(a, .) b - n(b, .) a), with

@@ -210,8 +210,13 @@ def build_superalgebra(l: int, kind: str, field: Field) -> SuperAlgebra:
     monomials by increasing mask (odd part).  The table is the integer
     tensor of (kind, l) (_integer_tensor), over GF(p) reduced as
     V * scale^-1 mod p.  The algebra's Jacobi scan reads the rows of the
-    Q table shared by every field (_jacobi_rows).
+    Q table shared by every field (_jacobi_rows).  l must be an int or a
+    numpy integer, not a bool; anything else raises ValueError before any
+    table is built or looked up.
     """
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+        raise ValueError(f"l must be an integer, got {l!r}")
+    l = int(l)
     A = _assemble(l, kind, field)
     A._jacobi = _jacobi_rows(l, kind)
     return A

@@ -26,8 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import wedge_sign
-from .fields import Field, FieldMismatch, make_field
-from .linalg import RowSpace, exact_array, matmul_exact
+from .fields import Field, FieldMismatch
+from .linalg import RowSpaceModP, _red, exact_array, matmul_exact
 from .superalgebra import VerificationFailed
 
 K_LABELS = ("e", "x", "y")
@@ -238,7 +238,7 @@ def _supercommutators(X, odd, p: int) -> np.ndarray:
     swapped = prod.transpose(1, 0, 2, 3)
     out = np.where((odd[:, None] & odd[None, :])[:, :, None, None],
                    prod + swapped, prod - swapped)
-    return out % p if p else out
+    return _red(out, p)
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +273,7 @@ def _inder_basis(p: int):
         stack = np.stack([brackets[x, y].reshape(-1)
                           for x in range(1, J_DIM) for y in range(x, J_DIM)
                           if J_PARITY[x] ^ J_PARITY[y] == par])
-        space = RowSpace(make_field(p), len(stack))
+        space = RowSpaceModP(p, len(stack))
         space.insert(stack.T)
         parts.append(stack[space.pivots])
     return _frozen(np.concatenate(parts).reshape(-1, 9, 9)), len(parts[0])

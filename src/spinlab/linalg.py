@@ -1,13 +1,16 @@
-"""Exact linear algebra: field-generic Gaussian elimination plus fast
-numpy kernels for matrices over GF(p).
+"""Exact linear algebra over GF(p) and over Q.
 
-The field-generic routines work on lists of raw field values and are used
-wherever Fractions are in play.  The *_modp kernels keep everything in
-int64 numpy arrays; products are computed through float64 BLAS when the
-magnitudes provably fit in the 53-bit mantissa, falling back to chunking
-otherwise, so every result is exact.  The *_exact routines take arrays
-over either field, by characteristic p: int64 residues over GF(p), which
-they hand to the *_modp kernels, and object arrays of Fractions over Q.
+One elimination serves both fields.  rref_modp, rank_modp, nullspace_modp
+and RowSpaceModP take the characteristic p, and p = 0 means Q: over GF(p)
+they work on int64 residues in [0, p), over Q on object arrays of
+Fractions, and exact_array reads their input into that form either way.
+RowSpace and SpanSolver are built on the same kernel and take a Field.
+
+matmul_modp multiplies int64 residues, which it expects in [0, p),
+through float64 BLAS when the magnitudes provably fit in the 53-bit
+mantissa, falling back to chunking otherwise, so every result is exact.
+matmul_exact serves both fields: matmul_modp over GF(p), Python integers
+over a common denominator over Q.
 """
 
 from __future__ import annotations
@@ -20,63 +23,21 @@ import numpy as np
 
 from .fields import Field, _is_prime
 
-# ---------------------------------------------------------------------------
-# field-generic routines (raw values, lists of lists)
 
-
-def rref_field(mat, field: Field):
-    """Reduced row echelon form.  Returns (rows, pivot_cols); zero rows dropped."""
-    rows = [list(r) for r in mat]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if not field.is_zero(rows[i][c])), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
-def rank_field(mat, field: Field) -> int:
-    return len(rref_field(mat, field)[1])
-
-
-def nullspace_field(mat, field: Field):
-    """Basis of the right nullspace, one row per basis vector."""
-    rows, pivots = rref_field(mat, field)
-    ncols = len(mat[0]) if mat else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero()] * ncols
-        v[f] = field.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(rows[i][f])
-        basis.append(v)
-    return basis
+def _red(a, p):
+    """a reduced mod p over GF(p); over Q (p = 0) a itself."""
+    return a % p if p else a
 
 
 # ---------------------------------------------------------------------------
-# GF(p) kernels on int64 arrays; all entries normalized to [0, p)
+# products and exact arrays
 
 _MANTISSA = 1 << 53
 
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p.  float64 BLAS when k*(p-1)^2 fits the mantissa."""
+    """Exact (a @ b) % p of residues in [0, p).  float64 BLAS when
+    k*(p-1)^2 fits the mantissa."""
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
     k = a.shape[1]
@@ -95,10 +56,11 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def exact_array(values, p: int) -> np.ndarray:
     """Integers and Fractions as an array over the field of characteristic
-    p: int64 residues over GF(p), an object array of Fractions over Q."""
+    p: int64 residues over GF(p), an object array of Fractions over Q.
+    The result is always a new array."""
     vals = np.asarray(values)
     if p and vals.dtype.kind in "iu":
-        return vals.astype(np.int64) % p
+        return vals.astype(np.int64, copy=False) % p
     vals = np.asarray(values, dtype=object)
     flat = [Fraction(v) for v in vals.flat]
     if p:
@@ -126,10 +88,11 @@ def matmul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.array(out, dtype=object).reshape(np.shape(a)[0], np.shape(b)[1])
 
 
-def rref_modp(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p.  Returns (R, pivot_cols); R keeps its
-    original row count, zero rows at the bottom."""
-    a = np.array(a, dtype=np.int64) % p
+def rref_modp(a, p: int):
+    """Reduced row echelon form over GF(p), or over Q when p = 0.  Returns
+    (R, pivot_cols); R keeps its original row count, zero rows at the
+    bottom."""
+    a = exact_array(a, p)
     m, n = a.shape
     pivots = []
     r = 0
@@ -142,30 +105,35 @@ def rref_modp(a: np.ndarray, p: int):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
+        inv = pow(int(a[r, c]), p - 2, p) if p else 1 / a[r, c]
+        a[r] = _red(a[r] * inv, p)
         coefs = a[:, c].copy()
         coefs[r] = 0
         hot = np.nonzero(coefs)[0]
         if hot.size:
-            a[hot] = (a[hot] - coefs[hot, None] * a[r]) % p
+            a[hot] = _red(a[hot] - coefs[hot, None] * a[r], p)
         pivots.append(c)
         r += 1
     return a, pivots
 
 
-def rank_modp(a: np.ndarray, p: int) -> int:
+def rank_modp(a, p: int) -> int:
     return len(rref_modp(a, p)[1])
 
 
-def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
-    """Right-nullspace basis as rows of an (dim, ncols) int64 array."""
+def nullspace_modp(a, p: int) -> np.ndarray:
+    """Right-nullspace basis as the rows of a (dim, ncols) array: int64
+    residues over GF(p), Fractions over Q (p = 0), one row per free column
+    in increasing order."""
     r, pivots = rref_modp(a, p)
-    n = a.shape[1]
+    n = r.shape[1]
     free = np.setdiff1d(np.arange(n), pivots)
-    basis = np.zeros((free.size, n), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-r[:len(pivots), free].T) % p
+    if p:
+        basis = np.zeros((free.size, n), dtype=np.int64)
+    else:
+        basis = np.full((free.size, n), Fraction(0), dtype=object)
+    basis[np.arange(free.size), free] = 1 if p else Fraction(1)
+    basis[:, pivots] = _red(-r[:len(pivots), free].T, p)
     return basis
 
 
@@ -209,17 +177,20 @@ def inv_modp(a: np.ndarray, p: int) -> np.ndarray:
 
 
 class RowSpaceModP:
-    """Incrementally built row space over GF(p), kept in reduced echelon form.
+    """Incrementally built row space over GF(p), or over Q when p = 0, kept
+    in reduced echelon form.
 
-    insert() takes a whole batch of rows at once: the batch is reduced
-    against the current basis with one BLAS-backed multiply, the remainder
-    is row-reduced, and the new pivots are eliminated from the old basis.
+    Rows are read by exact_array: any integer is read mod p, a Fraction
+    over Q as itself.  insert() takes a whole batch of rows at once: the
+    batch is reduced against the current basis with one multiply, the
+    remainder is row-reduced, and the new pivots are eliminated from the
+    old basis.  basis holds the reduced rows, ordered by their pivots.
     """
 
     def __init__(self, p: int, width: int):
         self.p = p
         self.width = width
-        self.basis = np.zeros((0, width), dtype=np.int64)
+        self.basis = exact_array(np.zeros((0, width), dtype=np.int64), p)
         self.pivots: list[int] = []
 
     @property
@@ -227,18 +198,17 @@ class RowSpaceModP:
         return len(self.pivots)
 
     def _reduce(self, rows: np.ndarray) -> np.ndarray:
-        if self.basis.shape[0] == 0:
-            return rows % self.p
-        coef = rows[:, self.pivots] % self.p
-        return (rows - matmul_modp(coef, self.basis, self.p)) % self.p
+        if not self.pivots:
+            return rows
+        coef = rows[:, self.pivots]
+        return _red(rows - matmul_exact(coef, self.basis, self.p), self.p)
 
     def insert(self, rows) -> int:
         """Add rows to the span; returns how many were independent."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = exact_array(rows, self.p)
         if rows.size == 0:          # no rows, or rows of width 0
             return 0
-        rows = rows.reshape(-1, self.width)
-        red = self._reduce(rows)
+        red = self._reduce(rows.reshape(-1, self.width))
         r, new_pivots = rref_modp(red, self.p)
         if not new_pivots:
             return 0
@@ -246,7 +216,7 @@ class RowSpaceModP:
         if self.basis.shape[0]:
             coef = self.basis[:, new_pivots]
             if coef.any():
-                self.basis = (self.basis - matmul_modp(coef, r, self.p)) % self.p
+                self.basis = _red(self.basis - matmul_exact(coef, r, self.p), self.p)
         merged = np.vstack([self.basis, r])
         allp = self.pivots + new_pivots
         order = np.argsort(allp, kind="stable")
@@ -255,78 +225,20 @@ class RowSpaceModP:
         return len(new_pivots)
 
     def contains(self, row) -> bool:
-        red = self._reduce(np.asarray(row, dtype=np.int64).reshape(1, -1))
-        return not red.any()
+        return not self.reduce([row]).any()
+
+    def reduce(self, rows) -> np.ndarray:
+        """Each row reduced modulo the span, as an array: the row minus the
+        combination of basis rows that clears its pivot columns."""
+        return self._reduce(exact_array(rows, self.p).reshape(len(rows), self.width))
 
 
-class RowSpace:
-    """Incrementally grown row space over any exact field.
-
-    Over GF(p) this wraps RowSpaceModP (numpy); over Q it keeps the
-    reduced echelon basis that rref_field returns, and insert() runs
-    rref_field on the basis and the new rows together.  insert() returns
-    how many of the offered rows were independent.  Rows over GF(p) are
-    integer sequences or arrays; any integer is read mod p.
-    """
+class RowSpace(RowSpaceModP):
+    """RowSpaceModP over a Field: GF(p), or Q as p = 0."""
 
     def __init__(self, field: Field, width: int):
+        super().__init__(field.p, width)
         self.field = field
-        self.width = width
-        if field.p:
-            self._modp = RowSpaceModP(field.p, width)
-        else:
-            self._rows = []          # rref_field rows (raw values)
-            self._pivots = []
-
-    @property
-    def dim(self) -> int:
-        return self._modp.dim if self.field.p else len(self._rows)
-
-    @property
-    def pivots(self) -> list:
-        """Pivot column of each basis row, in the order of basis()."""
-        return list(self._modp.pivots if self.field.p else self._pivots)
-
-    def _as_modp(self, rows) -> np.ndarray:
-        return np.asarray(rows, dtype=np.int64) % self.field.p
-
-    def insert(self, rows) -> int:
-        if self.field.p:
-            return self._modp.insert(self._as_modp(rows))
-        f = self.field
-        rows = [[f.raw(x) for x in row] for row in rows]
-        before = len(self._rows)
-        if rows:
-            self._rows, self._pivots = rref_field(self._rows + rows, f)
-        return len(self._rows) - before
-
-    def _reduce_one(self, row) -> list:
-        f = self.field
-        row = [f.raw(x) for x in row]
-        for pc, er in zip(self._pivots, self._rows):
-            if not f.is_zero(row[pc]):
-                c = row[pc]
-                row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, er)]
-        return row
-
-    def contains(self, row) -> bool:
-        if self.field.p:
-            return self._modp.contains(self._as_modp(row))
-        return all(self.field.is_zero(x) for x in self._reduce_one(row))
-
-    def reduce(self, rows) -> list:
-        """Each row reduced modulo the span, as raw values: the row minus the
-        combination of basis rows that clears its pivot columns."""
-        if self.field.p:
-            rows = self._as_modp(rows).reshape(len(rows), self.width)
-            return self._modp._reduce(rows).tolist()
-        return [self._reduce_one(row) for row in rows]
-
-    def basis(self) -> list:
-        """Reduced echelon basis rows as raw field values."""
-        if self.field.p:
-            return self._modp.basis.tolist()
-        return [list(r) for r in self._rows]
 
 
 class SpanSolver:
@@ -335,41 +247,32 @@ class SpanSolver:
     Built from an ordered list of (possibly dependent) rows; coords(v)
     returns coefficients c with sum(c[i]*rows[i]) == v, or None when v
     lies outside the span.  Dependent rows simply get zero coefficients.
+    The reduced echelon form of [rows | 1] gives, for each pivot of the
+    span part, its basis row and that row as a combination of the rows.
     """
 
-    __slots__ = ("field", "nrows", "width", "_red", "_tr", "_pivots")
+    __slots__ = ("field", "nrows", "width", "_rows", "_tr", "_pivots")
 
     def __init__(self, field: Field, rows):
-        f = field
-        rows = [[f.raw(x) for x in r] for r in rows]
-        self.field = f
+        p = field.p
+        rows = exact_array(rows, p)
+        self.field = field
         self.nrows = len(rows)
-        self.width = len(rows[0]) if rows else 0
-        one, zero = f.one(), f.zero()
-        aug = [r + [one if j == i else zero for j in range(self.nrows)]
-               for i, r in enumerate(rows)]
-        red, pivots = rref_field(aug, f)
-        self._red, self._tr, self._pivots = [], [], []
-        for row, p in zip(red, pivots):
-            if p < self.width:       # pivot in the span part, not a relation
-                self._red.append(row[:self.width])
-                self._tr.append(row[self.width:])
-                self._pivots.append(p)
+        self.width = rows.shape[1] if rows.ndim == 2 else 0
+        eye = exact_array(np.eye(self.nrows, dtype=np.int64), p)
+        red, pivots = rref_modp(np.hstack([rows.reshape(self.nrows, self.width), eye]), p)
+        rank = sum(c < self.width for c in pivots)   # the rest are relations
+        self._rows, self._tr = red[:rank, :self.width], red[:rank, self.width:]
+        self._pivots = pivots[:rank]
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
     def coords(self, vec):
-        f = self.field
-        v = [f.raw(x) for x in vec]
-        out = [f.zero()] * self.nrows
-        for red, tr, p in zip(self._red, self._tr, self._pivots):
-            c = v[p]
-            if f.is_zero(c):
-                continue
-            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, red)]
-            out = [f.add(o, f.mul(c, t)) for o, t in zip(out, tr)]
-        if any(not f.is_zero(x) for x in v):
+        p = self.field.p
+        v = exact_array(vec, p).reshape(1, self.width)
+        c = v[:, self._pivots]
+        if _red(v - matmul_exact(c, self._rows, p), p).any():
             return None
-        return out
+        return matmul_exact(c, self._tr, p)[0].tolist()

@@ -56,9 +56,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .fields import Field, make_field
-from .linalg import (RowSpace, RowSpaceModP, _rank_primes, common_denominator,
-                     exact_array, matmul_exact, matmul_modp, nullspace_field,
-                     nullspace_modp, rank_field, rank_modp, rref_modp)
+from .linalg import (RowSpace, RowSpaceModP, _rank_primes, _red,
+                     common_denominator, exact_array, matmul_exact, matmul_modp,
+                     nullspace_modp, rank_modp, rref_modp)
 
 SCHEMA_VERSION = 1
 
@@ -547,7 +547,13 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     its own table, its residues over GF(p); over Q past the int64 bound the
     sums are taken modulo fixed word-size primes (_scan_moduli) and
     recovered by the Chinese remainder theorem.
+
+    witness_cap must be an int >= 1 (not a bool); anything else raises
+    ValueError, since a cap below 1 would report a pass for any algebra.
     """
+    if (isinstance(witness_cap, bool) or not isinstance(witness_cap, (int, np.integer))
+            or witness_cap < 1):
+        raise ValueError(f"witness_cap must be an int >= 1, got {witness_cap!r}")
     n = A.dim
     # outside the tests only the benchmark's B8 cells take this branch;
     # it goes with ROADMAP item 1
@@ -622,7 +628,7 @@ def ideal_closure(A: SuperAlgebra, seeds) -> list:
             if any(not f.is_zero(c) for c in w) and not space.contains(w):
                 space.insert([w])
                 queue.append(w)
-    return space.basis()
+    return space.basis.tolist()
 
 
 def derived_algebra(A: SuperAlgebra) -> list:
@@ -635,8 +641,8 @@ def derived_algebra(A: SuperAlgebra) -> list:
     rows = np.zeros((pairs.size, n), dtype=V.dtype)
     rows[row, K[stored]] = V[stored]
     space = RowSpace(A.field, n)
-    space.insert(rows if A.field.p else rows.tolist())
-    return space.basis()
+    space.insert(rows)
+    return space.basis.tolist()
 
 
 def burnside_irreducible(ops, n: int, field: Field) -> bool:
@@ -858,11 +864,6 @@ def _block(A: SuperAlgebra, first: int, second: int, target: int) -> np.ndarray:
     return out
 
 
-def _rep_kernel(A: SuperAlgebra, rep: np.ndarray) -> list:
-    """Basis of {x in even part : sum x_a rho(e_a) = 0}, as rows of residues."""
-    return nullspace_modp(rep.reshape(A.n0, A.n1 * A.n1).T, A.field.p).tolist()
-
-
 def _largest_ideal_inside(A: SuperAlgebra, kernel_rows) -> int:
     """Dimension of the largest even subspace of span(kernel_rows), rows of
     residues, closed under bracketing with the whole even part."""
@@ -876,7 +877,7 @@ def _largest_ideal_inside(A: SuperAlgebra, kernel_rows) -> int:
         # [x_i, e_b] for every row i and every b, reduced against the span:
         # sum c_i x_i stays inside iff sum c_i resid[i] vanishes
         brackets = matmul_modp(rows, ad, p).reshape(r, n0, n0).transpose(0, 2, 1)
-        resid = np.array(space.reduce(brackets.reshape(r * n0, n0)), dtype=np.int64)
+        resid = space.reduce(brackets.reshape(r * n0, n0))
         sol = nullspace_modp(resid.reshape(r, n0 * n0).T, p)
         if sol.shape[0] == r:
             return r
@@ -906,8 +907,9 @@ def simplicity_certificate(A: SuperAlgebra):
     if verdict == "undecided":
         return "undecided", ("Norton's test found no element of nullity 1 "
                              "for the even action on the odd part")
-    kernel = _rep_kernel(A, rep)
-    if kernel:
+    # the even x with sum x_a rho(e_a) = 0, as rows of residues
+    kernel = nullspace_modp(rep.reshape(A.n0, A.n1 * A.n1).T, A.field.p)
+    if len(kernel):
         bad = _largest_ideal_inside(A, kernel)
         if bad:
             return "failed", (f"{bad}-dimensional even ideal annihilates "
@@ -955,15 +957,6 @@ def _constraint_times(step, kernel: np.ndarray, p: int) -> np.ndarray:
     return np.add.reduceat(terms, np.flatnonzero(np.diff(row, prepend=-1)))
 
 
-def _nullspace_rows(M: np.ndarray, field: Field) -> np.ndarray:
-    """Right-nullspace basis of M as rows; over GF(p) M is reduced in place."""
-    if field.p:
-        M %= field.p
-        return nullspace_modp(M, field.p)
-    return np.array(nullspace_field(M.tolist(), field),
-                    dtype=object).reshape(-1, M.shape[1])
-
-
 def equivariant_map_dim(rep, adjoint, field: Field) -> int:
     """Dimension of the space of even-equivariant bilinear maps S x S -> g0.
 
@@ -999,7 +992,7 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
     for a in np.flatnonzero(torus):
         r = R[a].diagonal()
         pair = r[:, None] + r[None, :]
-        allowed &= (pair % p if p else pair)[:, :, None] == A[a].diagonal()
+        allowed &= _red(pair, p)[:, :, None] == A[a].diagonal()
     s, t, c = np.nonzero(allowed)
     del allowed
     steps = [step for step in (_equivariant_constraint(R[a], A[a], s, t, c, ds, dg)
@@ -1012,13 +1005,13 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
     M = np.zeros((rows[0], len(s)), dtype=vals.dtype)
     np.add.at(M, (row, q), vals)
     budget = M.size
-    kernel = _nullspace_rows(M, f).T            # columns over the unknowns
+    kernel = nullspace_modp(M, p).T             # columns over the unknowns
     del M
     i = 1
     while i < len(steps) and kernel.shape[1]:
         j = len(steps) if sum(rows[i:]) * kernel.shape[1] <= budget else i + 1
         M = np.vstack([_constraint_times(step, kernel, p) for step in steps[i:j]])
-        kernel = matmul_exact(kernel, _nullspace_rows(M, f).T, p)
+        kernel = matmul_exact(kernel, nullspace_modp(M, p).T, p)
         i = j
     return kernel.shape[1]
 
@@ -1047,12 +1040,10 @@ def verify_isomorphism(mat, A: SuperAlgebra, B: SuperAlgebra) -> bool:
     if M.shape != (n, n):
         return False
     n0 = A.n0                      # the even parts of A and B have one size
-    if M[:n0, n0:].any() or M[n0:, :n0].any():
+    if M[:n0, n0:].any() or M[n0:, :n0].any() or rank_modp(M, f.p) != n:
         return False
     if f.p:
         p = f.p
-        if rank_modp(M, p) != n:
-            return False
         I, J, K, V, _ = B.coo
         IA, JA, KA, VA, _ = A.coo
         for i in range(n):
@@ -1070,8 +1061,6 @@ def verify_isomorphism(mat, A: SuperAlgebra, B: SuperAlgebra) -> bool:
         return True
     # dense exact route for characteristic zero (small cases)
     rows = M.tolist()
-    if rank_field(rows, f) != n:
-        return False
     for i in range(n):
         for j in range(n):
             want = [f.zero()] * n

@@ -55,10 +55,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field, make_field
-from .linalg import (RowSpace, common_denominator, exact_array, inv_modp,
-                     matmul_exact,
-                     matmul_modp, nullspace_modp, rank_modp)
+from .fields import Field
+from .linalg import (RowSpace, RowSpaceModP, _red, common_denominator,
+                     exact_array, inv_modp, matmul_exact, matmul_modp,
+                     nullspace_modp, rank_modp)
 from .composition import (make_composition, derivation_algebra, _czero_maps,
                           _int_tables)
 from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
@@ -95,11 +95,6 @@ SLOT_OF = {4: 0, 7: 1, 2: 2, 3: 3}
 # (even, odd) dimensions of T(C, Kac) for each composition kind
 TITS_DIMS = {"unit": (6, 4), "binarion": (11, 8),
              "quaternion": (24, 16), "octonion": (55, 32)}
-
-
-def _red(a, p):
-    """a reduced mod p over GF(p); over Q (p = 0) a itself."""
-    return a % p if p else a
 
 
 # Exact array products over GF(p) (matmul_modp) or Q (object arrays)
@@ -157,10 +152,10 @@ def _j_tables(p: int):
     nd, flat = len(inder), inder.reshape(len(inder), -1)
     # coordinates in inder J: the reduced rows of [basis | 1] have pivots
     # cols in the basis part, so x = x[cols]·back·basis on the span
-    space = RowSpace(make_field(p), flat.shape[1] + nd)
+    space = RowSpaceModP(p, flat.shape[1] + nd)
     space.insert(np.hstack([flat, exact_array(np.eye(nd, dtype=int), p)]))
     cols = [c for c in space.pivots if c < flat.shape[1]]
-    back = exact_array(space.basis(), p)[:len(cols), flat.shape[1]:]
+    back = space.basis[:len(cols), flat.shape[1]:]
     com = _supercommutators(inder, np.arange(nd) >= nev, p)
     dd = _coords(com.reshape(nd * nd, -1), flat, cols, back, p,
                  "inder J is not closed under [ , ]").reshape(nd, nd, nd)

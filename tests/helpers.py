@@ -1,4 +1,6 @@
-"""Shared builders for the test suite."""
+"""Shared builders and oracles for the test suite."""
+
+from fractions import Fraction
 
 from spinlab.clifford import half_spin_masks, pair_basis, rho_tables, so_bracket_table
 
@@ -27,3 +29,44 @@ def rep_and_adjoint(l, kind, field, parity=None):
     for k1, k2, k3, coeff in zip(*(a.tolist() for a in so_bracket_table(l, kind))):
         adjoint[k1][k3][k2] = f.of_int(coeff)
     return rep, adjoint
+
+
+def gauss_jordan(rows, p=0):
+    """Textbook Gauss-Jordan elimination on lists, the tests' oracle for
+    linalg: (nonzero reduced rows, pivot columns) over GF(p), or over Q
+    in Fractions when p = 0."""
+    m = [[int(x) % p if p else Fraction(x) for x in r] for r in rows]
+    rank, col, nr = 0, 0, len(m)
+    nc = len(m[0]) if m else 0
+    pivots = []
+    while rank < nr and col < nc:
+        piv = next((r for r in range(rank, nr) if m[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p) if p else 1 / m[rank][col]
+        m[rank] = [x * inv % p if p else x * inv for x in m[rank]]
+        for r in range(nr):
+            if r != rank and m[r][col]:
+                c = m[r][col]
+                m[r] = [(a - c * b) % p if p else a - c * b
+                        for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        col += 1
+    return m[:rank], pivots
+
+
+def gauss_jordan_nullspace(rows, ncols, p=0):
+    """Right-nullspace basis of rows with ncols columns from gauss_jordan:
+    one vector per free column in increasing order, the free entry 1."""
+    red, pivots = gauss_jordan(rows, p)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [0 if p else Fraction(0)] * ncols
+        v[free] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[free] % p if p else -row[free]
+        basis.append(v)
+    return basis

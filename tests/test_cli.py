@@ -81,6 +81,10 @@ def test_unknown_target_is_usage_error(capsys):
     ["verify", "type-d", "--l", ""],
     ["verify", "tits", "--chars", ""],
     ["verify", "tits", "--chars", " , "],
+    ["verify", "type-b", "--l", "5.."],
+    ["verify", "type-b", "--l", "..3"],
+    ["verify", "type-b", "--l", "1.5"],
+    ["verify", "type-b", "--chars", "two"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     # report inputs named in capitals are written to tmp_path first
@@ -95,6 +99,10 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     if argv[0] == "report" and len(argv) > 1:
         assert argv[1] in err           # the refusal names the file
+    # a list item that is no integer is named with its list
+    lists = {"5..": "l", "..3": "l", "1.5": "l", "two": "characteristic"}
+    for item in set(argv) & set(lists):
+        assert f"bad item {item!r} in the {lists[item]} list" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,10 +6,11 @@ import pytest
 
 from spinlab.fields import QQ, GF
 from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, inv_modp,
-                            matmul_modp, nullspace_field, nullspace_modp,
-                            rank_field, rank_int, rank_modp, rref_field,
+                            matmul_modp, nullspace_modp, rank_int, rank_modp,
                             rref_modp)
 from spinlab.linalg import _rank_primes
+
+from helpers import gauss_jordan, gauss_jordan_nullspace
 
 
 def rand_matrix(rng, f, rows, cols, density=0.7):
@@ -27,34 +28,21 @@ def rand_matrix(rng, f, rows, cols, density=0.7):
     return out
 
 
-def fraction_rank(rows):
-    """Textbook Gaussian elimination over Fraction, as the oracle."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank, col, nr = 0, 0, len(m)
-    nc = len(m[0]) if m else 0
-    while rank < nr and col < nc:
-        piv = next((r for r in range(rank, nr) if m[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        m[rank] = [x / m[rank][col] for x in m[rank]]
-        for r in range(nr):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [a - c * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def test_rank_and_nullspace_match_fraction_oracle():
+    # over Q (p = 0) the kernels run on Fractions: the RREF, its pivots and
+    # the nullspace rows are those of the oracle, exactly
     rng = random.Random(5)
     for trial in range(25):
         rows = rand_matrix(rng, QQ, rng.randint(1, 7), rng.randint(1, 7))
-        want = fraction_rank(rows)
-        assert rank_field(rows, QQ) == want
-        null = nullspace_field(rows, QQ)
+        R_want, piv_want = gauss_jordan(rows)
+        want = len(piv_want)
+        assert rank_modp(rows, 0) == want
+        R, piv = rref_modp(rows, 0)
+        assert R[:want].tolist() == R_want and piv == piv_want
+        assert not R[want:].any()
+        null = nullspace_modp(rows, 0)
+        assert null.tolist() == gauss_jordan_nullspace(rows, len(rows[0]))
+        assert all(type(x) is Fraction for x in null.flat)
         assert len(null) == len(rows[0]) - want
         for v in null:
             for r in rows:
@@ -68,9 +56,9 @@ def test_modp_agrees_with_field_path_on_integer_matrices():
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         rows = [[rng.randrange(7) for _ in range(nc)] for _ in range(nr)]
         arr = np.array(rows, dtype=np.int64)
-        assert rank_modp(arr, 7) == rank_field(rows, f)
+        Rf, pivf = gauss_jordan(rows, f.p)
+        assert rank_modp(arr, 7) == len(pivf)
         R, piv = rref_modp(arr, 7)
-        Rf, pivf = rref_field(rows, f)
         assert [[int(x) for x in row] for row in R[:len(piv)]] == Rf
         assert list(piv) == list(pivf)
         null = nullspace_modp(arr, 7)
@@ -107,27 +95,28 @@ def test_rowspace_membership(f):
     assert sp.contains([f.of_int(-3), f.of_int(-6), f.zero()])
     assert not sp.contains([f.one(), f.zero(), f.zero()])
     assert sp.insert([[f.zero(), f.zero(), f.one()]]) == 1
-    basis = sp.basis()
-    assert len(basis) == 2
+    basis = sp.basis
+    assert basis.shape == (2, 3)
     # reduction clears the pivot columns 0 and 2 and keeps what is left
-    assert sp.reduce([[3, 7, 5], [-3, -6, 2]]) == [[0, 1, 0], [0, 0, 0]]
+    assert sp.reduce([[3, 7, 5], [-3, -6, 2]]).tolist() == [[0, 1, 0], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("space", [lambda: RowSpace(QQ, 0),
                                    lambda: RowSpace(GF(5), 0),
-                                   lambda: RowSpaceModP(5, 0)],
-                         ids=["Q", "GF(5)", "modp"])
+                                   lambda: RowSpaceModP(5, 0),
+                                   lambda: RowSpaceModP(0, 0)],
+                         ids=["Q", "GF(5)", "modp", "modQ"])
 def test_rowspace_of_width_zero(space):
     sp = space()
     assert sp.insert([]) == 0 and sp.insert([[]]) == 0
     assert sp.dim == 0 and sp.contains([])
-    if isinstance(sp, RowSpace):
-        assert sp.reduce([]) == [] and sp.reduce([[]]) == [[]]
+    assert sp.basis.shape == (0, 0)
+    assert sp.reduce([]).shape == (0, 0) and sp.reduce([[]]).shape == (1, 0)
 
 
 def test_rowspace_modp_matches_generic():
-    # RowSpace over GF(5) (numpy) against rref_field/rank_field (pure Python),
-    # fed unreduced integers: negative entries, lists and numpy arrays alike
+    # RowSpace over GF(5) against the list oracle, fed unreduced integers:
+    # negative entries, lists and numpy arrays alike
     rng = random.Random(1)
     f = GF(5)
     for trial in range(12):
@@ -136,34 +125,38 @@ def test_rowspace_modp_matches_generic():
         for t, v in enumerate(vecs):
             space.insert(np.array([v]) if t % 2 else [v])
         raw = [[f.of_int(x) for x in v] for v in vecs]
-        R, piv = rref_field(raw, f)
-        assert space.dim == rank_field(raw, f) == len(piv)
-        assert space.basis() == R and space.pivots == piv
+        R, piv = gauss_jordan(raw, f.p)
+        assert space.dim == len(piv)
+        assert space.basis.tolist() == R and space.pivots == piv
         batch = RowSpace(f, 6)
         assert batch.insert(np.array(vecs)) == len(piv)
-        assert batch.basis() == R
+        assert batch.basis.tolist() == R
         if trial % 2:
             probe = [sum(rng.randint(-3, 3) * v[c] for v in vecs) for c in range(6)]
         else:
             probe = [rng.randint(-7, 7) for _ in range(6)]
-        inside = rank_field(raw + [[f.of_int(x) for x in probe]], f) == len(piv)
+        inside = len(gauss_jordan(raw + [probe], f.p)[1]) == len(piv)
         assert space.contains(probe) == inside
         assert space.contains(np.array(probe)) == inside
 
 
-def test_rowspace_over_q_is_rref_field():
-    # over Q the basis is rref_field of every row inserted so far, one row
-    # or a batch at a time, and reduce() clears exactly its pivot columns
+def test_rowspace_over_q_matches_the_oracle():
+    # over Q the basis is the reduced echelon form of every row inserted so
+    # far, one row or a batch at a time, for RowSpace and for RowSpaceModP
+    # at p = 0 alike, and reduce() clears exactly its pivot columns
     rng = random.Random(3)
     for trial in range(12):
         vecs = rand_matrix(rng, QQ, rng.randint(1, 6), 5, density=0.5)
-        space, batch = RowSpace(QQ, 5), RowSpace(QQ, 5)
+        space, batch, modq = RowSpace(QQ, 5), RowSpace(QQ, 5), RowSpaceModP(0, 5)
         added = sum(space.insert([v]) for v in vecs)
-        R, piv = rref_field(vecs, QQ)
-        assert added == batch.insert(vecs) == space.dim == len(piv)
-        assert space.basis() == batch.basis() == R and space.pivots == piv
+        R, piv = gauss_jordan(vecs)
+        assert added == batch.insert(vecs) == modq.insert(vecs) == space.dim == len(piv)
+        assert space.basis.tolist() == batch.basis.tolist() == modq.basis.tolist() == R
+        assert space.pivots == modq.pivots == piv
+        assert all(type(x) is Fraction for x in space.basis.flat)
         probe = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)]
-        inside = rank_field(vecs + [probe], QQ) == len(piv)
+        inside = len(gauss_jordan(vecs + [probe])[1]) == len(piv)
+        assert modq.contains(probe) == inside
         assert space.contains(probe) == inside
         (red,) = space.reduce([probe])
         assert all(red[c] == 0 for c in piv)
@@ -218,20 +211,20 @@ def test_matmul_modp_exact_at_the_largest_prime():
     assert matmul_modp(rows, rows.T, p).tolist() == [[5 % p] * 3] * 3
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 0])
 def test_nullspace_modp_matches_field_path(p):
-    # the same rows, in the same order, as the field-generic elimination
-    f = GF(p)
+    # the same rows, in the same order, as the list oracle; p = 0 is Q
     rng = random.Random(p)
     shapes = [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
     shapes += [(1, 6), (6, 1), (5, 5), (0, 4), (4, 0), (0, 0)]
     for nr, nc in shapes:
-        rows = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(nc)]
+        rows = [[(rng.randrange(p) if p else rng.randint(-3, 3))
+                 if rng.random() < 0.6 else 0 for _ in range(nc)]
                 for _ in range(nr)]
         arr = np.array(rows, dtype=np.int64).reshape(nr, nc)
         null = nullspace_modp(arr, p)
         assert null.shape == (len(null), nc)
-        want = nullspace_field(rows, f) if nr else [
+        want = gauss_jordan_nullspace(rows, nc, p) if nr else [
             [int(i == j) for j in range(nc)] for i in range(nc)]
         assert null.tolist() == want, (nr, nc)
     zero = np.zeros((3, 4), dtype=np.int64)
@@ -240,7 +233,8 @@ def test_nullspace_modp_matches_field_path(p):
     assert rank_modp(full, p) == 3
     assert nullspace_modp(full, p).shape == (0, 3)
     one_row = np.array([[0, 2, 1, 0]], dtype=np.int64)
-    assert nullspace_modp(one_row, p).tolist() == nullspace_field(one_row.tolist(), f)
+    assert nullspace_modp(one_row, p).tolist() == gauss_jordan_nullspace(
+        one_row.tolist(), 4, p)
 
 
 def test_rank_int_matches_the_field_route():
@@ -251,7 +245,7 @@ def test_rank_int_matches_the_field_route():
         # rank at most r by construction, entries up to about 2^20
         a = (rng.integers(-2**8, 2**8, size=(m, r))
              @ rng.integers(-2**8, 2**8, size=(r, n)))
-        assert rank_int(a) == rank_field(a.tolist(), QQ), (trial, a)
+        assert rank_int(a) == len(gauss_jordan(a.tolist())[1]), (trial, a)
 
 
 def test_rank_int_sees_past_the_first_prime():

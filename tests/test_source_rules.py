@@ -89,6 +89,24 @@ def test_benchmark_wrapped_functions_exist():
     assert not missing, missing
 
 
+def test_one_elimination_serves_both_fields():
+    # Q and GF(p) share the array kernels of linalg: no package file names
+    # the list-based eliminations, and linalg.py calls no Field arithmetic
+    gone = ("rref_field", "rank_field", "nullspace_field")
+    scalar = ("add", "sub", "mul", "neg", "inv", "div", "is_zero", "raw")
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text()
+        found += [f"{path.name} names {name}" for name in gone if name in text]
+        if path.name != "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in scalar):
+                found.append(f"linalg.py:{node.lineno} calls .{node.func.attr}")
+    assert not found, found
+
+
 def test_no_verdict_rests_on_the_generator_triples():
     # every Jacobi verdict comes from a complete scan: outside check_jacobi
     # (for the mode) and the definition of generator_triples, no package

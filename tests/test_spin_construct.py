@@ -19,7 +19,8 @@ from spinlab.construct import (OddHalfSpinUnsupported, bracket_is_symmetric,
                                module_masks, spin_bracket)
 from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
                                   j_triple)
-from spinlab.linalg import rref_field
+
+from helpers import gauss_jordan
 
 CHARS = (0, 3, 5, 7)
 EXPECT_B = {(1, c) for c in CHARS} | {(2, c) for c in CHARS} | {(3, 3)} \
@@ -204,6 +205,20 @@ def test_simplicity_attachment():
     assert classify(4, "B", QQ).simplicity == "not-attempted"
 
 
+@pytest.mark.parametrize("l", [True, 2.0], ids=repr)
+def test_l_that_is_no_integer_is_refused(l):
+    # refused before any table is built or looked up: True used to build
+    # B1 under the name typeB_lTrue, 2.0 died in a shift
+    caches = (construct._integer_tensor, construct._jacobi_rows)
+    before = [c.cache_info() for c in caches]
+    with pytest.raises(ValueError, match="^l must be an integer"):
+        build_superalgebra(l, "B", QQ)
+    with pytest.raises(ValueError, match="^l must be an integer"):
+        classify(l, "B", GF(3))
+    assert [c.cache_info() for c in caches] == before
+    assert build_superalgebra(np.int64(2), "B", QQ).name == "typeB_l2"
+
+
 def test_decompose_type_d_l2():
     for ch in (0, 3, 5, 7):
         one, two = decompose_type_d_l2(make_field(ch))
@@ -285,7 +300,7 @@ def test_spin_bracket_against_permuted_full_solve(kind, l):
         rng.shuffle(rows)
         aug = [[G[a][k] for k in range(npairs)] + [form(ops[a].apply(s), t)]
                for a in rows]
-        red, pivots = rref_field(aug, f)
+        red, pivots = gauss_jordan(aug, f.p)
         assert all(p < npairs for p in pivots)      # consistent system
         got = [f.zero()] * npairs
         for row, piv in zip(red, pivots):

@@ -129,6 +129,28 @@ def test_scanner_agrees_with_brute_force_on_random_tables():
             assert witness_triples(capped) == want[:cap], key + (cap,)
 
 
+@pytest.mark.parametrize("cap", [0, -1, True, False, 2.5, "3", None],
+                         ids=repr)
+def test_witness_cap_must_be_an_int_of_at_least_1(cap):
+    # B3/GF(5) fails; a cap of 0 or -1 used to report it as a pass
+    A = build_superalgebra(3, "B", GF(5))
+    with pytest.raises(ValueError, match="witness_cap"):
+        check_jacobi(A, witness_cap=cap)
+
+
+def test_witness_caps_1_and_10_keep_their_reports():
+    # the CLI's cap and the default give the same witnesses as before
+    A = build_superalgebra(3, "B", GF(5))
+    want = {1: "16980ea002756a98494bafda63bbbe9d4c9d974f1549fafc8e090a4ad2138318",
+            10: "dbee4dc4d8a7797efbb09a1f1388ce4f89a912b0757a561d4ef2b9378cacfff9"}
+    for cap in (1, 10, np.int64(10)):
+        r = check_jacobi(A, witness_cap=cap)
+        blob = json.dumps(r.witnesses, sort_keys=True, separators=(",", ":"))
+        assert not r.jacobi_pass and r.witness_count == cap
+        assert hashlib.sha256(blob.encode()).hexdigest() == want[int(cap)]
+    assert check_jacobi(A).witnesses == check_jacobi(A, witness_cap=10).witnesses
+
+
 def rescaled(A, exponent):
     """A copy of A on the basis e_i * 2^(exponent * (i mod 3)), an isomorphic algebra."""
     lam = [Fraction(2) ** (exponent * (i % 3)) for i in range(A.dim)]
