@@ -57,11 +57,17 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def exact_array(values, p: int) -> np.ndarray:
     """Integers and Fractions as an array over the field of characteristic
     p: int64 residues over GF(p), an object array of Fractions over Q.
-    The result is always a new array."""
+    The result is always a new array.  A float or complex entry raises
+    TypeError, since its binary value is not the number meant; empty
+    input of any dtype is accepted."""
     vals = np.asarray(values)
     if p and vals.dtype.kind in "iu":
         return vals.astype(np.int64, copy=False) % p
     vals = np.asarray(values, dtype=object)
+    for v in vals.flat:
+        if isinstance(v, (float, complex, np.inexact)):
+            raise TypeError(f"exact arithmetic refuses the inexact value "
+                            f"{v!r}: give integers or Fractions")
     flat = [Fraction(v) for v in vals.flat]
     if p:
         flat = [v.numerator * pow(v.denominator, -1, p) % p for v in flat]
@@ -127,7 +133,10 @@ def nullspace_modp(a, p: int) -> np.ndarray:
     in increasing order."""
     r, pivots = rref_modp(a, p)
     n = r.shape[1]
-    free = np.setdiff1d(np.arange(n), pivots)
+    # a mask, not np.setdiff1d: that calls np.unique, which imports numpy.ma
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     if p:
         basis = np.zeros((free.size, n), dtype=np.int64)
     else:

@@ -769,7 +769,14 @@ def _eigenvalues(x: np.ndarray, p: int, rng) -> list:
 
 def _spin(vec: np.ndarray, mats, p: int) -> RowSpaceModP:
     """The smallest subspace that holds the row vector vec and is closed
-    under v -> v @ M for every M in mats, as a RowSpaceModP."""
+    under v -> v @ M for every M in mats, as a RowSpaceModP.
+
+    The images of a wave are inserted a chunk of max(1, n // len(wave))
+    operators at a time, one elimination per chunk.  A wave has at most n
+    rows, so no insert gets more than n rows, the size of the largest
+    insert made one operator at a time; the peak memory stays bounded by
+    it.  The span, and so its reduced basis and pivots, does not depend
+    on the chunks."""
     n = vec.shape[0]
     space = RowSpaceModP(p, n)
     space.insert(vec.reshape(1, n))
@@ -778,8 +785,10 @@ def _spin(vec: np.ndarray, mats, p: int) -> RowSpaceModP:
     # which with the rows already spun span the whole space
     while wave.shape[0]:
         old = set(space.pivots)
-        for M in mats:
-            space.insert(matmul_modp(wave, M, p))
+        step = max(1, n // wave.shape[0])
+        for s in range(0, len(mats), step):
+            space.insert(np.vstack([matmul_modp(wave, M, p)
+                                    for M in mats[s:s + step]]))
             if space.dim == n:
                 return space
         wave = space.basis[[i for i, c in enumerate(space.pivots) if c not in old]]

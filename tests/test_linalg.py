@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from spinlab.fields import QQ, GF
-from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, inv_modp,
-                            matmul_modp, nullspace_modp, rank_int, rank_modp,
-                            rref_modp)
+from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, exact_array,
+                            inv_modp, matmul_modp, nullspace_modp, rank_int,
+                            rank_modp, rref_modp)
 from spinlab.linalg import _rank_primes
 
 from helpers import gauss_jordan, gauss_jordan_nullspace
@@ -265,3 +265,29 @@ def test_rank_int_refuses_when_the_primes_run_out():
     a[-1] = a[0] + a[1]
     with pytest.raises(ValueError, match="Hadamard"):
         rank_int(a)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact_array([0.1], 0),
+    lambda: exact_array([0.5], 5),
+    lambda: RowSpace(QQ, 1).insert([[0.1]]),
+    lambda: nullspace_modp(np.array([[0.5, 1.0]]), 7),
+    lambda: exact_array(np.array([Fraction(1, 2), 0.5], dtype=object), 0),
+    lambda: exact_array([[1, np.float32(2)]], 3),
+    lambda: exact_array([1j], 0),
+], ids=["Q", "GF(5)", "rowspace", "nullspace", "object", "float32", "complex"])
+def test_exact_array_refuses_floats(call):
+    # a float is its binary value, not the number meant: 0.1 over Q used
+    # to read as 3602879701896397/36028797018963968 and 0.5 mod 5 as 3
+    with pytest.raises(TypeError, match="inexact value"):
+        call()
+
+
+def test_exact_array_accepts_empty_input_of_any_dtype():
+    # np.asarray([]) is float64; an empty derivation algebra arrives so
+    assert exact_array([], 0).shape == (0,)
+    assert exact_array([], 5).dtype == np.int64
+    assert exact_array(np.zeros((0, 3)), 0).shape == (0, 3)
+    assert RowSpace(QQ, 2).insert(np.zeros((0, 2))) == 0
+    assert exact_array([Fraction(1, 2), 3], 0).tolist() == [Fraction(1, 2), 3]
+    assert exact_array([Fraction(1, 2), 3], 5).tolist() == [3, 3]

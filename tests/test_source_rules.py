@@ -72,6 +72,25 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_certificates_leave_numpy_ma_unloaded(tmp_path):
+    # np.setdiff1d and np.unique import numpy.ma, some 10 ms and 1.3 MiB
+    # inside the first certificate of a process; no verify target needs it
+    code = ("import sys, spinlab; "
+            "print('numpy.ma' in sys.modules); "
+            "from spinlab import GF, classify, cli; "
+            "classify(4, 'B', GF(3)); "
+            "print([cli.main(['verify', t, '--out', sys.argv[1]]) "
+            "for t in ('tits', 'type-b', 'type-d')]); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+                         capture_output=True, text=True, check=True, env=env,
+                         timeout=300)
+    assert out.stdout.split("\n") == ["False", "[0, 0, 0]", "False", ""]
+
+
 def test_benchmark_wrapped_functions_exist():
     # the benchmark wraps these functions by name and stops on a missing
     # one; its file is only read here (no bytecode written next to it)

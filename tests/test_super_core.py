@@ -19,12 +19,13 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   verify_isomorphism, VerificationFailed,
                                   _block, _eigenvalues, _largest_ideal_inside,
                                   _scan_matrices, _scan_moduli, _scan_one_i,
-                                  _witness_entry)
+                                  _spin, _witness_entry)
 from spinlab.construct import build_superalgebra, classify
-from spinlab.linalg import (_rank_primes, common_denominator, exact_array,
-                            inv_modp, matmul_modp, nullspace_modp, rank_int)
+from spinlab.linalg import (RowSpaceModP, _rank_primes, common_denominator,
+                            exact_array, inv_modp, matmul_modp, nullspace_modp,
+                            rank_int)
 
-from helpers import rep_and_adjoint
+from helpers import gauss_jordan, rep_and_adjoint
 
 E, H, F = 0, 1, 2
 
@@ -630,6 +631,77 @@ def test_norton_never_certifies_a_doubled_module(p):
     for seed in range(3):
         ops = block_sum(SL2_NATURAL, SL2_NATURAL, p, seed)
         assert norton_irreducible(ops, 4, p)[0] != "certified"
+
+
+def spin_one_image_at_a_time(vec, mats, p):
+    """The oracle for _spin: the span of vec grown by one image v @ M at a
+    time, each new vector queued for its own images; gauss_jordan's
+    (reduced rows, pivots)."""
+    red, pivots = gauss_jordan([vec], p)
+    queue = [np.asarray(vec, dtype=np.int64) % p] if pivots else []
+    while queue:
+        v = queue.pop()
+        for M in mats:
+            w = matmul_modp(v.reshape(1, -1), M, p)[0]
+            grown, grown_pivots = gauss_jordan(red + [w.tolist()], p)
+            if len(grown_pivots) > len(pivots):
+                red, pivots = grown, grown_pivots
+                queue.append(w)
+    return red, pivots
+
+
+def spin_cases(p):
+    """(vec, mats) pairs over GF(p): dense and sparse seeded operator sets,
+    block-triangular (reducible) sets spun from inside and outside their
+    submodule, the zero vector and no operators at all."""
+    rng = np.random.default_rng(p)
+    cases = []
+    for n, k, density in ((5, 3, 1.0), (9, 4, 0.15), (12, 2, 0.1), (16, 6, 0.05)):
+        mats = [rng.integers(0, p, (n, n)) * (rng.random((n, n)) < density)
+                for _ in range(k)]
+        cases.append((rng.integers(0, p, n), mats))
+    for a, b in ((3, 5), (6, 2)):
+        n = a + b
+        P, Pi = random_invertible(random.Random(a * p), n, p)
+        mats = []
+        for _ in range(3):
+            M = rng.integers(0, p, (n, n))
+            M[a:, :a] = 0           # rows v -> v @ M keep v[:a] == 0
+            mats.append(matmul_modp(matmul_modp(Pi, M, p), P, p))
+        inside = matmul_modp(np.concatenate([np.zeros(a, np.int64),
+                                             rng.integers(1, p, b)])[None], P, p)[0]
+        cases += [(inside, mats), (rng.integers(0, p, n), mats)]
+    cases += [(rng.integers(1, p, 4), []),
+              (np.zeros(4, np.int64), [np.eye(4, dtype=np.int64)])]
+    return cases
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_spin_matches_the_one_image_at_a_time_closure(p, monkeypatch):
+    sizes = []
+    insert = RowSpaceModP.insert
+
+    def spy(self, rows):
+        sizes.append((self.width, np.asarray(rows).reshape(-1, self.width).shape[0]))
+        return insert(self, rows)
+
+    monkeypatch.setattr(RowSpaceModP, "insert", spy)
+    dims = []
+    for vec, mats in spin_cases(p):
+        red, pivots = spin_one_image_at_a_time(vec.tolist(), mats, p)
+        sizes.clear()
+        space = _spin(vec, mats, p)
+        assert space.pivots == pivots
+        assert space.basis.tolist() == red
+        assert all(rows <= n for n, rows in sizes)
+        dims.append((space.dim, len(vec)))
+    # the reducible sets spun from inside their submodule stop short of n,
+    # and a wave of one row meets every operator in a single insert
+    assert (5, 8) in dims and (2, 8) in dims
+    sizes.clear()
+    vec, mats = spin_cases(p)[1]
+    _spin(vec, mats, p)
+    assert sizes[1] == (9, len(mats))
 
 
 def test_norton_one_dimensional_and_empty_inputs():
