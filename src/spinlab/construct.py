@@ -36,6 +36,7 @@ from .clifford import (gram_pairing, half_spin_masks, pair_basis, rho_tables,
 from .exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
                        complement_form_signs, monomial_label)
 from .fields import QQ, Field, FieldMismatch
+from .linalg import RowSpace, exact_array, matmul_exact
 from .superalgebra import (SuperAlgebra, VerificationFailed, VerificationReport,
                            check_jacobi)
 from . import superalgebra as _super
@@ -332,7 +333,6 @@ def decompose_type_d_l2(field: Field):
         vec((1, ix["[v2,f1]"])),
         vec((1, ix["[v1,f1]"]), (-1, ix["[v2,f2]"])),
     ]
-    from .linalg import RowSpace
     for si, basis in enumerate((first, second)):
         if RowSpace(f, n).insert(basis) != len(basis):
             raise VerificationFailed("ideal basis is linearly dependent")
@@ -341,10 +341,11 @@ def decompose_type_d_l2(field: Field):
         if closure != len(basis):
             raise VerificationFailed(f"span {si} is not an ideal: it generates "
                                      f"a {closure}-dimensional ideal")
-    for x in first:
-        for y in second:
-            if any(not f.is_zero(c) for c in A.bracket_vectors(x, y)):
-                raise VerificationFailed("the two ideals do not annihilate each other")
+    # [x, y] = x @ _brackets_into(A, y), whose row a is [e_a, y]
+    xs = exact_array(first, f.p)
+    for y in second:
+        if matmul_exact(xs, _super._brackets_into(A, y), f.p).any():
+            raise VerificationFailed("the two ideals do not annihilate each other")
     total = RowSpace(f, n)
     total.insert(first)
     total.insert(second)

@@ -6,7 +6,7 @@ they work on int64 residues in [0, p), over Q on object arrays of
 Fractions, and exact_array reads their input into that form either way.
 RowSpace and SpanSolver are built on the same kernel and take a Field.
 
-matmul_modp multiplies int64 residues, which it expects in [0, p),
+matmul_modp reads any int64 operands mod p and multiplies the residues
 through float64 BLAS when the magnitudes provably fit in the 53-bit
 mantissa, falling back to chunking otherwise, so every result is exact.
 matmul_exact serves both fields: matmul_modp over GF(p), Python integers
@@ -36,10 +36,12 @@ _MANTISSA = 1 << 53
 
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p of residues in [0, p).  float64 BLAS when
-    k*(p-1)^2 fits the mantissa."""
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
+    """Exact (a @ b) % p of int64 matrices, whose entries are read mod p.
+    float64 BLAS on the residues when k*(p-1)^2 fits the mantissa."""
+    a, b = (np.ascontiguousarray(x, dtype=np.int64) for x in (a, b))
+    # an operand is reduced only when needed; read as unsigned, a negative
+    # entry lies above p too
+    a, b = (x % p if x.size and x.view(np.uint64).max() >= p else x for x in (a, b))
     k = a.shape[1]
     if k == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)

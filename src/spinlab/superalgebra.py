@@ -11,7 +11,8 @@ V / scale at e_K.  Over GF(p), V holds residues and scale is 1; over Q,
 V holds the exact numerators over the lcm of the denominators (int64 when
 they fit, Python ints in an object array otherwise).  Grading and the
 [x,x] rule are checked on these arrays when the algebra is made.
-bracket_terms reads the stored row of a pair by binary search.  The
+bracket_terms reads the stored row of a pair by binary search, and
+_brackets_into every [e_a, x] of a coordinate vector x, for both fields.  The
 mapping table, (i, j) -> {k: value} for i <= j (plus odd diagonals), is
 a read-only view of the arrays, built on first use; serialization and
 equality read it.
@@ -197,6 +198,8 @@ class SuperAlgebra:
             return {k: f.neg(v) for k, v in terms.items()}
         return dict(terms)
 
+    # No package code calls this (see _brackets_into); it stays as the tests'
+    # reference and while the benchmark marks laps at it (ROADMAP item 1).
     def bracket_vectors(self, x, y) -> list:
         """Bracket of two coordinate vectors (raw values), as a raw vector."""
         f = self.field
@@ -610,25 +613,53 @@ def even_subalgebra(A: SuperAlgebra) -> SuperAlgebra:
 # ideals, derived algebra, simplicity
 
 
+def _brackets_into(A: SuperAlgebra, x) -> np.ndarray:
+    """The n x n array whose row a is [e_a, x], x read by exact_array,
+    scattered from the entries (a, j, k) of A.coo with x_j != 0: residues
+    over GF(p), summed in float64 by bincount (a cell sums at most n of
+    them, exact since n(p-1) < 2^53), and Fractions over Q."""
+    n, p = A.dim, A.field.p
+    I, J, K, V, scale = A.coo
+    x = exact_array(x, p).reshape(n)[J]
+    hit = np.flatnonzero(x)
+    cells, x, V = I[hit] * n + K[hit], x[hit], V[hit]
+    if p:
+        w = (x * V % p).astype(np.float64)
+        out = np.bincount(cells, weights=w, minlength=n * n)
+        return out.astype(np.int64).reshape(n, n) % p
+    out = np.full(n * n, Fraction(0), dtype=object)
+    np.add.at(out, cells, x * V.astype(object))
+    return (out / scale).reshape(n, n)
+
+
+def _closure(seeds, images, p: int) -> RowSpaceModP:
+    """The smallest RowSpaceModP that holds the rows of the (k, n) array
+    seeds and is closed under the linear map images: images(wave) yields
+    blocks of rows spanning the images of the rows of wave, one
+    elimination each.  Each wave holds the basis rows new since the wave
+    before, which with the rows already closed span the whole space."""
+    space = RowSpaceModP(p, seeds.shape[1])
+    space.insert(seeds)
+    wave = space.basis
+    while wave.shape[0]:
+        old = set(space.pivots)
+        for block in images(wave):
+            space.insert(block)
+            if space.dim == space.width:
+                return space
+        wave = space.basis[[i for i, c in enumerate(space.pivots) if c not in old]]
+    return space
+
+
 def ideal_closure(A: SuperAlgebra, seeds) -> list:
-    """Reduced basis of the smallest ideal containing the seed vectors."""
-    f = A.field
-    n = A.dim
-    space = RowSpace(f, n)
-    queue = []
-    for s in seeds:
-        v = [f.raw(x) for x in s]
-        if space.insert([v]):
-            queue.append(v)
-    while queue:
-        x = queue.pop()
-        for a in range(n):
-            ea = [f.one() if t == a else f.zero() for t in range(n)]
-            w = A.bracket_vectors(ea, x)
-            if any(not f.is_zero(c) for c in w) and not space.contains(w):
-                space.insert([w])
-                queue.append(w)
-    return space.basis.tolist()
+    """Reduced basis of the smallest subspace that holds the seed vectors
+    (read by exact_array: a float raises TypeError) and each [e_a, x] of
+    its x, the ideal they generate when they are homogeneous.  Each new x
+    adds the n rows of _brackets_into(A, x) in one insert (_closure)."""
+    p = A.field.p
+    seeds = exact_array(seeds, p).reshape(len(seeds), A.dim)
+    return _closure(seeds, lambda wave: (_brackets_into(A, x) for x in wave),
+                    p).basis.tolist()
 
 
 def derived_algebra(A: SuperAlgebra) -> list:
@@ -654,21 +685,13 @@ def burnside_irreducible(ops, n: int, field: Field) -> bool:
     if not p:
         raise ValueError("the Burnside closure runs over GF(p) only")
     gens = [np.asarray(M, dtype=np.int64) % p for M in ops]
-    space = RowSpaceModP(p, n * n)
-    eye = np.eye(n, dtype=np.int64)
-    space.insert(eye.reshape(1, -1))
-    wave = [eye]
-    for g in gens:
-        if space.insert(g.reshape(1, -1)):
-            wave.append(g)
-    while wave and space.dim < n * n:
-        prev_basis = {tuple(r) for r in space.basis.tolist()}
-        stack = np.stack(wave).reshape(len(wave) * n, n)
+    seeds = np.stack([np.eye(n, dtype=np.int64), *gens]).reshape(len(gens) + 1, n * n)
+
+    def images(wave):           # one block per generator: the wave times it
         for g in gens:
-            space.insert(matmul_modp(stack, g, p).reshape(len(wave), n * n))
-        wave = [np.array(r, dtype=np.int64).reshape(n, n)
-                for r in space.basis.tolist() if tuple(r) not in prev_basis]
-    return space.dim == n * n
+            yield matmul_modp(wave.reshape(-1, n), g, p).reshape(len(wave), n * n)
+
+    return _closure(seeds, images, p).dim == n * n
 
 
 # Norton's irreducibility test (Parker, "The computer calculation of modular
@@ -769,30 +792,19 @@ def _eigenvalues(x: np.ndarray, p: int, rng) -> list:
 
 def _spin(vec: np.ndarray, mats, p: int) -> RowSpaceModP:
     """The smallest subspace that holds the row vector vec and is closed
-    under v -> v @ M for every M in mats, as a RowSpaceModP.
-
-    The images of a wave are inserted a chunk of max(1, n // len(wave))
-    operators at a time, one elimination per chunk.  A wave has at most n
-    rows, so no insert gets more than n rows, the size of the largest
-    insert made one operator at a time; the peak memory stays bounded by
-    it.  The span, and so its reduced basis and pivots, does not depend
-    on the chunks."""
+    under v -> v @ M for every M in mats, as a RowSpaceModP (_closure).
+    A wave's images go in chunks of max(1, n // len(wave)) operators, one
+    elimination each: a wave has at most n rows, so no insert gets more
+    than n rows, which bounds the peak memory.  The span, and so its
+    reduced basis and pivots, does not depend on the chunks."""
     n = vec.shape[0]
-    space = RowSpaceModP(p, n)
-    space.insert(vec.reshape(1, n))
-    wave = vec.reshape(1, n)
-    # each wave holds the basis rows that are new since the wave before,
-    # which with the rows already spun span the whole space
-    while wave.shape[0]:
-        old = set(space.pivots)
+
+    def images(wave):
         step = max(1, n // wave.shape[0])
         for s in range(0, len(mats), step):
-            space.insert(np.vstack([matmul_modp(wave, M, p)
-                                    for M in mats[s:s + step]]))
-            if space.dim == n:
-                return space
-        wave = space.basis[[i for i, c in enumerate(space.pivots) if c not in old]]
-    return space
+            yield np.vstack([matmul_modp(wave, M, p) for M in mats[s:s + step]])
+
+    return _closure(vec.reshape(1, n), images, p)
 
 
 def _norton_word(coef: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
@@ -1029,55 +1041,41 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
 # isomorphism checking
 
 
+def _first_unpreserved_pair(M: np.ndarray, A: SuperAlgebra, B: SuperAlgebra):
+    """The first pair (i, j), i <= j, with E(i, j) = [M e_i, M e_j] -
+    M [e_i, e_j] != 0, or None; M is an exact parity-preserving n x n
+    array.  Column j of E is M^T times the rows [f_b, M e_j], minus the
+    rows [e_i, e_j] times M^T.  E is graded-skew when A and B share the
+    swap rule, so the first column with a mismatch has them at i >= j."""
+    p, n = A.field.p, A.dim
+    MT = np.ascontiguousarray(M.T)
+    unit = np.eye(n, dtype=np.int64)
+    for j in range(n):
+        got = matmul_exact(MT, _brackets_into(B, M[:, j]), p)
+        want = matmul_exact(_brackets_into(A, unit[j]), MT, p)
+        bad = np.flatnonzero((got != want).any(axis=1))
+        if bad.size:
+            return tuple(sorted((j, int(bad[0]))))
+    return None
+
+
 def verify_isomorphism(mat, A: SuperAlgebra, B: SuperAlgebra) -> bool:
     """True iff mat (columns = images of A's basis in B's coordinates) is a
     parity-preserving bijective homomorphism of the bracket tables.
 
-    mat is a list of rows of field values or, over GF(p), an integer numpy
-    array, whose entries are read mod p."""
+    mat, a list of rows or an array of integers (read mod p over GF(p))
+    and Fractions, is read by exact_array: a float raises TypeError.  Any
+    shape but n x n, ragged rows included, gives False.  The brackets are
+    compared by _first_unpreserved_pair, one route for both fields."""
     if A.field != B.field or (A.n0, A.n1) != (B.n0, B.n1):
         return False
-    f = A.field
-    n = A.dim
-    if f.p and isinstance(mat, np.ndarray) and mat.dtype.kind in "iu":
-        M = mat.astype(np.int64) % f.p
-    else:
-        rows = [[f.raw(x) for x in r] for r in mat]
-        if len(rows) != n or any(len(r) != n for r in rows):
+    p, n, n0 = A.field.p, A.dim, A.n0     # the even parts of A and B have one size
+    try:
+        if np.shape(mat) != (n, n) and (n or np.size(mat)):   # [] is 0 x 0
             return False
-        M = np.array(rows, dtype=np.int64 if f.p else object).reshape(n, n)
-    if M.shape != (n, n):
+    except ValueError:                    # ragged rows
         return False
-    n0 = A.n0                      # the even parts of A and B have one size
-    if M[:n0, n0:].any() or M[n0:, :n0].any() or rank_modp(M, f.p) != n:
+    M = exact_array(mat, p).reshape(n, n)
+    if M[:n0, n0:].any() or M[n0:, :n0].any() or rank_modp(M, p) != n:
         return False
-    if f.p:
-        p = f.p
-        I, J, K, V, _ = B.coo
-        IA, JA, KA, VA, _ = A.coo
-        for i in range(n):
-            # E[b, k] = sum_a M[a, i] c_B[a, b, k]: each cell sums at most n
-            # residues, exact in float64 since n*(p-1) < 2^53 for p < 2^26
-            w = (M[I, i] * V % p).astype(np.float64)
-            E = np.bincount(J * n + K, weights=w, minlength=n * n)
-            E = E.astype(np.int64).reshape(n, n) % p
-            got = matmul_modp(E.T, M, p)                      # [k, j]
-            Ti = np.zeros((n, n), dtype=np.int64)             # Ti[j, k] = c_A[i, j, k]
-            mine = IA == i
-            Ti[JA[mine], KA[mine]] = VA[mine]
-            if not np.array_equal(got, matmul_modp(M, Ti.T, p)):
-                return False
-        return True
-    # dense exact route for characteristic zero (small cases)
-    rows = M.tolist()
-    for i in range(n):
-        for j in range(n):
-            want = [f.zero()] * n
-            for k, c in A.bracket_terms(i, j).items():
-                for r in range(n):
-                    want[r] = f.add(want[r], f.mul(c, rows[r][k]))
-            got = B.bracket_vectors([rows[r][i] for r in range(n)],
-                                    [rows[r][j] for r in range(n)])
-            if got != want:
-                return False
-    return True
+    return _first_unpreserved_pair(M, A, B) is None

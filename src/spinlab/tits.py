@@ -65,8 +65,8 @@ from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
                   _inder_basis, _j_tensor, _lmul_brackets, _supercommutators)
 from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
                            ideal_closure, verify_isomorphism,
-                           equivariant_map_dim, _block, _norton_word,
-                           _nullity_one_elements, _spin)
+                           equivariant_map_dim, _block, _first_unpreserved_pair,
+                           _norton_word, _nullity_one_elements, _spin)
 from .clifford import (ambient_space, qpair, pair_basis, nat_entries,
                        DegenerateForm)
 from .construct import build_superalgebra
@@ -501,23 +501,6 @@ def build_so_MQ(field: Field) -> SoMQ:
 # Φ₀ : T(C, J)₀ → so(M, Q)   (characteristic 5)
 
 
-def _first_bad_pair(mat, A, B):
-    """First basis pair of A whose bracket is not preserved by mat."""
-    f = A.field
-    n = A.dim
-    cols = [[mat[r][j] for r in range(B.dim)] for j in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            lhs = B.bracket_vectors(cols[i], cols[j])
-            rhs = [f.zero()] * B.dim
-            for k, v in A.bracket_terms(i, j).items():
-                for r in range(B.dim):
-                    rhs[r] = f.add(rhs[r], f.mul(v, mat[r][k]))
-            if lhs != rhs:
-                return (A.labels[i], A.labels[j])
-    return None
-
-
 def _phi0_matrix(model: TitsModel, somq: SoMQ) -> np.ndarray:
     """Columns: so(M,Q)-coordinates of the images of the even T basis.
 
@@ -559,8 +542,9 @@ def _phi0(field: Field) -> np.ndarray:
         raise VerificationFailed("phi0 matrix is singular")
     T0 = even_subalgebra(build_tits("octonion", field))
     if not verify_isomorphism(mat, T0, somq.algebra):
-        bad = _first_bad_pair(mat.tolist(), T0, somq.algebra)
-        raise VerificationFailed(f"phi0 bracket mismatch at pair {bad}")
+        i, j = _first_unpreserved_pair(mat, T0, somq.algebra)
+        raise VerificationFailed(f"phi0 bracket mismatch at pair "
+                                 f"{(T0.labels[i], T0.labels[j])}")
     return _frozen(mat)
 
 

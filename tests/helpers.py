@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from spinlab.clifford import half_spin_masks, pair_basis, rho_tables, so_bracket_table
+from spinlab.linalg import RowSpace
 
 
 def rep_and_adjoint(l, kind, field, parity=None):
@@ -70,3 +71,44 @@ def gauss_jordan_nullspace(rows, ncols, p=0):
             v[pc] = -row[free] % p if p else -row[free]
         basis.append(v)
     return basis
+
+
+def first_bad_pair(mat, A, B):
+    """First basis pair of A whose bracket is not preserved by mat, by
+    dictionary arithmetic: the tests' reference for verify_isomorphism."""
+    f = A.field
+    n = A.dim
+    cols = [[mat[r][j] for r in range(B.dim)] for j in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lhs = B.bracket_vectors(cols[i], cols[j])
+            rhs = [f.zero()] * B.dim
+            for k, v in A.bracket_terms(i, j).items():
+                for r in range(B.dim):
+                    rhs[r] = f.add(rhs[r], f.mul(v, mat[r][k]))
+            if lhs != rhs:
+                return (A.labels[i], A.labels[j])
+    return None
+
+
+def ideal_closure_by_dictionary(A, seeds):
+    """Reduced basis of the closure of the seeds under x -> [e_a, x], one
+    bracket_vectors call per basis element per new vector: the tests'
+    reference for ideal_closure."""
+    f = A.field
+    n = A.dim
+    space = RowSpace(f, n)
+    queue = []
+    for s in seeds:
+        v = [f.raw(x) for x in s]
+        if space.insert([v]):
+            queue.append(v)
+    while queue:
+        x = queue.pop()
+        for a in range(n):
+            ea = [f.one() if t == a else f.zero() for t in range(n)]
+            w = A.bracket_vectors(ea, x)
+            if any(not f.is_zero(c) for c in w) and not space.contains(w):
+                space.insert([w])
+                queue.append(w)
+    return space.basis.tolist()

@@ -211,6 +211,20 @@ def test_matmul_modp_exact_at_the_largest_prime():
     assert matmul_modp(rows, rows.T, p).tolist() == [[5 % p] * 3] * 3
 
 
+def test_matmul_modp_reads_any_int64_mod_p():
+    # operands outside [0, p) are reduced first: unreduced, the float64
+    # product of 10^9 + 1 and 10^9 + 3 loses its low bits and reads 4 mod 7
+    assert matmul_modp([[10**9 + 1]], [[10**9 + 3]], 7).tolist() == [[0]]
+    rng = np.random.default_rng(7)
+    for p in (3, 7, 67108859):
+        a = rng.integers(-2**40, 2**40, (4, 6))
+        b = rng.integers(-2**40, 2**40, (6, 3))
+        want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p
+                 for col in b.T] for row in a]
+        assert matmul_modp(a, b, p).tolist() == want
+        assert matmul_modp(a % p, b, p).tolist() == want
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 0])
 def test_nullspace_modp_matches_field_path(p):
     # the same rows, in the same order, as the list oracle; p = 0 is Q

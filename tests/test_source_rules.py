@@ -126,6 +126,34 @@ def test_one_elimination_serves_both_fields():
     assert not found, found
 
 
+def test_brackets_of_vectors_take_one_route():
+    # a bracket of coordinate vectors is read off the COO table by
+    # superalgebra._brackets_into: no package function calls
+    # bracket_vectors, and verify_isomorphism makes no Field scalar call,
+    # so that one route serves GF(p) and Q
+    scalar = ("add", "sub", "mul", "neg", "inv", "div", "is_zero", "raw",
+              "zero", "one", "of_int")
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)):
+                    continue
+                name = node.func.attr
+                if name == "bracket_vectors":
+                    found.append(f"{path.name}:{node.lineno} {fn.name} "
+                                 f"calls bracket_vectors")
+                elif (fn.name == "verify_isomorphism" and name in scalar
+                      and getattr(node.func.value, "id", None) != "np"):
+                    found.append(f"{path.name}:{node.lineno} verify_isomorphism "
+                                 f"calls .{name}")
+    assert not found, found
+
+
 def test_no_verdict_rests_on_the_generator_triples():
     # every Jacobi verdict comes from a complete scan: outside check_jacobi
     # (for the mode) and the definition of generator_triples, no package

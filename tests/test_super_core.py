@@ -17,15 +17,17 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   ideal_closure, j_triple,
                                   norton_irreducible, simplicity_certificate,
                                   verify_isomorphism, VerificationFailed,
-                                  _block, _eigenvalues, _largest_ideal_inside,
+                                  _block, _brackets_into, _eigenvalues,
+                                  _largest_ideal_inside,
                                   _scan_matrices, _scan_moduli, _scan_one_i,
                                   _spin, _witness_entry)
-from spinlab.construct import build_superalgebra, classify
+from spinlab.construct import build_superalgebra, classify, decompose_type_d_l2
+from spinlab.tits import build_tits, tits_model
 from spinlab.linalg import (RowSpaceModP, _rank_primes, common_denominator,
                             exact_array, inv_modp, matmul_modp, nullspace_modp,
                             rank_int)
 
-from helpers import gauss_jordan, rep_and_adjoint
+from helpers import gauss_jordan, ideal_closure_by_dictionary, rep_and_adjoint
 
 E, H, F = 0, 1, 2
 
@@ -531,6 +533,97 @@ def test_largest_ideal_inside_a_kernel():
     assert _largest_ideal_inside(Z, [z, e]) == 1
     assert _largest_ideal_inside(Z, [e]) == 0
     assert _largest_ideal_inside(Z, [e, [0, 1, 0, 0], [0, 0, 1, 0], z]) == 4
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5), GF(7)], ids=repr)
+@pytest.mark.parametrize("odd_symmetric", [True, False])
+def test_brackets_into_matches_bracket_vectors(f, odd_symmetric):
+    # row a of _brackets_into(A, x) is [e_a, x], against the dictionary
+    # route; over Q the tables have denominator 2 and x has thirds
+    rng = random.Random(11)
+    algebras = [random_algebra(seed, f, odd_symmetric) for seed in range(4)]
+    if odd_symmetric:
+        algebras += [osp12(f), build_superalgebra(2, "B", f)]
+    for A in algebras:
+        n = A.dim
+        unit = [[int(a == b) for b in range(n)] for a in range(n)]
+        for _ in range(4):
+            x = [Fraction(rng.randint(-4, 4), rng.choice([1, 3])) if f.p == 0
+                 else rng.randint(-9, 9) for _ in range(n)]
+            got = _brackets_into(A, x)
+            want = [A.bracket_vectors(unit[a], [f.raw(c) for c in x])
+                    for a in range(n)]
+            assert got.tolist() == want, A.name
+        assert not _brackets_into(A, [0] * n).any()
+
+
+def d2_seeds(ch, pick):
+    f = make_field(ch)
+    return build_superalgebra(2, "D", f), pick(*decompose_type_d_l2(f))
+
+
+def unit_seed(slot):
+    f = GF(5)
+    return build_tits("unit", f), [tits_model("unit", f).LL[1, slot].tolist()]
+
+
+# id -> (a builder of (algebra, seed rows), the dimension of the closure)
+CLOSURE_CASES = {}
+for _ch in (0, 3, 5, 7):
+    CLOSURE_CASES.update({
+        f"sl2-e-{_ch}": (lambda ch=_ch: (sl2(make_field(ch)), [[1, 0, 0]]), 3),
+        f"sl2-h-{_ch}": (lambda ch=_ch: (sl2(make_field(ch)), [[0, 1, 0]]), 3),
+        f"sl2-zero-{_ch}": (lambda ch=_ch: (sl2(make_field(ch)), [[0, 0, 0]]), 0),
+        f"D2-first-{_ch}": (lambda ch=_ch: d2_seeds(ch, lambda a, b: a), 5),
+        f"D2-second-{_ch}": (lambda ch=_ch: d2_seeds(ch, lambda a, b: b), 3),
+        f"D2-last-{_ch}": (lambda ch=_ch: d2_seeds(ch, lambda a, b: a[-1:]), None),
+        f"D2-both-{_ch}": (lambda ch=_ch: d2_seeds(ch, lambda a, b: a[:1] + b[:1]), None),
+    })
+CLOSURE_CASES.update({
+    "unit-xe": (lambda: unit_seed(4), 5),        # x⊗e
+    "unit-ex": (lambda: unit_seed(2), 5),        # e⊗x
+    # e + x, even plus odd: the closure under x -> [e_a, x]
+    "osp12-e+x-0": (lambda: (osp12(QQ), [[1, 0, 0, 1, 0]]), 5),
+    "osp12-e+x-5": (lambda: (osp12(GF(5)), [[1, 0, 0, 1, 0]]), 5),
+    "B4-e0-3": (lambda: (build_superalgebra(4, "B", GF(3)), [[1] + [0] * 51]), 52),
+})
+
+
+@pytest.mark.parametrize("case", list(CLOSURE_CASES))
+def test_ideal_closure_matches_the_dictionary_closure(case):
+    # the array closure against the one-bracket-at-a-time dictionary route
+    build, dim = CLOSURE_CASES[case]
+    A, seeds = build()
+    got = ideal_closure(A, seeds)
+    assert got == ideal_closure_by_dictionary(A, seeds)
+    assert dim is None or len(got) == dim
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ideal_closure(sl2(GF(5)), [[0.5, 0, 0]]),
+    lambda: ideal_closure(sl2(QQ), np.array([[0.5, 0, 0]])),
+    lambda: verify_isomorphism([[0.5, 0], [0, 1]], *[abelian11(GF(5))] * 2),
+    lambda: verify_isomorphism(np.eye(2), *[abelian11(QQ)] * 2),
+], ids=["closure-GF(5)", "closure-Q", "isomorphism-GF(5)", "isomorphism-Q"])
+def test_closure_and_isomorphism_refuse_floats(call):
+    # 0.5 used to read as 0 over GF(5): an empty closure, a False verdict
+    with pytest.raises(TypeError, match="inexact value"):
+        call()
+
+
+def abelian11(f):
+    return SuperAlgebra("abelian", f, 1, 1, ("e", "o"), {}, odd_symmetric=True)
+
+
+def test_verify_isomorphism_refuses_other_shapes():
+    A = abelian11(GF(5))
+    assert verify_isomorphism([[1, 0], [0, 1]], A, A)
+    for mat in ([[1, 0], [0]], [[1, 0, 0], [0, 1]], [[1, 0]], [1, 1],
+                np.eye(3, dtype=np.int64), [[[1, 0], [0, 1]]]):
+        assert verify_isomorphism(mat, A, A) is False
+    zero = SuperAlgebra("zero", GF(5), 0, 0, (), {}, odd_symmetric=False)
+    assert verify_isomorphism([], zero, zero) and verify_isomorphism([[]], zero, zero)
+    assert verify_isomorphism([[0]], zero, zero) is False
 
 
 def test_verify_isomorphism_with_odd_rescaling():

@@ -13,16 +13,19 @@ from spinlab.kac import K_FORM, KacElement, inner_derivation_J
 from spinlab.linalg import SpanSolver, inv_modp, nullspace_modp
 from spinlab.construct import build_superalgebra
 from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, _block,
-                                  check_jacobi, even_subalgebra, j_triple,
+                                  _first_unpreserved_pair, check_jacobi,
+                                  even_subalgebra, j_triple,
                                   norton_irreducible, verify_isomorphism)
 from spinlab import tits
 from spinlab.clifford import ambient_space, qpair
 from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, IsometryNotFound,
-                          ScalingNotFound, _first_bad_pair, _hyperbolic_basis,
+                          ScalingNotFound, _hyperbolic_basis,
                           _odd_intertwiner, _odd_proportionality,
                           build_so_MQ, build_tits, cross_identify_with_typeB, phi0,
                           phi1_intertwine, spin_map_psi, tits_bracket,
                           tits_model, unit_ideal_split)
+
+from helpers import first_bad_pair
 
 F5 = GF(5)
 
@@ -777,18 +780,22 @@ def test_block_refuses_the_rationals():
 
 def test_verify_isomorphism_agrees_with_first_bad_pair():
     # single-entry perturbations inside the parity blocks of the
-    # isomorphism: the bincount route and the pair-by-pair route agree
+    # isomorphism: the array route and the pair-by-pair dictionary route
+    # agree on the verdict and on the first pair they name
     M = cross_identify_with_typeB(F5)["matrix"]
     T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
     assert verify_isomorphism(M, T, B5)
+    assert _first_unpreserved_pair(np.array(M, dtype=np.int64), T, B5) is None
     rng = random.Random(2005)
     for _ in range(20):
         lo, hi = (0, 55) if rng.randrange(2) == 0 else (55, 87)
         r, c = rng.randrange(lo, hi), rng.randrange(lo, hi)
         N = [row[:] for row in M]
         N[r][c] = (N[r][c] + rng.randrange(1, 5)) % 5
-        bad = _first_bad_pair(N, T, B5)
+        bad = first_bad_pair(N, T, B5)
         assert verify_isomorphism(N, T, B5) is (bad is None), (r, c, bad)
+        pair = _first_unpreserved_pair(np.array(N, dtype=np.int64), T, B5)
+        assert (pair and (T.labels[pair[0]], T.labels[pair[1]])) == bad, (r, c)
 
 
 def test_verify_isomorphism_refuses_one_parity_violating_entry():
@@ -816,8 +823,8 @@ def test_phi0_mismatch_names_the_pair(monkeypatch):
     bad = [row[:] for row in good]
     for row in bad:                      # doubling one column keeps it invertible
         row[0] = row[0] * 2 % 5
-    pair = _first_bad_pair(bad, even_subalgebra(build_tits("octonion", F5)),
-                           build_so_MQ(F5).algebra)
+    pair = first_bad_pair(bad, even_subalgebra(build_tits("octonion", F5)),
+                          build_so_MQ(F5).algebra)
     assert pair is not None
     monkeypatch.setattr(tits, "_phi0_matrix",
                         lambda model, somq: np.array(bad, dtype=np.int64))
