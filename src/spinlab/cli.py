@@ -234,7 +234,6 @@ def _tits_sections(chars):
     """
     g5 = make_field(5)
     sections = {}
-    expected_fail = []          # (section, key) cells whose documented verdict is failure
 
     jac = []
     for kind in ("unit", "binarion", "quaternion", "octonion"):
@@ -251,7 +250,6 @@ def _tits_sections(chars):
                 "expected_dims": list(_tits.TITS_DIMS["octonion"]),
                 "witness_count": rep7.witness_count,
                 "witnesses": rep7.witnesses})
-    expected_fail.append(("jacobi", ("octonion", 7)))
     sections["jacobi"] = jac
 
     lem = []
@@ -289,7 +287,6 @@ def _tits_sections(chars):
         "pass": inter["pass"], "checked": inter["checked"],
         "negative_control": {"pass": neg["pass"], "witness": neg["witness"]},
     }
-    expected_fail.append(("phi1", "negative_control"))
 
     cross = _tits.cross_identify_with_typeB(g5)
     sections["cross_identify"] = {
@@ -298,7 +295,7 @@ def _tits_sections(chars):
         "equivariant_dim": cross["equivariant_dim"],
         "matrix_sha256": _hash_matrix(cross["matrix"]),
     }
-    return sections, expected_fail
+    return sections
 
 
 def _judge_tits(sections) -> bool:
@@ -328,7 +325,7 @@ def cmd_verify_tits(args) -> int:
         print(f"spinlab verify: {exc}", file=sys.stderr)
         return 2
     try:
-        sections, _ = _tits_sections(chars)
+        sections = _tits_sections(chars)
         ok = _judge_tits(sections)
     except (VerificationFailed, _tits.RelationFailed,
             _tits.IsometryNotFound, _tits.ScalingNotFound) as exc:

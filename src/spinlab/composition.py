@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from .fields import Field
-from .linalg import _red, nullspace_modp, rank_int, rank_modp
+from .linalg import _red, exact_array, nullspace_modp, rank_int, rank_modp
 from .superalgebra import VerificationFailed
 
 OCTONION_TABLE_SHA256 = "7f0bb944c59a397e3be78872ba0a7003f3550a231f507e0a8795fafa6bb27990"
@@ -250,16 +250,21 @@ def lemma_c_identities(mult, gram, p: int = 0) -> dict:
     restricted ad_a.  so_dim = 49 - rk Sc, der_dim = rk[Dc; Res] - rk Dc,
     joint = rk[[Dc, 0], [Res, Ad0]] - rk Dc, and so(C0, n) lies in the
     joint span iff that rank exceeds rk[[Dc, 0], [Sc Res, Sc Ad0]] by
-    so_dim.  Entries must be below 2^12 in magnitude: every int64 entry
-    below is then a signed sum of fewer than 2^12 products of at most two
-    of them (the basis maps hold 0, ±1), so it stays under 2^36.
+    so_dim.  A table not of an integer dtype is read by exact_array (a
+    float raises TypeError).  The tables must hold integers below 2^12 in
+    magnitude: every int64 entry below is then a signed sum of fewer than
+    2^12 products of at most two of them (the basis maps hold 0, ±1), so
+    it stays under 2^36.
     """
-    mult = np.asarray(mult, dtype=np.int64)
-    gram = np.asarray(gram, dtype=np.int64)
+    mult, gram = (x if x.dtype.kind in "iu" else exact_array(x, 0)
+                  for x in (np.asarray(mult), np.asarray(gram)))
     if mult.shape != (8, 8, 8) or gram.shape != (8, 8):
         raise ValueError("the lemma concerns an 8-dim algebra")
+    if any(v.denominator != 1 for v in (*mult.flat, *gram.flat)):
+        raise ValueError("the structure constants must be integers")
     if max(np.abs(mult).max(), np.abs(gram).max()) >= 1 << 12:
         raise ValueError("structure constants too large for the int64 route")
+    mult, gram = mult.astype(np.int64), gram.astype(np.int64)
     n, m = 8, 7
     P, Z = _czero_maps(n)
     ad = mult.transpose(0, 2, 1) - mult.transpose(1, 2, 0)  # ad[t] = ad_{b_t}

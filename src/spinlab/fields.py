@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 
 class InvalidField(ValueError):
     """Requested field does not exist here (char 2, composite modulus, ...)."""
@@ -148,7 +150,12 @@ class Field:
         return "Q" if self.p == 0 else f"GF({self.p})"
 
     def raw(self, v):
-        """Normalize an int or Fraction to a raw value of this field."""
+        """Normalize an int or Fraction to a raw value of this field.  A
+        float or complex value raises TypeError, since its binary value is
+        not the number meant."""
+        if isinstance(v, (float, complex, np.inexact)):
+            raise TypeError(f"exact arithmetic refuses the inexact value "
+                            f"{v!r}: give integers or Fractions")
         if self.p == 0:
             return Fraction(v)
         if isinstance(v, Fraction):

@@ -6,7 +6,7 @@ they work on int64 residues in [0, p), over Q on object arrays of
 Fractions, and exact_array reads their input into that form either way.
 RowSpace and SpanSolver are built on the same kernel and take a Field.
 
-matmul_modp reads any int64 operands mod p and multiplies the residues
+matmul_modp reads any integer operands mod p and multiplies the residues
 through float64 BLAS when the magnitudes provably fit in the 53-bit
 mantissa, falling back to chunking otherwise, so every result is exact.
 matmul_exact serves both fields: matmul_modp over GF(p), Python integers
@@ -36,9 +36,13 @@ _MANTISSA = 1 << 53
 
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p of int64 matrices, whose entries are read mod p.
-    float64 BLAS on the residues when k*(p-1)^2 fits the mantissa."""
-    a, b = (np.ascontiguousarray(x, dtype=np.int64) for x in (a, b))
+    """Exact (a @ b) % p of integer matrices, whose entries are read mod p.
+    A signed integer operand is used as it is; any other is read by
+    exact_array (a float raises TypeError).  float64 BLAS on the residues
+    when k*(p-1)^2 fits the mantissa."""
+    a, b = (np.ascontiguousarray(x if x.dtype.kind in "ib" else exact_array(x, p),
+                                 dtype=np.int64)
+            for x in (np.asarray(a), np.asarray(b)))
     # an operand is reduced only when needed; read as unsigned, a negative
     # entry lies above p too
     a, b = (x % p if x.size and x.view(np.uint64).max() >= p else x for x in (a, b))
@@ -64,6 +68,8 @@ def exact_array(values, p: int) -> np.ndarray:
     input of any dtype is accepted."""
     vals = np.asarray(values)
     if p and vals.dtype.kind in "iu":
+        if vals.dtype == np.uint64:         # past 2^63 an int64 cast wraps
+            vals = vals % np.uint64(p)
         return vals.astype(np.int64, copy=False) % p
     vals = np.asarray(values, dtype=object)
     for v in vals.flat:
@@ -157,19 +163,23 @@ def _rank_primes() -> tuple:
 
 
 def rank_int(a) -> int:
-    """Exact rank over Q of an integer matrix, from its ranks mod the fixed
-    primes q in turn.  The rank mod q never exceeds the rank over Q, so the
-    largest rank r seen is a lower bound.  Every (r+1)-minor vanishes mod
-    each q used; once the product of those q, squared, exceeds the product
-    of the r+1 largest squared row norms (Hadamard's bound on the square of
-    such a minor), a nonzero one cannot exist, and r is the rank.  Raises
+    """Exact rank over Q of a matrix of integers of any size (or Fractions,
+    read by exact_array: a float raises TypeError), from the ranks mod the
+    fixed primes q in turn of its numerators over a common denominator.
+    The rank mod q never exceeds the rank over Q, so the largest rank r
+    seen is a lower bound.  Every (r+1)-minor vanishes mod each q used;
+    once the product of those q, squared, exceeds the product of the r+1
+    largest squared row norms (Hadamard's bound on the square of such a
+    minor), a nonzero one cannot exist, and r is the rank.  Raises
     ValueError when the primes run out first."""
-    a = np.asarray(a, dtype=np.int64)
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        a = common_denominator(exact_array(a, 0))[0]
     rows = a.tolist()
     bound = sorted((sum(x * x for x in row) for row in rows), reverse=True)
     r, modulus = 0, 1
     for q in _rank_primes():
-        r = max(r, rank_modp(a % q, q))
+        r = max(r, rank_modp((a % q).astype(np.int64, copy=False), q))
         modulus *= q
         if r == min(a.shape) or modulus * modulus > math.prod(bound[:r + 1]):
             return r
@@ -178,9 +188,11 @@ def rank_int(a) -> int:
 
 
 def inv_modp(a: np.ndarray, p: int) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
+    """The inverse mod p of a square matrix read by exact_array (a float
+    raises TypeError); ValueError when it is singular mod p."""
+    a = exact_array(a, p)
     n = a.shape[0]
-    aug = np.hstack([a % p, np.eye(n, dtype=np.int64)])
+    aug = np.hstack([a, np.eye(n, dtype=np.int64)])
     r, pivots = rref_modp(aug, p)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular mod %d" % p)

@@ -31,17 +31,16 @@ the last two slots.  So for each first index i the scanner evaluates only
 the canonical triples i <= j <= z, gathering the terms of [[i,j],z],
 [i,[j,z]] and [j,[i,z]] from the entries of row i by binary search in
 the sorted orders, at a cost that follows the number of terms.  The
-terms are summed exactly in int64: over GF(p) every product is reduced
-mod p first; over Q the numerators are summed as they are while
-3*n*max|V|^2 < 2^63, which bounds each sum of at most 3n products, and
-past that bound modulo word-size primes whose product exceeds twice the
-bound, the sums then recovered by the Chinese remainder theorem.  Each
-row is kept with the content of each triple (the gcd of its sums) in a
-row store, and the algebras build_superalgebra returns for one (kind, l)
-share the store of its Q table: the content decides the identity in
-every odd characteristic at once (check_jacobi).  Witnesses (the
-permutations of the nonzero canonical triples) are re-evaluated exactly
-through the dictionary route before being reported.
+terms are summed exactly in one value array: over GF(p) in int64, every
+product reduced mod p first; over Q the numerators as they are, in int64
+while 3*n*max|V|^2 < 2^63, which bounds each sum of at most 3n products,
+and as Python ints past that bound.  Each row is kept with the content
+of each triple (the gcd of its sums) in a row store, and the algebras
+build_superalgebra returns for one (kind, l) share the store of its Q
+table: the content decides the identity in every odd characteristic at
+once (check_jacobi).  Witnesses (the permutations of the nonzero
+canonical triples) are re-evaluated exactly through the dictionary route
+before being reported.
 """
 
 from __future__ import annotations
@@ -51,15 +50,15 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from types import MappingProxyType
 
 import numpy as np
 
 from .fields import Field, make_field
-from .linalg import (RowSpace, RowSpaceModP, _rank_primes, _red,
-                     common_denominator, exact_array, matmul_exact, matmul_modp,
-                     nullspace_modp, rank_modp, rref_modp)
+from .linalg import (RowSpace, RowSpaceModP, _red, common_denominator,
+                     exact_array, matmul_exact, matmul_modp, nullspace_modp,
+                     rank_modp, rref_modp)
 
 SCHEMA_VERSION = 1
 
@@ -354,62 +353,35 @@ def j_triple(A: SuperAlgebra, i: int, j: int, k: int) -> dict:
     return acc
 
 
-def _scan_moduli(A: SuperAlgebra) -> tuple:
-    """The moduli the scan sums modulo: (p,) over GF(p); over Q (0,), for
-    exact int64 sums, while 3*n*max|V|^2 < 2^63 bounds every sum of at
-    most 3n products; past that bound the fewest leading primes of
-    linalg._rank_primes() whose product exceeds twice the bound, so that
-    the sums are recovered exactly in the symmetric range.  ValueError
-    when the primes run out."""
-    if A.field.p:
-        return (A.field.p,)
-    V = A.coo[3]
-    top = int(np.abs(V).max()) if V.size else 0
-    bound = 3 * A.dim * top * top
-    if bound < 1 << 63:
-        return (0,)
-    moduli, product = [], 1
-    for q in _rank_primes():
-        moduli.append(q)
-        product *= q
-        if product > 2 * bound:
-            return tuple(moduli)
-    raise ValueError(f"{A.name}: the Jacobi sums, bounded by 3*n*max|V|^2 "
-                     f"with max|V| = {top}, outrun the product of the fixed primes")
-
-
 def _scan_matrices(A: SuperAlgebra):
-    """The scan data of A's COO table: (orders, moduli, par, odd_symmetric),
-    par holding the parity of each basis index.
+    """The scan data of A's COO table: (orders, p, par, odd_symmetric), p
+    the characteristic and par the parity of each basis index.
 
     Each of the three orders is (key, a, b, vals): the entries sorted by
     key = s*n + a, where s is the index the order is named after, a the
-    index the gathers bound, b the remaining index, and vals the values,
-    one array per modulus of _scan_moduli (residues, or the numerators V
-    over Q within the int64 bound).  By first index: s = first, a =
-    second, b = target.  By target: s = target, a = first, b = second,
-    stored orientation (first <= second) only.  By second index: s =
-    second, a = first, b = target.
+    index the gathers bound, b the remaining index, and vals the values.
+    Over GF(p) vals holds residues; over Q the numerators V, in int64
+    while 3*n*max|V|^2 < 2^63 bounds every sum of at most 3n products,
+    and as Python ints in an object array past that bound.  By first
+    index: s = first, a = second, b = target.  By target: s = target, a =
+    first, b = second, stored orientation (first <= second) only.  By
+    second index: s = second, a = first, b = target.
     """
-    n = A.dim
+    n, p = A.dim, A.field.p
     I, J, K, V, _ = A.coo
-    moduli = _scan_moduli(A)
-    if len(moduli) == 1:
-        vals = (V,)
-    else:
-        vals = tuple((V % q).astype(np.int64) for q in moduli)
+    if not p and V.size and 3 * n * int(np.abs(V).max()) ** 2 >= 1 << 63:
+        V = V.astype(object)
 
     def order(s, a, b, vals):
         key = s * n + a
         perm = np.argsort(key, kind="stable")
-        return key[perm], a[perm], b[perm], tuple(v[perm] for v in vals)
+        return key[perm], a[perm], b[perm], vals[perm]
 
     kept = I <= J
-    orders = (order(I, J, K, vals),
-              order(K[kept], I[kept], J[kept], tuple(v[kept] for v in vals)),
-              order(J, I, K, vals))
+    orders = (order(I, J, K, V), order(K[kept], I[kept], J[kept], V[kept]),
+              order(J, I, K, V))
     par = (np.arange(n) >= A.n0).astype(np.int64)
-    return orders, moduli, par, A.odd_symmetric
+    return orders, p, par, A.odd_symmetric
 
 
 def _gather(key, lo, hi):
@@ -423,27 +395,18 @@ def _gather(key, lo, hi):
     return owner, pos
 
 
-def _symmetric_crt(residues: np.ndarray, moduli) -> np.ndarray:
-    """The integers x with |x| < prod(moduli) / 2 and x = residues[t] mod
-    moduli[t] for each t, column by column, as an object array."""
-    product = prod(moduli)
-    x = sum(r.astype(object) * (product // q * pow(product // q, -1, q))
-            for r, q in zip(residues, moduli)) % product
-    return np.where(x > product // 2, x - product, x)
-
-
 def _scan_one_i(mats, i):
     """Row i of the scan of mats (_scan_matrices): the canonical triples
     (i, j, z), i <= j <= z, with J(e_i, e_j, e_z) != 0, sorted, each paired
     with its content g, the gcd of the |coefficients| of J(e_i, e_j, e_z)
     (of the residues over GF(p))."""
-    orders, moduli, par, odd_symmetric = mats
-    (key1, a1, b1, vals1), (key2, a2, b2, vals2), (key3, a3, b3, vals3) = orders
+    orders, p, par, odd_symmetric = mats
+    (key1, a1, b1, v1), (key2, a2, b2, v2), (key3, a3, b3, v3) = orders
     n = par.size
     lo, hi = np.searchsorted(key1, (i * n, i * n + n))
-    x, y = a1[lo:hi], b1[lo:hi]                       # [e_i, e_x] = sum v e_y
+    x, y, v = a1[lo:hi], b1[lo:hi], v1[lo:hi]          # [e_i, e_x] = sum v e_y
     ge = np.searchsorted(x, i)                         # x[ge:] >= i
-    xg, yg = x[ge:], y[ge:]
+    xg, yg, vg = x[ge:], y[ge:], v[ge:]
     top = n - 1
     # [[e_i, e_j], e_z]: j = xg, m = yg, then [e_m, e_z] = sum e_w with z >= j
     o1, q1 = _gather(key1, yg * n + xg, yg * n + top)
@@ -455,39 +418,30 @@ def _scan_one_i(mats, i):
     o3, q3 = _gather(key3, yg * n + i, yg * n + xg)
     j3 = a3[q3]
     k3 = (j3 * n + xg[o3]) * n + b3[q3]
-    flip = par[j3] == 1 if odd_symmetric and par[i] else None
     keys = np.concatenate([k1, k2, k3])
     if keys.size == 0:
         return ()
     srt = np.argsort(keys)
     keys = keys[srt]
     heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-
-    # the same gathers for each modulus, summed exactly in int64: each
-    # product is reduced mod its modulus first, and the bound checked by
-    # _scan_moduli covers every key's at most 3n terms
-    sums = []
-    for q, v1, v2, v3 in zip(moduli, vals1, vals2, vals3):
-        v = v1[lo:hi]
-        vg = v[ge:]
-        t3 = vg[o3] * v3[q3]
-        if flip is not None:
-            t3 = np.where(flip, -t3, t3)
-        terms = np.concatenate([vg[o1] * v1[q1], -(v[o2] * v2[q2]), t3])[srt]
-        if q:
-            terms %= q
-        sums.append(np.add.reduceat(terms, heads))
-        if q:
-            sums[-1] %= q
-    sums = np.array(sums)
-    nonzero = sums.any(axis=0)
-    if not nonzero.any():
+    t3 = vg[o3] * v3[q3]
+    if odd_symmetric and par[i]:
+        t3 = np.where(par[j3] == 1, -t3, t3)
+    # exact: over GF(p) each product is reduced first; over Q int64 holds
+    # every key's at most 3n terms within the bound _scan_matrices checks,
+    # and Python ints past it
+    terms = np.concatenate([vg[o1] * v1[q1], -(v[o2] * v2[q2]), t3])[srt]
+    if p:
+        terms %= p
+    sums = np.add.reduceat(terms, heads)
+    if p:
+        sums %= p
+    nonzero = np.flatnonzero(sums)
+    if not nonzero.size:
         return ()
-    sums = sums[:, nonzero]
-    sums = _symmetric_crt(sums, moduli) if len(moduli) > 1 else sums[0]
     jz = keys[heads[nonzero]] // n
     first = np.flatnonzero(np.diff(jz, prepend=-1))
-    content = np.gcd.reduceat(np.abs(sums), first)
+    content = np.gcd.reduceat(np.abs(sums[nonzero]), first)
     return tuple(((i, t // n, t % n), g)
                  for t, g in zip(jz[first].tolist(), content.tolist()))
 
@@ -548,8 +502,7 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     and a triple is kept exactly when p does not divide its content: one
     integer scan decides every odd p.  Any other algebra is scanned over
     its own table, its residues over GF(p); over Q past the int64 bound the
-    sums are taken modulo fixed word-size primes (_scan_moduli) and
-    recovered by the Chinese remainder theorem.
+    sums are taken in Python ints (_scan_matrices), exact at any size.
 
     witness_cap must be an int >= 1 (not a bool); anything else raises
     ValueError, since a cap below 1 would report a pass for any algebra.
@@ -843,7 +796,8 @@ def _nullity_one_elements(gens: np.ndarray, p: int):
 
 def norton_irreducible(ops, n: int, p: int):
     """Norton's test for the action of the n x n integer matrices ops on
-    GF(p)^n (p an odd prime, n >= 1; entries read mod p).
+    GF(p)^n (p an odd prime, n >= 1; entries read mod p by exact_array, so
+    a float raises TypeError).
 
     Returns (verdict, dim): ("certified", n) when the module is proved
     absolutely irreducible; ("failed", k) when a spin found a proper
@@ -853,7 +807,7 @@ def norton_irreducible(ops, n: int, p: int):
     """
     if n < 1 or not Field(p).p:        # Field refuses 2, composites, p >= 2^26
         raise ValueError("Norton's test needs n >= 1 and an odd prime p")
-    gens = np.asarray(ops, dtype=np.int64).reshape(-1, n, n) % p
+    gens = exact_array(ops, p).reshape(-1, n, n)
     # spins act on rows, v -> v @ M: (g v)^T = v^T @ g^T, (g^T w)^T = w^T @ g
     transposed = [np.ascontiguousarray(g.T) for g in gens]
     for _, _, theta, v in _nullity_one_elements(gens, p):

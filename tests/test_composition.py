@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -179,6 +180,18 @@ def test_lemma_c_identities_refuses_bad_input():
         lemma_c_identities(mult[:4, :4, :4], gram[:4, :4])
     with pytest.raises(ValueError, match="too large"):
         lemma_c_identities(mult * (1 << 12), gram)
+
+
+def test_lemma_c_identities_refuses_floats_and_fractions():
+    # mult + 0.25 was truncated, -0.75 to 0: a different table, pass False
+    mult, gram = _int_tables("octonion")
+    with pytest.raises(TypeError, match="inexact value"):
+        lemma_c_identities(mult + 0.25, gram)
+    with pytest.raises(TypeError, match="inexact value"):
+        lemma_c_identities(mult, gram.astype(float), 5)
+    with pytest.raises(ValueError, match="integers"):
+        lemma_c_identities(mult + Fraction(1, 2), gram)
+    assert lemma_c_identities(mult.tolist(), gram.tolist())["pass"]
 
 
 def test_lemma_rejects_non_octonion():

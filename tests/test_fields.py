@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinlab.clifford import SoElement, SpinOperator, trace_form
@@ -50,6 +51,15 @@ def test_raw_accepts_fractions_over_gf():
     assert f.raw(Fraction(1, 2)) == f.inv(f.of_int(2))
     with pytest.raises(ZeroDivisionError):
         f.raw(Fraction(1, 7))
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=repr)
+def test_raw_refuses_inexact_values(f):
+    # GF(5).raw(0.5) was 0, and QQ.raw(0.1) 3602879701896397/36028797018963968
+    for v in (0.5, 0.1, 1j, np.float32(2), np.float64(1.0), np.complex128(1)):
+        with pytest.raises(TypeError, match="inexact value"):
+            f.raw(v)
+    assert f.raw(np.int64(7)) == f.of_int(7)
 
 
 def test_invalid_fields_rejected():

@@ -225,6 +225,27 @@ def test_matmul_modp_reads_any_int64_mod_p():
         assert matmul_modp(a % p, b, p).tolist() == want
 
 
+def test_matmul_modp_refuses_floats_and_reads_any_integer():
+    # 0.5 was truncated to 0, giving [[0]]; an unsigned 2^64 - 1 wrapped
+    # to -1 and read 6 mod 7, and a Python int past 2^63 overflowed
+    with pytest.raises(TypeError, match="inexact value 0.5"):
+        matmul_modp([[0.5]], [[2]], 5)
+    with pytest.raises(TypeError, match="inexact value"):
+        matmul_modp([[1]], np.array([[2.0]]), 5)
+    top = np.array([[2**64 - 1]], dtype=np.uint64)
+    assert matmul_modp(top, [[1]], 7).tolist() == [[(2**64 - 1) % 7]]
+    assert matmul_modp([[2**70]], [[3]], 7).tolist() == [[3 * 2**70 % 7]]
+    assert matmul_modp([[Fraction(1, 2)]], [[2]], 5).tolist() == [[1]]
+
+
+def test_inv_modp_refuses_floats():
+    # 1.5 was truncated to 1, giving [[1]]
+    with pytest.raises(TypeError, match="inexact value 1.5"):
+        inv_modp([[1.5]], 5)
+    assert inv_modp([[Fraction(1, 2)]], 5).tolist() == [[2]]
+    assert inv_modp([[2, 1], [1, 1]], 5).tolist() == [[1, 4], [4, 2]]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 0])
 def test_nullspace_modp_matches_field_path(p):
     # the same rows, in the same order, as the list oracle; p = 0 is Q
@@ -269,6 +290,17 @@ def test_rank_int_sees_past_the_first_prime():
     assert rank_int(a) == 2
     assert rank_int(np.zeros((3, 4), dtype=np.int64)) == 0
     assert rank_int(np.zeros((0, 4), dtype=np.int64)) == 0
+
+
+def test_rank_int_refuses_floats_and_reads_integers_of_any_size():
+    # [[0.5, 1], [1, 2]] was truncated to [[0, 1], [1, 2]], of rank 2, and
+    # 2^70 raised numpy's bare OverflowError
+    with pytest.raises(TypeError, match="inexact value 0.5"):
+        rank_int([[0.5, 1], [1, 2]])
+    assert rank_int([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert rank_int([[2**70, 1], [1, 2]]) == 2
+    assert rank_int([[2**70, 1], [2**71, 2]]) == 1
+    assert rank_int([[2**70 + 1, 2**70], [2**70, 2**70 - 1]]) == 2   # det -1
 
 
 def test_rank_int_refuses_when_the_primes_run_out():

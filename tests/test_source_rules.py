@@ -154,6 +154,19 @@ def test_brackets_of_vectors_take_one_route():
     assert not found, found
 
 
+def test_jacobi_scan_sums_in_one_value_array():
+    # the scan sums every row exactly in one value array, Python ints past
+    # the int64 bound: superalgebra.py imports no fixed primes and no prod
+    # for a residue-and-CRT route
+    path = PACKAGE / "superalgebra.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"line {node.lineno} imports {a.name}" for a in node.names
+                      if a.name in ("_rank_primes", "prod")]
+    assert not found, found
+
+
 def test_no_verdict_rests_on_the_generator_triples():
     # every Jacobi verdict comes from a complete scan: outside check_jacobi
     # (for the mode) and the definition of generator_triples, no package

@@ -4,7 +4,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,11 +19,11 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   verify_isomorphism, VerificationFailed,
                                   _block, _brackets_into, _eigenvalues,
                                   _largest_ideal_inside,
-                                  _scan_matrices, _scan_moduli, _scan_one_i,
+                                  _scan_matrices, _scan_one_i,
                                   _spin, _witness_entry)
 from spinlab.construct import build_superalgebra, classify, decompose_type_d_l2
 from spinlab.tits import build_tits, tits_model
-from spinlab.linalg import (RowSpaceModP, _rank_primes, common_denominator,
+from spinlab.linalg import (RowSpaceModP, common_denominator,
                             exact_array, inv_modp, matmul_modp, nullspace_modp,
                             rank_int)
 
@@ -163,28 +163,33 @@ def rescaled(A, exponent):
                         table, odd_symmetric=A.odd_symmetric)
 
 
+def scan_values(A):
+    """The value arrays of the three orders of A's scan data."""
+    return [vals for _, _, _, vals in _scan_matrices(A)[0]]
+
+
 @pytest.mark.parametrize("exponent", [8, 13])
-def test_scan_past_the_int64_bound_sums_modulo_fixed_primes(exponent):
+def test_scan_past_the_int64_bound_sums_python_ints(exponent):
     A = rescaled(build_superalgebra(2, "B", QQ), exponent)
-    # the fewest leading fixed primes whose product exceeds twice the bound
-    # 3*n*max|V|^2 >= 2^63 on the sums
-    moduli = _scan_moduli(A)
+    # past the bound 3*n*max|V|^2 >= 2^63 on the sums, the scan sums
+    # Python ints
     top = max(map(abs, A.coo[3].tolist()))
     bound = 3 * A.dim * top * top
-    assert bound >= 1 << 63 and moduli == _rank_primes()[:len(moduli)]
-    assert prod(moduli[:-1]) <= 2 * bound < prod(moduli)
+    assert bound >= 1 << 63
+    for vals in scan_values(A):
+        assert vals.dtype == object and all(type(v) is int for v in vals)
     assert check_jacobi(A, "full").jacobi_pass
     assert brute_force_triples(A) == []
     # the exact route still sees an identity that holds
     assert check_jacobi(A, "generators", triples=[(0, 1, 10), (10, 11, 12)]).jacobi_pass
     # one entry perturbed: the scan finds exactly the brute-force witnesses,
-    # and the contents it recovers by CRT are exact
+    # and the contents it sums are exact
     table = {key: dict(terms) for key, terms in A.table.items()}
     pair = sorted(table)[len(table) // 2]
     table[pair][min(table[pair])] += 1
     bad = SuperAlgebra("perturbed", QQ, A.n0, A.n1, A.labels, table,
                        odd_symmetric=A.odd_symmetric)
-    assert len(_scan_moduli(bad)) > 1
+    assert all(vals.dtype == object for vals in scan_values(bad))
     want = brute_force_triples(bad)
     assert want
     assert witness_triples(check_jacobi(bad, "full", witness_cap=10 ** 6)) == want
@@ -194,12 +199,39 @@ def test_scan_past_the_int64_bound_sums_modulo_fixed_primes(exponent):
     assert all(g == content(bad, t) for t, g in rows)
 
 
-def test_scan_refuses_when_the_fixed_primes_run_out():
-    # 3*n*max|V|^2 = 9 * 2^600 outruns the 16 primes, whose product is below 2^400
+def test_scan_is_exact_far_past_the_int64_bound():
+    # 3*n*max|V|^2 = 9 * 2^600; [h,e] = 2^300 e alone is a Lie algebra
     A = SuperAlgebra("huge", QQ, 3, 0, ["e", "h", "f"], {(H, E): {E: 2 ** 300}},
                      odd_symmetric=False)
-    with pytest.raises(ValueError, match="outrun the product of the fixed primes"):
-        check_jacobi(A, "full")
+    assert all(vals.dtype == object for vals in scan_values(A))
+    assert check_jacobi(A, "full").jacobi_pass
+    assert brute_force_triples(A) == []
+
+
+def test_scan_reports_exact_witnesses_far_past_the_int64_bound():
+    # [h,e] = 2^300 e, [h,f] = -2f, [e,f] = h: J(h,e,f) = (2^300 - 2) h
+    A = SuperAlgebra("huge", QQ, 3, 0, ["e", "h", "f"],
+                     {(H, E): {E: 2 ** 300}, (H, F): {F: -2}, (E, F): {H: 1}},
+                     odd_symmetric=False)
+    want = brute_force_triples(A)
+    assert want
+    r = check_jacobi(A, "full", witness_cap=10 ** 6)
+    assert not r.jacobi_pass and witness_triples(r) == want
+    mats = _scan_matrices(A)
+    rows = [row for i in range(A.dim) for row in _scan_one_i(mats, i)]
+    assert rows == [((E, H, F), 2 ** 300 - 2)]
+    assert content(A, (E, H, F)) == 2 ** 300 - 2
+
+
+def test_verdict_tables_scan_on_int64_values():
+    # the Q tables behind every verdict stay on the int64 route: the 12
+    # grid tables of the scan benchmark and the four Tits tables
+    grid = [(l, "B") for l in range(1, 9)] + [(l, "D") for l in (2, 4, 6, 8)]
+    tables = ([build_superalgebra(l, kind, QQ) for l, kind in grid]
+              + [build_tits(kind, QQ) for kind in
+                 ("unit", "binarion", "quaternion", "octonion")])
+    for A in tables:
+        assert all(vals.dtype == np.int64 for vals in scan_values(A)), A.name
 
 
 def test_constants_past_int64_are_stored_exactly():
@@ -609,6 +641,21 @@ def test_closure_and_isomorphism_refuse_floats(call):
     # 0.5 used to read as 0 over GF(5): an empty closure, a False verdict
     with pytest.raises(TypeError, match="inexact value"):
         call()
+
+
+def test_table_constructor_refuses_floats():
+    # 0.5 over GF(5) was read as 0, so the table came out empty
+    with pytest.raises(TypeError, match="inexact value 0.5"):
+        SuperAlgebra("f", GF(5), 2, 0, ["a", "b"], {(0, 1): {1: 0.5}}, False)
+    with pytest.raises(TypeError, match="inexact value"):
+        SuperAlgebra("f", QQ, 2, 0, ["a", "b"], {(0, 1): {1: 0.1}}, False)
+
+
+def test_norton_refuses_floats():
+    # [[[0.5]]] was read as the zero operator
+    with pytest.raises(TypeError, match="inexact value 0.5"):
+        norton_irreducible([[[0.5]]], 1, 5)
+    assert norton_irreducible([[[Fraction(1, 2)]]], 1, 5) == ("certified", 1)
 
 
 def abelian11(f):
