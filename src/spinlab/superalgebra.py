@@ -365,9 +365,13 @@ def _scan_matrices(A: SuperAlgebra):
     and as Python ints in an object array past that bound.  By first
     index: s = first, a = second, b = target.  By target: s = target, a =
     first, b = second, stored orientation (first <= second) only.  By
-    second index: s = second, a = first, b = target.
+    second index: s = second, a = first, b = target.  ValueError when
+    n^3 >= 2^63, past which the int64 keys of the scan would wrap.
     """
     n, p = A.dim, A.field.p
+    if n ** 3 >= 1 << 63:
+        raise ValueError(f"dimension {n} is past the int64 key bound of the "
+                         "Jacobi scan: it needs n^3 < 2^63")
     I, J, K, V, _ = A.coo
     if not p and V.size and 3 * n * int(np.abs(V).max()) ** 2 >= 1 << 63:
         V = V.astype(object)
@@ -380,7 +384,7 @@ def _scan_matrices(A: SuperAlgebra):
     kept = I <= J
     orders = (order(I, J, K, V), order(K[kept], I[kept], J[kept], V[kept]),
               order(J, I, K, V))
-    par = (np.arange(n) >= A.n0).astype(np.int64)
+    par = np.arange(n) >= A.n0
     return orders, p, par, A.odd_symmetric
 
 
@@ -395,38 +399,49 @@ def _gather(key, lo, hi):
     return owner, pos
 
 
-def _scan_one_i(mats, i):
-    """Row i of the scan of mats (_scan_matrices): the canonical triples
-    (i, j, z), i <= j <= z, with J(e_i, e_j, e_z) != 0, sorted, each paired
-    with its content g, the gcd of the |coefficients| of J(e_i, e_j, e_z)
-    (of the residues over GF(p))."""
+# Entries of the first-index order per block of scanned rows, at most; a row
+# with more is a block of its own.  Larger blocks made the big cells slower
+# (BENCH_block_scan.json).
+_SCAN_BLOCK = 512
+
+
+def _scan_rows(mats, i0: int, i1: int) -> list:
+    """Rows i0 <= i < i1 of the scan of mats (_scan_matrices), one tuple
+    per row: the canonical triples (i, j, z), i <= j <= z, with
+    J(e_i, e_j, e_z) != 0, sorted, each paired with its content g, the gcd
+    of the |coefficients| of J(e_i, e_j, e_z) (of the residues over
+    GF(p)).  One pass keys every term of the block by (i - i0, j, z, w) in
+    int64, below (i1 - i0) * n^3, so the block needs (i1 - i0) * n^3 < 2^63."""
     orders, p, par, odd_symmetric = mats
     (key1, a1, b1, v1), (key2, a2, b2, v2), (key3, a3, b3, v3) = orders
     n = par.size
-    lo, hi = np.searchsorted(key1, (i * n, i * n + n))
-    x, y, v = a1[lo:hi], b1[lo:hi], v1[lo:hi]          # [e_i, e_x] = sum v e_y
-    ge = np.searchsorted(x, i)                         # x[ge:] >= i
-    xg, yg, vg = x[ge:], y[ge:], v[ge:]
+    lo, hi = np.searchsorted(key1, (i0 * n, i1 * n))
+    # [e_r, e_x] = sum v e_y, row r of the block keyed from (r - i0) * n^3
+    r, x, y, v = key1[lo:hi] // n, a1[lo:hi], b1[lo:hi], v1[lo:hi]
+    base = (r - i0) * n ** 3
+    ge = np.flatnonzero(x >= r)
+    rg, xg, yg, vg = r[ge], x[ge], y[ge], v[ge]
     top = n - 1
-    # [[e_i, e_j], e_z]: j = xg, m = yg, then [e_m, e_z] = sum e_w with z >= j
+    # [[e_r, e_j], e_z]: j = xg, m = yg, then [e_m, e_z] = sum e_w with z >= j
     o1, q1 = _gather(key1, yg * n + xg, yg * n + top)
-    k1 = (xg[o1] * n + a1[q1]) * n + b1[q1]
-    # -[e_i, [e_j, e_z]]: [e_j, e_z] with i <= j <= z hits m = x, [e_i, e_m] = e_w
-    o2, q2 = _gather(key2, x * n + i, x * n + top)
-    k2 = (a2[q2] * n + b2[q2]) * n + y[o2]
-    # eps(i,j) [e_j, [e_i, e_z]]: z = xg, m = yg, then [e_j, e_m] with i <= j <= z
-    o3, q3 = _gather(key3, yg * n + i, yg * n + xg)
+    k1 = (base[ge] + xg * n * n)[o1] + a1[q1] * n + b1[q1]
+    # -[e_r, [e_j, e_z]]: [e_j, e_z] with r <= j <= z hits m = x, [e_r, e_m] = e_w
+    o2, q2 = _gather(key2, x * n + r, x * n + top)
+    k2 = (base + y)[o2] + (a2[q2] * n + b2[q2]) * n
+    # eps(r,j) [e_j, [e_r, e_z]]: z = xg, m = yg, then [e_j, e_m] with r <= j <= z
+    o3, q3 = _gather(key3, yg * n + rg, yg * n + xg)
     j3 = a3[q3]
-    k3 = (j3 * n + xg[o3]) * n + b3[q3]
+    k3 = (base[ge] + xg * n)[o3] + j3 * n * n + b3[q3]
     keys = np.concatenate([k1, k2, k3])
-    if keys.size == 0:
-        return ()
+    if not keys.size:
+        return [()] * (i1 - i0)
     srt = np.argsort(keys)
     keys = keys[srt]
     heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     t3 = vg[o3] * v3[q3]
-    if odd_symmetric and par[i]:
-        t3 = np.where(par[j3] == 1, -t3, t3)
+    if odd_symmetric:
+        flip = np.flatnonzero(par[rg[o3]] & par[j3])
+        t3[flip] = -t3[flip]
     # exact: over GF(p) each product is reduced first; over Q int64 holds
     # every key's at most 3n terms within the bound _scan_matrices checks,
     # and Python ints past it
@@ -437,20 +452,29 @@ def _scan_one_i(mats, i):
     if p:
         sums %= p
     nonzero = np.flatnonzero(sums)
-    if not nonzero.size:
-        return ()
-    jz = keys[heads[nonzero]] // n
-    first = np.flatnonzero(np.diff(jz, prepend=-1))
-    content = np.gcd.reduceat(np.abs(sums[nonzero]), first)
-    return tuple(((i, t // n, t % n), g)
-                 for t, g in zip(jz[first].tolist(), content.tolist()))
+    rjz = keys[heads[nonzero]] // n                     # (i - i0, j, z)
+    first = np.flatnonzero(np.diff(rjz, prepend=-1))
+    content = np.gcd.reduceat(np.abs(sums[nonzero]), first).tolist()
+    i, jz = np.divmod(rjz[first], n * n)
+    found = list(zip(zip((i + i0).tolist(), (jz // n).tolist(), (jz % n).tolist()),
+                     content))
+    ends = np.searchsorted(i, np.arange(i1 - i0 + 1)).tolist()
+    return [tuple(found[s:e]) for s, e in zip(ends, ends[1:])]
+
+
+def _scan_one_i(mats, i):
+    """Row i alone of the scan of mats; the scan itself reads _scan_rows."""
+    return _scan_rows(mats, i, i + 1)[0]
 
 
 class _JacobiRows:
-    """Every row of _scan_one_i over one table, each computed on first
-    request, in order, and kept.  source() returns the algebra whose table
-    is scanned; its _scan_matrices orders are built on the first request
-    and dropped once every row is in."""
+    """Every row of _scan_rows over one table, computed on first request in
+    blocks of consecutive rows and kept.  A block starting at row i0 takes
+    the rows whose entries in the first-index order fit in _SCAN_BLOCK (at
+    least one row), and at most (2^63 - 1) // n^3 rows, the bound of the
+    block's key.  source() returns the algebra whose table is scanned; its
+    _scan_matrices orders are built on the first request and dropped once
+    every row is in."""
 
     __slots__ = ("_source", "_mats", "_rows")
 
@@ -462,8 +486,12 @@ class _JacobiRows:
             if self._mats is None:
                 self._mats = _scan_matrices(self._source())
                 self._source = None
-            self._rows.append(_scan_one_i(self._mats, len(self._rows)))
-            if len(self._rows) == self._mats[2].size:
+            key1, n, i0 = self._mats[0][0][0], self._mats[2].size, len(self._rows)
+            past = np.searchsorted(key1, i0 * n) + _SCAN_BLOCK
+            i1 = key1[past] // n if past < key1.size else n
+            i1 = min(max(int(i1), i0 + 1), i0 + ((1 << 63) - 1) // n ** 3)
+            self._rows.extend(_scan_rows(self._mats, i0, i1))
+            if len(self._rows) == n:
                 self._mats = None
         return self._rows[i]
 
@@ -488,12 +516,16 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     collected in lexicographic triple order up to witness_cap, then
     re-evaluated exactly by j_triple.
 
-    The full scan reads the rows of _scan_one_i, the canonical triples
+    The full scan reads the rows of _scan_rows, the canonical triples
     i <= j <= z with J(e_i, e_j, e_z) != 0, each with its content g: J is
     graded-alternating, so J(x,y,z) vanishes iff each of its permutations
     does.  After row i, the permutations starting with i of the canonical
     triples found so far are exactly the witnesses with first index i, and
-    they are added in sorted order.
+    they are added in sorted order.  Rows are scanned in blocks of
+    consecutive rows, one vectorised pass each, on first request
+    (_JacobiRows), so a failing cell stops within the block of the row
+    that brings its last witness.  The scan keys each term in int64, so
+    any algebra with n^3 >= 2^63 raises ValueError.
 
     An algebra from build_superalgebra, over any field, reads the rows of
     the Q table of its (kind, l), scanned once over the integers.  Over
@@ -526,15 +558,15 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
         rows = A._jacobi if A._jacobi is not None else _JacobiRows(lambda: A)
         p = A.field.p
         found = []
-        rest = [set() for _ in range(n)]    # e -> the other two indices
+        rest = {}                           # e -> the other two indices
         for i in range(n):
             for t, g in rows.row(i):
                 if p and g % p == 0:
                     continue
                 for e in set(t):
                     x, y = t[:t.index(e)] + t[t.index(e) + 1:]
-                    rest[e].update(((x, y), (y, x)))
-            found.extend((i, x, y) for x, y in sorted(rest[i]))
+                    rest.setdefault(e, set()).update(((x, y), (y, x)))
+            found.extend((i, x, y) for x, y in sorted(rest.pop(i, ())))
             if len(found) >= witness_cap:
                 break
         found = found[:witness_cap]
@@ -633,11 +665,11 @@ def burnside_irreducible(ops, n: int, field: Field) -> bool:
     """True iff the unital associative algebra generated by the operators
     is all of End(k^n), certified by span closure (Burnside): the tests'
     reference for Norton's test, over GF(p) only (ValueError over Q).
-    The n x n operators hold integers, read mod p."""
+    The n x n operators are read by exact_array: a float raises TypeError."""
     p = field.p
     if not p:
         raise ValueError("the Burnside closure runs over GF(p) only")
-    gens = [np.asarray(M, dtype=np.int64) % p for M in ops]
+    gens = [exact_array(M, p).reshape(n, n) for M in ops]
     seeds = np.stack([np.eye(n, dtype=np.int64), *gens]).reshape(len(gens) + 1, n * n)
 
     def images(wave):           # one block per generator: the wave times it

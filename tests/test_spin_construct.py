@@ -151,21 +151,23 @@ def test_shared_jacobi_rows_agree_with_each_field_own_scan(kind, l):
 
 
 def test_jacobi_rows_are_scanned_once_and_on_first_use(monkeypatch):
-    rows = []
-    scan = superalgebra._scan_one_i
+    blocks = []
+    scan = superalgebra._scan_rows
 
-    def spy(mats, i):
-        rows.append(i)
-        return scan(mats, i)
+    def spy(mats, i0, i1):
+        blocks.append((i0, i1))
+        return scan(mats, i0, i1)
 
-    monkeypatch.setattr(superalgebra, "_scan_one_i", spy)
+    monkeypatch.setattr(superalgebra, "_scan_rows", spy)
     construct._jacobi_rows.cache_clear()
     build_superalgebra(5, "B", GF(5))
     tits.cross_identify_with_typeB(GF(5))
-    assert rows == []
+    assert blocks == []
     for f in (QQ, GF(3), GF(5), GF(7)):
         classify(8, "D", f)
-    assert rows == list(range(248))
+    # contiguous ascending blocks that hold every row of D8 once
+    assert all(i0 < i1 for i0, i1 in blocks)
+    assert [i for i0, i1 in blocks for i in range(i0, i1)] == list(range(248))
 
 
 def _paper_triple(l, kind, r):

@@ -9,7 +9,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from spinlab import superalgebra
+from spinlab import construct, superalgebra
 from spinlab.fields import QQ, GF, make_field
 from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   check_jacobi, derived_algebra,
@@ -19,7 +19,7 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   verify_isomorphism, VerificationFailed,
                                   _block, _brackets_into, _eigenvalues,
                                   _largest_ideal_inside,
-                                  _scan_matrices, _scan_one_i,
+                                  _scan_matrices, _scan_one_i, _scan_rows,
                                   _spin, _witness_entry)
 from spinlab.construct import build_superalgebra, classify, decompose_type_d_l2
 from spinlab.tits import build_tits, tits_model
@@ -111,19 +111,38 @@ def content(A, t):
     return gcd(*(int(c) for c in coeffs))
 
 
+def scan_rows(A, size):
+    """Every row of A's scan, from _scan_rows over blocks of size rows."""
+    mats, n = _scan_matrices(A), A.dim
+    rows = [row for i0 in range(0, n, size)
+            for row in _scan_rows(mats, i0, min(i0 + size, n))]
+    assert len(rows) == n
+    return rows
+
+
+def block_sizes(A):
+    """Blocks of 1, 2 and 3 rows, and one block of all rows."""
+    return (1, 2, 3, A.dim)
+
+
 def test_scanner_agrees_with_brute_force_on_random_tables():
     for seed, f, sym in itertools.product(range(8), (QQ, GF(3), GF(5), GF(7)),
                                           (False, True)):
         A = random_algebra(seed * 10 + sym, f, sym)
         key = (seed, f.p, sym)
         want = brute_force_triples(A)
-        # each row yields the canonical triples i <= j <= z, each with the
+        # row i holds the canonical triples i <= j <= z, each with the
         # content of its sums
         mats = _scan_matrices(A)
-        rows = [row for i in range(6) for row in _scan_one_i(mats, i)]
-        assert [t for t, _ in rows] == [t for t in want if t[0] <= t[1] <= t[2]], key
-        for t, g in rows:
+        rows = [_scan_one_i(mats, i) for i in range(6)]
+        assert all(t[0] == i for i, row in enumerate(rows) for t, _ in row), key
+        found = [entry for row in rows for entry in row]
+        assert [t for t, _ in found] == [t for t in want if t[0] <= t[1] <= t[2]], key
+        for t, g in found:
             assert g == content(A, t) > 0, key + (t,)
+        # a block of rows yields the same rows, parities mixed or not
+        for size in block_sizes(A):
+            assert scan_rows(A, size) == rows, key + (size,)
         # check_jacobi expands them to every ordered triple, in order
         full = check_jacobi(A, "full", witness_cap=10 ** 6)
         assert witness_triples(full) == want, key
@@ -193,10 +212,10 @@ def test_scan_past_the_int64_bound_sums_python_ints(exponent):
     want = brute_force_triples(bad)
     assert want
     assert witness_triples(check_jacobi(bad, "full", witness_cap=10 ** 6)) == want
-    mats = _scan_matrices(bad)
-    rows = [row for i in range(bad.dim) for row in _scan_one_i(mats, i)]
-    assert [t for t, _ in rows] == [t for t in want if t[0] <= t[1] <= t[2]]
-    assert all(g == content(bad, t) for t, g in rows)
+    for size in block_sizes(bad):
+        found = [entry for row in scan_rows(bad, size) for entry in row]
+        assert [t for t, _ in found] == [t for t in want if t[0] <= t[1] <= t[2]]
+        assert all(g == content(bad, t) for t, g in found)
 
 
 def test_scan_is_exact_far_past_the_int64_bound():
@@ -206,6 +225,8 @@ def test_scan_is_exact_far_past_the_int64_bound():
     assert all(vals.dtype == object for vals in scan_values(A))
     assert check_jacobi(A, "full").jacobi_pass
     assert brute_force_triples(A) == []
+    for size in block_sizes(A):
+        assert scan_rows(A, size) == [()] * 3
 
 
 def test_scan_reports_exact_witnesses_far_past_the_int64_bound():
@@ -217,10 +238,47 @@ def test_scan_reports_exact_witnesses_far_past_the_int64_bound():
     assert want
     r = check_jacobi(A, "full", witness_cap=10 ** 6)
     assert not r.jacobi_pass and witness_triples(r) == want
-    mats = _scan_matrices(A)
-    rows = [row for i in range(A.dim) for row in _scan_one_i(mats, i)]
-    assert rows == [((E, H, F), 2 ** 300 - 2)]
+    for size in block_sizes(A):
+        assert scan_rows(A, size) == [(((E, H, F), 2 ** 300 - 2),), (), ()]
     assert content(A, (E, H, F)) == 2 ** 300 - 2
+
+
+def test_b7_scan_stops_in_the_block_of_its_first_failing_row(monkeypatch):
+    # over Q the first nonzero triples of B7 lie in row 105, and its 10
+    # witnesses are in once that row is: no block starts past it
+    blocks = []
+    scan = superalgebra._scan_rows
+
+    def spy(mats, i0, i1):
+        blocks.append((i0, i1))
+        return scan(mats, i0, i1)
+
+    monkeypatch.setattr(superalgebra, "_scan_rows", spy)
+    construct._jacobi_rows.cache_clear()
+    r = check_jacobi(build_superalgebra(7, "B", QQ))
+    assert not r.jacobi_pass and r.witness_count == 10
+    last, end = blocks[-1]
+    assert last <= 105 < end
+    assert [i for a, b in blocks for i in range(a, b)] == list(range(end))
+    rows = construct._jacobi_rows(7, "B")
+    assert not any(rows.row(i) for i in range(105)) and rows.row(105)
+
+
+def four_top(n):
+    """A failing four-dimensional table on the top four of n indices."""
+    h, e, f, z = range(n - 4, n)
+    br = {(h, e): {e: 2}, (h, f): {f: -2}, (e, f): {h: 1, z: 1}, (z, e): {e: 1}}
+    return SuperAlgebra("four_top", QQ, n, 0, [""] * n, br, odd_symmetric=False)
+
+
+def test_scan_refuses_a_dimension_past_the_int64_key_bound():
+    assert not check_jacobi(four_top(4)).jacobi_pass
+    # n^3 >= 2^63: the scan's int64 keys of (i, j, k) would wrap, and once
+    # reported "a vanishing witness" for this table
+    A = four_top((1 << 21) + 8)
+    for scan in (_scan_matrices, check_jacobi):
+        with pytest.raises(ValueError, match=r"n\^3 < 2\^63"):
+            scan(A)
 
 
 def test_verdict_tables_scan_on_int64_values():
@@ -392,6 +450,9 @@ def test_burnside_certificate():
     # the reference of Norton's test runs over GF(p) only, as Norton's does
     with pytest.raises(ValueError, match="GF\\(p\\) only"):
         burnside_irreducible([e, fm, h], 2, QQ)
+    # a float is refused, not truncated: 0.5 was once read as 0
+    with pytest.raises(TypeError, match="inexact value 0.5"):
+        burnside_irreducible([[[0.5]]], 1, GF(5))
 
 
 def test_equivariant_dim_for_sl2_two_dim_rep():
