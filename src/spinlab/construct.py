@@ -160,11 +160,11 @@ def _integer_tensor(l: int, kind: str):
     scale, the lcm of the odd-odd denominators: [e_i, e_j] has coefficient
     V / scale at e_k (i, j and k basis indices, odd ones shifted by
     n0 = dim so).  The so, spin and odd-odd blocks are concatenated in
-    both orders; no (i, j, k) may occur twice, and every bracket is
-    checked against its mirror, with the symmetry the kind and l dictate
-    (VerificationFailed otherwise, odd-odd pairs named by module index),
-    before the i > j half is dropped; over Z this implies the symmetry mod
-    every p.
+    both orders and handed to superalgebra._stored_half, which refuses an
+    (i, j, k) given twice and checks every bracket against its other
+    order, with the symmetry the kind and l dictate (VerificationFailed,
+    naming the pair by basis index), before the i > j half is dropped;
+    over Z this implies the symmetry mod every p.
     """
     _check_kind(l, kind)
     n0 = so_dim(l, kind)
@@ -174,31 +174,12 @@ def _integer_tensor(l: int, kind: str):
     scale = int(np.lcm.reduce(np.abs(den) // np.gcd(num, den), initial=1))
     k1, k2, k3, c = so_bracket_table(l, kind)
     rho = rho.astype(np.int64) * scale
-    I = np.concatenate([k1, a, n0 + s, n0 + si])
-    J = np.concatenate([k2, n0 + s, a, n0 + ti])
-    K = np.concatenate([k3, n0 + t, n0 + t, ks])
-    V = np.concatenate([c * scale, rho, -rho, num * scale // den])
-    key = (I * n + J) * n + K
-    order = np.argsort(key, kind="stable")
-    I, J, K, V, key = I[order], J[order], K[order], V[order], key[order]
-    bad = np.flatnonzero(key[1:] == key[:-1])
-    if bad.size:
-        i, j, k = I[bad[0]], J[bad[0]], K[bad[0]]
-        raise VerificationFailed(f"bracket ({i}, {j}) of kind {kind}, l={l} "
-                                 f"is given twice at component {k}")
-    both_odd = (I >= n0) & (J >= n0)
-    want = np.where(both_odd & bracket_is_symmetric(l, kind), V, -V)
-    mirror = (J * n + I) * n + K
-    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
-    bad = np.flatnonzero((key[at] != mirror) | (V[at] != want))
-    if bad.size:
-        x = bad[0]
-        odd = bool(both_odd[x])
-        raise VerificationFailed(
-            f"{'odd product' if odd else 'bracket'} symmetry fails "
-            f"for kind {kind}, l={l} at ({I[x] - n0 * odd}, "
-            f"{J[x] - n0 * odd}), component {K[x]}")
-    out = [x[I <= J] for x in (I, J, K, V)]
+    out = _super._stored_half(np.concatenate([k1, a, n0 + s, n0 + si]),
+                              np.concatenate([k2, n0 + s, a, n0 + ti]),
+                              np.concatenate([k3, n0 + t, n0 + t, ks]),
+                              np.concatenate([c * scale, rho, -rho,
+                                              num * scale // den]),
+                              n0, n, 0, bracket_is_symmetric(l, kind))
     for x in out:
         x.setflags(write=False)
     return (*out, scale)

@@ -71,9 +71,12 @@ class SuperAlgebra:
     """Z2-graded algebra over an exact field, defined by an ordered basis
     (even part first), per-index parity, and sparse structure constants.
     bracket maps (i, j), either order, to {k: value}; ValueError when the
-    two orders of one pair are both given and disagree.  _jacobi holds the
-    Jacobi rows build_superalgebra shares among the fields of one (kind,
-    l); when it is None, check_jacobi scans the algebra's own table."""
+    two orders of one pair are both given and disagree.  coo holds the
+    stored half (i <= j, sorted by (i, j, k), no zero, each (i, j, k) once)
+    and then its mirror; the dimension n has n^3 < 2^63 (_store).  _jacobi
+    holds the Jacobi rows build_superalgebra shares among the fields of
+    one (kind, l); when it is None, check_jacobi scans the algebra's own
+    table."""
 
     __slots__ = ("name", "field", "n0", "n1", "labels", "odd_symmetric",
                  "coo", "_table", "_pair_keys", "_rows", "_jacobi")
@@ -115,8 +118,12 @@ class SuperAlgebra:
     def _store(self, name, field, n0, n1, labels, coo, odd_symmetric):
         """Fill the slots from coo = (I, J, K, V, scale), the stored brackets
         (i <= j, no (i, j, k) twice): [e_i, e_j] has V / scale at e_k, V
-        being residues and scale 1 over GF(p)."""
+        being residues and scale 1 over GF(p).  ValueError unless n^3 <
+        2^63, the bound of every int64 key read off coo: (i*n + j)*n + k in
+        the sort here and in the Jacobi scan, i*n + j for the pairs."""
         n = n0 + n1
+        if int(n) ** 3 >= 1 << 63:
+            raise ValueError(f"dimension {n}: the int64 keys need n^3 < 2^63")
         self.name, self.field, self.n0, self.n1 = name, field, n0, n1
         self.labels = labels = tuple(labels)
         if len(labels) != n:
@@ -293,6 +300,34 @@ class SuperAlgebra:
                 f"dims=({self.n0},{self.n1}))")
 
 
+def _stored_half(I, J, K, V, n0: int, n: int, p: int, odd_symmetric: bool):
+    """The i <= j half, sorted by (i, j, k), of a builder's entries given in
+    both orders ([e_i, e_j] has V at e_k; n0 of the n basis elements even;
+    V residues mod p, or exact values for p = 0).  VerificationFailed when
+    an (i, j, k) is given twice, or when the other order of an entry is
+    missing or breaks [e_j, e_i] = s [e_i, e_j], s = +1 only for two odd
+    elements of an odd_symmetric algebra (a diagonal entry is its own
+    other order).  The int64 keys need n^3 < 2^63, as _store does."""
+    key = (I * n + J) * n + K
+    order = np.argsort(key, kind="stable")
+    I, J, K, V, key = I[order], J[order], K[order], V[order], key[order]
+    odd = (I >= n0) & (J >= n0)
+    mirror = (J * n + I) * n + K
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    want = _red(np.where(odd & odd_symmetric, V, -V), p)
+    twice = np.flatnonzero(key[1:] == key[:-1])
+    bad = np.flatnonzero((key[at] != mirror) | (V[at] != want))
+    for found, what in ((twice, "{} ({},{}) is given twice at component {}"),
+                        (bad, "{} symmetry fails: inconsistent bracket orders "
+                              "for ({},{}) at component {}")):
+        if found.size:
+            x = found[0]
+            raise VerificationFailed(what.format(
+                "odd product" if odd[x] else "bracket", I[x], J[x], K[x]))
+    keep = I <= J
+    return I[keep], J[keep], K[keep], V[keep]
+
+
 def _canonical_hash(d: dict) -> str:
     body = {k: v for k, v in d.items() if k != "content_hash"}
     blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
@@ -365,13 +400,10 @@ def _scan_matrices(A: SuperAlgebra):
     and as Python ints in an object array past that bound.  By first
     index: s = first, a = second, b = target.  By target: s = target, a =
     first, b = second, stored orientation (first <= second) only.  By
-    second index: s = second, a = first, b = target.  ValueError when
-    n^3 >= 2^63, past which the int64 keys of the scan would wrap.
+    second index: s = second, a = first, b = target.  Every SuperAlgebra
+    has n^3 < 2^63 (_store), so no int64 key of the scan wraps.
     """
     n, p = A.dim, A.field.p
-    if n ** 3 >= 1 << 63:
-        raise ValueError(f"dimension {n} is past the int64 key bound of the "
-                         "Jacobi scan: it needs n^3 < 2^63")
     I, J, K, V, _ = A.coo
     if not p and V.size and 3 * n * int(np.abs(V).max()) ** 2 >= 1 << 63:
         V = V.astype(object)
@@ -524,8 +556,8 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     they are added in sorted order.  Rows are scanned in blocks of
     consecutive rows, one vectorised pass each, on first request
     (_JacobiRows), so a failing cell stops within the block of the row
-    that brings its last witness.  The scan keys each term in int64, so
-    any algebra with n^3 >= 2^63 raises ValueError.
+    that brings its last witness.  The scan keys each term in int64, below
+    the n^3 < 2^63 that every SuperAlgebra keeps (_store).
 
     An algebra from build_superalgebra, over any field, reads the rows of
     the Q table of its (kind, l), scanned once over the integers.  Over

@@ -27,8 +27,9 @@ linalg.matmul_exact (matmul_modp over GF(p)).  The der C tables come from
 the integer tables of C by contraction, the inder J tables from the Kac
 table, and each coordinate read is checked by rebuilding the matrix it
 came from.  build_tits applies the rules to whole tables, one block of
-slot kinds at a time, and stores the result as COO arrays once the two
-orders of every pair, each from its own rule, have been found to agree;
+slot kinds at a time, and hands both orders of every pair, each from its
+own rule, to superalgebra._stored_half, which checks them against each
+other and refuses an entry given twice before the table is stored;
 tits_bracket applies them to one pair, as the reference for the tests.
 
 The characteristic-5 identification (build_so_MQ, phi0, spin_map_psi,
@@ -66,7 +67,8 @@ from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
 from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
                            ideal_closure, verify_isomorphism,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
-                           _norton_word, _nullity_one_elements, _spin)
+                           _norton_word, _nullity_one_elements, _spin,
+                           _stored_half)
 from .clifford import (ambient_space, qpair, pair_basis, nat_entries,
                        DegenerateForm)
 from .construct import build_superalgebra
@@ -323,35 +325,15 @@ def _outer(a, b, p):
             _red(a[ia][ra] * b[ib][rb], p))
 
 
-def _checked_orders(I, J, K, V, n0, n, p):
-    """The entries with I <= J, once every entry with I != J has been paired
-    with one of the other order by [e_j, e_i] = s·[e_i, e_j], s = +1 for
-    two odd elements and −1 otherwise (VerificationFailed, naming the
-    first pair that fails, when one is not); n0 even of n basis elements."""
-    off, lo = I != J, I > J
-    key = (np.where(lo, J * n + I, I * n + J) * n + K)[off]
-    val = np.where(lo & ((I < n0) | (J < n0)), _red(-V, p), V)[off]
-    order = np.lexsort((lo[off], key))
-    key, val, lo = key[order], val[order], lo[off][order]
-    if key.size % 2:                     # an unpaired entry; pad the last pair
-        key, val, lo = np.append(key, -1), np.append(val, 0), np.append(lo, False)
-    bad = np.flatnonzero((key[::2] != key[1::2]) | (val[::2] != val[1::2])
-                         | lo[::2] | ~lo[1::2])
-    if bad.size:
-        i, j = divmod(int(key[2 * bad[0]]) // n, n)
-        raise VerificationFailed(f"inconsistent bracket orders for ({i},{j})")
-    keep = I <= J
-    return I[keep], J[keep], K[keep], V[keep]
-
-
 @lru_cache(maxsize=None)
 def build_tits(kind, field: Field) -> SuperAlgebra:
     """Structure constants of T(C, Kac) over the ordered pinned basis.
 
     The rules of tits_bracket are applied to whole tables, one block of
     slot kinds at a time, as sparse outer products.  Both orders of every
-    pair come from the rules, and _checked_orders compares them before
-    the table is stored.
+    pair come from the rules, and superalgebra._stored_half checks them
+    against each other (and refuses an entry given twice) before the
+    table is stored.
     """
     m = tits_model(kind, field)
     p = field.p
@@ -381,8 +363,8 @@ def build_tits(kind, field: Field) -> SuperAlgebra:
     (x, y, k), (a, b), v = _outer(m.LL, _red(-2 * m.npol, p), p)
     blocks.append((mid[a, x], mid[b, y], inj[k], v))
 
-    I, J, K, V = _checked_orders(*map(np.concatenate, zip(*blocks)), m.n0,
-                                 m.n0 + m.n1, p)
+    I, J, K, V = _stored_half(*map(np.concatenate, zip(*blocks)), m.n0,
+                              m.n0 + m.n1, p, True)
     V, scale = common_denominator(V) if not p else (V, 1)
     return SuperAlgebra._from_coo(f"T({kind})", field, m.n0, m.n1, m.labels,
                                   (I, J, K, V, scale), odd_symmetric=True)
@@ -452,8 +434,10 @@ def build_so_MQ(field: Field) -> SoMQ:
     Q restricted to C⁰ is the negated polar norm (TitsModel.npol); on U⊗U
     it is Q(u₁⊗u₂, v₁⊗v₂) = -(u₁|v₁)(u₂|v₂); the blocks are orthogonal.
     The brackets are read off the matrix commutators [σ_a, σ_b] in closed
-    form; VerificationFailed, naming the pair, when a commutator leaves
-    so(M, Q) or its coordinates do not rebuild it.
+    form, both orders of every pair; VerificationFailed, naming the pair,
+    when a commutator leaves so(M, Q) or its coordinates do not rebuild
+    it, and from superalgebra._stored_half when [σ_b, σ_a] is not
+    −[σ_a, σ_b] coordinate by coordinate.
     """
     _require_char5(field)
     f = field
@@ -488,11 +472,11 @@ def build_so_MQ(field: Field) -> SoMQ:
             if bad.any():
                 raise VerificationFailed(f"sigma commutator at pairs {pairs[a]},"
                                          f"{pairs[int(np.argmax(bad))]} {what}")
-    I, J, K = np.nonzero(coords * np.triu(np.ones((d, d), dtype=np.int64))[..., None])
+    I, J, K = np.nonzero(coords)
+    I, J, K, V = _stored_half(I, J, K, coords[I, J, K], d, d, p, False)
     labels = [f"s{i},{j}" for i, j in pairs]
     algebra = SuperAlgebra._from_coo("so(M,Q)", f, d, 0, labels,
-                                     (I, J, K, coords[I, J, K], 1),
-                                     odd_symmetric=False)
+                                     (I, J, K, V, 1), odd_symmetric=False)
     return SoMQ(f, _frozen(gram), _frozen(ginv), pairs, pair_index,
                 _frozen(mats), algebra)
 

@@ -228,3 +228,36 @@ def test_the_char5_identification_draws_no_random_numbers():
                 found += [f"{name}:{node.lineno} takes {a.arg}" for a in params
                           if a.arg == "seed"]
     assert not found, found
+
+
+def test_built_tables_pass_one_both_orders_gate():
+    # the builders hand both orders of every bracket to
+    # superalgebra._stored_half: tits.py and construct.py sort no entries
+    # and word no order check of their own.  The n^3 < 2^63 refusal of a
+    # table is made once, in SuperAlgebra._store; construct._check_key_bound
+    # refuses an l in closed form before anything is built.
+    gate = {"construct.py": {"_integer_tensor"},
+            "tits.py": {"build_tits", "build_so_MQ"}}
+    found, refusals = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                     for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            if fn.name in gate.get(path.name, ()) and "_stored_half" not in calls:
+                found.append(f"{path.name} {fn.name} does not call _stored_half")
+            words = {str(c.value) for node in ast.walk(fn)
+                     if isinstance(node, ast.Raise) for c in ast.walk(node)
+                     if isinstance(c, ast.Constant)}
+            if path.name in gate:
+                found += [f"{path.name} {fn.name} calls {name}"
+                          for name in ("argsort", "lexsort") if name in calls]
+                found += [f"{path.name} {fn.name} raises {w!r}" for w in words
+                          if "given twice" in w or "bracket orders" in w]
+            if any("n^3 < 2^63" in w for w in words):
+                refusals.add((path.name, fn.name))
+    assert not found, found
+    assert refusals == {("superalgebra.py", "_store"),
+                        ("construct.py", "_check_key_bound")}, refusals

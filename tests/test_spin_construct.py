@@ -500,6 +500,18 @@ def test_an_entry_given_twice_is_refused(monkeypatch):
             np.concatenate([a, a[:1]]) for a in arrays))
 
 
+@pytest.mark.parametrize("block", ["so_bracket_table", "_odd_products"])
+def test_an_entry_without_its_other_order_is_refused(block, monkeypatch):
+    # both blocks list the two orders of a pair as entries of their own
+    def drop_one_off_diagonal(arrays):
+        x = np.flatnonzero(arrays[0] != arrays[1])[0]
+        return tuple(np.delete(a, x) for a in arrays)
+
+    with pytest.raises(VerificationFailed,
+                       match=r"symmetry fails: inconsistent bracket orders"):
+        _build_with_tampered_block(monkeypatch, block, drop_one_off_diagonal)
+
+
 def test_build_does_no_per_monomial_work(monkeypatch):
     calls = []
     modules = [m for name, m in sys.modules.items() if name.startswith("spinlab")]

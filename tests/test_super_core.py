@@ -273,12 +273,31 @@ def four_top(n):
 
 def test_scan_refuses_a_dimension_past_the_int64_key_bound():
     assert not check_jacobi(four_top(4)).jacobi_pass
-    # n^3 >= 2^63: the scan's int64 keys of (i, j, k) would wrap, and once
-    # reported "a vanishing witness" for this table
-    A = four_top((1 << 21) + 8)
-    for scan in (_scan_matrices, check_jacobi):
+    # n^3 >= 2^63: the int64 keys of (i, j, k) would wrap, in the scan and
+    # in the sort of the stored table, so the algebra is refused when made
+    with pytest.raises(ValueError, match=r"n\^3 < 2\^63"):
+        four_top((1 << 21) + 8)
+
+
+def test_a_table_past_the_int64_key_bound_is_refused_when_made():
+    # for n = 2^21 + 8 the sort key (i*n + j)*n + k of the stored table
+    # wraps: stored, the table would read {n-2: 5, n-40: 1} for the first
+    # pair and {} for the second.  2^21 is the first n with n^3 >= 2^63.
+    for n in ((1 << 21) + 8, 1 << 21):
+        a, b, c, d = n - 40, n - 39, n - 2, n - 1
         with pytest.raises(ValueError, match=r"n\^3 < 2\^63"):
-            scan(A)
+            SuperAlgebra("wrap", QQ, n, 0, [""] * n,
+                         {(a, b): {a: 1}, (c, d): {c: 5}}, odd_symmetric=False)
+        with pytest.raises(ValueError, match=r"n\^3 < 2\^63"):
+            SuperAlgebra._from_coo("wrap", GF(7), n, 0, [""] * n,
+                                   ([a, c], [b, d], [a, c], [1, 5], 1),
+                                   odd_symmetric=False)
+    n = (1 << 21) - 1
+    a, b, c, d = n - 40, n - 39, n - 2, n - 1
+    A = SuperAlgebra("edge", QQ, n, 0, [""] * n,
+                     {(a, b): {a: 1}, (c, d): {c: 5}}, odd_symmetric=False)
+    assert A.bracket_terms(a, b) == {a: 1} and A.bracket_terms(c, d) == {c: 5}
+    assert A.bracket_terms(d, c) == {c: -5}
 
 
 def test_verdict_tables_scan_on_int64_values():
@@ -753,6 +772,35 @@ def test_verify_isomorphism_with_odd_rescaling():
         assert verify_isomorphism(M, A, B) is False
 
 
+def s_squared(f, c):
+    """The (1 | 1) odd-symmetric algebra with [s, s] = c h."""
+    return SuperAlgebra("ss", f, 1, 1, ["h", "s"], {(1, 1): {0: c}},
+                        odd_symmetric=True)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)])
+def test_verify_isomorphism_refuses_a_singular_homomorphism(f):
+    # the zero map of the one-dimensional abelian algebra preserves every
+    # bracket, but it is not bijective
+    Z = SuperAlgebra("Z", f, 1, 0, ["z"], {}, odd_symmetric=False)
+    assert verify_isomorphism([[1]], Z, Z)
+    assert verify_isomorphism([[0]], Z, Z) is False
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)])
+def test_verify_isomorphism_compares_the_last_diagonal_bracket(f):
+    # the two algebras differ only at [s, s], s the last basis element
+    A, B = s_squared(f, 1), s_squared(f, 2)
+    assert verify_isomorphism([[1, 0], [0, 1]], A, A)
+    assert verify_isomorphism([[1, 0], [0, 1]], A, B) is False
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)])
+def test_derived_algebra_reads_the_diagonal_brackets(f):
+    # [A, A] = <h> comes from [s, s] alone
+    assert derived_algebra(s_squared(f, 1)) == [[1, 0]]
+
+
 SL2_NATURAL = [[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]]          # e, h, f
 SL2_ADJOINT = [[[0, -2, 0], [0, 0, 1], [0, 0, 0]],
                [[2, 0, 0], [0, 0, 0], [0, 0, -2]],
@@ -903,6 +951,14 @@ def test_spin_matches_the_one_image_at_a_time_closure(p, monkeypatch):
     vec, mats = spin_cases(p)[1]
     _spin(vec, mats, p)
     assert sizes[1] == (9, len(mats))
+
+
+def test_norton_spins_the_dual_kernel():
+    # diag(1, 2) and e_12 fix the line of e_1 in GF(3)^2.  The kernel v of
+    # the first theta of nullity 1 spins to all of GF(3)^2, so only the
+    # spin of w, the kernel of theta^T, under the transposes finds it
+    assert norton_irreducible([np.diag([1, 2]), [[0, 1], [0, 0]]], 2, 3) == (
+        "failed", 1)
 
 
 def test_norton_one_dimensional_and_empty_inputs():

@@ -114,28 +114,84 @@ def test_assembled_table_matches_the_rule_reference(kind, field):
             assert A.bracket_terms(i, j) == tits_bracket(m, i, j), (i, j)
 
 
-def _flip_one_entry(table, p):
-    """A copy of a rule table with one off-diagonal nonzero entry negated
-    (off-diagonal in its first two axes, so that the two bracket orders of
-    some pair read different entries)."""
+def _flip_one_entry(table, p, to=lambda v: -v):
+    """A copy of a rule table with one off-diagonal nonzero entry v set to
+    to(v) mod p, negated by default (off-diagonal in its first two axes,
+    so that the two bracket orders of some pair read different entries)."""
     out = np.array(table)
     hot = np.argwhere(out != 0)
     at = tuple(next(ix for ix in hot if ix[0] != ix[1]))
-    out[at] = (-out[at]) % p
+    out[at] = to(out[at]) % p
     return out
 
 
-@pytest.mark.parametrize("name", ["DD", "Dab", "comm_cz", "dd", "LL", "t_tab"])
+def _build_with_tampered_table(monkeypatch, name, to=lambda v: -v):
+    """The uncached octonion build over GF(5) from a model whose table
+    name has one entry changed by _flip_one_entry."""
+    model = tits.TitsModel("octonion", F5)
+    setattr(model, name, _flip_one_entry(getattr(model, name), 5, to))
+    monkeypatch.setattr(tits, "tits_model", lambda kind, field: model)
+    return build_tits.__wrapped__("octonion", F5)
+
+
+RULE_TABLES = ["DD", "Dab", "comm_cz", "dd", "LL", "t_tab"]
+
+
+@pytest.mark.parametrize("name", RULE_TABLES)
 def test_a_flipped_rule_entry_is_refused(name, monkeypatch):
     # the two bracket orders come from their own rules; negating one entry
     # of a table that the two orders read at different places must be
     # caught by the cross-check of build_tits
-    model = tits.TitsModel("octonion", F5)
-    setattr(model, name, _flip_one_entry(getattr(model, name), 5))
-    monkeypatch.setattr(tits, "tits_model", lambda kind, field: model)
     with pytest.raises(VerificationFailed,
                        match=r"inconsistent bracket orders for \(\d+,\d+\)"):
-        build_tits.__wrapped__("octonion", F5)      # the uncached build
+        _build_with_tampered_table(monkeypatch, name)
+
+
+@pytest.mark.parametrize("name", RULE_TABLES)
+def test_a_rule_entry_missing_in_one_order_is_refused(name, monkeypatch):
+    # zeroing the entry instead leaves a component in one order only
+    with pytest.raises(VerificationFailed,
+                       match=r"inconsistent bracket orders for \(\d+,\d+\)"):
+        _build_with_tampered_table(monkeypatch, name, to=lambda v: 0)
+
+
+def test_a_diagonal_entry_given_twice_is_refused(monkeypatch):
+    # [s, s] of an odd s is its own other order, so only the duplicate
+    # check sees it twice; stored twice, bracket_terms would read one copy
+    # and the Jacobi scan would sum both (4 + 4 = 3 mod 5)
+    gate = tits._stored_half
+
+    def doubled(I, J, K, V, *rest):
+        x = np.flatnonzero(I == J)[:1]
+        return gate(*(np.concatenate([a, a[x]]) for a in (I, J, K, V)), *rest)
+
+    monkeypatch.setattr(tits, "_stored_half", doubled)
+    with pytest.raises(VerificationFailed,
+                       match=r"^odd product \((\d+),\1\) is given twice"):
+        build_tits.__wrapped__("octonion", F5)
+
+
+def test_a_sigma_coordinate_flipped_in_one_order_is_refused(monkeypatch):
+    # [sigma_0, sigma_b] with its k-th coordinate negated is still in
+    # so(M, Q) and rebuilt from its coordinates; only the comparison with
+    # [sigma_b, sigma_0] sees it
+    somq, commutators, flipped = build_so_MQ(F5), tits._commutators, []
+
+    def tampered(x, X, p):
+        com = commutators(x, X, p)
+        if not flipped:
+            c = somq.coords(com)[0]
+            b, k = np.argwhere(c)[0]
+            com[b] = (com[b] - 2 * c[b, k] * somq.mats[k]) % p
+            flipped.append((b, k))
+        return com
+
+    monkeypatch.setattr(tits, "_commutators", tampered)
+    with pytest.raises(VerificationFailed) as caught:
+        build_so_MQ.__wrapped__(F5)
+    b, k = flipped[0]
+    assert str(caught.value) == ("bracket symmetry fails: inconsistent bracket "
+                                 f"orders for (0,{b}) at component {k}")
 
 
 @pytest.mark.parametrize("name,at,witness", [("Dcz", (0, 0, 4), (0, 3, 14)),
