@@ -347,11 +347,7 @@ class SpinOperator:
             if m not in self._mset:
                 raise ValueError(f"monomial mask {m} outside operator domain")
             for r, w in self.cols.get(m, {}).items():
-                val = f.add(out.get(r, f.zero()), f.mul(w, v))
-                if f.is_zero(val):
-                    out.pop(r, None)
-                else:
-                    out[r] = val
+                f.add_into(out, r, f.mul(w, v))
         return Multivector(self.l, f, out)
 
     def __add__(self, other: "SpinOperator") -> "SpinOperator":
@@ -361,11 +357,7 @@ class SpinOperator:
         for c, col in other.cols.items():
             dst = cols.setdefault(c, {})
             for r, w in col.items():
-                v = f.add(dst.get(r, f.zero()), w)
-                if f.is_zero(v):
-                    dst.pop(r, None)
-                else:
-                    dst[r] = v
+                f.add_into(dst, r, w)
             if not dst:
                 del cols[c]
         return SpinOperator(self.l, f, self.masks, cols)
@@ -396,11 +388,7 @@ class SpinOperator:
             dst = {}
             for k, w in col.items():
                 for r, w2 in self.cols.get(k, {}).items():
-                    v = f.add(dst.get(r, f.zero()), f.mul(w2, w))
-                    if f.is_zero(v):
-                        dst.pop(r, None)
-                    else:
-                        dst[r] = v
+                    f.add_into(dst, r, f.mul(w2, w))
             if dst:
                 cols[c] = dst
         return SpinOperator(self.l, f, self.masks, cols)
@@ -443,20 +431,10 @@ def lambda_op(l: int, field: Field, v_coeffs, f_coeffs) -> SpinOperator:
             bit = 1 << i
             if not f.is_zero(va[i]) and not m & bit:
                 w = va[i] if wedge_sign(bit, m) > 0 else f.neg(va[i])
-                r = m | bit
-                v = f.add(dst.get(r, f.zero()), w)
-                if f.is_zero(v):
-                    dst.pop(r, None)
-                else:
-                    dst[r] = v
+                f.add_into(dst, m | bit, w)
             if not f.is_zero(fa[i]) and m & bit:
                 w = fa[i] if _contract_sign(m, bit) > 0 else f.neg(fa[i])
-                r = m ^ bit
-                v = f.add(dst.get(r, f.zero()), w)
-                if f.is_zero(v):
-                    dst.pop(r, None)
-                else:
-                    dst[r] = v
+                f.add_into(dst, m ^ bit, w)
         if dst:
             cols[m] = dst
     return SpinOperator(l, field, range(1 << l), cols)
@@ -658,14 +636,9 @@ def rho_of(X: SoElement, parity: int = None) -> SpinOperator:
             if not c:
                 continue
             dst = cols.setdefault(m, {})
-            r = int(trow[m])
-            v = f.add(dst.get(r, f.zero()), f.mul(f.of_int(c), x))
-            if f.is_zero(v):
-                dst.pop(r, None)
-                if not dst:
-                    del cols[m]
-            else:
-                dst[r] = v
+            f.add_into(dst, int(trow[m]), f.mul(f.of_int(c), x))
+            if not dst:
+                del cols[m]
     op = SpinOperator(X.l, f, range(1 << X.l), cols)
     if parity is None:
         return op

@@ -84,6 +84,20 @@ def monomial_label(mask: int) -> str:
     return "".join(f"v{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def wedge_terms(f: Field, u: dict, v: dict) -> dict:
+    """The exterior product u ∧ v of two zero-free {mask: raw} dicts over
+    f, as such a dict.  The one exterior product of the package: it serves
+    Multivector.wedge and the Grassmann scalars of kac.ch3."""
+    out: dict = {}
+    for ma, va in u.items():
+        for mb, vb in v.items():
+            sg = wedge_sign(ma, mb)
+            if sg:
+                term = f.mul(va, vb)
+                f.add_into(out, ma | mb, term if sg > 0 else f.neg(term))
+    return out
+
+
 class Multivector:
     """Immutable element of the exterior algebra on l generators.
 
@@ -175,24 +189,10 @@ class Multivector:
     # -- multiplicative structure -----------------------------------------
 
     def wedge(self, other: "Multivector") -> "Multivector":
+        """self ∧ other, by wedge_terms on the coefficient dicts."""
         self._compat(other)
-        f = self.field
-        out: dict = {}
-        for ma, va in self.coeffs.items():
-            for mb, vb in other.coeffs.items():
-                sg = wedge_sign(ma, mb)
-                if not sg:
-                    continue
-                m = ma | mb
-                term = f.mul(va, vb)
-                if sg < 0:
-                    term = f.neg(term)
-                s = f.add(out.get(m, f.zero()), term)
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Multivector(self.l, f, out)
+        return Multivector(self.l, self.field,
+                           wedge_terms(self.field, self.coeffs, other.coeffs))
 
     def bar_involution(self) -> "Multivector":
         f = self.field

@@ -62,7 +62,10 @@ class Field:
 
     All methods operate on raw values (Fraction or int).  Fields compare
     equal iff they have the same characteristic, so the Q singleton below
-    and any GF(p) constructed twice interoperate.
+    and any GF(p) constructed twice interoperate.  The dictionary routes
+    (Multivector, SpinOperator, j_triple, the Grassmann envelope of kac)
+    keep sparse vectors as zero-free {key: raw} dicts and accumulate into
+    them through add_into alone.
     """
 
     __slots__ = ("p",)
@@ -115,6 +118,16 @@ class Field:
 
     def is_zero(self, a) -> bool:
         return not a
+
+    def add_into(self, acc: dict, key, value) -> None:
+        """Add the raw value into acc[key] of the zero-free dict acc: a sum
+        that vanishes removes the key, so a zero added to an absent key
+        leaves it absent."""
+        s = self.add(acc.get(key, self.zero()), value)
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
 
     # -- serialization ------------------------------------------------
 

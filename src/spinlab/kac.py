@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import wedge_sign
+from .exterior import wedge_sign, wedge_terms
 from .fields import Field, FieldMismatch
 from .linalg import RowSpaceModP, _red, exact_array, matmul_exact
 from .superalgebra import VerificationFailed
@@ -228,13 +228,19 @@ def inner_derivation_J(p: KacElement, q: KacElement) -> list:
     return flat.reshape(J_DIM - 1, J_DIM - 1).tolist()
 
 
+def _pair_products(X, p: int) -> np.ndarray:
+    """(d, d, n, n) array of X[a]·X[b] over all pairs of the stack X of
+    n x n exact arrays over the field of characteristic p, as one product."""
+    d, n, _ = X.shape
+    return matmul_exact(X.reshape(d * n, n), X.transpose(1, 0, 2).reshape(n, d * n),
+                        p).reshape(d, n, d, n).transpose(0, 2, 1, 3)
+
+
 def _supercommutators(X, odd, p: int) -> np.ndarray:
     """(d, d, n, n) array of [X_a, X_b] = X_a X_b - (-1)^{|a||b|} X_b X_a
     over all pairs of the stack X of n x n exact arrays over the field of
     characteristic p, odd[a] the parity of X_a."""
-    d, n, _ = X.shape
-    prod = matmul_exact(X.reshape(d * n, n), X.transpose(1, 0, 2).reshape(n, d * n),
-                        p).reshape(d, n, d, n).transpose(0, 2, 1, 3)
+    prod = _pair_products(X, p)
     swapped = prod.transpose(1, 0, 2, 3)
     out = np.where((odd[:, None] & odd[None, :])[:, :, None, None],
                    prod + swapped, prod - swapped)
@@ -334,11 +340,7 @@ class EnvelopeElement:
         f = self.field
         out = dict(self.terms)
         for key, c in other.terms.items():
-            v = f.add(out.get(key, f.zero()), c)
-            if f.is_zero(v):
-                out.pop(key, None)
-            else:
-                out[key] = v
+            f.add_into(out, key, c)
         return EnvelopeElement(self.m, f, out)
 
     def lam_scale(self, lam: dict) -> "EnvelopeElement":
@@ -353,13 +355,7 @@ class EnvelopeElement:
                 if not s:
                     continue
                 w = f.mul(c, v)
-                w = w if s > 0 else f.neg(w)
-                key = (gm | g, j)
-                t = f.add(out.get(key, f.zero()), w)
-                if f.is_zero(t):
-                    out.pop(key, None)
-                else:
-                    out[key] = t
+                f.add_into(out, (gm | g, j), w if s > 0 else f.neg(w))
         return EnvelopeElement(self.m, f, out)
 
     def __mul__(self, other):
@@ -369,17 +365,10 @@ class EnvelopeElement:
         return _envelope_product(self, other, _j_field_table(self.field))
 
     def lambda_trace(self) -> dict:
-        """The normalized trace extended Lambda-linearly: {mask: raw}."""
-        f = self.field
-        out = {}
-        for (g, j), c in self.terms.items():
-            if j == 0:
-                v = f.add(out.get(g, f.zero()), c)
-                if f.is_zero(v):
-                    out.pop(g, None)
-                else:
-                    out[g] = v
-        return out
+        """The normalized trace extended Lambda-linearly: {mask: raw}.  The
+        unit 1 = J_0 is the only basis element of trace 1, so this is the
+        J_0 part of the terms, each mask once and each value nonzero."""
+        return {g: c for (g, j), c in self.terms.items() if j == 0}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -418,31 +407,8 @@ def _envelope_product(a: EnvelopeElement, b: EnvelopeElement, tab):
             c = c if ws > 0 else f.neg(c)
             g = ga | gb
             for k, v in tab[ja][jb]:
-                key = (g, k)
-                t = f.add(out.get(key, f.zero()), f.mul(c, v))
-                if f.is_zero(t):
-                    out.pop(key, None)
-                else:
-                    out[key] = t
+                f.add_into(out, (g, k), f.mul(c, v))
     return EnvelopeElement(a.m, f, out)
-
-
-def _lam_mul(f: Field, u: dict, v: dict) -> dict:
-    out = {}
-    for ga, ca in u.items():
-        for gb, cb in v.items():
-            s = wedge_sign(ga, gb)
-            if not s:
-                continue
-            c = f.mul(ca, cb)
-            c = c if s > 0 else f.neg(c)
-            g = ga | gb
-            t = f.add(out.get(g, f.zero()), c)
-            if f.is_zero(t):
-                out.pop(g, None)
-            else:
-                out[g] = t
-    return out
 
 
 def ch3(x: EnvelopeElement) -> EnvelopeElement:
@@ -452,7 +418,9 @@ def ch3(x: EnvelopeElement) -> EnvelopeElement:
             - (t(x^3) - (9/2) t(x^2) t(x) + (9/2) t(x)^3) 1,
 
     with t extended Lambda-linearly; identically zero on G(J) exactly in
-    characteristic 5.
+    characteristic 5.  The traces are even Grassmann scalars, zero-free
+    {mask: raw} dicts, multiplied by exterior.wedge_terms, the product of
+    Multivector.wedge.
     """
     f = x.field
     x2 = x * x
@@ -462,19 +430,15 @@ def ch3(x: EnvelopeElement) -> EnvelopeElement:
     t3 = x3.lambda_trace()
     nine_half = f.raw(Fraction(9, 2))
     three_half = f.raw(Fraction(3, 2))
-    t1t1 = _lam_mul(f, t1, t1)
-    t1t1t1 = _lam_mul(f, t1t1, t1)
-    t2t1 = _lam_mul(f, t2, t1)
+    t1t1 = wedge_terms(f, t1, t1)
+    t1t1t1 = wedge_terms(f, t1t1, t1)
+    t2t1 = wedge_terms(f, t2, t1)
 
     def lam_comb(*pairs):
         acc = {}
         for coeff, lam in pairs:
             for g, c in lam.items():
-                v = f.add(acc.get(g, f.zero()), f.mul(coeff, c))
-                if f.is_zero(v):
-                    acc.pop(g, None)
-                else:
-                    acc[g] = v
+                f.add_into(acc, g, f.mul(coeff, c))
         return acc
 
     out = x3

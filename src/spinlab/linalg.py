@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, _is_prime
+from .fields import DivideByZero, Field, _is_prime
 
 
 def _red(a, p):
@@ -64,8 +64,9 @@ def exact_array(values, p: int) -> np.ndarray:
     """Integers and Fractions as an array over the field of characteristic
     p: int64 residues over GF(p), an object array of Fractions over Q.
     The result is always a new array.  A float or complex entry raises
-    TypeError, since its binary value is not the number meant; empty
-    input of any dtype is accepted."""
+    TypeError, since its binary value is not the number meant, and a
+    Fraction whose denominator p divides raises DivideByZero, as
+    Field.raw does; empty input of any dtype is accepted."""
     vals = np.asarray(values)
     if p and vals.dtype.kind in "iu":
         if vals.dtype == np.uint64:         # past 2^63 an int64 cast wraps
@@ -78,6 +79,9 @@ def exact_array(values, p: int) -> np.ndarray:
                             f"{v!r}: give integers or Fractions")
     flat = [Fraction(v) for v in vals.flat]
     if p:
+        for v in flat:
+            if not v.denominator % p:
+                raise DivideByZero(f"denominator of {v} vanishes in GF({p})")
         flat = [v.numerator * pow(v.denominator, -1, p) % p for v in flat]
     return np.array(flat, dtype=np.int64 if p else object).reshape(vals.shape)
 

@@ -79,7 +79,7 @@ class SuperAlgebra:
     table."""
 
     __slots__ = ("name", "field", "n0", "n1", "labels", "odd_symmetric",
-                 "coo", "_table", "_pair_keys", "_rows", "_jacobi")
+                 "coo", "_table", "_pair_keys", "_jacobi")
 
     def __init__(self, name: str, field: Field, n0: int, n1: int, labels,
                  bracket: dict, odd_symmetric: bool):
@@ -130,7 +130,6 @@ class SuperAlgebra:
             raise ValueError(f"need {n} labels, got {len(labels)}")
         self.odd_symmetric = odd_symmetric = bool(odd_symmetric)
         self._table = self._pair_keys = self._jacobi = None
-        self._rows = {}
         I, J, K, V, scale = coo
         I, J, K = (np.asarray(x, dtype=np.int64) for x in (I, J, K))
         if field.p:
@@ -184,25 +183,22 @@ class SuperAlgebra:
         return -1
 
     def bracket_terms(self, i: int, j: int) -> dict:
-        """[e_i, e_j] as a zero-free dict k -> raw coefficient.  The stored
-        row of a pair is read from coo by binary search on first use."""
-        pair = (min(i, j), max(i, j))
-        terms = self._rows.get(pair)
-        if terms is None:
-            I, J, K, V, scale = self.coo
-            if self._pair_keys is None:      # stored rows (i <= j) come sorted
-                stored = I <= J
-                self._pair_keys = I[stored] * self.dim + J[stored]
-            key = pair[0] * self.dim + pair[1]
-            lo, hi = np.searchsorted(self._pair_keys, (key, key + 1))
-            vals = V[lo:hi].tolist()
-            if not self.field.p:
-                vals = [Fraction(v, scale) for v in vals]
-            terms = self._rows[pair] = dict(zip(K[lo:hi].tolist(), vals))
+        """[e_i, e_j] as a new zero-free dict k -> raw coefficient, the
+        stored row of the pair read from coo by binary search on every call
+        (the pair keys i*n + j of the stored half are built on first use)."""
+        I, J, K, V, scale = self.coo
+        if self._pair_keys is None:      # stored rows (i <= j) come sorted
+            stored = I <= J
+            self._pair_keys = I[stored] * self.dim + J[stored]
+        key = min(i, j) * self.dim + max(i, j)
+        lo, hi = self._pair_keys.searchsorted((key, key + 1))
+        vals = V[lo:hi].tolist()
+        if not self.field.p:
+            vals = [Fraction(v, scale) for v in vals]
         if i > j and self._swap_sign(i, j) < 0:
             f = self.field
-            return {k: f.neg(v) for k, v in terms.items()}
-        return dict(terms)
+            vals = [f.neg(v) for v in vals]
+        return dict(zip(K[lo:hi].tolist(), vals))
 
     # No package code calls this (see _brackets_into); it stays as the tests'
     # reference and while the benchmark marks laps at it (ROADMAP item 1).
@@ -368,11 +364,7 @@ def j_triple(A: SuperAlgebra, i: int, j: int, k: int) -> dict:
         for m, c in outer_terms.items():
             terms = A.bracket_terms(inner, m) if right else A.bracket_terms(m, inner)
             for w, v in terms.items():
-                s = f.add(acc.get(w, f.zero()), f.mul(c, v))
-                if f.is_zero(s):
-                    acc.pop(w, None)
-                else:
-                    acc[w] = s
+                f.add_into(acc, w, f.mul(c, v))
 
     acc: dict = {}
     # [[e_i,e_j], e_k]

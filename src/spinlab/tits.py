@@ -63,7 +63,8 @@ from .linalg import (RowSpace, RowSpaceModP, _red, common_denominator,
 from .composition import (make_composition, derivation_algebra, _czero_maps,
                           _int_tables)
 from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
-                  _inder_basis, _j_tensor, _lmul_brackets, _supercommutators)
+                  _inder_basis, _j_tensor, _lmul_brackets, _pair_products,
+                  _supercommutators)
 from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
                            ideal_closure, verify_isomorphism,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
@@ -113,13 +114,6 @@ def _stacked_left(M, X, p):
     d, n, m = X.shape
     flat = matmul_exact(M, X.transpose(1, 0, 2).reshape(n, d * m), p)
     return flat.reshape(len(M), d, m).transpose(1, 0, 2)
-
-
-def _pair_products(X, p):
-    """(d, d, n, n) array of X[a]·X[b] over all pairs of the stack X."""
-    d, n, _ = X.shape
-    flat = _stacked_right(X, X.transpose(1, 0, 2).reshape(n, d * n), p)
-    return flat.reshape(d, n, d, n).transpose(0, 2, 1, 3)
 
 
 def _commutators(x, X, p):

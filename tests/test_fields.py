@@ -54,6 +54,23 @@ def test_raw_accepts_fractions_over_gf():
 
 
 @pytest.mark.parametrize("f", [QQ, GF(5)], ids=repr)
+def test_add_into_keeps_the_dict_zero_free(f):
+    # the one add-and-drop-zero step of every dictionary route
+    two, three = f.of_int(2), f.of_int(3)
+    acc = {"a": two, "b": three}
+    f.add_into(acc, "a", f.neg(two))            # a sum that vanishes
+    assert acc == {"b": three}
+    f.add_into(acc, "c", f.zero())              # zero into an absent key
+    assert acc == {"b": three}
+    f.add_into(acc, "b", f.one())               # a nonzero sum is stored
+    f.add_into(acc, "d", f.raw(Fraction(1, 2)))
+    assert acc == {"b": f.of_int(4), "d": f.raw(Fraction(1, 2))}
+    f.add_into(acc, "b", f.one())               # 5 vanishes only in GF(5)
+    assert acc == ({"b": f.of_int(5), "d": f.raw(Fraction(1, 2))} if f.p == 0
+                   else {"d": 3})
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=repr)
 def test_raw_refuses_inexact_values(f):
     # GF(5).raw(0.5) was 0, and QQ.raw(0.1) 3602879701896397/36028797018963968
     for v in (0.5, 0.1, 1j, np.float32(2), np.float64(1.0), np.complex128(1)):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinlab.fields import QQ, GF
+from spinlab.fields import QQ, GF, DivideByZero
 from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, exact_array,
                             inv_modp, matmul_modp, nullspace_modp, rank_int,
                             rank_modp, rref_modp)
@@ -326,6 +326,19 @@ def test_exact_array_refuses_floats(call):
     # a float is its binary value, not the number meant: 0.1 over Q used
     # to read as 3602879701896397/36028797018963968 and 0.5 mod 5 as 3
     with pytest.raises(TypeError, match="inexact value"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact_array([Fraction(1, 5)], 5),
+    lambda: rref_modp([[Fraction(2, 5), 1]], 5),
+    lambda: RowSpaceModP(5, 1).insert([[Fraction(2, 5)]]),
+    lambda: matmul_modp(np.array([[Fraction(3, 10)]], dtype=object),
+                        np.ones((1, 1), dtype=np.int64), 5),
+], ids=["exact_array", "rref", "rowspace", "matmul"])
+def test_exact_array_refuses_a_denominator_p_divides(call):
+    # the refusal Field.raw gives; before, pow() raised a bare ValueError
+    with pytest.raises(DivideByZero, match=r"denominator of \d+/\d+ vanishes in GF\(5\)"):
         call()
 
 

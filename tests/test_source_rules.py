@@ -261,3 +261,34 @@ def test_built_tables_pass_one_both_orders_gate():
     assert not found, found
     assert refusals == {("superalgebra.py", "_store"),
                         ("construct.py", "_check_key_bound")}, refusals
+
+
+def test_dictionary_routes_share_one_accumulator_and_one_wedge():
+    # a zero-free {key: raw} dict is summed into by Field.add_into alone:
+    # no module but fields.py drops a vanished key with .pop(key, None).
+    # The Grassmann scalars of kac.ch3 multiply by exterior.wedge_terms,
+    # as Multivector.wedge does; in kac.py only the envelope products,
+    # whose keys carry a J index, read wedge_sign themselves
+    found = []
+    uses = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (path.name != "fields.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "pop" and len(node.args) == 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value is None):
+                found.append(f"{path.name}:{node.lineno} drops a zero sum itself")
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                uses[path.name, fn.name] = {
+                    getattr(node, "id", None) for node in ast.walk(fn)
+                    if isinstance(node, ast.Name)}
+    found += [f"kac.py {name} reads wedge_sign" for (mod, name), names in uses.items()
+              if mod == "kac.py" and "wedge_sign" in names
+              and name not in ("lam_scale", "_envelope_product")]
+    found += [f"{mod} {name} does not call wedge_terms"
+              for mod, name in (("kac.py", "ch3"), ("exterior.py", "wedge"))
+              if "wedge_terms" not in uses[mod, name]]
+    assert not found, found
