@@ -36,7 +36,7 @@ from .clifford import (gram_pairing, half_spin_masks, pair_basis, rho_tables,
 from .exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
                        complement_form_signs, monomial_label)
 from .fields import QQ, Field, FieldMismatch
-from .linalg import RowSpace, exact_array, matmul_exact
+from .linalg import exact_array, matmul_modp, rank_modp
 from .superalgebra import (SuperAlgebra, VerificationFailed, VerificationReport,
                            check_jacobi)
 from . import superalgebra as _super
@@ -315,7 +315,7 @@ def decompose_type_d_l2(field: Field):
         vec((1, ix["[v1,f1]"]), (-1, ix["[v2,f2]"])),
     ]
     for si, basis in enumerate((first, second)):
-        if RowSpace(f, n).insert(basis) != len(basis):
+        if rank_modp(basis, f.p) != len(basis):
             raise VerificationFailed("ideal basis is linearly dependent")
         # the ideal the span generates is the span itself
         closure = len(_super.ideal_closure(A, basis))
@@ -325,11 +325,9 @@ def decompose_type_d_l2(field: Field):
     # [x, y] = x @ _brackets_into(A, y), whose row a is [e_a, y]
     xs = exact_array(first, f.p)
     for y in second:
-        if matmul_exact(xs, _super._brackets_into(A, y), f.p).any():
+        if matmul_modp(xs, _super._brackets_into(A, y), f.p).any():
             raise VerificationFailed("the two ideals do not annihilate each other")
-    total = RowSpace(f, n)
-    total.insert(first)
-    total.insert(second)
-    if total.dim != n:
-        raise VerificationFailed(f"the ideals span {total.dim} of {n} dimensions")
+    dim = rank_modp(first + second, f.p)
+    if dim != n:
+        raise VerificationFailed(f"the ideals span {dim} of {n} dimensions")
     return [first, second]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exterior import wedge_sign, wedge_terms
 from .fields import Field, FieldMismatch
-from .linalg import RowSpaceModP, _red, exact_array, matmul_exact
+from .linalg import _red, combine, exact_array, pair_products, rref_modp
 from .superalgebra import VerificationFailed
 
 K_LABELS = ("e", "x", "y")
@@ -223,24 +223,15 @@ def inner_derivation_J(p: KacElement, q: KacElement) -> list:
     if f.p:
         pq %= f.p
     hot = np.flatnonzero(pq)
-    flat = matmul_exact(pq[None, hot], _lmul_brackets(f.p).reshape(
-        J_DIM * J_DIM, -1)[hot], f.p)
-    return flat.reshape(J_DIM - 1, J_DIM - 1).tolist()
-
-
-def _pair_products(X, p: int) -> np.ndarray:
-    """(d, d, n, n) array of X[a]·X[b] over all pairs of the stack X of
-    n x n exact arrays over the field of characteristic p, as one product."""
-    d, n, _ = X.shape
-    return matmul_exact(X.reshape(d * n, n), X.transpose(1, 0, 2).reshape(n, d * n),
-                        p).reshape(d, n, d, n).transpose(0, 2, 1, 3)
+    brackets = _lmul_brackets(f.p).reshape(J_DIM * J_DIM, J_DIM - 1, J_DIM - 1)
+    return combine(pq[None, hot], brackets[hot], f.p)[0].tolist()
 
 
 def _supercommutators(X, odd, p: int) -> np.ndarray:
     """(d, d, n, n) array of [X_a, X_b] = X_a X_b - (-1)^{|a||b|} X_b X_a
     over all pairs of the stack X of n x n exact arrays over the field of
     characteristic p, odd[a] the parity of X_a."""
-    prod = _pair_products(X, p)
+    prod = pair_products(X, p)
     swapped = prod.transpose(1, 0, 2, 3)
     out = np.where((odd[:, None] & odd[None, :])[:, :, None, None],
                    prod + swapped, prod - swapped)
@@ -271,7 +262,7 @@ def _inder_basis(p: int):
 
     Each part keeps, in order, the [L_x, L_y] (1 <= x <= y <= 9) of its
     parity that are independent of those before them: the pivot columns
-    of the row space of their transposed stack.
+    of the reduced echelon form of their transposed stack.
     """
     brackets = _lmul_brackets(p)
     parts = []
@@ -279,9 +270,7 @@ def _inder_basis(p: int):
         stack = np.stack([brackets[x, y].reshape(-1)
                           for x in range(1, J_DIM) for y in range(x, J_DIM)
                           if J_PARITY[x] ^ J_PARITY[y] == par])
-        space = RowSpaceModP(p, len(stack))
-        space.insert(stack.T)
-        parts.append(stack[space.pivots])
+        parts.append(stack[rref_modp(stack.T, p)[1]])
     return _frozen(np.concatenate(parts).reshape(-1, 9, 9)), len(parts[0])
 
 

@@ -6,11 +6,12 @@ they work on int64 residues in [0, p), over Q on object arrays of
 Fractions, and exact_array reads their input into that form either way.
 RowSpace and SpanSolver are built on the same kernel and take a Field.
 
-matmul_modp reads any integer operands mod p and multiplies the residues
-through float64 BLAS when the magnitudes provably fit in the 53-bit
-mantissa, falling back to chunking otherwise, so every result is exact.
-matmul_exact serves both fields: matmul_modp over GF(p), Python integers
-over a common denominator over Q.
+One product serves both fields too.  Over GF(p) matmul_modp reads any
+integer operands mod p and multiplies the residues through float64 BLAS
+when the magnitudes provably fit in the 53-bit mantissa, falling back to
+chunking otherwise, so every result is exact; over Q it multiplies
+Python integers over a common denominator.  combine and pair_products
+are the stack products built on it.
 """
 
 from __future__ import annotations
@@ -36,10 +37,18 @@ _MANTISSA = 1 << 53
 
 
 def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p of integer matrices, whose entries are read mod p.
-    A signed integer operand is used as it is; any other is read by
-    exact_array (a float raises TypeError).  float64 BLAS on the residues
-    when k*(p-1)^2 fits the mantissa."""
+    """Exact a @ b over the field of characteristic p.  Over GF(p) it is
+    (a @ b) % p of integer matrices, whose entries are read mod p: a
+    signed integer operand is used as it is, any other is read by
+    exact_array, and float64 BLAS runs on the residues when k*(p-1)^2
+    fits the mantissa.  Over Q (p = 0) it is an object array of
+    Fractions, the product of Python integers over a common denominator.
+    A float raises TypeError either way."""
+    if not p:
+        (na, da), (nb, db) = common_denominator(a), common_denominator(b)
+        d = da * db
+        out = [Fraction(v, d) for v in (na @ nb).flat]
+        return np.array(out, dtype=object).reshape(len(na), nb.shape[1])
     a, b = (np.ascontiguousarray(x if x.dtype.kind in "ib" else exact_array(x, p),
                                  dtype=np.int64)
             for x in (np.asarray(a), np.asarray(b)))
@@ -58,6 +67,21 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         e = min(k, s + step)
         acc = (acc + (a[:, s:e].astype(np.float64) @ b[s:e].astype(np.float64)).astype(np.int64)) % p
     return acc
+
+
+def combine(coef, X, p: int) -> np.ndarray:
+    """Σ_k coef[a, k]·X[k] for every row a of coef, X a stack of exact
+    arrays over the field of characteristic p, as one product."""
+    out = matmul_modp(coef, X.reshape(len(X), math.prod(X.shape[1:])), p)
+    return out.reshape((len(coef),) + X.shape[1:])
+
+
+def pair_products(X, p: int) -> np.ndarray:
+    """(d, d, n, n) array of X[a]·X[b] over all pairs of the stack X of
+    n x n exact arrays over the field of characteristic p, as one product."""
+    d, n, _ = X.shape
+    return matmul_modp(X.reshape(d * n, n), X.transpose(1, 0, 2).reshape(n, d * n),
+                       p).reshape(d, n, d, n).transpose(0, 2, 1, 3)
 
 
 def exact_array(values, p: int) -> np.ndarray:
@@ -86,24 +110,14 @@ def exact_array(values, p: int) -> np.ndarray:
     return np.array(flat, dtype=np.int64 if p else object).reshape(vals.shape)
 
 
-def common_denominator(a: np.ndarray):
+def common_denominator(a):
     """(N, d): a = N / d with N an object array of Python ints, d the lcm
-    of the denominators of the entries of a."""
-    vals = [Fraction(v) for v in np.asarray(a, dtype=object).flat]
-    d = math.lcm(*(v.denominator for v in vals))
-    num = [v.numerator * (d // v.denominator) for v in vals]
-    return np.array(num, dtype=object).reshape(np.shape(a)), d
-
-
-def matmul_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b over GF(p) through matmul_modp, or over Q (p = 0) as a
-    product of Python integers over a common denominator."""
-    if p:
-        return matmul_modp(a, b, p)
-    (na, da), (nb, db) = common_denominator(a), common_denominator(b)
-    d = da * db
-    out = [Fraction(v, d) for v in (na @ nb).flat]
-    return np.array(out, dtype=object).reshape(np.shape(a)[0], np.shape(b)[1])
+    of the denominators of the entries of a, read by exact_array (a float
+    raises TypeError)."""
+    a = exact_array(a, 0)
+    d = math.lcm(*(v.denominator for v in a.flat))
+    num = [v.numerator * (d // v.denominator) for v in a.flat]
+    return np.array(num, dtype=object).reshape(a.shape), d
 
 
 def rref_modp(a, p: int):
@@ -178,7 +192,7 @@ def rank_int(a) -> int:
     ValueError when the primes run out first."""
     a = np.asarray(a)
     if a.dtype.kind not in "iu":
-        a = common_denominator(exact_array(a, 0))[0]
+        a = common_denominator(a)[0]
     rows = a.tolist()
     bound = sorted((sum(x * x for x in row) for row in rows), reverse=True)
     r, modulus = 0, 1
@@ -192,14 +206,15 @@ def rank_int(a) -> int:
 
 
 def inv_modp(a: np.ndarray, p: int) -> np.ndarray:
-    """The inverse mod p of a square matrix read by exact_array (a float
-    raises TypeError); ValueError when it is singular mod p."""
+    """The inverse over GF(p), or over Q when p = 0, of a square matrix
+    read by exact_array (a float raises TypeError); ValueError when it is
+    singular."""
     a = exact_array(a, p)
     n = a.shape[0]
     aug = np.hstack([a, np.eye(n, dtype=np.int64)])
     r, pivots = rref_modp(aug, p)
     if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod %d" % p)
+        raise ValueError("matrix is singular " + (f"mod {p}" if p else "over Q"))
     return r[:n, n:]
 
 
@@ -228,7 +243,7 @@ class RowSpaceModP:
         if not self.pivots:
             return rows
         coef = rows[:, self.pivots]
-        return _red(rows - matmul_exact(coef, self.basis, self.p), self.p)
+        return _red(rows - matmul_modp(coef, self.basis, self.p), self.p)
 
     def insert(self, rows) -> int:
         """Add rows to the span; returns how many were independent."""
@@ -243,7 +258,7 @@ class RowSpaceModP:
         if self.basis.shape[0]:
             coef = self.basis[:, new_pivots]
             if coef.any():
-                self.basis = _red(self.basis - matmul_exact(coef, r, self.p), self.p)
+                self.basis = _red(self.basis - matmul_modp(coef, r, self.p), self.p)
         merged = np.vstack([self.basis, r])
         allp = self.pivots + new_pivots
         order = np.argsort(allp, kind="stable")
@@ -300,6 +315,6 @@ class SpanSolver:
         p = self.field.p
         v = exact_array(vec, p).reshape(1, self.width)
         c = v[:, self._pivots]
-        if _red(v - matmul_exact(c, self._rows, p), p).any():
+        if _red(v - matmul_modp(c, self._rows, p), p).any():
             return None
-        return matmul_exact(c, self._tr, p)[0].tolist()
+        return matmul_modp(c, self._tr, p)[0].tolist()

@@ -56,9 +56,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .fields import Field, make_field
-from .linalg import (RowSpace, RowSpaceModP, _red, common_denominator,
-                     exact_array, matmul_exact, matmul_modp, nullspace_modp,
-                     rank_modp, rref_modp)
+from .linalg import (RowSpace, RowSpaceModP, _red, combine, common_denominator,
+                     exact_array, matmul_modp, nullspace_modp, rank_modp,
+                     rref_modp)
 
 SCHEMA_VERSION = 1
 
@@ -819,8 +819,7 @@ def _spin(vec: np.ndarray, mats, p: int) -> RowSpaceModP:
 def _norton_word(coef: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
     """x = a·b + c for a, b, c the combinations of the (k, n, n) generators
     gens with the three rows of coef."""
-    k, n, _ = gens.shape
-    a, b, c = matmul_modp(coef, gens.reshape(k, n * n), p).reshape(3, n, n)
+    a, b, c = combine(coef, gens, p)
     return (matmul_modp(a, b, p) + c) % p
 
 
@@ -1042,7 +1041,7 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
     while i < len(steps) and kernel.shape[1]:
         j = len(steps) if sum(rows[i:]) * kernel.shape[1] <= budget else i + 1
         M = np.vstack([_constraint_times(step, kernel, p) for step in steps[i:j]])
-        kernel = matmul_exact(kernel, nullspace_modp(M, p).T, p)
+        kernel = matmul_modp(kernel, nullspace_modp(M, p).T, p)
         i = j
     return kernel.shape[1]
 
@@ -1061,8 +1060,8 @@ def _first_unpreserved_pair(M: np.ndarray, A: SuperAlgebra, B: SuperAlgebra):
     MT = np.ascontiguousarray(M.T)
     unit = np.eye(n, dtype=np.int64)
     for j in range(n):
-        got = matmul_exact(MT, _brackets_into(B, M[:, j]), p)
-        want = matmul_exact(_brackets_into(A, unit[j]), MT, p)
+        got = matmul_modp(MT, _brackets_into(B, M[:, j]), p)
+        want = matmul_modp(_brackets_into(A, unit[j]), MT, p)
         bad = np.flatnonzero((got != want).any(axis=1))
         if bad.size:
             return tuple(sorted((j, int(bad[0]))))

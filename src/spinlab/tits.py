@@ -23,13 +23,14 @@ of C and D_{a,b} the standard inner derivation of C.
 TitsModel holds the data these rules read as exact arrays, computed once
 per field without a loop over basis pairs: int64 residues over GF(p),
 Fractions in object arrays over Q, every product through
-linalg.matmul_exact (matmul_modp over GF(p)).  The der C tables come from
-the integer tables of C by contraction, the inder J tables from the Kac
-table, and each coordinate read is checked by rebuilding the matrix it
-came from.  build_tits applies the rules to whole tables, one block of
-slot kinds at a time, and hands both orders of every pair, each from its
-own rule, to superalgebra._stored_half, which checks them against each
-other and refuses an entry given twice before the table is stored;
+linalg.matmul_modp (one product for both fields) or its stack forms
+combine and pair_products.  The der C tables come from the integer
+tables of C by contraction, the inder J tables from the Kac table, and
+each coordinate read is checked by rebuilding the matrix it came from.
+build_tits applies the rules to whole tables, one block of slot kinds
+at a time, and hands both orders of every pair, each from its own rule,
+to superalgebra._stored_half, which checks them against each other and
+refuses an entry given twice before the table is stored;
 tits_bracket applies them to one pair, as the reference for the tests.
 
 The characteristic-5 identification (build_so_MQ, phi0, spin_map_psi,
@@ -46,10 +47,10 @@ closed form: σ_ij·G⁻¹ = e_j e_iᵀ − e_i e_jᵀ for G the Gram matrix of 
 so X is in so(M, Q) exactly when X·G⁻¹ is skew, with σ_ij-coordinate
 (X·G⁻¹)[j, i]; likewise nat_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ) for the
 natural basis of the l=5 type-B algebra.  Every product of residue
-arrays goes through linalg.matmul_modp, whose float64 blocks are exact.
+arrays goes through linalg.matmul_modp, whose float64 blocks are exact,
+and every singularity test is a rank_modp.
 """
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -57,14 +58,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Field
-from .linalg import (RowSpace, RowSpaceModP, _red, common_denominator,
-                     exact_array, inv_modp, matmul_exact, matmul_modp,
-                     nullspace_modp, rank_modp)
+from .linalg import (_red, combine, common_denominator, exact_array, inv_modp,
+                     matmul_modp, nullspace_modp, pair_products, rank_modp,
+                     rref_modp)
 from .composition import (make_composition, derivation_algebra, _czero_maps,
                           _int_tables)
 from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
-                  _inder_basis, _j_tensor, _lmul_brackets, _pair_products,
-                  _supercommutators)
+                  _inder_basis, _j_tensor, _lmul_brackets, _supercommutators)
 from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
                            ideal_closure, verify_isomorphism,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
@@ -100,31 +100,25 @@ TITS_DIMS = {"unit": (6, 4), "binarion": (11, 8),
              "quaternion": (24, 16), "octonion": (55, 32)}
 
 
-# Exact array products over GF(p) (matmul_modp) or Q (object arrays)
+# Stack products over GF(p), or Q when p = 0, through linalg.matmul_modp
 
 
 def _stacked_right(X, M, p):
     """X[k]·M for every matrix of the stack X, as one product."""
     d, n, m = X.shape
-    return matmul_exact(X.reshape(d * n, m), M, p).reshape(d, n, M.shape[1])
+    return matmul_modp(X.reshape(d * n, m), M, p).reshape(d, n, M.shape[1])
 
 
 def _stacked_left(M, X, p):
     """M·X[k] for every matrix of the stack X, as one product."""
     d, n, m = X.shape
-    flat = matmul_exact(M, X.transpose(1, 0, 2).reshape(n, d * m), p)
+    flat = matmul_modp(M, X.transpose(1, 0, 2).reshape(n, d * m), p)
     return flat.reshape(len(M), d, m).transpose(1, 0, 2)
 
 
 def _commutators(x, X, p):
     """x·X[k] − X[k]·x for every matrix of the stack X."""
     return _red(_stacked_left(x, X, p) - _stacked_right(X, x, p), p)
-
-
-def _combine(coef, X, p):
-    """Σ_k coef[a, k]·X[k] for every row a of coef, X a stack."""
-    out = matmul_exact(coef, X.reshape(len(X), math.prod(X.shape[1:])), p)
-    return out.reshape((len(coef),) + X.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +129,8 @@ def _coords(X, basis, cols, back, p, what):
     """Coordinates c of the rows of X over the rows of basis, read as
     X[:, cols]·back (X[:, cols] when back is None) and checked by
     rebuilding X = c·basis; VerificationFailed(what) when that fails."""
-    c = X[:, cols] if back is None else matmul_exact(X[:, cols], back, p)
-    if not np.array_equal(matmul_exact(c, basis, p), X):
+    c = X[:, cols] if back is None else matmul_modp(X[:, cols], back, p)
+    if not np.array_equal(matmul_modp(c, basis, p), X):
         raise VerificationFailed(what)
     return c
 
@@ -146,12 +140,10 @@ def _j_tables(p: int):
     """The J side of TitsModel, which depends only on the field."""
     inder, nev = _inder_basis(p)
     nd, flat = len(inder), inder.reshape(len(inder), -1)
-    # coordinates in inder J: the reduced rows of [basis | 1] have pivots
-    # cols in the basis part, so x = x[cols]·back·basis on the span
-    space = RowSpaceModP(p, flat.shape[1] + nd)
-    space.insert(np.hstack([flat, exact_array(np.eye(nd, dtype=int), p)]))
-    cols = [c for c in space.pivots if c < flat.shape[1]]
-    back = space.basis[:len(cols), flat.shape[1]:]
+    # coordinates in inder J: the basis is invertible on its pivot columns
+    # cols, so x = x[cols]·back·basis on the span
+    cols = rref_modp(flat, p)[1]
+    back = inv_modp(flat[:, cols], p)
     com = _supercommutators(inder, np.arange(nd) >= nev, p)
     dd = _coords(com.reshape(nd * nd, -1), flat, cols, back, p,
                  "inder J is not closed under [ , ]").reshape(nd, nd, nd)
@@ -251,13 +243,13 @@ class TitsModel:
                             "der C moves C⁰").reshape(nder, ncz, ncz)
         # [a, b] = ab − ba and D_{a,b} = ad_[a,b] − 3(a, b, ·), where the
         # associator (a, b, ·) = L_ab − L_a L_b
-        La = self.La = _combine(Z, Lt, p)
+        La = self.La = combine(Z, Lt, p)
         ab = _stacked_right(La, Z.T, p).transpose(0, 2, 1).reshape(ncz * ncz, n)
         comm = _red(ab - ab.reshape(ncz, ncz, n).transpose(1, 0, 2).reshape(-1, n), p)
         self.comm_cz = in_czero(comm, "[a, b] leaves C⁰").reshape(ncz, ncz, ncz)
-        self.npol = matmul_exact(matmul_exact(Z, gram, p), Z.T, p)
-        Dab = (_combine(comm, _red(Lt - Rt, p), p) - 3 * _combine(ab, Lt, p)
-               + 3 * _pair_products(La, p).reshape(ncz * ncz, n, n))
+        self.npol = matmul_modp(matmul_modp(Z, gram, p), Z.T, p)
+        Dab = (combine(comm, _red(Lt - Rt, p), p) - 3 * combine(ab, Lt, p)
+               + 3 * pair_products(La, p).reshape(ncz * ncz, n, n))
         self.Dab = in_der(_red(Dab, p), "D_{a,b} escapes der C").reshape(ncz, ncz, nder)
         for a in (self.DD, self.Dcz, self.Dab, self.comm_cz, self.npol, La):
             _frozen(a)
@@ -366,17 +358,14 @@ def build_tits(kind, field: Field) -> SuperAlgebra:
 
 def unit_ideal_split(field: Field) -> dict:
     """T(unit, Kac) = inder J decomposes into two 5-dim simple ideals."""
-    f = field
     T = build_tits("unit", field)
     LL = tits_model("unit", field).LL
     # x⊗e generates one copy, e⊗x the other: seeds [L_{e⊗e}, L_x]
     I1 = ideal_closure(T, [LL[1, 4].tolist()])
     I2 = ideal_closure(T, [LL[1, 2].tolist()])
-    span = RowSpace(f, 10)
-    span.insert(I1)
-    span.insert(I2)
-    return {"dims": (len(I1), len(I2)), "joint_span": span.dim,
-            "pass": len(I1) == 5 and len(I2) == 5 and span.dim == 10}
+    joint = rank_modp(I1 + I2, field.p)
+    return {"dims": (len(I1), len(I2)), "joint_span": joint,
+            "pass": len(I1) == 5 and len(I2) == 5 and joint == 10}
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +448,7 @@ def build_so_MQ(field: Field) -> SoMQ:
     for a in range(d):
         com = _commutators(mats[a], mats, p)
         coords[a], inside = _so_coords(com, ginv, j, i, p)
-        rebuilt = _combine(coords[a], mats, p)
+        rebuilt = combine(coords[a], mats, p)
         for bad, what in ((~inside, "leaves so(M,Q)"),
                           ((rebuilt != com).any(axis=(1, 2)),
                            "is not rebuilt from its coordinates")):
@@ -519,8 +508,9 @@ def _phi0(field: Field) -> np.ndarray:
     if rank_modp(mat, field.p) < len(mat):
         raise VerificationFailed("phi0 matrix is singular")
     T0 = even_subalgebra(build_tits("octonion", field))
-    if not verify_isomorphism(mat, T0, somq.algebra):
-        i, j = _first_unpreserved_pair(mat, T0, somq.algebra)
+    bad = _first_unpreserved_pair(mat, T0, somq.algebra)
+    if bad is not None:
+        i, j = bad
         raise VerificationFailed(f"phi0 bracket mismatch at pair "
                                  f"{(T0.labels[i], T0.labels[j])}")
     return _frozen(mat)
@@ -568,7 +558,7 @@ def _spin_rep(field: Field):
     somq = build_so_MQ(field)
     psi = _psi_images(tits_model("octonion", field))
     eye = np.eye(32, dtype=np.int64)
-    prod = _pair_products(psi, p)              # prod[i, j] = Ψ_i·Ψ_j
+    prod = pair_products(psi, p)               # prod[i, j] = Ψ_i·Ψ_j
     anti = (prod + prod.transpose(1, 0, 2, 3)) % p
     bad = (anti != somq.gram[:, :, None, None] * eye).any(axis=(2, 3))
     bad = np.argwhere(np.triu(bad))
@@ -585,7 +575,7 @@ def _spin_rep(field: Field):
     n = len(rho)
     for a in range(n - 1):
         com = _commutators(rho[a], rho[a + 1:], p)
-        want = _combine(ad[a, :, a + 1:].T, rho, p)
+        want = combine(ad[a, :, a + 1:].T, rho, p)
         bad = np.nonzero((com != want).any(axis=(1, 2)))[0]
         if bad.size:
             raise RelationFailed(
@@ -674,15 +664,13 @@ def phi1_intertwine(field: Field, negate_index=None) -> dict:
     phi1 = _phi1(field).copy()
     if negate_index is not None:
         phi1[:, negate_index] = (-phi1[:, negate_index]) % p
-    try:
-        inv_modp(phi1, p)
-    except ValueError:
+    if rank_modp(phi1, p) < n1:
         raise VerificationFailed("phi1 matrix is singular")
     _, rho, _ = _spin_rep(field)
     phi0_np = _phi0(field)
     T = build_tits("octonion", field)
     lhs = _stacked_left(phi1, _block(T, 0, 1, 1), p)
-    rhs = _stacked_right(_combine(phi0_np.T, rho, p), phi1, p)
+    rhs = _stacked_right(combine(phi0_np.T, rho, p), phi1, p)
     bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
     if bad.size:
         a = int(bad[0])
@@ -776,9 +764,7 @@ def _odd_intertwiner(rep1, rep2, p):
     S = S * pow(int(S.reshape(-1)[np.flatnonzero(S)[-1]]), p - 2, p) % p
     if not np.array_equal(_stacked_right(rep2, S, p), _stacked_left(S, rep1, p)):
         raise VerificationFailed("odd intertwiner candidate fails")
-    try:
-        inv_modp(S, p)
-    except ValueError:
+    if rank_modp(S, p) < n:
         raise VerificationFailed("odd intertwiner is singular")
     return S
 
@@ -788,8 +774,8 @@ def _odd_proportionality(T, B5, theta, S, p):
     n1 = S.shape[0]
     RT, RB = _block(T, 1, 1, 0), _block(B5, 1, 1, 0)   # (n1, 55, n1)
     # lhs[k, i, j] = θ([o_i, o_j])_k;  rhs[i, k, j] = [S o_i, S o_j]_k
-    lhs = _combine(theta, RT.transpose(1, 0, 2), p)
-    rhs = _combine(S.T, _stacked_right(RB, S, p), p)
+    lhs = combine(theta, RT.transpose(1, 0, 2), p)
+    rhs = combine(S.T, _stacked_right(RB, S, p), p)
     c_val = None
     for i in range(n1):
         for j in range(i, n1):
@@ -858,7 +844,7 @@ def cross_identify_with_typeB(field: Field) -> dict:
     # θ: Φ₀ images of the even T basis, as 11×11 matrices on M moved to W
     # by τ, in natural so₁₁ coordinates of the l=5 model.  The temporaries
     # stay inside the calls, so none is alive in the equivariant solve.
-    images = _combine(_phi0(field).T, somq.mats, p)
+    images = combine(_phi0(field).T, somq.mats, p)
     coords, inside = _so_coords(
         _stacked_right(_stacked_left(inv_modp(tau, p), images, p), tau, p),
         half_gwinv, rows, cols, p)
@@ -866,7 +852,7 @@ def cross_identify_with_typeB(field: Field) -> dict:
         raise VerificationFailed("transported image not in so(W,q)")
     theta = np.ascontiguousarray(coords.T)
     rep2 = _block(B5, 0, 1, 1)
-    S = _odd_intertwiner(_combine(inv_modp(theta, p).T, _block(T, 0, 1, 1), p),
+    S = _odd_intertwiner(combine(inv_modp(theta, p).T, _block(T, 0, 1, 1), p),
                          rep2, p)
     c_val = _odd_proportionality(T, B5, theta, S, p)
     mu = _sqrt_modp(c_val, p)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from spinlab.fields import QQ, GF, DivideByZero
-from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, exact_array,
-                            inv_modp, matmul_modp, nullspace_modp, rank_int,
-                            rank_modp, rref_modp)
+from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, combine,
+                            common_denominator, exact_array, inv_modp,
+                            matmul_modp, nullspace_modp, pair_products,
+                            rank_int, rank_modp, rref_modp)
 from spinlab.linalg import _rank_primes
 
 from helpers import gauss_jordan, gauss_jordan_nullspace
@@ -67,23 +68,29 @@ def test_modp_agrees_with_field_path_on_integer_matrices():
             assert not ((arr @ np.array(null).T) % 7).any()
 
 
-@pytest.mark.parametrize("f", [GF(5)], ids=repr)
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=repr)
 def test_inverse(f):
+    # over Q too: the Tits tables read coordinates in inder J through it
     rng = random.Random(3)
     found = 0
     while found < 10:
         n = rng.randint(1, 6)
-        A = rand_matrix(rng, f, n, n, density=0.9)
-        if rank_modp(np.array(A, dtype=np.int64), f.p) < n:
+        A = exact_array(rand_matrix(rng, f, n, n, density=0.9), f.p)
+        if rank_modp(A, f.p) < n:
             continue
         found += 1
-        Ai = inv_modp(np.array(A, dtype=np.int64), f.p)
-        assert (np.array(A) @ Ai % f.p == np.eye(n, dtype=np.int64)).all()
+        Ai = inv_modp(A, f.p)
+        prod = A @ Ai
+        if f.p:
+            prod %= f.p
+        assert (prod == np.eye(n, dtype=np.int64)).all()
 
 
 def test_singular_inverse_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular mod 5"):
         inv_modp(np.array([[1, 2], [2, 4]], dtype=np.int64), 5)
+    with pytest.raises(ValueError, match="singular over Q"):
+        inv_modp([[1, Fraction(1, 2)], [2, 1]], 0)
 
 
 @pytest.mark.parametrize("f", [QQ, GF(5)], ids=repr)
@@ -238,6 +245,56 @@ def test_matmul_modp_refuses_floats_and_reads_any_integer():
     assert matmul_modp([[Fraction(1, 2)]], [[2]], 5).tolist() == [[1]]
 
 
+def fraction_product(a, b):
+    """a @ b summed in Fractions, one entry at a time."""
+    (m, k), n = np.shape(a), np.shape(b)[1]
+    return [[sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)),
+                 Fraction(0)) for j in range(n)] for i in range(m)]
+
+
+def test_matmul_modp_over_q_matches_a_fraction_loop():
+    # p = 0 multiplies over Q: ints and Fractions mixed in one operand,
+    # entries past 2^63 kept whole, and an inner dimension of 0
+    rng = random.Random(28)
+
+    def pick():
+        v = rng.randint(-9, 9)
+        return v if rng.random() < 0.5 else Fraction(v, rng.randint(1, 6))
+
+    for m, k, n in ((3, 4, 2), (1, 1, 1), (2, 0, 3), (0, 2, 2), (2, 3, 0)):
+        a = np.array([pick() for _ in range(m * k)], dtype=object).reshape(m, k)
+        b = np.array([pick() for _ in range(k * n)], dtype=object).reshape(k, n)
+        if a.size and b.size:
+            a[0, 0], b[-1, -1] = 2**70 + 1, Fraction(2**64 + 1, 3)
+        got = matmul_modp(a, b, 0)
+        assert got.dtype == object and got.shape == (m, n)
+        assert all(type(v) is Fraction for v in got.flat)
+        assert got.tolist() == fraction_product(a, b)
+    # int64 operands whose product passes 2^63 are multiplied as Python ints
+    big = np.array([[2**62, 3]], dtype=np.int64)
+    assert matmul_modp(big, np.array([[4], [5]]), 0).tolist() == [[2**64 + 15]]
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=repr)
+def test_stack_products_match_per_matrix_loops(f):
+    rng = random.Random(5)
+    red = (lambda v: v % f.p) if f.p else (lambda v: v)
+    X = exact_array([rand_matrix(rng, f, 3, 3) for _ in range(4)], f.p)
+    coef = exact_array(rand_matrix(rng, f, 2, 4), f.p)
+    # combine: Σ_k coef[a, k]·X[k], here a stack of 3 x 3 matrices
+    want = [[[red(sum((Fraction(coef[a, k]) * Fraction(X[k, i, j])
+                       for k in range(4)), Fraction(0)))
+              for j in range(3)] for i in range(3)] for a in range(2)]
+    assert combine(coef, X, f.p).tolist() == want
+    # pair_products: X[a]·X[b] for every pair
+    got = pair_products(X, f.p)
+    assert got.shape == (4, 4, 3, 3)
+    for a in range(4):
+        for b in range(4):
+            want = [[red(v) for v in row] for row in fraction_product(X[a], X[b])]
+            assert got[a, b].tolist() == want
+
+
 def test_inv_modp_refuses_floats():
     # 1.5 was truncated to 1, giving [[1]]
     with pytest.raises(TypeError, match="inexact value 1.5"):
@@ -321,10 +378,15 @@ def test_rank_int_refuses_when_the_primes_run_out():
     lambda: exact_array(np.array([Fraction(1, 2), 0.5], dtype=object), 0),
     lambda: exact_array([[1, np.float32(2)]], 3),
     lambda: exact_array([1j], 0),
-], ids=["Q", "GF(5)", "rowspace", "nullspace", "object", "float32", "complex"])
+    lambda: matmul_modp([[0.1]], [[1]], 0),
+    lambda: common_denominator([0.5, 0.25]),
+], ids=["Q", "GF(5)", "rowspace", "nullspace", "object", "float32", "complex",
+        "matmul-Q", "common_denominator"])
 def test_exact_array_refuses_floats(call):
     # a float is its binary value, not the number meant: 0.1 over Q used
-    # to read as 3602879701896397/36028797018963968 and 0.5 mod 5 as 3
+    # to read as 3602879701896397/36028797018963968 and 0.5 mod 5 as 3;
+    # the product over Q read [[0.1]] @ [[1]] that way, and
+    # common_denominator([0.5, 0.25]) gave ([2, 1], 4)
     with pytest.raises(TypeError, match="inexact value"):
         call()
 

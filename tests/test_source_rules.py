@@ -21,18 +21,45 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
-def test_tits_multiplies_through_matmul_modp():
-    # every GF(p) product in tits.py goes through linalg.matmul_modp, whose
-    # float64 route carries a proved bound: no @, tensordot, matmul or dot
-    path = PACKAGE / "tits.py"
+def test_products_multiply_through_linalg():
+    # only linalg.py, home of the exact kernels, and composition.py, whose
+    # int64 tensors in lemma_c_identities carry a bound its docstring
+    # proves, multiply arrays directly.  Every other product goes through
+    # linalg.matmul_modp, whose float64 route carries a proved bound and
+    # whose p = 0 route is exact over Q: no @, dot, matmul, tensordot or
+    # einsum, and no second product route
+    direct = ("linalg.py", "composition.py")
+    gone = ("matmul_exact", "_combine", "_pair_products")
+    field_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+                ast.FunctionDef: "name"}    # a use, an import, a definition
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
-                node.op, ast.MatMult):
-            found.append(f"@ at line {node.lineno}")
-        elif isinstance(node, ast.Attribute) and node.attr in (
-                "tensordot", "matmul", "dot"):
-            found.append(f"{node.attr} at line {node.lineno}")
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, field_of.get(type(node), ""), None)
+            if name in gone:
+                found.append(f"{path.name}:{node.lineno} names {name}")
+            if path.name in direct:
+                continue
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} multiplies by @")
+            elif isinstance(node, ast.Attribute) and node.attr in (
+                    "tensordot", "matmul", "dot", "einsum"):
+                found.append(f"{path.name}:{node.lineno} calls {node.attr}")
+    assert not found, found
+
+
+def test_a_rank_or_pivots_build_no_row_space():
+    # a row space is kept only where rows keep arriving; tits, kac and
+    # construct read a rank from rank_modp and pivots from rref_modp
+    field_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    found = []
+    for name in ("tits.py", "kac.py", "construct.py"):
+        path = PACKAGE / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            used = getattr(node, field_of.get(type(node), ""), None)
+            if used in ("RowSpace", "RowSpaceModP"):
+                found.append(f"{name}:{node.lineno} names {used}")
     assert not found, found
 
 
