@@ -208,8 +208,10 @@ def rank_int(a) -> int:
 def inv_modp(a: np.ndarray, p: int) -> np.ndarray:
     """The inverse over GF(p), or over Q when p = 0, of a square matrix
     read by exact_array (a float raises TypeError); ValueError when it is
-    singular."""
+    not square or singular."""
     a = exact_array(a, p)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"only a square matrix has an inverse, not shape {a.shape}")
     n = a.shape[0]
     aug = np.hstack([a, np.eye(n, dtype=np.int64)])
     r, pivots = rref_modp(aug, p)

@@ -41,6 +41,12 @@ table: the content decides the identity in every odd characteristic at
 once (check_jacobi).  Witnesses (the permutations of the nonzero
 canonical triples) are re-evaluated exactly through the dictionary route
 before being reported.
+
+The isomorphism check (_first_unpreserved_pair) reads E(i, j) =
+[M e_i, M e_j] - M [e_i, e_j] in the same keyed style: each term, joined
+from the nonzeros of M and the COO entries of the two tables, is keyed by
+(j, i, c) below n^3 and summed after one sort, so its cost follows the
+nonzeros of M.
 """
 
 from __future__ import annotations
@@ -1050,21 +1056,108 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
 # isomorphism checking
 
 
+# Terms per block of _first_unpreserved_pair, at most, unless one pair
+# (i, j) has more alone: the bound keeps the pass small when M is dense.
+_ISO_BLOCK = 2048
+
+
+def _runs(counts):
+    """(s, e) of the consecutive runs of counts, in order, each summing to
+    at most _ISO_BLOCK or holding one entry."""
+    cum, s = np.cumsum(counts), 0
+    while s < len(counts):
+        e = max(int(np.searchsorted(cum, cum[s] - counts[s] + _ISO_BLOCK, "right")),
+                s + 1)
+        yield s, e
+        s = e
+
+
 def _first_unpreserved_pair(M: np.ndarray, A: SuperAlgebra, B: SuperAlgebra):
     """The first pair (i, j), i <= j, with E(i, j) = [M e_i, M e_j] -
     M [e_i, e_j] != 0, or None; M is an exact parity-preserving n x n
-    array.  Column j of E is M^T times the rows [f_b, M e_j], minus the
-    rows [e_i, e_j] times M^T.  E is graded-skew when A and B share the
-    swap rule, so the first column with a mismatch has them at i >= j."""
+    array.  E is graded-skew when A and B share the swap rule, so the
+    first column j with a mismatch has them at i >= j; the pair is the
+    first mismatch by column, then by row.
+
+    One keyed pass: each term of E(i, j) at e_c is keyed (j*n + i)*n + c,
+    below the n^3 < 2^63 that _store keeps, and the terms of each key are
+    summed after one sort.  [M e_i, M e_j] joins the nonzeros M[b, j] with
+    the entries of B.coo of second index b and the nonzeros of row a of M;
+    M [e_i, e_j] joins the entries of A.coo at (i, j) with column k of M.
+    The pairs go in blocks of whole columns, or of the rows of one column,
+    of at most _ISO_BLOCK terms (_runs), and the pass stops at the first
+    block with a mismatch.  The terms follow the nonzeros: a dense M costs
+    about |B.coo| n^2 of them.  Over GF(p) they are reduced residue
+    products; over Q, for M = N / d and the scales sA and sB of A and B,
+    those of d^2 sA sB E, in Python ints."""
     p, n = A.field.p, A.dim
-    MT = np.ascontiguousarray(M.T)
-    unit = np.eye(n, dtype=np.int64)
-    for j in range(n):
-        got = matmul_modp(MT, _brackets_into(B, M[:, j]), p)
-        want = matmul_modp(_brackets_into(A, unit[j]), MT, p)
-        bad = np.flatnonzero((got != want).any(axis=1))
-        if bad.size:
-            return tuple(sorted((j, int(bad[0]))))
+    N, d = (exact_array(M, p), 1) if p else common_denominator(M)
+    flat = N.reshape(-1)
+    rkey, ckey = np.flatnonzero(N), np.flatnonzero(N.T)      # a*n + i, j*n + b
+    IA, JA, KA, VA, sA = A.coo
+    IB, JB, KB, VB, sB = B.coo
+    if not p:
+        VA, VB = VA.astype(object) * (d * sB), VB.astype(object) * sA
+    oa = np.argsort(JA * n + IA, kind="stable")
+    akey = JA[oa] * n + IA[oa]                       # A.coo by pair (i, j)
+    ob = np.argsort(JB, kind="stable")
+    bkey = JB[ob]                                    # B.coo by second index
+
+    def first_in(t0, t1):
+        """The first t = j*n + i, t0 <= t < t1, with E(i, j) != 0, or None."""
+        lo, hi = np.searchsorted(ckey, (t0 // n * n, ((t1 - 1) // n + 1) * n))
+        j, b = np.divmod(ckey[lo:hi], n)
+        # M[b, j] times [f_a, f_b] = sum v f_c, times M[a, i] for i in the block
+        o, x = _gather(bkey, b, b)
+        x = ob[x]
+        jn, a, v = j[o] * n, IB[x], _red(flat[b[o] * n + j[o]] * VB[x], p)
+        o, y = _gather(rkey, a * n + np.maximum(t0 - jn, 0),
+                       a * n + np.minimum(t1 - 1 - jn, n - 1))
+        keys = [(jn[o] + rkey[y] % n - t0) * n + KB[x][o]]
+        terms = [_red(v[o] * flat[rkey[y]], p)]
+        # minus [e_i, e_j] = sum v e_k times column k of M
+        lo, hi = np.searchsorted(akey, (t0, t1))
+        x = oa[lo:hi]
+        o, y = _gather(ckey, KA[x] * n, KA[x] * n + n - 1)
+        c, x = ckey[y] % n, x[o]
+        keys.append((akey[lo:hi][o] - t0) * n + c)
+        terms.append(-_red(VA[x] * flat[c * n + KA[x]], p))
+        keys = np.concatenate(keys)
+        if not keys.size:
+            return None
+        srt = np.argsort(keys)
+        keys = keys[srt]
+        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        sums = _red(np.add.reduceat(np.concatenate(terms)[srt], heads), p)
+        hit = np.flatnonzero(sums)
+        return t0 + int(keys[heads[hit[0]]]) // n if hit.size else None
+
+    # terms per column j: each M[b, j] meets the entries of B.coo of second
+    # index b, each times the nonzeros of its row a of M; each entry of
+    # A.coo at (i, j) meets the nonzeros of column k of M
+    nnz_row, nnz_col = np.bincount(rkey // n, minlength=n), np.bincount(ckey // n, minlength=n)
+    per_b = np.bincount(JB, weights=nnz_row[IB], minlength=n)
+    col_terms = (np.bincount(ckey // n, weights=per_b[ckey % n], minlength=n)
+                 + np.bincount(JA, weights=nnz_col[KA], minlength=n))
+
+    def row_terms(j):
+        """The terms of each pair (i, j) of column j."""
+        lo, hi = np.searchsorted(ckey, (j * n, j * n + n))
+        b = ckey[lo:hi] - j * n
+        per_a = np.bincount(IB[ob[_gather(bkey, b, b)[1]]], minlength=n)
+        lo, hi = np.searchsorted(akey, (j * n, j * n + n))
+        return (np.bincount(rkey % n, weights=per_a[rkey // n], minlength=n)
+                + np.bincount(akey[lo:hi] - j * n, weights=nnz_col[KA[oa[lo:hi]]],
+                              minlength=n))
+
+    for j0, j1 in _runs(col_terms):
+        blocks = [(j0 * n, j1 * n)]
+        if col_terms[j0] > _ISO_BLOCK:
+            blocks = [(j0 * n + i0, j0 * n + i1) for i0, i1 in _runs(row_terms(j0))]
+        for t0, t1 in blocks:
+            t = first_in(t0, t1)
+            if t is not None:
+                return tuple(sorted(divmod(t, n)))
     return None
 
 

@@ -42,7 +42,10 @@ the octonion TitsModel: the C⁰ block of the Gram matrix of Q is −npol,
 der C and ad_a act on C⁰ by Dczᵀ and comm_czᵀ in Φ₀, and a ∈ C⁰ acts on
 the spin space through La.  The brackets of so(M, Q) are the σ
 coordinates of the commutators [σ_a, σ_b], each checked by rebuilding
-the commutator from them.  Coordinates in an so basis come in
+the commutator from them.  That ρ is a representation of so(M, Q) is
+one sparse Jacobi scan of so(M, Q) ⋉ S (_check_spin_rep), and the
+brackets of Φ₀ and of T ≅ so₁₁ ⊕ spin are checked by the keyed pass of
+superalgebra._first_unpreserved_pair.  Coordinates in an so basis come in
 closed form: σ_ij·G⁻¹ = e_j e_iᵀ − e_i e_jᵀ for G the Gram matrix of Q,
 so X is in so(M, Q) exactly when X·G⁻¹ is skew, with σ_ij-coordinate
 (X·G⁻¹)[j, i]; likewise nat_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ) for the
@@ -65,8 +68,8 @@ from .composition import (make_composition, derivation_algebra, _czero_maps,
                           _int_tables)
 from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
                   _inder_basis, _j_tensor, _lmul_brackets, _supercommutators)
-from .superalgebra import (SuperAlgebra, VerificationFailed, even_subalgebra,
-                           ideal_closure, verify_isomorphism,
+from .superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
+                           even_subalgebra, ideal_closure, verify_isomorphism,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
                            _norton_word, _nullity_one_elements, _spin,
                            _stored_half)
@@ -550,10 +553,44 @@ def _psi_images(model: TitsModel) -> np.ndarray:
     return psi % p
 
 
+def _check_spin_rep(so: SuperAlgebra, rho, field: Field):
+    """RelationFailed unless rho, a stack of d×d arrays mod p, one for each
+    basis element of the Lie algebra so, is a representation of so.
+
+    ρ is a representation iff the semidirect product so ⋉ S satisfies the
+    Jacobi identity (Jacobson, Lie Algebras, ch. I): its even part is so,
+    its odd part the d coordinates of S, [σ_a, s_j] = Σ_k ρ[a][k, j] s_k
+    and [S, S] = 0.  Its Jacobi triples (σ_a, σ_b, s) are [ρ(a), ρ(b)] =
+    ρ([σ_a, σ_b]) on s, its all-even ones the Jacobi identity of so, and
+    the others vanish, so one sparse scan (check_jacobi) decides both.  The
+    first witness names the first failing pair a < b, or an even triple."""
+    p, n0, d = field.p, so.dim, rho.shape[1]
+    a, k, j = np.nonzero(rho)
+    v = rho[a, k, j]
+    I, J, K, V, _ = so.coo
+    I, J, K, V = _stored_half(np.concatenate([I, a, n0 + j]),
+                              np.concatenate([J, n0 + j, a]),
+                              np.concatenate([K, n0 + k, n0 + k]),
+                              np.concatenate([V, v, -v % p]), n0, n0 + d, p, True)
+    semi = SuperAlgebra._from_coo(f"{so.name} ⋉ S", field, n0, d,
+                                  so.labels + tuple(f"S{t}" for t in range(d)),
+                                  (I, J, K, V, 1), odd_symmetric=True)
+    witness = check_jacobi(semi, witness_cap=1).witnesses
+    if witness:
+        i, j, k = (witness[0][x] for x in "ijk")
+        if k >= n0:
+            raise RelationFailed(f"spin rep fails on σ pairs {i},{j}")
+        raise RelationFailed(f"{so.name} fails the Jacobi identity on σ triple "
+                             f"{i},{j},{k}")
+
+
 @lru_cache(maxsize=None)
 def _spin_rep(field: Field):
     """(Ψ, ρ, checked): Ψ on the M basis and ρ on the σ basis, stacked
-    32×32 arrays mod p, once every relation of spin_map_psi has held."""
+    32×32 arrays mod p, once every relation of spin_map_psi has held: the
+    Clifford relations on the products Ψ_i·Ψ_j, the representation property
+    by one Jacobi scan of so(M, Q) ⋉ S (_check_spin_rep), one check per σ
+    pair a < b, and the closed forms."""
     p = field.p
     somq = build_so_MQ(field)
     psi = _psi_images(tits_model("octonion", field))
@@ -569,18 +606,8 @@ def _spin_rep(field: Field):
 
     i, j = np.array(somq.pairs).T
     rho = pow(-2, -1, p) * (prod[i, j] - prod[j, i]) % p
-
-    # representation property against the σ structure constants
-    ad = _block(somq.algebra, 0, 0, 0)
-    n = len(rho)
-    for a in range(n - 1):
-        com = _commutators(rho[a], rho[a + 1:], p)
-        want = combine(ad[a, :, a + 1:].T, rho, p)
-        bad = np.nonzero((com != want).any(axis=(1, 2)))[0]
-        if bad.size:
-            raise RelationFailed(
-                f"spin rep fails on σ pairs {a},{a + 1 + int(bad[0])}")
-        checked += n - 1 - a
+    _check_spin_rep(somq.algebra, rho, field)
+    checked += len(rho) * (len(rho) - 1) // 2
 
     # explicit mixed-pair form: -Ψ(a)Ψ(u₁⊗u₂), block off-diagonal in U⊕U
     for ai in range(7):
@@ -604,8 +631,11 @@ def spin_map_psi(field: Field) -> dict:
     """Clifford generator images Ψ(M basis) on C ⊗ (U ⊕ U), verified.
 
     Checks Ψ(z)Ψ(z') + Ψ(z')Ψ(z) = Q(z,z')·id on all generator pairs,
-    that ρ(σ) = -½[Ψ(x),Ψ(y)] is a representation of so(M,Q), and the
-    closed form ρ(σ_{a,u₁⊗u₂}) = -Ψ(a)Ψ(u₁⊗u₂) = L_a ⊗ offdiag.
+    that ρ(σ) = -½[Ψ(x),Ψ(y)] is a representation of so(M,Q), by one
+    Jacobi scan of so(M,Q) ⋉ S (_check_spin_rep, no matrix product), and
+    the closed form ρ(σ_{a,u₁⊗u₂}) = -Ψ(a)Ψ(u₁⊗u₂) = L_a ⊗ offdiag.
+    checked counts 66 generator pairs, 1485 σ pairs a < b and 28 closed
+    forms.
     """
     _require_char5(field)
     psi, _, checked = _spin_rep(field)
@@ -770,34 +800,38 @@ def _odd_intertwiner(rep1, rep2, p):
 
 
 def _odd_proportionality(T, B5, theta, S, p):
-    """The c in GF(p) with θ([x, y]) = c·[Sx, Sy] for all odd x, y of T."""
+    """The c in GF(p) with θ([x, y]) = c·[Sx, Sy] for all odd x, y of T.
+
+    The pairs (i, j), i <= j, of odd basis elements are read in order, in
+    one array pass; ScalingNotFound at the first pair where the supports
+    of the two brackets differ, where they are not proportional, or where
+    their ratio differs from that of the first nonzero pair."""
     n1 = S.shape[0]
     RT, RB = _block(T, 1, 1, 0), _block(B5, 1, 1, 0)   # (n1, 55, n1)
     # lhs[k, i, j] = θ([o_i, o_j])_k;  rhs[i, k, j] = [S o_i, S o_j]_k
     lhs = combine(theta, RT.transpose(1, 0, 2), p)
     rhs = combine(S.T, _stacked_right(RB, S, p), p)
-    c_val = None
-    for i in range(n1):
-        for j in range(i, n1):
-            l_ij, r_ij = lhs[:, i, j], rhs[i, :, j]
-            lz, rz = not l_ij.any(), not r_ij.any()
-            if lz != rz:
-                raise ScalingNotFound(
-                    f"odd bracket support differs at ({i},{j})")
-            if lz:
-                continue
-            k = int(np.nonzero(r_ij)[0][0])
-            r = int(l_ij[k]) * pow(int(r_ij[k]), p - 2, p) % p
-            if not np.array_equal(l_ij, r_ij * r % p):
-                raise ScalingNotFound(
-                    f"odd brackets not proportional at ({i},{j})")
-            if c_val is None:
-                c_val = r
-            elif c_val != r:
-                raise ScalingNotFound(
-                    f"inconsistent proportionality {c_val} vs {r}")
-    if c_val is None:
+    i, j = np.triu_indices(n1)
+    L, R = lhs[:, i, j].T, rhs[i, :, j]                # one row per pair
+    at = np.arange(len(i))
+    k = (R != 0).argmax(axis=1)                        # first nonzero of R
+    lk, rk = L[at, k], R[at, k]
+    live = np.flatnonzero(rk)
+    if not live.size and not L.any():
         raise ScalingNotFound("all odd-odd brackets vanished")
+    c_val = int(lk[live[0]]) * pow(int(rk[live[0]]), -1, p) % p if live.size else 0
+    support = (L != 0).any(axis=1) != (rk != 0)
+    crossed = ((L * rk[:, None] - R * lk[:, None]) % p).any(axis=1)   # L ≠ (lk/rk)·R
+    ratio = (lk - c_val * rk) % p != 0
+    bad = np.flatnonzero(support | crossed | ratio)
+    if bad.size:
+        x = bad[0]
+        if support[x]:
+            raise ScalingNotFound(f"odd bracket support differs at ({i[x]},{j[x]})")
+        if crossed[x]:
+            raise ScalingNotFound(f"odd brackets not proportional at ({i[x]},{j[x]})")
+        r = int(lk[x]) * pow(int(rk[x]), -1, p) % p
+        raise ScalingNotFound(f"inconsistent proportionality {c_val} vs {r}")
     return c_val
 
 

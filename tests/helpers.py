@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
+
 from spinlab.clifford import half_spin_masks, pair_basis, rho_tables, so_bracket_table
-from spinlab.linalg import RowSpace
+from spinlab.linalg import RowSpace, matmul_modp
+from spinlab.superalgebra import _brackets_into
 
 
 def rep_and_adjoint(l, kind, field, parity=None):
@@ -88,6 +91,24 @@ def first_bad_pair(mat, A, B):
                     rhs[r] = f.add(rhs[r], f.mul(v, mat[r][k]))
             if lhs != rhs:
                 return (A.labels[i], A.labels[j])
+    return None
+
+
+def first_unpreserved_pair_by_columns(M, A, B):
+    """The first pair (i, j), i <= j, with E(i, j) = [M e_i, M e_j] -
+    M [e_i, e_j] != 0, or None, one column of E per step by dense products:
+    the tests' reference for superalgebra._first_unpreserved_pair.  Column
+    j of E is M^T times the rows [f_b, M e_j], minus the rows [e_i, e_j]
+    times M^T."""
+    p, n = A.field.p, A.dim
+    MT = np.ascontiguousarray(M.T)
+    unit = np.eye(n, dtype=np.int64)
+    for j in range(n):
+        got = matmul_modp(MT, _brackets_into(B, M[:, j]), p)
+        want = matmul_modp(_brackets_into(A, unit[j]), MT, p)
+        bad = np.flatnonzero((got != want).any(axis=1))
+        if bad.size:
+            return tuple(sorted((j, int(bad[0]))))
     return None
 
 

@@ -93,6 +93,15 @@ def test_singular_inverse_raises():
         inv_modp([[1, Fraction(1, 2)], [2, 1]], 0)
 
 
+@pytest.mark.parametrize("p", [5, 0])
+@pytest.mark.parametrize("a", [[[1, 2, 3]], [[1], [2]], [1, 2], [[[1]]]],
+                         ids=["1x3", "2x1", "vector", "1x1x1"])
+def test_inverse_of_a_non_square_input_raises(a, p):
+    # [[1, 2, 3]] mod 5 used to come back as [[2, 3, 1]], which is no inverse
+    with pytest.raises(ValueError, match="square"):
+        inv_modp(a, p)
+
+
 @pytest.mark.parametrize("f", [QQ, GF(5)], ids=repr)
 def test_rowspace_membership(f):
     sp = RowSpace(f, 3)

@@ -25,9 +25,10 @@ from spinlab.construct import build_superalgebra, classify, decompose_type_d_l2
 from spinlab.tits import build_tits, tits_model
 from spinlab.linalg import (RowSpaceModP, common_denominator,
                             exact_array, inv_modp, matmul_modp, nullspace_modp,
-                            rank_int)
+                            rank_int, rank_modp)
 
-from helpers import gauss_jordan, ideal_closure_by_dictionary, rep_and_adjoint
+from helpers import (first_unpreserved_pair_by_columns, gauss_jordan,
+                     ideal_closure_by_dictionary, rep_and_adjoint)
 
 E, H, F = 0, 1, 2
 
@@ -770,6 +771,105 @@ def test_verify_isomorphism_with_odd_rescaling():
         assert verify_isomorphism(M, A, B) is True
         M[0][0] = f.of_int(2)
         assert verify_isomorphism(M, A, B) is False
+
+
+def transported(A, G):
+    """The algebra B on A's basis with [G e_i, G e_j] = G [e_i, e_j]_A, so
+    that the invertible parity-preserving exact array G is an isomorphism
+    A -> B: [f_a, f_b] = sum G^-1[i, a] G^-1[j, b] G [e_i, e_j]_A."""
+    p, n = A.field.p, A.dim
+    I, J, K, V, scale = A.coo
+    table = exact_array(np.zeros((n, n, n), dtype=np.int64), p)
+    table[I, J, K] = V if p else [Fraction(v, scale) for v in V.tolist()]
+    Gi = inv_modp(G, p)
+    X = matmul_modp(table.reshape(n * n, n), np.ascontiguousarray(G.T), p)
+    X = matmul_modp(Gi.T, X.reshape(n, n * n), p).reshape(n, n, n)
+    X = matmul_modp(Gi.T, X.transpose(1, 0, 2).reshape(n, n * n), p)
+    X = X.reshape(n, n, n).transpose(1, 0, 2)
+    bracket = {(a, b): {c: X[a, b, c] for c in range(n) if X[a, b, c]}
+               for a in range(n) for b in range(n)}
+    return SuperAlgebra("transported", A.field, A.n0, A.n1, A.labels, bracket,
+                        A.odd_symmetric)
+
+
+def parity_preserving(f, n0, n, density, rng):
+    """A random invertible parity-preserving n x n exact array over f, with
+    about density of the entries of its two diagonal blocks nonzero."""
+    p = f.p
+    while True:
+        G = exact_array(np.zeros((n, n), dtype=np.int64), p)
+        for lo, hi in ((0, n0), (n0, n)):
+            for r in range(lo, hi):
+                for c in range(lo, hi):
+                    if r == c or rng.random() < density:
+                        G[r, c] = (rng.randrange(1, p) if p
+                                   else Fraction(rng.choice([-3, -1, 1, 2]),
+                                                 rng.choice([1, 2, 3])))
+        if rank_modp(G, p) == n:
+            return G
+
+
+@pytest.mark.parametrize("tampered", [False, True], ids=["iso", "tampered"])
+@pytest.mark.parametrize("density", [0.1, 1.0], ids=["sparse", "dense"])
+@pytest.mark.parametrize("f", [GF(3), GF(5), GF(7), QQ], ids=repr)
+def test_keyed_isomorphism_pass_matches_the_column_loop(f, density, tampered):
+    # the keyed pass and the per-column dense products name the same first
+    # pair (None for an isomorphism) on B2 and its image under a random G
+    A = build_superalgebra(2, "B", f)
+    rng = random.Random(f"{f.p}-{density}-{tampered}")
+    G = parity_preserving(f, A.n0, A.dim, density, rng)
+    B = transported(A, G)
+    if tampered:
+        r, c = rng.randrange(A.n0), rng.randrange(A.n0)
+        G[r, c] = (G[r, c] + 1) % f.p if f.p else G[r, c] + Fraction(1, 2)
+    want = first_unpreserved_pair_by_columns(G, A, B)
+    assert (want is None) is not tampered
+    assert superalgebra._first_unpreserved_pair(G, A, B) == want
+    assert verify_isomorphism(G, A, B) is (want is None)
+
+
+def test_first_unpreserved_pair_is_ordered_when_the_swap_rules_differ():
+    # A skew with [o0, o1] = h, B odd-symmetric with [o0, o1] = -h: under
+    # the identity E(o0, o1) = -2h but E(o1, o0) = 0, so E is not graded-skew
+    # and the first mismatch, in column o1, lies above the diagonal
+    f = GF(5)
+    A = SuperAlgebra("A", f, 1, 2, ["h", "o0", "o1"], {(1, 2): {0: 1}},
+                     odd_symmetric=False)
+    B = SuperAlgebra("B", f, 1, 2, ["h", "o0", "o1"], {(1, 2): {0: -1}},
+                     odd_symmetric=True)
+    M = np.eye(3, dtype=np.int64)
+    assert first_unpreserved_pair_by_columns(M, A, B) == (1, 2)
+    assert superalgebra._first_unpreserved_pair(M, A, B) == (1, 2)
+    assert verify_isomorphism(M, A, B) is False
+
+
+@pytest.mark.parametrize("tampered", [False, True], ids=["iso", "tampered"])
+def test_keyed_isomorphism_pass_across_blocks(tampered, monkeypatch):
+    # a budget of 160 terms cuts the pairs into many blocks, some of
+    # whole columns and some inside one column, with the same answer
+    f = GF(5)
+    A = build_superalgebra(2, "B", f)
+    rng = random.Random(29)
+    G = parity_preserving(f, A.n0, A.dim, 0.2, rng)
+    B = transported(A, G)
+    if tampered:
+        G[A.dim - 1, A.dim - 1] = (G[A.dim - 1, A.dim - 1] + 1) % 5
+    calls, runs_of = [], superalgebra._runs
+
+    def recorded(counts):                   # the sizes of the runs of each call
+        sizes = []
+        calls.append(sizes)
+        for s, e in runs_of(counts):
+            sizes.append(e - s)
+            yield s, e
+    monkeypatch.setattr(superalgebra, "_ISO_BLOCK", 160)
+    monkeypatch.setattr(superalgebra, "_runs", recorded)
+    want = first_unpreserved_pair_by_columns(G, A, B)
+    assert (want is None) is not tampered
+    assert superalgebra._first_unpreserved_pair(G, A, B) == want
+    assert len(calls) > 1 and len(calls[1]) > 1     # a column cut by rows
+    if not tampered:                        # the pass runs to the end
+        assert max(calls[0]) > 1            # a block of several columns
 
 
 def s_squared(f, c):

@@ -10,10 +10,10 @@ from spinlab import composition, kac
 from spinlab.fields import GF, QQ, Field, make_field
 from spinlab.composition import inner_derivation, make_composition
 from spinlab.kac import K_FORM, KacElement, inner_derivation_J
-from spinlab.linalg import SpanSolver, inv_modp, nullspace_modp
+from spinlab.linalg import SpanSolver, combine, inv_modp, matmul_modp, nullspace_modp
 from spinlab.construct import build_superalgebra
 from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, _block,
-                                  _first_unpreserved_pair, check_jacobi,
+                                  _brackets_into, _first_unpreserved_pair, check_jacobi,
                                   even_subalgebra, j_triple,
                                   norton_irreducible, verify_isomorphism)
 from spinlab import tits
@@ -572,6 +572,78 @@ def test_spin_map_relations():
     assert len(r["psi"]) == 11
 
 
+def spin_rep_by_pairs(so, rho, p):
+    """The first σ pair a < b with [ρ(a), ρ(b)] ≠ ρ([σ_a, σ_b]), by dense
+    commutators, as the message _check_spin_rep gives, or None: the
+    reference for the Jacobi scan of so(M, Q) ⋉ S."""
+    ad = _block(so, 0, 0, 0)
+    for a in range(len(rho) - 1):
+        com = tits._commutators(rho[a], rho[a + 1:], p)
+        want = combine(ad[a, :, a + 1:].T, rho, p)
+        bad = np.flatnonzero((com != want).any(axis=(1, 2)))
+        if bad.size:
+            return f"spin rep fails on σ pairs {a},{a + 1 + int(bad[0])}"
+    return None
+
+
+def test_a_shifted_rho_entry_names_the_first_failing_sigma_pair():
+    so, (_, rho, _) = build_so_MQ(F5).algebra, tits._spin_rep(F5)
+    assert spin_rep_by_pairs(so, rho, 5) is None
+    tits._check_spin_rep(so, rho, F5)
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        shifted = rho.copy()
+        a, k, j = rng.integers(55), rng.integers(32), rng.integers(32)
+        shifted[a, k, j] = (shifted[a, k, j] + rng.integers(1, 5)) % 5
+        want = spin_rep_by_pairs(so, shifted, 5)
+        assert want is not None
+        with pytest.raises(tits.RelationFailed) as caught:
+            tits._check_spin_rep(so, shifted, F5)
+        assert str(caught.value) == want
+
+
+def test_rep_check_on_the_abelian_plane():
+    # two commuting matrices represent the abelian 2-dimensional Lie
+    # algebra and two that do not commute fail on its only pair, with the
+    # witness at the first coordinate of S
+    plane = SuperAlgebra("plane", F5, 2, 0, ("x", "y"), {}, odd_symmetric=False)
+    tits._check_spin_rep(plane, np.array([[[1, 2], [0, 1]], [[3, 4], [0, 3]]]), F5)
+    with pytest.raises(tits.RelationFailed, match=r"^spin rep fails on σ pairs 0,1$"):
+        tits._check_spin_rep(plane, np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]]), F5)
+
+
+@pytest.mark.parametrize("entry", [0, 247, -1])
+def test_a_shifted_so_constant_is_refused_as_so(entry):
+    # one stored structure constant of so(M, Q) moved: the scan of
+    # so(M, Q) ⋉ S finds an all-even witness first and names so(M, Q)
+    so, (_, rho, _) = build_so_MQ(F5).algebra, tits._spin_rep(F5)
+    I, J, K, V, _ = so.coo
+    stored = np.flatnonzero(I <= J)
+    V = V[stored].copy()
+    V[entry] = (V[entry] + 1) % 5
+    shifted = SuperAlgebra._from_coo(so.name, F5, 55, 0, so.labels,
+                                     (I[stored], J[stored], K[stored], V, 1),
+                                     odd_symmetric=False)
+    with pytest.raises(tits.RelationFailed,
+                       match=r"^so\(M,Q\) fails the Jacobi identity on σ triple "
+                             r"\d+,\d+,\d+$"):
+        tits._check_spin_rep(shifted, rho, F5)
+
+
+def test_the_sparse_checks_make_no_dense_products(monkeypatch):
+    so, (_, rho, _) = build_so_MQ(F5).algebra, tits._spin_rep(F5)
+    M = np.array(cross_identify_with_typeB(F5)["matrix"], dtype=np.int64)
+    T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
+    calls = []
+    for original in (matmul_modp, _brackets_into):
+        _spy_everywhere(monkeypatch, original, calls)
+    tits._check_spin_rep(so, rho, F5)
+    assert _first_unpreserved_pair(M, T, B5) is None
+    assert calls == []
+    assert tits._spin_rep.__wrapped__(F5)[2] == 1579
+    assert calls == ["matmul_modp"]            # Ψ_i·Ψ_j, for the Clifford relations
+
+
 def test_phi1_intertwines():
     r = phi1_intertwine(F5)
     assert r["pass"] and r["witness"] is None
@@ -947,3 +1019,35 @@ def test_odd_proportionality_matches_the_dictionary_route():
         assert got == _outcome(proportionality_by_dictionary, T, B5, th, s, 5)
         seen.add(type(got))
     assert str in seen
+
+
+def _tampered_for_each_refusal(theta, S):
+    """(theta, S, expected message prefix) for the three refusals of
+    _odd_proportionality, in the order of its checks."""
+    cut = S.copy()
+    cut[:, 0] = 0                     # [S o_0, S o_j] = 0, θ([o_0, o_j]) is not
+    off = theta.copy()
+    off[0, 1] = (off[0, 1] + 1) % 5   # θ moves one coordinate out of line
+    scaled = S.copy()
+    scaled[:, 0] = scaled[:, 0] * 2 % 5   # the pairs of o_0 get another ratio
+    return [(theta, cut, "odd bracket support differs at (0,"),
+            (off, S, "odd brackets not proportional at ("),
+            (theta, scaled, "inconsistent proportionality ")]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_odd_proportionality_refusals(case):
+    M = np.array(cross_identify_with_typeB(F5)["matrix"], dtype=np.int64)
+    T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
+    th, s, prefix = _tampered_for_each_refusal(M[:55, :55], M[55:, 55:])[case]
+    with pytest.raises(ScalingNotFound) as caught:
+        _odd_proportionality(T, B5, th, s, 5)
+    assert str(caught.value).startswith(prefix)
+    assert str(caught.value) == _outcome(proportionality_by_dictionary, T, B5, th, s, 5)
+
+
+def test_odd_proportionality_of_vanishing_brackets():
+    T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
+    zero = np.zeros((55, 55), dtype=np.int64), np.zeros((32, 32), dtype=np.int64)
+    with pytest.raises(ScalingNotFound, match="all odd-odd brackets vanished"):
+        _odd_proportionality(T, B5, *zero, 5)
