@@ -49,11 +49,24 @@ def _check_kind(kind: str):
         raise ValueError(f"kind must be 'B' or 'D', got {kind!r}")
 
 
+def _check_rank(l: int):
+    if l < 1:
+        raise ValueError("need l >= 1")
+
+
+def _check_pairs(l: int, kind: str):
+    """ValueError unless (l, kind) has a pair basis: l >= 1, and l >= 2
+    for kind D."""
+    _check_kind(kind)
+    _check_rank(l)
+    if kind == "D" and l < 2:
+        raise ValueError("kind D needs l >= 2")
+
+
 @lru_cache(maxsize=None)
 def ambient_space(l: int, kind: str) -> AmbientSpace:
     _check_kind(kind)
-    if l < 1:
-        raise ValueError("need l >= 1")
+    _check_rank(l)
     off = 1 if kind == "B" else 0
     labels = (("u",) if off else ()) + \
         tuple(f"v{i}" for i in range(1, l + 1)) + \
@@ -67,7 +80,11 @@ def ambient_space(l: int, kind: str) -> AmbientSpace:
 
 
 def qpair(space: AmbientSpace, a: int, b: int) -> int:
-    """Polarized form on ambient basis indices, as an integer."""
+    """Polarized form on ambient basis indices, as an integer; ValueError
+    for an index outside range(space.dim)."""
+    for x in (a, b):
+        if not 0 <= x < space.dim:
+            raise ValueError(f"ambient index {x!r} outside range({space.dim})")
     if space.kind == "B" and a == 0 and b == 0:
         return -2
     return 1 if a != b and space.partner[a] == b else 0
@@ -96,9 +113,8 @@ class PairBasis(NamedTuple):
 
 @lru_cache(maxsize=None)
 def pair_basis(l: int, kind: str) -> PairBasis:
+    _check_pairs(l, kind)
     space = ambient_space(l, kind)
-    if kind == "D" and l < 2:
-        raise ValueError("kind D needs l >= 2")
     pairs = []
     for a in range(space.dim):
         for b in range(a + 1, space.dim):
@@ -111,6 +127,7 @@ def pair_basis(l: int, kind: str) -> PairBasis:
 
 
 def so_dim(l: int, kind: str) -> int:
+    _check_pairs(l, kind)
     return l * (2 * l + 1) if kind == "B" else l * (2 * l - 1)
 
 
@@ -260,27 +277,26 @@ def gram_pairing(l: int, kind: str):
     return perm, coef
 
 
-@lru_cache(maxsize=None)
-def so_bracket_table(l: int, kind: str):
-    """Structure constants of so on the pair basis.
+def so_constants(q):
+    """Structure constants of so(q), q an integer symmetric Gram matrix, on
+    the pair basis {[w_a,w_b]. : a < b} in index order.
 
     [[w_a,w_b].,[w_c,w_d].] expands by the adjoint rule applied twice:
     2 q(b,c)[w_a,w_d]. - 2 q(a,c)[w_b,w_d]. + 2 q(b,d)[w_c,w_a].
-    - 2 q(a,d)[w_c,w_b].  Returns read-only int64 COO arrays
-    (k1, k2, k3, c), sorted and with no zero c: [B_k1, B_k2] has
-    coefficient c at B_k3.
+    - 2 q(a,d)[w_c,w_b].  Returns int64 COO arrays (k1, k2, k3, c), sorted
+    and with no zero c: [B_k1, B_k2] has coefficient c at B_k3, mod p over
+    GF(p).  ValueError unless q is a square symmetric integer matrix.
     """
-    space = ambient_space(l, kind)
-    pb = pair_basis(l, kind)
-    npairs, dim = len(pb.pairs), space.dim
-    q = np.array([[qpair(space, x, y) for y in range(dim)] for x in range(dim)],
-                 dtype=np.int64)
+    q = np.asarray(q)
+    if q.dtype.kind not in "iu" or q.ndim != 2 or not np.array_equal(q, q.T):
+        raise ValueError(f"not a square symmetric integer matrix: {q.dtype}{q.shape}")
+    q, dim = q.astype(np.int64), len(q)
+    a, b = np.triu_indices(dim, 1)
+    npairs = a.size
     idx = np.zeros((dim, dim), dtype=np.int64)        # [w_x,w_y]. = sg * B_idx
-    for k, (x, y) in enumerate(pb.pairs):
-        idx[x, y] = idx[y, x] = k
+    idx[a, b] = idx[b, a] = np.arange(npairs)
     sg = np.sign(np.arange(dim) - np.arange(dim)[:, None])    # x < y: +1
-    a, b = (np.array(col, dtype=np.int64).reshape(-1, 1)
-            for col in zip(*pb.pairs))
+    a, b = a[:, None], b[:, None]
     c, d = a.T, b.T
     k1, k2 = np.indices((npairs, npairs))
     terms = ((2 * q[b, c], a, d), (-2 * q[a, c], b, d),
@@ -293,7 +309,21 @@ def so_bracket_table(l: int, kind: str):
     total = np.zeros(key.size, dtype=np.int64)
     np.add.at(total, at, coeff)
     key, total = key[total != 0], total[total != 0]
-    out = (key // npairs // npairs, key // npairs % npairs, key % npairs, total)
+    return key // npairs // npairs, key // npairs % npairs, key % npairs, total
+
+
+def ambient_gram(l: int, kind: str) -> np.ndarray:
+    """The polarized form q on the ambient basis, as an int64 matrix."""
+    space = ambient_space(l, kind)
+    return np.array([[qpair(space, x, y) for y in range(space.dim)]
+                     for x in range(space.dim)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def so_bracket_table(l: int, kind: str):
+    """so_constants of the Gram matrix of ambient_space(l, kind), read-only."""
+    _check_pairs(l, kind)
+    out = so_constants(ambient_gram(l, kind))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -301,6 +331,9 @@ def so_bracket_table(l: int, kind: str):
 
 def half_spin_masks(l: int, parity: int = 0) -> tuple:
     """Monomial masks of the given popcount parity, in increasing order."""
+    _check_rank(l)
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {parity!r}")
     return tuple(m for m in range(1 << l) if m.bit_count() & 1 == parity)
 
 

@@ -31,6 +31,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_PRIME = 1 << 26
 
 
+def _characteristic(p) -> int:
+    """p as a Python int; InvalidField for anything but an int or a numpy
+    integer (a bool, float, Fraction or str names no characteristic)."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise InvalidField(f"a characteristic is an integer, not {p!r}")
+    return int(p)
+
+
 def _is_prime(n: int) -> bool:
     # Deterministic Miller-Rabin; the base set above is exact for n < 3.3e24.
     if n < 2:
@@ -71,6 +79,7 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        p = _characteristic(p)
         if p != 0:
             if p == 2:
                 raise InvalidField("characteristic 2 is not supported")
@@ -182,12 +191,12 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
-    if p == 0:
+    if _characteristic(p) == 0:
         raise InvalidField("characteristic 0 field is QQ, not GF(0)")
     return Field(p)
 
 
 def make_field(char: int) -> Field:
     """Field of the given characteristic: 0 gives Q, odd prime p gives GF(p)."""
-    return QQ if char == 0 else Field(char)
+    return QQ if _characteristic(char) == 0 else Field(char)
 

@@ -40,11 +40,10 @@ once per field, as int64 arrays of residues, verifies it and caches it,
 so the steps may run in any order.  Whatever it needs of C it reads from
 the octonion TitsModel: the C⁰ block of the Gram matrix of Q is −npol,
 der C and ad_a act on C⁰ by Dczᵀ and comm_czᵀ in Φ₀, and a ∈ C⁰ acts on
-the spin space through La.  The brackets of so(M, Q) are the σ
-coordinates of the commutators [σ_a, σ_b], each checked by rebuilding
-the commutator from them.  That ρ is a representation of so(M, Q) is
-one sparse Jacobi scan of so(M, Q) ⋉ S (_check_spin_rep), and the
-brackets of Φ₀ and of T ≅ so₁₁ ⊕ spin are checked by the keyed pass of
+the spin space through La.  The brackets of so(M, Q) are −½ times
+clifford.so_constants of the Gram matrix of Q; that the σ matrices on M
+and ρ on S represent them is one sparse Jacobi scan each (_rep_witness),
+and the maps Φ₀ and T ≅ so₁₁ ⊕ spin are checked by the keyed pass of
 superalgebra._first_unpreserved_pair.  Coordinates in an so basis come in
 closed form: σ_ij·G⁻¹ = e_j e_iᵀ − e_i e_jᵀ for G the Gram matrix of Q,
 so X is in so(M, Q) exactly when X·G⁻¹ is skew, with σ_ij-coordinate
@@ -73,7 +72,7 @@ from .superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
                            _norton_word, _nullity_one_elements, _spin,
                            _stored_half)
-from .clifford import (ambient_space, qpair, pair_basis, nat_entries,
+from .clifford import (ambient_gram, pair_basis, nat_entries, so_constants,
                        DegenerateForm)
 from .construct import build_superalgebra
 
@@ -117,11 +116,6 @@ def _stacked_left(M, X, p):
     d, n, m = X.shape
     flat = matmul_modp(M, X.transpose(1, 0, 2).reshape(n, d * m), p)
     return flat.reshape(len(M), d, m).transpose(1, 0, 2)
-
-
-def _commutators(x, X, p):
-    """x·X[k] − X[k]·x for every matrix of the stack X."""
-    return _red(_stacked_left(x, X, p) - _stacked_right(X, x, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +390,8 @@ def _so_coords(X, ginv, rows, cols, p):
 class SoMQ(NamedTuple):
     """so(M, Q) with its pinned σ-basis over all index pairs i < j, as
     residues mod p: σ_ij = (e_j e_iᵀ − e_i e_jᵀ)·gram.  The structure
-    constants of `algebra` are the σ-coordinates of the commutators
-    [σ_a, σ_b], each checked by rebuilding the commutator from them."""
+    constants of `algebra` are clifford.so_constants(gram) times −½,
+    checked against the σ matrices by one Jacobi scan of so(M, Q) ⋉ M."""
     field: Field
     gram: np.ndarray        # 11×11 Gram matrix of Q
     ginv: np.ndarray        # its inverse
@@ -419,11 +413,10 @@ def build_so_MQ(field: Field) -> SoMQ:
 
     Q restricted to C⁰ is the negated polar norm (TitsModel.npol); on U⊗U
     it is Q(u₁⊗u₂, v₁⊗v₂) = -(u₁|v₁)(u₂|v₂); the blocks are orthogonal.
-    The brackets are read off the matrix commutators [σ_a, σ_b] in closed
-    form, both orders of every pair; VerificationFailed, naming the pair,
-    when a commutator leaves so(M, Q) or its coordinates do not rebuild
-    it, and from superalgebra._stored_half when [σ_b, σ_a] is not
-    −[σ_a, σ_b] coordinate by coordinate.
+    As σ_ij = −½·[w_i, w_j]. on M for q = G the Gram matrix of Q, the
+    brackets are clifford.so_constants(G) times −½, both orders through
+    superalgebra._stored_half.  VerificationFailed, naming the pair or
+    the triple, unless the σ matrices represent them on M (_rep_witness).
     """
     _require_char5(field)
     f = field
@@ -447,22 +440,16 @@ def build_so_MQ(field: Field) -> SoMQ:
     mats[np.arange(d), j] = gram[i]
     mats[np.arange(d), i] = -gram[j] % p
 
-    coords = np.zeros((d, d, d), dtype=np.int64)       # coords[a, b, k]
-    for a in range(d):
-        com = _commutators(mats[a], mats, p)
-        coords[a], inside = _so_coords(com, ginv, j, i, p)
-        rebuilt = combine(coords[a], mats, p)
-        for bad, what in ((~inside, "leaves so(M,Q)"),
-                          ((rebuilt != com).any(axis=(1, 2)),
-                           "is not rebuilt from its coordinates")):
-            if bad.any():
-                raise VerificationFailed(f"sigma commutator at pairs {pairs[a]},"
-                                         f"{pairs[int(np.argmax(bad))]} {what}")
-    I, J, K = np.nonzero(coords)
-    I, J, K, V = _stored_half(I, J, K, coords[I, J, K], d, d, p, False)
+    I, J, K, V = so_constants(gram)
+    I, J, K, V = _stored_half(I, J, K, V * pow(-2, -1, p) % p, d, d, p, False)
     labels = [f"s{i},{j}" for i, j in pairs]
     algebra = SuperAlgebra._from_coo("so(M,Q)", f, d, 0, labels,
                                      (I, J, K, V, 1), odd_symmetric=False)
+    if witness := _rep_witness(algebra, mats, f):
+        a, b, k = witness
+        raise VerificationFailed(
+            f"sigma commutator at pairs {pairs[a]},{pairs[b]} is not its bracket"
+            if k >= d else f"so(M,Q) fails the Jacobi identity on σ triple {a},{b},{k}")
     return SoMQ(f, _frozen(gram), _frozen(ginv), pairs, pair_index,
                 _frozen(mats), algebra)
 
@@ -553,35 +540,30 @@ def _psi_images(model: TitsModel) -> np.ndarray:
     return psi % p
 
 
-def _check_spin_rep(so: SuperAlgebra, rho, field: Field):
-    """RelationFailed unless rho, a stack of d×d arrays mod p, one for each
-    basis element of the Lie algebra so, is a representation of so.
+def _rep_witness(so: SuperAlgebra, rep, field: Field):
+    """The first witness (i, j, k) that rep, d×d arrays mod p, one for each
+    basis element of the Lie algebra so, is not a representation, or None.
 
-    ρ is a representation iff the semidirect product so ⋉ S satisfies the
-    Jacobi identity (Jacobson, Lie Algebras, ch. I): its even part is so,
-    its odd part the d coordinates of S, [σ_a, s_j] = Σ_k ρ[a][k, j] s_k
-    and [S, S] = 0.  Its Jacobi triples (σ_a, σ_b, s) are [ρ(a), ρ(b)] =
-    ρ([σ_a, σ_b]) on s, its all-even ones the Jacobi identity of so, and
-    the others vanish, so one sparse scan (check_jacobi) decides both.  The
-    first witness names the first failing pair a < b, or an even triple."""
-    p, n0, d = field.p, so.dim, rho.shape[1]
-    a, k, j = np.nonzero(rho)
-    v = rho[a, k, j]
+    rep is a representation iff the semidirect product so ⋉ V satisfies
+    the Jacobi identity (Jacobson, Lie Algebras, ch. I): its even part is
+    so, its odd part the d coordinates of V, [σ_a, v_j] = Σ_k rep[a][k, j]
+    v_k and [V, V] = 0.  Its Jacobi triples (σ_a, σ_b, v) are [rep(a),
+    rep(b)] = rep([σ_a, σ_b]) on v, its all-even ones the Jacobi identity
+    of so, and the others vanish, so one sparse scan (check_jacobi)
+    decides both; k >= so.dim names the first failing pair i < j."""
+    p, n0, d = field.p, so.dim, rep.shape[1]
+    a, k, j = np.nonzero(rep)
+    v = rep[a, k, j]
     I, J, K, V, _ = so.coo
     I, J, K, V = _stored_half(np.concatenate([I, a, n0 + j]),
                               np.concatenate([J, n0 + j, a]),
                               np.concatenate([K, n0 + k, n0 + k]),
                               np.concatenate([V, v, -v % p]), n0, n0 + d, p, True)
-    semi = SuperAlgebra._from_coo(f"{so.name} ⋉ S", field, n0, d,
-                                  so.labels + tuple(f"S{t}" for t in range(d)),
+    semi = SuperAlgebra._from_coo(f"{so.name} ⋉ V", field, n0, d,
+                                  so.labels + tuple(f"v{t}" for t in range(d)),
                                   (I, J, K, V, 1), odd_symmetric=True)
     witness = check_jacobi(semi, witness_cap=1).witnesses
-    if witness:
-        i, j, k = (witness[0][x] for x in "ijk")
-        if k >= n0:
-            raise RelationFailed(f"spin rep fails on σ pairs {i},{j}")
-        raise RelationFailed(f"{so.name} fails the Jacobi identity on σ triple "
-                             f"{i},{j},{k}")
+    return tuple(witness[0][x] for x in "ijk") if witness else None
 
 
 @lru_cache(maxsize=None)
@@ -589,7 +571,7 @@ def _spin_rep(field: Field):
     """(Ψ, ρ, checked): Ψ on the M basis and ρ on the σ basis, stacked
     32×32 arrays mod p, once every relation of spin_map_psi has held: the
     Clifford relations on the products Ψ_i·Ψ_j, the representation property
-    by one Jacobi scan of so(M, Q) ⋉ S (_check_spin_rep), one check per σ
+    by one Jacobi scan of so(M, Q) ⋉ S (_rep_witness), one check per σ
     pair a < b, and the closed forms."""
     p = field.p
     somq = build_so_MQ(field)
@@ -606,7 +588,11 @@ def _spin_rep(field: Field):
 
     i, j = np.array(somq.pairs).T
     rho = pow(-2, -1, p) * (prod[i, j] - prod[j, i]) % p
-    _check_spin_rep(somq.algebra, rho, field)
+    if witness := _rep_witness(somq.algebra, rho, field):
+        a, b, k = witness
+        raise RelationFailed(f"spin rep fails on σ pairs {a},{b}" if k >= len(rho)
+                             else "so(M,Q) fails the Jacobi identity on σ triple "
+                             f"{a},{b},{k}")
     checked += len(rho) * (len(rho) - 1) // 2
 
     # explicit mixed-pair form: -Ψ(a)Ψ(u₁⊗u₂), block off-diagonal in U⊕U
@@ -632,7 +618,7 @@ def spin_map_psi(field: Field) -> dict:
 
     Checks Ψ(z)Ψ(z') + Ψ(z')Ψ(z) = Q(z,z')·id on all generator pairs,
     that ρ(σ) = -½[Ψ(x),Ψ(y)] is a representation of so(M,Q), by one
-    Jacobi scan of so(M,Q) ⋉ S (_check_spin_rep, no matrix product), and
+    Jacobi scan of so(M,Q) ⋉ S (_rep_witness, no matrix product), and
     the closed form ρ(σ_{a,u₁⊗u₂}) = -Ψ(a)Ψ(u₁⊗u₂) = L_a ⊗ offdiag.
     checked counts 66 generator pairs, 1485 σ pairs a < b and 28 closed
     forms.
@@ -855,9 +841,7 @@ def cross_identify_with_typeB(field: Field) -> dict:
     somq = build_so_MQ(field)
     T = build_tits("octonion", field)
     B5 = build_superalgebra(5, "B", field)
-    space = ambient_space(5, "B")
-    gw = np.array([[qpair(space, a, b) for b in range(11)] for a in range(11)],
-                  dtype=np.int64) % p
+    gw = ambient_gram(5, "B") % p
     nats = np.zeros((55, 11, 11), dtype=np.int64)
     for k, ents in enumerate(nat_entries(5, "B")):
         for r, c, coeff in ents:

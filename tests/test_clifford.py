@@ -11,8 +11,8 @@ from spinlab.clifford import (SoElement, ambient_space, cartan_indices,
                               gram_matrix, half_spin_masks, lambda_op,
                               natural_matrix, nat_entries, pair_basis, qpair,
                               rho_of, rho_pair, rho_tables, so_bracket,
-                              so_bracket_table, so_dim, trace_form,
-                              _pair_action)
+                              so_bracket_table, so_constants, so_dim,
+                              trace_form, _pair_action)
 
 
 def test_ambient_space_layout():
@@ -24,6 +24,37 @@ def test_ambient_space_layout():
     spd = ambient_space(3, "D")
     assert spd.labels == ("v1", "v2", "v3", "f1", "f2", "f3")
     assert so_dim(3, "B") == 21 and so_dim(3, "D") == 15
+
+
+@pytest.mark.parametrize("l,kind,match", [
+    (3, "C", "kind must be"), (1, "b", "kind must be"), (0, "B", "need l >= 1"),
+    (-2, "D", "need l >= 1"), (1, "D", "kind D needs l >= 2")])
+def test_so_dim_refuses_what_has_no_pair_basis(l, kind, match):
+    # so_dim(3, "C") was 15 and so_dim(-2, "D") was 10: the bounds are
+    # those of pair_basis, which refuses the same arguments
+    for fn in (so_dim, pair_basis, so_bracket_table):
+        with pytest.raises(ValueError, match=match):
+            fn(l, kind)
+
+
+@pytest.mark.parametrize("l,parity,match", [
+    (3, 2, "parity must be 0 or 1"), (3, -1, "parity must be 0 or 1"),
+    (0, 0, "need l >= 1"), (-1, 1, "need l >= 1")])
+def test_half_spin_masks_refuses_a_bad_parity_or_rank(l, parity, match):
+    # half_spin_masks(3, 2) was ()
+    with pytest.raises(ValueError, match=match):
+        half_spin_masks(l, parity)
+    assert half_spin_masks(3, 1) == (1, 2, 4, 7)
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_qpair_refuses_an_index_outside_the_ambient_basis(kind):
+    # qpair(ambient_space(2, "B"), -1, 2) was 1: space.partner[-1] is 2
+    space = ambient_space(2, kind)
+    for a, b in ((-1, 2), (2, -1), (space.dim, 0), (0, space.dim + 3)):
+        with pytest.raises(ValueError, match=rf"outside range\({space.dim}\)"):
+            qpair(space, a, b)
+    assert [qpair(space, space.dim - 1, b) for b in range(space.dim)].count(1) == 1
 
 
 def test_lambda_squares_to_quadratic_form():
@@ -216,3 +247,41 @@ def test_so_bracket_table_is_the_commutator_of_natural_matrices(kind, l):
     np.add.at(got, (k1, k2), c[:, None, None] * N[k3])
     assert (got == want).all()
     assert (c != 0).all() and not any(a.flags.writeable for a in (k1, k2, k3, c))
+
+
+def natural_operators(q):
+    """[w_a,w_b]. for a < b in index order as dense matrices on the ambient
+    space of the Gram matrix q: w -> 2 q(b,w) w_a - 2 q(a,w) w_b."""
+    a, b = np.triu_indices(len(q), 1)
+    N = np.zeros((len(a), len(q), len(q)), dtype=np.int64)
+    N[np.arange(len(a)), a] = 2 * q[b]
+    N[np.arange(len(a)), b] = -2 * q[a]
+    return N
+
+
+@pytest.mark.parametrize("p", [0, 5])
+@pytest.mark.parametrize("dim", [2, 3, 4, 6, 7])
+def test_so_constants_on_random_gram_matrices(dim, p):
+    # the kernel against the dense commutators of the natural operators,
+    # over Q (integer q of both signs) and GF(5) (q and the check mod 5)
+    rng = np.random.default_rng(10 * dim + p)
+    for _ in range(3):
+        q = rng.integers(-3, 4, (dim, dim))
+        q = q + q.T
+        if p:
+            q %= p
+        N = natural_operators(q)
+        want = np.einsum("irs,jst->ijrt", N, N) - np.einsum("jrs,ist->ijrt", N, N)
+        got = np.zeros_like(want)
+        k1, k2, k3, c = so_constants(q)
+        np.add.at(got, (k1, k2), c[:, None, None] * N[k3])
+        assert ((got - want) % p == 0).all() if p else (got == want).all()
+        key = (k1 * len(N) + k2) * len(N) + k3
+        assert (c != 0).all() and (np.diff(key) > 0).all()
+
+
+def test_so_constants_refuses_a_gram_matrix_it_cannot_read():
+    for q in (np.array([[0, 1], [2, 0]]), np.eye(3), np.zeros((2, 3), dtype=int),
+              np.zeros(4, dtype=int)):
+        with pytest.raises(ValueError, match="square symmetric integer"):
+            so_constants(q)

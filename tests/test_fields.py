@@ -88,6 +88,25 @@ def test_invalid_fields_rejected():
     assert make_field(0) is QQ
 
 
+@pytest.mark.parametrize("char", [5.0, 7.5, 0.0, Fraction(5), Fraction(0), True,
+                                  False, "5", "0"], ids=repr)
+@pytest.mark.parametrize("make", [Field, GF, make_field],
+                         ids=lambda f: f.__name__)
+def test_a_characteristic_that_is_not_an_integer_is_refused(make, char):
+    # make_field(5.0) was GF(5.0), whose raw(7) was the float 2.0, and
+    # make_field(0.0) or make_field(False) was Q
+    with pytest.raises(InvalidField) as caught:
+        make(char)
+    assert str(caught.value) == f"a characteristic is an integer, not {char!r}"
+
+
+def test_a_numpy_integer_characteristic_is_stored_as_an_int():
+    for make in (Field, GF, make_field):
+        f = make(np.int64(5))
+        assert type(f.p) is int and f == GF(5) and type(f.raw(7)) is int
+    assert make_field(np.int32(0)) is QQ
+
+
 def test_primes_past_the_exact_kernels_rejected():
     # linalg.matmul_modp is exact only while (p-1)^2 < 2^53
     for p in (67108879, 1000000007):      # smallest prime above 2^26, and 10^9+7

@@ -319,3 +319,26 @@ def test_dictionary_routes_share_one_accumulator_and_one_wedge():
               for mod, name in (("kac.py", "ch3"), ("exterior.py", "wedge"))
               if "wedge_terms" not in uses[mod, name]]
     assert not found, found
+
+
+def test_one_kernel_gives_the_so_constants():
+    # the structure constants of an orthogonal Lie algebra come from one
+    # kernel, clifford.so_constants: it is called only by
+    # clifford.so_bracket_table, which construct reads, and by
+    # tits.build_so_MQ; tits.py defines no commutator helper of its own
+    calls, found = {}, []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            calls[path.name, fn.name] = {
+                getattr(node.func, "attr", getattr(node.func, "id", None))
+                for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            if path.name == "tits.py" and "commutator" in fn.name.lower():
+                found.append(f"tits.py:{fn.lineno} defines {fn.name}")
+    assert not found, found
+    users = {key for key, names in calls.items() if "so_constants" in names}
+    assert users == {("clifford.py", "so_bracket_table"),
+                     ("tits.py", "build_so_MQ")}, users
+    assert "so_bracket_table" in calls["construct.py", "_integer_tensor"]

@@ -25,7 +25,7 @@ from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, IsometryNotFound,
                           phi1_intertwine, spin_map_psi, tits_bracket,
                           tits_model, unit_ideal_split)
 
-from helpers import first_bad_pair
+from helpers import first_bad_pair, first_unpreserved_pair_by_columns
 
 F5 = GF(5)
 
@@ -171,25 +171,33 @@ def test_a_diagonal_entry_given_twice_is_refused(monkeypatch):
         build_tits.__wrapped__("octonion", F5)
 
 
+def _tampered_so_constants(monkeypatch, tamper):
+    """Route build_so_MQ through clifford.so_constants with tamper applied
+    in place to writable copies of its arrays (k1, k2, k3, c)."""
+    kernel = tits.so_constants
+
+    def tampered(q):
+        arrays = [np.array(a) for a in kernel(q)]
+        tamper(*arrays)
+        return arrays
+    monkeypatch.setattr(tits, "so_constants", tampered)
+
+
 def test_a_sigma_coordinate_flipped_in_one_order_is_refused(monkeypatch):
-    # [sigma_0, sigma_b] with its k-th coordinate negated is still in
-    # so(M, Q) and rebuilt from its coordinates; only the comparison with
-    # [sigma_b, sigma_0] sees it
-    somq, commutators, flipped = build_so_MQ(F5), tits._commutators, []
+    # the first constant of the kernel negated in one order only: every
+    # entry is still given once, and only the comparison of the two orders
+    # at the gate of superalgebra._stored_half sees it
+    flipped = []
 
-    def tampered(x, X, p):
-        com = commutators(x, X, p)
-        if not flipped:
-            c = somq.coords(com)[0]
-            b, k = np.argwhere(c)[0]
-            com[b] = (com[b] - 2 * c[b, k] * somq.mats[k]) % p
-            flipped.append((b, k))
-        return com
-
-    monkeypatch.setattr(tits, "_commutators", tampered)
+    def flip(k1, k2, k3, c):
+        x = np.flatnonzero(c % 5)[0]
+        c[x] = -c[x]
+        flipped.append((k1[x], k2[x], k3[x]))
+    _tampered_so_constants(monkeypatch, flip)
     with pytest.raises(VerificationFailed) as caught:
         build_so_MQ.__wrapped__(F5)
-    b, k = flipped[0]
+    (a, b, k), = flipped
+    assert a == 0 < b
     assert str(caught.value) == ("bracket symmetry fails: inconsistent bracket "
                                  f"orders for (0,{b}) at component {k}")
 
@@ -469,40 +477,66 @@ def test_so_MQ_brackets_are_read_off_the_commutators():
             assert solver.coords(com.reshape(-1).tolist()) == ad[a, :, b].tolist()
 
 
-def _first_bracketed_pair(somq):
-    """The first basis pair (a, b), in row-major order, with [σ_a, σ_b] ≠ 0."""
-    a, b = next((a, b) for a in range(55) for b in range(55)
-                if somq.algebra.bracket_terms(a, b))
-    return somq.pairs[a], somq.pairs[b]
+def rep_by_pairs(so, rep, p):
+    """The first basis pair a < b of the Lie algebra so with [rep(a),
+    rep(b)] ≠ rep([e_a, e_b]), by dense numpy products, or None: the
+    reference for the Jacobi scan of so ⋉ V in tits._rep_witness."""
+    ad = _block(so, 0, 0, 0)                       # ad[a, k, b]
+    for a in range(len(rep)):
+        for b in range(a + 1, len(rep)):
+            com = rep[a] @ rep[b] - rep[b] @ rep[a]
+            if ((com - np.tensordot(ad[a, :, b], rep, axes=1)) % p).any():
+                return a, b
+    return None
 
 
 def test_so_MQ_refuses_a_commutator_outside_so(monkeypatch):
+    # σ_3 with one entry shifted, as the scan of so(M, Q) ⋉ M sees it: its
+    # commutators are no longer the brackets of the table, and the refusal
+    # names the first such pair
     somq = build_so_MQ(F5)                         # built before the tamper
-    commutators = tits._commutators
-
-    def tampered(x, X, p):                         # one entry of [σ_3, σ_20]
-        com = commutators(x, X, p)
-        if np.array_equal(x, somq.mats[3]):
-            com[20, 0, 0] = (com[20, 0, 0] + 1) % p
-        return com
-    monkeypatch.setattr(tits, "_commutators", tampered)
+    mats = somq.mats.copy()
+    mats[3, 0, 0] = (mats[3, 0, 0] + 1) % 5
+    a, b = rep_by_pairs(somq.algebra, mats, 5)
+    check = tits._rep_witness
+    monkeypatch.setattr(tits, "_rep_witness",
+                        lambda so, rep, field: check(so, mats, field))
     with pytest.raises(VerificationFailed) as e:
         build_so_MQ.__wrapped__(F5)                # the uncached build
-    assert str(e.value) == (f"sigma commutator at pairs {somq.pairs[3]},"
-                            f"{somq.pairs[20]} leaves so(M,Q)")
+    assert str(e.value) == (f"sigma commutator at pairs {somq.pairs[a]},"
+                            f"{somq.pairs[b]} is not its bracket")
+
+
+@pytest.mark.parametrize("entry,triple", [(0, "0,1,3"), (247, "0,8,36"),
+                                          (-1, "6,52,54")])
+def test_so_MQ_refuses_a_shifted_constant(entry, triple, monkeypatch):
+    # one constant of the kernel shifted in both orders passes the gate;
+    # the scan of so(M, Q) ⋉ M refuses the table
+    def shift(k1, k2, k3, c):
+        x = np.flatnonzero(k1 < k2)[entry]
+        y = np.flatnonzero((k1 == k2[x]) & (k2 == k1[x]) & (k3 == k3[x]))[0]
+        c[x] += 1
+        c[y] -= 1
+    _tampered_so_constants(monkeypatch, shift)
+    with pytest.raises(VerificationFailed) as e:
+        build_so_MQ.__wrapped__(F5)
+    assert str(e.value) == f"so(M,Q) fails the Jacobi identity on σ triple {triple}"
 
 
 def test_so_MQ_refuses_coordinates_that_do_not_rebuild(monkeypatch):
-    # swapped row and column indices read every coordinate with the wrong
-    # sign: only the rebuild of the commutators can see it
-    first, second = _first_bracketed_pair(build_so_MQ(F5))
+    # swapped row and column indices read every so(M, Q) coordinate with
+    # the wrong sign: Φ₀'s images stay inside so(M, Q), and the bracket
+    # check of Φ₀ refuses −Φ₀ at its first bracketed pair
+    somq = build_so_MQ(F5)
+    T0 = even_subalgebra(build_tits("octonion", F5))
+    i, j = first_unpreserved_pair_by_columns(-tits._phi0(F5) % 5, T0, somq.algebra)
     so_coords = tits._so_coords
     monkeypatch.setattr(tits, "_so_coords", lambda X, ginv, rows, cols, p:
                         so_coords(X, ginv, cols, rows, p))
     with pytest.raises(VerificationFailed) as e:
-        build_so_MQ.__wrapped__(F5)
-    assert str(e.value) == (f"sigma commutator at pairs {first},{second} "
-                            f"is not rebuilt from its coordinates")
+        tits._phi0.__wrapped__(F5)
+    assert str(e.value) == (f"phi0 bracket mismatch at pair "
+                            f"{(T0.labels[i], T0.labels[j])}")
 
 
 def test_so_coordinates_closed_form_matches_span_solver():
@@ -572,51 +606,46 @@ def test_spin_map_relations():
     assert len(r["psi"]) == 11
 
 
-def spin_rep_by_pairs(so, rho, p):
-    """The first σ pair a < b with [ρ(a), ρ(b)] ≠ ρ([σ_a, σ_b]), by dense
-    commutators, as the message _check_spin_rep gives, or None: the
-    reference for the Jacobi scan of so(M, Q) ⋉ S."""
-    ad = _block(so, 0, 0, 0)
-    for a in range(len(rho) - 1):
-        com = tits._commutators(rho[a], rho[a + 1:], p)
-        want = combine(ad[a, :, a + 1:].T, rho, p)
-        bad = np.flatnonzero((com != want).any(axis=(1, 2)))
-        if bad.size:
-            return f"spin rep fails on σ pairs {a},{a + 1 + int(bad[0])}"
-    return None
-
-
-def test_a_shifted_rho_entry_names_the_first_failing_sigma_pair():
+def test_a_shifted_rho_entry_names_the_first_failing_sigma_pair(monkeypatch):
     so, (_, rho, _) = build_so_MQ(F5).algebra, tits._spin_rep(F5)
-    assert spin_rep_by_pairs(so, rho, 5) is None
-    tits._check_spin_rep(so, rho, F5)
+    assert rep_by_pairs(so, rho, 5) is None
+    assert tits._rep_witness(so, rho, F5) is None
+    check = tits._rep_witness
     rng = np.random.default_rng(29)
     for _ in range(6):
         shifted = rho.copy()
         a, k, j = rng.integers(55), rng.integers(32), rng.integers(32)
         shifted[a, k, j] = (shifted[a, k, j] + rng.integers(1, 5)) % 5
-        want = spin_rep_by_pairs(so, shifted, 5)
+        want = rep_by_pairs(so, shifted, 5)
         assert want is not None
+        witness = check(so, shifted, F5)
+        assert witness[:2] == want and witness[2] >= 55
+        # _spin_rep names the pair, with the check seeing the shifted ρ
+        monkeypatch.setattr(tits, "_rep_witness", lambda so, rep, field:
+                            check(so, shifted, field))
         with pytest.raises(tits.RelationFailed) as caught:
-            tits._check_spin_rep(so, shifted, F5)
-        assert str(caught.value) == want
+            tits._spin_rep.__wrapped__(F5)
+        assert str(caught.value) == "spin rep fails on σ pairs {},{}".format(*want)
 
 
 def test_rep_check_on_the_abelian_plane():
     # two commuting matrices represent the abelian 2-dimensional Lie
     # algebra and two that do not commute fail on its only pair, with the
-    # witness at the first coordinate of S
+    # witness at the first coordinate of V
     plane = SuperAlgebra("plane", F5, 2, 0, ("x", "y"), {}, odd_symmetric=False)
-    tits._check_spin_rep(plane, np.array([[[1, 2], [0, 1]], [[3, 4], [0, 3]]]), F5)
-    with pytest.raises(tits.RelationFailed, match=r"^spin rep fails on σ pairs 0,1$"):
-        tits._check_spin_rep(plane, np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]]), F5)
+    assert tits._rep_witness(
+        plane, np.array([[[1, 2], [0, 1]], [[3, 4], [0, 3]]]), F5) is None
+    assert tits._rep_witness(
+        plane, np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]]), F5) == (0, 1, 2)
 
 
 @pytest.mark.parametrize("entry", [0, 247, -1])
-def test_a_shifted_so_constant_is_refused_as_so(entry):
+def test_a_shifted_so_constant_is_refused_as_so(entry, monkeypatch):
     # one stored structure constant of so(M, Q) moved: the scan of
-    # so(M, Q) ⋉ S finds an all-even witness first and names so(M, Q)
-    so, (_, rho, _) = build_so_MQ(F5).algebra, tits._spin_rep(F5)
+    # so(M, Q) ⋉ S finds an all-even witness first, and _spin_rep names
+    # so(M, Q)
+    somq, (_, rho, _) = build_so_MQ(F5), tits._spin_rep(F5)
+    so = somq.algebra
     I, J, K, V, _ = so.coo
     stored = np.flatnonzero(I <= J)
     V = V[stored].copy()
@@ -624,21 +653,27 @@ def test_a_shifted_so_constant_is_refused_as_so(entry):
     shifted = SuperAlgebra._from_coo(so.name, F5, 55, 0, so.labels,
                                      (I[stored], J[stored], K[stored], V, 1),
                                      odd_symmetric=False)
-    with pytest.raises(tits.RelationFailed,
-                       match=r"^so\(M,Q\) fails the Jacobi identity on σ triple "
-                             r"\d+,\d+,\d+$"):
-        tits._check_spin_rep(shifted, rho, F5)
+    witness = tits._rep_witness(shifted, rho, F5)
+    assert witness[2] < 55
+    monkeypatch.setattr(tits, "build_so_MQ",
+                        lambda field: somq._replace(algebra=shifted))
+    with pytest.raises(tits.RelationFailed) as caught:
+        tits._spin_rep.__wrapped__(F5)
+    assert str(caught.value) == ("so(M,Q) fails the Jacobi identity on σ triple "
+                                 "{},{},{}".format(*witness))
 
 
 def test_the_sparse_checks_make_no_dense_products(monkeypatch):
     so, (_, rho, _) = build_so_MQ(F5).algebra, tits._spin_rep(F5)
     M = np.array(cross_identify_with_typeB(F5)["matrix"], dtype=np.int64)
     T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
+    tits_model("octonion", F5)                 # cached before the uncached build
     calls = []
     for original in (matmul_modp, _brackets_into):
         _spy_everywhere(monkeypatch, original, calls)
-    tits._check_spin_rep(so, rho, F5)
+    assert tits._rep_witness(so, rho, F5) is None
     assert _first_unpreserved_pair(M, T, B5) is None
+    assert build_so_MQ.__wrapped__(F5).algebra.coo[0].size == so.coo[0].size
     assert calls == []
     assert tits._spin_rep.__wrapped__(F5)[2] == 1579
     assert calls == ["matmul_modp"]            # Ψ_i·Ψ_j, for the Clifford relations
