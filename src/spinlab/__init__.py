@@ -3,16 +3,14 @@ algebras so + spin module, of the Kac Jordan superalgebra, and of the
 related Tits construction, over Q and GF(p)."""
 
 from .fields import Field, InvalidField, QQ, GF, make_field
-from .exterior import Multivector, wedge, form_b
 from .clifford import (AmbientSpace, PairBasis, DegenerateForm, ambient_space,
-                       pair_basis, qpair, so_dim, rho_tables, half_spin_masks,
-                       SoElement, so_bracket, rho_of, gram_matrix)
+                       pair_basis, qpair, so_dim, rho_tables, half_spin_masks)
 from .superalgebra import (SuperAlgebra, VerificationReport, check_jacobi,
                            ideal_closure, simplicity_certificate,
                            even_subalgebra, equivariant_map_dim,
                            verify_isomorphism, SCHEMA_VERSION)
 from .construct import (build_superalgebra, classify, decompose_type_d_l2,
-                        module_masks, spin_bracket)
+                        module_masks)
 from .composition import (CompositionAlgebra, make_composition,
                           derivation_algebra, inner_derivation, check_lemma_C)
 from .kac import (KacElement, EnvelopeElement, kac_product, idempotent_f,
@@ -25,15 +23,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "InvalidField", "QQ", "GF", "make_field",
-    "Multivector", "wedge", "form_b",
     "AmbientSpace", "PairBasis", "DegenerateForm", "ambient_space",
     "pair_basis", "qpair", "so_dim", "rho_tables", "half_spin_masks",
-    "SoElement", "so_bracket", "rho_of", "gram_matrix",
     "SuperAlgebra", "VerificationReport", "check_jacobi", "ideal_closure",
     "simplicity_certificate", "even_subalgebra", "equivariant_map_dim",
     "verify_isomorphism", "SCHEMA_VERSION",
     "build_superalgebra", "classify", "decompose_type_d_l2",
-    "module_masks", "spin_bracket",
+    "module_masks",
     "CompositionAlgebra", "make_composition", "derivation_algebra",
     "inner_derivation", "check_lemma_C",
     "KacElement", "EnvelopeElement", "kac_product", "idempotent_f",

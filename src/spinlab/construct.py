@@ -26,16 +26,15 @@ here proves, so no verdict rests on it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .clifford import (gram_pairing, half_spin_masks, pair_basis, rho_tables,
-                       so_bracket_table, so_dim)
-from .exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
-                       complement_form_signs, monomial_label)
-from .fields import QQ, Field, FieldMismatch
+from .clifford import (_check_pairs, gram_pairing, half_spin_masks, pair_basis,
+                       rho_tables, so_bracket_table, so_dim)
+from .exterior import (b_is_symmetric, bhat_is_symmetric, complement_form_signs,
+                       monomial_label)
+from .fields import QQ, Field
 from .linalg import exact_array, matmul_modp, rank_modp
 from .superalgebra import (SuperAlgebra, VerificationFailed, VerificationReport,
                            check_jacobi)
@@ -48,12 +47,10 @@ class OddHalfSpinUnsupported(ValueError):
 
 
 def module_masks(l: int, kind: str) -> tuple:
-    """Monomial masks spanning the odd part, in increasing order."""
-    if kind == "B":
-        return tuple(range(1 << l))
-    if kind == "D":
-        return half_spin_masks(l, 0)
-    raise ValueError(f"unknown kind {kind!r}")
+    """Monomial masks spanning the odd part, in increasing order;
+    ValueError unless (l, kind) has a pair basis (clifford._check_pairs)."""
+    l, kind = _check_pairs(l, kind)
+    return tuple(range(1 << l)) if kind == "B" else half_spin_masks(l, 0)
 
 
 def bracket_is_symmetric(l: int, kind: str) -> bool:
@@ -113,43 +110,6 @@ def _odd_products(l: int, kind: str, spin):
     perm, coef = gram_pairing(l, kind)
     num = c * complement_form_signs(l, kind == "D")[masks[t]]
     return s, masks.size - 1 - t, perm[a], num, coef[a]
-
-
-def spin_bracket(s: Multivector, t: Multivector, ctx):
-    """Odd-odd product of two module elements, as an SoElement.
-
-    ctx is (l, kind, field).  Bilinear extension of the monomial table;
-    kind D requires even l and even-degree inputs.
-    """
-    from .clifford import SoElement
-
-    l, kind, field = ctx
-    _check_kind(l, kind)
-    if s.l != l or t.l != l:
-        raise ValueError("multivector size does not match ctx")
-    if s.field != field or t.field != field:
-        raise FieldMismatch("multivector field does not match ctx")
-    masks = module_masks(l, kind)
-    midx = {m: i for i, m in enumerate(masks)}
-    for m in (*s.support(), *t.support()):
-        if m not in midx:
-            raise ValueError(f"monomial {monomial_label(m)} is not in the module")
-    I, J, K, V, scale = _integer_tensor(l, kind)
-    n0 = so_dim(l, kind)
-    swap = 1 if bracket_is_symmetric(l, kind) else -1
-    f = field
-    coords = [f.zero()] * n0
-    for ms, cs in s.coeffs.items():
-        for mt, ct in t.coeffs.items():
-            i, j = n0 + midx[ms], n0 + midx[mt]
-            sign = swap if i > j else 1
-            i, j = min(i, j), max(i, j)
-            lo, hi = np.searchsorted(I, [i, i + 1])     # odd row i, sorted by j
-            lo, hi = lo + np.searchsorted(J[lo:hi], [j, j + 1])
-            w = f.mul(cs, ct)
-            for k, v in zip(K[lo:hi].tolist(), V[lo:hi].tolist()):
-                coords[k] = f.add(coords[k], f.mul(w, f.raw(Fraction(sign * v, scale))))
-    return SoElement(l, kind, f, coords)
 
 
 @lru_cache(maxsize=None)

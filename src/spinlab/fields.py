@@ -71,9 +71,9 @@ class Field:
     All methods operate on raw values (Fraction or int).  Fields compare
     equal iff they have the same characteristic, so the Q singleton below
     and any GF(p) constructed twice interoperate.  The dictionary routes
-    (Multivector, SpinOperator, j_triple, the Grassmann envelope of kac)
-    keep sparse vectors as zero-free {key: raw} dicts and accumulate into
-    them through add_into alone.
+    (j_triple and the Grassmann envelope of kac) keep sparse vectors as
+    zero-free {key: raw} dicts and accumulate into them through add_into
+    alone.
     """
 
     __slots__ = ("p",)

@@ -408,8 +408,7 @@ def ch3(x: EnvelopeElement) -> EnvelopeElement:
 
     with t extended Lambda-linearly; identically zero on G(J) exactly in
     characteristic 5.  The traces are even Grassmann scalars, zero-free
-    {mask: raw} dicts, multiplied by exterior.wedge_terms, the product of
-    Multivector.wedge.
+    {mask: raw} dicts, multiplied by exterior.wedge_terms.
     """
     f = x.field
     x2 = x * x

@@ -101,7 +101,7 @@ def exact_array(values, p: int) -> np.ndarray:
         if isinstance(v, (float, complex, np.inexact)):
             raise TypeError(f"exact arithmetic refuses the inexact value "
                             f"{v!r}: give integers or Fractions")
-    flat = [Fraction(v) for v in vals.flat]
+    flat = [v if type(v) is Fraction else Fraction(v) for v in vals.flat]
     if p:
         for v in flat:
             if not v.denominator % p:

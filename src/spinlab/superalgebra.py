@@ -1167,7 +1167,9 @@ def verify_isomorphism(mat, A: SuperAlgebra, B: SuperAlgebra) -> bool:
 
     mat, a list of rows or an array of integers (read mod p over GF(p))
     and Fractions, is read by exact_array: a float raises TypeError.  Any
-    shape but n x n, ragged rows included, gives False.  The brackets are
+    shape but n x n, ragged rows included, gives False.  M is block
+    diagonal by parity, so its rank is the sum of the ranks of the two
+    blocks.  The brackets are
     compared by _first_unpreserved_pair, one route for both fields."""
     if A.field != B.field or (A.n0, A.n1) != (B.n0, B.n1):
         return False
@@ -1178,6 +1180,8 @@ def verify_isomorphism(mat, A: SuperAlgebra, B: SuperAlgebra) -> bool:
     except ValueError:                    # ragged rows
         return False
     M = exact_array(mat, p).reshape(n, n)
-    if M[:n0, n0:].any() or M[n0:, :n0].any() or rank_modp(M, p) != n:
+    if M[:n0, n0:].any() or M[n0:, :n0].any():
+        return False
+    if rank_modp(M[:n0, :n0], p) + rank_modp(M[n0:, n0:], p) != n:
         return False
     return _first_unpreserved_pair(M, A, B) is None

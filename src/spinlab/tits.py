@@ -541,8 +541,9 @@ def _psi_images(model: TitsModel) -> np.ndarray:
 
 
 def _rep_witness(so: SuperAlgebra, rep, field: Field):
-    """The first witness (i, j, k) that rep, d×d arrays mod p, one for each
-    basis element of the Lie algebra so, is not a representation, or None.
+    """The first witness (i, j, k) that rep, d×d arrays mod p (integers over
+    Q), one for each basis element of the Lie algebra so, is not a
+    representation, or None.
 
     rep is a representation iff the semidirect product so ⋉ V satisfies
     the Jacobi identity (Jacobson, Lie Algebras, ch. I): its even part is
@@ -558,7 +559,7 @@ def _rep_witness(so: SuperAlgebra, rep, field: Field):
     I, J, K, V = _stored_half(np.concatenate([I, a, n0 + j]),
                               np.concatenate([J, n0 + j, a]),
                               np.concatenate([K, n0 + k, n0 + k]),
-                              np.concatenate([V, v, -v % p]), n0, n0 + d, p, True)
+                              np.concatenate([V, v, _red(-v, p)]), n0, n0 + d, p, True)
     semi = SuperAlgebra._from_coo(f"{so.name} ⋉ V", field, n0, d,
                                   so.labels + tuple(f"v{t}" for t in range(d)),
                                   (I, J, K, V, 1), odd_symmetric=True)

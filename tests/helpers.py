@@ -1,12 +1,22 @@
 """Shared builders and oracles for the test suite."""
 
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 
-from spinlab.clifford import half_spin_masks, pair_basis, rho_tables, so_bracket_table
-from spinlab.linalg import RowSpace, matmul_modp
-from spinlab.superalgebra import _brackets_into
+from spinor_reference import model
+from spinlab import tits
+from spinlab.construct import build_superalgebra
+from spinlab.clifford import (half_spin_masks, pair_basis, rho_tables, so_bracket_table,
+                              so_dim)
+from spinlab.linalg import RowSpace, _red, matmul_modp
+from spinlab.superalgebra import SuperAlgebra, _brackets_into, _stored_half
+
+# the gcd of the contents of all nonzero Jacobi triples of the Q table
+CONTENTS = {("B", 1): 0, ("B", 2): 0, ("B", 3): 12, ("B", 4): 0,
+            ("B", 5): 20, ("B", 6): 24, ("B", 7): 4, ("B", 8): 8,
+            ("D", 2): 0, ("D", 4): 0, ("D", 6): 24, ("D", 8): 0}
 
 
 def rep_and_adjoint(l, kind, field, parity=None):
@@ -33,6 +43,100 @@ def rep_and_adjoint(l, kind, field, parity=None):
     for k1, k2, k3, coeff in zip(*(a.tolist() for a in so_bracket_table(l, kind))):
         adjoint[k1][k3][k2] = f.of_int(coeff)
     return rep, adjoint
+
+
+def closed_form_cases(l, f):
+    """The paper's closed-form odd brackets of kind B, l >= 3, as (got,
+    want) pairs of {index: raw} dicts read off the built algebra over f by
+    label: [s, t] for module monomials s, t."""
+    A = build_superalgebra(l, "B", f)
+
+    def br(s, t):                   # kind B: the module index is the mask
+        return A.bracket_terms(A.n0 + s, A.n0 + t)
+
+    def so(*terms):
+        return {A.labels.index(lab): f.raw(c) for c, lab in terms}
+
+    top = (1 << l) - 1
+    sign = (-1) ** ((l + 1) * l // 2)
+    return [
+        # [1, v1...vl] = -(1/4) sum [vi,fi]
+        (br(0, top), so(*[(Fraction(-1, 4), f"[v{i+1},f{i+1}]") for i in range(l)])),
+        # [1, v1...v_{l-1}] = ((-1)^l/4) [u,fl]
+        (br(0, top >> 1), so((Fraction((-1) ** l, 4), f"[u,f{l}]"))),
+        # [1, v1...v_{l-2}] = (1/2) [f_{l-1},f_l]
+        (br(0, top >> 2), so((Fraction(1, 2), f"[f{l-1},f{l}]"))),
+        # [v1...vl, v1] = -(sign/4) [u,v1],  sign = (-1)^binom(l+1,2)
+        (br(top, 0b1), so((Fraction(-sign, 4), "[u,v1]"))),
+        # [v1...vl, v1v2] = -(sign/2) [v1,v2]
+        (br(top, 0b11), so((Fraction(-sign, 2), "[v1,v2]"))),
+        # [1, v1...vr] = 0 for r <= l-3
+        *((br(0, (1 << r) - 1), {}) for r in range(l - 2)),
+    ]
+
+
+def rho_witness(l, kind, field, tables=None):
+    """tits._rep_witness for the spin action of (kind, l), rho_tables or
+    the given (tgt, cof), on the whole exterior algebra: the first Jacobi
+    witness of so x| S, or None when rho is a Lie homomorphism."""
+    p, d, N = field.p, so_dim(l, kind), 1 << l
+    k1, k2, k3, c = so_bracket_table(l, kind)
+    so = SuperAlgebra._from_coo(f"so_{kind}{l}", field, d, 0, pair_basis(l, kind).labels,
+                                (*_stored_half(k1, k2, k3, _red(c, p), d, d, p, False), 1),
+                                odd_symmetric=False)
+    tgt, cof = tables or rho_tables(l, kind)
+    rep = np.zeros((d, N, N), dtype=np.int64)
+    rep[np.arange(d)[:, None], tgt, np.arange(N)] = _red(cof.astype(np.int64), p)
+    return tits._rep_witness(so, rep, field)
+
+
+def simple_roots(l, kind):
+    """Pair indices of [v_i,f_i+1] for i < l, and [u,v_l] (B) or
+    [v_l-1,v_l] (D)."""
+    labels = pair_basis(l, kind).labels
+    names = [f"[v{i},f{i + 1}]" for i in range(1, l)]
+    names.append(f"[u,v{l}]" if kind == "B" else f"[v{l - 1},v{l}]")
+    return [labels.index(x) for x in names]
+
+
+def mask_signs(l, kind):
+    """The +-1 image of every mask, both parities for kind D, each class
+    rooted at +1: across an edge x -> y of a simple root vector the signs
+    multiply to sign(cof) times the sign at x of the first sigma moving x
+    to y (a sigma permutes masks by a fixed xor)."""
+    tgt, cof = rho_tables(l, kind)
+    perm, sign = model(l, kind).sigma
+    first = {}
+    for k in range(len(perm)):
+        first.setdefault(int(perm[k][0]), k)
+    edges = defaultdict(list)
+    for a in simple_roots(l, kind):
+        for x in np.flatnonzero(cof[a]).tolist():
+            y = int(tgt[a, x])
+            rel = int(np.sign(cof[a, x]) * sign[first[x ^ y]][x])
+            edges[x].append((y, rel))
+            edges[y].append((x, rel))
+    eps = np.zeros(1 << l, dtype=np.int64)
+    for root in (0, 1) if kind == "D" else (0,):
+        eps[root], queue = 1, [root]
+        for x in queue:
+            for y, rel in edges[x]:
+                if not eps[y]:
+                    eps[y] = eps[x] * rel
+                    queue.append(y)
+    assert eps.all(), (kind, l)
+    return eps
+
+
+def traces(l, kind, eps):
+    """T[a, k] = tr(D rho(B_a) D sigma_k) over the whole exterior algebra,
+    as integers."""
+    tgt, cof = rho_tables(l, kind)
+    perm, sign = model(l, kind).sigma
+    # sigma_k e_j = sign e_perm[j], then D rho(B_a) D returns to e_j or not
+    back = tgt[:, perm] == np.arange(1 << l)
+    vals = (eps[tgt] * eps * cof)[:, perm] * sign
+    return (back * vals).sum(2)
 
 
 def gauss_jordan(rows, p=0):

@@ -12,17 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rep_and_adjoint
+from helpers import closed_form_cases, rep_and_adjoint
+from spinor_reference import model
 from spinlab import kac
 from spinlab.cli import main
-from spinlab.clifford import SoElement, pair_basis, so_dim
 from spinlab.composition import (check_lemma_C, derivation_algebra,
                                  make_composition)
 from spinlab.construct import (bracket_is_symmetric, build_superalgebra,
-                               classify, decompose_type_d_l2, module_masks,
-                               spin_bracket)
-from spinlab.exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
-                              form_b, form_bhat)
+                               classify, decompose_type_d_l2, module_masks)
+from spinlab.exterior import (b_is_symmetric, bhat_is_symmetric,
+                              complement_form_signs)
 from spinlab.fields import GF, QQ, make_field
 from spinlab.kac import (J_DIM, J_PARITY, ODD_INDICES, EnvelopeElement,
                          KacElement, ch3, ch3_scan, idempotent_f, inder_j_span,
@@ -68,43 +67,11 @@ def test_pinned_rational_jacobi_values():
 
 
 def test_closed_form_brackets():
+    # the paper's closed forms, read off the built algebra by label
     for l in (3, 4, 5, 6):
         for ch in (0, 3, 5):
-            f = make_field(ch)
-            ctx = (l, "B", f)
-            pb = pair_basis(l, "B")
-
-            def so_vec(*terms):
-                v = [f.zero()] * so_dim(l, "B")
-                for c, lab in terms:
-                    v[list(pb.labels).index(lab)] = f.raw(c)
-                return SoElement(l, "B", f, v)
-
-            one = Multivector.one(l, f)
-            top = Multivector.top(l, f)
-            sign = (-1) ** ((l + 1) * l // 2)
-            cases = [
-                (spin_bracket(one, top, ctx),
-                 so_vec(*[(Fraction(-1, 4), f"[v{i+1},f{i+1}]")
-                          for i in range(l)])),
-                (spin_bracket(one, Multivector.monomial(l, f, range(1, l)),
-                              ctx),
-                 so_vec((Fraction((-1) ** l, 4), f"[u,f{l}]"))),
-                (spin_bracket(one,
-                              Multivector.monomial(l, f, range(1, l - 1)),
-                              ctx),
-                 so_vec((Fraction(1, 2), f"[f{l-1},f{l}]"))),
-                (spin_bracket(top, Multivector.monomial(l, f, [1]), ctx),
-                 so_vec((Fraction(-sign, 4), "[u,v1]"))),
-                (spin_bracket(top, Multivector.monomial(l, f, [1, 2]), ctx),
-                 so_vec((Fraction(-sign, 2), "[v1,v2]"))),
-            ]
-            for got, want in cases:
+            for got, want in closed_form_cases(l, make_field(ch)):
                 assert got == want, (l, ch)
-            for r in range(l - 2):
-                assert spin_bracket(
-                    one, Multivector.monomial(l, f, range(1, r + 1)),
-                    ctx).is_zero(), (l, ch, r)
 
 
 def test_type_d_jacobi_grid():
@@ -133,18 +100,16 @@ def test_dimension_ledger():
         assert (A.n0, A.n1) == dims, ("D", l)
 
 
-def _scan_form_symmetry(l, form):
-    f = QQ
-    sym = skew = True
-    for a in range(1 << l):
-        for b in range(1 << l):
-            ab = form(Multivector.from_mask(l, f, a),
-                      Multivector.from_mask(l, f, b))
-            ba = form(Multivector.from_mask(l, f, b),
-                      Multivector.from_mask(l, f, a))
-            sym = sym and ab == ba
-            skew = skew and ab == f.neg(ba)
+def _form_symmetry(l, hat, kind):
+    """Whether the pairing form the builders read, F[m, ~m] =
+    complement_form_signs, is symmetric (else skew), and the same for the
+    gamma-matrix model's form C of the kind."""
+    got = complement_form_signs(l, hat)
+    top = (1 << l) - 1
+    flipped = got[[top ^ m for m in range(1 << l)]]
+    sym, skew = (flipped == got).all(), (flipped == -got).all()
     assert sym != skew, l          # the forms are never identically zero
+    assert model(l, kind).symmetric == sym, (l, kind)
     return sym
 
 
@@ -165,8 +130,8 @@ def _table_symmetry(A, trials=25):
 
 def test_symmetry_parities():
     for l in range(1, 9):
-        b_sym = _scan_form_symmetry(l, form_b)
-        bh_sym = _scan_form_symmetry(l, form_bhat)
+        b_sym = _form_symmetry(l, False, "B")
+        bh_sym = _form_symmetry(l, True, "D")
         assert b_sym == b_is_symmetric(l) == (l % 4 in (0, 3)), l
         assert bh_sym == bhat_is_symmetric(l) == (l % 4 in (0, 1)), l
         # odd-odd bracket carries the opposite parity of its pairing form

@@ -1,18 +1,26 @@
-import itertools
-import random
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinlab.fields import QQ, GF, make_field
-from spinlab.exterior import Multivector, form_b, form_bhat
-from spinlab.clifford import (SoElement, ambient_space, cartan_indices,
-                              gram_matrix, half_spin_masks, lambda_op,
-                              natural_matrix, nat_entries, pair_basis, qpair,
-                              rho_of, rho_pair, rho_tables, so_bracket,
-                              so_bracket_table, so_constants, so_dim,
-                              trace_form, _pair_action)
+import spinlab
+from helpers import mask_signs, rho_witness, traces
+from spinor_reference import model
+from spinlab.fields import QQ, GF
+from spinlab.exterior import complement_form_signs
+from spinlab.clifford import (ambient_space, ambient_gram, cartan_indices,
+                              gram_pairing, half_spin_masks, nat_entries,
+                              pair_basis, qpair, rho_tables, so_bracket_table,
+                              so_constants, so_dim)
+
+PACKAGE = Path(spinlab.__file__).resolve().parent
 
 
 def test_ambient_space_layout():
@@ -47,6 +55,55 @@ def test_half_spin_masks_refuses_a_bad_parity_or_rank(l, parity, match):
     assert half_spin_masks(3, 1) == (1, 2, 4, 7)
 
 
+# (module, function, arguments, start of the refusal, the warm call whose
+# cache entry the arguments hash as)
+NO_BASIS = [
+    ("clifford", "so_dim", (True, "B"), "l must be an integer", (1, "B")),
+    ("clifford", "ambient_space", (True, "B"), "l must be an integer", (1, "B")),
+    ("clifford", "half_spin_masks", (4, True), "parity must be 0 or 1", (4, 1)),
+    ("clifford", "half_spin_masks", (4, 0.0), "parity must be 0 or 1", (4, 0)),
+    ("construct", "module_masks", (0, "B"), "need l >= 1", (1, "B")),
+    ("construct", "module_masks", (True, "D"), "l must be an integer", (2, "D")),
+    ("clifford", "pair_basis", (2.0, "B"), "l must be an integer", (2, "B")),
+    ("clifford", "rho_tables", (True, "B"), "l must be an integer", (1, "B")),
+    ("clifford", "nat_entries", (2.0, "D"), "l must be an integer", (2, "D")),
+    ("clifford", "gram_pairing", (True, "B"), "l must be an integer", (1, "B")),
+    ("clifford", "so_bracket_table", (2.0, "B"), "l must be an integer", (2, "B")),
+    ("clifford", "ambient_gram", (2.0, "D"), "l must be an integer", (2, "D")),
+]
+
+
+def refusal(module, name, args):
+    """The message of the ValueError that spinlab.module.name(*args)
+    raises, or None."""
+    try:
+        getattr(importlib.import_module(f"spinlab.{module}"), name)(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_no_basis_is_refused_before_any_cache_lookup():
+    # True hashes as 1 and 2.0 as 2, so a cache looked up first answered
+    # for them: ambient_space(True, "B").l was True, and pair_basis(2.0,
+    # "B") raised a bare TypeError cold but gave the l = 2 basis warm.
+    # Each case cold, in a fresh process, then here after its warm call
+    code = ("import importlib, json, sys\n" + inspect.getsource(refusal)
+            + "print(json.dumps([refusal(m, n, a) for m, n, a in json.loads(sys.argv[1])]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    cases = json.dumps([(m, n, a) for m, n, a, _, _ in NO_BASIS])
+    cold = json.loads(subprocess.run([sys.executable, "-c", code, cases],
+                                     capture_output=True, text=True, check=True,
+                                     env=env, timeout=300).stdout)
+    for (module, name, args, want, warm), got in zip(NO_BASIS, cold):
+        assert got is not None and got.startswith(want), (name, args, got)
+        assert refusal(module, name, warm) is None, (name, warm)
+        got = refusal(module, name, args)
+        assert got is not None and got.startswith(want), (name, args, got)
+
+
 @pytest.mark.parametrize("kind", ["B", "D"])
 def test_qpair_refuses_an_index_outside_the_ambient_basis(kind):
     # qpair(ambient_space(2, "B"), -1, 2) was 1: space.partner[-1] is 2
@@ -57,96 +114,56 @@ def test_qpair_refuses_an_index_outside_the_ambient_basis(kind):
     assert [qpair(space, space.dim - 1, b) for b in range(space.dim)].count(1) == 1
 
 
-def test_lambda_squares_to_quadratic_form():
-    rng = random.Random(4)
-    for l, f in ((3, QQ), (4, GF(5))):
-        n = 1 << l
-        ident = lambda_op(l, f, [0] * l, [0] * l).identity(l, f)
-        for _ in range(50):
-            va = [rng.randint(-3, 3) for _ in range(l)]
-            fa = [rng.randint(-3, 3) for _ in range(l)]
-            op = lambda_op(l, f, va, fa)
-            q = f.raw(sum(a * b for a, b in zip(va, fa)))
-            assert op @ op == ident.scale(q), (l, f.p, va, fa)
-
-
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_lambda_is_skew_for_b_and_selfadjoint_for_bhat(l):
-    f = QQ
-    rng = random.Random(l)
-    basis = [Multivector.from_mask(l, f, m) for m in range(1 << l)]
-    for _ in range(2 * l):
-        va = [rng.randint(-2, 2) for _ in range(l)]
-        fa = [rng.randint(-2, 2) for _ in range(l)]
-        op = lambda_op(l, f, va, fa)
-        for s, t in itertools.product(basis, repeat=2):
-            lhs = form_b(op.apply(s), t)
-            rhs = form_b(s, op.apply(t))
-            assert lhs == -rhs, ("b", l, va, fa)
-            lhs = form_bhat(op.apply(s), t)
-            rhs = form_bhat(s, op.apply(t))
-            assert lhs == rhs, ("bhat", l, va, fa)
-
-
-def rho_basis(l, kind, f, parity=None):
-    pb = pair_basis(l, kind)
-    out = []
-    for k in range(len(pb.pairs)):
-        coords = [f.zero()] * len(pb.pairs)
-        coords[k] = f.one()
-        out.append(rho_of(SoElement(l, kind, f, coords), parity=parity))
-    return out
+    # Lambda(x) = rho([u,x]) / 2 on the forms the builders read, the signed
+    # permutations F[m, ~m] = complement_form_signs: skew for b, self-adjoint
+    # for bhat, and every other pair skew for both (F rho + rho^T F = 0);
+    # so kind B reads b, kind D bhat
+    top, N = (1 << l) - 1, 1 << l
+    masks = np.arange(N)
+    for kind, hat in (("B", False), ("D", True), ("B", True)):
+        F = np.zeros((N, N), dtype=np.int64)
+        F[masks, top ^ masks] = complement_form_signs(l, hat)
+        tgt, cof = rho_tables(l, kind)
+        for k, label in enumerate(pair_basis(l, kind).labels):
+            R = np.zeros((N, N), dtype=np.int64)
+            R[tgt[k], masks] = cof[k]
+            sign = -1 if hat and kind == "B" and label.startswith("[u,") else 1
+            assert (F @ R + sign * R.T @ F == 0).all(), (kind, hat, l, label)
 
 
 @pytest.mark.parametrize("kind", ["B", "D"])
 @pytest.mark.parametrize("f", [QQ, GF(5)], ids=repr)
 def test_rho_is_a_lie_homomorphism_small_l(kind, f):
+    # the Jacobi scan of so x| S, the spin action on the whole exterior
+    # algebra, decides it on every pair of pairs
     for l in (2, 3, 4):
-        pb = pair_basis(l, kind)
-        ops = rho_basis(l, kind, f)
-        for k1, k2 in itertools.product(range(len(pb.pairs)), repeat=2):
-            X = SoElement.pair(l, kind, f, *pb.labels[k1][1:-1].split(","))
-            Y = SoElement.pair(l, kind, f, *pb.labels[k2][1:-1].split(","))
-            lhs = rho_of(so_bracket(X, Y))
-            rhs = ops[k1] @ ops[k2] - ops[k2] @ ops[k1]
-            assert lhs == rhs, (kind, l, pb.labels[k1], pb.labels[k2])
+        assert rho_witness(l, kind, f) is None, (kind, l)
 
 
 @pytest.mark.parametrize("kind,l", [("B", 5), ("B", 6), ("D", 5), ("D", 6)])
 def test_rho_is_a_lie_homomorphism_randomized(kind, l):
-    f = GF(7)
-    rng = random.Random(100 * l)
-    pb = pair_basis(l, kind)
-    n = len(pb.pairs)
-    for _ in range(200):
-        k1, k2 = rng.randrange(n), rng.randrange(n)
-        c1 = [f.zero()] * n
-        c2 = [f.zero()] * n
-        c1[k1] = f.one()
-        c2[k2] = f.one()
-        X, Y = SoElement(l, kind, f, c1), SoElement(l, kind, f, c2)
-        lhs = rho_of(so_bracket(X, Y))
-        rX, rY = rho_of(X), rho_of(Y)
-        assert lhs == rX @ rY - rY @ rX, (kind, l, k1, k2)
+    assert rho_witness(l, kind, GF(7)) is None
+
+
+def test_rho_witness_finds_a_broken_action():
+    # one flipped cof entry of B3 is a witness
+    tgt, cof = rho_tables(3, "B")
+    cof = cof.copy()
+    cof[np.nonzero(cof)[0][0], np.nonzero(cof)[1][0]] *= -1
+    assert rho_witness(3, "B", GF(7), tables=(tgt, cof)) is not None
 
 
 @pytest.mark.parametrize("kind,l", [("B", 3), ("B", 4), ("D", 4)])
 def test_natural_matrix_lands_in_so(kind, l):
-    f = QQ
-    space = ambient_space(l, kind)
-    pb = pair_basis(l, kind)
-    G = [[f.of_int(qpair(space, a, b)) for b in range(space.dim)]
-         for a in range(space.dim)]
-    for k in range(len(pb.pairs)):
-        coords = [f.zero()] * len(pb.pairs)
-        coords[k] = f.one()
-        N = natural_matrix(SoElement(l, kind, f, coords))
-        n = space.dim
-        for a in range(n):
-            for b in range(n):
-                lhs = sum(N[c][a] * G[c][b] for c in range(n))
-                rhs = sum(G[a][c] * N[c][b] for c in range(n))
-                assert lhs + rhs == 0, (kind, l, k, a, b)
+    # N^T G + G N = 0 for the matrix N of each pair on the ambient space
+    G = ambient_gram(l, kind)
+    for k, ents in enumerate(nat_entries(l, kind)):
+        N = np.zeros_like(G)
+        for r, c, v in ents:
+            N[r, c] += v
+        assert (N.T @ G + G @ N == 0).all(), (kind, l, k)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
@@ -169,7 +186,6 @@ def test_spin_weights_have_multiplicity_one(l):
 def test_trace_form_matches_matrix_trace(kind, l):
     # oracle: (X,Y) = (1/2) tr(nat(X) nat(Y)) computed from the two-entry
     # sparse adjoint, entrywise over the whole pair basis
-    f = QQ
     ents = nat_entries(l, kind)
     npairs = len(pair_basis(l, kind).pairs)
 
@@ -180,56 +196,55 @@ def test_trace_form_matches_matrix_trace(kind, l):
             acc += v * e2.get((c, r), 0)
         return Fraction(acc, 2)
 
-    basis = []
-    for k in range(npairs):
-        coords = [f.zero()] * npairs
-        coords[k] = f.one()
-        basis.append(SoElement(l, kind, f, coords))
-    G = gram_matrix(l, kind, f)
+    perm, coef = gram_pairing(l, kind)
+    G = np.zeros((npairs, npairs), dtype=np.int64)
+    G[np.arange(npairs), perm] = coef
     for k1 in range(npairs):
         for k2 in range(npairs):
-            want = sparse_trace(k1, k2)
-            assert trace_form(basis[k1], basis[k2]) == want
-            assert G[k1][k2] == want
+            assert G[k1, k2] == sparse_trace(k1, k2), (k1, k2)
 
 
 def test_gram_matrix_entries_never_vanish_odd_char():
+    # the trace form is nondegenerate over GF(3), GF(5), GF(7)
     for ch in (3, 5, 7):
         for kind, l in (("B", 4), ("D", 4)):
-            gram_matrix(l, kind, make_field(ch))   # DegenerateForm would raise
+            assert (gram_pairing(l, kind)[1] % ch != 0).all(), (ch, kind)
 
 
 @pytest.mark.parametrize("l", [3, 4])
 def test_half_spin_blocks_close_under_rho(l):
-    f = GF(5)
+    # each pair of kind D maps a monomial to one of the same parity, so
+    # both half-spin blocks are invariant
+    tgt, cof = rho_tables(l, "D")
+    masks = np.arange(1 << l)
     for parity in (0, 1):
-        masks = half_spin_masks(l, parity)
-        assert len(masks) == 1 << (l - 1)
-        for op in rho_basis(l, "D", f, parity=parity):
-            assert set(op.masks) == set(masks)
-            for m, col in op.cols.items():
-                assert set(col) <= set(masks)
-
-
-def test_rho_pair_matches_rho_of():
-    l, f = 3, QQ
-    for a, b in (("u", "v1"), ("v1", "f2"), ("v2", "v3"), ("f1", "f3")):
-        assert rho_pair(l, f, a, b) == rho_of(SoElement.pair(l, "B", f, a, b))
-    with pytest.raises(ValueError):
-        rho_pair(l, f, "u", "u")
-    with pytest.raises(ValueError):
-        rho_pair(l, f, "u", "w9")
+        block = half_spin_masks(l, parity)
+        assert len(block) == 1 << (l - 1)
+        hit = cof[:, list(block)] != 0
+        par = np.bitwise_count(tgt[:, list(block)]) % 2
+        assert (par[hit] == parity).all(), (l, parity)
+    assert (tgt[cof == 0] == np.broadcast_to(masks, tgt.shape)[cof == 0]).all()
 
 
 @pytest.mark.parametrize("kind,l", [("B", l) for l in range(1, 8)]
                          + [("D", 2), ("D", 4), ("D", 6)])
 def test_rho_tables_match_the_per_monomial_rule(kind, l):
-    space = ambient_space(l, kind)
+    # monomial by monomial, D rho(B_a) D is the sum of its trace coordinates
+    # times the gamma-matrix sigma_k of spinor_reference, D the signs of
+    # helpers.mask_signs, on the whole exterior algebra
     tgt, cof = rho_tables(l, kind)
-    for k, (a, b) in enumerate(pair_basis(l, kind).pairs):
-        for m in range(1 << l):
-            t, c = _pair_action(space, a, b, m)
-            assert (int(tgt[k, m]), int(cof[k, m])) == (t, c), (kind, l, k, m)
+    eps = mask_signs(l, kind)
+    m = model(l, kind)
+    perm, sign = m.sigma
+    N = 1 << l
+    T = traces(l, kind, eps) * m.inverse_sign
+    for a in range(len(tgt)):
+        got = np.zeros((N, N), dtype=np.int64)
+        for k in np.flatnonzero(T[a]):
+            got[perm[k], np.arange(N)] += T[a, k] * sign[k]
+        want = np.zeros((N, N), dtype=np.int64)
+        want[tgt[a], np.arange(N)] = N * eps[tgt[a]] * eps * cof[a]
+        assert (got == want).all(), (kind, l, a)
 
 
 @pytest.mark.parametrize("kind,l", [("B", l) for l in range(1, 6)]

@@ -1,13 +1,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from spinor_reference import model
 from spinlab.fields import QQ, GF, make_field
-from spinlab.exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
-                              complement, complement_form_signs, form_b,
-                              form_bhat, form_sign, monomial_label, wedge,
-                              wedge_sign)
+from spinlab.exterior import (b_is_symmetric, bar_sign, bhat_is_symmetric,
+                              complement, complement_form_signs, form_sign,
+                              hat_sign, monomial_label, wedge_sign,
+                              wedge_terms)
 
 
 def mask_bits(mask):
@@ -33,93 +35,114 @@ def test_wedge_sign_matches_inversion_count():
 
 
 def test_wedge_is_associative_and_graded_commutative():
+    # wedge_terms on basis monomials, {mask: 1} over Q
     l, f = 4, QQ
-    basis = list(Multivector.basis(l, f))
+    basis = [{m: f.one()} for m in range(1 << l)]
+
+    def neg(u):
+        return {m: f.neg(v) for m, v in u.items()}
+
     for s, t in itertools.product(basis, repeat=2):
-        st = wedge(s, t)
-        ts = wedge(t, s)
-        rs = next(iter(s.coeffs)).bit_count()
-        rt = next(iter(t.coeffs)).bit_count()
+        st = wedge_terms(f, s, t)
+        ts = wedge_terms(f, t, s)
+        rs = next(iter(s)).bit_count()
+        rt = next(iter(t)).bit_count()
         sign = -1 if (rs * rt) & 1 else 1
-        assert st == (ts if sign > 0 else -ts)
+        assert st == (ts if sign > 0 else neg(ts))
     rng = random.Random(2)
     for _ in range(30):
         a, b, c = (basis[rng.randrange(len(basis))] for _ in range(3))
-        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+        assert (wedge_terms(f, wedge_terms(f, a, b), c)
+                == wedge_terms(f, a, wedge_terms(f, b, c)))
+
+
+def involution(f, u, sign):
+    """bar (sign = bar_sign) or hat (hat_sign) of a {mask: raw} dict."""
+    return {m: f.neg(v) if sign(m.bit_count()) < 0 else v for m, v in u.items()}
 
 
 @pytest.mark.parametrize("op", ["bar", "hat"])
 def test_involutions_are_involutive_antiautomorphisms(op):
     l, f = 5, GF(7)
-    apply = (Multivector.bar_involution if op == "bar"
-             else Multivector.hat_involution)
+    sign = bar_sign if op == "bar" else hat_sign
     rng = random.Random(8)
-    basis = list(Multivector.basis(l, f))
+    basis = [{m: f.one()} for m in range(1 << l)]
     for _ in range(80):
         s = basis[rng.randrange(len(basis))]
         t = basis[rng.randrange(len(basis))]
-        assert apply(apply(s)) == s
-        assert apply(wedge(s, t)) == wedge(apply(t), apply(s))
+        assert involution(f, involution(f, s, sign), sign) == s
+        assert (involution(f, wedge_terms(f, s, t), sign)
+                == wedge_terms(f, involution(f, t, sign), involution(f, s, sign)))
+
+
+def check_form_symmetry(l, kind, hat, want_sym):
+    # the form the builders read is F[m, ~m] = complement_form_signs: it is
+    # symmetric iff F[~m, m] = F[m, ~m]; the gamma-matrix model's C (kind
+    # B for b, kind D for bhat) has the same symmetry
+    sign = 1 if want_sym else -1
+    got = complement_form_signs(l, hat)
+    top = (1 << l) - 1
+    assert (got[top ^ np.arange(1 << l)] == sign * got).all(), (l, hat)
+    assert model(l, kind).symmetric == want_sym, (l, kind)
 
 
 @pytest.mark.parametrize("l", range(1, 9))
 def test_form_b_symmetry_parity(l):
-    # scan the full Gram matrix: b(t,s) = sign * b(s,t) with the sign
-    # constant across all monomial pairs, symmetric iff l = 0,3 mod 4
-    f = QQ
-    basis = list(Multivector.basis(l, f))
+    # symmetric iff l = 0,3 mod 4
     want_sym = l % 4 in (0, 3)
     assert b_is_symmetric(l) == want_sym
-    sign = 1 if want_sym else -1
-    for s, t in itertools.product(basis, repeat=2):
-        assert form_b(t, s) == sign * form_b(s, t), (l, s, t)
+    check_form_symmetry(l, "B", False, want_sym)
 
 
 @pytest.mark.parametrize("l", range(1, 9))
 def test_form_bhat_symmetry_parity(l):
-    f = QQ
-    basis = list(Multivector.basis(l, f))
+    # symmetric iff l = 0,1 mod 4
     want_sym = l % 4 in (0, 1)
     assert bhat_is_symmetric(l) == want_sym
-    sign = 1 if want_sym else -1
-    for s, t in itertools.product(basis, repeat=2):
-        assert form_bhat(t, s) == sign * form_bhat(s, t), (l, s, t)
+    check_form_symmetry(l, "D", True, want_sym)
 
 
 @pytest.mark.parametrize("l", [1, 3, 5, 7])
 def test_half_spin_parts_isotropic_for_bhat_odd_l(l):
-    f = QQ
+    top = (1 << l) - 1
     for parity in (0, 1):
         masks = [m for m in range(1 << l) if m.bit_count() % 2 == parity]
         for ma, mb in itertools.product(masks, repeat=2):
-            v = form_bhat(Multivector.from_mask(l, f, ma),
-                          Multivector.from_mask(l, f, mb))
-            assert v == 0, (l, parity, ma, mb)
+            assert form_sign(ma, mb, top, hat=True) == 0, (l, parity, ma, mb)
 
 
 @pytest.mark.parametrize("l", range(1, 9))
 @pytest.mark.parametrize("ch", [0, 3, 5])
 def test_gram_matrices_nondegenerate(l, ch):
-    # each monomial row pairs nontrivially with exactly one monomial
-    # (the complement), so the Gram matrix is a signed permutation --
-    # invertible over every field
+    # each monomial pairs nontrivially with exactly one monomial (the
+    # complement) with a sign, so the Gram matrix is a signed permutation --
+    # invertible over every field; so is the model's C, of kind B and D
     f = make_field(ch)
-    for form in (form_b, form_bhat):
-        for ma in range(1 << l):
-            hits = [mb for mb in range(1 << l)
-                    if not f.is_zero(form(Multivector.from_mask(l, f, ma),
-                                          Multivector.from_mask(l, f, mb)))]
-            assert hits == [complement(ma, l)], (form.__name__, l, ch, ma)
+    masks = np.arange(1 << l)
+    for hat, kind in ((False, "B"), (True, "D")):
+        signs = complement_form_signs(l, hat)
+        assert all(not f.is_zero(f.of_int(int(v))) for v in signs), (l, ch, hat)
+        assert set(signs.tolist()) <= {1, -1}
+        C_perm, C_sign = model(l, kind).C
+        assert (C_perm == complement(0, l) ^ masks).all(), (l, kind)
+        assert set(C_sign.tolist()) <= {1, -1}
+
+
+def form_by_wedge(s, t, l, hat):
+    """phi(bar(s) wedge t), or phi(hat(s) wedge t), on monomials, through
+    wedge_terms: the top coefficient of the product."""
+    f = QQ
+    u = involution(f, {s: f.one()}, hat_sign if hat else bar_sign)
+    return wedge_terms(f, u, {t: f.one()}).get((1 << l) - 1, f.zero())
 
 
 @pytest.mark.parametrize("l", range(1, 6))
 def test_form_sign_is_the_form_on_monomials(l):
     top = (1 << l) - 1
-    for hat, form in ((False, form_b), (True, form_bhat)):
+    for hat in (False, True):
         for ma in range(1 << l):
             for mb in range(1 << l):
-                v = form(Multivector.from_mask(l, QQ, ma),
-                         Multivector.from_mask(l, QQ, mb))
+                v = form_by_wedge(ma, mb, l, hat)
                 assert form_sign(ma, mb, top, hat) == v, (l, hat, ma, mb)
 
 
@@ -134,9 +157,3 @@ def test_complement_form_signs_match_form_sign(l, hat):
 def test_monomial_labels():
     assert monomial_label(0) == "1"
     assert monomial_label(0b101) == "v1v3"
-
-
-def test_phi_functional_picks_top_coefficient():
-    l, f = 3, QQ
-    s = Multivector(l, f, {0: f.of_int(4), (1 << l) - 1: f.of_int(-2)})
-    assert s.phi_functional() == -2

@@ -4,9 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinlab.clifford import SoElement, SpinOperator, trace_form
 from spinlab.construct import build_superalgebra
-from spinlab.exterior import Multivector, form_b, form_bhat
 from spinlab.fields import Field, FieldMismatch, InvalidField, QQ, GF, make_field
 from spinlab.kac import EnvelopeElement, KacElement, idempotent_f, normalized_trace
 
@@ -131,19 +129,9 @@ def test_to_str_round_trips_through_fraction(f):
 # -- every scalar the package returns is a raw field value -------------------
 
 def scalar_values(f):
-    """The six scalar-valued functions on pinned arguments over f."""
-    s, t = Multivector.from_mask(3, f, 0b001), Multivector.from_mask(3, f, 0b110)
-    X = SoElement.pair(3, "B", f, "v1", "f1")
-    Y, Z = SoElement.pair(3, "B", f, "u", "v2"), SoElement.pair(3, "B", f, "u", "f2")
+    """The scalar-valued functions on pinned arguments over f."""
     ff = idempotent_f(f)
     return {
-        "form_b": form_b(s, t),
-        "form_bhat": form_bhat(s, t),
-        "phi_functional":
-            Multivector(3, f, {0: f.of_int(4), 7: f.of_int(-2)}).phi_functional(),
-        "trace_form(X, X)": trace_form(X, X),
-        "trace_form(Y, Z)": trace_form(Y, Z),
-        "trace_form(X, Y)": trace_form(X, Y),
         "KacElement.trace": ff.trace(),
         "normalized_trace": normalized_trace(ff),
         "normalized_trace(basis)": normalized_trace(KacElement.basis(f, 3)),
@@ -153,9 +141,7 @@ def scalar_values(f):
 def test_scalar_valued_functions_return_fractions_over_qq():
     vals = scalar_values(QQ)
     assert all(type(v) is Fraction for v in vals.values()), vals
-    assert vals == {"form_b": -1, "form_bhat": 1, "phi_functional": -2,
-                    "trace_form(X, X)": 4, "trace_form(Y, Z)": 8,
-                    "trace_form(X, Y)": 0, "KacElement.trace": Fraction(-1, 2),
+    assert vals == {"KacElement.trace": Fraction(-1, 2),
                     "normalized_trace": Fraction(-1, 2),
                     "normalized_trace(basis)": 0}
 
@@ -163,32 +149,22 @@ def test_scalar_valued_functions_return_fractions_over_qq():
 def test_scalar_valued_functions_return_residues_over_gf5():
     vals = scalar_values(GF(5))
     assert all(type(v) is int and 0 <= v < 5 for v in vals.values()), vals
-    assert vals == {"form_b": 4, "form_bhat": 1, "phi_functional": 3,
-                    "trace_form(X, X)": 4, "trace_form(Y, Z)": 3,
-                    "trace_form(X, Y)": 0, "KacElement.trace": 2,
+    assert vals == {"KacElement.trace": 2,
                     "normalized_trace": 2, "normalized_trace(basis)": 0}
 
 
 def test_mutable_objects_are_unhashable():
     f = GF(3)
-    objs = [build_superalgebra(1, "B", f), SpinOperator.identity(2, f),
-            SoElement.pair(2, "B", f, "v1", "f1"), KacElement.unit(f),
+    objs = [build_superalgebra(1, "B", f), KacElement.unit(f),
             EnvelopeElement.unit(2, f)]
     for obj in objs:
         with pytest.raises(TypeError):
             hash(obj)
-    # the immutable multivector stays usable as a key
-    assert {Multivector.one(2, f): 1}[Multivector.one(2, f)] == 1
 
 
 def test_mixing_fields_raises_field_mismatch():
     q, g = QQ, GF(5)
     with pytest.raises(FieldMismatch):
-        Multivector.one(2, q).wedge(Multivector.one(2, g))
-    with pytest.raises(FieldMismatch):
-        SoElement.pair(2, "B", q, "v1", "f1").bracket(
-            SoElement.pair(2, "B", g, "v1", "f2"))
-    with pytest.raises(FieldMismatch):
         KacElement.unit(q) * KacElement.unit(g)
     with pytest.raises(FieldMismatch):
-        SpinOperator.identity(2, q).apply(Multivector.one(2, g))
+        EnvelopeElement.unit(2, q) * EnvelopeElement.unit(2, g)

@@ -294,7 +294,7 @@ def test_dictionary_routes_share_one_accumulator_and_one_wedge():
     # a zero-free {key: raw} dict is summed into by Field.add_into alone:
     # no module but fields.py drops a vanished key with .pop(key, None).
     # The Grassmann scalars of kac.ch3 multiply by exterior.wedge_terms,
-    # as Multivector.wedge does; in kac.py only the envelope products,
+    # the one exterior product; in kac.py only the envelope products,
     # whose keys carry a J index, read wedge_sign themselves
     found = []
     uses = {}
@@ -316,7 +316,7 @@ def test_dictionary_routes_share_one_accumulator_and_one_wedge():
               if mod == "kac.py" and "wedge_sign" in names
               and name not in ("lam_scale", "_envelope_product")]
     found += [f"{mod} {name} does not call wedge_terms"
-              for mod, name in (("kac.py", "ch3"), ("exterior.py", "wedge"))
+              for mod, name in (("kac.py", "ch3"),)
               if "wedge_terms" not in uses[mod, name]]
     assert not found, found
 
@@ -342,3 +342,26 @@ def test_one_kernel_gives_the_so_constants():
     assert users == {("clifford.py", "so_bracket_table"),
                      ("tits.py", "build_so_MQ")}, users
     assert "so_bracket_table" in calls["construct.py", "_integer_tensor"]
+
+
+def test_the_spinor_reference_shares_no_table_code():
+    # tests/spinor_reference.py is the independent model the grid tables
+    # are checked against: it may read spinlab.fields and
+    # spinlab.superalgebra, never the modules that build the tables
+    path = Path(__file__).resolve().parent / "spinor_reference.py"
+    allowed = {"spinlab.fields", "spinlab.superalgebra"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] == "spinlab" and name not in allowed and not any(
+                    name.startswith(f"{a}.") for a in allowed):
+                found.append(f"line {node.lineno} imports {name}")
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.append(f"line {node.lineno} imports relatively")
+    assert not found, found

@@ -1,4 +1,3 @@
-import itertools
 import random
 import sys
 from fractions import Fraction
@@ -9,18 +8,16 @@ import pytest
 
 from spinlab import clifford, construct, exterior, superalgebra, tits
 from spinlab.fields import QQ, GF, Field, make_field
-from spinlab.exterior import (Multivector, b_is_symmetric, bhat_is_symmetric,
-                              form_b, form_bhat)
-from spinlab.clifford import (SoElement, pair_basis, rho_of, so_bracket,
-                              so_dim, gram_matrix)
+from spinlab.exterior import b_is_symmetric, bhat_is_symmetric, form_sign
+from spinlab.clifford import gram_pairing, rho_tables
 from spinlab.construct import (OddHalfSpinUnsupported, bracket_is_symmetric,
                                build_superalgebra, classify,
                                decompose_type_d_l2, generator_triples,
-                               module_masks, spin_bracket)
+                               module_masks)
 from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
                                   j_triple)
 
-from helpers import gauss_jordan
+from helpers import CONTENTS, closed_form_cases, gauss_jordan
 
 CHARS = (0, 3, 5, 7)
 EXPECT_B = {(1, c) for c in CHARS} | {(2, c) for c in CHARS} | {(3, 3)} \
@@ -28,43 +25,11 @@ EXPECT_B = {(1, c) for c in CHARS} | {(2, c) for c in CHARS} | {(3, 3)} \
 EXPECT_D = {(2, c) for c in CHARS} | {(4, c) for c in CHARS} | {(6, 3)}
 
 
-def so_vec(l, f, *terms):
-    pb = pair_basis(l, "B")
-    v = [f.zero()] * so_dim(l, "B")
-    for c, lab in terms:
-        v[list(pb.labels).index(lab)] = f.raw(c)
-    return SoElement(l, "B", f, v)
-
-
 @pytest.mark.parametrize("ch", [0, 3, 5])
 @pytest.mark.parametrize("l", [3, 4, 5, 6])
 def test_closed_forms(l, ch):
-    f = make_field(ch)
-    ctx = (l, "B", f)
-    one = Multivector.one(l, f)
-    top = Multivector.top(l, f)
-
-    # [1, v1...vl] = -(1/4) sum [vi,fi]
-    got = spin_bracket(one, top, ctx)
-    assert got == so_vec(l, f, *[(Fraction(-1, 4), f"[v{i+1},f{i+1}]")
-                                 for i in range(l)])
-    # [1, v1...v_{l-1}] = ((-1)^l/4) [u,fl]
-    got = spin_bracket(one, Multivector.monomial(l, f, range(1, l)), ctx)
-    assert got == so_vec(l, f, (Fraction((-1) ** l, 4), f"[u,f{l}]"))
-    # [1, v1...v_{l-2}] = (1/2) [f_{l-1},f_l]
-    got = spin_bracket(one, Multivector.monomial(l, f, range(1, l - 1)), ctx)
-    assert got == so_vec(l, f, (Fraction(1, 2), f"[f{l-1},f{l}]"))
-    # [v1...vl, v1] = -(sign/4) [u,v1],  sign = (-1)^binom(l+1,2)
-    sign = (-1) ** ((l + 1) * l // 2)
-    got = spin_bracket(top, Multivector.monomial(l, f, [1]), ctx)
-    assert got == so_vec(l, f, (Fraction(-sign, 4), "[u,v1]"))
-    # [v1...vl, v1v2] = -(sign/2) [v1,v2]
-    got = spin_bracket(top, Multivector.monomial(l, f, [1, 2]), ctx)
-    assert got == so_vec(l, f, (Fraction(-sign, 2), "[v1,v2]"))
-    # [1, v1...vr] = 0 for r <= l-3
-    for r in range(l - 2):
-        assert spin_bracket(one, Multivector.monomial(l, f, range(1, r + 1)),
-                            ctx).is_zero(), r
+    for got, want in closed_form_cases(l, make_field(ch)):
+        assert got == want, (l, ch)
 
 
 def test_pinned_jacobi_values_over_qq():
@@ -108,12 +73,6 @@ def test_classification_sweep():
                 r = classify(l, kind, make_field(ch))
                 assert r.jacobi_pass == ((l, ch) in expect), (kind, l, ch)
                 assert r.mode == "full"
-
-
-# the gcd of the contents of all nonzero Jacobi triples of the Q table
-CONTENTS = {("B", 1): 0, ("B", 2): 0, ("B", 3): 12, ("B", 4): 0,
-            ("B", 5): 20, ("B", 6): 24, ("B", 7): 4, ("B", 8): 8,
-            ("D", 2): 0, ("D", 4): 0, ("D", 6): 24, ("D", 8): 0}
 
 
 @pytest.mark.parametrize("kind,l", list(CONTENTS))
@@ -230,43 +189,35 @@ def test_decompose_type_d_l2():
 @pytest.mark.parametrize("kind,l", [("B", 2), ("B", 3), ("B", 4), ("B", 5),
                                     ("D", 2), ("D", 4)])
 def test_spin_bracket_invariance(kind, l):
-    # [sigma, [s,t]] = [rho(sigma)s, t] + [s, rho(sigma)t]
+    # [sigma, [s,t]] = [rho(sigma)s, t] + [s, rho(sigma)t]: the Jacobi
+    # triple (sigma, s, t) of the built algebra vanishes, in every cell
     f = GF(7)
     rng = random.Random(31 * l + ord(kind))
-    ctx = (l, kind, f)
-    masks = module_masks(l, kind)
-    npairs = len(pair_basis(l, kind).pairs)
+    A = build_superalgebra(l, kind, f)
     for _ in range(100):
-        k = rng.randrange(npairs)
-        coords = [f.zero()] * npairs
-        coords[k] = f.one()
-        sigma = SoElement(l, kind, f, coords)
-        op = rho_of(sigma)
-        s = Multivector.from_mask(l, f, masks[rng.randrange(len(masks))])
-        t = Multivector.from_mask(l, f, masks[rng.randrange(len(masks))])
-        lhs = so_bracket(sigma, spin_bracket(s, t, ctx))
-        rhs = spin_bracket(op.apply(s), t, ctx) + spin_bracket(s, op.apply(t), ctx)
-        assert lhs == rhs, (kind, l, k, s, t)
+        k = rng.randrange(A.n0)
+        s, t = A.n0 + rng.randrange(A.n1), A.n0 + rng.randrange(A.n1)
+        assert j_triple(A, k, s, t) == {}, (kind, l, k, s, t)
 
 
 @pytest.mark.parametrize("kind,ls", [("B", (1, 2, 3, 4, 5, 6)),
                                      ("D", (2, 4, 6))])
 def test_spin_bracket_symmetry_parity(kind, ls):
-    f = QQ
+    # the odd block as built, both orders of every pair of module indices
+    # (construct._odd_products), before the gate drops one of them
     for l in ls:
         form_sym = (b_is_symmetric(l) if kind == "B"
                     else bhat_is_symmetric(l))
         want_sym = bracket_is_symmetric(l, kind)
         assert want_sym == (not form_sym)   # opposite parity of the form
         sign = 1 if want_sym else -1
-        ctx = (l, kind, f)
-        masks = module_masks(l, kind)
-        for ms, mt in itertools.product(masks, repeat=2):
-            s = Multivector.from_mask(l, f, ms)
-            t = Multivector.from_mask(l, f, mt)
-            st = spin_bracket(s, t, ctx)
-            ts = spin_bracket(t, s, ctx)
-            assert st == (ts if sign > 0 else -ts), (kind, l, ms, mt)
+        si, ti, k, num, den = construct._odd_products(
+            l, kind, construct._spin_action(l, kind))
+        entries = {(s, t, x): Fraction(a, b) for s, t, x, a, b in
+                   zip(*(arr.tolist() for arr in (si, ti, k, num, den)))}
+        assert len(entries) == si.size
+        for (s, t, x), v in entries.items():
+            assert entries.get((t, s, x)) == sign * v, (kind, l, s, t, x)
 
 
 def test_algebra_symmetry_flag_matches_bracket_parity():
@@ -280,34 +231,32 @@ def test_algebra_symmetry_flag_matches_bracket_parity():
 def test_spin_bracket_against_permuted_full_solve(kind, l):
     # independent oracle: assemble the defining system trace(B_a, X) =
     # form(rho(B_a)s, t) over the whole pair basis, shuffle the equation
-    # order, solve by generic elimination, compare coordinates
+    # order, solve by generic elimination, compare with the built odd block
     f = QQ
-    ctx = (l, kind, f)
-    pb = pair_basis(l, kind)
-    npairs = len(pb.pairs)
-    G = gram_matrix(l, kind, f)
-    form = form_b if kind == "B" else form_bhat
-    basis = []
-    for k in range(npairs):
-        coords = [f.zero()] * npairs
-        coords[k] = f.one()
-        basis.append(SoElement(l, kind, f, coords))
-    ops = [rho_of(X) for X in basis]
+    A = build_superalgebra(l, kind, f)
+    npairs = A.n0
+    perm, coef = gram_pairing(l, kind)
+    G = np.zeros((npairs, npairs), dtype=np.int64)
+    G[np.arange(npairs), perm] = coef
+    tgt, cof = rho_tables(l, kind)
+    top = (1 << l) - 1
     masks = module_masks(l, kind)
     rng = random.Random(l)
     for _ in range(12):
-        s = Multivector.from_mask(l, f, masks[rng.randrange(len(masks))])
-        t = Multivector.from_mask(l, f, masks[rng.randrange(len(masks))])
+        si, ti = rng.randrange(len(masks)), rng.randrange(len(masks))
+        s, t = masks[si], masks[ti]
         rows = list(range(npairs))
         rng.shuffle(rows)
-        aug = [[G[a][k] for k in range(npairs)] + [form(ops[a].apply(s), t)]
+        aug = [G[a].tolist() + [int(cof[a, s]) * form_sign(int(tgt[a, s]), t, top,
+                                                            kind == "D")]
                for a in rows]
         red, pivots = gauss_jordan(aug, f.p)
         assert all(p < npairs for p in pivots)      # consistent system
         got = [f.zero()] * npairs
         for row, piv in zip(red, pivots):
             got[piv] = row[-1]
-        assert got == spin_bracket(s, t, ctx).coords, (kind, l, s, t)
+        built = A.bracket_terms(A.n0 + si, A.n0 + ti)
+        assert got == [built.get(k, f.zero()) for k in range(npairs)], (kind, l, s, t)
 
 
 @pytest.mark.parametrize("kind,ls", [("B", (1, 2, 3, 4, 5, 6)),
@@ -515,8 +464,7 @@ def test_an_entry_without_its_other_order_is_refused(block, monkeypatch):
 def test_build_does_no_per_monomial_work(monkeypatch):
     calls = []
     modules = [m for name, m in sys.modules.items() if name.startswith("spinlab")]
-    for owner, name in ((clifford, "_pair_action"), (exterior, "wedge_sign"),
-                        (exterior, "form_sign")):
+    for owner, name in ((exterior, "wedge_sign"), (exterior, "form_sign")):
         fn = getattr(owner, name)
 
         def spy(*args, _fn=fn, _name=name):
