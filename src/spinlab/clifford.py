@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fields import _is_int
 from .superalgebra import VerificationFailed
 
 
@@ -52,7 +53,7 @@ def _check_kind(kind: str):
 def _check_rank(l) -> int:
     """l as an int; ValueError unless l is an integer >= 1 (a bool or 2.0
     is no rank, though it hashes as one)."""
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+    if not _is_int(l):
         raise ValueError(f"l must be an integer, got {l!r}")
     if l < 1:
         raise ValueError("need l >= 1")
@@ -154,10 +155,6 @@ def pair_basis(l: int, kind: str) -> PairBasis:
 def so_dim(l: int, kind: str) -> int:
     l, kind = _check_pairs(l, kind)
     return l * (2 * l + 1) if kind == "B" else l * (2 * l - 1)
-
-
-def cartan_indices(l: int, kind: str = "B") -> list:
-    return list(pair_basis(l, kind).cartan)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +309,6 @@ def so_bracket_table(l: int, kind: str):
 def half_spin_masks(l: int, parity: int = 0) -> tuple:
     """Monomial masks of the given popcount parity, in increasing order."""
     l = _check_rank(l)
-    if (isinstance(parity, bool) or not isinstance(parity, (int, np.integer))
-            or parity not in (0, 1)):
+    if not _is_int(parity) or parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity!r}")
     return tuple(m for m in range(1 << l) if m.bit_count() & 1 == parity)

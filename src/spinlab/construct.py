@@ -34,7 +34,7 @@ from .clifford import (_check_pairs, gram_pairing, half_spin_masks, pair_basis,
                        rho_tables, so_bracket_table, so_dim)
 from .exterior import (b_is_symmetric, bhat_is_symmetric, complement_form_signs,
                        monomial_label)
-from .fields import QQ, Field
+from .fields import QQ, Field, _is_int
 from .linalg import exact_array, matmul_modp, rank_modp
 from .superalgebra import (SuperAlgebra, VerificationFailed, VerificationReport,
                            check_jacobi)
@@ -156,7 +156,7 @@ def build_superalgebra(l: int, kind: str, field: Field) -> SuperAlgebra:
     numpy integer, not a bool; anything else raises ValueError before any
     table is built or looked up.
     """
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+    if not _is_int(l):
         raise ValueError(f"l must be an integer, got {l!r}")
     l = int(l)
     A = _assemble(l, kind, field)

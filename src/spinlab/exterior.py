@@ -54,7 +54,7 @@ def form_sign(s: int, t: int, top: int, hat: bool = False) -> int:
 
 
 def complement_form_signs(l: int, hat: bool = False):
-    """form_sign(m, complement(m, l), top, hat) for every mask m < 2**l, as
+    """form_sign(m, m ^ top, top, hat) for every mask m < 2**l = top + 1, as
     an int64 array: the involution's sign times the wedge sign, whose
     inversions are counted one generator of m at a time."""
     m = np.arange(1 << l, dtype=np.int64)
@@ -64,10 +64,6 @@ def complement_form_signs(l: int, hat: bool = False):
     for i in range(l):
         odd += (m >> i & 1) * np.bitwise_count(t & ((1 << i) - 1))
     return 1 - 2 * (odd & 1)
-
-
-def complement(mask: int, l: int) -> int:
-    return ((1 << l) - 1) ^ mask
 
 
 def b_is_symmetric(l: int) -> bool:

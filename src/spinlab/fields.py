@@ -31,10 +31,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_PRIME = 1 << 26
 
 
+def _is_int(v) -> bool:
+    """v is an int or a numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _characteristic(p) -> int:
     """p as a Python int; InvalidField for anything but an int or a numpy
     integer (a bool, float, Fraction or str names no characteristic)."""
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+    if not _is_int(p):
         raise InvalidField(f"a characteristic is an integer, not {p!r}")
     return int(p)
 
@@ -198,5 +203,5 @@ def GF(p: int) -> Field:
 
 def make_field(char: int) -> Field:
     """Field of the given characteristic: 0 gives Q, odd prime p gives GF(p)."""
-    return QQ if _characteristic(char) == 0 else Field(char)
+    return QQ if _characteristic(char) == 0 else GF(char)
 

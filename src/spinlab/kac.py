@@ -1,7 +1,6 @@
 """The tiny Kaplansky superalgebra K, the 10-dimensional Kac Jordan
-superalgebra J = k1 (+) K(x)K, its normalized trace and inner
-derivations, the Grassmann envelope G(J), and the degree-3
-Cayley-Hamilton check.
+superalgebra J = k1 (+) K(x)K, its inner derivations, the Grassmann
+envelope G(J), and the degree-3 Cayley-Hamilton check.
 
 K has basis (e | x, y) with e^2 = e, ex = xe = x/2, ey = ye = y/2,
 xy = -yx = e, and the supersymmetric form (e|e) = 1/2, (x|y) = 1.
@@ -12,22 +11,21 @@ J multiplies through
 with 1 the unit.  All structure constants are rational with powers of 2
 in the denominators, so one Fraction table serves every field of odd
 characteristic: _j_tensor reads it as an exact array per characteristic,
-and the product table of the element classes and the inner derivations
-of J come from that array.
+and the inner derivations of J and the product of G(J) come from that
+array.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .exterior import wedge_sign, wedge_terms
-from .fields import Field, FieldMismatch
-from .linalg import _red, combine, exact_array, pair_products, rref_modp
+from .fields import Field, FieldMismatch, _is_int
+from .linalg import _red, exact_array, pair_products, rref_modp
 from .superalgebra import VerificationFailed
 
 K_LABELS = ("e", "x", "y")
@@ -93,140 +91,6 @@ def _j_field_table(field: Field):
                  for row in _j_tensor(field.p).tolist())
 
 
-class KacElement:
-    """Element of J in coordinates over (1, e(x)e, e(x)x, ..., y(x)y)."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: Field, coords):
-        coords = [field.raw(c) for c in coords]
-        if len(coords) != J_DIM:
-            raise ValueError(f"need {J_DIM} coordinates")
-        self.field = field
-        self.coords = coords
-
-    @classmethod
-    def unit(cls, field: Field) -> "KacElement":
-        return cls.basis(field, 0)
-
-    @classmethod
-    def basis(cls, field: Field, i: int) -> "KacElement":
-        c = [0] * J_DIM
-        c[i] = 1
-        return cls(field, c)
-
-    def _compat(self, other):
-        if not isinstance(other, KacElement):
-            raise TypeError("expected a KacElement")
-        if other.field != self.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    def __sub__(self, other):
-        self._compat(other)
-        f = self.field
-        return KacElement(f, [f.sub(a, b) for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return KacElement(self.field, [self.field.neg(a) for a in self.coords])
-
-    def __mul__(self, other):
-        if not isinstance(other, KacElement):
-            return NotImplemented
-        self._compat(other)
-        f = self.field
-        tab = _j_field_table(f)
-        out = [f.zero()] * J_DIM
-        for i, a in enumerate(self.coords):
-            if f.is_zero(a):
-                continue
-            row = tab[i]
-            for j, b in enumerate(other.coords):
-                if f.is_zero(b):
-                    continue
-                c = f.mul(a, b)
-                for k, v in row[j]:
-                    out[k] = f.add(out[k], f.mul(c, v))
-        return KacElement(f, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, KacElement):
-            return NotImplemented
-        return self.field == other.field and self.coords == other.coords
-
-    def is_zero(self) -> bool:
-        return all(self.field.is_zero(c) for c in self.coords)
-
-    def parity(self):
-        """0, 1, or None for mixed/zero elements."""
-        seen = {J_PARITY[i] for i, c in enumerate(self.coords)
-                if not self.field.is_zero(c)}
-        return seen.pop() if len(seen) == 1 else None
-
-    def trace(self):
-        """The normalized trace, as a raw field value: t(1) = 1, t(K(x)K) = 0."""
-        return self.coords[0]
-
-    def star(self, other) -> "KacElement":
-        """x * y = xy - t(xy) 1 (projection of the product onto J0)."""
-        prod = self * other
-        out = list(prod.coords)
-        out[0] = self.field.zero()
-        return KacElement(self.field, out)
-
-    def __repr__(self):
-        f = self.field
-        parts = [f"{f.to_str(c)}*{J_LABELS[i]}"
-                 for i, c in enumerate(self.coords) if not f.is_zero(c)]
-        return " + ".join(parts) if parts else "0"
-
-
-def kac_product(p: KacElement, q: KacElement) -> KacElement:
-    return p * q
-
-
-def normalized_trace(p: KacElement):
-    return p.trace()
-
-
-def idempotent_f(field: Field) -> KacElement:
-    """f = -(1/2) 1 + 2 e(x)e; satisfies f*f = f with t(f) = -1/2."""
-    c = [0] * J_DIM
-    c[0] = Fraction(-1, 2)
-    c[_tensor_index(0, 0)] = 2
-    return KacElement(field, c)
-
-
-def left_mult_matrix(p: KacElement) -> list:
-    """Matrix of q -> p q on the J basis (rows = outputs)."""
-    f = p.field
-    tab = _j_field_table(f)
-    rows = [[f.zero()] * J_DIM for _ in range(J_DIM)]
-    for i, a in enumerate(p.coords):
-        if f.is_zero(a):
-            continue
-        for j in range(J_DIM):
-            for k, v in tab[i][j]:
-                rows[k][j] = f.add(rows[k][j], f.mul(a, v))
-    return rows
-
-
-def inner_derivation_J(p: KacElement, q: KacElement) -> list:
-    """[L_p, L_q] as a 9x9 matrix on K(x)K (rows = outputs).
-
-    p and q must be parity-homogeneous (the Koszul sign needs it); then
-    [L_p, L_q] = sum_x sum_y p_x q_y [L_x, L_y], read from _lmul_brackets.
-    """
-    f = p.field
-    if p.parity() is None or q.parity() is None:
-        raise ValueError("inner derivations need parity-homogeneous arguments")
-    pq = np.outer(*(exact_array(e.coords, f.p) for e in (p, q))).reshape(-1)
-    if f.p:
-        pq %= f.p
-    hot = np.flatnonzero(pq)
-    brackets = _lmul_brackets(f.p).reshape(J_DIM * J_DIM, J_DIM - 1, J_DIM - 1)
-    return combine(pq[None, hot], brackets[hot], f.p)[0].tolist()
-
-
 def _supercommutators(X, odd, p: int) -> np.ndarray:
     """(d, d, n, n) array of [X_a, X_b] = X_a X_b - (-1)^{|a||b|} X_b X_a
     over all pairs of the stack X of n x n exact arrays over the field of
@@ -274,13 +138,6 @@ def _inder_basis(p: int):
     return _frozen(np.concatenate(parts).reshape(-1, 9, 9)), len(parts[0])
 
 
-def inder_j_span(field: Field):
-    """(even basis, odd basis) of inder J = span [L_J0, L_J0], as 9x9
-    matrices; dimensions come out (6, 4)."""
-    basis, n_even = _inder_basis(field.p)
-    return basis[:n_even].tolist(), basis[n_even:].tolist()
-
-
 # ---------------------------------------------------------------------------
 # Grassmann envelope
 
@@ -290,16 +147,25 @@ class EnvelopeElement:
 
     terms maps (grassmann mask, J basis index) -> raw coefficient, with
     the monomial degree matching the J parity mod 2, so the element is
-    even overall and G(J) is an honest commutative Jordan algebra.
+    even overall and G(J) is an honest commutative Jordan algebra.  A key
+    outside range(2**m) x range(10), or m not an int >= 0, is refused.
     """
 
     __slots__ = ("m", "field", "terms")
 
     def __init__(self, m: int, field: Field, terms):
+        if not _is_int(m) or m < 0:
+            raise ValueError(f"m must be a non-negative int, not {m!r}")
+        m = int(m)
         clean = {}
-        for (g, j), c in dict(terms).items():
-            if not 0 <= g < (1 << m):
-                raise ValueError(f"monomial mask {g} out of range")
+        for key, c in dict(terms).items():
+            g, j = key
+            if not _is_int(g) or not 0 <= g < (1 << m):
+                raise ValueError(f"monomial mask of key {key!r} outside "
+                                 f"range({1 << m})")
+            if not _is_int(j) or not 0 <= j < J_DIM:
+                raise ValueError(f"J index of key {key!r} outside range({J_DIM})")
+            g, j = int(g), int(j)
             if g.bit_count() & 1 != J_PARITY[j]:
                 raise ValueError(
                     f"parity mismatch: mask {g:b} with generator {J_LABELS[j]}")
@@ -311,12 +177,15 @@ class EnvelopeElement:
         self.terms = clean
 
     @classmethod
-    def zero(cls, m: int, field: Field) -> "EnvelopeElement":
-        return cls(m, field, {})
-
-    @classmethod
     def unit(cls, m: int, field: Field) -> "EnvelopeElement":
         return cls(m, field, {(0, 0): field.one()})
+
+    def _like(self, terms: dict) -> "EnvelopeElement":
+        """An element on the generators and field of self, terms being a
+        zero-free dict of checked keys and raw values that it takes as is."""
+        out = EnvelopeElement.__new__(EnvelopeElement)
+        out.m, out.field, out.terms = self.m, self.field, terms
+        return out
 
     def _compat(self, other):
         if self.m != other.m:
@@ -330,7 +199,7 @@ class EnvelopeElement:
         out = dict(self.terms)
         for key, c in other.terms.items():
             f.add_into(out, key, c)
-        return EnvelopeElement(self.m, f, out)
+        return self._like(out)
 
     def lam_scale(self, lam: dict) -> "EnvelopeElement":
         """Multiply by an even Grassmann scalar {mask: raw}."""
@@ -345,13 +214,29 @@ class EnvelopeElement:
                     continue
                 w = f.mul(c, v)
                 f.add_into(out, (gm | g, j), w if s > 0 else f.neg(w))
-        return EnvelopeElement(self.m, f, out)
+        return self._like(out)
 
     def __mul__(self, other):
         if not isinstance(other, EnvelopeElement):
             return NotImplemented
         self._compat(other)
-        return _envelope_product(self, other, _j_field_table(self.field))
+        # (u (x) a)(v (x) b) = (-1)^{|a||v|} uv (x) ab
+        f = self.field
+        tab = _j_field_table(f)
+        out = {}
+        for (ga, ja), ca in self.terms.items():
+            pj = J_PARITY[ja]
+            for (gb, jb), cb in other.terms.items():
+                ws = wedge_sign(ga, gb)
+                if not ws:
+                    continue
+                if pj and gb.bit_count() & 1:
+                    ws = -ws
+                c = f.mul(ca, cb)
+                c = c if ws > 0 else f.neg(c)
+                for k, v in tab[ja][jb]:
+                    f.add_into(out, (ga | gb, k), f.mul(c, v))
+        return self._like(out)
 
     def lambda_trace(self) -> dict:
         """The normalized trace extended Lambda-linearly: {mask: raw}.  The
@@ -379,25 +264,6 @@ class EnvelopeElement:
             mono = "".join(f"q{i+1}" for i in range(self.m) if g >> i & 1) or "1"
             bits.append(f"{f.to_str(c)}*{mono}*{J_LABELS[j]}")
         return " + ".join(bits) if bits else "0"
-
-
-def _envelope_product(a: EnvelopeElement, b: EnvelopeElement, tab):
-    f = a.field
-    out = {}
-    for (ga, ja), ca in a.terms.items():
-        pj = J_PARITY[ja]
-        for (gb, jb), cb in b.terms.items():
-            ws = wedge_sign(ga, gb)
-            if not ws:
-                continue
-            if pj and gb.bit_count() & 1:
-                ws = -ws
-            c = f.mul(ca, cb)
-            c = c if ws > 0 else f.neg(c)
-            g = ga | gb
-            for k, v in tab[ja][jb]:
-                f.add_into(out, (g, k), f.mul(c, v))
-    return EnvelopeElement(a.m, f, out)
 
 
 def ch3(x: EnvelopeElement) -> EnvelopeElement:
@@ -477,40 +343,3 @@ def ch3_scan(field: Field) -> dict:
                     "m": m, "field": f.p}
     return {"verdict": "inconclusive" if f.p == 3 else "pass", "witness": None,
             "checked": checked, "m": m, "field": f.p}
-
-
-def jordan_envelope_check(field: Field, m: int, samples: int, seed: int,
-                          table=None) -> dict:
-    """Commutativity and the Jordan identity (x^2 y) x = x^2 (y x) on
-    seeded random even envelope elements.  table overrides the J
-    structure constants (negative-control hook for tests)."""
-    if m < 2:
-        raise ValueError("need at least 2 Grassmann generators")
-    f = field
-    tab = table if table is not None else _j_field_table(f)
-    rng = random.Random(seed)
-    slots = [(0, j) for j in EVEN_INDICES]
-    slots += [(1 << i, j) for i in range(m) for j in ODD_INDICES]
-    slots += [(1 << i | 1 << k, j) for i in range(m) for k in range(i + 1, m)
-              for j in EVEN_INDICES]
-
-    def draw():
-        terms = {}
-        for key in slots:
-            c = rng.randrange(f.p) if f.p else rng.randint(-2, 2)
-            if c:
-                terms[key] = f.of_int(c)
-        return EnvelopeElement(m, f, terms)
-
-    for trial in range(samples):
-        x, y = draw(), draw()
-        xy = _envelope_product(x, y, tab)
-        yx = _envelope_product(y, x, tab)
-        if xy != yx:
-            return {"pass": False, "witness": {"trial": trial, "law": "commutativity"}}
-        x2 = _envelope_product(x, x, tab)
-        lhs = _envelope_product(_envelope_product(x2, y, tab), x, tab)
-        rhs = _envelope_product(x2, yx, tab)
-        if lhs != rhs:
-            return {"pass": False, "witness": {"trial": trial, "law": "jordan"}}
-    return {"pass": True, "witness": None, "checked": samples}

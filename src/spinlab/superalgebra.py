@@ -61,12 +61,19 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fields import Field, make_field
+from .fields import Field, _is_int, make_field
 from .linalg import (RowSpace, RowSpaceModP, _red, combine, common_denominator,
                      exact_array, matmul_modp, nullspace_modp, rank_modp,
                      rref_modp)
 
 SCHEMA_VERSION = 1
+
+
+def _basis_index(i, n: int) -> int:
+    """i as an int; ValueError naming i unless it is an int in range(n)."""
+    if not _is_int(i) or not 0 <= i < n:
+        raise ValueError(f"basis index {i!r} outside range({n})")
+    return int(i)
 
 
 class VerificationFailed(RuntimeError):
@@ -191,12 +198,16 @@ class SuperAlgebra:
     def bracket_terms(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a new zero-free dict k -> raw coefficient, the
         stored row of the pair read from coo by binary search on every call
-        (the pair keys i*n + j of the stored half are built on first use)."""
+        (the pair keys i*n + j of the stored half are built on first use).
+        ValueError for an index outside range(n)."""
+        n = self.dim
+        if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+            i, j = _basis_index(i, n), _basis_index(j, n)
         I, J, K, V, scale = self.coo
         if self._pair_keys is None:      # stored rows (i <= j) come sorted
             stored = I <= J
-            self._pair_keys = I[stored] * self.dim + J[stored]
-        key = min(i, j) * self.dim + max(i, j)
+            self._pair_keys = I[stored] * n + J[stored]
+        key = min(i, j) * n + max(i, j)
         lo, hi = self._pair_keys.searchsorted((key, key + 1))
         vals = V[lo:hi].tolist()
         if not self.field.p:
@@ -569,8 +580,7 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     witness_cap must be an int >= 1 (not a bool); anything else raises
     ValueError, since a cap below 1 would report a pass for any algebra.
     """
-    if (isinstance(witness_cap, bool) or not isinstance(witness_cap, (int, np.integer))
-            or witness_cap < 1):
+    if not _is_int(witness_cap) or witness_cap < 1:
         raise ValueError(f"witness_cap must be an int >= 1, got {witness_cap!r}")
     n = A.dim
     # outside the tests only the benchmark's B8 cells take this branch;

@@ -70,8 +70,8 @@ from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
 from .superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
                            even_subalgebra, ideal_closure, verify_isomorphism,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
-                           _norton_word, _nullity_one_elements, _spin,
-                           _stored_half)
+                           _basis_index, _norton_word, _nullity_one_elements,
+                           _spin, _stored_half)
 from .clifford import (ambient_gram, pair_basis, nat_entries, so_constants,
                        DegenerateForm)
 from .construct import build_superalgebra
@@ -267,9 +267,11 @@ def tits_bracket(model: TitsModel, i: int, j: int) -> dict:
     Applies the rule of the module docstring that the slot kinds of i
     and j select, reading the TitsModel tables entry by entry: the
     pair-by-pair reference for the whole-table assembly of build_tits.
+    ValueError for an index outside range(dim).
     """
     m = model
     p = m.field.p
+    i, j = _basis_index(i, len(m.slots)), _basis_index(j, len(m.slots))
     (kp, *u), (kq, *w) = m.slots[i], m.slots[j]
     if (kp, kq) == ("der", "der"):
         terms = [(("der", k), v) for k, v in enumerate(m.DD[u[0], w[0]])]

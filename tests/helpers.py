@@ -1,16 +1,20 @@
 """Shared builders and oracles for the test suite."""
 
+import itertools
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from spinor_reference import model
 from spinlab import tits
 from spinlab.construct import build_superalgebra
+from spinlab.fields import make_field
+from spinlab.kac import J_DIM, J_PARITY, _j_tensor
 from spinlab.clifford import (half_spin_masks, pair_basis, rho_tables, so_bracket_table,
                               so_dim)
-from spinlab.linalg import RowSpace, _red, matmul_modp
+from spinlab.linalg import RowSpace, _red, exact_array, matmul_modp
 from spinlab.superalgebra import SuperAlgebra, _brackets_into, _stored_half
 
 # the gcd of the contents of all nonzero Jacobi triples of the Q table
@@ -237,3 +241,39 @@ def ideal_closure_by_dictionary(A, seeds):
                 space.insert([w])
                 queue.append(w)
     return space.basis.tolist()
+
+
+@lru_cache(maxsize=None)
+def lmul_brackets_by_loops(p):
+    """The reference for kac._lmul_brackets, from kac._j_tensor(p) alone:
+    {(x, y): [L_x, L_y] = L_x L_y -+ L_y L_x on K(x)K, a 9x9 nested list
+    of raw values}, entry by entry over the field of characteristic p.
+    Each bracket must annihilate 1 and keep K(x)K."""
+    f = make_field(p)
+    T = _j_tensor(p).tolist()                     # L_x[i][k] = T[x][k][i]
+    out = {}
+    for x, y in itertools.product(range(J_DIM), repeat=2):
+        sign = 1 if J_PARITY[x] and J_PARITY[y] else -1
+        full = [[f.raw(sum(T[x][k][i] * T[y][j][k] + sign * T[y][k][i] * T[x][j][k]
+                           for k in range(J_DIM)))
+                 for j in range(J_DIM)] for i in range(J_DIM)]
+        assert not any(full[0]) and not any(row[0] for row in full), (x, y)
+        out[x, y] = [row[1:] for row in full[1:]]
+    return out
+
+
+def j_associators(p):
+    """(xy)z - x(yz) for every basis triple of J, from kac._j_tensor(p): a
+    (10, 10, 10, 10) exact array [x, y, z, k] over the field of
+    characteristic p."""
+    T, n = _j_tensor(p), J_DIM
+    left = matmul_modp(T.reshape(n * n, n), T.reshape(n, n * n), p)
+    right = matmul_modp(T.reshape(n * n, n), T.transpose(1, 0, 2).reshape(n, n * n), p)
+    return _red(left.reshape((n,) * 4)
+                - right.reshape((n,) * 4).transpose(2, 0, 1, 3), p)
+
+
+def j_product(p, u, v):
+    """uv in J for coordinate vectors u, v, from kac._j_tensor(p)."""
+    uv = np.outer(exact_array(u, p), exact_array(v, p)).reshape(1, -1)
+    return matmul_modp(uv, _j_tensor(p).reshape(J_DIM * J_DIM, J_DIM), p)[0]

@@ -6,13 +6,13 @@ assertions are equalities, never tolerances.
 """
 import hashlib
 import itertools
-import json
 import time
 from fractions import Fraction
 
-import pytest
+import numpy as np
 
-from helpers import closed_form_cases, rep_and_adjoint
+from helpers import (closed_form_cases, j_associators, j_product,
+                     rep_and_adjoint)
 from spinor_reference import model
 from spinlab import kac
 from spinlab.cli import main
@@ -24,9 +24,8 @@ from spinlab.exterior import (b_is_symmetric, bhat_is_symmetric,
                               complement_form_signs)
 from spinlab.fields import GF, QQ, make_field
 from spinlab.kac import (J_DIM, J_PARITY, ODD_INDICES, EnvelopeElement,
-                         KacElement, ch3, ch3_scan, idempotent_f, inder_j_span,
-                         normalized_trace)
-from spinlab.linalg import RowSpace
+                         _inder_basis, _j_tensor, ch3, ch3_scan)
+from spinlab.linalg import _red, exact_array, rank_modp
 from spinlab.superalgebra import (check_jacobi, equivariant_map_dim, j_triple,
                                   simplicity_certificate)
 from spinlab.tits import (TITS_DIMS, build_tits, cross_identify_with_typeB,
@@ -193,35 +192,24 @@ def test_octonion_structure_suite():
 
 
 def test_kac_superalgebra_axioms():
-    for f in (QQ, GF(5)):
-        one = KacElement.unit(f)
+    for p in (0, 5):
+        fld = make_field(p)
+        T = _j_tensor(p)
+        eye = np.eye(J_DIM, dtype=np.int64)
+        assert (T[0] == eye).all() and (T[:, 0] == eye).all()
+        assert T[0, 0, 0] == fld.one() and 0 not in ODD_INDICES
         for i in range(J_DIM):
-            bi = KacElement.basis(f, i)
-            assert one * bi == bi and bi * one == bi
-            if i in ODD_INDICES:
-                assert f.is_zero(normalized_trace(bi))
-        assert normalized_trace(one) == f.one()
-        span = RowSpace(f, J_DIM)
-        for i in range(J_DIM):
-            bi = KacElement.basis(f, i)
             for j in range(J_DIM):
-                bj = KacElement.basis(f, j)
-                if J_PARITY[i] and J_PARITY[j]:
-                    assert bi * bj == -(bj * bi), (i, j)
-                else:
-                    assert bi * bj == bj * bi, (i, j)
-                for k in range(J_DIM):
-                    bk = KacElement.basis(f, k)
-                    assoc = (bi * bj) * bk - bi * (bj * bk)
-                    assert f.is_zero(assoc.coords[0]), (i, j, k)
-                    if not assoc.is_zero():
-                        span.insert([assoc.coords])
-        assert span.dim == 9
-        ff = idempotent_f(f)
-        assert ff * ff == ff
-        assert normalized_trace(ff) == f.raw(Fraction(-1, 2))
-        ev, od = inder_j_span(f)
-        assert (len(ev), len(od)) == (6, 4)
+                sign = -1 if J_PARITY[i] and J_PARITY[j] else 1
+                assert (T[i, j] == _red(sign * T[j, i], p)).all(), (i, j)
+        assoc = j_associators(p)
+        assert not assoc[..., 0].any()
+        assert rank_modp(assoc.reshape(-1, J_DIM), p) == 9
+        ff = exact_array([Fraction(-1, 2)] + [2] + [0] * 8, p)   # -1/2 + 2 e(x)e
+        assert j_product(p, ff, ff).tolist() == ff.tolist()
+        assert ff[0] == fld.raw(Fraction(-1, 2))
+        basis, n_even = _inder_basis(p)
+        assert (n_even, len(basis) - n_even) == (6, 4)
 
 
 def test_degree_three_identity_gate(monkeypatch):
@@ -241,7 +229,7 @@ def test_degree_three_identity_gate(monkeypatch):
     assert ch3(EnvelopeElement(4, GF(7), old_x)).support() == \
         [[13, 4, "6"], [14, 4, "6"]]
     # vanishing polarizations prove nothing where 3! = 0: not "pass"
-    monkeypatch.setattr(kac, "ch3", lambda x: EnvelopeElement.zero(x.m, x.field))
+    monkeypatch.setattr(kac, "ch3", lambda x: EnvelopeElement(x.m, x.field, {}))
     empty = ch3_scan(GF(3))
     assert empty["verdict"] == "inconclusive" and empty["witness"] is None
 

@@ -15,7 +15,7 @@ from helpers import mask_signs, rho_witness, traces
 from spinor_reference import model
 from spinlab.fields import QQ, GF
 from spinlab.exterior import complement_form_signs
-from spinlab.clifford import (ambient_space, ambient_gram, cartan_indices,
+from spinlab.clifford import (ambient_space, ambient_gram,
                               gram_pairing, half_spin_masks, nat_entries,
                               pair_basis, qpair, rho_tables, so_bracket_table,
                               so_constants, so_dim)
@@ -174,7 +174,7 @@ def test_spin_weights_have_multiplicity_one(l):
     weights = set()
     for m in range(1 << l):
         w = []
-        for k in cartan_indices(l, "B"):
+        for k in pair_basis(l, "B").cartan:
             assert tgt[k, m] == m, (l, k, m)
             w.append(int(cof[k, m]))
         weights.add(tuple(w))

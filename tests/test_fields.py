@@ -6,7 +6,8 @@ import pytest
 
 from spinlab.construct import build_superalgebra
 from spinlab.fields import Field, FieldMismatch, InvalidField, QQ, GF, make_field
-from spinlab.kac import EnvelopeElement, KacElement, idempotent_f, normalized_trace
+from spinlab.composition import make_composition
+from spinlab.kac import EnvelopeElement
 
 FIELDS = [QQ, GF(3), GF(5), GF(7)]
 
@@ -130,33 +131,38 @@ def test_to_str_round_trips_through_fraction(f):
 
 def scalar_values(f):
     """The scalar-valued functions on pinned arguments over f."""
-    ff = idempotent_f(f)
+    C = make_composition("octonion", f)
+    half = [f.mul(f.raw(Fraction(1, 2)), u) for u in C.unit]
+    lam = EnvelopeElement(2, f, {(0, 0): Fraction(-1, 2), (3, 0): 3,
+                                 (0, 1): 2}).lambda_trace()
     return {
-        "KacElement.trace": ff.trace(),
-        "normalized_trace": normalized_trace(ff),
-        "normalized_trace(basis)": normalized_trace(KacElement.basis(f, 3)),
+        "CompositionAlgebra.norm": C.norm(half),
+        "CompositionAlgebra.norm_polar": C.norm_polar(half, half),
+        "lambda_trace(1)": lam[0],
+        "lambda_trace(q1q2)": lam[3],
     }
 
 
 def test_scalar_valued_functions_return_fractions_over_qq():
     vals = scalar_values(QQ)
     assert all(type(v) is Fraction for v in vals.values()), vals
-    assert vals == {"KacElement.trace": Fraction(-1, 2),
-                    "normalized_trace": Fraction(-1, 2),
-                    "normalized_trace(basis)": 0}
+    assert vals == {"CompositionAlgebra.norm": Fraction(1, 4),
+                    "CompositionAlgebra.norm_polar": Fraction(1, 2),
+                    "lambda_trace(1)": Fraction(-1, 2),
+                    "lambda_trace(q1q2)": 3}
 
 
 def test_scalar_valued_functions_return_residues_over_gf5():
     vals = scalar_values(GF(5))
     assert all(type(v) is int and 0 <= v < 5 for v in vals.values()), vals
-    assert vals == {"KacElement.trace": 2,
-                    "normalized_trace": 2, "normalized_trace(basis)": 0}
+    assert vals == {"CompositionAlgebra.norm": 4,
+                    "CompositionAlgebra.norm_polar": 3,
+                    "lambda_trace(1)": 2, "lambda_trace(q1q2)": 3}
 
 
 def test_mutable_objects_are_unhashable():
     f = GF(3)
-    objs = [build_superalgebra(1, "B", f), KacElement.unit(f),
-            EnvelopeElement.unit(2, f)]
+    objs = [build_superalgebra(1, "B", f), EnvelopeElement.unit(2, f)]
     for obj in objs:
         with pytest.raises(TypeError):
             hash(obj)
@@ -164,7 +170,5 @@ def test_mutable_objects_are_unhashable():
 
 def test_mixing_fields_raises_field_mismatch():
     q, g = QQ, GF(5)
-    with pytest.raises(FieldMismatch):
-        KacElement.unit(q) * KacElement.unit(g)
     with pytest.raises(FieldMismatch):
         EnvelopeElement.unit(2, q) * EnvelopeElement.unit(2, g)

@@ -1,23 +1,27 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from helpers import j_associators, j_product, lmul_brackets_by_loops
 from spinlab import kac
-from spinlab.fields import GF, QQ
+from spinlab.fields import GF, QQ, make_field
 from spinlab.kac import (EVEN_INDICES, J_DIM, J_LABELS, J_PARITY, K_FORM,
                          K_PARITY, K_TABLE, ODD_INDICES, EnvelopeElement,
-                         KacElement, _j_field_table, _tensor_index, ch3,
-                         ch3_scan, idempotent_f, inder_j_span,
-                         inner_derivation_J, jordan_envelope_check,
-                         kac_product, left_mult_matrix, normalized_trace)
-from spinlab.linalg import RowSpace
+                         _inder_basis, _j_field_table, _j_tensor, _lmul_brackets,
+                         _tensor_index, ch3, ch3_scan)
+from spinlab.linalg import exact_array, rank_modp
 
-f = QQ
+EE = _tensor_index(0, 0)
 
 
-def basis(i, fld=QQ):
-    return KacElement.basis(fld, i)
+def idempotent(p):
+    """f = -(1/2) 1 + 2 e(x)e, as a coordinate vector over characteristic p."""
+    v = [0] * J_DIM
+    v[0], v[EE] = Fraction(-1, 2), 2
+    return exact_array(v, p)
 
 
 def test_layout():
@@ -30,190 +34,111 @@ def test_layout():
 
 
 def test_product_examples():
-    ee = basis(_tensor_index(0, 0))
+    T = _j_tensor(0)
     expect = [0] * J_DIM
     expect[0] = Fraction(-3, 16)
-    expect[_tensor_index(0, 0)] = 1
-    assert ee * ee == KacElement(f, expect)
-    xe = basis(_tensor_index(1, 0))
-    ye = basis(_tensor_index(2, 0))
-    expect = [0] * J_DIM
+    expect[EE] = 1
+    assert T[EE, EE].tolist() == expect
     expect[0] = Fraction(-3, 8)
-    expect[_tensor_index(0, 0)] = 1
-    assert xe * ye == KacElement(f, expect)
+    assert T[_tensor_index(1, 0), _tensor_index(2, 0)].tolist() == expect
 
 
 @pytest.mark.parametrize("ch", [0, 5])
 def test_idempotent(ch):
-    fld = QQ if ch == 0 else GF(ch)
-    ff = idempotent_f(fld)
-    assert ff * ff == ff
-    assert normalized_trace(ff) == fld.raw(Fraction(-1, 2))
+    ff = idempotent(ch)
+    assert j_product(ch, ff, ff).tolist() == ff.tolist()
+    assert ff[0] == make_field(ch).raw(Fraction(-1, 2))     # t(f) = -1/2
 
 
 def test_supercommutativity_all_pairs():
+    T = _j_tensor(0)
     for i in range(J_DIM):
         for j in range(J_DIM):
-            a, b = basis(i), basis(j)
-            if J_PARITY[i] and J_PARITY[j]:
-                assert a * b == -(b * a), (i, j)
-            else:
-                assert a * b == b * a, (i, j)
+            sign = -1 if J_PARITY[i] and J_PARITY[j] else 1
+            assert (T[i, j] == sign * T[j, i]).all(), (i, j)
 
 
 def test_unit_and_traces():
-    one = KacElement.unit(f)
-    for i in range(J_DIM):
-        b = basis(i)
-        assert one * b == b and b * one == b
-        if i in ODD_INDICES:
-            assert normalized_trace(b) == 0
-    assert normalized_trace(one) == 1
+    # 1 is a two-sided unit; the trace t, the coordinate of 1, has t(1) = 1,
+    # and the product keeps the grading, so t(xy) = 0 for x even, y odd
+    T = _j_tensor(0)
+    eye = np.eye(J_DIM, dtype=np.int64)
+    assert (T[0] == eye).all() and (T[:, 0] == eye).all()
+    for i, j, k in zip(*np.nonzero(T != 0)):
+        assert J_PARITY[k] == J_PARITY[i] ^ J_PARITY[j], (i, j, k)
+    assert T[0, 0, 0] == 1 and 0 not in ODD_INDICES
 
 
 @pytest.mark.parametrize("ch", [0, 5])
 def test_associator_trace_free_and_span(ch):
-    fld = QQ if ch == 0 else GF(ch)
-    span = RowSpace(fld, J_DIM)
-    for i in range(J_DIM):
-        bi = KacElement.basis(fld, i)
-        for j in range(J_DIM):
-            bij = bi * KacElement.basis(fld, j)
-            for k in range(J_DIM):
-                bk = KacElement.basis(fld, k)
-                assoc = bij * bk - bi * (KacElement.basis(fld, j) * bk)
-                assert fld.is_zero(assoc.coords[0]), (i, j, k)
-                if not assoc.is_zero():
-                    span.insert([assoc.coords])
-    assert span.dim == 9
+    assoc = j_associators(ch)
+    assert not assoc[..., 0].any()
+    assert rank_modp(assoc.reshape(-1, J_DIM), ch) == 9
 
 
 def k_lmul(i):
-    rows = [[f.zero()] * 3 for _ in range(3)]
+    """L_i on K as a 3x3 array of Fractions (rows = outputs)."""
+    L = np.full((3, 3), Fraction(0), dtype=object)
     for j in range(3):
         for k, c in K_TABLE[i][j].items():
-            rows[k][j] = f.raw(c)
-    return rows
+            L[k, j] = c
+    return L
 
 
-def _dot(A, B, i, j):
-    acc = f.zero()
-    for k in range(len(A)):
-        acc = f.add(acc, f.mul(A[i][k], B[k][j]))
-    return acc
+def k_supercomm(i, j):
+    s = -1 if K_PARITY[i] and K_PARITY[j] else 1
+    return k_lmul(i).dot(k_lmul(j)) - s * k_lmul(j).dot(k_lmul(i))
 
 
 def test_odd_left_mults_on_K():
     # {L_x, L_y} = (x(y|.) + y(x|.))/2 for odd x, y
+    eye, form = np.eye(3, dtype=np.int64), np.array(K_FORM, dtype=object)
     for iu in (1, 2):
         for iv in (1, 2):
-            LU, LV = k_lmul(iu), k_lmul(iv)
-            comm = [[f.add(_dot(LU, LV, i, j), _dot(LV, LU, i, j))
-                     for j in range(3)] for i in range(3)]
-            want = [[f.zero()] * 3 for _ in range(3)]
-            half = f.raw(Fraction(1, 2))
-            for j in range(3):
-                want[iu][j] = f.add(want[iu][j], f.mul(half, f.raw(K_FORM[iv][j])))
-                want[iv][j] = f.add(want[iv][j], f.mul(half, f.raw(K_FORM[iu][j])))
-            assert comm == want, (iu, iv)
-
-
-def super_tensor(A, B, parB):
-    M = [[f.zero()] * 9 for _ in range(9)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    v = f.mul(A[i][k], B[j][l])
-                    if parB and K_PARITY[k]:
-                        v = f.neg(v)
-                    M[3 * i + j][3 * k + l] = f.add(M[3 * i + j][3 * k + l], v)
-    return M
-
-
-def scale_mat(M, c):
-    return [[f.mul(c, v) for v in row] for row in M]
+            want = (np.outer(eye[iu], form[iv]) + np.outer(eye[iv], form[iu])) / 2
+            assert (k_supercomm(iu, iv) == want).all(), (iu, iv)
 
 
 def test_inner_derivation_closed_form_81_pairs():
-    # [L_{a@b}, L_{c@d}] = (1/2)(-1)^{|b||c|}((b|d)[La,Lc]@id + (a|c)id@[Lb,Ld])
-    ID3 = [[f.one() if i == j else f.zero() for j in range(3)]
-           for i in range(3)]
-
-    def supercomm(iA, iC):
-        LA, LC = k_lmul(iA), k_lmul(iC)
-        s = -1 if K_PARITY[iA] and K_PARITY[iC] else 1
-        return [[f.sub(_dot(LA, LC, i, j),
-                       f.neg(_dot(LC, LA, i, j)) if s < 0 else _dot(LC, LA, i, j))
-                 for j in range(3)] for i in range(3)]
-
-    for ai in range(3):
-        for bi in range(3):
-            for ci in range(3):
-                for di in range(3):
-                    P = basis(_tensor_index(ai, bi))
-                    Q = basis(_tensor_index(ci, di))
-                    got = inner_derivation_J(P, Q)
-                    commAC = supercomm(ai, ci)
-                    commBD = supercomm(bi, di)
-                    parAC = (K_PARITY[ai] + K_PARITY[ci]) % 2
-                    parBD = (K_PARITY[bi] + K_PARITY[di]) % 2
-                    t1 = scale_mat(super_tensor(commAC, ID3, 0),
-                                   f.raw(K_FORM[bi][di]))
-                    t2 = scale_mat(super_tensor(ID3, commBD, parBD),
-                                   f.raw(K_FORM[ai][ci]))
-                    want = scale_mat(
-                        [[f.add(a, b) for a, b in zip(ra, rb)]
-                         for ra, rb in zip(t1, t2)],
-                        f.raw(Fraction(1, 2)))
-                    if K_PARITY[bi] and K_PARITY[ci]:
-                        want = scale_mat(want, f.of_int(-1))
-                    assert got == want, (ai, bi, ci, di)
-
-
-def _inner_derivation_by_loops(p, q):
-    """Reference [L_p, L_q] = L_p L_q -+ L_q L_p, entry by entry."""
-    fld = p.field
-    LP, LQ = left_mult_matrix(p), left_mult_matrix(q)
-    odd = p.parity() and q.parity()
-    full = [[fld.zero()] * J_DIM for _ in range(J_DIM)]
-    for i in range(J_DIM):
-        for j in range(J_DIM):
-            acc = fld.zero()
-            for k in range(J_DIM):
-                acc = fld.add(acc, fld.mul(LP[i][k], LQ[k][j]))
-                term = fld.mul(LQ[i][k], LP[k][j])
-                acc = fld.add(acc, term) if odd else fld.sub(acc, term)
-            full[i][j] = acc
-    assert all(fld.is_zero(full[i][0]) and fld.is_zero(full[0][i])
-               for i in range(J_DIM))
-    return [row[1:] for row in full[1:]]
+    # [L_{a@b}, L_{c@d}] = (1/2)(-1)^{|b||c|}((b|d)[La,Lc]@id + (a|c)id@[Lb,Ld]),
+    # with (A@B)(u@v) = (-1)^{|B||u|} Au@Bv
+    eye = np.eye(3, dtype=np.int64)
+    flip = np.repeat([-1 if par else 1 for par in K_PARITY], 3)   # (-1)^{|u|}
+    brackets = _lmul_brackets(0)
+    for ai, bi, ci, di in itertools.product(range(3), repeat=4):
+        t1 = np.kron(k_supercomm(ai, ci), eye) * K_FORM[bi][di]
+        t2 = np.kron(eye, k_supercomm(bi, di)) * K_FORM[ai][ci]
+        if K_PARITY[bi] ^ K_PARITY[di]:
+            t2 = t2 * flip
+        want = (t1 + t2) / 2 * (-1 if K_PARITY[bi] and K_PARITY[ci] else 1)
+        got = brackets[_tensor_index(ai, bi), _tensor_index(ci, di)]
+        assert (got == want).all(), (ai, bi, ci, di)
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(5), GF(7)], ids=["QQ", "GF5", "GF7"])
 def test_inner_derivation_matches_loop_reference(fld):
-    for i in range(1, J_DIM):
-        for j in range(1, J_DIM):
-            P, Q = KacElement.basis(fld, i), KacElement.basis(fld, j)
-            assert inner_derivation_J(P, Q) == _inner_derivation_by_loops(P, Q), (i, j)
+    brackets, ref = _lmul_brackets(fld.p), lmul_brackets_by_loops(fld.p)
+    for i in range(J_DIM):
+        for j in range(J_DIM):
+            assert brackets[i, j].tolist() == ref[i, j], (i, j)
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(5), GF(7)], ids=["QQ", "GF5", "GF7"])
 def test_inder_span_dims(fld):
-    ev, od = inder_j_span(fld)
-    assert (len(ev), len(od)) == (6, 4)
+    basis, n_even = _inder_basis(fld.p)
+    assert (n_even, len(basis) - n_even) == (6, 4)
+    brackets = _lmul_brackets(fld.p)[1:, 1:].reshape(-1, 81)
+    both = np.concatenate([basis.reshape(-1, 81), brackets])
+    assert rank_modp(both, fld.p) == rank_modp(basis.reshape(-1, 81), fld.p) == 10
 
 
 def test_star_lands_in_trace_free_part():
-    for i in range(1, J_DIM):
-        for j in range(1, J_DIM):
-            s = basis(i).star(basis(j))
-            assert f.is_zero(s.coords[0])
-
-
-def env_of(x, fld):
-    return EnvelopeElement(4, fld, {(0, j): c for j, c in enumerate(x.coords)
-                                    if not fld.is_zero(c)})
+    # x * y = xy - t(xy) 1 on J0 = K(x)K, with t(v) the coordinate of 1
+    # in v, has t(x * y) = 0; and the trace form t(xy) on J0 is nondegenerate
+    T = _j_tensor(0)
+    star = T[1:, 1:] - T[1:, 1:, :1] * T[0, 0]
+    assert not star[..., 0].any()
+    assert rank_modp(T[1:, 1:, 0], 0) == 9
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(5), GF(7)], ids=["QQ", "GF5", "GF7"])
@@ -222,30 +147,69 @@ def test_ch3_of_unit_vanishes(fld):
 
 
 def test_ch3_of_idempotent():
-    assert ch3(env_of(idempotent_f(GF(5)), GF(5))).is_zero()
-    v = ch3(env_of(idempotent_f(QQ), QQ))
-    assert v.terms == {(0, _tensor_index(0, 0)): Fraction(35, 4)}
+    def env(fld):
+        return EnvelopeElement(4, fld, {(0, 0): Fraction(-1, 2), (0, EE): 2})
+
+    assert ch3(env(GF(5))).is_zero()
+    assert ch3(env(QQ)).terms == {(0, EE): Fraction(35, 4)}
+
+
+def jordan_envelope_check(field, m, samples, seed):
+    """Commutativity and the Jordan identity (x^2 y) x = x^2 (y x) on
+    seeded random even elements of G(J) on m generators, by
+    EnvelopeElement products: the first failing (trial, law), or None."""
+    rng = random.Random(seed)
+    slots = [(0, j) for j in EVEN_INDICES]
+    slots += [(1 << i, j) for i in range(m) for j in ODD_INDICES]
+    slots += [(1 << i | 1 << k, j) for i in range(m) for k in range(i + 1, m)
+              for j in EVEN_INDICES]
+
+    def draw():
+        return EnvelopeElement(m, field, {
+            key: rng.randrange(field.p) if field.p else rng.randint(-2, 2)
+            for key in slots})
+
+    for trial in range(samples):
+        x, y = draw(), draw()
+        yx = y * x
+        if x * y != yx:
+            return trial, "commutativity"
+        x2 = x * x
+        if (x2 * y) * x != x2 * yx:
+            return trial, "jordan"
+    return None
 
 
 def test_envelope_jordan_laws():
-    assert jordan_envelope_check(QQ, 3, samples=6, seed=11)["pass"]
-    assert jordan_envelope_check(GF(5), 4, samples=6, seed=7)["pass"]
+    assert jordan_envelope_check(QQ, 3, samples=6, seed=11) is None
+    assert jordan_envelope_check(GF(5), 4, samples=6, seed=7) is None
 
 
-def test_envelope_check_catches_corruption():
+def test_envelope_check_catches_corruption(monkeypatch):
     tab = [list(map(list, row)) for row in _j_field_table(GF(5))]
     tab[1][1] = [(0, 1), (1, 1)]
-    r = jordan_envelope_check(GF(5), 3, samples=6, seed=3, table=tab)
-    assert not r["pass"]
+    monkeypatch.setattr(kac, "_j_field_table", lambda field: tab)
+    assert jordan_envelope_check(GF(5), 3, samples=6, seed=3) is not None
 
 
-def test_left_mult_matrix_consistent():
-    for i in range(J_DIM):
-        L = left_mult_matrix(basis(i))
-        for j in range(J_DIM):
-            want = kac_product(basis(i), basis(j)).coords
-            got = [L[r][j] for r in range(J_DIM)]
-            assert got == list(want), (i, j)
+@pytest.mark.parametrize("m,terms,message", [
+    (2, {(0, -1): 1}, r"J index of key \(0, -1\) outside range\(10\)"),
+    (2, {(0, 10): 1}, r"J index of key \(0, 10\) outside range\(10\)"),
+    (2, {(0, True): 1}, r"J index of key \(0, True\) outside range\(10\)"),
+    (2, {(4, 0): 1}, r"monomial mask of key \(4, 0\) outside range\(4\)"),
+    (2, {(-1, 2): 1}, r"monomial mask of key \(-1, 2\) outside range\(4\)"),
+    (True, {}, "m must be a non-negative int, not True"),
+    (-1, {}, "m must be a non-negative int, not -1"),
+    (2.0, {}, "m must be a non-negative int, not 2.0"),
+])
+def test_envelope_element_refuses_a_key_outside_its_basis(m, terms, message):
+    # (0, -1) used to be kept, printed as y(x)y and compared unequal to
+    # (0, 9); (0, 10) raised IndexError; m = True and m = -1 were kept
+    with pytest.raises(ValueError, match=message):
+        EnvelopeElement(m, GF(5), terms)
+    x = EnvelopeElement(np.int64(2), GF(5), {(np.int64(3), np.int64(9)): 1})
+    assert x == EnvelopeElement(2, GF(5), {(3, 9): 1})
+    assert type(x.m) is int and all(type(k) is int for key in x.terms for k in key)
 
 
 def _random_envelope(rng, m, fld):
@@ -309,7 +273,7 @@ class TestCh3Scan:
     def test_vanishing_check_verdict(self, monkeypatch, p, verdict):
         # 3! = 0 mod 3, so vanishing polarizations prove nothing there
         monkeypatch.setattr(kac, "ch3",
-                            lambda x: EnvelopeElement.zero(x.m, x.field))
+                            lambda x: EnvelopeElement(x.m, x.field, {}))
         r = ch3_scan(GF(p))
         assert (r["verdict"], r["checked"], r["witness"]) == (verdict, 220, None)
 

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,15 +120,20 @@ def test_certificates_leave_numpy_ma_unloaded(tmp_path):
     assert out.stdout.split("\n") == ["False", "[0, 0, 0]", "False", ""]
 
 
+def _span_sites():
+    """The (module, dotted name) of each function perfbench/spans.py wraps;
+    the file is only read (no bytecode written next to it)."""
+    spans = {"__name__": "perfbench_spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans)
+    return [site for group in spans["LAYERS"].values() for site in group] + list(
+        spans["LAP_POINTS"])
+
+
 def test_benchmark_wrapped_functions_exist():
     # the benchmark wraps these functions by name and stops on a missing
     # one; its file is only read here (no bytecode written next to it)
-    spans = {"__name__": "perfbench_spans"}
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans)
-    sites = [site for group in spans["LAYERS"].values() for site in group]
-    sites += list(spans["LAP_POINTS"])
     missing = []
-    for module, dotted in sites:
+    for module, dotted in _span_sites():
         owner = importlib.import_module(module)
         for part in dotted.split("."):
             owner = getattr(owner, part, None)
@@ -314,7 +321,7 @@ def test_dictionary_routes_share_one_accumulator_and_one_wedge():
                     if isinstance(node, ast.Name)}
     found += [f"kac.py {name} reads wedge_sign" for (mod, name), names in uses.items()
               if mod == "kac.py" and "wedge_sign" in names
-              and name not in ("lam_scale", "_envelope_product")]
+              and name not in ("lam_scale", "__mul__")]
     found += [f"{mod} {name} does not call wedge_terms"
               for mod, name in (("kac.py", "ch3"),)
               if "wedge_terms" not in uses[mod, name]]
@@ -364,4 +371,138 @@ def test_the_spinor_reference_shares_no_table_code():
                 found.append(f"line {node.lineno} imports {name}")
         if isinstance(node, ast.ImportFrom) and node.level:
             found.append(f"line {node.lineno} imports relatively")
+    assert not found, found
+
+
+# The CLI targets of the reach rule: every verify target, export over GF(p)
+# and over Q, and report in both formats.  They reach the same package
+# functions as the verify targets with their default arguments.
+REACH_RUNS = (
+    ("verify", "type-b", "--l", "1..5", "--chars", "0,3", "--out", "b.json"),
+    ("verify", "type-d", "--l", "2,4", "--chars", "0,3", "--out", "d.json"),
+    ("verify", "tits", "--chars", "0,5", "--out", "t.json"),
+    ("verify", "tits", "--chars", "0,5", "--format", "markdown", "--out", "t.md"),
+    ("export", "--kind", "B", "--l", "5", "--char", "5", "--out", "b5.json"),
+    ("export", "--kind", "D", "--l", "2", "--out", "d2.json"),
+    ("report", "b.json", "d.json", "t.json", "--format", "markdown", "--out", "r.md"),
+    ("report", "b.json", "d.json", "t.json", "--out", "r.json"),
+)
+
+# Each package function the REACH_RUNS leave unreached, and why it stays:
+# "load", a public loader of a stored algebra; "bench", wrapped by
+# perfbench/spans.py or called, by name, from a function it wraps; or the
+# test "file::name" that checks the package against it.  Dunders need none.
+UNREACHED = {
+    "composition.CompositionAlgebra.multiply": "bench",
+    "composition.CompositionAlgebra.norm_polar": "test_fields::scalar_values",
+    "composition.CompositionAlgebra.norm": "test_fields::scalar_values",
+    "composition.CompositionAlgebra.conjugate": "test_composition::test_composition_axioms",
+    "composition.CompositionAlgebra.commutator": "bench",
+    "composition.CompositionAlgebra.associator": "bench",
+    "composition.inner_derivation": "bench",
+    "composition.ad_matrix": "bench",
+    "construct.generator_triples": "test_spin_construct::test_generator_triples_shape",
+    "exterior.bar_sign": "test_exterior::test_involutions_are_involutive_antiautomorphisms",
+    "exterior.hat_sign": "test_exterior::test_involutions_are_involutive_antiautomorphisms",
+    "exterior.form_sign": "test_exterior::test_half_spin_parts_isotropic_for_bhat_odd_l",
+    "fields.Field.sub": "bench",
+    "fields.Field.inv": "test_fields::test_field_axioms_randomized",
+    "fields.Field.div": "test_fields::test_field_axioms_randomized",
+    "fields.Field.from_str": "load",
+    "linalg.RowSpaceModP.contains": "test_linalg::test_rowspace_membership",
+    "linalg.SpanSolver.rank": "test_linalg::test_span_solver_coords",
+    "linalg.SpanSolver.coords": "bench",
+    "superalgebra.SuperAlgebra.bracket_vectors": "bench",
+    "superalgebra.SuperAlgebra.from_dict": "load",
+    "superalgebra.SuperAlgebra.from_json": "load",
+    "superalgebra._basis_index": "bench",
+    "superalgebra._scan_one_i": "bench",
+    "superalgebra.burnside_irreducible": "bench",
+    "superalgebra.burnside_irreducible.images": "bench",
+    "superalgebra._first_unpreserved_pair.row_terms": "bench",
+    "tits._middle_bracket": "bench",
+    "tits.tits_bracket": "bench",
+}
+LOAD_PATH = ("SuperAlgebra.from_dict", "SuperAlgebra.from_json", "Field.from_str")
+
+# the hook goes in before spinlab is imported, so that calls made at import
+# count; a code object's first line is that of its first decorator
+_REACH_CODE = """
+import json, sys
+reached = set()
+def hook(frame, event, arg):
+    if event == "call":
+        reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(hook)
+from spinlab import cli
+codes = [cli.main(list(run)) for run in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "reached": sorted(reached)}))
+"""
+
+
+def _package_functions():
+    """{"module.Qual.name": (path, first line, node)} for every function of
+    the package, the first line being that of its first decorator."""
+    out = {}
+
+    def visit(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = f"{prefix}{getattr(child, 'name', '')}"
+            if isinstance(child, ast.FunctionDef):
+                lines = [child.lineno] + [d.lineno for d in child.decorator_list]
+                out[name] = (str(path), min(lines), child)
+            visit(path, child, f"{name}." if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else prefix)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(path, ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.")
+    return out
+
+
+def _benchmark_closure(functions):
+    """The functions perfbench/spans.py wraps and, transitively, those they
+    call by short name or define inside them."""
+    by_name = {}
+    for key in functions:
+        by_name.setdefault(key.rpartition(".")[2], []).append(key)
+    seen, todo = set(), [f"{m.rpartition('.')[2]}.{dotted}" for m, dotted in _span_sites()]
+    while todo:
+        key = todo.pop()
+        if key in seen or key not in functions:
+            continue
+        seen.add(key)
+        todo += [inner for inner in functions if inner.startswith(f"{key}.")]
+        todo += [f for node in ast.walk(functions[key][2]) if isinstance(node, ast.Call)
+                 for f in by_name.get(getattr(node.func, "attr",
+                                              getattr(node.func, "id", None)), [])]
+    return seen
+
+
+def test_every_package_function_is_reached_or_named(tmp_path):
+    # test-only code does not ship in the package: a function the CLI
+    # targets never call stays only for a reason UNREACHED names
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _REACH_CODE, json.dumps(REACH_RUNS)],
+                         capture_output=True, text=True, check=True, env=env,
+                         cwd=tmp_path, timeout=300)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(REACH_RUNS)
+    reached = {tuple(site) for site in result["reached"]}
+    functions = _package_functions()
+    unreached = {key for key, (path, line, _) in functions.items()
+                 if (path, line) not in reached}
+    found = [f"{key} is unreached" for key in sorted(unreached - set(UNREACHED))
+             if not re.search(r"\.__\w+__$", key)]
+    found += [f"{key} is reached or gone" for key in sorted(set(UNREACHED) - unreached)]
+    bench = _benchmark_closure(functions)
+    for key, why in sorted(UNREACHED.items()):
+        test_file, _, test = why.partition("::")
+        path = Path(__file__).resolve().parent / f"{test_file}.py"
+        text = path.read_text() if test and path.is_file() else ""
+        if not (why == "bench" and key in bench
+                or why == "load" and key.partition(".")[2] in LOAD_PATH
+                or f"def {test}(" in text and key.rpartition(".")[2] in text):
+            found.append(f"{key}: {why!r} does not hold")
     assert not found, found

@@ -110,6 +110,9 @@ def test_shared_jacobi_rows_agree_with_each_field_own_scan(kind, l):
 
 
 def test_jacobi_rows_are_scanned_once_and_on_first_use(monkeypatch):
+    # warm the tits caches first: the so(M, Q) ⋉ M and ⋉ S scans of a cold
+    # cache are Jacobi scans too, but of other algebras
+    tits.cross_identify_with_typeB(GF(5))
     blocks = []
     scan = superalgebra._scan_rows
 

@@ -385,6 +385,20 @@ def test_bracket_terms_agree_with_the_mapping_view(build):
             assert A.bracket_terms(i, j) == want, (i, j)
 
 
+@pytest.mark.parametrize("i,j", [(0, 16), (14, 0), (-1, 3), (3, -14),
+                                 (True, 3), (3, False), (1.0, 3)])
+def test_bracket_terms_refuses_an_index_outside_the_basis(i, j):
+    # B2/Q has n = 14: (0, 16) used to alias the pair key of (1, 2), and a
+    # negative index read an empty row; j_triple reads through the same check
+    A = build_superalgebra(2, "B", QQ)
+    bad = next(x for x in (i, j) if not (type(x) is int and 0 <= x < 14))
+    with pytest.raises(ValueError, match=rf"basis index {bad!r} outside range\(14\)"):
+        A.bracket_terms(i, j)
+    with pytest.raises(ValueError, match="outside range"):
+        j_triple(A, i, j, 3)
+    assert A.bracket_terms(np.int64(1), 2) == A.bracket_terms(1, 2) == {7: 4}
+
+
 def test_witness_recheck_leaves_the_mapping_view_unbuilt(monkeypatch):
     from spinlab.tits import build_tits
     built = []

@@ -9,8 +9,8 @@ from spinlab.cli import _hash_matrix
 from spinlab import composition, kac
 from spinlab.fields import GF, QQ, Field, make_field
 from spinlab.composition import inner_derivation, make_composition
-from spinlab.kac import K_FORM, KacElement, inner_derivation_J
-from spinlab.linalg import SpanSolver, combine, inv_modp, matmul_modp, nullspace_modp
+from spinlab.kac import K_FORM, _j_tensor
+from spinlab.linalg import SpanSolver, inv_modp, matmul_modp, nullspace_modp
 from spinlab.construct import build_superalgebra
 from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, _block,
                                   _brackets_into, _first_unpreserved_pair, check_jacobi,
@@ -25,7 +25,8 @@ from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, IsometryNotFound,
                           phi1_intertwine, spin_map_psi, tits_bracket,
                           tits_model, unit_ideal_split)
 
-from helpers import first_bad_pair, first_unpreserved_pair_by_columns
+from helpers import (first_bad_pair, first_unpreserved_pair_by_columns,
+                     lmul_brackets_by_loops)
 
 F5 = GF(5)
 
@@ -371,19 +372,16 @@ def test_middle_bracket_rule_on_all_pairs():
 
     derC, inder = arr(m.derC), arr(m.inder)
     czero = arr([cz])[0]                                    # (7, 8)
-    D_ab, L_xy = {}, {}
+    D_ab = {}
+    LL_ref = lmul_brackets_by_loops(p)
     mids = [(k, s[1], s[2]) for k, s in enumerate(m.slots) if s[0] == "mid"]
     assert len(mids) == 63
     checked = 0
     for i, a, x in mids:
-        ex = KacElement.basis(f, x)
         for j, b, y in mids:
-            ey = KacElement.basis(f, y)
             if (a, b) not in D_ab:
                 D_ab[(a, b)] = arr([inner_derivation(C, cz[a], cz[b])])[0]
-            if (x, y) not in L_xy:
-                L_xy[(x, y)] = arr([inner_derivation_J(ex, ey)])[0]
-            xy = [int(v) % p for v in (ex * ey).coords]
+            xy = _j_tensor(p)[x, y].tolist()
             n_ab = int(f.raw(C.norm_polar(cz[a], cz[b]))) % p
             got = tits_bracket(m, i, j)
             cd = np.zeros(m.nder, dtype=np.int64)
@@ -400,7 +398,7 @@ def test_middle_bracket_rule_on_all_pairs():
             assert np.array_equal(np.tensordot(cd, derC, axes=1) % p,
                                   xy[0] * D_ab[(a, b)] % p), (i, j)
             assert np.array_equal(np.tensordot(cj, inder, axes=1) % p,
-                                  -2 * n_ab * L_xy[(x, y)] % p), (i, j)
+                                  -2 * n_ab * arr([LL_ref[x, y]])[0] % p), (i, j)
             comm = np.array([int(v) % p for v in C.commutator(cz[a], cz[b])],
                             dtype=np.int64)
             star = np.array([0] + xy[1:], dtype=np.int64)
@@ -422,8 +420,7 @@ def test_LL_on_UU_is_half_sigma_Q():
 
     for xj in UU_INDICES:
         for yj in UU_INDICES:
-            d = inner_derivation_J(KacElement.basis(f, xj),
-                                   KacElement.basis(f, yj))
+            d = lmul_brackets_by_loops(0)[xj, yj]
             for zj in UU_INDICES:
                 col = {k + 1: d[k][zj - 1] for k in range(9)
                        if not f.is_zero(d[k][zj - 1])}
@@ -697,6 +694,16 @@ def test_phi1_negate_index_refused(index):
     # numpy would wrap -1 to column 31 and take True as column 1
     with pytest.raises(ValueError, match="negate_index"):
         phi1_intertwine(F5, negate_index=index)
+
+
+@pytest.mark.parametrize("i,j", [(-1, 60), (87, 1), (1, 87), (True, 60),
+                                 (60, 2.0)])
+def test_tits_bracket_refuses_an_index_outside_the_basis(i, j):
+    # -1 used to read the bracket of (86, 60), and 87 raised IndexError
+    m = tits_model("octonion", F5)
+    bad = next(x for x in (i, j) if not (type(x) is int and 0 <= x < 87))
+    with pytest.raises(ValueError, match=rf"basis index {bad!r} outside range\(87\)"):
+        tits_bracket(m, i, j)
 
 
 def test_char5_steps_run_in_any_order():
