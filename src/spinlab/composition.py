@@ -10,22 +10,30 @@ octonions in the paired basis (E1, E2, u1..u3, w1..w3) with
 
 norm n(alpha E1 + beta E2 + sum a_i u_i + sum b_i w_i) = alpha beta - a.b,
 and unit 1 = E1 + E2.  The octonion table ships as checked-in JSON with
-a pinned hash; the smaller algebras are its upper-left corners (the
-base field uses the unit alone).  The trace-zero subspace C0 is spanned
+a pinned hash; the smaller algebras are its restrictions to the basis
+selections of _SUBSEL (the base field uses the unit alone).  The trace-zero subspace C0 is spanned
 by (E1 - E2, u1..u3, w1..w3) in that order.
+
+Each model has one form, the read-only int64 arrays of _int_tables(kind),
+which every function here reads over the field of the CompositionAlgebra
+handle it is given; no element of C is multiplied one at a time.  The
+tests check the tables against Zorn's vector-matrix model.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .fields import Field
-from .linalg import _red, exact_array, nullspace_modp, rank_int, rank_modp
+from .linalg import (_red, combine, exact_array, matmul_modp, nullspace_modp,
+                     rank_int, rank_modp)
 from .superalgebra import VerificationFailed
 
 OCTONION_TABLE_SHA256 = "7f0bb944c59a397e3be78872ba0a7003f3550a231f507e0a8795fafa6bb27990"
@@ -36,95 +44,65 @@ _SUBSEL = {"binarion": (0, 1), "quaternion": (0, 1, 2, 5),
            "octonion": tuple(range(8))}
 
 
-def _load_octonion_table() -> dict:
-    blob = resources.files("spinlab.data").joinpath("octonion_table.json").read_bytes()
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != OCTONION_TABLE_SHA256:
-        raise RuntimeError(
-            f"octonion table checksum mismatch: {digest} != {OCTONION_TABLE_SHA256}")
-    return json.loads(blob)
+# b_i b_j = sum_k mult[i, j, k] b_k, gram[i, j] = n(b_i, b_j), unit = 1
+_Tables = namedtuple("_Tables", "mult gram unit labels")
+
+
+@lru_cache(maxsize=None)
+def _int_tables(kind: str) -> _Tables:
+    """The split model of the kind as read-only int64 arrays, read from
+    the octonion table (RuntimeError unless it has the pinned hash) at the
+    kind's basis selection; a product of two selected basis elements that
+    leaves the selection raises VerificationFailed.  The base field is the
+    unit alone, n(1, 1) = 2."""
+    if kind == "unit":
+        labels = ("1",)
+        arrays = (np.ones((1, 1, 1), dtype=np.int64),
+                  np.full((1, 1), 2, dtype=np.int64), np.ones(1, dtype=np.int64))
+    else:
+        blob = resources.files("spinlab.data").joinpath("octonion_table.json").read_bytes()
+        digest = hashlib.sha256(blob).hexdigest()
+        if digest != OCTONION_TABLE_SHA256:
+            raise RuntimeError(
+                f"octonion table checksum mismatch: {digest} != {OCTONION_TABLE_SHA256}")
+        data = json.loads(blob)
+        sel = _SUBSEL[kind]
+        pos = {old: new for new, old in enumerate(sel)}
+        mult = np.zeros((len(sel),) * 3, dtype=np.int64)
+        for (a, i), (b, j) in itertools.product(enumerate(sel), repeat=2):
+            for k, c in data["table"][i][j]:
+                if k not in pos:
+                    raise VerificationFailed(
+                        f"{kind}: product of basis elements {i}, {j} leaves the selection")
+                mult[a, b, pos[k]] += c
+        labels = tuple(data["labels"][i] for i in sel)
+        arrays = (mult, np.array(data["norm_gram"], dtype=np.int64)[np.ix_(sel, sel)],
+                  np.array(data["unit"], dtype=np.int64)[list(sel)])
+    for a in arrays:
+        a.flags.writeable = False
+    return _Tables(*arrays, labels)
 
 
 class CompositionAlgebra:
-    """A split composition algebra with its norm, over an exact field."""
+    """The handle of a split composition algebra over an exact field that
+    the functions below take: kind, field, dimension, basis labels and the
+    unit as raw values, all read off _int_tables(kind), which holds its
+    structure.  Refuses an unknown kind (ValueError) and a field that is
+    not a Field (TypeError)."""
 
-    __slots__ = ("kind", "field", "dim", "labels", "unit", "table", "gram")
+    __slots__ = ("kind", "field", "dim", "labels", "unit")
 
-    def __init__(self, kind, field, labels, unit, table, gram):
+    def __init__(self, kind: str, field: Field):
+        if kind not in KINDS:
+            raise ValueError(f"unknown composition kind {kind!r}")
+        if not isinstance(field, Field):
+            raise TypeError(f"field must be a Field, not {field!r}")
+        tables = _int_tables(kind)
         self.kind = kind
         self.field = field
-        self.dim = len(labels)
-        self.labels = tuple(labels)
-        self.unit = tuple(unit)
-        self.table = table        # table[i][j] = ((k, raw), ...)
-        self.gram = gram          # polarized norm n(b_i, b_j), raw
-
-    def zero(self) -> list:
-        return [self.field.zero()] * self.dim
-
-    def multiply(self, x, y) -> list:
-        f = self.field
-        out = self.zero()
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                c = f.mul(xi, yj)
-                for k, v in row[j]:
-                    out[k] = f.add(out[k], f.mul(c, v))
-        return out
-
-    def norm_polar(self, x, y):
-        """n(x, y) = n(x + y) - n(x) - n(y)."""
-        f = self.field
-        acc = f.zero()
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                g = self.gram[i][j]
-                if not f.is_zero(g) and not f.is_zero(yj):
-                    acc = f.add(acc, f.mul(f.mul(xi, yj), g))
-        return acc
-
-    def norm(self, x):
-        f = self.field
-        return f.div(self.norm_polar(x, x), f.of_int(2))
-
-    def conjugate(self, x) -> list:
-        f = self.field
-        t = self.norm_polar(self.unit, x)
-        return [f.sub(f.mul(t, u), xi) for u, xi in zip(self.unit, x)]
-
-    def commutator(self, x, y) -> list:
-        f = self.field
-        return [f.sub(a, b) for a, b in
-                zip(self.multiply(x, y), self.multiply(y, x))]
-
-    def associator(self, x, y, z) -> list:
-        f = self.field
-        left = self.multiply(self.multiply(x, y), z)
-        right = self.multiply(x, self.multiply(y, z))
-        return [f.sub(a, b) for a, b in zip(left, right)]
-
-    def czero_basis(self) -> list:
-        """Basis of the trace-zero subspace: E1 - E2 first, then the u's
-        and w's present in the model.  Empty for the base field."""
-        f = self.field
-        if self.kind == "unit":
-            return []
-        out = []
-        h = self.zero()
-        h[0], h[1] = f.one(), f.neg(f.one())
-        out.append(h)
-        for i in range(2, self.dim):
-            v = self.zero()
-            v[i] = f.one()
-            out.append(v)
-        return out
+        self.labels = tables.labels
+        self.dim = len(self.labels)
+        self.unit = tuple(field.of_int(int(u)) for u in tables.unit)
 
     def __repr__(self):
         return f"CompositionAlgebra({self.kind!r}, {self.field!r})"
@@ -132,80 +110,47 @@ class CompositionAlgebra:
 
 def make_composition(kind: str, field: Field) -> CompositionAlgebra:
     """Split composition algebra of the given kind over the field."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown composition kind {kind!r}")
-    f = field
-    if kind == "unit":
-        one = f.one()
-        return CompositionAlgebra(
-            kind, f, ["1"], [one],
-            (((  (0, one),),),),
-            [[f.of_int(2)]])
-    data = _load_octonion_table()
-    sel = _SUBSEL[kind]
-    remap = {old: new for new, old in enumerate(sel)}
-    labels = [data["labels"][i] for i in sel]
-    table = []
-    for i in sel:
-        row = []
-        for j in sel:
-            cell = data["table"][i][j]
-            # the selection must be closed under the product
-            if any(k not in remap for k, _ in cell):
-                raise VerificationFailed(
-                    f"{kind}: product of basis elements {i}, {j} leaves the selection")
-            row.append(tuple((remap[k], f.of_int(c)) for k, c in cell))
-        table.append(tuple(row))
-    gram = [[f.of_int(data["norm_gram"][i][j]) for j in sel] for i in sel]
-    unit = [f.of_int(data["unit"][i]) for i in sel]
-    return CompositionAlgebra(kind, f, labels, unit, tuple(table), gram)
+    return CompositionAlgebra(kind, field)
 
 
-@lru_cache(maxsize=None)
-def _int_tables(kind: str):
-    """(mult, gram) of a split model as read-only int64 arrays, from its
-    table over Q: b_i b_j = sum_k mult[i, j, k] b_k, gram[i, j] = n(b_i, b_j)."""
-    C = make_composition(kind, Field(0))
-    mult = np.zeros((C.dim,) * 3, dtype=np.int64)
-    for i, row in enumerate(C.table):
-        for j, cell in enumerate(row):
-            for k, v in cell:
-                mult[i, j, k] += int(v)
-    gram = np.array([[int(g) for g in row] for row in C.gram], dtype=np.int64)
-    mult.flags.writeable = gram.flags.writeable = False
-    return mult, gram
-
-
+# No package code calls inner_derivation or ad_matrix; they stay while the
+# benchmark marks laps at them.  A vector argument of a length other than
+# C.dim, or with a float entry, is refused with an error that names it.
 def inner_derivation(C: CompositionAlgebra, a, b) -> list:
-    """D_{a,b} = ad_[a,b] - 3 (a, b, .) as a matrix on C (rows = outputs)."""
-    f = C.field
-    n = C.dim
-    ab = C.commutator(a, b)
-    three = f.of_int(3)
-    cols = []
-    for j in range(n):
-        ej = C.zero()
-        ej[j] = f.one()
-        com = C.commutator(ab, ej)
-        ass = C.associator(a, b, ej)
-        cols.append([f.sub(com[i], f.mul(three, ass[i])) for i in range(n)])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """D_{a,b} = ad_[a,b] - 3 (a, b, .) as a matrix on C (rows = outputs),
+    the associator (a, b, .) being L_ab - L_a L_b."""
+    p = C.field.p
+    vecs = []
+    for name, v in (("a", a), ("b", b)):
+        try:
+            v = exact_array(v, p)
+        except TypeError as e:
+            raise TypeError(f"{name}: {e}") from None
+        if v.shape != (C.dim,):
+            raise ValueError(f"{name} must be a vector of length {C.dim}, "
+                             f"not of shape {v.shape}")
+        vecs.append(v)
+    L = exact_array(_int_tables(C.kind).mult, p).transpose(0, 2, 1)  # x -> b_t x
+    La, Lb = combine(np.stack(vecs), L, p)
+    ab, ba = (matmul_modp(X, v.reshape(-1, 1), p)[:, 0]
+              for X, v in ((La, vecs[1]), (Lb, vecs[0])))
+    D = (exact_array(ad_matrix(C, ab - ba), p)
+         - 3 * combine(ab.reshape(1, -1), L, p)[0] + 3 * matmul_modp(La, Lb, p))
+    return _red(D, p).tolist()
 
 
-# No package code calls this; it stays while the benchmark marks laps at
-# it, and goes with that lap point.
 def ad_matrix(C: CompositionAlgebra, a) -> list:
-    """x -> [a, x] = ax - xa as a matrix on C."""
-    f = C.field
-    n = C.dim
-    rows = [[f.zero()] * n for _ in range(n)]
-    for j in range(n):
-        ej = C.zero()
-        ej[j] = f.one()
-        col = C.commutator(a, ej)
-        for i in range(n):
-            rows[i][j] = col[i]
-    return rows
+    """x -> [a, x] = ax - xa as a matrix on C (rows = outputs)."""
+    p = C.field.p
+    try:
+        a = exact_array(a, p)
+    except TypeError as e:
+        raise TypeError(f"a: {e}") from None
+    if a.shape != (C.dim,):
+        raise ValueError(f"a must be a vector of length {C.dim}, not of shape {a.shape}")
+    mult = exact_array(_int_tables(C.kind).mult, p)
+    ad = mult.transpose(0, 2, 1) - mult.transpose(1, 2, 0)   # x -> b_t x - x b_t
+    return _red(combine(a.reshape(1, -1), ad, p)[0], p).tolist()
 
 
 def _derivation_constraints(mult: np.ndarray) -> np.ndarray:
@@ -223,7 +168,7 @@ def derivation_algebra(C: CompositionAlgebra) -> list:
     """Reduced basis of der C = {D : D(xy) = D(x)y + x D(y)}, as matrices."""
     f = C.field
     n = C.dim
-    rows = _derivation_constraints(_int_tables(C.kind)[0])
+    rows = _derivation_constraints(_int_tables(C.kind).mult)
     rows = rows[rows.any(axis=1)]
     null = nullspace_modp(rows, f.p).tolist()
     return [[list(nr[i * n:(i + 1) * n]) for i in range(n)] for nr in null]
@@ -330,4 +275,4 @@ def check_lemma_C(C: CompositionAlgebra) -> dict:
     """
     if C.kind != "octonion":
         raise ValueError("the lemma concerns the split octonions")
-    return lemma_c_identities(*_int_tables(C.kind), C.field.p)
+    return lemma_c_identities(*_int_tables(C.kind)[:2], C.field.p)

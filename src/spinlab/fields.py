@@ -109,26 +109,11 @@ class Field:
     def add(self, a, b):
         return a + b if self.p == 0 else (a + b) % self.p
 
-    def sub(self, a, b):
-        return a - b if self.p == 0 else (a - b) % self.p
-
     def neg(self, a):
         return -a if self.p == 0 else (-a) % self.p
 
     def mul(self, a, b):
         return a * b if self.p == 0 else (a * b) % self.p
-
-    def inv(self, a):
-        if not a:
-            raise DivideByZero("inverse of zero")
-        return 1 / Fraction(a) if self.p == 0 else pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        if not b:
-            raise DivideByZero("division by zero")
-        if self.p == 0:
-            return Fraction(a) / b
-        return a * pow(b, self.p - 2, self.p) % self.p
 
     def is_zero(self, a) -> bool:
         return not a

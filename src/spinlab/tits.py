@@ -38,9 +38,10 @@ phi1_intertwine, cross_identify_with_typeB) works over GF(5) only and
 refuses any other field with ValueError.  Each step computes its data
 once per field, as int64 arrays of residues, verifies it and caches it,
 so the steps may run in any order.  Whatever it needs of C it reads from
-the octonion TitsModel: the C⁰ block of the Gram matrix of Q is −npol,
-der C and ad_a act on C⁰ by Dczᵀ and comm_czᵀ in Φ₀, and a ∈ C⁰ acts on
-the spin space through La.  The brackets of so(M, Q) are −½ times
+the octonion TitsModel and the integer tables of C: the C⁰ block of the
+Gram matrix of Q is −npol, der C and ad_a act on C⁰ by Dczᵀ and comm_czᵀ
+in Φ₀, a ∈ C⁰ acts on the spin space through La, and Φ₁ reads C⁰ and the
+unit off the tables.  The brackets of so(M, Q) are −½ times
 clifford.so_constants of the Gram matrix of Q; that the σ matrices on M
 and ρ on S represent them is one sparse Jacobi scan each (_rep_witness),
 and the maps Φ₀ and T ≅ so₁₁ ⊕ spin are checked by the keyed pass of
@@ -59,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, _is_int
 from .linalg import (_red, combine, common_denominator, exact_array, inv_modp,
                      matmul_modp, nullspace_modp, pair_products, rank_modp,
                      rref_modp)
@@ -164,21 +165,21 @@ class TitsModel:
     by the odd inner derivations.
 
     The tables are read-only exact arrays (int64 residues over GF(p),
-    Fractions over Q), indexed by basis positions of der C (D), of
-    czero_basis (a, b, c), of the inner derivations (s, t) and of J
-    (x, y, k, with zero entries at the unit, index 0):
+    Fractions over Q), indexed by basis positions of der C (D), of the
+    C⁰ basis of composition._czero_maps (a, b, c), of the inner
+    derivations (s, t) and of J (x, y, k, zero at the unit, index 0):
 
         DD[i, j]    coordinates of [D_i, D_j] over derC
-        Dcz[d, a]   coordinates of D_d(a) over czero_basis
+        Dcz[d, a]   coordinates of D_d(a) over the C⁰ basis
         Dab[a, b]   coordinates of D_{a,b} over derC
-        comm_cz[a, b], npol[a, b]    [a, b] over czero_basis, n(a, b)
+        comm_cz[a, b], npol[a, b]    [a, b] over the C⁰ basis, n(a, b)
         La[a]       the matrix of x ↦ a·x on C (rows = outputs)
         dJcol[t, x, k]    coefficient of e_k in d_t(e_x)
         dd[s, t]    coordinates of [d_s, d_t] over inder
         t_tab[x, y], star_tab[x, y, k]    t(e_x e_y), e_k in e_x * e_y
         LL[x, y]    coordinates of [L_x, L_y] over inder
 
-    The der C side comes from the integer tables of C by contraction,
+    The der C side comes from composition._int_tables by contraction,
     with coordinates over derC read at the free columns of its reduced
     null basis (the last nonzero entry of each row); every coordinate
     read is checked by rebuilding the matrix it came from.
@@ -189,12 +190,11 @@ class TitsModel:
         p = f.p
         self.kind = kind
         self.field = f
-        C = self.C = make_composition(kind, f)
-        cz = self.cz = C.czero_basis()
-        ncz = self.ncz = len(cz)
-        n = C.dim
-        derC = self.derC = _frozen(exact_array(derivation_algebra(C), p)
-                                   .reshape(-1, n, n))
+        tables = _int_tables(kind)
+        n = len(tables.unit)
+        ncz = self.ncz = n - 1                  # none for the base field
+        derC = self.derC = _frozen(exact_array(
+            derivation_algebra(make_composition(kind, f)), p).reshape(-1, n, n))
         nder = self.nder = len(derC)
         (self.inder, nev, self.dJcol, self.dd, self.t_tab, self.star_tab,
          self.LL) = _j_tables(p)
@@ -211,7 +211,7 @@ class TitsModel:
         self.index = {s: k for k, s in enumerate(self.slots)}
 
         def clabel(ai):
-            return "E1-E2" if ai == 0 else C.labels[ai + 1]
+            return "E1-E2" if ai == 0 else tables.labels[ai + 1]
         labels = [f"dC{i}" for i in range(nder)]
         labels += [f"{clabel(ai)}*{J_LABELS[xj]}"
                    for ai in range(ncz) for xj in J_EVEN0]
@@ -223,7 +223,7 @@ class TitsModel:
 
         # C⁰ = the rows of Z (none for the unit)
         Z = exact_array(_czero_maps(n)[1] if ncz else np.zeros((0, n), dtype=int), p)
-        mult, gram = (exact_array(t, p) for t in _int_tables(kind))
+        mult, gram = (exact_array(t, p) for t in (tables.mult, tables.gram))
         Lt, Rt = mult.transpose(0, 2, 1), mult.transpose(1, 2, 0)   # b_t x, x b_t
         flat = derC.reshape(nder, n * n)
         free = [int(np.flatnonzero(row)[-1]) for row in flat != 0]
@@ -655,13 +655,12 @@ def _phi1(field: Field) -> np.ndarray:
         in_named = inv_modp(named[:, nev:], p)
     except ValueError:
         raise VerificationFailed("odd inner derivation outside the named span")
-    unit = np.array(model.C.unit, dtype=np.int64)
+    unit, czero = _int_tables("octonion").unit, _czero_maps(8)[1]
     eye = np.eye(4, dtype=np.int64)
     cols = []
     for slot in model.slots[model.n0:]:
         if slot[0] == "mid":
-            a = np.array(model.cz[slot[1]], dtype=np.int64)
-            cols.append(np.kron(a, eye[SLOT_OF[slot[2]]]))
+            cols.append(np.kron(czero[slot[1]], eye[SLOT_OF[slot[2]]]))
         else:
             cols.append(np.kron(unit, pow(-2, -1, p) * in_named[slot[1] - nev]))
     return _frozen(np.stack(cols, axis=1) % p)
@@ -670,12 +669,13 @@ def _phi1(field: Field) -> np.ndarray:
 def phi1_intertwine(field: Field, negate_index=None) -> dict:
     """Check Φ₁([p, w]) = ρ(Φ₀(p))·Φ₁(w) on all even×odd basis pairs.
 
-    negate_index, an int in range(32), flips the sign of that Φ₁ column
-    first (negative control); returns a witness dict instead of raising.
+    negate_index, an int or numpy integer in range(32) and not a bool,
+    flips the sign of that Φ₁ column first (negative control); returns a
+    witness dict instead of raising.
     """
     _require_char5(field)
     n1 = TITS_DIMS["octonion"][1]
-    if negate_index is not None and (type(negate_index) is not int
+    if negate_index is not None and (not _is_int(negate_index)
                                      or not 0 <= negate_index < n1):
         raise ValueError(f"negate_index must be an int in range({n1}), "
                          f"not {negate_index!r}")

@@ -5,7 +5,6 @@ prints a pass/fail line for each.  Everything is exact arithmetic:
 assertions are equalities, never tolerances.
 """
 import hashlib
-import itertools
 import time
 from fractions import Fraction
 
@@ -16,8 +15,8 @@ from helpers import (closed_form_cases, j_associators, j_product,
 from spinor_reference import model
 from spinlab import kac
 from spinlab.cli import main
-from spinlab.composition import (check_lemma_C, derivation_algebra,
-                                 make_composition)
+from spinlab.composition import (_czero_maps, _int_tables, check_lemma_C,
+                                 derivation_algebra, make_composition)
 from spinlab.construct import (bracket_is_symmetric, build_superalgebra,
                                classify, decompose_type_d_l2, module_masks)
 from spinlab.exterior import (b_is_symmetric, bhat_is_symmetric,
@@ -167,26 +166,27 @@ def test_simplicity_certificates():
 
 
 def test_octonion_structure_suite():
+    # Lemma C, and on the integer tables of C: n(b_x b_y) = n(b_x) n(b_y),
+    # (x, x, y) = (x, y, y) = 0 on all basis pairs, ab + ba = -n(a, b) 1
+    # on the C0 basis, and the derivation algebras of C and of Mat2
+    tables = _int_tables("octonion")
+    mult, gram, unit = (a.astype(object) for a in tables[:3])
+    czero = _czero_maps(8)[1].astype(object)
+    q = np.diag(gram)                                       # 2 n(b_x)
+    comp = 2 * np.einsum("xyk,kl,xyl->xy", mult, gram, mult) - np.outer(q, q)
+    assoc = (np.einsum("xyw,wzk->xyzk", mult, mult)
+             - np.einsum("yzw,xwk->xyzk", mult, mult))
+    anti = (np.einsum("ax,by,xyk->abk", czero, czero, mult + mult.transpose(1, 0, 2))
+            + np.einsum("ab,k->abk", czero @ gram @ czero.T, unit))
     for ch in (0, 5, 7):
         f = make_field(ch)
         C = make_composition("octonion", f)
         rep = check_lemma_C(C)
         assert rep["pass"], (ch, rep)
         assert (rep["so_dim"], rep["der_dim"], rep["ad_dim"]) == (21, 14, 7)
-        basis = []
-        for i in range(8):
-            e = C.zero()
-            e[i] = f.one()
-            basis.append(e)
-        for x, y in itertools.product(basis, repeat=2):
-            assert C.norm(C.multiply(x, y)) == f.mul(C.norm(x), C.norm(y))
-            assert all(f.is_zero(c) for c in C.associator(x, x, y))
-            assert all(f.is_zero(c) for c in C.associator(x, y, y))
-        for a, b in itertools.product(C.czero_basis(), repeat=2):
-            lhs = [f.add(p, q) for p, q in
-                   zip(C.multiply(a, b), C.multiply(b, a))]
-            want = [f.neg(f.mul(C.norm_polar(a, b), u)) for u in C.unit]
-            assert lhs == want
+        for identity in (comp, np.einsum("xxyk->xyk", assoc),
+                         np.einsum("xyyk->xyk", assoc), anti):
+            assert not _red(identity, ch).any(), ch
         assert len(derivation_algebra(C)) == 14
         assert len(derivation_algebra(make_composition("quaternion", f))) == 3
 

@@ -6,7 +6,6 @@ import pytest
 
 from spinlab.construct import build_superalgebra
 from spinlab.fields import Field, FieldMismatch, InvalidField, QQ, GF, make_field
-from spinlab.composition import make_composition
 from spinlab.kac import EnvelopeElement
 
 FIELDS = [QQ, GF(3), GF(5), GF(7)]
@@ -29,10 +28,8 @@ def test_field_axioms_randomized(f):
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.add(a, f.neg(a)) == f.zero()
-        assert f.sub(a, b) == f.add(a, f.neg(b))
-        if not f.is_zero(a):
-            assert f.mul(a, f.inv(a)) == f.one()
-            assert f.div(b, a) == f.mul(b, f.inv(a))
+        if not f.is_zero(a):            # raw of 1/a is the inverse
+            assert f.mul(a, f.raw(1 / Fraction(a))) == f.one()
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
@@ -47,7 +44,7 @@ def test_raw_accepts_fractions_over_gf():
     f = GF(7)
     # -3/4 = -3 * 4^{-1} = 4 * 2 = 8 = 1 mod 7
     assert f.raw(Fraction(-3, 4)) == 1
-    assert f.raw(Fraction(1, 2)) == f.inv(f.of_int(2))
+    assert f.raw(Fraction(1, 2)) == 4 and f.mul(4, f.of_int(2)) == f.one()
     with pytest.raises(ZeroDivisionError):
         f.raw(Fraction(1, 7))
 
@@ -130,34 +127,23 @@ def test_to_str_round_trips_through_fraction(f):
 # -- every scalar the package returns is a raw field value -------------------
 
 def scalar_values(f):
-    """The scalar-valued functions on pinned arguments over f."""
-    C = make_composition("octonion", f)
-    half = [f.mul(f.raw(Fraction(1, 2)), u) for u in C.unit]
+    """The scalar-valued functions on pinned arguments over f: the values
+    of EnvelopeElement.lambda_trace."""
     lam = EnvelopeElement(2, f, {(0, 0): Fraction(-1, 2), (3, 0): 3,
                                  (0, 1): 2}).lambda_trace()
-    return {
-        "CompositionAlgebra.norm": C.norm(half),
-        "CompositionAlgebra.norm_polar": C.norm_polar(half, half),
-        "lambda_trace(1)": lam[0],
-        "lambda_trace(q1q2)": lam[3],
-    }
+    return {"lambda_trace(1)": lam[0], "lambda_trace(q1q2)": lam[3]}
 
 
 def test_scalar_valued_functions_return_fractions_over_qq():
     vals = scalar_values(QQ)
     assert all(type(v) is Fraction for v in vals.values()), vals
-    assert vals == {"CompositionAlgebra.norm": Fraction(1, 4),
-                    "CompositionAlgebra.norm_polar": Fraction(1, 2),
-                    "lambda_trace(1)": Fraction(-1, 2),
-                    "lambda_trace(q1q2)": 3}
+    assert vals == {"lambda_trace(1)": Fraction(-1, 2), "lambda_trace(q1q2)": 3}
 
 
 def test_scalar_valued_functions_return_residues_over_gf5():
     vals = scalar_values(GF(5))
     assert all(type(v) is int and 0 <= v < 5 for v in vals.values()), vals
-    assert vals == {"CompositionAlgebra.norm": 4,
-                    "CompositionAlgebra.norm_polar": 3,
-                    "lambda_trace(1)": 2, "lambda_trace(q1q2)": 3}
+    assert vals == {"lambda_trace(1)": 2, "lambda_trace(q1q2)": 3}
 
 
 def test_mutable_objects_are_unhashable():

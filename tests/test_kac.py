@@ -7,6 +7,7 @@ import pytest
 
 from helpers import j_associators, j_product, lmul_brackets_by_loops
 from spinlab import kac
+from spinlab.exterior import wedge_sign
 from spinlab.fields import GF, QQ, make_field
 from spinlab.kac import (EVEN_INDICES, J_DIM, J_LABELS, J_PARITY, K_FORM,
                          K_PARITY, K_TABLE, ODD_INDICES, EnvelopeElement,
@@ -178,6 +179,23 @@ def jordan_envelope_check(field, m, samples, seed):
         if (x2 * y) * x != x2 * yx:
             return trial, "jordan"
     return None
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(5)], ids=repr)
+def test_envelope_product_of_basis_elements(fld):
+    # (u⊗a)(v⊗b) = (−1)^{|a||v|} uv⊗ab on every pair of even basis elements
+    # (mask, j) on 3 generators, from _j_tensor and wedge_sign alone
+    m, T = 3, _j_tensor(fld.p)
+    even = [(g, j) for g in range(1 << m) for j in range(J_DIM)
+            if g.bit_count() % 2 == J_PARITY[j]]
+    assert len(even) == 40
+    for (ga, ja), (gb, jb) in itertools.product(even, repeat=2):
+        got = (EnvelopeElement(m, fld, {(ga, ja): 1})
+               * EnvelopeElement(m, fld, {(gb, jb): 1})).terms
+        sign = wedge_sign(ga, gb) * (-1) ** (J_PARITY[ja] * gb.bit_count())
+        want = {(ga | gb, k): fld.raw(sign * v) for k, v in enumerate(T[ja, jb])
+                if sign * v}
+        assert got == want, (ga, ja, gb, jb)
 
 
 def test_envelope_jordan_laws():

@@ -224,19 +224,20 @@ def test_no_verdict_rests_on_the_generator_triples():
 
 
 def test_tits_reads_composition_data_from_its_tables():
-    # TitsModel holds the C⁰ tables of C as checked arrays: tits.py makes
-    # no scalar call of CompositionAlgebra and does not name ad_matrix
-    path = PACKAGE / "tits.py"
-    scalar = ("multiply", "norm_polar", "commutator", "associator")
+    # C has one model, composition._int_tables: no package file names an
+    # element-level operation of C (a use, an import or a definition), and
+    # tits.py, whose TitsModel holds the C⁰ tables as checked arrays, does
+    # not name ad_matrix or inner_derivation either
+    element = ("czero_basis", "norm_polar", "multiply", "commutator", "associator")
+    field_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+                ast.FunctionDef: "name"}
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in scalar):
-            found.append(f"{node.func.attr} call at line {node.lineno}")
-        name = getattr(node, {ast.Name: "id", ast.Attribute: "attr",
-                              ast.alias: "name"}.get(type(node), ""), None)
-        if name == "ad_matrix":
-            found.append(f"ad_matrix at line {node.lineno}")
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, field_of.get(type(node), ""), None)
+            if name in element or path.name == "tits.py" and name in (
+                    "ad_matrix", "inner_derivation"):
+                found.append(f"{path.name}:{node.lineno} names {name}")
     assert not found, found
 
 
@@ -374,6 +375,25 @@ def test_the_spinor_reference_shares_no_table_code():
     assert not found, found
 
 
+def test_the_zorn_reference_shares_no_composition_code():
+    # tests/zorn_reference.py is the independent model the tables of C are
+    # checked against: it imports nothing from spinlab at all
+    path = Path(__file__).resolve().parent / "zorn_reference.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.level:
+                found.append(f"line {node.lineno} imports relatively")
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno} imports {name}" for name in names
+                  if name.split(".")[0] == "spinlab"]
+    assert not found, found
+
+
 # The CLI targets of the reach rule: every verify target, export over GF(p)
 # and over Q, and report in both formats.  They reach the same package
 # functions as the verify targets with their default arguments.
@@ -393,21 +413,12 @@ REACH_RUNS = (
 # perfbench/spans.py or called, by name, from a function it wraps; or the
 # test "file::name" that checks the package against it.  Dunders need none.
 UNREACHED = {
-    "composition.CompositionAlgebra.multiply": "bench",
-    "composition.CompositionAlgebra.norm_polar": "test_fields::scalar_values",
-    "composition.CompositionAlgebra.norm": "test_fields::scalar_values",
-    "composition.CompositionAlgebra.conjugate": "test_composition::test_composition_axioms",
-    "composition.CompositionAlgebra.commutator": "bench",
-    "composition.CompositionAlgebra.associator": "bench",
     "composition.inner_derivation": "bench",
     "composition.ad_matrix": "bench",
     "construct.generator_triples": "test_spin_construct::test_generator_triples_shape",
     "exterior.bar_sign": "test_exterior::test_involutions_are_involutive_antiautomorphisms",
     "exterior.hat_sign": "test_exterior::test_involutions_are_involutive_antiautomorphisms",
     "exterior.form_sign": "test_exterior::test_half_spin_parts_isotropic_for_bhat_odd_l",
-    "fields.Field.sub": "bench",
-    "fields.Field.inv": "test_fields::test_field_axioms_randomized",
-    "fields.Field.div": "test_fields::test_field_axioms_randomized",
     "fields.Field.from_str": "load",
     "linalg.RowSpaceModP.contains": "test_linalg::test_rowspace_membership",
     "linalg.SpanSolver.rank": "test_linalg::test_span_solver_coords",

@@ -781,7 +781,7 @@ def test_verify_isomorphism_with_odd_rescaling():
         for i in range(3):
             M[i][i] = f.one()
         for i in (3, 4):
-            M[i][i] = f.inv(f.of_int(lam))
+            M[i][i] = f.raw(Fraction(1, lam))
         assert verify_isomorphism(M, A, B) is True
         M[0][0] = f.of_int(2)
         assert verify_isomorphism(M, A, B) is False

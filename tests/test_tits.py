@@ -8,7 +8,6 @@ import pytest
 from spinlab.cli import _hash_matrix
 from spinlab import composition, kac
 from spinlab.fields import GF, QQ, Field, make_field
-from spinlab.composition import inner_derivation, make_composition
 from spinlab.kac import K_FORM, _j_tensor
 from spinlab.linalg import SpanSolver, inv_modp, matmul_modp, nullspace_modp
 from spinlab.construct import build_superalgebra
@@ -27,6 +26,8 @@ from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, IsometryNotFound,
 
 from helpers import (first_bad_pair, first_unpreserved_pair_by_columns,
                      lmul_brackets_by_loops)
+from zorn_reference import (LABELS, zorn_commutator, zorn_inner_derivation,
+                            zorn_polar, zorn_product)
 
 F5 = GF(5)
 
@@ -269,10 +270,15 @@ def mid(m, ai, xj):
     return m.index[("mid", ai, xj)]
 
 
-def czero_coords(m, vec):
+# the C⁰ basis (E1 − E2, u1..u3, w1..w3) in the coordinates of Zorn's model
+CZERO = [[1, -1] + [0] * 6] + [[int(t == i) for t in range(8)] for i in range(2, 8)]
+UNIT = [1, 1] + [0] * 6
+
+
+def czero_coords(f, vec):
     # over the basis (E1 - E2, b_2, ...) of the trace-zero part
-    assert m.field.is_zero(m.C.norm_polar(m.C.unit, vec))
-    return [vec[0]] + list(vec[2:])
+    assert f.is_zero(f.raw(zorn_polar(UNIT, vec)))
+    return [f.raw(vec[0])] + [f.raw(v) for v in vec[2:]]
 
 
 def test_der_acts_componentwise():
@@ -283,10 +289,10 @@ def test_der_acts_componentwise():
         D = m.derC[di]
         dEl = m.index[("der", di)]
         for ai in range(m.ncz):
-            a = m.cz[ai]
+            a = CZERO[ai]
             img = [f.raw(sum(f.mul(D[r][c], a[c]) for c in range(8)))
                    for r in range(8)]
-            cc = czero_coords(m, img)
+            cc = czero_coords(f, img)
             for xj in (1, 5, 2):
                 got = tits_bracket(m, dEl, mid(m, ai, xj))
                 want = {mid(m, bi, xj): v for bi, v in enumerate(cc)
@@ -296,14 +302,18 @@ def test_der_acts_componentwise():
 
 @pytest.mark.parametrize("kind,field", [("octonion", F5), ("quaternion", QQ)])
 def test_left_multiplications_match_the_product(kind, field):
-    # La[a], which Ψ reads, column by column against C.multiply(a, e_c)
+    # La[a], which Ψ reads, column by column against Zorn's product a·e_c,
+    # the quaternions being the span of E1, E2, u1, w1 in it
     m = tits_model(kind, field)
-    n = m.C.dim
-    for ai, a in enumerate(m.cz):
-        for c in range(n):
-            e = [field.one() if r == c else field.zero() for r in range(n)]
+    sel = [LABELS.index(lab) for lab in composition._int_tables(kind).labels]
+    czero = CZERO[:1] + [CZERO[t - 1] for t in sel[2:]]     # E1 − E2, then b_t
+    assert len(czero) == m.ncz
+    for ai, a in enumerate(czero):
+        for c, t in enumerate(sel):
+            prod = zorn_product(a, [int(s == t) for s in range(8)])
+            assert not any(prod[s] for s in range(8) if s not in sel)
             assert ([field.raw(v) for v in m.La[ai][:, c]]
-                    == [field.raw(v) for v in m.C.multiply(a, e)]), (ai, c)
+                    == [field.raw(prod[s]) for s in sel]), (ai, c)
     with pytest.raises(ValueError):      # the model's tables are read-only
         m.La[0, 0, 0] = 1
 
@@ -348,7 +358,7 @@ def test_e_tensor_e_middle_bracket_exact():
     quarter = f.raw(Fraction(1, 4))
     for ai in range(7):
         for bi in range(7):
-            comm = czero_coords(m, m.C.commutator(m.cz[ai], m.cz[bi]))
+            comm = czero_coords(f, zorn_commutator(CZERO[ai], CZERO[bi]))
             for yj in UU_INDICES:
                 got = tits_bracket(m, mid(m, ai, 1), mid(m, bi, yj))
                 want = {mid(m, ci, yj): f.mul(quarter, v)
@@ -361,10 +371,11 @@ def test_middle_bracket_rule_on_all_pairs():
     # [a⊗x, b⊗y] = t(xy)·D_{a,b} + [a,b]⊗(x*y) − 2n(a,b)·[L_x, L_y] on
     # every pair of middle basis elements, compared as matrices: the der
     # part against D_{a,b} on C, the inj part against [L_x, L_y] on K⊗K,
-    # the middle part against [a,b] ⊗ (x*y) from the J product
+    # the middle part against [a,b] ⊗ (x*y) from the J product; D_{a,b},
+    # [a, b] and n(a, b) come from Zorn's model
     m = tits_model("octonion", F5)
     f, p = F5, 5
-    C, cz = m.C, m.cz
+    cz = CZERO
 
     def arr(mats):
         return np.array([[[int(v) % p for v in row] for row in mat]
@@ -380,9 +391,9 @@ def test_middle_bracket_rule_on_all_pairs():
     for i, a, x in mids:
         for j, b, y in mids:
             if (a, b) not in D_ab:
-                D_ab[(a, b)] = arr([inner_derivation(C, cz[a], cz[b])])[0]
+                D_ab[(a, b)] = arr([zorn_inner_derivation(cz[a], cz[b])])[0]
             xy = _j_tensor(p)[x, y].tolist()
-            n_ab = int(f.raw(C.norm_polar(cz[a], cz[b]))) % p
+            n_ab = zorn_polar(cz[a], cz[b]) % p
             got = tits_bracket(m, i, j)
             cd = np.zeros(m.nder, dtype=np.int64)
             cj = np.zeros(10, dtype=np.int64)
@@ -399,8 +410,7 @@ def test_middle_bracket_rule_on_all_pairs():
                                   xy[0] * D_ab[(a, b)] % p), (i, j)
             assert np.array_equal(np.tensordot(cj, inder, axes=1) % p,
                                   -2 * n_ab * arr([LL_ref[x, y]])[0] % p), (i, j)
-            comm = np.array([int(v) % p for v in C.commutator(cz[a], cz[b])],
-                            dtype=np.int64)
+            comm = np.array(zorn_commutator(cz[a], cz[b]), dtype=np.int64) % p
             star = np.array([0] + xy[1:], dtype=np.int64)
             assert np.array_equal(czero.T @ cm % p,
                                   np.outer(comm, star) % p), (i, j)
@@ -449,11 +459,9 @@ def test_so_MQ_gram_blocks():
     somq = build_so_MQ(F5)
     assert somq.algebra.n0 == 55 and somq.algebra.n1 == 0
     f = F5
-    C = make_composition("octonion", F5)
-    cz = C.czero_basis()
     for i in range(7):
         for j in range(7):
-            want = f.neg(f.raw(C.norm_polar(cz[i], cz[j])))
+            want = f.raw(-zorn_polar(CZERO[i], CZERO[j]))
             assert somq.gram[i][j] == want
         for r in range(4):
             assert f.is_zero(somq.gram[i][7 + r])
@@ -689,11 +697,17 @@ def test_phi1_negative_control():
     assert r["witness"]["lhs"] != r["witness"]["rhs"]
 
 
-@pytest.mark.parametrize("index", [-1, 32, True, 1.0, np.int64(3)])
+@pytest.mark.parametrize("index", [-1, 32, True, 1.0])
 def test_phi1_negate_index_refused(index):
     # numpy would wrap -1 to column 31 and take True as column 1
     with pytest.raises(ValueError, match="negate_index"):
         phi1_intertwine(F5, negate_index=index)
+
+
+def test_phi1_negate_index_takes_a_numpy_integer():
+    # an index is checked by fields._is_int, as everywhere in the package
+    r = phi1_intertwine(F5, negate_index=np.int64(3))
+    assert r == phi1_intertwine(F5, negate_index=3) and not r["pass"]
 
 
 @pytest.mark.parametrize("i,j", [(-1, 60), (87, 1), (1, 87), (True, 60),
