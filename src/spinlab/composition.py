@@ -113,15 +113,25 @@ def make_composition(kind: str, field: Field) -> CompositionAlgebra:
     return CompositionAlgebra(kind, field)
 
 
+def _algebra(C) -> "CompositionAlgebra":
+    """C itself; TypeError naming C unless it is a CompositionAlgebra."""
+    if not isinstance(C, CompositionAlgebra):
+        raise TypeError(f"C must be a CompositionAlgebra, not {C!r}")
+    return C
+
+
 # No package code calls inner_derivation or ad_matrix; they stay while the
-# benchmark marks laps at them.  A vector argument of a length other than
-# C.dim, or with a float entry, is refused with an error that names it.
+# benchmark marks laps at them.  A C that is no CompositionAlgebra, and a
+# vector argument of a length other than C.dim or with a float or bool
+# entry, are refused with an error that names the argument.
 def inner_derivation(C: CompositionAlgebra, a, b) -> list:
     """D_{a,b} = ad_[a,b] - 3 (a, b, .) as a matrix on C (rows = outputs),
     the associator (a, b, .) being L_ab - L_a L_b."""
-    p = C.field.p
+    p = _algebra(C).field.p
     vecs = []
     for name, v in (("a", a), ("b", b)):
+        if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(v, dtype=object).flat):
+            raise TypeError(f"{name}: a bool is not a coordinate")
         try:
             v = exact_array(v, p)
         except TypeError as e:
@@ -141,7 +151,9 @@ def inner_derivation(C: CompositionAlgebra, a, b) -> list:
 
 def ad_matrix(C: CompositionAlgebra, a) -> list:
     """x -> [a, x] = ax - xa as a matrix on C (rows = outputs)."""
-    p = C.field.p
+    p = _algebra(C).field.p
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(a, dtype=object).flat):
+        raise TypeError("a: a bool is not a coordinate")
     try:
         a = exact_array(a, p)
     except TypeError as e:
@@ -165,8 +177,9 @@ def _derivation_constraints(mult: np.ndarray) -> np.ndarray:
 
 
 def derivation_algebra(C: CompositionAlgebra) -> list:
-    """Reduced basis of der C = {D : D(xy) = D(x)y + x D(y)}, as matrices."""
-    f = C.field
+    """Reduced basis of der C = {D : D(xy) = D(x)y + x D(y)}, as matrices;
+    TypeError unless C is a CompositionAlgebra."""
+    f = _algebra(C).field
     n = C.dim
     rows = _derivation_constraints(_int_tables(C.kind).mult)
     rows = rows[rows.any(axis=1)]
@@ -271,8 +284,9 @@ def check_lemma_C(C: CompositionAlgebra) -> dict:
     (ii)  [ad_a, ad_b] = 2 D_{a,b} - ad_{[a,b]} on all basis pairs;
     (iii) D_{a,b} + (1/2) ad_{[a,b]} = 3 (n(a,.) b - n(b,.) a) on C.
 
-    Decided on the integer tables by lemma_c_identities.
+    Decided on the integer tables by lemma_c_identities.  TypeError unless
+    C is a CompositionAlgebra, ValueError unless it is the octonions.
     """
-    if C.kind != "octonion":
+    if _algebra(C).kind != "octonion":
         raise ValueError("the lemma concerns the split octonions")
     return lemma_c_identities(*_int_tables(C.kind)[:2], C.field.p)

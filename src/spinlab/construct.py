@@ -182,12 +182,32 @@ def _assemble(l: int, kind: str, field: Field) -> SuperAlgebra:
                                   odd_symmetric=bracket_is_symmetric(l, kind))
 
 
+def _chevalley_generators(l: int, kind: str) -> list:
+    """Basis indices of 2l + 1 pairs that generate so(V) as a Lie algebra
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    section 18): the root vectors [v_i, f_(i+1)] and [v_(i+1), f_i] of the
+    simple roots e_i - e_(i+1), those of e_l ([u, v_l], [u, f_l]) for kind
+    B or of e_(l-1) + e_l ([v_(l-1), v_l], [f_(l-1), f_l]) for kind D, and
+    the Cartan element [v_l, f_l], from which the peel of
+    superalgebra._certified_rows reaches the other Cartan pairs."""
+    pb = pair_basis(l, kind)
+    ix = {lab: k for k, lab in enumerate(pb.labels)}
+    names = [f"[v{i},f{i + 1}]" for i in range(1, l)]
+    names += [f"[v{i + 1},f{i}]" for i in range(1, l)]
+    names += ([f"[u,v{l}]", f"[u,f{l}]"] if kind == "B"
+              else [f"[v{l - 1},v{l}]", f"[f{l - 1},f{l}]"])
+    return [ix[name] for name in names + [f"[v{l},f{l}]"]]
+
+
 @lru_cache(maxsize=1)
 def _jacobi_rows(l: int, kind: str):
-    """The Jacobi rows of the Q table of (kind, l), scanned on first use.
-    One (kind, l) is kept: callers loop over the fields of one l at a
-    time, and an algebra keeps its own reference to the rows."""
-    return _super._JacobiRows(lambda: _assemble(l, kind, QQ))
+    """The Jacobi rows of the Q table of (kind, l), on first use: the rows
+    the Chevalley generators of so(V) certify (superalgebra._certified_rows),
+    and the rest scanned.  One (kind, l) is kept: callers loop over the
+    fields of one l at a time, and an algebra keeps its own reference to
+    the rows."""
+    return _super._JacobiRows(lambda: _assemble(l, kind, QQ),
+                              _chevalley_generators(l, kind))
 
 
 # Outside the tests only the benchmark's B8 cells need this; it goes with

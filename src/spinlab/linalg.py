@@ -138,12 +138,17 @@ def rref_modp(a, p: int):
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
         inv = pow(int(a[r, c]), p - 2, p) if p else 1 / a[r, c]
-        a[r] = _red(a[r] * inv, p)
+        # over Q each entry costs a Fraction operation, so only the nonzero
+        # columns of the pivot row are scaled and subtracted; over GF(p)
+        # whole int64 rows cost less than picking the columns out
+        cols = slice(None) if p else np.flatnonzero(a[r])
+        a[r, cols] = _red(a[r, cols] * inv, p)
         coefs = a[:, c].copy()
         coefs[r] = 0
         hot = np.nonzero(coefs)[0]
         if hot.size:
-            a[hot] = _red(a[hot] - coefs[hot, None] * a[r], p)
+            at = (hot, cols) if p else np.ix_(hot, cols)
+            a[at] = _red(a[at] - coefs[hot, None] * a[r, cols], p)
         pivots.append(c)
         r += 1
     return a, pivots

@@ -38,7 +38,13 @@ and as Python ints past that bound.  Each row is kept with the content
 of each triple (the gcd of its sums) in a row store, and the algebras
 build_superalgebra returns for one (kind, l) share the store of its Q
 table: the content decides the identity in every odd characteristic at
-once (check_jacobi).  Witnesses (the permutations of the nonzero
+once (check_jacobi).  That store first takes the rows a derivation
+argument proves empty (_certified_rows): when the full rows of so(V)'s
+Chevalley generators vanish and their peeling reach covers the even
+part, every row of an even index is empty, and one empty odd row with a
+peeling reach over the odd part empties the rest.  The rows it proves
+are exactly those the scan would give, and any other row is scanned.
+Witnesses (the permutations of the nonzero
 canonical triples) are re-evaluated exactly through the dictionary route
 before being reported.
 
@@ -446,36 +452,41 @@ def _gather(key, lo, hi):
 _SCAN_BLOCK = 512
 
 
-def _scan_rows(mats, i0: int, i1: int) -> list:
-    """Rows i0 <= i < i1 of the scan of mats (_scan_matrices), one tuple
-    per row: the canonical triples (i, j, z), i <= j <= z, with
+def _scan_rows(mats, rows, low) -> list:
+    """The given rows of the scan of mats (_scan_matrices), one tuple per
+    row in the order given: the triples (i, j, z), low <= j <= z, with
     J(e_i, e_j, e_z) != 0, sorted, each paired with its content g, the gcd
     of the |coefficients| of J(e_i, e_j, e_z) (of the residues over
-    GF(p)).  One pass keys every term of the block by (i - i0, j, z, w) in
-    int64, below (i1 - i0) * n^3, so the block needs (i1 - i0) * n^3 < 2^63."""
+    GF(p)).  rows holds distinct row indices and low a lower bound on j
+    for each: i for a canonical row (i <= j <= z), 0 for a full row
+    (every j <= z; J is graded-alternating in its last two slots, so a
+    full row is empty iff J(e_i, y, z) = 0 for all y and z).  One pass
+    keys every term by (slot, j, z, w) in int64, below len(rows) * n^3,
+    so the call needs len(rows) * n^3 < 2^63."""
     orders, p, par, odd_symmetric = mats
     (key1, a1, b1, v1), (key2, a2, b2, v2), (key3, a3, b3, v3) = orders
     n = par.size
-    lo, hi = np.searchsorted(key1, (i0 * n, i1 * n))
-    # [e_r, e_x] = sum v e_y, row r of the block keyed from (r - i0) * n^3
-    r, x, y, v = key1[lo:hi] // n, a1[lo:hi], b1[lo:hi], v1[lo:hi]
-    base = (r - i0) * n ** 3
-    ge = np.flatnonzero(x >= r)
+    rows, low = np.asarray(rows, dtype=np.int64), np.asarray(low, dtype=np.int64)
+    # [e_r, e_x] = sum v e_y, r the row of slot s, its terms keyed from s * n^3
+    s, at = _gather(key1, rows * n, rows * n + n - 1)
+    r, x, y, v, lo = rows[s], a1[at], b1[at], v1[at], low[s]
+    base = s * n ** 3
+    ge = np.flatnonzero(x >= lo)
     rg, xg, yg, vg = r[ge], x[ge], y[ge], v[ge]
     top = n - 1
     # [[e_r, e_j], e_z]: j = xg, m = yg, then [e_m, e_z] = sum e_w with z >= j
     o1, q1 = _gather(key1, yg * n + xg, yg * n + top)
     k1 = (base[ge] + xg * n * n)[o1] + a1[q1] * n + b1[q1]
-    # -[e_r, [e_j, e_z]]: [e_j, e_z] with r <= j <= z hits m = x, [e_r, e_m] = e_w
-    o2, q2 = _gather(key2, x * n + r, x * n + top)
+    # -[e_r, [e_j, e_z]]: [e_j, e_z] with lo <= j <= z hits m = x, [e_r, e_m] = e_w
+    o2, q2 = _gather(key2, x * n + lo, x * n + top)
     k2 = (base + y)[o2] + (a2[q2] * n + b2[q2]) * n
-    # eps(r,j) [e_j, [e_r, e_z]]: z = xg, m = yg, then [e_j, e_m] with r <= j <= z
-    o3, q3 = _gather(key3, yg * n + rg, yg * n + xg)
+    # eps(r,j) [e_j, [e_r, e_z]]: z = xg, m = yg, then [e_j, e_m] with lo <= j <= z
+    o3, q3 = _gather(key3, yg * n + lo[ge], yg * n + xg)
     j3 = a3[q3]
     k3 = (base[ge] + xg * n)[o3] + j3 * n * n + b3[q3]
     keys = np.concatenate([k1, k2, k3])
     if not keys.size:
-        return [()] * (i1 - i0)
+        return [()] * rows.size
     srt = np.argsort(keys)
     keys = keys[srt]
     heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -493,45 +504,134 @@ def _scan_rows(mats, i0: int, i1: int) -> list:
     if p:
         sums %= p
     nonzero = np.flatnonzero(sums)
-    rjz = keys[heads[nonzero]] // n                     # (i - i0, j, z)
-    first = np.flatnonzero(np.diff(rjz, prepend=-1))
+    sjz = keys[heads[nonzero]] // n                     # (slot, j, z)
+    first = np.flatnonzero(np.diff(sjz, prepend=-1))
     content = np.gcd.reduceat(np.abs(sums[nonzero]), first).tolist()
-    i, jz = np.divmod(rjz[first], n * n)
-    found = list(zip(zip((i + i0).tolist(), (jz // n).tolist(), (jz % n).tolist()),
-                     content))
-    ends = np.searchsorted(i, np.arange(i1 - i0 + 1)).tolist()
-    return [tuple(found[s:e]) for s, e in zip(ends, ends[1:])]
+    slot, jz = np.divmod(sjz[first], n * n)
+    found = list(zip(zip(rows[slot].tolist(), (jz // n).tolist(),
+                         (jz % n).tolist()), content))
+    ends = np.searchsorted(slot, np.arange(rows.size + 1)).tolist()
+    return [tuple(found[a:b]) for a, b in zip(ends, ends[1:])]
+
+
+def _block_size(key1, n: int, rows) -> int:
+    """How many of rows (ascending indices) one call of _scan_rows takes:
+    those whose entries in the first-index order key1 (of an algebra of
+    dimension n) fit in _SCAN_BLOCK together, at least one row, and at
+    most (2^63 - 1) // n^3 rows, the bound of the call's key."""
+    rows = np.asarray(rows, dtype=np.int64)
+    used = np.cumsum(np.searchsorted(key1, rows * n + n) - np.searchsorted(key1, rows * n))
+    k = int(np.searchsorted(used, _SCAN_BLOCK, side="right"))
+    return min(max(k, 1), ((1 << 63) - 1) // n ** 3)
 
 
 def _scan_one_i(mats, i):
     """Row i alone of the scan of mats; the scan itself reads _scan_rows."""
-    return _scan_rows(mats, i, i + 1)[0]
+    return _scan_rows(mats, (i,), (i,))[0]
+
+
+def _peel(mats, gens, seeds, hi: int) -> np.ndarray:
+    """The peeling reach in range(hi) from the basis indices seeds under
+    the maps ad e_g, g in gens, as a mask of length hi.  The images
+    [e_g, e_a], a < hi, are read off the first-index order of mats
+    (_scan_matrices).  An image of a reached a whose targets are all
+    reached but one, t, reaches t: e_t is that image minus its reached
+    terms, over its coefficient, a nonzero number.  So every reached e_t
+    lies in the span of the seeds closed under the ad e_g, with no
+    elimination, over Q or mod any prime."""
+    key1, a1, b1, _ = mats[0][0]
+    n = mats[2].size
+    gens = np.asarray(gens, dtype=np.int64)
+    _, at = _gather(key1, gens * n, gens * n + hi - 1)
+    a, t = a1[at], b1[at]
+    image = np.cumsum(np.diff(key1[at], prepend=-1) != 0) - 1
+    reached = np.zeros(hi, dtype=bool)
+    reached[np.asarray(seeds, dtype=np.int64)] = True
+    while True:
+        live = np.flatnonzero(reached[a] & ~reached[t])
+        one = np.bincount(image[live])[image[live]] == 1
+        if not one.any():
+            return reached
+        reached[t[live[one]]] = True
+
+
+def _certified_rows(mats, gens) -> list:
+    """The first rows of the scan of mats (_scan_matrices) as a derivation
+    argument proves them, or [] when it does not apply.
+
+    An even x whose full row vanishes (J(x, y, z) = 0 for all y, z) is a
+    derivation element: ad x is a derivation of the table.  Those x form
+    a subspace closed under the bracket, since J(x, x', .) = 0 gives
+    ad [x, x'] = [ad x, ad x'], a commutator of derivations.  So if the
+    full rows of the even basis indices gens vanish and their peeling
+    reach (_peel) covers the even part, every canonical row i < n0 is
+    empty.  Then the odd s with a vanishing full row form a submodule for
+    the even part (ad x, x even, is a derivation of J itself), and the
+    full row of n0 is its canonical row, the other terms lying in rows
+    of even indices.  So if row n0 is empty and the peeling reach from
+    e_n0 covers the odd part, every row is empty.  None of this assumes
+    the Jacobi identity: the rows certified are exactly those _scan_rows
+    would give.  The full rows of gens and the canonical row n0 are
+    scanned in calls of _block_size rows, as the plain scan's blocks are,
+    and ad e_g keeps parity, so one peel serves both parts.  Returns [()] * n when every row is certified, else
+    [()] * n0 followed by row n0 when the even part is, else [] (also
+    when gens is empty)."""
+    par = mats[2]
+    n, n0 = par.size, int(np.count_nonzero(~par))
+    gens = sorted(set(gens))
+    if not gens:
+        return []
+    if gens[0] < 0 or gens[-1] >= n0:
+        raise ValueError(f"generators must be even basis indices below {n0}")
+    odd = [n0] if n0 < n else []
+    rows, low, scanned = gens + odd, [0] * len(gens) + odd, []
+    while rows:
+        k = _block_size(mats[0][0][0], n, rows)
+        scanned += _scan_rows(mats, rows[:k], low[:k])
+        rows, low = rows[k:], low[k:]
+    if any(scanned[:len(gens)]):
+        return []
+    hi = n if odd and not scanned[-1] else n0
+    reached = _peel(mats, gens, gens + odd if hi == n else gens, hi)
+    if not reached[:n0].all():
+        return []
+    if hi == n and reached.all():
+        return [()] * n
+    return [()] * n0 + scanned[len(gens):]
 
 
 class _JacobiRows:
-    """Every row of _scan_rows over one table, computed on first request in
-    blocks of consecutive rows and kept.  A block starting at row i0 takes
-    the rows whose entries in the first-index order fit in _SCAN_BLOCK (at
-    least one row), and at most (2^63 - 1) // n^3 rows, the bound of the
-    block's key.  source() returns the algebra whose table is scanned; its
-    _scan_matrices orders are built on the first request and dropped once
-    every row is in."""
+    """Every canonical row of _scan_rows over one table, computed on first
+    request and kept.  The first request builds the _scan_matrices orders
+    of source(), the algebra whose table is scanned, and takes the rows
+    that _certified_rows proves from the even basis indices gens (none:
+    every row is scanned).  It asks for them only when the rows
+    below n0 hold more than _SCAN_BLOCK entries of the first-index order:
+    otherwise the plain scan reaches row n0 in one block, one call like
+    the certificate's own scan, and the certificate's peel would be pure
+    cost.  The other rows are scanned in blocks of consecutive rows, each
+    of _block_size rows.  The orders are dropped once every row is in."""
 
-    __slots__ = ("_source", "_mats", "_rows")
+    __slots__ = ("_source", "_gens", "_mats", "_rows")
 
-    def __init__(self, source):
-        self._source, self._mats, self._rows = source, None, []
+    def __init__(self, source, gens=()):
+        self._source, self._gens = source, tuple(gens)
+        self._mats = self._rows = None
 
     def row(self, i: int) -> tuple:
+        if self._rows is None:
+            mats = _scan_matrices(self._source())
+            self._source = None
+            n, n0 = mats[2].size, int(np.count_nonzero(~mats[2]))
+            key1 = mats[0][0][0]
+            pays = np.searchsorted(key1, n0 * n) > _SCAN_BLOCK
+            self._rows = _certified_rows(mats, self._gens) if pays else []
+            self._mats = mats if len(self._rows) < n else None
         while len(self._rows) <= i:
-            if self._mats is None:
-                self._mats = _scan_matrices(self._source())
-                self._source = None
-            key1, n, i0 = self._mats[0][0][0], self._mats[2].size, len(self._rows)
-            past = np.searchsorted(key1, i0 * n) + _SCAN_BLOCK
-            i1 = key1[past] // n if past < key1.size else n
-            i1 = min(max(int(i1), i0 + 1), i0 + ((1 << 63) - 1) // n ** 3)
-            self._rows.extend(_scan_rows(self._mats, i0, i1))
+            n = self._mats[2].size
+            rest = np.arange(len(self._rows), n)
+            block = rest[:_block_size(self._mats[0][0][0], n, rest)]
+            self._rows.extend(_scan_rows(self._mats, block, block))
             if len(self._rows) == n:
                 self._mats = None
         return self._rows[i]
@@ -562,10 +662,13 @@ def check_jacobi(A: SuperAlgebra, mode: str = "full", triples=None,
     graded-alternating, so J(x,y,z) vanishes iff each of its permutations
     does.  After row i, the permutations starting with i of the canonical
     triples found so far are exactly the witnesses with first index i, and
-    they are added in sorted order.  Rows are scanned in blocks of
-    consecutive rows, one vectorised pass each, on first request
-    (_JacobiRows), so a failing cell stops within the block of the row
-    that brings its last witness.  The scan keys each term in int64, below
+    they are added in sorted order.  Rows are computed on first request
+    (_JacobiRows): an algebra from build_superalgebra first takes the rows
+    that so(V)'s Chevalley generators certify empty (_certified_rows, a
+    derivation argument that proves exactly the rows a scan would find
+    empty), and the rest are scanned in blocks of consecutive rows, one
+    vectorised pass each, so a failing cell stops within the block of the
+    row that brings its last witness.  The scan keys each term in int64, below
     the n^3 < 2^63 that every SuperAlgebra keeps (_store).
 
     An algebra from build_superalgebra, over any field, reads the rows of

@@ -206,6 +206,22 @@ MALFORMED = {
                ValueError, "a must be a vector of length 8"),
     "matrix a": (lambda: ad_matrix(make_composition("quaternion", QQ),
                                    [[1] * 4]), ValueError, "of length 4"),
+    "bool a": (lambda: ad_matrix(make_composition("octonion", QQ), [True] * 8),
+               TypeError, "a: a bool is not a coordinate"),
+    "one bool in a": (lambda: ad_matrix(make_composition("octonion", make_field(5)),
+                                        [True] + [0] * 7),
+                      TypeError, "a: a bool is not a coordinate"),
+    "numpy bool in b": (lambda: inner_derivation(make_composition("octonion", QQ),
+                                                 unit_vector(2), np.ones(8, dtype=bool)),
+                        TypeError, "b: a bool is not a coordinate"),
+    "no algebra to derive": (lambda: derivation_algebra(None), TypeError,
+                             "C must be a CompositionAlgebra, not None"),
+    "no algebra for lemma C": (lambda: check_lemma_C("octonion"), TypeError,
+                               "C must be a CompositionAlgebra, not 'octonion'"),
+    "no algebra for ad": (lambda: ad_matrix(QQ, [1] * 8), TypeError,
+                          "C must be a CompositionAlgebra"),
+    "no algebra for D": (lambda: inner_derivation(8, [1] * 8, [1] * 8), TypeError,
+                         "C must be a CompositionAlgebra, not 8"),
 }
 
 

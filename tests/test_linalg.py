@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinlab.fields import QQ, GF, DivideByZero
+from spinlab.fields import QQ, GF, DivideByZero, make_field
 from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, combine,
                             common_denominator, exact_array, inv_modp,
                             matmul_modp, nullspace_modp, pair_products,
@@ -48,6 +48,28 @@ def test_rank_and_nullspace_match_fraction_oracle():
         for v in null:
             for r in rows:
                 assert sum(a * b for a, b in zip(r, v)) == 0
+
+
+@pytest.mark.parametrize("p", [0, 3, 7])
+def test_rref_of_sparse_rank_deficient_and_tall_matrices_matches_the_oracle(p):
+    # the elimination scales and subtracts only the nonzero columns of each
+    # pivot row: on sparse rows (density 0.15), rows repeated as sums of
+    # others (rank deficient) and tall stacks it still gives the oracle's
+    # R and pivots, with the zero rows at the bottom
+    f = make_field(p)
+    rng = random.Random(41 + p)
+    for trial in range(30):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        rows = rand_matrix(rng, f, nr, nc, density=0.15)
+        if trial % 3 == 1:              # rank deficient: append sums of rows
+            rows += [[f.add(x, y) for x, y in zip(rows[0], rows[-1])]] * 2
+        elif trial % 3 == 2:            # tall: many more rows than columns
+            rows += rand_matrix(rng, f, 4 * nc, nc, density=0.15)
+        R_want, piv_want = gauss_jordan(rows, p)
+        R, piv = rref_modp(rows, p)
+        assert list(piv) == piv_want, (p, trial)
+        assert [[f.raw(x) for x in row] for row in R[:len(piv)].tolist()] == R_want
+        assert R.shape == (len(rows), nc) and not R[len(piv):].any(), (p, trial)
 
 
 def test_modp_agrees_with_field_path_on_integer_matrices():

@@ -1,7 +1,11 @@
+import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,27 +113,172 @@ def test_shared_jacobi_rows_agree_with_each_field_own_scan(kind, l):
                     == check_jacobi(B, witness_cap=100)), (kind, l, ch)
 
 
-def test_jacobi_rows_are_scanned_once_and_on_first_use(monkeypatch):
+def test_jacobi_rows_are_certified_or_scanned_once_and_on_first_use(monkeypatch):
     # warm the tits caches first: the so(M, Q) ⋉ M and ⋉ S scans of a cold
     # cache are Jacobi scans too, but of other algebras
     tits.cross_identify_with_typeB(GF(5))
-    blocks = []
+    calls = []
     scan = superalgebra._scan_rows
 
-    def spy(mats, i0, i1):
-        blocks.append((i0, i1))
-        return scan(mats, i0, i1)
+    def spy(mats, rows, low):
+        calls.append((list(rows), list(low)))
+        return scan(mats, rows, low)
 
     monkeypatch.setattr(superalgebra, "_scan_rows", spy)
     construct._jacobi_rows.cache_clear()
     build_superalgebra(5, "B", GF(5))
     tits.cross_identify_with_typeB(GF(5))
-    assert blocks == []
+    assert calls == []
     for f in (QQ, GF(3), GF(5), GF(7)):
         classify(8, "D", f)
-    # contiguous ascending blocks that hold every row of D8 once
-    assert all(i0 < i1 for i0, i1 in blocks)
-    assert [i for i0, i1 in blocks for i in range(i0, i1)] == list(range(248))
+    # the certificate's calls come first: the full rows of the 17
+    # generators and the canonical row 120 = n0.  D8 satisfies the
+    # identity, so they certify every row, once, and no block of
+    # canonical rows follows
+    monkeypatch.undo()
+    gens = sorted(construct._chevalley_generators(8, "D"))
+    assert [i for rows, _ in calls for i in rows] == gens + [120]
+    assert [j for _, low in calls for j in low] == [0] * 17 + [120]
+    A = construct._assemble(8, "D", QQ)
+    certified = superalgebra._certified_rows(superalgebra._scan_matrices(A), gens)
+    assert certified == [()] * 248
+    # the plain route scans contiguous ascending blocks of canonical rows
+    # that hold every row once, each within 512 first-index entries or a
+    # single row
+    calls.clear()
+    monkeypatch.setattr(superalgebra, "_scan_rows", spy)
+    plain = superalgebra._JacobiRows(lambda: A)
+    assert [plain.row(i) for i in range(248)] == certified
+    assert all(rows == low for rows, low in calls)
+    assert [i for rows, _ in calls for i in rows] == list(range(248))
+    key1, n = superalgebra._scan_matrices(A)[0][0][0], A.dim
+    for rows, _ in calls:
+        used = np.searchsorted(key1, (rows[0] * n, rows[-1] * n + n))
+        assert len(rows) == 1 or used[1] - used[0] <= superalgebra._SCAN_BLOCK
+
+
+@pytest.mark.parametrize("kind,l", list(CONTENTS))
+def test_certified_rows_equal_the_plain_route(kind, l):
+    A = construct._assemble(l, kind, QQ)
+    gens = construct._chevalley_generators(l, kind)
+    assert len(set(gens)) == len(gens) == 2 * l + 1 and max(gens) < A.n0
+    plain = superalgebra._JacobiRows(lambda: A)
+    want = [plain.row(i) for i in range(A.dim)]
+    # the certificate holds in every cell: every row where the identity
+    # holds (content 0), else the even rows and the canonical row n0
+    certified = superalgebra._certified_rows(superalgebra._scan_matrices(A), gens)
+    assert len(certified) == (A.dim if CONTENTS[kind, l] == 0 else A.n0 + 1)
+    assert certified == want[:len(certified)] and want[A.n0 - 1] == ()
+    rows = superalgebra._JacobiRows(lambda: A, gens)
+    assert [rows.row(i) for i in range(A.dim)] == want
+
+
+def test_cartan_generators_fall_back_to_the_plain_scan(monkeypatch):
+    # the Cartan pairs bracket to 0 among themselves: their peel reaches
+    # nothing, the certificate proves no row, and every row is scanned
+    A = construct._assemble(4, "B", QQ)
+    cartan = clifford.pair_basis(4, "B").cartan
+    mats = superalgebra._scan_matrices(A)
+    assert superalgebra._peel(mats, cartan, cartan, A.n0).sum() == len(cartan)
+    assert superalgebra._certified_rows(mats, cartan) == []
+    plain = superalgebra._JacobiRows(lambda: A)
+    want = [plain.row(i) for i in range(A.dim)]
+    calls = []
+    scan = superalgebra._scan_rows
+
+    def spy(mats, rows, low):
+        calls.append((list(rows), list(low)))
+        return scan(mats, rows, low)
+
+    monkeypatch.setattr(superalgebra, "_scan_rows", spy)
+    rows = superalgebra._JacobiRows(lambda: A, cartan)
+    assert [rows.row(i) for i in range(A.dim)] == want
+    # the certificate's one call (full Cartan rows and row 36), then the
+    # plain blocks from row 0
+    (cert, low), *blocks = calls
+    assert (cert, low) == (sorted(cartan) + [A.n0], [0] * 4 + [A.n0])
+    assert [i for r, lo in blocks for i in r] == list(range(A.dim))
+    assert all(r == lo for r, lo in blocks)
+
+
+def _shifted(A, stored):
+    """A copy of the Q table A with 1 added to the stored entry at position
+    stored of its i <= j half, in both orders (the mirror is made by
+    _store)."""
+    I, J, K, V, scale = A.coo
+    kept = np.flatnonzero(I <= J)
+    V = V[kept].copy()
+    V[stored] += 1
+    return SuperAlgebra._from_coo("shifted", QQ, A.n0, A.n1, A.labels,
+                                  (I[kept], J[kept], K[kept], V, scale),
+                                  A.odd_symmetric)
+
+
+@pytest.mark.parametrize("block", ["even", "odd"])
+def test_a_shifted_structure_constant_is_refused_by_the_certificate(block):
+    # a constant of the so part in a pair of two non-generators, or of the
+    # odd product, shifted in both orders: some even row no longer
+    # vanishes, the certificate proves no row past the plain route's, and
+    # the cell fails
+    A = construct._assemble(4, "B", QQ)
+    gens = set(construct._chevalley_generators(4, "B"))
+    I, J, K, V, _ = A.coo
+    kept = np.flatnonzero(I <= J)
+    I, J = I[kept], J[kept]
+    if block == "even":
+        hit = (J < A.n0) & ~np.isin(I, list(gens)) & ~np.isin(J, list(gens))
+    else:
+        hit = I >= A.n0
+    B = _shifted(A, np.flatnonzero(hit)[len(np.flatnonzero(hit)) // 2])
+    plain = superalgebra._JacobiRows(lambda: B)
+    want = [plain.row(i) for i in range(B.dim)]
+    assert any(want[:B.n0])
+    certified = superalgebra._certified_rows(superalgebra._scan_matrices(B),
+                                             sorted(gens))
+    assert certified == want[:len(certified)] and len(certified) < B.dim
+    rows = superalgebra._JacobiRows(lambda: B, sorted(gens))
+    assert [rows.row(i) for i in range(B.dim)] == want
+    assert not check_jacobi(B).jacobi_pass
+
+
+CERTIFICATE_UNDER_O = """
+import json
+import numpy as np
+from spinlab import construct, superalgebra as S
+from spinlab.fields import QQ
+
+def check(A, gens):
+    plain = S._JacobiRows(lambda: A)
+    want = [plain.row(i) for i in range(A.dim)]
+    got = S._certified_rows(S._scan_matrices(A), gens)
+    return [len(got), got == want[:len(got)]]
+
+out = {}
+for l in (4, 7):
+    out[l] = check(construct._assemble(l, "B", QQ),
+                   construct._chevalley_generators(l, "B"))
+A = construct._assemble(4, "B", QQ)
+I, J, K, V, scale = A.coo
+kept = np.flatnonzero(I <= J)
+V = V[kept].copy()
+V[np.flatnonzero(J[kept] < A.n0)[100]] += 1
+B = S.SuperAlgebra._from_coo("shifted", QQ, A.n0, A.n1, A.labels,
+                             (I[kept], J[kept], K[kept], V, scale), A.odd_symmetric)
+out["shifted"] = check(B, construct._chevalley_generators(4, "B"))
+print(json.dumps(out))
+"""
+
+
+def test_the_certificate_holds_under_optimize():
+    # python -O strips assert statements; the certificate's checks must
+    # survive it
+    env = dict(os.environ)
+    src = str(Path(construct.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", CERTIFICATE_UNDER_O], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(out.stdout) == {"4": [52, True], "7": [106, True],
+                                      "shifted": [0, True]}
 
 
 def _paper_triple(l, kind, r):

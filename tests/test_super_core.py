@@ -115,8 +115,8 @@ def content(A, t):
 def scan_rows(A, size):
     """Every row of A's scan, from _scan_rows over blocks of size rows."""
     mats, n = _scan_matrices(A), A.dim
-    rows = [row for i0 in range(0, n, size)
-            for row in _scan_rows(mats, i0, min(i0 + size, n))]
+    blocks = [np.arange(i0, min(i0 + size, n)) for i0 in range(0, n, size)]
+    rows = [row for block in blocks for row in _scan_rows(mats, block, block)]
     assert len(rows) == n
     return rows
 
@@ -244,25 +244,95 @@ def test_scan_reports_exact_witnesses_far_past_the_int64_bound():
     assert content(A, (E, H, F)) == 2 ** 300 - 2
 
 
-def test_b7_scan_stops_in_the_block_of_its_first_failing_row(monkeypatch):
-    # over Q the first nonzero triples of B7 lie in row 105, and its 10
-    # witnesses are in once that row is: no block starts past it
-    blocks = []
+def test_b7_scan_stops_in_the_row_of_its_first_failing_triple(monkeypatch):
+    # over Q the first nonzero triples of B7 lie in row 105 = n0, and its 10
+    # witnesses are in once that row is.  The Chevalley certificate proves
+    # rows 0-104 empty and scans row 105 with the full generator rows, in
+    # calls of at most 512 first-index entries: no block of canonical rows
+    # is scanned at all
+    calls = []
     scan = superalgebra._scan_rows
 
-    def spy(mats, i0, i1):
-        blocks.append((i0, i1))
-        return scan(mats, i0, i1)
+    def spy(mats, rows, low):
+        calls.append((list(rows), list(low)))
+        return scan(mats, rows, low)
 
     monkeypatch.setattr(superalgebra, "_scan_rows", spy)
     construct._jacobi_rows.cache_clear()
     r = check_jacobi(build_superalgebra(7, "B", QQ))
     assert not r.jacobi_pass and r.witness_count == 10
-    last, end = blocks[-1]
-    assert last <= 105 < end
-    assert [i for a, b in blocks for i in range(a, b)] == list(range(end))
+    gens = sorted(construct._chevalley_generators(7, "B"))
+    assert [i for rows, _ in calls for i in rows] == gens + [105]
+    assert [j for _, low in calls for j in low] == [0] * 15 + [105]
     rows = construct._jacobi_rows(7, "B")
-    assert not any(rows.row(i) for i in range(105)) and rows.row(105)
+    monkeypatch.undo()
+    # the plain route: rows 0-104 empty, row 105 the certificate's
+    plain = superalgebra._JacobiRows(lambda: construct._assemble(7, "B", QQ))
+    assert not any(plain.row(i) for i in range(105))
+    assert rows.row(105) == plain.row(105) != ()
+    assert check_jacobi(build_superalgebra(7, "B", QQ)) == r
+
+
+def gl2(f):
+    """gl2 on e, f, h1 = E11, h2 = E22: [e, f] = h1 - h2 has two targets."""
+    e, fm, h1, h2 = range(4)
+    br = {(e, fm): {h1: 1, h2: -1}, (h1, e): {e: 1}, (h1, fm): {fm: -1},
+          (h2, e): {e: -1}, (h2, fm): {fm: 1}}
+    return SuperAlgebra("gl2", f, 4, 0, ["e", "f", "h1", "h2"], br,
+                        odd_symmetric=False)
+
+
+def plain_rows(A):
+    rows = superalgebra._JacobiRows(lambda: A)
+    return [rows.row(i) for i in range(A.dim)]
+
+
+def test_a_two_target_image_does_not_reach():
+    # from e and f the image [e, f] = h1 - h2 reaches neither Cartan
+    # element; h1 among the generators lets it reach h2
+    A = gl2(QQ)
+    mats = _scan_matrices(A)
+    assert superalgebra._peel(mats, [0, 1], [0, 1], 4).tolist() == [True, True, False, False]
+    assert superalgebra._certified_rows(mats, [0, 1]) == []
+    assert superalgebra._peel(mats, [0, 1, 2], [0, 1, 2], 4).all()
+    assert superalgebra._certified_rows(mats, [0, 1, 2]) == [()] * 4 == plain_rows(A)
+
+
+def osp12_plus(f):
+    """osp(1, 2) beside (c; z1, z2) with [c, z1] = z1, [c, z2] = -z2 and
+    [z1, z2] = c: every row of an even index vanishes, and so does row 5
+    (x, the first odd index), but J(z1, z1, z2) = 2 z1.  The odd part is
+    two submodules, and the reach from x covers only the first."""
+    c, x, y, z1, z2 = 3, 4, 5, 6, 7
+    br = {(H, E): {E: 2}, (H, F): {F: -2}, (E, F): {H: 1},
+          (H, x): {x: 1}, (H, y): {y: -1}, (E, y): {x: 1}, (F, x): {y: 1},
+          (x, x): {E: 2}, (y, y): {F: -2}, (x, y): {H: -1},
+          (c, z1): {z1: 1}, (c, z2): {z2: -1}, (z1, z2): {c: 1}}
+    return SuperAlgebra("osp12_plus", f, 4, 4, ["e", "h", "f", "c", "x", "y",
+                                                 "z1", "z2"], br, odd_symmetric=True)
+
+
+@pytest.mark.parametrize("ch", [0, 3, 5, 7])
+def test_the_odd_reach_must_cover_the_odd_part(ch):
+    A = osp12_plus(make_field(ch))
+    mats, plain = _scan_matrices(A), plain_rows(A)
+    assert not any(plain[:5]) and plain[6]
+    assert superalgebra._peel(mats, range(4), [0, 1, 2, 3, 4], 8).tolist() == [True] * 6 + [False] * 2
+    # rows 0-3 and row 4 are certified; row 6 is left to the scan
+    assert superalgebra._certified_rows(mats, range(4)) == plain[:5]
+    rows = superalgebra._JacobiRows(lambda: A, range(4))
+    assert [rows.row(i) for i in range(A.dim)] == plain
+    assert not check_jacobi(A).jacobi_pass
+    # osp(1, 2) alone: one vanishing odd row certifies every row
+    B = osp12(make_field(ch))
+    assert superalgebra._certified_rows(_scan_matrices(B), [E, H, F]) == [()] * 5
+
+
+def test_generators_must_be_even_basis_indices():
+    mats = _scan_matrices(osp12(QQ))
+    for gens in ([E, 3], [-1, E]):
+        with pytest.raises(ValueError, match="even basis indices below 3"):
+            superalgebra._certified_rows(mats, gens)
 
 
 def four_top(n):
