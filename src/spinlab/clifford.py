@@ -7,13 +7,15 @@ nonzero polarized pairings are q(u,u) = -2 and q(v_i,f_j) = delta_ij.
 
 Everything structural here is integer arithmetic independent of the
 field: a pair [w_a,w_b]. sends each monomial mask to a single target
-mask with coefficient in {+-1,+-2}; its adjoint action on the ambient
-space has exactly two entries; and the Gram matrix of the trace form
+mask with coefficient in {+-1,+-2}; its natural matrix on the ambient
+space has two nonzero rows; and the Gram matrix of the trace form
 (1/2)tr(XY) on the pair basis is monomial -- one nonzero per row, with
 values in {4, 8, -4}.  The cached integer tables below exploit all of
 this; no field arithmetic happens here.  Each cache refuses an argument
-with no basis before it is looked up (_checked_cache).  The tests check
-the tables against an independent model of the spin module built from
+with no basis before it is looked up (_checked_cache).  The adjoint rule
+of so(q), q any integer symmetric Gram matrix, lives in two kernels
+only: natural_matrices(q) and so_constants(q).  The tests check the
+tables against an independent model of the spin module built from
 gamma matrices (tests/spinor_reference.py).
 """
 
@@ -197,62 +199,57 @@ def rho_tables(l: int, kind: str):
 
 
 @_checked_cache(_check_pairs)
-def nat_entries(l: int, kind: str):
-    """Adjoint action on the ambient space: k -> ((row, col, coeff), ...).
-
-    [[w_a,w_b]., w_c]. = 2 q(b,c) w_a - 2 q(a,c) w_b, so each pair has
-    exactly two entries, at the columns of the partners of b and a.
-    """
-    space = ambient_space(l, kind)
-    pb = pair_basis(l, kind)
-    out = []
-    for a, b in pb.pairs:
-        ents = []
-        pb_, pa_ = space.partner[b], space.partner[a]
-        cb = 2 * qpair(space, b, pb_)
-        if cb:
-            ents.append((a, pb_, cb))
-        ca = -2 * qpair(space, a, pa_)
-        if ca:
-            ents.append((b, pa_, ca))
-        out.append(tuple(ents))
-    return tuple(out)
-
-
-@_checked_cache(_check_pairs)
 def gram_pairing(l: int, kind: str):
     """Monomial structure of the trace-form Gram matrix on the pair basis.
 
-    Returns (perm, coef) with G[k, perm[k]] = coef[k] the only nonzero
-    entry of row k.  The partner pair of (a,b) is sorted(partner(a),
-    partner(b)); everything else traces to zero.
+    Returns (perm, coef) with G[k, perm[k]] = coef[k] = (1/2)tr(N_k
+    N_perm[k]) the only nonzero entry of row k, N the natural_matrices of
+    the Gram matrix of qpair: pair (a,b) traces to zero against all but
+    sorted(partner(a), partner(b)).  VerificationFailed unless perm
+    permutes N, each trace is a nonzero even integer and each coefficient
+    divides 8.
     """
-    space = ambient_space(l, kind)
-    pb = pair_basis(l, kind)
-    nat = nat_entries(l, kind)
-    npairs = len(pb.pairs)
-    perm = np.empty(npairs, dtype=np.int64)
-    coef = np.empty(npairs, dtype=np.int64)
-    for k, (a, b) in enumerate(pb.pairs):
-        mate = tuple(sorted((space.partner[a], space.partner[b])))
-        k2 = pb.index[mate]
-        tr = 0
-        ent2 = {(r, c): w for r, c, w in nat[k2]}
-        for r, c, w in nat[k]:
-            tr += w * ent2.get((c, r), 0)
-        if tr % 2 or not tr:
-            raise VerificationFailed(f"trace pairing of pair {k} is {tr}, "
-                                     "not a nonzero even integer")
-        perm[k] = k2
-        coef[k] = tr // 2
-    # sanity: a permutation, and 8/coef is integral
-    if sorted(perm.tolist()) != list(range(npairs)):
+    space, pb = ambient_space(l, kind), pair_basis(l, kind)
+    N = natural_matrices(ambient_gram(l, kind))
+    perm = np.array([pb.index[tuple(sorted((space.partner[a], space.partner[b])))]
+                     for a, b in pb.pairs], dtype=np.int64)
+    if not np.array_equal(np.sort(perm), np.arange(len(N))):
         raise VerificationFailed("trace-form partner pairs are not a permutation")
-    if any(8 % int(c) for c in coef):
+    tr = (N * N[perm].transpose(0, 2, 1)).sum(axis=(1, 2))
+    bad = np.flatnonzero((tr % 2 != 0) | (tr == 0))
+    if bad.size:
+        k = int(bad[0])
+        raise VerificationFailed(f"trace pairing of pair {k} is {tr[k]}, "
+                                 "not a nonzero even integer")
+    coef = tr // 2
+    if (8 % coef).any():
         raise VerificationFailed("a trace-form coefficient does not divide 8")
     perm.setflags(write=False)
     coef.setflags(write=False)
     return perm, coef
+
+
+def _checked_gram(q) -> np.ndarray:
+    """q as an int64 array; ValueError unless q is a square symmetric
+    integer matrix."""
+    q = np.asarray(q)
+    if q.dtype.kind not in "iu" or q.ndim != 2 or not np.array_equal(q, q.T):
+        raise ValueError(f"not a square symmetric integer matrix: {q.dtype}{q.shape}")
+    return q.astype(np.int64)
+
+
+def natural_matrices(q) -> np.ndarray:
+    """The pairs [w_a,w_b]., a < b in index order, acting on the ambient
+    space of q by [[w_a,w_b]., w_c] = 2 q(b,c) w_a - 2 q(a,c) w_b: an
+    (npairs, dim, dim) int64 stack, output rows, N_ab = 2(e_a e_b^T -
+    e_b e_a^T)·q.  ValueError unless q is a square symmetric integer
+    matrix."""
+    q = _checked_gram(q)
+    a, b = np.triu_indices(len(q), 1)
+    N = np.zeros((a.size, len(q), len(q)), dtype=np.int64)
+    N[np.arange(a.size), a] = 2 * q[b]
+    N[np.arange(a.size), b] = -2 * q[a]
+    return N
 
 
 def so_constants(q):
@@ -265,10 +262,8 @@ def so_constants(q):
     and with no zero c: [B_k1, B_k2] has coefficient c at B_k3, mod p over
     GF(p).  ValueError unless q is a square symmetric integer matrix.
     """
-    q = np.asarray(q)
-    if q.dtype.kind not in "iu" or q.ndim != 2 or not np.array_equal(q, q.T):
-        raise ValueError(f"not a square symmetric integer matrix: {q.dtype}{q.shape}")
-    q, dim = q.astype(np.int64), len(q)
+    q = _checked_gram(q)
+    dim = len(q)
     a, b = np.triu_indices(dim, 1)
     npairs = a.size
     idx = np.zeros((dim, dim), dtype=np.int64)        # [w_x,w_y]. = sg * B_idx

@@ -38,15 +38,14 @@ and as Python ints past that bound.  Each row is kept with the content
 of each triple (the gcd of its sums) in a row store, and the algebras
 build_superalgebra returns for one (kind, l) share the store of its Q
 table: the content decides the identity in every odd characteristic at
-once (check_jacobi).  That store first takes the rows a derivation
-argument proves empty (_certified_rows): when the full rows of so(V)'s
-Chevalley generators vanish and their peeling reach covers the even
-part, every row of an even index is empty, and one empty odd row with a
-peeling reach over the odd part empties the rest.  The rows it proves
-are exactly those the scan would give, and any other row is scanned.
-Witnesses (the permutations of the nonzero
-canonical triples) are re-evaluated exactly through the dictionary route
-before being reported.
+once (check_jacobi).  That store, of any size, first takes the rows a
+derivation argument proves empty (_certified_rows): when the full rows
+of so(V)'s Chevalley generators vanish and their peeling reach covers
+the even part, every row of an even index is empty, and one empty odd
+row with a peeling reach over the odd part empties the rest.  The rows
+it proves are exactly those the scan would give, and any other row is
+scanned.  Witnesses (the permutations of the nonzero canonical triples)
+are re-evaluated exactly through the dictionary route before reporting.
 
 The isomorphism check (_first_unpreserved_pair) reads E(i, j) =
 [M e_i, M e_j] - M [e_i, e_j] in the same keyed style: each term, joined
@@ -573,9 +572,9 @@ def _certified_rows(mats, gens) -> list:
     the Jacobi identity: the rows certified are exactly those _scan_rows
     would give.  The full rows of gens and the canonical row n0 are
     scanned in calls of _block_size rows, as the plain scan's blocks are,
-    and ad e_g keeps parity, so one peel serves both parts.  Returns [()] * n when every row is certified, else
-    [()] * n0 followed by row n0 when the even part is, else [] (also
-    when gens is empty)."""
+    and ad e_g keeps parity, so one peel serves both parts.  Returns
+    [()] * n when every row is certified, else [()] * n0 followed by row
+    n0 when the even part is, else [] (also when gens is empty)."""
     par = mats[2]
     n, n0 = par.size, int(np.count_nonzero(~par))
     gens = sorted(set(gens))
@@ -605,12 +604,9 @@ class _JacobiRows:
     request and kept.  The first request builds the _scan_matrices orders
     of source(), the algebra whose table is scanned, and takes the rows
     that _certified_rows proves from the even basis indices gens (none:
-    every row is scanned).  It asks for them only when the rows
-    below n0 hold more than _SCAN_BLOCK entries of the first-index order:
-    otherwise the plain scan reaches row n0 in one block, one call like
-    the certificate's own scan, and the certificate's peel would be pure
-    cost.  The other rows are scanned in blocks of consecutive rows, each
-    of _block_size rows.  The orders are dropped once every row is in."""
+    every row is scanned).  The other rows are scanned in blocks of
+    consecutive rows, each of _block_size rows.  The orders are dropped
+    once every row is in."""
 
     __slots__ = ("_source", "_gens", "_mats", "_rows")
 
@@ -622,11 +618,8 @@ class _JacobiRows:
         if self._rows is None:
             mats = _scan_matrices(self._source())
             self._source = None
-            n, n0 = mats[2].size, int(np.count_nonzero(~mats[2]))
-            key1 = mats[0][0][0]
-            pays = np.searchsorted(key1, n0 * n) > _SCAN_BLOCK
-            self._rows = _certified_rows(mats, self._gens) if pays else []
-            self._mats = mats if len(self._rows) < n else None
+            self._rows = _certified_rows(mats, self._gens)
+            self._mats = mats if len(self._rows) < mats[2].size else None
         while len(self._rows) <= i:
             n = self._mats[2].size
             rest = np.arange(len(self._rows), n)

@@ -41,15 +41,15 @@ so the steps may run in any order.  Whatever it needs of C it reads from
 the octonion TitsModel and the integer tables of C: the C⁰ block of the
 Gram matrix of Q is −npol, der C and ad_a act on C⁰ by Dczᵀ and comm_czᵀ
 in Φ₀, a ∈ C⁰ acts on the spin space through La, and Φ₁ reads C⁰ and the
-unit off the tables.  The brackets of so(M, Q) are −½ times
-clifford.so_constants of the Gram matrix of Q; that the σ matrices on M
-and ρ on S represent them is one sparse Jacobi scan each (_rep_witness),
+unit off the tables.  so(M, Q) is −½ times clifford.natural_matrices and
+clifford.so_constants of the Gram matrix G of Q; that the σ matrices on
+M and ρ on S represent it is one sparse Jacobi scan each (_rep_witness),
 and the maps Φ₀ and T ≅ so₁₁ ⊕ spin are checked by the keyed pass of
 superalgebra._first_unpreserved_pair.  Coordinates in an so basis come in
-closed form: σ_ij·G⁻¹ = e_j e_iᵀ − e_i e_jᵀ for G the Gram matrix of Q,
-so X is in so(M, Q) exactly when X·G⁻¹ is skew, with σ_ij-coordinate
-(X·G⁻¹)[j, i]; likewise nat_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ) for the
-natural basis of the l=5 type-B algebra.  Every product of residue
+closed form: σ_ij·G⁻¹ = e_j e_iᵀ − e_i e_jᵀ, so X is in so(M, Q) exactly
+when X·G⁻¹ is skew, with σ_ij-coordinate (X·G⁻¹)[j, i]; likewise
+N_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ) for the natural basis of the l=5
+type-B algebra (checked in the tests).  Every product of residue
 arrays goes through linalg.matmul_modp, whose float64 blocks are exact,
 and every singularity test is a rank_modp.
 """
@@ -73,7 +73,7 @@ from .superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
                            _basis_index, _norton_word, _nullity_one_elements,
                            _spin, _stored_half)
-from .clifford import (ambient_gram, pair_basis, nat_entries, so_constants,
+from .clifford import (ambient_gram, pair_basis, natural_matrices, so_constants,
                        DegenerateForm)
 from .construct import build_superalgebra
 
@@ -210,16 +210,11 @@ class TitsModel:
         self.n1 = 4 * ncz + nod
         self.index = {s: k for k, s in enumerate(self.slots)}
 
-        def clabel(ai):
-            return "E1-E2" if ai == 0 else tables.labels[ai + 1]
-        labels = [f"dC{i}" for i in range(nder)]
-        labels += [f"{clabel(ai)}*{J_LABELS[xj]}"
-                   for ai in range(ncz) for xj in J_EVEN0]
-        labels += [f"dJ{t}" for t in range(nev)]
-        labels += [f"{clabel(ai)}*{J_LABELS[xj]}"
-                   for ai in range(ncz) for xj in ODD_INDICES]
-        labels += [f"dJ{nev + t}" for t in range(nod)]
-        self.labels = tuple(labels)
+        def label(kind, i, xj=None):
+            if kind != "mid":
+                return f"{'dC' if kind == 'der' else 'dJ'}{i}"
+            return f"{'E1-E2' if i == 0 else tables.labels[i + 1]}*{J_LABELS[xj]}"
+        self.labels = tuple(label(*slot) for slot in self.slots)
 
         # C⁰ = the rows of Z (none for the unit)
         Z = exact_array(_czero_maps(n)[1] if ncz else np.zeros((0, n), dtype=int), p)
@@ -391,7 +386,7 @@ def _so_coords(X, ginv, rows, cols, p):
 
 class SoMQ(NamedTuple):
     """so(M, Q) with its pinned σ-basis over all index pairs i < j, as
-    residues mod p: σ_ij = (e_j e_iᵀ − e_i e_jᵀ)·gram.  The structure
+    residues mod p: σ = −½·natural_matrices(gram).  The structure
     constants of `algebra` are clifford.so_constants(gram) times −½,
     checked against the σ matrices by one Jacobi scan of so(M, Q) ⋉ M."""
     field: Field
@@ -415,8 +410,9 @@ def build_so_MQ(field: Field) -> SoMQ:
 
     Q restricted to C⁰ is the negated polar norm (TitsModel.npol); on U⊗U
     it is Q(u₁⊗u₂, v₁⊗v₂) = -(u₁|v₁)(u₂|v₂); the blocks are orthogonal.
-    As σ_ij = −½·[w_i, w_j]. on M for q = G the Gram matrix of Q, the
-    brackets are clifford.so_constants(G) times −½, both orders through
+    As σ_ij = −½·[w_i, w_j]. on M for q = G the Gram matrix of Q, the σ
+    matrices are −½·clifford.natural_matrices(G) and the brackets
+    clifford.so_constants(G) times −½, both orders through
     superalgebra._stored_half.  VerificationFailed, naming the pair or
     the triple, unless the σ matrices represent them on M (_rep_witness).
     """
@@ -436,14 +432,11 @@ def build_so_MQ(field: Field) -> SoMQ:
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pair_index = {pr: k for k, pr in enumerate(pairs)}
-    i, j = np.array(pairs).T
-    d = len(pairs)
-    mats = np.zeros((d, n, n), dtype=np.int64)
-    mats[np.arange(d), j] = gram[i]
-    mats[np.arange(d), i] = -gram[j] % p
+    d, half = len(pairs), pow(-2, -1, p)
+    mats = natural_matrices(gram) * half % p
 
     I, J, K, V = so_constants(gram)
-    I, J, K, V = _stored_half(I, J, K, V * pow(-2, -1, p) % p, d, d, p, False)
+    I, J, K, V = _stored_half(I, J, K, V * half % p, d, d, p, False)
     labels = [f"s{i},{j}" for i, j in pairs]
     algebra = SuperAlgebra._from_coo("so(M,Q)", f, d, 0, labels,
                                      (I, J, K, V, 1), odd_symmetric=False)
@@ -845,16 +838,10 @@ def cross_identify_with_typeB(field: Field) -> dict:
     T = build_tits("octonion", field)
     B5 = build_superalgebra(5, "B", field)
     gw = ambient_gram(5, "B") % p
-    nats = np.zeros((55, 11, 11), dtype=np.int64)
-    for k, ents in enumerate(nat_entries(5, "B")):
-        for r, c, coeff in ents:
-            nats[k, r, c] += coeff
-    # nat_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ): so-coordinates in closed form
+    # N_ab·G_W⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ) for the natural so-basis of B5:
+    # so-coordinates in closed form
     half_gwinv = inv_modp(gw, p) * pow(2, -1, p) % p
     rows, cols = np.array(pair_basis(5, "B").pairs).T
-    coords, inside = _so_coords(nats % p, half_gwinv, rows, cols, p)
-    if not (inside.all() and np.array_equal(coords, np.eye(55, dtype=np.int64))):
-        raise VerificationFailed("natural so basis does not match its closed form")
 
     tau = _hyperbolic_basis(somq.gram, p)
     if tau is None or not np.array_equal(

@@ -15,8 +15,10 @@ from helpers import mask_signs, rho_witness, traces
 from spinor_reference import model
 from spinlab.fields import QQ, GF
 from spinlab.exterior import complement_form_signs
+from spinlab import clifford
+from spinlab.superalgebra import VerificationFailed
 from spinlab.clifford import (ambient_space, ambient_gram,
-                              gram_pairing, half_spin_masks, nat_entries,
+                              gram_pairing, half_spin_masks, natural_matrices,
                               pair_basis, qpair, rho_tables, so_bracket_table,
                               so_constants, so_dim)
 
@@ -66,7 +68,6 @@ NO_BASIS = [
     ("construct", "module_masks", (True, "D"), "l must be an integer", (2, "D")),
     ("clifford", "pair_basis", (2.0, "B"), "l must be an integer", (2, "B")),
     ("clifford", "rho_tables", (True, "B"), "l must be an integer", (1, "B")),
-    ("clifford", "nat_entries", (2.0, "D"), "l must be an integer", (2, "D")),
     ("clifford", "gram_pairing", (True, "B"), "l must be an integer", (1, "B")),
     ("clifford", "so_bracket_table", (2.0, "B"), "l must be an integer", (2, "B")),
     ("clifford", "ambient_gram", (2.0, "D"), "l must be an integer", (2, "D")),
@@ -159,10 +160,7 @@ def test_rho_witness_finds_a_broken_action():
 def test_natural_matrix_lands_in_so(kind, l):
     # N^T G + G N = 0 for the matrix N of each pair on the ambient space
     G = ambient_gram(l, kind)
-    for k, ents in enumerate(nat_entries(l, kind)):
-        N = np.zeros_like(G)
-        for r, c, v in ents:
-            N[r, c] += v
+    for k, N in enumerate(natural_matrices(G)):
         assert (N.T @ G + G @ N == 0).all(), (kind, l, k)
 
 
@@ -184,24 +182,20 @@ def test_spin_weights_have_multiplicity_one(l):
 @pytest.mark.parametrize("kind", ["B", "D"])
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 def test_trace_form_matches_matrix_trace(kind, l):
-    # oracle: (X,Y) = (1/2) tr(nat(X) nat(Y)) computed from the two-entry
-    # sparse adjoint, entrywise over the whole pair basis
-    ents = nat_entries(l, kind)
+    # oracle: (X,Y) = (1/2) tr(nat(X) nat(Y)) computed from dense matrix
+    # products of the natural matrices, entrywise over the whole pair basis
+    nat = natural_matrices(ambient_gram(l, kind))
     npairs = len(pair_basis(l, kind).pairs)
 
-    def sparse_trace(k1, k2):
-        acc = 0
-        e2 = {(r, c): v for r, c, v in ents[k2]}
-        for r, c, v in ents[k1]:
-            acc += v * e2.get((c, r), 0)
-        return Fraction(acc, 2)
+    def dense_trace(k1, k2):
+        return Fraction(int(np.trace(nat[k1] @ nat[k2])), 2)
 
     perm, coef = gram_pairing(l, kind)
     G = np.zeros((npairs, npairs), dtype=np.int64)
     G[np.arange(npairs), perm] = coef
     for k1 in range(npairs):
         for k2 in range(npairs):
-            assert G[k1, k2] == sparse_trace(k1, k2), (k1, k2)
+            assert G[k1, k2] == dense_trace(k1, k2), (k1, k2)
 
 
 def test_gram_matrix_entries_never_vanish_odd_char():
@@ -250,12 +244,8 @@ def test_rho_tables_match_the_per_monomial_rule(kind, l):
 @pytest.mark.parametrize("kind,l", [("B", l) for l in range(1, 6)]
                          + [("D", l) for l in range(2, 6)])
 def test_so_bracket_table_is_the_commutator_of_natural_matrices(kind, l):
-    dim = ambient_space(l, kind).dim
-    npairs = len(pair_basis(l, kind).pairs)
-    N = np.zeros((npairs, dim, dim), dtype=np.int64)
-    for k, ents in enumerate(nat_entries(l, kind)):
-        for r, c, v in ents:
-            N[k, r, c] += v
+    N = natural_matrices(ambient_gram(l, kind))
+    assert N.shape == (len(pair_basis(l, kind).pairs),) + (ambient_space(l, kind).dim,) * 2
     want = np.einsum("irs,jst->ijrt", N, N) - np.einsum("jrs,ist->ijrt", N, N)
     got = np.zeros_like(want)
     k1, k2, k3, c = so_bracket_table(l, kind)
@@ -286,6 +276,7 @@ def test_so_constants_on_random_gram_matrices(dim, p):
         if p:
             q %= p
         N = natural_operators(q)
+        assert np.array_equal(natural_matrices(q), N)
         want = np.einsum("irs,jst->ijrt", N, N) - np.einsum("jrs,ist->ijrt", N, N)
         got = np.zeros_like(want)
         k1, k2, k3, c = so_constants(q)
@@ -296,7 +287,60 @@ def test_so_constants_on_random_gram_matrices(dim, p):
 
 
 def test_so_constants_refuses_a_gram_matrix_it_cannot_read():
-    for q in (np.array([[0, 1], [2, 0]]), np.eye(3), np.zeros((2, 3), dtype=int),
-              np.zeros(4, dtype=int)):
-        with pytest.raises(ValueError, match="square symmetric integer"):
-            so_constants(q)
+    # both so kernels share one input check
+    for kernel in (so_constants, natural_matrices):
+        for q in (np.array([[0, 1], [2, 0]]), np.eye(3), np.zeros((2, 3), dtype=int),
+                  np.zeros(4, dtype=int)):
+            with pytest.raises(ValueError, match="square symmetric integer"):
+                kernel(q)
+
+
+def _tampered_pairing(monkeypatch, l, kind, tamper):
+    """gram_pairing(l, kind) uncached, with tamper applied to a writable
+    copy of the natural matrices it reads; tamper returns the stack."""
+    kernel = clifford.natural_matrices
+    monkeypatch.setattr(clifford, "natural_matrices", lambda q: tamper(kernel(q).copy()))
+    gram_pairing.cache_clear()
+    try:
+        return gram_pairing(l, kind)
+    finally:
+        monkeypatch.undo()
+        gram_pairing.cache_clear()
+
+
+def _diagonal_one(N):
+    # the Cartan pair [v1,f1] of B3 is its own mate; a 1 on its diagonal
+    # at u adds 1 * 1 to its trace
+    N[pair_basis(3, "B").cartan[0], 0, 0] = 1
+    return N
+
+
+def _zeroed(N):
+    # pair 5 of B3 and its mate, pair 2, now trace to 0
+    N[5] = 0
+    return N
+
+
+def _one_short(N):
+    return N[:-1]
+
+
+def _tripled(N):
+    N[5] *= 3
+    return N
+
+
+@pytest.mark.parametrize("tamper,match", [
+    (_diagonal_one, r"^trace pairing of pair 8 is 9, not a nonzero even integer$"),
+    (_zeroed, r"^trace pairing of pair 2 is 0, not a nonzero even integer$"),
+    (_one_short, r"^trace-form partner pairs are not a permutation$"),
+    (_tripled, r"^a trace-form coefficient does not divide 8$")])
+def test_gram_pairing_refuses_a_tampered_natural_stack(tamper, match, monkeypatch):
+    # an odd trace, a zero trace, a stack one pair short of the mate map,
+    # and a coefficient 3 * 4 = 12: each is refused by name
+    want = gram_pairing(3, "B")
+    with pytest.raises(VerificationFailed, match=match):
+        _tampered_pairing(monkeypatch, 3, "B", tamper)
+    got = gram_pairing(3, "B")
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert _tampered_pairing(monkeypatch, 3, "B", lambda N: N)[1].tolist() == want[1].tolist()

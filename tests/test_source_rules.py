@@ -333,10 +333,19 @@ def test_one_kernel_gives_the_so_constants():
     # the structure constants of an orthogonal Lie algebra come from one
     # kernel, clifford.so_constants: it is called only by
     # clifford.so_bracket_table, which construct reads, and by
-    # tits.build_so_MQ; tits.py defines no commutator helper of its own
+    # tits.build_so_MQ; tits.py defines no commutator helper of its own.
+    # Its natural matrices come from clifford.natural_matrices, called
+    # only by clifford.gram_pairing and tits.build_so_MQ: no package file
+    # names the pair-by-pair nat_entries, and cross_identify_with_typeB
+    # rebuilds no natural matrix (the tests check its closed form)
     calls, found = {}, []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} names nat_entries"
+                  for node in ast.walk(tree)
+                  if "nat_entries" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None),
+                                       getattr(node, "name", None))]
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
@@ -349,6 +358,11 @@ def test_one_kernel_gives_the_so_constants():
     users = {key for key, names in calls.items() if "so_constants" in names}
     assert users == {("clifford.py", "so_bracket_table"),
                      ("tits.py", "build_so_MQ")}, users
+    users = {key for key, names in calls.items() if "natural_matrices" in names}
+    assert users == {("clifford.py", "gram_pairing"),
+                     ("tits.py", "build_so_MQ")}, users
+    assert not {"natural_matrices", "nat_entries"} & calls[
+        "tits.py", "cross_identify_with_typeB"]
     assert "so_bracket_table" in calls["construct.py", "_integer_tensor"]
 
 

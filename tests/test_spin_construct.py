@@ -158,6 +158,29 @@ def test_jacobi_rows_are_certified_or_scanned_once_and_on_first_use(monkeypatch)
 
 
 @pytest.mark.parametrize("kind,l", list(CONTENTS))
+def test_every_grid_table_takes_the_certificate_first(kind, l, monkeypatch):
+    # the first row asked of the shared Q rows makes only the
+    # certificate's calls, whatever the size of the table: the full rows
+    # of the generators, then the canonical row n0, and no plain block
+    calls = []
+    scan = superalgebra._scan_rows
+
+    def spy(mats, rows, low):
+        calls.append((list(rows), list(low)))
+        return scan(mats, rows, low)
+
+    monkeypatch.setattr(superalgebra, "_scan_rows", spy)
+    construct._jacobi_rows.cache_clear()
+    try:
+        assert construct._jacobi_rows(l, kind).row(0) == ()
+    finally:
+        construct._jacobi_rows.cache_clear()
+    gens, n0 = sorted(construct._chevalley_generators(l, kind)), clifford.so_dim(l, kind)
+    assert [i for rows, _ in calls for i in rows] == gens + [n0]
+    assert [j for _, low in calls for j in low] == [0] * len(gens) + [n0]
+
+
+@pytest.mark.parametrize("kind,l", list(CONTENTS))
 def test_certified_rows_equal_the_plain_route(kind, l):
     A = construct._assemble(l, kind, QQ)
     gens = construct._chevalley_generators(l, kind)

@@ -9,14 +9,15 @@ from spinlab.cli import _hash_matrix
 from spinlab import composition, kac
 from spinlab.fields import GF, QQ, Field, make_field
 from spinlab.kac import K_FORM, _j_tensor
-from spinlab.linalg import SpanSolver, inv_modp, matmul_modp, nullspace_modp
+from spinlab.linalg import SpanSolver, inv_modp, matmul_modp, nullspace_modp, rank_modp
 from spinlab.construct import build_superalgebra
 from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, _block,
                                   _brackets_into, _first_unpreserved_pair, check_jacobi,
                                   even_subalgebra, j_triple,
                                   norton_irreducible, verify_isomorphism)
 from spinlab import tits
-from spinlab.clifford import ambient_space, qpair
+from spinlab.clifford import (ambient_gram, ambient_space, natural_matrices, pair_basis,
+                              qpair)
 from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, IsometryNotFound,
                           ScalingNotFound, _hyperbolic_basis,
                           _odd_intertwiner, _odd_proportionality,
@@ -560,6 +561,35 @@ def test_so_coordinates_closed_form_matches_span_solver():
     _, inside = somq.coords(Y)
     assert inside.tolist() == [solver.coords(y.reshape(-1).tolist()) is not None
                                for y in Y] == [True] * 10 + [False] * 10
+
+
+def _natural_coordinates(q, pairs):
+    """_so_coords of the natural matrices of q over GF(5), read with
+    ½·q⁻¹ at the pairs (a, b)."""
+    rows, cols = np.array(pairs).T
+    half_qinv = inv_modp(q % 5, 5) * pow(2, -1, 5) % 5
+    return tits._so_coords(natural_matrices(q) % 5, half_qinv, rows, cols, 5)
+
+
+def test_natural_so_basis_coordinates_come_in_closed_form():
+    # N_ab·q⁻¹ = 2(e_a e_bᵀ − e_b e_aᵀ): each natural matrix lies in so(q)
+    # and has coordinate vector e_ab, for the Gram matrix of the l=5 kind B
+    # model that cross_identify_with_typeB reads in this closed form, and
+    # for random nondegenerate q over GF(5)
+    coords, inside = _natural_coordinates(ambient_gram(5, "B"), pair_basis(5, "B").pairs)
+    assert inside.all() and np.array_equal(coords, np.eye(55, dtype=np.int64))
+    rng = np.random.default_rng(2005)
+    checked = set()
+    for dim in (2, 3, 4, 7, 11) * 4:
+        q = rng.integers(0, 5, (dim, dim))
+        q = (q + q.T) % 5
+        if rank_modp(q, 5) < dim:
+            continue
+        pairs = list(zip(*np.triu_indices(dim, 1)))
+        coords, inside = _natural_coordinates(q, pairs)
+        assert inside.all() and np.array_equal(coords, np.eye(len(pairs), dtype=np.int64))
+        checked.add(dim)
+    assert checked == {2, 3, 4, 7, 11}
 
 
 def test_requires_characteristic_5():
