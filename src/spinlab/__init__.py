@@ -13,7 +13,7 @@ from .construct import (build_superalgebra, classify, decompose_type_d_l2,
                         module_masks)
 from .composition import (CompositionAlgebra, make_composition,
                           derivation_algebra, inner_derivation, check_lemma_C)
-from .kac import EnvelopeElement, ch3, ch3_scan
+from .kac import ch3_scan
 from .tits import (TitsModel, TITS_DIMS, build_tits, tits_model, tits_bracket,
                    unit_ideal_split, build_so_MQ, phi0, spin_map_psi,
                    phi1_intertwine, cross_identify_with_typeB)
@@ -31,7 +31,7 @@ __all__ = [
     "module_masks",
     "CompositionAlgebra", "make_composition", "derivation_algebra",
     "inner_derivation", "check_lemma_C",
-    "EnvelopeElement", "ch3", "ch3_scan",
+    "ch3_scan",
     "TitsModel", "TITS_DIMS", "build_tits", "tits_model",
     "tits_bracket", "unit_ideal_split", "build_so_MQ", "phi0",
     "spin_map_psi", "phi1_intertwine", "cross_identify_with_typeB",

@@ -16,10 +16,6 @@ class InvalidField(ValueError):
     """Requested field does not exist here (char 2, composite modulus, ...)."""
 
 
-class FieldMismatch(TypeError):
-    """Two objects over different fields met in one operation."""
-
-
 class DivideByZero(ZeroDivisionError):
     """Division or inversion of the zero scalar."""
 
@@ -75,10 +71,9 @@ class Field:
 
     All methods operate on raw values (Fraction or int).  Fields compare
     equal iff they have the same characteristic, so the Q singleton below
-    and any GF(p) constructed twice interoperate.  The dictionary routes
-    (j_triple and the Grassmann envelope of kac) keep sparse vectors as
-    zero-free {key: raw} dicts and accumulate into them through add_into
-    alone.
+    and any GF(p) constructed twice interoperate.  The dictionary route,
+    superalgebra.j_triple, keeps sparse vectors as zero-free {key: raw}
+    dicts and accumulates into them through add_into alone.
     """
 
     __slots__ = ("p",)
@@ -100,9 +95,6 @@ class Field:
     def zero(self):
         return Fraction(0) if self.p == 0 else 0
 
-    def one(self):
-        return Fraction(1) if self.p == 0 else 1
-
     def of_int(self, n: int):
         return Fraction(n) if self.p == 0 else n % self.p
 
@@ -114,9 +106,6 @@ class Field:
 
     def mul(self, a, b):
         return a * b if self.p == 0 else (a * b) % self.p
-
-    def is_zero(self, a) -> bool:
-        return not a
 
     def add_into(self, acc: dict, key, value) -> None:
         """Add the raw value into acc[key] of the zero-free dict acc: a sum

@@ -1,6 +1,7 @@
 """The tiny Kaplansky superalgebra K, the 10-dimensional Kac Jordan
-superalgebra J = k1 (+) K(x)K, its inner derivations, the Grassmann
-envelope G(J), and the degree-3 Cayley-Hamilton check.
+superalgebra J = k1 (+) K(x)K, its inner derivations, and the degree-3
+Cayley-Hamilton identity on its Grassmann envelope G(J), read off one
+integer polarization array.
 
 K has basis (e | x, y) with e^2 = e, ex = xe = x/2, ey = ye = y/2,
 xy = -yx = e, and the supersymmetric form (e|e) = 1/2, (x|y) = 1.
@@ -11,8 +12,8 @@ J multiplies through
 with 1 the unit.  All structure constants are rational with powers of 2
 in the denominators, so one Fraction table serves every field of odd
 characteristic: _j_tensor reads it as an exact array per characteristic,
-and the inner derivations of J and the product of G(J) come from that
-array.
+and the inner derivations of J come from that array; ch3 reads it once,
+as integers over the common denominator 16, for every field at once.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import wedge_sign, wedge_terms
-from .fields import Field, FieldMismatch, _is_int
-from .linalg import _red, exact_array, pair_products, rref_modp
+from .fields import Field
+from .linalg import _red, common_denominator, exact_array, pair_products, rref_modp
 from .superalgebra import VerificationFailed
 
 K_LABELS = ("e", "x", "y")
@@ -84,13 +84,6 @@ def _j_fractions() -> np.ndarray:
     return _frozen(tab)
 
 
-@lru_cache(maxsize=None)
-def _j_field_table(field: Field):
-    """table[i][j] = ((k, raw), ...): the nonzero e_k-coefficients of e_i e_j."""
-    return tuple(tuple(tuple((k, v) for k, v in enumerate(cell) if v) for cell in row)
-                 for row in _j_tensor(field.p).tolist())
-
-
 def _supercommutators(X, odd, p: int) -> np.ndarray:
     """(d, d, n, n) array of [X_a, X_b] = X_a X_b - (-1)^{|a||b|} X_b X_a
     over all pairs of the stack X of n x n exact arrays over the field of
@@ -139,173 +132,64 @@ def _inder_basis(p: int):
 
 
 # ---------------------------------------------------------------------------
-# Grassmann envelope
-
-
-class EnvelopeElement:
-    """Even element of the Grassmann envelope G(J) on m generators.
-
-    terms maps (grassmann mask, J basis index) -> raw coefficient, with
-    the monomial degree matching the J parity mod 2, so the element is
-    even overall and G(J) is an honest commutative Jordan algebra.  A key
-    outside range(2**m) x range(10), or m not an int >= 0, is refused.
-    """
-
-    __slots__ = ("m", "field", "terms")
-
-    def __init__(self, m: int, field: Field, terms):
-        if not _is_int(m) or m < 0:
-            raise ValueError(f"m must be a non-negative int, not {m!r}")
-        m = int(m)
-        clean = {}
-        for key, c in dict(terms).items():
-            g, j = key
-            if not _is_int(g) or not 0 <= g < (1 << m):
-                raise ValueError(f"monomial mask of key {key!r} outside "
-                                 f"range({1 << m})")
-            if not _is_int(j) or not 0 <= j < J_DIM:
-                raise ValueError(f"J index of key {key!r} outside range({J_DIM})")
-            g, j = int(g), int(j)
-            if g.bit_count() & 1 != J_PARITY[j]:
-                raise ValueError(
-                    f"parity mismatch: mask {g:b} with generator {J_LABELS[j]}")
-            c = field.raw(c)
-            if not field.is_zero(c):
-                clean[(g, j)] = c
-        self.m = m
-        self.field = field
-        self.terms = clean
-
-    @classmethod
-    def unit(cls, m: int, field: Field) -> "EnvelopeElement":
-        return cls(m, field, {(0, 0): field.one()})
-
-    def _like(self, terms: dict) -> "EnvelopeElement":
-        """An element on the generators and field of self, terms being a
-        zero-free dict of checked keys and raw values that it takes as is."""
-        out = EnvelopeElement.__new__(EnvelopeElement)
-        out.m, out.field, out.terms = self.m, self.field, terms
-        return out
-
-    def _compat(self, other):
-        if self.m != other.m:
-            raise ValueError("generator counts differ")
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    def __add__(self, other):
-        self._compat(other)
-        f = self.field
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            f.add_into(out, key, c)
-        return self._like(out)
-
-    def lam_scale(self, lam: dict) -> "EnvelopeElement":
-        """Multiply by an even Grassmann scalar {mask: raw}."""
-        f = self.field
-        out = {}
-        for gm, c in lam.items():
-            if gm.bit_count() & 1:
-                raise ValueError("Grassmann scalar must be even")
-            for (g, j), v in self.terms.items():
-                s = wedge_sign(gm, g)
-                if not s:
-                    continue
-                w = f.mul(c, v)
-                f.add_into(out, (gm | g, j), w if s > 0 else f.neg(w))
-        return self._like(out)
-
-    def __mul__(self, other):
-        if not isinstance(other, EnvelopeElement):
-            return NotImplemented
-        self._compat(other)
-        # (u (x) a)(v (x) b) = (-1)^{|a||v|} uv (x) ab
-        f = self.field
-        tab = _j_field_table(f)
-        out = {}
-        for (ga, ja), ca in self.terms.items():
-            pj = J_PARITY[ja]
-            for (gb, jb), cb in other.terms.items():
-                ws = wedge_sign(ga, gb)
-                if not ws:
-                    continue
-                if pj and gb.bit_count() & 1:
-                    ws = -ws
-                c = f.mul(ca, cb)
-                c = c if ws > 0 else f.neg(c)
-                for k, v in tab[ja][jb]:
-                    f.add_into(out, (ga | gb, k), f.mul(c, v))
-        return self._like(out)
-
-    def lambda_trace(self) -> dict:
-        """The normalized trace extended Lambda-linearly: {mask: raw}.  The
-        unit 1 = J_0 is the only basis element of trace 1, so this is the
-        J_0 part of the terms, each mask once and each value nonzero."""
-        return {g: c for (g, j), c in self.terms.items() if j == 0}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, EnvelopeElement):
-            return NotImplemented
-        return (self.m, self.field, self.terms) == (other.m, other.field, other.terms)
-
-    def support(self) -> list:
-        """Sorted [(mask, j, coeff string), ...] for reports."""
-        f = self.field
-        return [[g, j, f.to_str(c)] for (g, j), c in sorted(self.terms.items())]
-
-    def __repr__(self):
-        f = self.field
-        bits = []
-        for (g, j), c in sorted(self.terms.items()):
-            mono = "".join(f"q{i+1}" for i in range(self.m) if g >> i & 1) or "1"
-            bits.append(f"{f.to_str(c)}*{mono}*{J_LABELS[j]}")
-        return " + ".join(bits) if bits else "0"
-
-
-def ch3(x: EnvelopeElement) -> EnvelopeElement:
-    """The degree-3 Cayley-Hamilton value
-
-        x^3 - 3 t(x) x^2 + ((9/2) t(x)^2 - (3/2) t(x^2)) x
-            - (t(x^3) - (9/2) t(x^2) t(x) + (9/2) t(x)^3) 1,
-
-    with t extended Lambda-linearly; identically zero on G(J) exactly in
-    characteristic 5.  The traces are even Grassmann scalars, zero-free
-    {mask: raw} dicts, multiplied by exterior.wedge_terms.
-    """
-    f = x.field
-    x2 = x * x
-    x3 = x2 * x
-    t1 = x.lambda_trace()
-    t2 = x2.lambda_trace()
-    t3 = x3.lambda_trace()
-    nine_half = f.raw(Fraction(9, 2))
-    three_half = f.raw(Fraction(3, 2))
-    t1t1 = wedge_terms(f, t1, t1)
-    t1t1t1 = wedge_terms(f, t1t1, t1)
-    t2t1 = wedge_terms(f, t2, t1)
-
-    def lam_comb(*pairs):
-        acc = {}
-        for coeff, lam in pairs:
-            for g, c in lam.items():
-                f.add_into(acc, g, f.mul(coeff, c))
-        return acc
-
-    out = x3
-    out = out + x2.lam_scale(lam_comb((f.of_int(-3), t1)))
-    out = out + x.lam_scale(lam_comb((nine_half, t1t1), (f.neg(three_half), t2)))
-    const = lam_comb((f.neg(f.one()), t3), (nine_half, t2t1),
-                     (f.neg(nine_half), t1t1t1))
-    out = out + EnvelopeElement.unit(x.m, f).lam_scale(const)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the degree-3 identity
+
+# the multisets {a, b, c} of basis indices, in the order of ch3's rows
+_TRIPLES = tuple(itertools.combinations_with_replacement(range(J_DIM), 3))
+
+
+@lru_cache(maxsize=1)
+def ch3():
+    """(P, scale): the super-polarization of the degree-3 Cayley-Hamilton
+    polynomial of J,
+
+        ch3(x) = x^3 - 3 t(x) x^2 + ((9/2) t(x)^2 - (3/2) t(x^2)) x
+                 - (t(x^3) - (9/2) t(x^2) t(x) + (9/2) t(x)^3) 1,
+
+    t the coefficient of 1, as a read-only (220, 10) int64 array P and an
+    int scale.  Row n belongs to the n-th multiset {a, b, c} of
+    _TRIPLES: for x = u_a (x) a + u_b (x) b + u_c (x) c in the Grassmann
+    envelope G(J), each u a Grassmann monomial of the parity of its basis
+    element on generators of its own, ch3(x) = u_a u_b u_c (x) P[n] / scale.
+
+    Each term of ch3(x) that survives takes every u once, so ch3(x) is a
+    sum over the six orderings (i, j, k) of the three places.  Each
+    summand is gathered from the integer tensor N = d J (d = 16,
+    linalg.common_denominator of _j_fractions) or from its products
+    NN[x, y, z] = d^2 (e_x e_y) e_z, and carries one sign: the Koszul sign
+    of bringing u_i u_j u_k to u_a u_b u_c, times (-1)^{|a||v|} for each
+    product (u (x) a)(v (x) b) = (-1)^{|a||v|} uv (x) ab.  The trace of
+    u (x) e_x is u when e_x is the unit and 0 otherwise, so a trace
+    factor keeps a summand only where its places hold the unit.  The
+    scale is 2 d^2.
+
+    Bound: |N| <= d = 16, so |NN| <= 10 * 16^2 = 2560, the seven terms of
+    one ordering are at most 2 * 2 * 2560 + (6 + 3 + 9) * 16 * 16
+    + 2 * 9 * 16^2 = 19456 in absolute value, and every entry of P is
+    less than 6 * 19456 < 2^17: no int64 step overflows.
+    """
+    num, d = common_denominator(_j_fractions())
+    N = num.astype(np.int64)
+    order = np.array(list(itertools.permutations(range(3))))
+    a = [np.array(_TRIPLES)[:, order[:, s]] for s in range(3)]   # (220, 6) each
+    odd = [np.array(J_PARITY)[x] for x in a]
+    unit = [(x == 0).astype(np.int64) for x in a]                 # t(e_x)
+    swaps = sum((order[:, s] > order[:, r]) * odd[s] * odd[r]
+                for s, r in ((0, 1), (0, 2), (1, 2)))
+    s1 = 1 - 2 * (swaps & 1)                                      # u_i u_j u_k
+    s2 = s1 * (1 - 2 * (odd[0] * odd[1] & 1))                     # ... with e_i e_j
+    s3 = s2 * (1 - 2 * ((odd[0] + odd[1]) * odd[2] & 1))          # ... with (e_i e_j) e_k
+    ij = N[a[0], a[1]]
+    NN = sum(N[:, :, m, None, None] * N[m] for m in range(J_DIM))
+    ijk = NN[a[0], a[1], a[2]]
+    tt = s1 * unit[0] * unit[1]
+    vec = (2 * s3[..., None] * ijk
+           - 6 * d * (s2 * unit[2])[..., None] * ij
+           + (9 * d * d * tt - 3 * d * s2 * ij[..., 0])[..., None]
+           * np.eye(J_DIM, dtype=np.int64)[a[2]])
+    vec[..., 0] += (-2 * s3 * ijk[..., 0] + 9 * d * s2 * ij[..., 0] * unit[2]
+                    - 9 * d * d * tt * unit[2])
+    return _frozen(vec.sum(axis=1)), 2 * d * d
 
 
 def ch3_scan(field: Field) -> dict:
@@ -315,31 +199,32 @@ def ch3_scan(field: Field) -> dict:
     + u_c (x) c, with u_a, u_b, u_c nilpotent Grassmann monomials on
     disjoint generators, every term repeating a u drops out and
 
-        ch3(x) = +-u_a u_b u_c (x) P(a, b, c),
+        ch3(x) = u_a u_b u_c (x) P(a, b, c),
 
-    P being the super-polarization of ch3.  Each u is one fresh
-    generator for an odd basis element of J and a pair for an even one,
-    so 6 generators serve all C(12, 3) = 220 multisets {a, b, c} of basis
-    elements.  The monomial u_a u_b u_c is nonzero, so a nonzero value
-    is a witness.  Conversely ch3(x) = P(x, x, x) / 3! on all of G(J),
-    P extended Lambda-linearly, so when 6 is invertible (Q and p >= 5)
-    all 220 values vanishing proves the identity: "pass".  For p = 3,
-    3! = 0 and vanishing polarizations prove nothing: "inconclusive".
+    P being the super-polarization of ch3, the array of ch3().  Each u is
+    one fresh generator for an odd basis element of J and a pair for an
+    even one, so 6 generators serve all C(12, 3) = 220 multisets {a, b, c}
+    of basis elements.  The monomial u_a u_b u_c is nonzero, so a nonzero
+    value is a witness: the first one, with x and the value as sorted
+    [mask, j, coefficient] supports.  Conversely ch3(x) = P(x, x, x) / 3!
+    on all of G(J), P extended Lambda-linearly, so when 6 is invertible
+    (Q and p >= 5) all 220 values vanishing proves the identity: "pass".
+    For p = 3, 3! = 0 and vanishing polarizations prove nothing:
+    "inconclusive".
     """
-    f, m = field, 6
-    checked = 0
-    for triple in itertools.combinations_with_replacement(range(J_DIM), 3):
-        terms, gen = {}, 0
-        for j in triple:
-            width = 1 if J_PARITY[j] else 2
-            terms[((1 << width) - 1) << gen, j] = f.one()
-            gen += width
-        x = EnvelopeElement(m, f, terms)
-        v = ch3(x)
-        checked += 1
-        if not v.is_zero():
-            return {"verdict": "witness", "checked": checked,
-                    "witness": {"x": x.support(), "value": v.support()},
-                    "m": m, "field": f.p}
-    return {"verdict": "inconclusive" if f.p == 3 else "pass", "witness": None,
-            "checked": checked, "m": m, "field": f.p}
+    P, scale = ch3()
+    p = field.p
+    hits = np.flatnonzero((P % p if p else P).any(axis=1))
+    if not len(hits):
+        return {"verdict": "inconclusive" if p == 3 else "pass", "witness": None,
+                "checked": len(P), "m": 6, "field": p}
+    n = int(hits[0])
+    x, used = [], 0
+    for j in _TRIPLES[n]:
+        width = 1 if J_PARITY[j] else 2
+        x.append([((1 << width) - 1) << used, j, "1"])
+        used += width
+    row = [field.raw(Fraction(int(v), scale)) for v in P[n]]
+    value = [[(1 << used) - 1, k, field.to_str(c)] for k, c in enumerate(row) if c]
+    return {"verdict": "witness", "checked": n + 1,
+            "witness": {"x": x, "value": value}, "m": 6, "field": p}

@@ -108,7 +108,7 @@ class SuperAlgebra:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"basis index out of range in ({i},{j})")
             clean = {k: r for k, v in dict(terms).items()
-                     if not f.is_zero(r := f.raw(v))}
+                     if (r := f.raw(v)) != 0}
             if not clean:
                 continue
             if i > j:
@@ -229,8 +229,8 @@ class SuperAlgebra:
         f = self.field
         n = self.dim
         out = [f.zero()] * n
-        nx = [(i, v) for i, v in enumerate(x) if not f.is_zero(v)]
-        ny = [(j, v) for j, v in enumerate(y) if not f.is_zero(v)]
+        nx = [(i, v) for i, v in enumerate(x) if v != 0]
+        ny = [(j, v) for j, v in enumerate(y) if v != 0]
         for i, xi in nx:
             for j, yj in ny:
                 terms = self.bracket_terms(i, j)

@@ -235,9 +235,9 @@ def ideal_closure_by_dictionary(A, seeds):
     while queue:
         x = queue.pop()
         for a in range(n):
-            ea = [f.one() if t == a else f.zero() for t in range(n)]
+            ea = [f.of_int(1) if t == a else f.zero() for t in range(n)]
             w = A.bracket_vectors(ea, x)
-            if any(not f.is_zero(c) for c in w) and not space.contains(w):
+            if any(c != 0 for c in w) and not space.contains(w):
                 space.insert([w])
                 queue.append(w)
     return space.basis.tolist()

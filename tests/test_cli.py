@@ -248,7 +248,7 @@ def tampered(l, kind, field, **kw):
         # let [v1,f2], in the second ideal, act on the first ideal's odd part
         k = construct.pair_basis(2, "D").labels.index("[v1,f2]")
         table = {key: dict(terms) for key, terms in A.table.items()}
-        table[(k, A.n0)] = {A.n0 + 1: field.one()}
+        table[(k, A.n0)] = {A.n0 + 1: field.of_int(1)}
         A = SuperAlgebra(A.name, field, A.n0, A.n1, A.labels, table,
                          A.odd_symmetric)
     return A

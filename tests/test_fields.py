@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from envelope_reference import EnvelopeElement, FieldMismatch
 from spinlab.construct import build_superalgebra
-from spinlab.fields import Field, FieldMismatch, InvalidField, QQ, GF, make_field
-from spinlab.kac import EnvelopeElement
+from spinlab.fields import Field, InvalidField, QQ, GF, make_field
+from spinlab.superalgebra import j_triple
 
 FIELDS = [QQ, GF(3), GF(5), GF(7)]
 
@@ -28,8 +29,8 @@ def test_field_axioms_randomized(f):
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.add(a, f.neg(a)) == f.zero()
-        if not f.is_zero(a):            # raw of 1/a is the inverse
-            assert f.mul(a, f.raw(1 / Fraction(a))) == f.one()
+        if a != 0:            # raw of 1/a is the inverse
+            assert f.mul(a, f.raw(1 / Fraction(a))) == f.of_int(1)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
@@ -44,7 +45,7 @@ def test_raw_accepts_fractions_over_gf():
     f = GF(7)
     # -3/4 = -3 * 4^{-1} = 4 * 2 = 8 = 1 mod 7
     assert f.raw(Fraction(-3, 4)) == 1
-    assert f.raw(Fraction(1, 2)) == 4 and f.mul(4, f.of_int(2)) == f.one()
+    assert f.raw(Fraction(1, 2)) == 4 and f.mul(4, f.of_int(2)) == f.of_int(1)
     with pytest.raises(ZeroDivisionError):
         f.raw(Fraction(1, 7))
 
@@ -58,10 +59,10 @@ def test_add_into_keeps_the_dict_zero_free(f):
     assert acc == {"b": three}
     f.add_into(acc, "c", f.zero())              # zero into an absent key
     assert acc == {"b": three}
-    f.add_into(acc, "b", f.one())               # a nonzero sum is stored
+    f.add_into(acc, "b", f.of_int(1))               # a nonzero sum is stored
     f.add_into(acc, "d", f.raw(Fraction(1, 2)))
     assert acc == {"b": f.of_int(4), "d": f.raw(Fraction(1, 2))}
-    f.add_into(acc, "b", f.one())               # 5 vanishes only in GF(5)
+    f.add_into(acc, "b", f.of_int(1))               # 5 vanishes only in GF(5)
     assert acc == ({"b": f.of_int(5), "d": f.raw(Fraction(1, 2))} if f.p == 0
                    else {"d": 3})
 
@@ -119,7 +120,7 @@ def test_field_identity_and_hashing():
 
 @pytest.mark.parametrize("f", FIELDS, ids=repr)
 def test_to_str_round_trips_through_fraction(f):
-    vals = [f.zero(), f.one(), f.of_int(-7), f.raw(Fraction(3, 4))]
+    vals = [f.zero(), f.of_int(1), f.of_int(-7), f.raw(Fraction(3, 4))]
     for v in vals:
         assert f.raw(Fraction(f.to_str(v))) == v
 
@@ -127,34 +128,37 @@ def test_to_str_round_trips_through_fraction(f):
 # -- every scalar the package returns is a raw field value -------------------
 
 def scalar_values(f):
-    """The scalar-valued functions on pinned arguments over f: the values
-    of EnvelopeElement.lambda_trace."""
-    lam = EnvelopeElement(2, f, {(0, 0): Fraction(-1, 2), (3, 0): 3,
-                                 (0, 1): 2}).lambda_trace()
-    return {"lambda_trace(1)": lam[0], "lambda_trace(q1q2)": lam[3]}
+    """The scalar-valued functions on pinned arguments over f: coefficients
+    of SuperAlgebra.bracket_terms and of j_triple on B3, whose Jacobi
+    identity fails at (21, 22, 27) over Q and GF(5)."""
+    A = build_superalgebra(3, "B", f)
+    return {"bracket_terms(21, 22)": A.bracket_terms(21, 22)[20],
+            "bracket_terms(0, 1)": A.bracket_terms(0, 1)[6],
+            "j_triple(21, 22, 27)": j_triple(A, 21, 22, 27)[21]}
 
 
 def test_scalar_valued_functions_return_fractions_over_qq():
     vals = scalar_values(QQ)
     assert all(type(v) is Fraction for v in vals.values()), vals
-    assert vals == {"lambda_trace(1)": Fraction(-1, 2), "lambda_trace(q1q2)": 3}
+    assert vals == {"bracket_terms(21, 22)": Fraction(1, 2),
+                    "bracket_terms(0, 1)": 4, "j_triple(21, 22, 27)": Fraction(-3, 4)}
 
 
 def test_scalar_valued_functions_return_residues_over_gf5():
     vals = scalar_values(GF(5))
     assert all(type(v) is int and 0 <= v < 5 for v in vals.values()), vals
-    assert vals == {"lambda_trace(1)": 2, "lambda_trace(q1q2)": 3}
+    assert vals == {"bracket_terms(21, 22)": 3, "bracket_terms(0, 1)": 4,
+                    "j_triple(21, 22, 27)": 3}
 
 
 def test_mutable_objects_are_unhashable():
     f = GF(3)
-    objs = [build_superalgebra(1, "B", f), EnvelopeElement.unit(2, f)]
-    for obj in objs:
-        with pytest.raises(TypeError):
-            hash(obj)
+    with pytest.raises(TypeError):
+        hash(build_superalgebra(1, "B", f))
 
 
 def test_mixing_fields_raises_field_mismatch():
+    # in the reference envelope of the Kac superalgebra (envelope_reference)
     q, g = QQ, GF(5)
     with pytest.raises(FieldMismatch):
         EnvelopeElement.unit(2, q) * EnvelopeElement.unit(2, g)

@@ -5,15 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import envelope_reference
+from envelope_reference import EnvelopeElement, _j_field_table, ch3
+from exterior_reference import wedge_sign
 from helpers import j_associators, j_product, lmul_brackets_by_loops
 from spinlab import kac
-from spinlab.exterior import wedge_sign
 from spinlab.fields import GF, QQ, make_field
 from spinlab.kac import (EVEN_INDICES, J_DIM, J_LABELS, J_PARITY, K_FORM,
-                         K_PARITY, K_TABLE, ODD_INDICES, EnvelopeElement,
-                         _inder_basis, _j_field_table, _j_tensor, _lmul_brackets,
-                         _tensor_index, ch3, ch3_scan)
-from spinlab.linalg import exact_array, rank_modp
+                         K_PARITY, K_TABLE, ODD_INDICES, _inder_basis,
+                         _j_fractions, _j_tensor, _lmul_brackets, _tensor_index,
+                         ch3_scan)
+from spinlab.linalg import common_denominator, exact_array, rank_modp
 
 EE = _tensor_index(0, 0)
 
@@ -206,7 +208,7 @@ def test_envelope_jordan_laws():
 def test_envelope_check_catches_corruption(monkeypatch):
     tab = [list(map(list, row)) for row in _j_field_table(GF(5))]
     tab[1][1] = [(0, 1), (1, 1)]
-    monkeypatch.setattr(kac, "_j_field_table", lambda field: tab)
+    monkeypatch.setattr(envelope_reference, "_j_field_table", lambda field: tab)
     assert jordan_envelope_check(GF(5), 3, samples=6, seed=3) is not None
 
 
@@ -243,6 +245,69 @@ def _random_envelope(rng, m, fld):
 # a pinned element of G(J) on 4 generators, xi_1 (x) e(x)x + xi_2 (x) e(x)x
 # + xi_3 (x) e(x)y + xi_4 (x) x(x)e, where ch3 does not vanish over Q, GF(7)
 OLD_WITNESS_X = {(1, 2): 1, (2, 2): 1, (4, 3): 1, (8, 4): 1}
+
+
+def zero_polarization():
+    """A stand-in for kac.ch3 under which every polarization vanishes."""
+    return np.zeros((220, J_DIM), dtype=np.int64), 512
+
+
+def polarization_element(triple, fld):
+    """u_a (x) a + u_b (x) b + u_c (x) c on 6 generators, each u on its own
+    generators (one for an odd basis element, two for an even one), as a
+    reference element, and the mask of u_a u_b u_c."""
+    terms, used = {}, 0
+    for j in triple:
+        width = 1 if J_PARITY[j] else 2
+        terms[((1 << width) - 1) << used, j] = 1
+        used += width
+    return EnvelopeElement(6, fld, terms), (1 << used) - 1
+
+
+TRIPLES = list(itertools.combinations_with_replacement(range(J_DIM), 3))
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(3), GF(5), GF(7)], ids=repr)
+def test_polarization_array_is_ch3_of_the_envelope_on_every_triple(fld):
+    # ch3(u_a a + u_b b + u_c c) = u_a u_b u_c (x) P[n] / scale, with ch3
+    # evaluated element by element in the reference envelope
+    P, scale = kac.ch3()
+    assert len(TRIPLES) == len(P) == 220
+    for n, triple in enumerate(TRIPLES):
+        x, top = polarization_element(triple, fld)
+        want = {(top, k): c for k, v in enumerate(P[n].tolist())
+                if (c := fld.raw(Fraction(v, scale)))}
+        assert ch3(x).terms == want, (n, triple)
+
+
+def test_polarization_array_content_is_5_16():
+    # 57 nonzero values whose content over Z is 5/16: for p >= 5, ch3 holds
+    # in characteristic p exactly when p = 5
+    P, scale = kac.ch3()
+    assert P.dtype == np.int64 and P.shape == (220, J_DIM)
+    assert not P.flags.writeable and kac.ch3() is kac.ch3()
+    assert scale == 512 and np.count_nonzero(P) == 57
+    assert Fraction(int(np.gcd.reduce(P[P != 0])), scale) == Fraction(5, 16)
+    # the premise and the conclusion of the int64 bound in ch3's docstring
+    num, d = common_denominator(_j_fractions())
+    assert d == 16 and max(abs(v) for v in num.flat) == 16
+    assert np.abs(P).max() == 3360 < 1 << 17
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_scan_verdict_is_whether_p_divides_every_value(p):
+    P, _ = kac.ch3()
+    kept = np.flatnonzero((P % p).any(axis=1))
+    r = ch3_scan(GF(p))
+    if not len(kept):
+        assert p == 5
+        assert (r["verdict"], r["checked"], r["witness"]) == ("pass", 220, None)
+        return
+    n = int(kept[0])
+    assert (r["verdict"], r["checked"], r["m"], r["field"]) == ("witness", n + 1, 6, p)
+    x, top = polarization_element(TRIPLES[n], GF(p))
+    assert r["witness"] == {"x": x.support(), "value": ch3(x).support()}
+    assert r["witness"]["value"][0][0] == top
 
 
 class TestCh3Scan:
@@ -290,8 +355,7 @@ class TestCh3Scan:
     @pytest.mark.parametrize("p,verdict", [(3, "inconclusive"), (7, "pass")])
     def test_vanishing_check_verdict(self, monkeypatch, p, verdict):
         # 3! = 0 mod 3, so vanishing polarizations prove nothing there
-        monkeypatch.setattr(kac, "ch3",
-                            lambda x: EnvelopeElement(x.m, x.field, {}))
+        monkeypatch.setattr(kac, "ch3", zero_polarization)
         r = ch3_scan(GF(p))
         assert (r["verdict"], r["checked"], r["witness"]) == (verdict, 220, None)
 

@@ -131,8 +131,8 @@ def test_rowspace_membership(f):
     assert sp.insert([[f.of_int(2), f.of_int(4), f.zero()]]) == 0
     assert sp.dim == 1
     assert sp.contains([f.of_int(-3), f.of_int(-6), f.zero()])
-    assert not sp.contains([f.one(), f.zero(), f.zero()])
-    assert sp.insert([[f.zero(), f.zero(), f.one()]]) == 1
+    assert not sp.contains([f.of_int(1), f.zero(), f.zero()])
+    assert sp.insert([[f.zero(), f.zero(), f.of_int(1)]]) == 1
     basis = sp.basis
     assert basis.shape == (2, 3)
     # reduction clears the pivot columns 0 and 2 and keeps what is left
@@ -238,7 +238,7 @@ def test_span_solver_coords(f):
     for c, row in zip(coeffs, rows):
         recon = [f.add(a, f.mul(c, b)) for a, b in zip(recon, row)]
     assert recon == target
-    assert sol.coords([f.one(), f.zero(), f.one()]) is None
+    assert sol.coords([f.of_int(1), f.zero(), f.of_int(1)]) is None
 
 
 def test_matmul_modp_exact_at_the_largest_prime():

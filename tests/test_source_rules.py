@@ -298,14 +298,10 @@ def test_built_tables_pass_one_both_orders_gate():
                         ("construct.py", "_check_key_bound")}, refusals
 
 
-def test_dictionary_routes_share_one_accumulator_and_one_wedge():
+def test_dictionary_routes_share_one_accumulator():
     # a zero-free {key: raw} dict is summed into by Field.add_into alone:
-    # no module but fields.py drops a vanished key with .pop(key, None).
-    # The Grassmann scalars of kac.ch3 multiply by exterior.wedge_terms,
-    # the one exterior product; in kac.py only the envelope products,
-    # whose keys carry a J index, read wedge_sign themselves
+    # no module but fields.py drops a vanished key with .pop(key, None)
     found = []
-    uses = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -315,17 +311,34 @@ def test_dictionary_routes_share_one_accumulator_and_one_wedge():
                     and isinstance(node.args[1], ast.Constant)
                     and node.args[1].value is None):
                 found.append(f"{path.name}:{node.lineno} drops a zero sum itself")
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                uses[path.name, fn.name] = {
-                    getattr(node, "id", None) for node in ast.walk(fn)
-                    if isinstance(node, ast.Name)}
-    found += [f"kac.py {name} reads wedge_sign" for (mod, name), names in uses.items()
-              if mod == "kac.py" and "wedge_sign" in names
-              and name not in ("lam_scale", "__mul__")]
-    found += [f"{mod} {name} does not call wedge_terms"
-              for mod, name in (("kac.py", "ch3"),)
-              if "wedge_terms" not in uses[mod, name]]
+    assert not found, found
+
+
+def test_ch3_reads_j_through_one_polarization_array():
+    # the Grassmann envelope of J lives in tests/envelope_reference.py: no
+    # package file names its element type, its product table or its
+    # exterior product, kac.py defines no class, and ch3_scan reads J only
+    # through the polarization array of kac.ch3
+    gone = ("EnvelopeElement", "wedge_terms", "_j_field_table")
+    tables = ("_j_tensor", "_j_fractions", "K_TABLE", "K_FORM", "common_denominator")
+    field_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+                ast.FunctionDef: "name", ast.ClassDef: "name"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = getattr(node, field_of.get(type(node), ""), None)
+            if name in gone:
+                found.append(f"{path.name}:{node.lineno} names {name}")
+            if path.name == "kac.py" and isinstance(node, ast.ClassDef):
+                found.append(f"kac.py:{node.lineno} defines class {name}")
+    tree = ast.parse((PACKAGE / "kac.py").read_text())
+    scan = next(fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "ch3_scan")
+    names = {node.id for node in ast.walk(scan) if isinstance(node, ast.Name)}
+    found += [f"ch3_scan names {name}" for name in sorted(names & set(tables))]
+    if "ch3" not in names:
+        found.append("ch3_scan does not call ch3")
     assert not found, found
 
 
@@ -430,9 +443,6 @@ UNREACHED = {
     "composition.inner_derivation": "bench",
     "composition.ad_matrix": "bench",
     "construct.generator_triples": "test_spin_construct::test_generator_triples_shape",
-    "exterior.bar_sign": "test_exterior::test_involutions_are_involutive_antiautomorphisms",
-    "exterior.hat_sign": "test_exterior::test_involutions_are_involutive_antiautomorphisms",
-    "exterior.form_sign": "test_exterior::test_half_spin_parts_isotropic_for_bhat_odd_l",
     "fields.Field.from_str": "load",
     "linalg.RowSpaceModP.contains": "test_linalg::test_rowspace_membership",
     "linalg.SpanSolver.rank": "test_linalg::test_span_solver_coords",

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -10,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinlab import clifford, construct, exterior, superalgebra, tits
+from spinlab import clifford, construct, superalgebra, tits
 from spinlab.fields import QQ, GF, Field, make_field
-from spinlab.exterior import b_is_symmetric, bhat_is_symmetric, form_sign
+from spinlab.exterior import b_is_symmetric, bhat_is_symmetric
 from spinlab.clifford import gram_pairing, rho_tables
 from spinlab.construct import (OddHalfSpinUnsupported, bracket_is_symmetric,
                                build_superalgebra, classify,
@@ -21,6 +22,7 @@ from spinlab.construct import (OddHalfSpinUnsupported, bracket_is_symmetric,
 from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
                                   j_triple)
 
+from exterior_reference import form_sign
 from helpers import CONTENTS, closed_form_cases, gauss_jordan
 
 CHARS = (0, 3, 5, 7)
@@ -444,10 +446,10 @@ def test_gf_structure_constants_are_mod_p_reductions(kind, ls):
             Ap = build_superalgebra(l, kind, f)
             assert Ap.table.keys() >= AQ.table.keys() - {
                 k for k, cell in AQ.table.items()
-                if all(f.is_zero(f.raw(v)) for v in cell.values())}
+                if all(f.raw(v) == 0 for v in cell.values())}
             for key, cell in AQ.table.items():
                 reduced = {k: f.raw(v) for k, v in cell.items()
-                           if not f.is_zero(f.raw(v))}
+                           if f.raw(v) != 0}
                 assert Ap.table.get(key, {}) == reduced, (kind, l, p, key)
             for key in Ap.table:
                 assert key in AQ.table, (kind, l, p, key)
@@ -636,24 +638,23 @@ def test_an_entry_without_its_other_order_is_refused(block, monkeypatch):
         _build_with_tampered_block(monkeypatch, block, drop_one_off_diagonal)
 
 
-def test_build_does_no_per_monomial_work(monkeypatch):
-    calls = []
-    modules = [m for name, m in sys.modules.items() if name.startswith("spinlab")]
-    for owner, name in ((exterior, "wedge_sign"), (exterior, "form_sign")):
-        fn = getattr(owner, name)
-
-        def spy(*args, _fn=fn, _name=name):
-            calls.append(_name)
-            return _fn(*args)
-
-        for m in modules:
-            if getattr(m, name, None) is fn:
-                monkeypatch.setattr(m, name, spy)
-    for cached in (clifford.rho_tables, clifford.so_bracket_table,
-                   clifford.gram_pairing, construct._integer_tensor):
-        cached.cache_clear()
-    build_superalgebra(8, "B", GF(7))
-    assert calls == []
+def test_build_does_no_per_monomial_work():
+    # the tables read their signs as whole arrays (complement_form_signs,
+    # rho_tables): no package file names a sign function of one monomial
+    # or one pair of monomials, whose references live in
+    # tests/exterior_reference.py, and exterior.py defines none
+    per_monomial = ("wedge_sign", "bar_sign", "hat_sign", "form_sign")
+    field_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+                ast.FunctionDef: "name"}
+    package = Path(construct.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, field_of.get(type(node), ""), None)
+            if name in per_monomial or (path.name == "exterior.py" and isinstance(
+                    node, ast.FunctionDef) and name.endswith("_sign")):
+                found.append(f"{path.name}:{node.lineno} names {name}")
+    assert not found, found
 
 
 @pytest.mark.parametrize("kind,l", [("B", 21), ("D", 22), ("B", 10 ** 9),

@@ -842,14 +842,14 @@ def test_verify_isomorphism_with_odd_rescaling():
     for f in (QQ, GF(7)):
         A = osp12(f)
         n = A.dim
-        ident = [[f.one() if i == j else f.zero() for j in range(n)]
+        ident = [[f.of_int(1) if i == j else f.zero() for j in range(n)]
                  for i in range(n)]
         assert verify_isomorphism(ident, A, A) is True
         lam = 3
         B = osp12(f, lam=lam)
         M = [[f.zero()] * n for _ in range(n)]
         for i in range(3):
-            M[i][i] = f.one()
+            M[i][i] = f.of_int(1)
         for i in (3, 4):
             M[i][i] = f.raw(Fraction(1, lam))
         assert verify_isomorphism(M, A, B) is True
