@@ -31,7 +31,7 @@ from importlib import resources
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, _require_field
 from .linalg import (_red, combine, exact_array, matmul_modp, nullspace_modp,
                      rank_int, rank_modp)
 from .superalgebra import VerificationFailed
@@ -95,8 +95,7 @@ class CompositionAlgebra:
     def __init__(self, kind: str, field: Field):
         if kind not in KINDS:
             raise ValueError(f"unknown composition kind {kind!r}")
-        if not isinstance(field, Field):
-            raise TypeError(f"field must be a Field, not {field!r}")
+        _require_field(field)
         tables = _int_tables(kind)
         self.kind = kind
         self.field = field

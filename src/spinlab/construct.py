@@ -34,7 +34,7 @@ from .clifford import (_check_pairs, gram_pairing, half_spin_masks, pair_basis,
                        rho_tables, so_bracket_table, so_dim)
 from .exterior import (b_is_symmetric, bhat_is_symmetric, complement_form_signs,
                        monomial_label)
-from .fields import QQ, Field, _is_int
+from .fields import QQ, Field, _is_int, _require_field
 from .linalg import exact_array, matmul_modp, rank_modp
 from .superalgebra import (SuperAlgebra, VerificationFailed, VerificationReport,
                            check_jacobi)
@@ -158,6 +158,7 @@ def build_superalgebra(l: int, kind: str, field: Field) -> SuperAlgebra:
     """
     if not _is_int(l):
         raise ValueError(f"l must be an integer, got {l!r}")
+    _require_field(field)
     l = int(l)
     A = _assemble(l, kind, field)
     A._jacobi = _jacobi_rows(l, kind)

@@ -32,6 +32,12 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _require_field(field) -> None:
+    """TypeError unless field is a Field."""
+    if not isinstance(field, Field):
+        raise TypeError(f"field must be a Field, not {field!r}")
+
+
 def _characteristic(p) -> int:
     """p as a Python int; InvalidField for anything but an int or a numpy
     integer (a bool, float, Fraction or str names no characteristic)."""

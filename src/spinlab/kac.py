@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, _require_field
 from .linalg import _red, common_denominator, exact_array, pair_products, rref_modp
 from .superalgebra import VerificationFailed
 
@@ -212,6 +212,7 @@ def ch3_scan(field: Field) -> dict:
     For p = 3, 3! = 0 and vanishing polarizations prove nothing:
     "inconclusive".
     """
+    _require_field(field)
     P, scale = ch3()
     p = field.p
     hits = np.flatnonzero((P % p if p else P).any(axis=1))

@@ -273,9 +273,6 @@ class RowSpaceModP:
         self.pivots = [allp[i] for i in order]
         return len(new_pivots)
 
-    def contains(self, row) -> bool:
-        return not self.reduce([row]).any()
-
     def reduce(self, rows) -> np.ndarray:
         """Each row reduced modulo the span, as an array: the row minus the
         combination of basis rows that clears its pivot columns."""
@@ -313,10 +310,6 @@ class SpanSolver:
         rank = sum(c < self.width for c in pivots)   # the rest are relations
         self._rows, self._tr = red[:rank, :self.width], red[:rank, self.width:]
         self._pivots = pivots[:rank]
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
 
     def coords(self, vec):
         p = self.field.p

@@ -66,7 +66,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fields import Field, _is_int, make_field
+from .fields import Field, _is_int, _require_field, make_field
 from .linalg import (RowSpace, RowSpaceModP, _red, combine, common_denominator,
                      exact_array, matmul_modp, nullspace_modp, rank_modp,
                      rref_modp)
@@ -817,14 +817,16 @@ def burnside_irreducible(ops, n: int, field: Field) -> bool:
 
 # Norton's irreducibility test (Parker, "The computer calculation of modular
 # characters (the MeatAxe)", 1984; Holt and Rees, "Testing modules for
-# irreducibility", 1994).  Let theta be an element of the algebra generated
-# by the operators with a one-dimensional kernel, spanned by v, and let w
-# span the kernel of theta^T.  A proper submodule U either meets ker theta,
-# and then contains v, or theta is invertible on U and singular on S/U, and
-# then w lies in the annihilator of U, a proper submodule of the dual.  So S
-# is irreducible iff v spins to S under the operators and w spins to S*
-# under their transposes; nullity 1 survives extension of the field, so S
-# is then absolutely irreducible.
+# irreducibility", 1994).  Let theta = x - lam, for x = a·b + c a word in
+# combinations a, b, c of the operators and lam an eigenvalue of x, have a
+# one-dimensional kernel, spanned by v, and let w span the kernel of theta^T.
+# A proper submodule U either meets ker theta, and then contains v, or theta
+# is invertible on U and singular on S/U, and then w lies in the annihilator
+# of U, a proper submodule of the dual.  So S is irreducible iff v spins to S
+# under the operators and w spins to S* under their transposes; nullity 1
+# survives extension of the field, so S is then absolutely irreducible.  The
+# coefficients of the words, and the vectors and shifts that find lam, are
+# drawn from one fixed seed, in the same order on every call.
 
 _NORTON_TRIES = 16      # words tried, and elements theta tried, at most
 
@@ -928,39 +930,6 @@ def _spin(vec: np.ndarray, mats, p: int) -> RowSpaceModP:
     return _closure(vec.reshape(1, n), images, p)
 
 
-def _norton_word(coef: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
-    """x = a·b + c for a, b, c the combinations of the (k, n, n) generators
-    gens with the three rows of coef."""
-    a, b, c = combine(coef, gens, p)
-    return (matmul_modp(a, b, p) + c) % p
-
-
-def _nullity_one_elements(gens: np.ndarray, p: int):
-    """Norton's elements theta = x - lam of nullity 1, in a fixed order.
-
-    x = a·b + c runs over at most _NORTON_TRIES words in random
-    combinations a, b, c of the (k, n, n) residue array gens, lam over the
-    eigenvalues of x, with at most _NORTON_TRIES thetas tried in all.
-    Yields (coef, lam, theta, v): coef the (3, k) coefficients of a, b, c
-    and v the row spanning ker theta.  The draws come from a fixed seed.
-    """
-    eye = np.eye(gens.shape[1], dtype=np.int64)
-    rng = random.Random(20050)
-    tries = 0
-    for _ in range(_NORTON_TRIES):
-        coef = np.array([[rng.randrange(p) for _ in gens] for _ in range(3)],
-                        dtype=np.int64)
-        x = _norton_word(coef, gens, p)
-        for lam in _eigenvalues(x, p, rng):
-            if tries == _NORTON_TRIES:
-                return
-            tries += 1
-            theta = (x - lam * eye) % p
-            kernel = nullspace_modp(theta, p)
-            if kernel.shape[0] == 1:
-                yield coef, lam, theta, kernel[0]
-
-
 def norton_irreducible(ops, n: int, p: int):
     """Norton's test for the action of the n x n integer matrices ops on
     GF(p)^n (p an odd prime, n >= 1; entries read mod p by exact_array, so
@@ -968,23 +937,34 @@ def norton_irreducible(ops, n: int, p: int):
 
     Returns (verdict, dim): ("certified", n) when the module is proved
     absolutely irreducible; ("failed", k) when a spin found a proper
-    submodule, of dimension k; ("undecided", None) when none of the
-    fixed sequence of elements theta = x - lam has nullity 1
-    (_nullity_one_elements).
+    submodule, of dimension k; ("undecided", None) when no theta tried
+    has nullity 1.
     """
     if n < 1 or not Field(p).p:        # Field refuses 2, composites, p >= 2^26
         raise ValueError("Norton's test needs n >= 1 and an odd prime p")
     gens = exact_array(ops, p).reshape(-1, n, n)
     # spins act on rows, v -> v @ M: (g v)^T = v^T @ g^T, (g^T w)^T = w^T @ g
     transposed = [np.ascontiguousarray(g.T) for g in gens]
-    for _, _, theta, v in _nullity_one_elements(gens, p):
-        dim = _spin(v, transposed, p).dim
-        if dim < n:
-            return "failed", dim
-        dual = _spin(nullspace_modp(theta.T, p)[0], gens, p).dim
-        if dual < n:
-            return "failed", n - dual      # the annihilator of the dual spin
-        return "certified", n
+    rng = random.Random(20050)
+    tries = 0
+    for _ in range(_NORTON_TRIES):
+        coef = np.array([[rng.randrange(p) for _ in gens] for _ in range(3)],
+                        dtype=np.int64)
+        a, b, c = combine(coef, gens, p)
+        x = (matmul_modp(a, b, p) + c) % p
+        for lam in _eigenvalues(x, p, rng):
+            if tries == _NORTON_TRIES:
+                return "undecided", None
+            tries += 1
+            theta = (x - lam * np.eye(n, dtype=np.int64)) % p
+            kernel = nullspace_modp(theta, p)
+            if kernel.shape[0] == 1:
+                dim = _spin(kernel[0], transposed, p).dim
+                if dim < n:
+                    return "failed", dim
+                dual = _spin(nullspace_modp(theta.T, p)[0], gens, p).dim
+                # a short dual spin is the annihilator of a proper submodule
+                return ("failed", n - dual) if dual < n else ("certified", n)
     return "undecided", None
 
 
@@ -1119,6 +1099,7 @@ def equivariant_map_dim(rep, adjoint, field: Field) -> int:
     tail: once the rows of all the generators left times the kernel width
     is no larger than that first matrix, they are cut in one pass.
     """
+    _require_field(field)
     f = field
     p = f.p
     R, A = exact_array(rep, p), exact_array(adjoint, p)

@@ -35,7 +35,10 @@ tits_bracket applies them to one pair, as the reference for the tests.
 
 The characteristic-5 identification (build_so_MQ, phi0, spin_map_psi,
 phi1_intertwine, cross_identify_with_typeB) works over GF(5) only and
-refuses any other field with ValueError.  Each step computes its data
+refuses any other field with ValueError (TypeError for a non-Field),
+and draws no random numbers: the isometry is read off the Gram matrix of
+Q, and the odd intertwiner off the common kernel lines of the lowering
+root vectors [u,fi] on the two spin actions.  Each step computes its data
 once per field, as int64 arrays of residues, verifies it and caches it,
 so the steps may run in any order.  Whatever it needs of C it reads from
 the octonion TitsModel and the integer tables of C: the C⁰ block of the
@@ -60,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field, _is_int
+from .fields import Field, _is_int, _require_field
 from .linalg import (_red, combine, common_denominator, exact_array, inv_modp,
                      matmul_modp, nullspace_modp, pair_products, rank_modp,
                      rref_modp)
@@ -71,8 +74,7 @@ from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
 from .superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
                            even_subalgebra, ideal_closure, verify_isomorphism,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
-                           _basis_index, _norton_word, _nullity_one_elements,
-                           _spin, _stored_half)
+                           _basis_index, _spin, _stored_half)
 from .clifford import (ambient_gram, pair_basis, natural_matrices, so_constants,
                        DegenerateForm)
 from .construct import build_superalgebra
@@ -186,6 +188,7 @@ class TitsModel:
     """
 
     def __init__(self, kind, field: Field):
+        C = make_composition(kind, field)     # refuses an unknown kind or field
         f = field
         p = f.p
         self.kind = kind
@@ -194,7 +197,7 @@ class TitsModel:
         n = len(tables.unit)
         ncz = self.ncz = n - 1                  # none for the base field
         derC = self.derC = _frozen(exact_array(
-            derivation_algebra(make_composition(kind, f)), p).reshape(-1, n, n))
+            derivation_algebra(C), p).reshape(-1, n, n))
         nder = self.nder = len(derC)
         (self.inder, nev, self.dJcol, self.dd, self.t_tab, self.star_tab,
          self.LL) = _j_tables(p)
@@ -367,6 +370,7 @@ def unit_ideal_split(field: Field) -> dict:
 
 
 def _require_char5(field: Field):
+    _require_field(field)
     if field.p != 5:
         raise ValueError("characteristic 5 required")
 
@@ -731,39 +735,34 @@ def _hyperbolic_basis(gram, p):
     return tau
 
 
-def _odd_intertwiner(rep1, rep2, p):
+def _odd_intertwiner(rep1, rep2, low, p):
     """The n×n S with rep2[a]·S = S·rep1[a] mod p for every a, by the
     MeatAxe isomorphism test (Parker 1984; Holt and Rees 1994).
 
-    Norton's words give θ₁ = x − λ of nullity 1 on rep1, ker θ₁ = ⟨v₁⟩;
-    the same word on rep2 must give θ₂ of nullity 1, ker θ₂ = ⟨v₂⟩.  The
-    spin of (v₁ | v₂) under blockdiag(rep1ᵀ, rep2ᵀ), when it has dimension
-    n and pivots 0..n−1, is the graph {(w, S·w)} of an intertwiner S.  The
-    intertwiners are then exactly the line through S: any S' maps ker θ₁
-    into ker θ₂, so S'·v₁ = c·v₂, and S' − c·S vanishes on the submodule
-    spun by v₁, which is everything.  S is scaled so that the last nonzero
-    entry of vec(S) (row-major) is 1, rechecked on every generator and
-    checked invertible; anything else raises VerificationFailed.
+    v₁ spans the common kernel of rep1[a] for a in low, and v₂ that of
+    rep2[a]; each must be one line.  The spin of (v₁ | v₂) under
+    blockdiag(rep1ᵀ, rep2ᵀ), when it has dimension n and pivots 0..n−1,
+    is the graph {(w, S·w)} of an intertwiner S.  The intertwiners are
+    then exactly the line through S: any S' maps the kernel at low on rep1
+    into that on rep2, so S'·v₁ = c·v₂, and S' − c·S vanishes on the
+    submodule spun by v₁, which is everything.  S is scaled so that the
+    last nonzero entry of vec(S) (row-major) is 1, rechecked on every
+    generator and checked invertible; anything else raises
+    VerificationFailed.
     """
     rep1 = np.asarray(rep1, dtype=np.int64) % p
     rep2 = np.asarray(rep2, dtype=np.int64) % p
     k, n, _ = rep1.shape
-    found = next(_nullity_one_elements(rep1, p), None)
-    if found is None:
+    v1, v2 = (nullspace_modp(rep[list(low)].reshape(-1, n), p)
+              for rep in (rep1, rep2))
+    if len(v1) != 1 or len(v2) != 1:
         raise VerificationFailed(
-            "odd intertwiner undecided: Norton's words give rep1 no element "
-            "of nullity 1")
-    coef, lam, _, v1 = found
-    theta2 = (_norton_word(coef, rep2, p) - lam * np.eye(n, dtype=np.int64)) % p
-    v2 = nullspace_modp(theta2, p)
-    if v2.shape[0] != 1:
-        raise VerificationFailed(
-            f"rep1 and rep2 are not isomorphic: θ has nullity 1 on rep1 and "
-            f"{v2.shape[0]} on rep2")
+            f"the kernel at low is not one line: it has dimension {len(v1)} "
+            f"on rep1 and {len(v2)} on rep2")
     blocks = np.zeros((k, 2 * n, 2 * n), dtype=np.int64)
     blocks[:, :n, :n] = rep1.transpose(0, 2, 1)
     blocks[:, n:, n:] = rep2.transpose(0, 2, 1)
-    graph = _spin(np.concatenate([v1, v2[0]]), blocks, p)
+    graph = _spin(np.concatenate([v1[0], v2[0]]), blocks, p)
     spun = sum(c < n for c in graph.pivots)
     if spun < n:
         raise VerificationFailed(
@@ -827,10 +826,11 @@ def cross_identify_with_typeB(field: Field) -> dict:
     fails.  Φ₀ is transported through τ into the natural so-basis (θ).
     The odd intertwiner S is the unique solution, up to a scalar, of
     rep₂(a)·S = S·rep₁(a) over the 55 even basis elements, read off the
-    spin of a pair of Norton kernel vectors (`_odd_intertwiner`).  The
-    odd-odd brackets then agree up to a factor c, and S is rescaled by μ
-    with μ² = c; ScalingNotFound when c is not a square in GF(5).  The
-    assembled map is verified bracket by bracket.
+    spin of the common kernel lines of [u,f1] .. [u,f5] on the two spin
+    actions (`_odd_intertwiner`), with no search.  The odd-odd brackets
+    then agree up to a factor c, and S is rescaled by μ with μ² = c;
+    ScalingNotFound when c is not a square in GF(5).  The assembled map
+    is verified bracket by bracket.
     """
     _require_char5(field)
     p = field.p
@@ -860,8 +860,10 @@ def cross_identify_with_typeB(field: Field) -> dict:
         raise VerificationFailed("transported image not in so(W,q)")
     theta = np.ascontiguousarray(coords.T)
     rep2 = _block(B5, 0, 1, 1)
+    # the lowering root vectors [u,fi] kill exactly B5's empty spin monomial
+    low = [pair_basis(5, "B").labels.index(f"[u,f{i}]") for i in range(1, 6)]
     S = _odd_intertwiner(combine(inv_modp(theta, p).T, _block(T, 0, 1, 1), p),
-                         rep2, p)
+                         rep2, low, p)
     c_val = _odd_proportionality(T, B5, theta, S, p)
     mu = _sqrt_modp(c_val, p)
     if mu is None:

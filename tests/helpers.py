@@ -143,6 +143,17 @@ def traces(l, kind, eps):
     return (back * vals).sum(2)
 
 
+def in_span(space, row) -> bool:
+    """Whether row lies in the span of the RowSpaceModP space: it reduces
+    to zero modulo the span."""
+    return not space.reduce([row]).any()
+
+
+def solver_rank(solver) -> int:
+    """The rank of the rows of a SpanSolver: one reduced row per pivot."""
+    return len(solver._pivots)
+
+
 def gauss_jordan(rows, p=0):
     """Textbook Gauss-Jordan elimination on lists, the tests' oracle for
     linalg: (nonzero reduced rows, pivot columns) over GF(p), or over Q
@@ -237,7 +248,7 @@ def ideal_closure_by_dictionary(A, seeds):
         for a in range(n):
             ea = [f.of_int(1) if t == a else f.zero() for t in range(n)]
             w = A.bracket_vectors(ea, x)
-            if any(c != 0 for c in w) and not space.contains(w):
+            if any(c != 0 for c in w) and not in_span(space, w):
                 space.insert([w])
                 queue.append(w)
     return space.basis.tolist()

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from envelope_reference import EnvelopeElement, FieldMismatch
-from spinlab.construct import build_superalgebra
+from spinlab import tits
+from spinlab.construct import build_superalgebra, classify, decompose_type_d_l2
 from spinlab.fields import Field, InvalidField, QQ, GF, make_field
-from spinlab.superalgebra import j_triple
+from spinlab.kac import ch3_scan
+from spinlab.superalgebra import equivariant_map_dim, j_triple
 
 FIELDS = [QQ, GF(3), GF(5), GF(7)]
 
@@ -162,3 +164,38 @@ def test_mixing_fields_raises_field_mismatch():
     q, g = QQ, GF(5)
     with pytest.raises(FieldMismatch):
         EnvelopeElement.unit(2, q) * EnvelopeElement.unit(2, g)
+
+
+# every public entry point that reads a field, with the other arguments valid
+FIELD_READERS = {
+    "ch3_scan": ch3_scan,
+    "build_superalgebra": lambda f: build_superalgebra(3, "B", f),
+    "classify": lambda f: classify(3, "B", f),
+    "decompose_type_d_l2": decompose_type_d_l2,
+    "build_tits": lambda f: tits.build_tits("octonion", f),
+    "tits_model": lambda f: tits.tits_model("octonion", f),
+    "unit_ideal_split": tits.unit_ideal_split,
+    "build_so_MQ": tits.build_so_MQ,
+    "phi0": tits.phi0,
+    "spin_map_psi": tits.spin_map_psi,
+    "phi1_intertwine": tits.phi1_intertwine,
+    "cross_identify_with_typeB": tits.cross_identify_with_typeB,
+    "equivariant_map_dim": lambda f: equivariant_map_dim(
+        np.zeros((1, 2, 2), dtype=np.int64), np.zeros((1, 1, 1), dtype=np.int64), f),
+}
+
+
+@pytest.mark.parametrize("bad", [5, None, "5"], ids=repr)
+@pytest.mark.parametrize("name", list(FIELD_READERS))
+def test_a_non_field_is_refused_by_name(name, bad):
+    # these used to fail deep inside with AttributeError: ... no attribute 'p'
+    with pytest.raises(TypeError, match=f"field must be a Field, not {bad!r}"):
+        FIELD_READERS[name](bad)
+
+
+@pytest.mark.parametrize("call", [tits.build_tits, tits.tits_model],
+                         ids=["build_tits", "tits_model"])
+def test_an_unknown_composition_kind_is_refused_by_name(call):
+    # build_tits("sedenion", GF(5)) used to raise a bare KeyError
+    with pytest.raises(ValueError, match="unknown composition kind 'sedenion'"):
+        call("sedenion", GF(5))

@@ -11,7 +11,7 @@ from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, combine,
                             rank_int, rank_modp, rref_modp)
 from spinlab.linalg import _rank_primes
 
-from helpers import gauss_jordan, gauss_jordan_nullspace
+from helpers import gauss_jordan, gauss_jordan_nullspace, in_span, solver_rank
 
 
 def rand_matrix(rng, f, rows, cols, density=0.7):
@@ -130,8 +130,8 @@ def test_rowspace_membership(f):
     assert sp.insert([[f.of_int(1), f.of_int(2), f.zero()]]) == 1
     assert sp.insert([[f.of_int(2), f.of_int(4), f.zero()]]) == 0
     assert sp.dim == 1
-    assert sp.contains([f.of_int(-3), f.of_int(-6), f.zero()])
-    assert not sp.contains([f.of_int(1), f.zero(), f.zero()])
+    assert in_span(sp, [f.of_int(-3), f.of_int(-6), f.zero()])
+    assert not in_span(sp, [f.of_int(1), f.zero(), f.zero()])
     assert sp.insert([[f.zero(), f.zero(), f.of_int(1)]]) == 1
     basis = sp.basis
     assert basis.shape == (2, 3)
@@ -147,7 +147,7 @@ def test_rowspace_membership(f):
 def test_rowspace_of_width_zero(space):
     sp = space()
     assert sp.insert([]) == 0 and sp.insert([[]]) == 0
-    assert sp.dim == 0 and sp.contains([])
+    assert sp.dim == 0 and in_span(sp, [])
     assert sp.basis.shape == (0, 0)
     assert sp.reduce([]).shape == (0, 0) and sp.reduce([[]]).shape == (1, 0)
 
@@ -174,8 +174,8 @@ def test_rowspace_modp_matches_generic():
         else:
             probe = [rng.randint(-7, 7) for _ in range(6)]
         inside = len(gauss_jordan(raw + [probe], f.p)[1]) == len(piv)
-        assert space.contains(probe) == inside
-        assert space.contains(np.array(probe)) == inside
+        assert in_span(space, probe) == inside
+        assert in_span(space, np.array(probe)) == inside
 
 
 def test_rowspace_over_q_matches_the_oracle():
@@ -194,8 +194,8 @@ def test_rowspace_over_q_matches_the_oracle():
         assert all(type(x) is Fraction for x in space.basis.flat)
         probe = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(5)]
         inside = len(gauss_jordan(vecs + [probe])[1]) == len(piv)
-        assert modq.contains(probe) == inside
-        assert space.contains(probe) == inside
+        assert in_span(modq, probe) == inside
+        assert in_span(space, probe) == inside
         (red,) = space.reduce([probe])
         assert all(red[c] == 0 for c in piv)
         assert (not any(red)) == inside
@@ -230,7 +230,7 @@ def test_span_solver_coords(f):
             [f.zero(), f.of_int(2), f.of_int(1)],
             [f.of_int(1), f.of_int(3), f.of_int(1)]]   # row2 = row0 + row1
     sol = SpanSolver(f, rows)
-    assert sol.rank == 2
+    assert solver_rank(sol) == 2
     target = [f.of_int(2), f.of_int(4), f.of_int(1)]   # 2*row0 + row1
     coeffs = sol.coords(target)
     assert coeffs is not None

@@ -1,12 +1,15 @@
+import hashlib
+import json
 import random
 import sys
+from types import SimpleNamespace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spinlab import cli, composition, kac, superalgebra
 from spinlab.cli import _hash_matrix
-from spinlab import composition, kac
 from spinlab.fields import GF, QQ, Field, make_field
 from spinlab.kac import K_FORM, _j_tensor
 from spinlab.linalg import SpanSolver, inv_modp, matmul_modp, nullspace_modp, rank_modp
@@ -773,9 +776,36 @@ def test_cross_identification_pinned():
     # pins the normalisation of S as well as the transported θ
     assert _hash_matrix(r["matrix"]) == (
         "705f4ffbc8c18122494ed8bf59f75ca24adc03d9ec29c1e10864e6a20d436a68")
+    # and the whole result as sorted JSON: the odd block read off the
+    # kernel lines at [u,f1] .. [u,f5] is the one a Norton word once found
+    assert hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest() == (
+        "c7db0bbc0e4269851516062843fbb5e147be605f89e3ab9e908526feb1601e3c")
     again = cross_identify_with_typeB(F5)
     assert again == r
 
+
+
+def test_verify_tits_draws_no_random_numbers(monkeypatch, tmp_path):
+    # every cache cleared, so nothing the run needs was built before it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spinlab":
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    made = []
+
+    def spy(*args):
+        made.append(args)
+        return random.Random(*args)
+
+    monkeypatch.setattr(superalgebra, "random", SimpleNamespace(Random=spy))
+    out = tmp_path / "tits.json"
+    assert cli.main(["verify", "tits", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["expectation_met"]
+    assert made == []
+    # the spy sees Norton's test, the one caller of random.Random
+    norton_irreducible(np.eye(2, dtype=np.int64), 2, 5)
+    assert made == [(20050,)]
 
 def _gram_w():
     space = ambient_space(5, "B")
@@ -841,15 +871,31 @@ def _random_invertible(rng, n, p):
             pass
 
 
+def _of_nullity(rng, n, p, nullity):
+    """A random n×n matrix over GF(p) whose kernel has dimension nullity."""
+    while True:
+        M = (rng.integers(0, p, size=(n, n - nullity), dtype=np.int64)
+             @ rng.integers(0, p, size=(n - nullity, n), dtype=np.int64)) % p
+        if rank_modp(M, p) == n - nullity:
+            return M
+
+
+def _low_b5():
+    """B5 pair-basis indices of the lowering root vectors [u,f1] .. [u,f5]."""
+    return [pair_basis(5, "B").labels.index(f"[u,f{i}]") for i in range(1, 6)]
+
+
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("seed", range(4))
 def test_odd_intertwiner_of_conjugate_reps(p, seed):
+    # generator 0 has nullity 1, so low = [0] gives one kernel line
     rng = np.random.default_rng(100 * p + seed)
     n = 5
-    rep1 = [rng.integers(0, p, size=(n, n), dtype=np.int64) for _ in range(3)]
+    rep1 = [_of_nullity(rng, n, p, 1)] + [
+        rng.integers(0, p, size=(n, n), dtype=np.int64) for _ in range(2)]
     P, Pi = _random_invertible(rng, n, p)
     rep2 = [P @ r @ Pi % p for r in rep1]
-    S = _odd_intertwiner(rep1, rep2, p)
+    S = _odd_intertwiner(rep1, rep2, [0], p)
     ref = _kronecker_intertwiners(rep1, rep2, p)
     assert ref.shape[0] == 1
     # S spans the same line as the reference and as P
@@ -860,22 +906,24 @@ def test_odd_intertwiner_of_conjugate_reps(p, seed):
 
 
 def test_odd_intertwiner_absent():
-    # I·S = S·0 forces S = 0
+    # 2·S = S·D with D = diag(0, 1, 1, 1) forces S = 0: D − 2 is invertible
     p, n = 5, 4
-    rep1 = [np.zeros((n, n), dtype=np.int64)]
-    rep2 = [np.eye(n, dtype=np.int64)]
+    rep1 = [np.diag([0] + [1] * (n - 1)).astype(np.int64)]
+    rep2 = [2 * np.eye(n, dtype=np.int64)]
     assert _kronecker_intertwiners(rep1, rep2, p).shape[0] == 0
-    with pytest.raises(VerificationFailed, match="no element of nullity 1"):
-        _odd_intertwiner(rep1, rep2, p)
+    with pytest.raises(VerificationFailed,
+                       match="not one line: it has dimension 1 on rep1 and 0 on rep2"):
+        _odd_intertwiner(rep1, rep2, [0], p)
 
 
 def test_odd_intertwiner_not_unique():
     # equal scalar reps: every S intertwines, a space of dim n²
     p, n = 7, 3
-    rep = [3 * np.eye(n, dtype=np.int64), 5 * np.eye(n, dtype=np.int64)]
+    rep = [0 * np.eye(n, dtype=np.int64), 5 * np.eye(n, dtype=np.int64)]
     assert _kronecker_intertwiners(rep, rep, p).shape[0] == n * n
-    with pytest.raises(VerificationFailed, match="no element of nullity 1"):
-        _odd_intertwiner(rep, rep, p)
+    with pytest.raises(VerificationFailed,
+                       match="not one line: it has dimension 3 on rep1 and 3 on rep2"):
+        _odd_intertwiner(rep, rep, [0], p)
 
 
 def assert_line_of(S, P, p):
@@ -889,34 +937,53 @@ def test_odd_intertwiner_of_the_conjugated_spin_rep():
     rep1 = _block(build_superalgebra(5, "B", F5), 0, 1, 1)       # n = 32
     P, Pi = _random_invertible(np.random.default_rng(32), 32, p)
     rep2 = np.stack([P @ r @ Pi % p for r in rep1])
-    S = _odd_intertwiner(rep1, rep2, p)
+    S = _odd_intertwiner(rep1, rep2, _low_b5(), p)
     assert_line_of(S, P, p)
     last = S.reshape(-1)[np.flatnonzero(S)[-1]]
     assert last == 1
 
 
-def _irreducible_rep(rng, n, p, count=3):
+def test_lowering_kernel_of_b5_is_the_empty_monomial():
+    # [u,f1] .. [u,f5] kill exactly monomial 0; without [u,f5] the kernel
+    # is a plane, and the solve refuses it
+    rep = _block(build_superalgebra(5, "B", F5), 0, 1, 1)
+    low = _low_b5()
+    kernel = nullspace_modp(rep[low].reshape(-1, 32), 5)
+    assert kernel.tolist() == [[1] + [0] * 31]
+    assert nullspace_modp(rep[low[:4]].reshape(-1, 32), 5).shape[0] == 2
+    with pytest.raises(VerificationFailed,
+                       match="not one line: it has dimension 2 on rep1 and 2 on rep2"):
+        _odd_intertwiner(rep, rep, low[:4], 5)
+
+
+def _irreducible_rep(rng, n, p, nullity=None, count=3):
+    """count random n×n generators acting irreducibly (Norton certifies
+    it); generator 0 has kernel dimension nullity when one is given."""
     while True:
         rep = [rng.integers(0, p, size=(n, n), dtype=np.int64)
                for _ in range(count)]
+        if nullity is not None:
+            rep[0] = _of_nullity(rng, n, p, nullity)
         if norton_irreducible(rep, n, p)[0] == "certified":
             return rep
 
 
-# seeds 0-1: θ's nullity differs on rep2; seeds 5 and 7: both nullities
-# are 1, and the spin of the kernel pair is not a graph
+# seeds 0-1: generator 0 has nullity 0 on rep2, so the kernel lines already
+# differ; seeds 5 and 7: nullity 1 on both, and the spin of the kernel pair
+# is not a graph
 @pytest.mark.parametrize("seed, match", [
-    (0, "not isomorphic: θ has nullity 1 on rep1 and 0"),
-    (1, "not isomorphic: θ has nullity 1 on rep1 and 0"),
+    (0, "not one line: it has dimension 1 on rep1 and 0 on rep2"),
+    (1, "not one line: it has dimension 1 on rep1 and 0 on rep2"),
     (5, "no odd intertwiner exists: the spin"),
     (7, "no odd intertwiner exists: the spin")])
 def test_odd_intertwiner_of_non_isomorphic_reps(seed, match):
     p, n = 7, 5
     rng = np.random.default_rng(700 + seed)
-    rep1, rep2 = _irreducible_rep(rng, n, p), _irreducible_rep(rng, n, p)
+    rep1 = _irreducible_rep(rng, n, p, nullity=1)
+    rep2 = _irreducible_rep(rng, n, p, nullity=int(seed > 1))
     assert _kronecker_intertwiners(rep1, rep2, p).shape[0] == 0
     with pytest.raises(VerificationFailed, match=match):
-        _odd_intertwiner(rep1, rep2, p)
+        _odd_intertwiner(rep1, rep2, [0], p)
 
 
 def _direct_sum(reps_a, reps_b):
@@ -933,19 +1000,22 @@ def _direct_sum(reps_a, reps_b):
 @pytest.mark.parametrize("seed", range(3))
 def test_odd_intertwiner_refuses_a_reducible_rep(sizes, seed):
     # A ⊕ B has intertwiners with its conjugate, but not a single line of
-    # them: the solve must refuse rather than answer with one S
+    # them: the solve must refuse rather than answer with one S.  Generator
+    # 0 has nullity 1 on A and 0 on B, so A ⊕ B has one kernel line, which
+    # spins only A; A ⊕ A has a kernel plane
     p = 5
     rng = np.random.default_rng(500 + 10 * seed + sum(sizes))
-    a = _irreducible_rep(rng, sizes[0], p)
-    b = a if sizes[0] == sizes[1] else _irreducible_rep(rng, sizes[1], p)
+    a = _irreducible_rep(rng, sizes[0], p, nullity=1)
+    b = a if sizes[0] == sizes[1] else _irreducible_rep(rng, sizes[1], p, nullity=0)
     rep1 = _direct_sum(a, b)
     n = sum(sizes)
     P, Pi = _random_invertible(rng, n, p)
     rep2 = [P @ r @ Pi % p for r in rep1]
     assert _kronecker_intertwiners(rep1, rep2, p).shape[0] > 1
-    with pytest.raises(VerificationFailed,
-                       match="reducible|no element of nullity 1"):
-        _odd_intertwiner(rep1, rep2, p)
+    match = ("dimension 2 on rep1 and 2 on rep2" if b is a else
+             f"rep1 is reducible: the kernel vector spins a {sizes[0]}-dimensional")
+    with pytest.raises(VerificationFailed, match=match):
+        _odd_intertwiner(rep1, rep2, [0], p)
 
 
 # ---------------------------------------------------------------------------
