@@ -79,15 +79,16 @@ def _check_pairs(l, kind: str) -> tuple:
 
 
 def _checked_cache(check):
-    """An unbounded lru_cache behind check(l, kind), which refuses bad
-    arguments and returns them normalized: True or 2.0 hash as 1 or 2,
-    so a cache looked up first would answer for them."""
+    """An unbounded lru_cache behind check(*args), which refuses bad
+    arguments and returns them normalized: True or 2.0 hash as 1 or 2, and
+    a list hashes not at all, so a cache looked up first would answer for
+    the one and refuse the other with a TypeError that names no argument."""
     def decorate(fn):
         cached = lru_cache(maxsize=None)(fn)
 
         @wraps(fn)
-        def call(l, kind):
-            return cached(*check(l, kind))
+        def call(*args):
+            return cached(*check(*args))
 
         call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
         return call

@@ -1,7 +1,7 @@
 """Z2-graded algebras with exact structure constants, and the verification
 toolkit around them: graded Jacobi scanning, ideal and derived-algebra
-computations, an absolute-irreducibility certificate, the solver for
-spaces of equivariant bilinear maps, and isomorphism checking.
+computations, an absolute-irreducibility certificate from one kernel line,
+the solver for spaces of equivariant bilinear maps, and isomorphism checking.
 
 Bracket conventions.  Swapping two odd arguments costs no sign when the
 algebra is odd_symmetric, and every other swap costs one.  A SuperAlgebra
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -67,9 +66,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .fields import Field, _is_int, _require_field, make_field
-from .linalg import (RowSpace, RowSpaceModP, _red, combine, common_denominator,
-                     exact_array, matmul_modp, nullspace_modp, rank_modp,
-                     rref_modp)
+from .linalg import (RowSpace, RowSpaceModP, _red, common_denominator,
+                     exact_array, matmul_modp, nullspace_modp, rank_modp)
 
 SCHEMA_VERSION = 1
 
@@ -800,7 +798,8 @@ def derived_algebra(A: SuperAlgebra) -> list:
 def burnside_irreducible(ops, n: int, field: Field) -> bool:
     """True iff the unital associative algebra generated by the operators
     is all of End(k^n), certified by span closure (Burnside): the tests'
-    reference for Norton's test, over GF(p) only (ValueError over Q).
+    reference for lowest_line_irreducible, over GF(p) only (ValueError
+    over Q).
     The n x n operators are read by exact_array: a float raises TypeError."""
     p = field.p
     if not p:
@@ -813,104 +812,6 @@ def burnside_irreducible(ops, n: int, field: Field) -> bool:
             yield matmul_modp(wave.reshape(-1, n), g, p).reshape(len(wave), n * n)
 
     return _closure(seeds, images, p).dim == n * n
-
-
-# Norton's irreducibility test (Parker, "The computer calculation of modular
-# characters (the MeatAxe)", 1984; Holt and Rees, "Testing modules for
-# irreducibility", 1994).  Let theta = x - lam, for x = a·b + c a word in
-# combinations a, b, c of the operators and lam an eigenvalue of x, have a
-# one-dimensional kernel, spanned by v, and let w span the kernel of theta^T.
-# A proper submodule U either meets ker theta, and then contains v, or theta
-# is invertible on U and singular on S/U, and then w lies in the annihilator
-# of U, a proper submodule of the dual.  So S is irreducible iff v spins to S
-# under the operators and w spins to S* under their transposes; nullity 1
-# survives extension of the field, so S is then absolutely irreducible.  The
-# coefficients of the words, and the vectors and shifts that find lam, are
-# drawn from one fixed seed, in the same order on every call.
-
-_NORTON_TRIES = 16      # words tried, and elements theta tried, at most
-
-
-def _poly_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b, p: int):
-    """Quotient and remainder over GF(p).  Polynomials are coefficient
-    lists from the constant term up; b is nonzero and trimmed."""
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + db] * inv % p
-        q[k] = c
-        if c:
-            for i, bi in enumerate(b):
-                a[k + i] = (a[k + i] - c * bi) % p
-    return _poly_trim(q), _poly_trim(a[:db])
-
-
-def _poly_mulmod(a, b, m, p: int) -> list:
-    prod = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _poly_divmod([c % p for c in prod], m, p)[1]
-
-
-def _poly_powmod(a, e: int, m, p: int) -> list:
-    out, a = _poly_divmod([1], m, p)[1], _poly_divmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, a, m, p)
-        a = _poly_mulmod(a, a, m, p)
-        e >>= 1
-    return out
-
-
-def _poly_monic_gcd(a, b, p: int) -> list:
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _poly_roots(g, p: int, rng) -> list:
-    """Roots of a monic g that divides X^p - X, ascending: g is split by
-    gcd(g, (X + d)^((p-1)/2) - 1) for random shifts d (Cantor and
-    Zassenhaus), never by looping over GF(p)."""
-    if len(g) <= 2:
-        return [(-g[0]) % p] if len(g) == 2 else []
-    while True:
-        h = _poly_powmod([rng.randrange(p), 1], (p - 1) // 2, g, p)
-        h[0] = (h[0] - 1) % p
-        f = _poly_monic_gcd(g, _poly_trim(h), p)
-        if 1 < len(f) < len(g):
-            q = _poly_divmod(g, f, p)[0]
-            return sorted(_poly_roots(f, p, rng) + _poly_roots(q, p, rng))
-
-
-def _eigenvalues(x: np.ndarray, p: int, rng) -> list:
-    """Eigenvalues of x in GF(p), ascending: the roots of the minimal
-    polynomial m of a random vector u under x, which divides that of x,
-    found as the roots of gcd(m, X^p - X)."""
-    n = x.shape[0]
-    krylov = np.empty((n + 1, n), dtype=np.int64)
-    krylov[0] = [rng.randrange(p) for _ in range(n)]
-    for i in range(n):
-        krylov[i + 1] = matmul_modp(krylov[i:i + 1], x, p)
-    # u x^d is the first power in the span of the earlier ones; column d
-    # of the reduced form holds its coordinates
-    r, pivots = rref_modp(krylov.T, p)
-    d = len(pivots)
-    m = [int(-c) % p for c in r[:d, d]] + [1]
-    xp = _poly_powmod([0, 1], p, m, p) + [0, 0]
-    xp[1] = (xp[1] - 1) % p
-    return _poly_roots(_poly_monic_gcd(m, _poly_trim(xp), p), p, rng)
 
 
 def _spin(vec: np.ndarray, mats, p: int) -> RowSpaceModP:
@@ -930,42 +831,30 @@ def _spin(vec: np.ndarray, mats, p: int) -> RowSpaceModP:
     return _closure(vec.reshape(1, n), images, p)
 
 
-def norton_irreducible(ops, n: int, p: int):
-    """Norton's test for the action of the n x n integer matrices ops on
-    GF(p)^n (p an odd prime, n >= 1; entries read mod p by exact_array, so
-    a float raises TypeError).
+def lowest_line_irreducible(ops, n: int, p: int):
+    """Whether the n x n integer matrices ops act absolutely irreducibly
+    on GF(p)^n (p an odd prime, n >= 1; entries read mod p by exact_array,
+    so a float raises TypeError), by the lowest-weight argument (Humphreys
+    §20-21).  The operators that are strictly upper triangular (entry
+    [k, j] nonzero only where k < j) generate a nilpotent algebra, so every
+    nonzero submodule, over GF(p) or any extension field, holds a vector
+    of their common kernel K (GF(p)^n when there is no such operator).
 
-    Returns (verdict, dim): ("certified", n) when the module is proved
-    absolutely irreducible; ("failed", k) when a spin found a proper
-    submodule, of dimension k; ("undecided", None) when no theta tried
-    has nullity 1.
+    Returns (verdict, dim): ("certified", n) when K is one line and it
+    spins to GF(p)^n; ("failed", k) when the spin of the first basis
+    vector of K is a proper submodule, of dimension k; ("undecided", None)
+    when that vector spins to GF(p)^n but K is more than one line.
     """
     if n < 1 or not Field(p).p:        # Field refuses 2, composites, p >= 2^26
-        raise ValueError("Norton's test needs n >= 1 and an odd prime p")
+        raise ValueError("the lowest-line test needs n >= 1 and an odd prime p")
     gens = exact_array(ops, p).reshape(-1, n, n)
-    # spins act on rows, v -> v @ M: (g v)^T = v^T @ g^T, (g^T w)^T = w^T @ g
-    transposed = [np.ascontiguousarray(g.T) for g in gens]
-    rng = random.Random(20050)
-    tries = 0
-    for _ in range(_NORTON_TRIES):
-        coef = np.array([[rng.randrange(p) for _ in gens] for _ in range(3)],
-                        dtype=np.int64)
-        a, b, c = combine(coef, gens, p)
-        x = (matmul_modp(a, b, p) + c) % p
-        for lam in _eigenvalues(x, p, rng):
-            if tries == _NORTON_TRIES:
-                return "undecided", None
-            tries += 1
-            theta = (x - lam * np.eye(n, dtype=np.int64)) % p
-            kernel = nullspace_modp(theta, p)
-            if kernel.shape[0] == 1:
-                dim = _spin(kernel[0], transposed, p).dim
-                if dim < n:
-                    return "failed", dim
-                dual = _spin(nullspace_modp(theta.T, p)[0], gens, p).dim
-                # a short dual spin is the annihilator of a proper submodule
-                return ("failed", n - dual) if dual < n else ("certified", n)
-    return "undecided", None
+    low = gens[~np.tril(gens).any(axis=(1, 2))]
+    kernel = nullspace_modp(low.reshape(-1, n), p)
+    # spins act on rows, v -> v @ M: (g v)^T = v^T @ g^T
+    dim = _spin(kernel[0], [np.ascontiguousarray(g.T) for g in gens], p).dim
+    if dim < n:
+        return "failed", dim
+    return ("certified", n) if len(kernel) == 1 else ("undecided", None)
 
 
 def _block(A: SuperAlgebra, first: int, second: int, target: int) -> np.ndarray:
@@ -1011,9 +900,10 @@ def simplicity_certificate(A: SuperAlgebra):
     """("certified"|"failed"|"undecided", notes) for an algebra over GF(p)
     with an odd part; ValueError otherwise.  Certified means: the derived
     algebra is everything, the even action on the odd part is absolutely
-    irreducible (Norton's test), and no nonzero even ideal annihilates the
-    odd part.  Undecided means Norton's test found no element of nullity 1
-    to test with."""
+    irreducible (lowest_line_irreducible), and no nonzero even ideal
+    annihilates the odd part.  Undecided means the common kernel of the
+    strictly upper triangular even operators on the odd part is more than
+    one line."""
     if not A.field.p:
         raise ValueError("simplicity certificates are computed over GF(p) only")
     if not A.n1:
@@ -1023,12 +913,12 @@ def simplicity_certificate(A: SuperAlgebra):
     if len(der) != n:
         return "failed", f"derived algebra has dimension {len(der)} < {n}"
     rep = _block(A, 0, 1, 1)
-    verdict, dim = norton_irreducible(rep, A.n1, A.field.p)
+    verdict, dim = lowest_line_irreducible(rep, A.n1, A.field.p)
     if verdict == "failed":
         return "failed", f"even action on the odd part has a {dim}-dimensional submodule"
     if verdict == "undecided":
-        return "undecided", ("Norton's test found no element of nullity 1 "
-                             "for the even action on the odd part")
+        return "undecided", ("the common kernel of the strictly upper triangular "
+                             "even operators on the odd part is more than one line")
     # the even x with sum x_a rho(e_a) = 0, as rows of residues
     kernel = nullspace_modp(rep.reshape(A.n0, A.n1 * A.n1).T, A.field.p)
     if len(kernel):

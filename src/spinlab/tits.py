@@ -76,7 +76,7 @@ from .superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
                            _basis_index, _spin, _stored_half)
 from .clifford import (ambient_gram, pair_basis, natural_matrices, so_constants,
-                       DegenerateForm)
+                       DegenerateForm, _checked_cache)
 from .construct import build_superalgebra
 
 
@@ -293,7 +293,13 @@ def tits_bracket(model: TitsModel, i: int, j: int) -> dict:
     return {m.index[s]: v for s, v in terms if v}
 
 
-@lru_cache(maxsize=None)
+def _composition_args(kind, field: Field) -> tuple:
+    """(kind, field), refused by make_composition before a cache sees them."""
+    make_composition(kind, field)
+    return kind, field
+
+
+@_checked_cache(_composition_args)
 def tits_model(kind, field: Field) -> TitsModel:
     return TitsModel(kind, field)
 
@@ -308,7 +314,7 @@ def _outer(a, b, p):
             _red(a[ia][ra] * b[ib][rb], p))
 
 
-@lru_cache(maxsize=None)
+@_checked_cache(_composition_args)
 def build_tits(kind, field: Field) -> SuperAlgebra:
     """Structure constants of T(C, Kac) over the ordered pinned basis.
 
@@ -369,10 +375,12 @@ def unit_ideal_split(field: Field) -> dict:
 # the quadratic space M = C⁰ ⊕ U⊗U and so(M, Q)
 
 
-def _require_char5(field: Field):
+def _require_char5(field: Field) -> tuple:
+    """(field,), refused unless it is a Field of characteristic 5."""
     _require_field(field)
     if field.p != 5:
         raise ValueError("characteristic 5 required")
+    return (field,)
 
 
 def _so_coords(X, ginv, rows, cols, p):
@@ -408,7 +416,7 @@ class SoMQ(NamedTuple):
         return _so_coords(X, self.ginv, j, i, self.field.p)
 
 
-@lru_cache(maxsize=None)
+@_checked_cache(_require_char5)
 def build_so_MQ(field: Field) -> SoMQ:
     """so(M, Q) for M = C⁰ ⊕ U⊗U (C the octonions), dim 11, so dim 55.
 
@@ -420,7 +428,6 @@ def build_so_MQ(field: Field) -> SoMQ:
     superalgebra._stored_half.  VerificationFailed, naming the pair or
     the triple, unless the σ matrices represent them on M (_rep_witness).
     """
-    _require_char5(field)
     f = field
     p = f.p
     n = 11

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -185,11 +186,12 @@ FIELD_READERS = {
 }
 
 
-@pytest.mark.parametrize("bad", [5, None, "5"], ids=repr)
+@pytest.mark.parametrize("bad", [5, None, "5", [5]], ids=repr)
 @pytest.mark.parametrize("name", list(FIELD_READERS))
 def test_a_non_field_is_refused_by_name(name, bad):
-    # these used to fail deep inside with AttributeError: ... no attribute 'p'
-    with pytest.raises(TypeError, match=f"field must be a Field, not {bad!r}"):
+    # these used to fail deep inside with AttributeError: ... no attribute
+    # 'p', and the cached ones on a list with "unhashable type: 'list'"
+    with pytest.raises(TypeError, match=re.escape(f"field must be a Field, not {bad!r}")):
         FIELD_READERS[name](bad)
 
 
@@ -199,3 +201,13 @@ def test_an_unknown_composition_kind_is_refused_by_name(call):
     # build_tits("sedenion", GF(5)) used to raise a bare KeyError
     with pytest.raises(ValueError, match="unknown composition kind 'sedenion'"):
         call("sedenion", GF(5))
+
+
+@pytest.mark.parametrize("call", [tits.build_tits, tits.tits_model],
+                         ids=["build_tits", "tits_model"])
+def test_a_listed_composition_kind_is_refused_by_name(call):
+    # the cache was looked up first: "unhashable type: 'list'"
+    with pytest.raises(ValueError, match=re.escape("unknown composition kind ['octonion']")):
+        call(["octonion"], GF(5))
+    # checked arguments still reach the cache
+    assert call("unit", GF(5)) is call("unit", GF(5))

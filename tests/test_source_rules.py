@@ -266,35 +266,26 @@ def test_the_char5_identification_draws_no_random_numbers():
 
 
 
-def test_norton_words_live_in_norton_irreducible_alone():
-    # the odd intertwiner reads its kernel lines off the lowering root
-    # vectors: Norton's word search is no shared route, tits.py takes no
-    # name of Norton's test from superalgebra, and the one random.Random
-    # of the package is the fixed-seed one in norton_irreducible
-    gone = ("_norton_word", "_nullity_one_elements")
+def test_irreducibility_is_decided_without_random_numbers():
+    # the odd part's irreducibility and the char-5 intertwiner are both read
+    # off a common kernel line of the lowering operators: no package module
+    # imports random or reads numpy's generators, and Norton's randomized
+    # test, its word search and its root finder are gone
+    gone = ("norton_irreducible", "_eigenvalues", "_NORTON_TRIES",
+            "_norton_word", "_nullity_one_elements")
     field_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
                 ast.FunctionDef: "name"}
-    found, draws, home = [], [], None
+    found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             name = getattr(node, field_of.get(type(node), ""), None)
-            if name in gone:
+            if isinstance(name, str) and (name in gone or name.startswith("_poly_")
+                                          or name in ("random", "default_rng")):
                 found.append(f"{path.name}:{node.lineno} names {name}")
-            if (path.name == "tits.py" and isinstance(node, ast.ImportFrom)
-                    and node.module == "superalgebra"):
-                found += [f"tits.py:{node.lineno} imports {a.name}" for a in node.names
-                          if a.name in ("norton_irreducible", "_eigenvalues",
-                                        "_NORTON_TRIES")
-                          or a.name.startswith("_poly_")]
-            if isinstance(node, ast.FunctionDef) and name == "norton_irreducible":
-                home = (path.name, node.lineno, node.end_lineno)
-            if isinstance(node, ast.Call) and "Random" in (
-                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
-                draws.append((path.name, node.lineno))
-    assert home and home[0] == "superalgebra.py"
-    found += [f"{name}:{line} constructs random.Random" for name, line in draws
-              if name != home[0] or not home[1] <= line <= home[2]]
-    assert len(draws) == 1 and not found, (draws, found)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random":
+                found.append(f"{path.name}:{node.lineno} imports from random")
+    assert not found, found
+
 
 def test_built_tables_pass_one_both_orders_gate():
     # the builders hand both orders of every bracket to

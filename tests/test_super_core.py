@@ -15,9 +15,9 @@ from spinlab.superalgebra import (SuperAlgebra, burnside_irreducible,
                                   check_jacobi, derived_algebra,
                                   equivariant_map_dim, even_subalgebra,
                                   ideal_closure, j_triple,
-                                  norton_irreducible, simplicity_certificate,
+                                  lowest_line_irreducible, simplicity_certificate,
                                   verify_isomorphism, VerificationFailed,
-                                  _block, _brackets_into, _eigenvalues,
+                                  _block, _brackets_into,
                                   _largest_ideal_inside,
                                   _scan_matrices, _scan_one_i, _scan_rows,
                                   _spin, _witness_entry)
@@ -551,7 +551,7 @@ def test_burnside_certificate():
     blocks = [[[1, 0], [0, 2]], [[3, 0], [0, 1]]]
     assert burnside_irreducible([e, fm, h], 2, GF(5)) is True
     assert burnside_irreducible(blocks, 2, GF(5)) is False
-    # the reference of Norton's test runs over GF(p) only, as Norton's does
+    # the reference of lowest_line_irreducible runs over GF(p) only, as it does
     with pytest.raises(ValueError, match="GF\\(p\\) only"):
         burnside_irreducible([e, fm, h], 2, QQ)
     # a float is refused, not truncated: 0.5 was once read as 0
@@ -718,8 +718,9 @@ def test_simplicity_certificate_and_center_negative_control():
     assert stat == "certified", (stat, note)
     Z = ospz()
     assert check_jacobi(Z, "full").jacobi_pass
-    stat, note = simplicity_certificate(Z)
-    assert stat == "failed"
+    # z is central and outside [A, A]; the odd part is still irreducible
+    assert simplicity_certificate(Z) == ("failed", "derived algebra has dimension 5 < 6")
+    assert lowest_line_irreducible(_block(Z, 0, 1, 1), 2, 5) == ("certified", 2)
 
 
 def test_largest_ideal_inside_a_kernel():
@@ -819,8 +820,8 @@ def test_table_constructor_refuses_floats():
 def test_norton_refuses_floats():
     # [[[0.5]]] was read as the zero operator
     with pytest.raises(TypeError, match="inexact value 0.5"):
-        norton_irreducible([[[0.5]]], 1, 5)
-    assert norton_irreducible([[[Fraction(1, 2)]]], 1, 5) == ("certified", 1)
+        lowest_line_irreducible([[[0.5]]], 1, 5)
+    assert lowest_line_irreducible([[[Fraction(1, 2)]]], 1, 5) == ("certified", 1)
 
 
 def abelian11(f):
@@ -874,6 +875,19 @@ def transported(A, G):
                for a in range(n) for b in range(n)}
     return SuperAlgebra("transported", A.field, A.n0, A.n1, A.labels, bracket,
                         A.odd_symmetric)
+
+
+def test_certificate_is_undecided_where_no_operator_is_triangular():
+    # osp(1|2) on the odd basis x + y, x - y: no even operator is strictly
+    # upper triangular there, so the kernel is the whole odd plane, and
+    # the irreducible odd part is not certified from it
+    G = np.eye(5, dtype=np.int64)
+    G[3:, 3:] = [[1, 1], [1, 4]]
+    B = transported(osp12(GF(5)), G)
+    assert simplicity_certificate(B) == ("undecided", (
+        "the common kernel of the strictly upper triangular even operators on "
+        "the odd part is more than one line"))
+    assert burnside_irreducible(_block(B, 0, 1, 1), 2, GF(5))
 
 
 def parity_preserving(f, n0, n, density, rng):
@@ -1017,53 +1031,99 @@ def block_sum(left, right, p, seed):
     return ops
 
 
-@pytest.mark.parametrize("p", [7, 10007, 67108859])
-def test_eigenvalues_are_the_roots_in_the_field(p):
-    # P diag(d) P^-1 has eigenvalues set(d); a random vector's minimal
-    # polynomial misses one only with probability about n/p
-    rng = random.Random(p)
-    for trial in range(4):
-        d = [rng.randrange(p) for _ in range(5)]
-        d += d[:3]
-        P, Pi = random_invertible(rng, len(d), p)
-        x = matmul_modp(matmul_modp(P, np.diag(d), p), Pi, p)
-        found = _eigenvalues(x, p, random.Random(trial))
-        assert found == sorted(found) and set(found) <= set(d)
-        if p > 1000:
-            assert found == sorted(set(d))
-    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
-    assert _eigenvalues(np.array([[0, c], [1, 0]]), p, random.Random(0)) == []
+def block_diagonal(left, right):
+    """The operators of left (+) right, block by block, unconjugated."""
+    a, b = len(left[0]), len(right[0])
+    ops = np.zeros((len(left), a + b, a + b), dtype=np.int64)
+    for M, L, R in zip(ops, left, right):
+        M[:a, :a], M[a:, a:] = L, R
+    return ops
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_norton_finds_a_submodule_of_a_reducible_module(p):
+    # unconjugated, e (+) e is strictly upper triangular: its kernel line
+    # is the lowest vector of the first block, which spins that block
+    trivial = [[[0]], [[0]], [[0]]]
+    ops = block_diagonal(SL2_NATURAL, SL2_ADJOINT)
+    assert lowest_line_irreducible(ops, 5, p) == ("failed", 2)
+    assert lowest_line_irreducible(block_diagonal(SL2_NATURAL, trivial), 3, p) == (
+        "failed", 2)
+    # diag(1, 2) and e_12 fix the line of e_1, which is their kernel line
+    assert lowest_line_irreducible([np.diag([1, 2]), [[0, 1], [0, 0]]], 2, p) == (
+        "failed", 1)
     for seed in range(4):
+        # conjugated, no operator is triangular: the verdict may only be
+        # a submodule the spin found, or undecided
         ops = block_sum(SL2_NATURAL, SL2_ADJOINT, p, seed)
-        # the only proper submodules are the two blocks, of dims 2 and 3
-        assert norton_irreducible(ops, 5, p) in (("failed", 2), ("failed", 3))
+        assert lowest_line_irreducible(ops, 5, p)[0] != "certified"
         assert burnside_irreducible(ops, 5, GF(p)) is False
-        trivial = [[[0]], [[0]], [[0]]]
         ops = block_sum(SL2_NATURAL, trivial, p, seed)
-        assert norton_irreducible(ops, 3, p) in (("failed", 1), ("failed", 2))
+        assert lowest_line_irreducible(ops, 3, p)[0] != "certified"
 
 
 @pytest.mark.parametrize("p,c", [(5, 2), (7, 3), (10007, 5)])
 def test_norton_undecided_on_a_module_that_is_not_absolutely_irreducible(p, c):
     # x^2 - c has no root in GF(p): the module is irreducible over GF(p)
-    # and splits over GF(p^2), so no element has nullity 1
+    # and splits over GF(p^2).  The operator is not triangular, so the
+    # kernel is the whole plane and the verdict may not be "certified"
     assert pow(c, (p - 1) // 2, p) == p - 1
     ops = [[[0, c], [1, 0]]]
-    assert norton_irreducible(ops, 2, p) == ("undecided", None)
+    assert lowest_line_irreducible(ops, 2, p) == ("undecided", None)
     assert burnside_irreducible(ops, 2, GF(p)) is False
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_norton_never_certifies_a_doubled_module(p):
-    # every element acts on V (+) V with even nullity
-    assert norton_irreducible(SL2_NATURAL, 2, p) == ("certified", 2)
+    # V (+) V: e (+) e kills a plane, and its first vector spins one copy
+    assert lowest_line_irreducible(SL2_NATURAL, 2, p) == ("certified", 2)
+    assert lowest_line_irreducible(block_diagonal(SL2_NATURAL, SL2_NATURAL), 4, p) == (
+        "failed", 2)
     for seed in range(3):
         ops = block_sum(SL2_NATURAL, SL2_NATURAL, p, seed)
-        assert norton_irreducible(ops, 4, p)[0] != "certified"
+        assert lowest_line_irreducible(ops, 4, p)[0] != "certified"
+
+
+def _shifted_spin_ops(kind, l, rng):
+    """The odd block of (kind, l) over GF(3) with one seeded entry of one
+    lowering operator shifted, on, below or above the diagonal, in turn."""
+    rep = _block(build_superalgebra(l, kind, GF(3)), 0, 1, 1)
+    n = rep.shape[1]
+    low = [a for a in range(len(rep)) if rep[a].any() and not np.tril(rep[a]).any()]
+    for where in ("on", "below", "above") * 3:
+        a = rng.choice(low)
+        k, j = sorted(rng.sample(range(n), 2))
+        k, j = {"on": (k, k), "below": (j, k), "above": (k, j)}[where]
+        shifted = rep.copy()
+        shifted[a, k, j] = (shifted[a, k, j] + rng.randrange(1, 3)) % 3
+        yield where, shifted
+
+
+@pytest.mark.parametrize("kind,l", [("B", 3), ("D", 4)])
+def test_lowest_line_verdict_is_sound_under_shifts(kind, l):
+    # a shifted entry breaks the representation: the verdict may read
+    # "certified" only where the Burnside span is all of End(S), and a
+    # "failed" one names the dimension of a subspace every operator keeps.
+    # Each shifted stack is read whole and with only its upper triangular
+    # operators, which keep the flag of the stored basis when no shift
+    # lies below the diagonal
+    rng = random.Random(f"{kind}{l}")
+    seen = set()
+    for where, shifted in _shifted_spin_ops(kind, l, rng):
+        for ops in (shifted, shifted[~np.tril(shifted, -1).any(axis=(1, 2))]):
+            n = ops.shape[1]
+            verdict, dim = lowest_line_irreducible(ops, n, 3)
+            seen.add(verdict)
+            if verdict == "certified":
+                assert burnside_irreducible(ops, n, GF(3)), where
+            if verdict == "failed":
+                low = ops[~np.tril(ops).any(axis=(1, 2))]
+                kernel = nullspace_modp(low.reshape(-1, n), 3)
+                sub = _spin(kernel[0], [np.ascontiguousarray(g.T) for g in ops], 3)
+                assert sub.dim == dim < n
+                images = np.concatenate([matmul_modp(sub.basis, g.T, 3) for g in ops])
+                assert rank_modp(np.concatenate([sub.basis, images]), 3) == dim, where
+    assert {"certified", "failed"} <= seen
 
 
 def spin_one_image_at_a_time(vec, mats, p):
@@ -1137,21 +1197,14 @@ def test_spin_matches_the_one_image_at_a_time_closure(p, monkeypatch):
     assert sizes[1] == (9, len(mats))
 
 
-def test_norton_spins_the_dual_kernel():
-    # diag(1, 2) and e_12 fix the line of e_1 in GF(3)^2.  The kernel v of
-    # the first theta of nullity 1 spins to all of GF(3)^2, so only the
-    # spin of w, the kernel of theta^T, under the transposes finds it
-    assert norton_irreducible([np.diag([1, 2]), [[0, 1], [0, 0]]], 2, 3) == (
-        "failed", 1)
-
-
 def test_norton_one_dimensional_and_empty_inputs():
-    assert norton_irreducible([[[3]]], 1, 5) == ("certified", 1)
-    assert norton_irreducible([], 1, 5) == ("certified", 1)
-    assert norton_irreducible([], 2, 5) == ("undecided", None)
+    assert lowest_line_irreducible([[[3]]], 1, 5) == ("certified", 1)
+    assert lowest_line_irreducible([], 1, 5) == ("certified", 1)
+    # with no operator every line is a submodule
+    assert lowest_line_irreducible([], 2, 5) == ("failed", 1)
     for n, p in ((0, 5), (2, 2), (2, 9), (2, 0)):
         with pytest.raises(ValueError):
-            norton_irreducible([], n, p)
+            lowest_line_irreducible([], n, p)
 
 
 def test_certificate_names_the_submodule_of_a_reducible_odd_part():
@@ -1187,6 +1240,9 @@ GRID_SMALL = [(kind, l, p) for kind, l in (("B", 1), ("B", 2), ("B", 3), ("B", 4
 def test_norton_agrees_with_burnside_on_grid_cells(kind, l, p):
     A = build_superalgebra(l, kind, GF(p))
     rep = _block(A, 0, 1, 1)
-    verdict, dim = norton_irreducible(rep, A.n1, p)
+    verdict, dim = lowest_line_irreducible(rep, A.n1, p)
     assert burnside_irreducible(rep, A.n1, GF(p)) is (verdict == "certified")
     assert (verdict, dim) == ("certified", A.n1)
+    # the lowering operators are there, and their common kernel is a line
+    low = rep[rep.any(axis=(1, 2)) & ~np.tril(rep).any(axis=(1, 2))]
+    assert len(low) and nullspace_modp(low.reshape(-1, A.n1), p).shape[0] == 1

@@ -2,22 +2,21 @@ import hashlib
 import json
 import random
 import sys
-from types import SimpleNamespace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spinlab import cli, composition, kac, superalgebra
+from spinlab import cli, composition, kac
 from spinlab.cli import _hash_matrix
 from spinlab.fields import GF, QQ, Field, make_field
 from spinlab.kac import K_FORM, _j_tensor
 from spinlab.linalg import SpanSolver, inv_modp, matmul_modp, nullspace_modp, rank_modp
 from spinlab.construct import build_superalgebra
 from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, _block,
-                                  _brackets_into, _first_unpreserved_pair, check_jacobi,
-                                  even_subalgebra, j_triple,
-                                  norton_irreducible, verify_isomorphism)
+                                  _brackets_into, _first_unpreserved_pair,
+                                  burnside_irreducible, check_jacobi,
+                                  even_subalgebra, j_triple, verify_isomorphism)
 from spinlab import tits
 from spinlab.clifford import (ambient_gram, ambient_space, natural_matrices, pair_basis,
                               qpair)
@@ -776,8 +775,8 @@ def test_cross_identification_pinned():
     # pins the normalisation of S as well as the transported θ
     assert _hash_matrix(r["matrix"]) == (
         "705f4ffbc8c18122494ed8bf59f75ca24adc03d9ec29c1e10864e6a20d436a68")
-    # and the whole result as sorted JSON: the odd block read off the
-    # kernel lines at [u,f1] .. [u,f5] is the one a Norton word once found
+    # and the whole result as sorted JSON, the odd block read off the
+    # kernel lines at [u,f1] .. [u,f5] included
     assert hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest() == (
         "c7db0bbc0e4269851516062843fbb5e147be605f89e3ab9e908526feb1601e3c")
     again = cross_identify_with_typeB(F5)
@@ -786,26 +785,30 @@ def test_cross_identification_pinned():
 
 
 def test_verify_tits_draws_no_random_numbers(monkeypatch, tmp_path):
-    # every cache cleared, so nothing the run needs was built before it
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "spinlab":
-            for value in list(vars(module).values()):
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+    # verify tits, type-b and type-d, every cache cleared, so nothing a
+    # run needs was built before it
     made = []
+    Random = random.Random
 
     def spy(*args):
         made.append(args)
-        return random.Random(*args)
+        return Random(*args)
 
-    monkeypatch.setattr(superalgebra, "random", SimpleNamespace(Random=spy))
-    out = tmp_path / "tits.json"
-    assert cli.main(["verify", "tits", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["expectation_met"]
+    monkeypatch.setattr(random, "Random", spy)
+    for target in ("tits", "type-b", "type-d"):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spinlab":
+                for value in list(vars(module).values()):
+                    if callable(getattr(value, "cache_clear", None)):
+                        value.cache_clear()
+        out = tmp_path / f"{target}.json"
+        assert cli.main(["verify", target, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["expectation_met"], target
     assert made == []
-    # the spy sees Norton's test, the one caller of random.Random
-    norton_irreducible(np.eye(2, dtype=np.int64), 2, 5)
+    # the spy sees a call of random.Random made through the module
+    random.Random(20050)
     assert made == [(20050,)]
+
 
 def _gram_w():
     space = ambient_space(5, "B")
@@ -957,14 +960,15 @@ def test_lowering_kernel_of_b5_is_the_empty_monomial():
 
 
 def _irreducible_rep(rng, n, p, nullity=None, count=3):
-    """count random n×n generators acting irreducibly (Norton certifies
-    it); generator 0 has kernel dimension nullity when one is given."""
+    """count random n×n generators acting absolutely irreducibly (their
+    Burnside span is all of End); generator 0 has kernel dimension nullity
+    when one is given."""
     while True:
         rep = [rng.integers(0, p, size=(n, n), dtype=np.int64)
                for _ in range(count)]
         if nullity is not None:
             rep[0] = _of_nullity(rng, n, p, nullity)
-        if norton_irreducible(rep, n, p)[0] == "certified":
+        if burnside_irreducible(rep, n, GF(p)):
             return rep
 
 
