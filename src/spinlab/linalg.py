@@ -232,8 +232,8 @@ class RowSpaceModP:
     Rows are read by exact_array: any integer is read mod p, a Fraction
     over Q as itself.  insert() takes a whole batch of rows at once: the
     batch is reduced against the current basis with one multiply, the
-    remainder is row-reduced, and the new pivots are eliminated from the
-    old basis.  basis holds the reduced rows, ordered by their pivots.
+    nonzero rows left are row-reduced, and the new pivots are eliminated
+    from the old basis.  basis holds the reduced rows, ordered by pivot.
     """
 
     def __init__(self, p: int, width: int):
@@ -258,9 +258,10 @@ class RowSpaceModP:
         if rows.size == 0:          # no rows, or rows of width 0
             return 0
         red = self._reduce(rows.reshape(-1, self.width))
-        r, new_pivots = rref_modp(red, self.p)
-        if not new_pivots:
+        red = red[red.any(axis=1)]          # a zero row adds nothing
+        if not len(red):
             return 0
+        r, new_pivots = rref_modp(red, self.p)
         r = r[: len(new_pivots)]
         if self.basis.shape[0]:
             coef = self.basis[:, new_pivots]

@@ -103,10 +103,11 @@ class SuperAlgebra:
         f = field
         stored = {}
         for (i, j), terms in bracket.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"basis index out of range in ({i},{j})")
-            clean = {k: r for k, v in dict(terms).items()
-                     if (r := f.raw(v)) != 0}
+            terms = dict(terms)
+            for key, x in (("i", i), ("j", j), *(("k", k) for k in terms)):
+                if not _is_int(x) or not 0 <= x < n:
+                    raise ValueError(f"index {key} = {x!r} is not an int in range({n})")
+            clean = {k: r for k, v in terms.items() if (r := f.raw(v)) != 0}
             if not clean:
                 continue
             if i > j:
@@ -137,8 +138,12 @@ class SuperAlgebra:
         being residues and scale 1 over GF(p).  ValueError unless n^3 <
         2^63, the bound of every int64 key read off coo: (i*n + j)*n + k in
         the sort here and in the Jacobi scan, i*n + j for the pairs."""
-        n = n0 + n1
-        if int(n) ** 3 >= 1 << 63:
+        if not all(_is_int(v) and v >= 0 for v in (n0, n1)):
+            raise ValueError(f"n0 and n1 must be non-negative ints, not {n0!r} and {n1!r}")
+        n = int(n0) + int(n1)
+        if not isinstance(odd_symmetric, (bool, np.bool_)):
+            raise TypeError(f"odd_symmetric must be a bool, not {odd_symmetric!r}")
+        if n ** 3 >= 1 << 63:
             raise ValueError(f"dimension {n}: the int64 keys need n^3 < 2^63")
         self.name, self.field, self.n0, self.n1 = name, field, n0, n1
         self.labels = labels = tuple(labels)
@@ -776,9 +781,11 @@ def ideal_closure(A: SuperAlgebra, seeds) -> list:
     its x, the ideal they generate when they are homogeneous.  Each new x
     adds the n rows of _brackets_into(A, x) in one insert (_closure)."""
     p = A.field.p
-    seeds = exact_array(seeds, p).reshape(len(seeds), A.dim)
-    return _closure(seeds, lambda wave: (_brackets_into(A, x) for x in wave),
-                    p).basis.tolist()
+    seeds = exact_array(seeds, p)
+    if len(seeds) and seeds.shape[1:] != (A.dim,):
+        raise ValueError(f"seeds must have A.dim = {A.dim} columns, not shape {seeds.shape}")
+    return _closure(seeds.reshape(len(seeds), A.dim),
+                    lambda wave: (_brackets_into(A, x) for x in wave), p).basis.tolist()
 
 
 def derived_algebra(A: SuperAlgebra) -> list:
@@ -795,6 +802,17 @@ def derived_algebra(A: SuperAlgebra) -> list:
     return space.basis.tolist()
 
 
+def _operators(ops, n, p: int) -> np.ndarray:
+    """ops as a (k, n, n) stack read by exact_array; ValueError naming n or
+    the shape of ops unless n is a positive int and each operator n x n."""
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be a positive int, not {n!r}")
+    gens = exact_array(ops, p)
+    if len(gens) and gens.shape[1:] != (n, n):
+        raise ValueError(f"ops must be {n} x {n} operators, not shape {gens.shape}")
+    return gens.reshape(-1, n, n)
+
+
 def burnside_irreducible(ops, n: int, field: Field) -> bool:
     """True iff the unital associative algebra generated by the operators
     is all of End(k^n), certified by span closure (Burnside): the tests'
@@ -804,8 +822,8 @@ def burnside_irreducible(ops, n: int, field: Field) -> bool:
     p = field.p
     if not p:
         raise ValueError("the Burnside closure runs over GF(p) only")
-    gens = [exact_array(M, p).reshape(n, n) for M in ops]
-    seeds = np.stack([np.eye(n, dtype=np.int64), *gens]).reshape(len(gens) + 1, n * n)
+    gens = _operators(ops, n, p)
+    seeds = np.concatenate([np.eye(n, dtype=np.int64)[None], gens]).reshape(-1, n * n)
 
     def images(wave):           # one block per generator: the wave times it
         for g in gens:
@@ -845,9 +863,9 @@ def lowest_line_irreducible(ops, n: int, p: int):
     vector of K is a proper submodule, of dimension k; ("undecided", None)
     when that vector spins to GF(p)^n but K is more than one line.
     """
-    if n < 1 or not Field(p).p:        # Field refuses 2, composites, p >= 2^26
-        raise ValueError("the lowest-line test needs n >= 1 and an odd prime p")
-    gens = exact_array(ops, p).reshape(-1, n, n)
+    if not Field(p).p:                 # Field refuses 2, composites, p >= 2^26
+        raise ValueError("the lowest-line test needs an odd prime p")
+    gens = _operators(ops, n, p)
     low = gens[~np.tril(gens).any(axis=(1, 2))]
     kernel = nullspace_modp(low.reshape(-1, n), p)
     # spins act on rows, v -> v @ M: (g v)^T = v^T @ g^T

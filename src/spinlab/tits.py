@@ -37,10 +37,11 @@ The characteristic-5 identification (build_so_MQ, phi0, spin_map_psi,
 phi1_intertwine, cross_identify_with_typeB) works over GF(5) only and
 refuses any other field with ValueError (TypeError for a non-Field),
 and draws no random numbers: the isometry is read off the Gram matrix of
-Q, and the odd intertwiner off the common kernel lines of the lowering
-root vectors [u,fi] on the two spin actions.  Each step computes its data
-once per field, as int64 arrays of residues, verifies it and caches it,
-so the steps may run in any order.  Whatever it needs of C it reads from
+Q, the odd intertwiner off the common kernel lines of the lowering root
+vectors [u,fi] on the two spin actions, and its scale off one odd pair,
+the check of the assembled map covering all 528.  Each step computes its
+data once per field, as int64 arrays of residues, verifies it and caches
+it, so the steps may run in any order.  Whatever it needs of C it reads from
 the octonion TitsModel and the integer tables of C: the C⁰ block of the
 Gram matrix of Q is −npol, der C and ad_a act on C⁰ by Dczᵀ and comm_czᵀ
 in Φ₀, a ∈ C⁰ acts on the spin space through La, and Φ₁ reads C⁰ and the
@@ -89,7 +90,7 @@ class IsometryNotFound(RuntimeError):
 
 
 class ScalingNotFound(RuntimeError):
-    """Odd-odd brackets of the two models are not proportional."""
+    """The odd block has no scale μ with μ² = c, c read by _odd_scale."""
 
 
 # trace-zero part of J: even indices (e⊗e and U⊗U), odd indices
@@ -787,40 +788,18 @@ def _odd_intertwiner(rep1, rep2, low, p):
     return S
 
 
-def _odd_proportionality(T, B5, theta, S, p):
-    """The c in GF(p) with θ([x, y]) = c·[Sx, Sy] for all odd x, y of T.
-
-    The pairs (i, j), i <= j, of odd basis elements are read in order, in
-    one array pass; ScalingNotFound at the first pair where the supports
-    of the two brackets differ, where they are not proportional, or where
-    their ratio differs from that of the first nonzero pair."""
-    n1 = S.shape[0]
-    RT, RB = _block(T, 1, 1, 0), _block(B5, 1, 1, 0)   # (n1, 55, n1)
-    # lhs[k, i, j] = θ([o_i, o_j])_k;  rhs[i, k, j] = [S o_i, S o_j]_k
-    lhs = combine(theta, RT.transpose(1, 0, 2), p)
-    rhs = combine(S.T, _stacked_right(RB, S, p), p)
-    i, j = np.triu_indices(n1)
-    L, R = lhs[:, i, j].T, rhs[i, :, j]                # one row per pair
-    at = np.arange(len(i))
-    k = (R != 0).argmax(axis=1)                        # first nonzero of R
-    lk, rk = L[at, k], R[at, k]
-    live = np.flatnonzero(rk)
-    if not live.size and not L.any():
-        raise ScalingNotFound("all odd-odd brackets vanished")
-    c_val = int(lk[live[0]]) * pow(int(rk[live[0]]), -1, p) % p if live.size else 0
-    support = (L != 0).any(axis=1) != (rk != 0)
-    crossed = ((L * rk[:, None] - R * lk[:, None]) % p).any(axis=1)   # L ≠ (lk/rk)·R
-    ratio = (lk - c_val * rk) % p != 0
-    bad = np.flatnonzero(support | crossed | ratio)
-    if bad.size:
-        x = bad[0]
-        if support[x]:
-            raise ScalingNotFound(f"odd bracket support differs at ({i[x]},{j[x]})")
-        if crossed[x]:
-            raise ScalingNotFound(f"odd brackets not proportional at ({i[x]},{j[x]})")
-        r = int(lk[x]) * pow(int(rk[x]), -1, p) % p
-        raise ScalingNotFound(f"inconsistent proportionality {c_val} vs {r}")
-    return c_val
+def _odd_scale(T, B5, theta, S, p):
+    """c with θ([o_i, o_j]) = c·[S o_i, S o_j] at the first odd pair i <= j
+    of T with [o_i, o_j] ≠ 0, read at the first nonzero coordinate of the
+    right side; ScalingNotFound when that side vanishes."""
+    RT = _block(T, 1, 1, 0)                            # (n1, 55, n1)
+    i, j = np.argwhere(RT.any(axis=1))[0]
+    lhs = matmul_modp(theta, RT[i, :, j:j + 1], p)[:, 0]
+    rhs = matmul_modp(combine(S[None, :, i], _block(B5, 1, 1, 0), p)[0], S[:, j:j + 1], p)
+    if not rhs.any():
+        raise ScalingNotFound(f"the odd bracket [S o_{i}, S o_{j}] vanishes")
+    k = np.flatnonzero(rhs)[0]
+    return int(lhs[k]) * pow(int(rhs[k, 0]), -1, p) % p
 
 
 def cross_identify_with_typeB(field: Field) -> dict:
@@ -834,10 +813,10 @@ def cross_identify_with_typeB(field: Field) -> dict:
     The odd intertwiner S is the unique solution, up to a scalar, of
     rep₂(a)·S = S·rep₁(a) over the 55 even basis elements, read off the
     spin of the common kernel lines of [u,f1] .. [u,f5] on the two spin
-    actions (`_odd_intertwiner`), with no search.  The odd-odd brackets
-    then agree up to a factor c, and S is rescaled by μ with μ² = c;
-    ScalingNotFound when c is not a square in GF(5).  The assembled map
-    is verified bracket by bracket.
+    actions (`_odd_intertwiner`), with no search.  The c with θ([x, y]) =
+    c·[Sx, Sy] is read at one odd pair (`_odd_scale`) and S rescaled by μ,
+    μ² = c (ScalingNotFound when c is not a square in GF(5)); the check of
+    the assembled map covers every pair, the 528 odd pairs included.
     """
     _require_char5(field)
     p = field.p
@@ -853,8 +832,7 @@ def cross_identify_with_typeB(field: Field) -> dict:
     tau = _hyperbolic_basis(somq.gram, p)
     if tau is None or not np.array_equal(
             matmul_modp(matmul_modp(tau.T, somq.gram, p), tau, p), gw):
-        raise IsometryNotFound("the Gram matrix of Q gives no isometry "
-                               "from (W, q)")
+        raise IsometryNotFound("the Gram matrix of Q gives no isometry from (W, q)")
 
     # θ: Φ₀ images of the even T basis, as 11×11 matrices on M moved to W
     # by τ, in natural so₁₁ coordinates of the l=5 model.  The temporaries
@@ -871,7 +849,7 @@ def cross_identify_with_typeB(field: Field) -> dict:
     low = [pair_basis(5, "B").labels.index(f"[u,f{i}]") for i in range(1, 6)]
     S = _odd_intertwiner(combine(inv_modp(theta, p).T, _block(T, 0, 1, 1), p),
                          rep2, low, p)
-    c_val = _odd_proportionality(T, B5, theta, S, p)
+    c_val = _odd_scale(T, B5, theta, S, p)
     mu = _sqrt_modp(c_val, p)
     if mu is None:
         raise ScalingNotFound(f"odd-odd proportionality {c_val} is not a "
@@ -881,7 +859,9 @@ def cross_identify_with_typeB(field: Field) -> dict:
     iso[:55, :55] = theta
     iso[55:, 55:] = mu * S % p
     if not verify_isomorphism(iso, T, B5):
-        raise VerificationFailed("assembled isomorphism fails verification")
+        bad = _first_unpreserved_pair(iso, T, B5)
+        raise VerificationFailed("assembled isomorphism fails verification" + (
+            f": bracket mismatch at pair {tuple(T.labels[x] for x in bad)}" if bad else ""))
 
     eq_dim = equivariant_map_dim(rep2, _block(B5, 0, 0, 0), field=field)
 

@@ -300,7 +300,7 @@ def test_tits_seed_without_square_root_fails_cleanly(tmp_path, capsys, monkeypat
     # odd brackets proportional by a non-square of GF(5) leave no mu: the
     # identification raises ScalingNotFound, which the run reports as its
     # error section and exit 1
-    monkeypatch.setattr(tits, "_odd_proportionality", lambda *args: 3)
+    monkeypatch.setattr(tits, "_odd_scale", lambda *args: 3)
     rc, blob = run_to_file(tmp_path, "tits1.json", ["verify", "tits"])
     assert rc == 1
     doc = json.loads(blob)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinlab import linalg
 from spinlab.fields import QQ, GF, DivideByZero, make_field
 from spinlab.linalg import (SpanSolver, RowSpace, RowSpaceModP, combine,
                             common_denominator, exact_array, inv_modp,
@@ -176,6 +177,35 @@ def test_rowspace_modp_matches_generic():
         inside = len(gauss_jordan(raw + [probe], f.p)[1]) == len(piv)
         assert in_span(space, probe) == inside
         assert in_span(space, np.array(probe)) == inside
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_rowspace_insert_drops_zero_rows_before_the_elimination(p, monkeypatch):
+    # a row that reduces to zero adds nothing: no batch hands one to
+    # rref_modp, and a batch with nothing left makes no call at all.  The
+    # basis, pivots and counts are those of the oracle on all the rows.
+    offered = []
+    real = linalg.rref_modp
+
+    def spy(a, q):
+        offered.append(np.array(a))
+        return real(a, q)
+
+    monkeypatch.setattr(linalg, "rref_modp", spy)
+    zero = [0, 0, 0, 0, 0]
+    batches = [[zero, [1, 2, 0, 3, 0], zero, [2, 4, 0, 6, 0], [0, 1, 1, 0, 0], zero],
+               [zero, [1, 3, 1, 3, 0], zero],      # the sum of two rows held
+               [[3, 6, 0, 9, 0], zero, [0, 0, 0, 2, 4], zero, [0, 2, 2, 0, 0]],
+               [zero, zero]]
+    space, seen = RowSpaceModP(p, 5), []
+    for batch, gained in zip(batches, (2, 0, 1, 0)):
+        assert space.insert(batch) == gained
+        seen += batch
+        R, piv = gauss_jordan(seen, p)
+        assert space.basis.tolist() == R and space.pivots == piv
+    assert len(offered) == 2
+    assert all((a != 0).any(axis=1).all() for a in offered)
+    assert [len(a) for a in offered] == [3, 1]
 
 
 def test_rowspace_over_q_matches_the_oracle():

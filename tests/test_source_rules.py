@@ -287,6 +287,31 @@ def test_irreducibility_is_decided_without_random_numbers():
     assert not found, found
 
 
+def test_the_odd_scale_is_read_at_one_pair():
+    # the check of the assembled 87 x 87 map covers every odd pair, so no
+    # package module names the all-pairs odd-odd pass _odd_proportionality,
+    # _odd_scale reads no pair index grid, and cross_identify_with_typeB
+    # reads c through _odd_scale and checks the map by verify_isomorphism
+    field_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+                ast.FunctionDef: "name"}
+    found, calls = [], {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = getattr(node, field_of.get(type(node), ""), None)
+            if name == "_odd_proportionality":
+                found.append(f"{path.name}:{node.lineno} names {name}")
+            if isinstance(node, ast.FunctionDef) and path.name == "tits.py":
+                calls[node.name] = {getattr(c.func, "attr", getattr(c.func, "id", None))
+                                    for c in ast.walk(node) if isinstance(c, ast.Call)}
+    if "triu_indices" in calls["_odd_scale"]:
+        found.append("_odd_scale reads the grid of all pairs")
+    found += [f"cross_identify_with_typeB does not call {name}"
+              for name in ("_odd_scale", "verify_isomorphism")
+              if name not in calls["cross_identify_with_typeB"]]
+    assert not found, found
+
+
 def test_built_tables_pass_one_both_orders_gate():
     # the builders hand both orders of every bracket to
     # superalgebra._stored_half: tits.py and construct.py sort no entries

@@ -525,6 +525,16 @@ def test_even_sectors_hold_identically_for_rep_built_bracket():
         assert j_triple(A, i, j, k) == {}
 
 
+def test_ideal_closure_names_a_seed_of_the_wrong_length():
+    # a seed of length 2 for sl2 raised numpy's "cannot reshape array"
+    A = sl2(GF(5))
+    for seeds in ([[1, 0]], [[1, 0, 0, 0]], [1, 0, 0], [[]], [[[1, 0, 0]]]):
+        with pytest.raises(ValueError, match=r"seeds must have A\.dim = 3 columns, not shape"):
+            ideal_closure(A, seeds)
+    assert ideal_closure(A, []) == []
+    assert len(ideal_closure(A, np.array([[1, 0, 0]]))) == 3
+
+
 def test_ideal_closure_monotone_and_idempotent():
     f = QQ
     A = sl2(f)
@@ -815,6 +825,50 @@ def test_table_constructor_refuses_floats():
         SuperAlgebra("f", GF(5), 2, 0, ["a", "b"], {(0, 1): {1: 0.5}}, False)
     with pytest.raises(TypeError, match="inexact value"):
         SuperAlgebra("f", QQ, 2, 0, ["a", "b"], {(0, 1): {1: 0.1}}, False)
+
+
+@pytest.mark.parametrize("n0,n1,bracket,odd_symmetric,error,message", [
+    # the int64 cast read 1.5 as 1 and 0.5 as 0: [f, e] was stored at (0, 1)
+    (3, 0, {(1.5, 0): {0: 2}}, False, ValueError, r"index i = 1\.5 is not an int"),
+    (3, 0, {(0, 1.0): {0: 2}}, False, ValueError, r"index j = 1\.0 is not an int"),
+    (3, 0, {(1, 0): {0.5: 2}}, False, ValueError, r"index k = 0\.5 is not an int"),
+    (3, 0, {(True, 0): {0: 2}}, False, ValueError, r"index i = True is not an int"),
+    (3, 0, {(1, 0): {False: 2}}, False, ValueError, r"index k = False is not an int"),
+    (3, 0, {(5, 0): {}}, False, ValueError, r"index i = 5 is not an int in range\(3\)"),
+    # n0 = -1 was kept, and n0 = 1.0 gave dim 3.0
+    (-1, 4, {}, False, ValueError, "n0 and n1 must be non-negative ints, not -1 and 4"),
+    (1.0, 2, {}, False, ValueError, "n0 and n1 must be non-negative ints, not 1.0 and 2"),
+    (2, True, {}, False, ValueError, "n0 and n1 must be non-negative ints, not 2 and True"),
+    (3, 0, {}, "no", TypeError, "odd_symmetric must be a bool, not 'no'"),
+    (3, 0, {}, 1, TypeError, "odd_symmetric must be a bool, not 1"),
+])
+def test_table_constructor_refuses_mistyped_input(n0, n1, bracket, odd_symmetric,
+                                                  error, message):
+    with pytest.raises(error, match=message):
+        SuperAlgebra("x", GF(5), n0, n1, "ehf", bracket, odd_symmetric)
+
+
+def test_loader_refuses_a_mistyped_document():
+    # a document with a recomputed content hash reaches the checks of the
+    # constructor: "no" was read as odd-symmetric, 1.5 as the index 1
+    doc = osp12(GF(5)).to_dict()
+    assert SuperAlgebra.from_dict(doc) == osp12(GF(5))
+    for key, value, error, message in (
+            ("odd_symmetric", "no", TypeError, "odd_symmetric must be a bool"),
+            ("dims", [3.0, 2], ValueError, "n0 and n1 must be non-negative ints"),
+            ("brackets", [[1.5, 0, [[0, "2"]]]], ValueError, "index i = 1.5")):
+        bad = {k: v for k, v in doc.items() if k != "content_hash"}
+        bad[key] = value
+        bad["content_hash"] = superalgebra._canonical_hash(bad)
+        with pytest.raises(error, match=message):
+            SuperAlgebra.from_dict(bad)
+    # the builders' route through _store gets the same checks
+    with pytest.raises(ValueError, match="n0 and n1"):
+        SuperAlgebra._from_coo("x", GF(5), 3, -1, "eh", ((), (), (), (), 1),
+                               odd_symmetric=False)
+    with pytest.raises(TypeError, match="odd_symmetric must be a bool"):
+        SuperAlgebra._from_coo("x", GF(5), 2, 0, "eh", ((), (), (), (), 1),
+                               odd_symmetric=None)
 
 
 def test_norton_refuses_floats():
@@ -1205,6 +1259,20 @@ def test_norton_one_dimensional_and_empty_inputs():
     for n, p in ((0, 5), (2, 2), (2, 9), (2, 0)):
         with pytest.raises(ValueError):
             lowest_line_irreducible([], n, p)
+    # n = True raised numpy's "an integer is required", and operators of
+    # another size a reshape error; Burnside reads its operators the same way
+    for test in (lambda ops, n: lowest_line_irreducible(ops, n, 5),
+                 lambda ops, n: burnside_irreducible(ops, n, GF(5))):
+        with pytest.raises(ValueError, match="n must be a positive int, not True"):
+            test([[[3]]], True)
+        with pytest.raises(ValueError, match="n must be a positive int, not 2.0"):
+            test([[[3]]], 2.0)
+        for ops in ([[[3]]], [[1, 0], [0, 1]], [[[1, 0, 0], [0, 1, 0]]], [[[1], [2]]]):
+            with pytest.raises(ValueError, match=r"ops must be 2 x 2 operators, not shape"):
+                test(ops, 2)
+    empty = np.zeros((0, 2, 2), dtype=np.int64)
+    assert lowest_line_irreducible(empty, 2, 5) == ("failed", 1)
+    assert burnside_irreducible(empty, 2, GF(5)) is False
 
 
 def test_certificate_names_the_submodule_of_a_reducible_odd_part():

@@ -22,7 +22,7 @@ from spinlab.clifford import (ambient_gram, ambient_space, natural_matrices, pai
                               qpair)
 from spinlab.tits import (TITS_DIMS, UU_INDICES, UU_PAIRS, IsometryNotFound,
                           ScalingNotFound, _hyperbolic_basis,
-                          _odd_intertwiner, _odd_proportionality,
+                          _odd_intertwiner, _odd_scale,
                           build_so_MQ, build_tits, cross_identify_with_typeB, phi0,
                           phi1_intertwine, spin_map_psi, tits_bracket,
                           tits_model, unit_ideal_split)
@@ -848,7 +848,7 @@ def test_cross_identification_refuses_a_failed_isometry(monkeypatch):
 
 
 def test_cross_identification_refuses_a_non_square_proportionality(monkeypatch):
-    monkeypatch.setattr(tits, "_odd_proportionality", lambda *args: 3)
+    monkeypatch.setattr(tits, "_odd_scale", lambda *args: 3)
     with pytest.raises(ScalingNotFound, match="3 is not a square"):
         cross_identify_with_typeB(F5)
 
@@ -1122,9 +1122,9 @@ def test_phi0_mismatch_names_the_pair(monkeypatch):
 
 
 def proportionality_by_dictionary(T, B5, theta, S, p):
-    """The odd-odd proportionality pair by pair through bracket_vectors
-    (the reference for _odd_proportionality): the same value, or the same
-    ScalingNotFound message."""
+    """The odd-odd proportionality pair by pair through bracket_vectors, on
+    all 528 pairs (the reference for _odd_scale): the c with θ([x, y]) =
+    c·[Sx, Sy] for all odd x, y, or a ScalingNotFound message."""
     def even_part(A, x, y):
         return np.array(A.bracket_vectors([0] * 55 + x.tolist(),
                                           [0] * 55 + y.tolist())[:55],
@@ -1158,56 +1158,93 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def test_odd_proportionality_matches_the_dictionary_route():
+def _verified_blocks():
+    """θ and μS of the verified isomorphism, with T and B5."""
     M = np.array(cross_identify_with_typeB(F5)["matrix"], dtype=np.int64)
-    theta, S = M[:55, :55], M[55:, 55:]          # mu = 1 for seed 0
     T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
-    assert _odd_proportionality(T, B5, theta, S, 5) == 1
-    rng = random.Random(7)
-    seen = set()
-    for trial in range(4):
-        # three entries at once, so that several pairs fail and the
-        # reported one pins the scan order
-        th, s = theta.copy(), S.copy()
-        for _ in range(3):
-            if trial % 2:
-                s[rng.randrange(32), rng.randrange(32)] += rng.randrange(1, 5)
-            else:
-                th[rng.randrange(55), rng.randrange(55)] += rng.randrange(1, 5)
-        th, s = th % 5, s % 5
-        got = _outcome(_odd_proportionality, T, B5, th, s, 5)
-        assert got == _outcome(proportionality_by_dictionary, T, B5, th, s, 5)
-        seen.add(type(got))
-    assert str in seen
+    return M[:55, :55], M[55:, 55:], T, B5
+
+
+def test_odd_proportionality_matches_the_dictionary_route():
+    # c read at one pair is the all-pairs value on the verified map and its
+    # rescalings: 1 on (θ, μS), a/λ² on (a·θ, λ·μS), so 4 on S = 3·μS, the
+    # c of the report; a = 2 gives the non-squares 2 and 3
+    theta, S, T, B5 = _verified_blocks()
+    scalings = [(a, lam) for a in (1, 2) for lam in range(1, 5)]
+    got = [_odd_scale(T, B5, a * theta % 5, lam * S % 5, 5) for a, lam in scalings]
+    assert got == [proportionality_by_dictionary(T, B5, a * theta % 5, lam * S % 5, 5)
+                   for a, lam in scalings]
+    assert got == [1, 4, 4, 1, 2, 3, 3, 2]
+    assert cross_identify_with_typeB(F5)["proportionality"] == got[2]
+
+
+def _feed(monkeypatch, theta, S):
+    """Make cross_identify_with_typeB read θ and S: Φ₀ is tampered so that
+    its transport through τ is θ, and _odd_intertwiner returns S."""
+    good, phi0 = _verified_blocks()[0], tits._phi0(F5)
+    tampered = matmul_modp(matmul_modp(phi0, inv_modp(good, 5), 5), theta, 5)
+    monkeypatch.setattr(tits, "_phi0", lambda field: tampered)
+    monkeypatch.setattr(tits, "_odd_intertwiner", lambda *args: S)
+
+
+def _mismatch_message(theta, S, T, B5):
+    """The refusal of the map θ ⊕ S, naming the reference's first pair it
+    does not preserve, and that pair."""
+    iso = np.zeros((87, 87), dtype=np.int64)
+    iso[:55, :55], iso[55:, 55:] = theta, S
+    i, j = first_unpreserved_pair_by_columns(iso, T, B5)
+    return ("assembled isomorphism fails verification: bracket mismatch at pair "
+            f"{(T.labels[i], T.labels[j])}"), (i, j)
 
 
 def _tampered_for_each_refusal(theta, S):
-    """(theta, S, expected message prefix) for the three refusals of
-    _odd_proportionality, in the order of its checks."""
+    """(theta, S, error) for the three refusals of the all-pairs pass, each
+    now refused by cross_identify_with_typeB: at the one pair c is read
+    (ScalingNotFound) or by the check of the assembled map, which names the
+    first pair it does not preserve (VerificationFailed)."""
     cut = S.copy()
     cut[:, 0] = 0                     # [S o_0, S o_j] = 0, θ([o_0, o_j]) is not
     off = theta.copy()
     off[0, 1] = (off[0, 1] + 1) % 5   # θ moves one coordinate out of line
     scaled = S.copy()
     scaled[:, 0] = scaled[:, 0] * 2 % 5   # the pairs of o_0 get another ratio
-    return [(theta, cut, "odd bracket support differs at (0,"),
-            (off, S, "odd brackets not proportional at ("),
-            (theta, scaled, "inconsistent proportionality ")]
+    return [(theta, cut, ScalingNotFound),
+            (off, S, VerificationFailed),
+            (theta, scaled, VerificationFailed)]
 
 
 @pytest.mark.parametrize("case", range(3))
-def test_odd_proportionality_refusals(case):
-    M = np.array(cross_identify_with_typeB(F5)["matrix"], dtype=np.int64)
-    T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
-    th, s, prefix = _tampered_for_each_refusal(M[:55, :55], M[55:, 55:])[case]
-    with pytest.raises(ScalingNotFound) as caught:
-        _odd_proportionality(T, B5, th, s, 5)
-    assert str(caught.value).startswith(prefix)
-    assert str(caught.value) == _outcome(proportionality_by_dictionary, T, B5, th, s, 5)
+def test_odd_proportionality_refusals(case, monkeypatch):
+    theta, S, T, B5 = _verified_blocks()
+    th, s, error = _tampered_for_each_refusal(theta, S)[case]
+    assert isinstance(_outcome(proportionality_by_dictionary, T, B5, th, s, 5), str)
+    _feed(monkeypatch, th, s)
+    with pytest.raises((ScalingNotFound, VerificationFailed)) as caught:
+        cross_identify_with_typeB(F5)
+    assert type(caught.value) is error
+    if error is ScalingNotFound:
+        assert str(caught.value) == "the odd bracket [S o_0, S o_0] vanishes"
+        return
+    mu = tits._sqrt_modp(_odd_scale(T, B5, th, s, 5), 5)
+    assert str(caught.value) == _mismatch_message(th, mu * s % 5, T, B5)[0]
 
 
-def test_odd_proportionality_of_vanishing_brackets():
-    T, B5 = build_tits("octonion", F5), build_superalgebra(5, "B", F5)
-    zero = np.zeros((55, 55), dtype=np.int64), np.zeros((32, 32), dtype=np.int64)
-    with pytest.raises(ScalingNotFound, match="all odd-odd brackets vanished"):
-        _odd_proportionality(T, B5, *zero, 5)
+def test_odd_proportionality_of_vanishing_brackets(monkeypatch):
+    theta, _, T, B5 = _verified_blocks()
+    _feed(monkeypatch, theta, np.zeros((32, 32), dtype=np.int64))
+    with pytest.raises(ScalingNotFound, match=r"the odd bracket \[S o_0, S o_0\] vanishes"):
+        cross_identify_with_typeB(F5)
+
+
+def test_a_wrong_square_scale_is_caught_at_an_odd_pair(monkeypatch):
+    # μ = 1 where c = 4 keeps S an intertwiner, so every even-even and
+    # even-odd pair is preserved: only the check of the assembled map on
+    # the odd pairs, which the one-pair read leaves to it, refuses it
+    theta, S, T, B5 = _verified_blocks()
+    monkeypatch.setattr(tits, "_odd_scale", lambda *args: 1)
+    with pytest.raises(VerificationFailed) as caught:
+        cross_identify_with_typeB(F5)
+    message, (i, j) = _mismatch_message(theta, 3 * S % 5, T, B5)   # S = μ⁻¹·μS
+    assert str(caught.value) == message
+    assert min(i, j) >= T.n0
+
