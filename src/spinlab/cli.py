@@ -282,11 +282,7 @@ def _tits_sections(chars):
     psi = _tits.spin_map_psi(g5)
     sections["psi"] = {"checked": psi["checked"], "verified": psi["verified"]}
     inter = _tits.phi1_intertwine(g5)
-    neg = _tits.phi1_intertwine(g5, negate_index=0)
-    sections["phi1"] = {
-        "pass": inter["pass"], "checked": inter["checked"],
-        "negative_control": {"pass": neg["pass"], "witness": neg["witness"]},
-    }
+    sections["phi1"] = {k: inter[k] for k in ("pass", "checked", "negative_control")}
 
     cross = _tits.cross_identify_with_typeB(g5)
     sections["cross_identify"] = {

@@ -66,8 +66,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .fields import Field, _is_int, _require_field, make_field
-from .linalg import (RowSpace, RowSpaceModP, _red, common_denominator,
-                     exact_array, matmul_modp, nullspace_modp, rank_modp)
+from .linalg import (RowSpaceModP, _red, common_denominator, exact_array,
+                     matmul_modp, nullspace_modp, rank_modp, rref_modp)
 
 SCHEMA_VERSION = 1
 
@@ -77,6 +77,13 @@ def _basis_index(i, n: int) -> int:
     if not _is_int(i) or not 0 <= i < n:
         raise ValueError(f"basis index {i!r} outside range({n})")
     return int(i)
+
+
+def _dims(n0, n1) -> int:
+    """n0 + n1; ValueError naming both unless each is a non-negative int."""
+    if not all(_is_int(v) and v >= 0 for v in (n0, n1)):
+        raise ValueError(f"n0 and n1 must be non-negative ints, not {n0!r} and {n1!r}")
+    return int(n0) + int(n1)
 
 
 class VerificationFailed(RuntimeError):
@@ -99,7 +106,7 @@ class SuperAlgebra:
 
     def __init__(self, name: str, field: Field, n0: int, n1: int, labels,
                  bracket: dict, odd_symmetric: bool):
-        n = n0 + n1
+        n = _dims(n0, n1)
         f = field
         stored = {}
         for (i, j), terms in bracket.items():
@@ -138,9 +145,7 @@ class SuperAlgebra:
         being residues and scale 1 over GF(p).  ValueError unless n^3 <
         2^63, the bound of every int64 key read off coo: (i*n + j)*n + k in
         the sort here and in the Jacobi scan, i*n + j for the pairs."""
-        if not all(_is_int(v) and v >= 0 for v in (n0, n1)):
-            raise ValueError(f"n0 and n1 must be non-negative ints, not {n0!r} and {n1!r}")
-        n = int(n0) + int(n1)
+        n = _dims(n0, n1)
         if not isinstance(odd_symmetric, (bool, np.bool_)):
             raise TypeError(f"odd_symmetric must be a bool, not {odd_symmetric!r}")
         if n ** 3 >= 1 << 63:
@@ -195,7 +200,7 @@ class SuperAlgebra:
         return self.n0 + self.n1
 
     def parity(self, i: int) -> int:
-        return 0 if i < self.n0 else 1
+        return int(_basis_index(i, self.dim) >= self.n0)
 
     def _swap_sign(self, i: int, j: int) -> int:
         """Sign s with [e_i, e_j] = s * [e_j, e_i]."""
@@ -782,9 +787,9 @@ def ideal_closure(A: SuperAlgebra, seeds) -> list:
     adds the n rows of _brackets_into(A, x) in one insert (_closure)."""
     p = A.field.p
     seeds = exact_array(seeds, p)
-    if len(seeds) and seeds.shape[1:] != (A.dim,):
+    if seeds.shape != (0,) and seeds.shape[1:] != (A.dim,):
         raise ValueError(f"seeds must have A.dim = {A.dim} columns, not shape {seeds.shape}")
-    return _closure(seeds.reshape(len(seeds), A.dim),
+    return _closure(seeds.reshape(-1, A.dim),
                     lambda wave: (_brackets_into(A, x) for x in wave), p).basis.tolist()
 
 
@@ -797,9 +802,8 @@ def derived_algebra(A: SuperAlgebra) -> list:
     pairs, row = np.unique(I[stored] * n + J[stored], return_inverse=True)
     rows = np.zeros((pairs.size, n), dtype=V.dtype)
     rows[row, K[stored]] = V[stored]
-    space = RowSpace(A.field, n)
-    space.insert(rows)
-    return space.basis.tolist()
+    reduced, pivots = rref_modp(rows, A.field.p)
+    return reduced[:len(pivots)].tolist()
 
 
 def _operators(ops, n, p: int) -> np.ndarray:
@@ -807,10 +811,14 @@ def _operators(ops, n, p: int) -> np.ndarray:
     the shape of ops unless n is a positive int and each operator n x n."""
     if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive int, not {n!r}")
-    gens = exact_array(ops, p)
-    if len(gens) and gens.shape[1:] != (n, n):
-        raise ValueError(f"ops must be {n} x {n} operators, not shape {gens.shape}")
-    return gens.reshape(-1, n, n)
+    try:
+        shape = np.shape(ops)
+    except ValueError:                  # a ragged list has no shape
+        shape = None
+    if shape is None or shape != (0,) and shape[1:] != (n, n):
+        raise ValueError(f"ops must be {n} x {n} operators, not "
+                         + ("a ragged list" if shape is None else f"shape {shape}"))
+    return exact_array(ops, p).reshape(-1, n, n)
 
 
 def burnside_irreducible(ops, n: int, field: Field) -> bool:
@@ -849,6 +857,11 @@ def _spin(vec: np.ndarray, mats, p: int) -> RowSpaceModP:
     return _closure(vec.reshape(1, n), images, p)
 
 
+def _lowering(ops) -> np.ndarray:
+    """Mask of the strictly upper triangular matrices of the stack ops."""
+    return ~np.tril(ops).any(axis=(1, 2))
+
+
 def lowest_line_irreducible(ops, n: int, p: int):
     """Whether the n x n integer matrices ops act absolutely irreducibly
     on GF(p)^n (p an odd prime, n >= 1; entries read mod p by exact_array,
@@ -866,7 +879,7 @@ def lowest_line_irreducible(ops, n: int, p: int):
     if not Field(p).p:                 # Field refuses 2, composites, p >= 2^26
         raise ValueError("the lowest-line test needs an odd prime p")
     gens = _operators(ops, n, p)
-    low = gens[~np.tril(gens).any(axis=(1, 2))]
+    low = gens[_lowering(gens)]
     kernel = nullspace_modp(low.reshape(-1, n), p)
     # spins act on rows, v -> v @ M: (g v)^T = v^T @ g^T
     dim = _spin(kernel[0], [np.ascontiguousarray(g.T) for g in gens], p).dim
@@ -901,7 +914,7 @@ def _largest_ideal_inside(A: SuperAlgebra, kernel_rows) -> int:
     rows = np.asarray(kernel_rows, dtype=np.int64).reshape(-1, n0) % p
     while rows.shape[0]:
         r = rows.shape[0]
-        space = RowSpace(A.field, n0)
+        space = RowSpaceModP(p, n0)
         space.insert(rows)
         # [x_i, e_b] for every row i and every b, reduced against the span:
         # sum c_i x_i stays inside iff sum c_i resid[i] vanishes

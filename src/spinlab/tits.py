@@ -37,11 +37,12 @@ The characteristic-5 identification (build_so_MQ, phi0, spin_map_psi,
 phi1_intertwine, cross_identify_with_typeB) works over GF(5) only and
 refuses any other field with ValueError (TypeError for a non-Field),
 and draws no random numbers: the isometry is read off the Gram matrix of
-Q, the odd intertwiner off the common kernel lines of the lowering root
-vectors [u,fi] on the two spin actions, and its scale off one odd pair,
-the check of the assembled map covering all 528.  Each step computes its
-data once per field, as int64 arrays of residues, verifies it and caches
-it, so the steps may run in any order.  Whatever it needs of C it reads from
+Q, the odd intertwiner off the common kernel lines on the two spin actions
+of the elements whose B5 matrices are strictly upper triangular (as in
+lowest_line_irreducible), and its scale off one odd pair, the check of
+the assembled map covering all 528.  Each step computes its data once per
+field, as int64 arrays of residues, verifies it and caches it, so the
+steps may run in any order.  Whatever it needs of C it reads from
 the octonion TitsModel and the integer tables of C: the C⁰ block of the
 Gram matrix of Q is −npol, der C and ad_a act on C⁰ by Dczᵀ and comm_czᵀ
 in Φ₀, a ∈ C⁰ acts on the spin space through La, and Φ₁ reads C⁰ and the
@@ -64,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field, _is_int, _require_field
+from .fields import Field, _require_field
 from .linalg import (_red, combine, common_denominator, exact_array, inv_modp,
                      matmul_modp, nullspace_modp, pair_products, rank_modp,
                      rref_modp)
@@ -75,7 +76,7 @@ from .kac import (J_LABELS, J_PARITY, ODD_INDICES, K_FORM, _frozen,
 from .superalgebra import (SuperAlgebra, VerificationFailed, check_jacobi,
                            even_subalgebra, ideal_closure, verify_isomorphism,
                            equivariant_map_dim, _block, _first_unpreserved_pair,
-                           _basis_index, _spin, _stored_half)
+                           _basis_index, _lowering, _spin, _stored_half)
 from .clifford import (ambient_gram, pair_basis, natural_matrices, so_constants,
                        DegenerateForm, _checked_cache)
 from .construct import build_superalgebra
@@ -671,40 +672,32 @@ def _phi1(field: Field) -> np.ndarray:
     return _frozen(np.stack(cols, axis=1) % p)
 
 
-def phi1_intertwine(field: Field, negate_index=None) -> dict:
-    """Check Φ₁([p, w]) = ρ(Φ₀(p))·Φ₁(w) on all even×odd basis pairs.
-
-    negate_index, an int or numpy integer in range(32) and not a bool,
-    flips the sign of that Φ₁ column first (negative control); returns a
-    witness dict instead of raising.
-    """
+def phi1_intertwine(field: Field) -> dict:
+    """Check Φ₁([p, w]) = ρ(Φ₀(p))·Φ₁(w) on all even×odd basis pairs: pass,
+    checked and witness (None on a pass), and negative_control, the pass
+    and witness of the same check on Φ₁ with column 0 negated.  Both
+    checks read one ρ∘Φ₀ and one odd block of T."""
     _require_char5(field)
-    n1 = TITS_DIMS["octonion"][1]
-    if negate_index is not None and (not _is_int(negate_index)
-                                     or not 0 <= negate_index < n1):
-        raise ValueError(f"negate_index must be an int in range({n1}), "
-                         f"not {negate_index!r}")
-    p = field.p
-    phi1 = _phi1(field).copy()
-    if negate_index is not None:
-        phi1[:, negate_index] = (-phi1[:, negate_index]) % p
+    n1, p = TITS_DIMS["octonion"][1], field.p
+    phi1 = _phi1(field)
     if rank_modp(phi1, p) < n1:
         raise VerificationFailed("phi1 matrix is singular")
-    _, rho, _ = _spin_rep(field)
-    phi0_np = _phi0(field)
     T = build_tits("octonion", field)
-    lhs = _stacked_left(phi1, _block(T, 0, 1, 1), p)
-    rhs = _stacked_right(combine(phi0_np.T, rho, p), phi1, p)
-    bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
-    if bad.size:
+    odd, rho_phi0 = _block(T, 0, 1, 1), combine(_phi0(field).T, _spin_rep(field)[1], p)
+
+    def check(phi):
+        lhs, rhs = _stacked_left(phi, odd, p), _stacked_right(rho_phi0, phi, p)
+        bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+        if not bad.size:
+            return {"pass": True, "checked": n1 * T.n0, "witness": None}
         a = int(bad[0])
         j = int(np.nonzero((lhs[a] - rhs[a]) % p)[1][0])
         return {"pass": False, "checked": n1 * a,
-                "witness": {"even": T.labels[a],
-                            "odd": T.labels[T.n0 + j],
-                            "lhs": lhs[a][:, j].tolist(),
-                            "rhs": rhs[a][:, j].tolist()}}
-    return {"pass": True, "checked": n1 * T.n0, "witness": None}
+                "witness": {"even": T.labels[a], "odd": T.labels[T.n0 + j],
+                            "lhs": lhs[a][:, j].tolist(), "rhs": rhs[a][:, j].tolist()}}
+
+    control = check(np.hstack([-phi1[:, :1] % p, phi1[:, 1:]]))
+    return {**check(phi1), "negative_control": {k: control[k] for k in ("pass", "witness")}}
 
 
 # ---------------------------------------------------------------------------
@@ -743,29 +736,28 @@ def _hyperbolic_basis(gram, p):
     return tau
 
 
-def _odd_intertwiner(rep1, rep2, low, p):
+def _odd_intertwiner(rep1, rep2, p):
     """The n×n S with rep2[a]·S = S·rep1[a] mod p for every a, by the
     MeatAxe isomorphism test (Parker 1984; Holt and Rees 1994).
 
-    v₁ spans the common kernel of rep1[a] for a in low, and v₂ that of
-    rep2[a]; each must be one line.  The spin of (v₁ | v₂) under
-    blockdiag(rep1ᵀ, rep2ᵀ), when it has dimension n and pivots 0..n−1,
-    is the graph {(w, S·w)} of an intertwiner S.  The intertwiners are
-    then exactly the line through S: any S' maps the kernel at low on rep1
-    into that on rep2, so S'·v₁ = c·v₂, and S' − c·S vanishes on the
-    submodule spun by v₁, which is everything.  S is scaled so that the
-    last nonzero entry of vec(S) (row-major) is 1, rechecked on every
-    generator and checked invertible; anything else raises
-    VerificationFailed.
+    v₁ and v₂ span the common kernels on rep1 and rep2 of the a with
+    rep2[a] strictly upper triangular (_lowering); each must be one line.
+    The spin of (v₁ | v₂) under blockdiag(rep1ᵀ, rep2ᵀ), when it has
+    dimension n and pivots 0..n−1, is the graph {(w, S·w)} of an
+    intertwiner S.  The intertwiners are then exactly the line through S:
+    any S' maps the kernel on rep1 into that on rep2, so S'·v₁ = c·v₂, and
+    S' − c·S vanishes on the submodule spun by v₁, which is everything.
+    S is scaled so that the last nonzero entry of vec(S) (row-major) is 1,
+    rechecked on every generator and checked invertible; anything else
+    raises VerificationFailed.
     """
-    rep1 = np.asarray(rep1, dtype=np.int64) % p
-    rep2 = np.asarray(rep2, dtype=np.int64) % p
+    rep1, rep2 = (np.asarray(rep, dtype=np.int64) % p for rep in (rep1, rep2))
     k, n, _ = rep1.shape
-    v1, v2 = (nullspace_modp(rep[list(low)].reshape(-1, n), p)
-              for rep in (rep1, rep2))
+    low = _lowering(rep2)
+    v1, v2 = (nullspace_modp(rep[low].reshape(-1, n), p) for rep in (rep1, rep2))
     if len(v1) != 1 or len(v2) != 1:
         raise VerificationFailed(
-            f"the kernel at low is not one line: it has dimension {len(v1)} "
+            f"the lowering kernel is not one line: it has dimension {len(v1)} "
             f"on rep1 and {len(v2)} on rep2")
     blocks = np.zeros((k, 2 * n, 2 * n), dtype=np.int64)
     blocks[:, :n, :n] = rep1.transpose(0, 2, 1)
@@ -812,11 +804,12 @@ def cross_identify_with_typeB(field: Field) -> dict:
     fails.  Φ₀ is transported through τ into the natural so-basis (θ).
     The odd intertwiner S is the unique solution, up to a scalar, of
     rep₂(a)·S = S·rep₁(a) over the 55 even basis elements, read off the
-    spin of the common kernel lines of [u,f1] .. [u,f5] on the two spin
-    actions (`_odd_intertwiner`), with no search.  The c with θ([x, y]) =
-    c·[Sx, Sy] is read at one odd pair (`_odd_scale`) and S rescaled by μ,
-    μ² = c (ScalingNotFound when c is not a square in GF(5)); the check of
-    the assembled map covers every pair, the 528 odd pairs included.
+    spin of the common kernel lines on the two spin actions of the 25 with
+    strictly upper triangular B5 matrices (`_odd_intertwiner`), with no
+    search.  The c with θ([x, y]) = c·[Sx, Sy] is read at one odd pair
+    (`_odd_scale`) and S rescaled by μ, μ² = c (ScalingNotFound when c is
+    not a square in GF(5)); the check of the assembled map covers every
+    pair, the 528 odd pairs included.
     """
     _require_char5(field)
     p = field.p
@@ -845,10 +838,7 @@ def cross_identify_with_typeB(field: Field) -> dict:
         raise VerificationFailed("transported image not in so(W,q)")
     theta = np.ascontiguousarray(coords.T)
     rep2 = _block(B5, 0, 1, 1)
-    # the lowering root vectors [u,fi] kill exactly B5's empty spin monomial
-    low = [pair_basis(5, "B").labels.index(f"[u,f{i}]") for i in range(1, 6)]
-    S = _odd_intertwiner(combine(inv_modp(theta, p).T, _block(T, 0, 1, 1), p),
-                         rep2, low, p)
+    S = _odd_intertwiner(combine(inv_modp(theta, p).T, _block(T, 0, 1, 1), p), rep2, p)
     c_val = _odd_scale(T, B5, theta, S, p)
     mu = _sqrt_modp(c_val, p)
     if mu is None:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -312,6 +313,50 @@ def test_the_odd_scale_is_read_at_one_pair():
     assert not found, found
 
 
+def test_the_char5_checks_take_only_their_inputs():
+    # the odd intertwiner reads its lowering operators off rep2, and phi1
+    # makes its negative control itself: neither takes a caller's choice
+    tits = spinlab.tits
+    assert list(inspect.signature(tits._odd_intertwiner).parameters) == ["rep1", "rep2", "p"]
+    assert list(inspect.signature(tits.phi1_intertwine).parameters) == ["field"]
+    found = [f"{path.name} names negate_index" for path in sorted(PACKAGE.rglob("*.py"))
+             if "negate_index" in path.read_text()]
+    assert not found, found
+
+
+def test_the_lowering_rule_lives_in_one_function():
+    # the strictly upper triangular operators are picked by
+    # superalgebra._lowering alone, the one np.tril of the package, which
+    # both lowest_line_irreducible and tits._odd_intertwiner call; tits.py
+    # names no root label of B5 such as [u,f1]
+    texts = {path.name: path.read_text() for path in sorted(PACKAGE.rglob("*.py"))}
+    assert sum(text.count("np.tril(") for text in texts.values()) == 1
+    assert "[u,f" not in texts["tits.py"]
+    calls = {}
+    for name in ("superalgebra.py", "tits.py"):
+        for node in ast.walk(ast.parse(texts[name], filename=name)):
+            if isinstance(node, ast.FunctionDef):
+                calls[node.name] = {getattr(c.func, "attr", getattr(c.func, "id", None))
+                                    for c in ast.walk(node) if isinstance(c, ast.Call)}
+    assert "tril" in calls["_lowering"]
+    missing = [name for name in ("lowest_line_irreducible", "_odd_intertwiner")
+               if "_lowering" not in calls[name]]
+    assert not missing, missing
+
+
+def test_no_package_module_builds_a_field_row_space():
+    # the certificate path reads a Field's characteristic once: derived_algebra
+    # takes one rref_modp, _largest_ideal_inside a RowSpaceModP; RowSpace
+    # stays for the tests and the benchmark's span on its insert
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "RowSpace":
+                found.append(f"{path.name}:{node.lineno} calls RowSpace")
+    assert not found, found
+
+
 def test_built_tables_pass_one_both_orders_gate():
     # the builders hand both orders of every bracket to
     # superalgebra._stored_half: tits.py and construct.py sort no entries
@@ -495,7 +540,6 @@ UNREACHED = {
     "superalgebra.SuperAlgebra.bracket_vectors": "bench",
     "superalgebra.SuperAlgebra.from_dict": "load",
     "superalgebra.SuperAlgebra.from_json": "load",
-    "superalgebra._basis_index": "bench",
     "superalgebra._scan_one_i": "bench",
     "superalgebra.burnside_irreducible": "bench",
     "superalgebra.burnside_irreducible.images": "bench",

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -535,6 +536,14 @@ def test_ideal_closure_names_a_seed_of_the_wrong_length():
     assert len(ideal_closure(A, np.array([[1, 0, 0]]))) == 3
 
 
+def test_ideal_closure_names_a_scalar_seed():
+    # a scalar raised "object of type 'numpy.int64' has no len()"
+    A = sl2(GF(5))
+    for seeds in (5, np.int64(5), Fraction(1, 2)):
+        with pytest.raises(ValueError, match=r"seeds must have A\.dim = 3 columns, not shape \(\)"):
+            ideal_closure(A, seeds)
+
+
 def test_ideal_closure_monotone_and_idempotent():
     f = QQ
     A = sl2(f)
@@ -846,6 +855,25 @@ def test_table_constructor_refuses_mistyped_input(n0, n1, bracket, odd_symmetric
                                                   error, message):
     with pytest.raises(error, match=message):
         SuperAlgebra("x", GF(5), n0, n1, "ehf", bracket, odd_symmetric)
+
+
+def test_table_constructor_checks_the_dims_before_adding_them():
+    # n0 + n1 ran before the check, and "a" + 1 raised "can only concatenate str"
+    for n0, n1 in (("a", 1), (1, "b"), (None, 2)):
+        with pytest.raises(ValueError, match="n0 and n1 must be non-negative ints, "
+                           f"not {n0!r} and {n1!r}"):
+            SuperAlgebra("x", GF(5), n0, n1, "eh", {(1, 0): {0: 1}}, False)
+
+
+@pytest.mark.parametrize("i", [2, 7, -1, 1.5, True, None])
+def test_parity_refuses_an_index_outside_the_basis(i):
+    # parity(7) read 1 and parity(-1) and parity(1.5) read 0 where n0 = 2, n1 = 0
+    A = SuperAlgebra("x", GF(5), 2, 0, "ab", {}, False)
+    assert [A.parity(0), A.parity(np.int64(1))] == [0, 0]
+    B = SuperAlgebra("y", GF(5), 1, 1, "ab", {}, False)
+    assert [B.parity(0), B.parity(1)] == [0, 1]
+    with pytest.raises(ValueError, match=rf"basis index {re.escape(repr(i))} outside range\(2\)"):
+        A.parity(i)
 
 
 def test_loader_refuses_a_mistyped_document():
@@ -1273,6 +1301,15 @@ def test_norton_one_dimensional_and_empty_inputs():
     empty = np.zeros((0, 2, 2), dtype=np.int64)
     assert lowest_line_irreducible(empty, 2, 5) == ("failed", 1)
     assert burnside_irreducible(empty, 2, GF(5)) is False
+
+
+def test_operators_refuse_a_ragged_list():
+    # numpy raised "setting an array element with a sequence" from exact_array
+    for ops in ([[[1, 0], [0, 1]], [[1], [2]]], [[[1, 0], [0]]], [[1, 0], [0, 1, 2]]):
+        with pytest.raises(ValueError, match="ops must be 2 x 2 operators, not a ragged list"):
+            lowest_line_irreducible(ops, 2, 5)
+        with pytest.raises(ValueError, match="ops must be 2 x 2 operators, not a ragged list"):
+            burnside_irreducible(ops, 2, GF(5))
 
 
 def test_certificate_names_the_submodule_of_a_reducible_odd_part():

@@ -15,7 +15,7 @@ from spinlab.linalg import SpanSolver, inv_modp, matmul_modp, nullspace_modp, ra
 from spinlab.construct import build_superalgebra
 from spinlab.superalgebra import (SuperAlgebra, VerificationFailed, _block,
                                   _brackets_into, _first_unpreserved_pair,
-                                  burnside_irreducible, check_jacobi,
+                                  _lowering, burnside_irreducible, check_jacobi,
                                   even_subalgebra, j_triple, verify_isomorphism)
 from spinlab import tits
 from spinlab.clifford import (ambient_gram, ambient_space, natural_matrices, pair_basis,
@@ -723,23 +723,24 @@ def test_phi1_intertwines():
 
 
 def test_phi1_negative_control():
-    r = phi1_intertwine(F5, negate_index=0)
+    # the same check on Φ₁ with column 0 negated, from the same call
+    r = phi1_intertwine(F5)["negative_control"]
+    assert set(r) == {"pass", "witness"}
     assert not r["pass"]
     assert r["witness"] is not None
     assert r["witness"]["lhs"] != r["witness"]["rhs"]
 
 
-@pytest.mark.parametrize("index", [-1, 32, True, 1.0])
-def test_phi1_negate_index_refused(index):
-    # numpy would wrap -1 to column 31 and take True as column 1
-    with pytest.raises(ValueError, match="negate_index"):
-        phi1_intertwine(F5, negate_index=index)
-
-
-def test_phi1_negate_index_takes_a_numpy_integer():
-    # an index is checked by fields._is_int, as everywhere in the package
-    r = phi1_intertwine(F5, negate_index=np.int64(3))
-    assert r == phi1_intertwine(F5, negate_index=3) and not r["pass"]
+def test_a_negated_phi1_column_is_caught(monkeypatch):
+    # a Φ₁ with column 3 negated fails the check itself, and still fails
+    # its control, which negates column 0 as well
+    phi1 = tits._phi1(F5).copy()
+    phi1[:, 3] = (-phi1[:, 3]) % 5
+    monkeypatch.setattr(tits, "_phi1", lambda field: phi1)
+    r = phi1_intertwine(F5)
+    assert not r["pass"] and r["checked"] < 1760
+    assert r["witness"]["lhs"] != r["witness"]["rhs"]
+    assert not r["negative_control"]["pass"]
 
 
 @pytest.mark.parametrize("i,j", [(-1, 60), (87, 1), (1, 87), (True, 60),
@@ -776,7 +777,7 @@ def test_cross_identification_pinned():
     assert _hash_matrix(r["matrix"]) == (
         "705f4ffbc8c18122494ed8bf59f75ca24adc03d9ec29c1e10864e6a20d436a68")
     # and the whole result as sorted JSON, the odd block read off the
-    # kernel lines at [u,f1] .. [u,f5] included
+    # kernel lines of the strictly upper triangular operators included
     assert hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest() == (
         "c7db0bbc0e4269851516062843fbb5e147be605f89e3ab9e908526feb1601e3c")
     again = cross_identify_with_typeB(F5)
@@ -888,17 +889,43 @@ def _low_b5():
     return [pair_basis(5, "B").labels.index(f"[u,f{i}]") for i in range(1, 6)]
 
 
+def _jordan(*sizes):
+    """The nilpotent Jordan matrix with blocks of the given sizes: ones on
+    the superdiagonal inside each block, so strictly upper triangular, its
+    kernel spanned by the first basis vector of each block."""
+    J = np.eye(sum(sizes), k=1, dtype=np.int64)
+    for end in np.cumsum(sizes)[:-1]:
+        J[end - 1, end] = 0
+    return J
+
+
+def _irreducible_rep(rng, n, p, nullity=None, first=None, count=3):
+    """count random n×n generators acting absolutely irreducibly (their
+    Burnside span is all of End); generator 0 is first, or has kernel
+    dimension nullity, when one is given."""
+    while True:
+        rep = [rng.integers(0, p, size=(n, n), dtype=np.int64)
+               for _ in range(count)]
+        if nullity is not None:
+            rep[0] = _of_nullity(rng, n, p, nullity)
+        if first is not None:
+            rep[0] = first
+        if burnside_irreducible(rep, n, GF(p)):
+            return rep
+
+
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("seed", range(4))
 def test_odd_intertwiner_of_conjugate_reps(p, seed):
-    # generator 0 has nullity 1, so low = [0] gives one kernel line
+    # generator 0 of rep2 is a Jordan block, its one strictly upper
+    # triangular operator, so the lowering kernel is one line
     rng = np.random.default_rng(100 * p + seed)
     n = 5
-    rep1 = [_of_nullity(rng, n, p, 1)] + [
-        rng.integers(0, p, size=(n, n), dtype=np.int64) for _ in range(2)]
+    rep2 = _irreducible_rep(rng, n, p, first=_jordan(n))
+    assert _lowering(np.stack(rep2)).tolist() == [True, False, False]
     P, Pi = _random_invertible(rng, n, p)
-    rep2 = [P @ r @ Pi % p for r in rep1]
-    S = _odd_intertwiner(rep1, rep2, [0], p)
+    rep1 = [Pi @ r @ P % p for r in rep2]
+    S = _odd_intertwiner(rep1, rep2, p)
     ref = _kronecker_intertwiners(rep1, rep2, p)
     assert ref.shape[0] == 1
     # S spans the same line as the reference and as P
@@ -909,24 +936,25 @@ def test_odd_intertwiner_of_conjugate_reps(p, seed):
 
 
 def test_odd_intertwiner_absent():
-    # 2·S = S·D with D = diag(0, 1, 1, 1) forces S = 0: D − 2 is invertible
+    # J·S = S·(2·1) with J nilpotent forces S = 0: J − 2 is invertible
     p, n = 5, 4
-    rep1 = [np.diag([0] + [1] * (n - 1)).astype(np.int64)]
-    rep2 = [2 * np.eye(n, dtype=np.int64)]
+    rep1 = [2 * np.eye(n, dtype=np.int64)]
+    rep2 = [_jordan(n)]
     assert _kronecker_intertwiners(rep1, rep2, p).shape[0] == 0
     with pytest.raises(VerificationFailed,
-                       match="not one line: it has dimension 1 on rep1 and 0 on rep2"):
-        _odd_intertwiner(rep1, rep2, [0], p)
+                       match="not one line: it has dimension 0 on rep1 and 1 on rep2"):
+        _odd_intertwiner(rep1, rep2, p)
 
 
 def test_odd_intertwiner_not_unique():
-    # equal scalar reps: every S intertwines, a space of dim n²
+    # equal scalar reps: every S intertwines, a space of dim n²; the zero
+    # operator is the strictly upper triangular one, its kernel everything
     p, n = 7, 3
     rep = [0 * np.eye(n, dtype=np.int64), 5 * np.eye(n, dtype=np.int64)]
     assert _kronecker_intertwiners(rep, rep, p).shape[0] == n * n
     with pytest.raises(VerificationFailed,
                        match="not one line: it has dimension 3 on rep1 and 3 on rep2"):
-        _odd_intertwiner(rep, rep, [0], p)
+        _odd_intertwiner(rep, rep, p)
 
 
 def assert_line_of(S, P, p):
@@ -937,57 +965,49 @@ def assert_line_of(S, P, p):
 
 def test_odd_intertwiner_of_the_conjugated_spin_rep():
     p = 5
-    rep1 = _block(build_superalgebra(5, "B", F5), 0, 1, 1)       # n = 32
+    rep2 = _block(build_superalgebra(5, "B", F5), 0, 1, 1)       # n = 32
     P, Pi = _random_invertible(np.random.default_rng(32), 32, p)
-    rep2 = np.stack([P @ r @ Pi % p for r in rep1])
-    S = _odd_intertwiner(rep1, rep2, _low_b5(), p)
+    rep1 = np.stack([Pi @ r @ P % p for r in rep2])
+    S = _odd_intertwiner(rep1, rep2, p)
     assert_line_of(S, P, p)
     last = S.reshape(-1)[np.flatnonzero(S)[-1]]
     assert last == 1
 
 
 def test_lowering_kernel_of_b5_is_the_empty_monomial():
-    # [u,f1] .. [u,f5] kill exactly monomial 0; without [u,f5] the kernel
-    # is a plane, and the solve refuses it
+    # the strictly upper triangular operators of B5's spin action are 25
+    # of the 55, [u,f1] .. [u,f5] among them, and they kill exactly
+    # monomial 0, as the five [u,fi] alone do; without [u,f5] the kernel
+    # is a plane, and the solve refuses that generator subset
     rep = _block(build_superalgebra(5, "B", F5), 0, 1, 1)
     low = _low_b5()
-    kernel = nullspace_modp(rep[low].reshape(-1, 32), 5)
+    lowering = _lowering(rep)
+    assert lowering.sum() == 25 and lowering[low].all()
+    kernel = nullspace_modp(rep[lowering].reshape(-1, 32), 5)
     assert kernel.tolist() == [[1] + [0] * 31]
+    assert nullspace_modp(rep[low].reshape(-1, 32), 5).tolist() == kernel.tolist()
     assert nullspace_modp(rep[low[:4]].reshape(-1, 32), 5).shape[0] == 2
     with pytest.raises(VerificationFailed,
                        match="not one line: it has dimension 2 on rep1 and 2 on rep2"):
-        _odd_intertwiner(rep, rep, low[:4], 5)
+        _odd_intertwiner(rep[low[:4]], rep[low[:4]], 5)
 
 
-def _irreducible_rep(rng, n, p, nullity=None, count=3):
-    """count random n×n generators acting absolutely irreducibly (their
-    Burnside span is all of End); generator 0 has kernel dimension nullity
-    when one is given."""
-    while True:
-        rep = [rng.integers(0, p, size=(n, n), dtype=np.int64)
-               for _ in range(count)]
-        if nullity is not None:
-            rep[0] = _of_nullity(rng, n, p, nullity)
-        if burnside_irreducible(rep, n, GF(p)):
-            return rep
-
-
-# seeds 0-1: generator 0 has nullity 0 on rep2, so the kernel lines already
-# differ; seeds 5 and 7: nullity 1 on both, and the spin of the kernel pair
-# is not a graph
+# seeds 0-1: generator 0 of rep2 is a Jordan matrix of two blocks, so its
+# kernel is a plane where that of rep1 is a line; seeds 5 and 7: one line
+# on both, and the spin of the kernel pair is not a graph
 @pytest.mark.parametrize("seed, match", [
-    (0, "not one line: it has dimension 1 on rep1 and 0 on rep2"),
-    (1, "not one line: it has dimension 1 on rep1 and 0 on rep2"),
+    (0, "not one line: it has dimension 1 on rep1 and 2 on rep2"),
+    (1, "not one line: it has dimension 1 on rep1 and 2 on rep2"),
     (5, "no odd intertwiner exists: the spin"),
     (7, "no odd intertwiner exists: the spin")])
 def test_odd_intertwiner_of_non_isomorphic_reps(seed, match):
     p, n = 7, 5
     rng = np.random.default_rng(700 + seed)
     rep1 = _irreducible_rep(rng, n, p, nullity=1)
-    rep2 = _irreducible_rep(rng, n, p, nullity=int(seed > 1))
+    rep2 = _irreducible_rep(rng, n, p, first=_jordan(2, 3) if seed <= 1 else _jordan(n))
     assert _kronecker_intertwiners(rep1, rep2, p).shape[0] == 0
     with pytest.raises(VerificationFailed, match=match):
-        _odd_intertwiner(rep1, rep2, [0], p)
+        _odd_intertwiner(rep1, rep2, p)
 
 
 def _direct_sum(reps_a, reps_b):
@@ -1005,21 +1025,27 @@ def _direct_sum(reps_a, reps_b):
 def test_odd_intertwiner_refuses_a_reducible_rep(sizes, seed):
     # A ⊕ B has intertwiners with its conjugate, but not a single line of
     # them: the solve must refuse rather than answer with one S.  Generator
-    # 0 has nullity 1 on A and 0 on B, so A ⊕ B has one kernel line, which
-    # spins only A; A ⊕ A has a kernel plane
+    # 0 is J_a ⊕ J_b, so each summand holds a line of the lowering kernel,
+    # a plane.  Glued by generator 0 = J_{a+b}, which keeps A invariant,
+    # the kernel is one line, and it spins only A
     p = 5
     rng = np.random.default_rng(500 + 10 * seed + sum(sizes))
-    a = _irreducible_rep(rng, sizes[0], p, nullity=1)
-    b = a if sizes[0] == sizes[1] else _irreducible_rep(rng, sizes[1], p, nullity=0)
-    rep1 = _direct_sum(a, b)
+    a = _irreducible_rep(rng, sizes[0], p, first=_jordan(sizes[0]))
+    b = a if sizes[0] == sizes[1] else _irreducible_rep(rng, sizes[1], p,
+                                                        first=_jordan(sizes[1]))
     n = sum(sizes)
+    summed = _direct_sum(a, b)
+    glued = [_jordan(n)] + summed[1:]
     P, Pi = _random_invertible(rng, n, p)
-    rep2 = [P @ r @ Pi % p for r in rep1]
-    assert _kronecker_intertwiners(rep1, rep2, p).shape[0] > 1
-    match = ("dimension 2 on rep1 and 2 on rep2" if b is a else
-             f"rep1 is reducible: the kernel vector spins a {sizes[0]}-dimensional")
-    with pytest.raises(VerificationFailed, match=match):
-        _odd_intertwiner(rep1, rep2, [0], p)
+    rep1 = [Pi @ r @ P % p for r in summed]
+    assert _kronecker_intertwiners(rep1, summed, p).shape[0] > 1
+    with pytest.raises(VerificationFailed, match="dimension 2 on rep1 and 2 on rep2"):
+        _odd_intertwiner(rep1, summed, p)
+    rep1 = [Pi @ r @ P % p for r in glued]
+    assert _kronecker_intertwiners(rep1, glued, p).shape[0] >= 1      # P's line
+    with pytest.raises(VerificationFailed, match="rep1 is reducible: the kernel "
+                       f"vector spins a {sizes[0]}-dimensional"):
+        _odd_intertwiner(rep1, glued, p)
 
 
 # ---------------------------------------------------------------------------
